@@ -25,8 +25,9 @@ bit).  ``ColumnStore`` keeps data column-major:
 In-place updates (``store[pos] = row``) write through to the column
 vectors; a write landing in a sealed block first *decays* that block to
 uncompressed column lists (counted in ``block_decays``).  Reads are
-served from caches — a materialised row list, decoded full columns, and
-join hash indexes — that any mutation invalidates; ``size_bytes``
+served from caches — a materialised row list, decoded full columns (as
+lists and, where exact, as typed arrays) and join indexes — that any
+mutation invalidates; ``size_bytes``
 deliberately excludes them so space accounting reflects the encoded
 data, and ``drop_caches`` releases them for honest measurement.
 """
@@ -326,6 +327,17 @@ class ColumnStore:
             self._col_cache[j] = cached
         return cached
 
+    def array(self, j: int):
+        """Column *j* as an exact typed vector, or None when the column
+        has none (:func:`repro.relational.physical.blocks.exact_array`);
+        cached beside the join indexes, dropped by the same mutations."""
+        cache_key = ("array", j)
+        if cache_key not in self._index_cache:
+            from ..physical.blocks import exact_array
+
+            self._index_cache[cache_key] = exact_array(self.column(j))
+        return self._index_cache[cache_key]
+
     def blocks(self) -> list:
         """The sealed blocks followed by the ragged tail (as a block).
 
@@ -347,51 +359,31 @@ class ColumnStore:
         return out
 
     def join_index(self, key_positions: tuple[int, ...], kind: str) -> tuple:
-        """Cached hash index over the current contents.
+        """Cached position index over the current contents.
 
-        ``kind`` picks the bucket payload: ``"scalar-rows"`` /
-        ``"tuple-rows"`` map keys to row-tuple buckets (the batch join's
-        build index), ``"scalar-positions"`` / ``"tuple-positions"`` map
-        keys to row positions (for columnar gathers).  NULL keys are
-        excluded, matching the executors' build loops.  Returns
-        ``(index, build_rows_observed)``; the cache survives until any
-        mutation, so a fixpoint loop probing a static build table pays
-        the build cost once instead of once per iteration.
+        ``"positions"`` maps each key — a value for one key column, a
+        tuple for several — to the list of row positions holding it; NULL
+        keys are excluded, matching the executors' build loops.  ``"csr"``
+        is its typed-array form for one dense all-int key column — a
+        :class:`~repro.relational.physical.blocks.CsrIndex`, or None when
+        the column is anything else (NULLs included).  Returns ``(index,
+        build_rows_observed)``; the cache survives until any mutation, so
+        a fixpoint loop probing a static build table pays the build cost
+        once instead of once per iteration.
         """
         cache_key = (kind, key_positions)
         hit = self._index_cache.get(cache_key)
         if hit is not None:
             return hit
-        from operator import itemgetter
+        from ..physical.blocks import csr_index, position_index
 
-        rows = self.materialized()
-        index: dict = {}
-        if kind == "scalar-rows" or kind == "scalar-positions":
-            keys = self.column(key_positions[0])
-            payload = rows if kind == "scalar-rows" else range(len(rows))
-            for key, item in zip(keys, payload):
-                if key is None:
-                    continue
-                bucket = index.get(key)
-                if bucket is None:
-                    index[key] = [item]
-                else:
-                    bucket.append(item)
-        elif kind == "tuple-rows" or kind == "tuple-positions":
-            getter = itemgetter(*key_positions)
-            payload = rows if kind == "tuple-rows" else range(len(rows))
-            for key, item in zip(map(getter, rows), payload):
-                if None in key:
-                    continue
-                bucket = index.get(key)
-                if bucket is None:
-                    index[key] = [item]
-                else:
-                    bucket.append(item)
+        if kind == "csr":
+            index = csr_index(self.array(key_positions[0]))
+            result = (index, 0 if index is None else len(index))
+        elif kind == "positions":
+            result = position_index([self.column(p) for p in key_positions])
         else:
             raise ValueError(f"unknown join index kind {kind!r}")
-        observed = sum(map(len, index.values()))
-        result = (index, observed)
         self._index_cache[cache_key] = result
         return result
 

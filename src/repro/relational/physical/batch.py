@@ -33,6 +33,8 @@ from ..schema import Schema
 from .aggregate import _AggregateBase
 from .base import PhysicalOperator
 from .blocks import (
+    ArrayColumns,
+    ArrayVector,
     ColumnBatch,
     ConcatColumns,
     DerivedColumns,
@@ -40,18 +42,25 @@ from .blocks import (
     JoinColumns,
     RowsColumns,
     StoreColumns,
+    SubsetColumns,
+    _is_int64,
     _none_free,
+    array_grouped,
     clean_numeric,
+    compile_array,
     compile_vector,
+    csr_index,
     grouped_count,
     grouped_max,
     grouped_min,
     grouped_sum,
     int_keys,
+    position_index,
 )
 from .filter import Filter
-from .joins import _BinaryJoin
+from .joins import _BinaryJoin, stable_input_fingerprint
 from .project import Project
+from .prune import ColumnPrune
 from .rename import Requalify
 from .scan import BindingScan, RelationScan, TableScan
 from .setops import UnionAllOp
@@ -174,12 +183,23 @@ def _key_set(rows: list[Row], scalar, key_fn) -> set:
 
 
 def _columnar_store(node: PhysicalOperator):
-    """The node's ColumnStore when it is a columnar table scan."""
+    """The node's ColumnStore when it is a columnar table scan, bare or
+    under a :class:`ColumnPrune` (same rows, fewer columns)."""
+    if isinstance(node, ColumnPrune):
+        node = node.child
     if isinstance(node, TableScan):
         store = node.table.rows
         if getattr(store, "storage", "rows") == "columnar":
             return store
     return None
+
+
+def _store_positions(node: PhysicalOperator,
+                     positions: tuple[int, ...]) -> tuple[int, ...]:
+    """*positions* of *node*'s output as columns of its store."""
+    if isinstance(node, ColumnPrune):
+        return tuple(node.positions[p] for p in positions)
+    return positions
 
 
 def _instrumented(node: PhysicalOperator) -> bool:
@@ -211,14 +231,19 @@ def _batch_source(node: PhysicalOperator) -> ColumnBatch | None:
     """Resolve *node* into a column batch, or None to use the row path."""
     if "rows" in node.__dict__:
         return None
-    store = _columnar_store(node)
-    if store is not None:
-        return StoreColumns(store)
+    if isinstance(node, TableScan):
+        store = _columnar_store(node)
+        return StoreColumns(store) if store is not None else None
     if isinstance(node, (RelationScan, BindingScan)):
         return RowsColumns(list(node.rows()), node.schema.arity)
     if isinstance(node, Requalify):
         # Pure rename (ρ): rows pass through untouched.
         return _batch_source(node.child)
+    if isinstance(node, ColumnPrune):
+        child = _batch_source(node.child)
+        if child is None:
+            return None
+        return SubsetColumns(child, node.positions, node._builder)
     if isinstance(node, BatchProject):
         vectors = [compile_vector(bound) for bound, _ in node.items]
         if any(v is None for v in vectors):
@@ -226,9 +251,8 @@ def _batch_source(node: PhysicalOperator) -> ColumnBatch | None:
         child = _batch_source(node.child)
         if child is None:
             return None
-        return DerivedColumns(
-            child.length,
-            [(lambda v=v: v(child)) for v in vectors])
+        return DerivedColumns(child, [bound for bound, _ in node.items],
+                              vectors)
     if isinstance(node, BatchFilter):
         predicate = compile_vector(node.predicate)
         if predicate is None:
@@ -249,7 +273,69 @@ def _batch_source(node: PhysicalOperator) -> ColumnBatch | None:
         return ConcatColumns(left, right)
     if type(node) is BatchHashJoin:
         return node._block_source()
+    if type(node) is BatchHashAggregate:
+        # Through rows(), the operator's own boundary: whoever watches it
+        # (span tracing) sees the aggregate's work where it happens.
+        return node.rows(batch=True)
     return None
+
+
+class _BlockBuild:
+    """The build side of a block join: its column batch plus position
+    indexes over the key columns, each built on first use.
+
+    Over a columnar scan the indexes live in the store's cache and
+    survive every statement until the table mutates; otherwise they are
+    built from the batch's key columns and live as long as this object —
+    one execution, or (``cached_build`` joins) until the build input's
+    fingerprint changes.
+    """
+
+    def __init__(self, build: PhysicalOperator,
+                 positions: tuple[int, ...]):
+        self.source = _batch_source(build)
+        self.positions = positions
+        self.scalar = len(positions) == 1
+        self._store = _columnar_store(build)
+        self._store_positions = _store_positions(build, positions)
+        self._csr: tuple | None = None
+        self._dict: tuple | None = None
+        self._unique: tuple | None = None
+
+    def csr(self) -> tuple:
+        """``(CsrIndex | None, build rows indexed)`` for a one-column key."""
+        if self._store is not None:
+            return self._store.join_index(self._store_positions, "csr")
+        if self._csr is None:
+            index = csr_index(self.source.array(self.positions[0]))
+            self._csr = (index, 0 if index is None else len(index))
+        return self._csr
+
+    def unique_index(self) -> dict | None:
+        """``key -> build position`` when a one-column build outside a
+        store has distinct, NULL-free keys — a consolidated delta keyed by
+        vertex, the build side of a with+ branch planned without the cost
+        policy — so ``map(index.get, probe_keys)`` resolves a whole probe
+        column in one C pass.  None otherwise: probe the buckets."""
+        if self._store is not None or not self.scalar:
+            return None
+        if self._unique is None:
+            keys = self.source.column(self.positions[0])
+            # dict(zip()) keeps one position per key: a size mismatch
+            # detects duplicates.
+            index = dict(zip(keys, range(len(keys))))
+            distinct = len(index) == len(keys) and None not in index
+            self._unique = (index if distinct else None,)
+        return self._unique[0]
+
+    def position_index(self) -> tuple:
+        """``(key -> build positions, build rows indexed)``."""
+        if self._store is not None:
+            return self._store.join_index(self._store_positions, "positions")
+        if self._dict is None:
+            self._dict = position_index(
+                [self.source.column(p) for p in self.positions])
+        return self._dict
 
 
 class BatchHashJoin(_BatchBinaryJoin):
@@ -257,33 +343,53 @@ class BatchHashJoin(_BatchBinaryJoin):
 
     NULL join keys never enter the build index, so probe lookups need no
     explicit NULL test — a NULL probe key simply misses.
+
+    ``cached_build`` (set by the cost-based planner when the build input
+    is stable across re-executions — a with+ branch probing a base table
+    with each iteration's delta) keeps the build side's index between
+    executions, keyed by :func:`stable_input_fingerprint`.
     """
 
     label = "Hash Join"
 
     def __init__(self, left, right, left_keys, right_keys,
-                 build_side: str = "right"):
+                 build_side: str = "right", cached_build: bool = False):
         super().__init__(left, right, left_keys, right_keys)
         if build_side not in ("left", "right"):
             raise ValueError(f"bad build_side {build_side!r}")
         self.build_side = build_side
+        self.cached_build = cached_build
+        #: slot -> (build-input fingerprint, what was built from it)
+        self._build_cache: dict[str, tuple] = {}
 
     def detail(self) -> str:
         base = super().detail()
         if self.build_side == "left":
-            return f"{base}; build left"
+            base = f"{base}; build left"
+        if self.cached_build:
+            base = f"{base}; cached build"
         return base
 
-    def _block_source(self) -> ColumnBatch | None:
+    def _built(self, slot: str, build: PhysicalOperator, make):
+        """``make()``, reused while the build input's contents stay put."""
+        fingerprint = (stable_input_fingerprint(build)
+                       if self.cached_build else None)
+        if fingerprint is None:
+            return make()
+        hit = self._build_cache.get(slot)
+        if hit is None or hit[0] != fingerprint:
+            hit = self._build_cache[slot] = (fingerprint, make())
+        return hit[1]
+
+    def _block_source(self) -> JoinColumns | None:
         """Join output as gather vectors over a position index — no
         concatenated row tuples are built at all.
 
-        When the build side is a columnar scan, the position index comes
-        from the store's cache and survives across fixpoint iterations;
-        otherwise (the common recursive shape puts the small delta on the
-        build side) an ephemeral index is built from the batch's key
-        column — same O(|build|) as the row path, but probing still pays
-        column-gather prices instead of per-row tuple construction.
+        An all-int key column on both sides probes a :class:`CsrIndex`
+        with array arithmetic; anything else probes a dict — of positions
+        when the build keys are distinct, of position buckets row by row
+        otherwise.  All emit pairs probe-major with ties in build order,
+        the row path's output order.
         """
         if self.build_side == "right":
             build, probe = self.right, self.left
@@ -298,154 +404,60 @@ class BatchHashJoin(_BatchBinaryJoin):
         probe_src = _batch_source(probe)
         if probe_src is None:
             return None
-        scalar = len(build_positions) == 1
-        kind = "scalar-positions" if scalar else "tuple-positions"
-        store = _columnar_store(build)
-        probe_store = _columnar_store(probe)
-        probe_idx: list[int] = []
-        build_pos: list[int] = []
-        if store is None and probe_store is not None and scalar:
-            # The recursive shape: small per-iteration delta on the
-            # build side, columnar table on the probe side.  The build
-            # keys are almost always unique (a consolidated delta keyed
-            # by vertex), so one dict maps key -> build position, and
-            # ``map(get, probe_keys)`` resolves every probe row in a
-            # single C pass — output lands in the row path's probe-major
-            # order with no sort and no per-probe-row Python iteration.
-            build_src = _batch_source(build)
-            if build_src is None:
-                return None
-            build_keys = build_src.column(build_positions[0])
-            if None not in build_keys:
-                # All-C construction: dict(zip(...)) keeps the *last*
-                # position per duplicate key, so a size mismatch both
-                # detects duplicates and (when unique) yields the map.
-                pos_map = dict(zip(build_keys, range(len(build_keys))))
-                unique = len(pos_map) == len(build_keys)
+        built = self._built(
+            "block", build, lambda: _BlockBuild(build, build_positions))
+        if built.source is None:
+            return None
+        probe_idx = build_pos = None
+        if built.scalar:
+            probe_keys = probe_src.array(probe_positions[0])
+            if _is_int64(probe_keys):
+                index, observed = built.csr()
+                if index is not None:
+                    probe_idx, build_pos = index.probe(probe_keys.data)
+        unique = built.unique_index() if build_pos is None else None
+        if unique is not None:
+            observed = len(unique)
+            hits = list(map(unique.get,
+                            probe_src.column(probe_positions[0])))
+            if None in hits:
+                probe_idx = [i for i, hit in enumerate(hits)
+                             if hit is not None]
+                build_pos = [hit for hit in hits if hit is not None]
             else:
-                pos_map = {}
-                unique = True
-                for pos, key in enumerate(build_keys):
-                    if key is None:
-                        continue
-                    if key in pos_map:
-                        unique = False
-                        break
-                    pos_map[key] = pos
-            probe_keys = probe_src.column(probe_positions[0])
-            if unique:
-                self.build_rows_observed += len(pos_map)
-                hits = list(map(pos_map.get, probe_keys))
-                if None not in hits:
-                    probe_idx = None  # identity: all probe rows match
-                    build_pos = hits
-                else:
-                    probe_idx = [i for i, h in enumerate(hits)
-                                 if h is not None]
-                    build_pos = [h for h in hits if h is not None]
+                probe_idx, build_pos = range(len(hits)), hits
+        elif build_pos is None:
+            index, observed = built.position_index()
+            probe_idx, build_pos = [], []
+            if built.scalar:
+                keys = probe_src.column(probe_positions[0])
             else:
-                # Duplicate build keys: fall back to bucketed pairs and
-                # restore probe-major order (ties resolve to build-row
-                # order, as dict buckets do) with one C sort.
-                index, _ = probe_store.join_index(probe_positions, kind)
-                observed = len(build_keys) - build_keys.count(None)
-                self.build_rows_observed += observed
-                pairs: list[tuple[int, int]] = []
-                extend = pairs.extend
+                keys = zip(*(probe_src.column(p) for p in probe_positions))
+            if index:
                 get = index.get
-                for pos, key in enumerate(build_keys):
+                extend_pos = build_pos.extend
+                extend_idx = probe_idx.extend
+                for i, key in enumerate(keys):
                     bucket = get(key)
                     if bucket is not None:
-                        extend(zip(bucket, repeat(pos)))
-                pairs.sort()
-                probe_idx = [pair[0] for pair in pairs]
-                build_pos = [pair[1] for pair in pairs]
-            return JoinColumns(probe_src, build_src, probe_idx, build_pos,
-                               probe.schema.arity, build.schema.arity,
-                               probe_is_left=(self.build_side == "right"))
-        if store is not None:
-            index, observed = store.join_index(build_positions, kind)
-            build_src: ColumnBatch = StoreColumns(store)
-        else:
-            build_src = _batch_source(build)
-            if build_src is None:
-                return None
-            index = {}
-            if scalar:
-                build_keys = build_src.column(build_positions[0])
-            else:
-                build_keys = zip(*(build_src.column(p)
-                                   for p in build_positions))
-            for pos, key in enumerate(build_keys):
-                if (key is None if scalar else None in key):
-                    continue
-                bucket = index.get(key)
-                if bucket is None:
-                    index[key] = [pos]
-                else:
-                    bucket.append(pos)
-            observed = sum(map(len, index.values()))
+                        extend_pos(bucket)
+                        extend_idx(repeat(i, len(bucket)))
         self.build_rows_observed += observed
-        if scalar:
-            keys = probe_src.column(probe_positions[0])
-        else:
-            keys = zip(*(probe_src.column(p) for p in probe_positions))
-        if index:
-            get = index.get
-            extend_pos = build_pos.extend
-            extend_idx = probe_idx.extend
-            for i, key in enumerate(keys):
-                bucket = get(key)
-                if bucket is not None:
-                    extend_pos(bucket)
-                    extend_idx(repeat(i, len(bucket)))
-        return JoinColumns(probe_src, build_src, probe_idx, build_pos,
+        return JoinColumns(probe_src, built.source, probe_idx, build_pos,
                            probe.schema.arity, build.schema.arity,
                            probe_is_left=(self.build_side == "right"))
 
-    def _cached_index_rows(self) -> list[Row] | None:
-        """Row-output probe against the build store's cached row index
-        (the pipeline-exit twin of :meth:`_block_source`)."""
-        if self.build_side == "right":
-            build, probe = self.right, self.left
-            positions = self._right_positions
-            probe_scalar, probe_tuple = self._left_scalar, self._left_key
-        else:
-            build, probe = self.left, self.right
-            positions = self._left_positions
-            probe_scalar, probe_tuple = self._right_scalar, self._right_key
-        store = _columnar_store(build)
-        if store is None or positions is None:
-            return None
-        if len(positions) == 1 and probe_scalar is not None:
-            index, observed = store.join_index(positions, "scalar-rows")
-            probe_key = probe_scalar
-        else:
-            index, observed = store.join_index(positions, "tuple-rows")
-            probe_key = probe_tuple
-        self.build_rows_observed += observed
-        out: list[Row] = []
-        if not index:
-            return out
-        extend = out.extend
-        get = index.get
-        if self.build_side == "right":
-            for chunk in _chunks(probe):
-                extend([row + match
-                        for key, row in zip(map(probe_key, chunk), chunk)
-                        for match in get(key, ())])
-        else:
-            for chunk in _chunks(probe):
-                extend([match + row
-                        for key, row in zip(map(probe_key, chunk), chunk)
-                        for match in get(key, ())])
-        return out
-
     def _compute(self) -> list[Row]:
         if _block_eligible(self):
-            fast = self._cached_index_rows()
-            if fast is not None:
-                return fast
+            observed = self.build_rows_observed
+            try:
+                source = _batch_source(self)
+                if source is not None:
+                    return source.rows()
+            except Exception:
+                # Replay through the row path for the exact error; it
+                # counts the build rows itself.
+                self.build_rows_observed = observed
         if self.build_side == "right":
             build, probe = self.right, self.left
             build_scalar, probe_scalar = self._right_scalar, self._left_scalar
@@ -454,12 +466,13 @@ class BatchHashJoin(_BatchBinaryJoin):
             build, probe = self.left, self.right
             build_scalar, probe_scalar = self._left_scalar, self._right_scalar
             build_tuple, probe_tuple = self._left_key, self._right_key
-        build_rows = _materialize(build)
         if build_scalar is not None:
-            index = _build_index_scalar(build_rows, build_scalar)
+            index = self._built("rows", build, lambda: _build_index_scalar(
+                _materialize(build), build_scalar))
             probe_key = probe_scalar
         else:
-            index = _build_index_tuple(build_rows, build_tuple)
+            index = self._built("rows", build, lambda: _build_index_tuple(
+                _materialize(build), build_tuple))
             probe_key = probe_tuple
         self.build_rows_observed += sum(map(len, index.values()))
         out: list[Row] = []
@@ -648,12 +661,34 @@ class BatchHashAggregate(_AggregateBase):
     def execute(self) -> Relation:
         return Relation.from_trusted_rows(self.schema, self._compute())
 
-    def rows(self) -> Iterator[tuple]:
+    def rows(self, batch: bool = False):
+        """The result rows; with *batch*, the result as a column batch
+        (or None) instead — the hand-off to a block projection above."""
+        if batch:
+            return self._block_source()
         return iter(self._compute())
 
     # -- single-aggregate fast paths -----------------------------------
-    def _block_single(self, function: str) -> list[tuple] | None:
-        """Whole-column grouped aggregation over a block pipeline.
+    def _block_source(self) -> ColumnBatch | None:
+        """The single-aggregate, one-key shape as a column batch, so a
+        projection above it (PageRank's ``c * sum + t``) computes on the
+        array kernel's typed output and rows are built once, at the plan
+        root.  When the block kernels decline, the batch wraps the row
+        path's result; other shapes answer None (callers iterate ``rows``).
+        """
+        if len(self.aggregates) != 1 or self._scalar_key is None:
+            return None
+        spec = self.aggregates[0]
+        fast = self._block_single(spec.function)
+        if fast is not None:
+            return fast
+        return RowsColumns(self._row_single(spec.function, self._arg_fns[0]),
+                           self.schema.arity)
+
+    def _block_single(self, function: str) -> ColumnBatch | None:
+        """Whole-column grouped aggregation over a block pipeline: the
+        array kernel when keys and argument have typed views inside its
+        exactness envelope, the list kernels otherwise.
 
         Speculative: any exception (heterogeneous values, a kernel the
         vectorizer mis-covers) returns None and the caller replays the
@@ -663,17 +698,23 @@ class BatchHashAggregate(_AggregateBase):
             src = _batch_source(self.child)
             if src is None:
                 return None
-            keys = src.column(self._bound_keys[0].index)
+            key_index = self._bound_keys[0].index
+            arg_expr = self._bound_args[0] if self._bound_args else None
+            fast = self._array_single(function, src, key_index, arg_expr)
+            if fast is not None:
+                return fast
+            keys = src.column(key_index)
             if not int_keys(keys):
                 return None
-            arg_expr = self._bound_args[0] if self._bound_args else None
             if function == "count":
                 if arg_expr is not None:
                     vector = compile_vector(arg_expr)
                     if vector is None or not _none_free(vector(src)):
                         return None
-                return grouped_count(keys)
-            if arg_expr is None:
+                return RowsColumns(grouped_count(keys), self.schema.arity)
+            kernel = {"sum": grouped_sum, "min": grouped_min,
+                      "max": grouped_max}.get(function)
+            if kernel is None or arg_expr is None:
                 return None
             vector = compile_vector(arg_expr)
             if vector is None:
@@ -681,21 +722,36 @@ class BatchHashAggregate(_AggregateBase):
             values = vector(src)
             if not clean_numeric(values):
                 return None
-            if function == "sum":
-                return grouped_sum(keys, values)
-            if function == "min":
-                return grouped_min(keys, values)
-            if function == "max":
-                return grouped_max(keys, values)
-            return None
+            return RowsColumns(kernel(keys, values), self.schema.arity)
         except Exception:
             return None
+
+    @staticmethod
+    def _array_single(function: str, src: ColumnBatch, key_index: int,
+                      arg_expr) -> ArrayColumns | None:
+        keys = src.array(key_index)
+        if not _is_int64(keys):
+            return None
+        values = None
+        if arg_expr is not None:
+            evaluate = compile_array(arg_expr)
+            values = evaluate(src) if evaluate is not None else None
+            if not isinstance(values, ArrayVector):
+                return None
+        grouped = array_grouped(function, keys.data, values)
+        if grouped is None:
+            return None
+        group_keys, aggregate = grouped
+        return ArrayColumns([ArrayVector(group_keys), aggregate])
 
     def _compute_single(self, function: str, arg) -> list[tuple]:
         if self._scalar_key is not None and _block_eligible(self):
             fast = self._block_single(function)
             if fast is not None:
-                return fast
+                return fast.rows()
+        return self._row_single(function, arg)
+
+    def _row_single(self, function: str, arg) -> list[tuple]:
         key_fn = self._scalar_key or self._key_fn
         acc: dict[Any, Any] = {}
         get = acc.get

@@ -2,13 +2,22 @@
 
 When the batch executor runs over :class:`~repro.relational.columnar`
 storage, eligible operators stop exchanging row tuples and exchange
-*column batches* instead: an object exposing ``length`` and
-``column(j) -> list``.  Scans hand out the store's decoded vectors,
-filters carry a selection index vector and gather lazily, joins produce
-probe/build position vectors and gather matched columns on demand, and
-aggregates fold whole key/value vectors with dict-accumulation kernels.  Row
-tuples are only materialised where the pipeline ends (the plan root or
-an operator without a block implementation).
+*column batches* instead: an object exposing ``length``,
+``column(j) -> list`` and ``array(j) -> ArrayVector | None``.  Scans hand
+out the store's decoded vectors, filters carry a selection index vector
+and gather lazily, joins produce probe/build position vectors and gather
+matched columns on demand, and aggregates fold whole key/value vectors.
+Row tuples are only materialised where the pipeline ends (the plan root
+or an operator without a block implementation).
+
+Every kernel exists twice.  The *list* kernels (``column``,
+:func:`compile_vector`, ``grouped_*``) work on any SQL values and are the
+reference.  The *array* kernels (``array``, :func:`compile_array`,
+:class:`CsrIndex`, :func:`array_grouped`) run the same computation on
+numpy int64/float64 vectors and only exist inside an exactness envelope
+the data itself must prove — see :func:`exact_array` and
+:func:`array_grouped`; outside it (or without numpy) they answer ``None``
+and the caller takes the list kernel.
 
 Everything here is *speculative*: the dispatch in
 :mod:`.batch` only takes these paths when the result is provably
@@ -22,10 +31,10 @@ Semantics mirrored from :mod:`..expressions`:
   otherwise apply the raw C-level operator — :func:`compile_vector`
   checks ``None in column`` once (a C scan) and picks ``map(op, a, b)``
   or a guarded comprehension accordingly;
-* aggregate kernels run the scalar loops' dict accumulation over zipped
-  column vectors in row order, so float sums associate identically,
-  ``min``/``max`` perform the same comparisons in the same order, and
-  group output order stays first-seen.
+* aggregate kernels reproduce the scalar loops' dict accumulation in row
+  order, so float sums associate identically, ``min``/``max`` keep the
+  object the same comparisons in the same order would keep, and group
+  output order stays first-seen.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Sequence
 
-try:  # optional acceleration for the grouped kernels (see below)
+try:  # optional: without numpy every array view is None
     import numpy as _np
 except Exception:  # pragma: no cover - environment without numpy
     _np = None
@@ -52,14 +61,148 @@ from ..expressions import (
 Vector = list
 VectorFn = Callable[["ColumnBatch"], Vector]
 
+#: Python ints below this magnitude have an exact float64 image, so an
+#: int meeting a float computes the same value in either representation.
+_EXACT_INT = 2 ** 53
+
+
+# -- typed column vectors ------------------------------------------------------
+
+
+class ArrayVector:
+    """A column as a numpy vector holding exactly the list's values.
+
+    ``data`` is int64 (every value a Python ``int``) or float64 (every
+    value a ``float``).  A column mixing ints and floats — WCC's labels,
+    where ``min`` keeps whichever object came first — is float64 too, with
+    ``ints`` flagging the slots whose Python value is an ``int``; those
+    are all below 2**53, so comparisons and float arithmetic on the
+    float64 image are the ones Python would make.
+    """
+
+    __slots__ = ("data", "ints")
+
+    def __init__(self, data, ints=None):
+        self.data = data
+        self.ints = ints
+
+    def take(self, positions) -> "ArrayVector":
+        return ArrayVector(
+            self.data[positions],
+            None if self.ints is None else self.ints[positions])
+
+    def tolist(self) -> Vector:
+        values = self.data.tolist()
+        if self.ints is not None:
+            for slot in _np.flatnonzero(self.ints).tolist():
+                values[slot] = int(values[slot])
+        return values
+
+
+def exact_array(values: Vector) -> ArrayVector | None:
+    """*values* as an :class:`ArrayVector`, or None when an array cannot
+    stand in for the list: numpy missing, an empty column, NULLs, bools
+    (dict-equal to ints but distinct objects), ints outside int64 (or,
+    beside floats, outside ±2**53), any other type, or a NaN — the row
+    path carries the NaN *object* along, and tuple equality on it is by
+    identity."""
+    if _np is None:
+        return None
+    kinds = set(map(type, values))
+    try:
+        if kinds == {int}:
+            return ArrayVector(_np.array(values, dtype=_np.int64))
+        if kinds == {float}:
+            data = _np.array(values, dtype=_np.float64)
+            ints = None
+        elif kinds == {int, float}:
+            data = _np.array(values, dtype=_np.float64)
+            ints = _np.array(list(map(isinstance, values, repeat(int))),
+                             dtype=bool)
+            if (_np.abs(data[ints]) >= _EXACT_INT).any():
+                return None
+        else:
+            return None
+    except OverflowError:
+        return None
+    if _np.isnan(data).any():
+        return None
+    return ArrayVector(data, ints)
+
+
+def _is_int64(vector: ArrayVector | None) -> bool:
+    return vector is not None and vector.data.dtype == _np.int64
+
+
+def _int_peak(operand) -> int:
+    """Largest magnitude in an int64 vector, or of a Python int."""
+    if isinstance(operand, ArrayVector):
+        data = operand.data
+        if not len(data):
+            return 0
+        return max(abs(int(data.min())), abs(int(data.max())))
+    return abs(operand)
+
+
+def _float_data(vector: ArrayVector):
+    """The vector's values as a float64 array, or None when an int64
+    vector holds a value with no exact float64 image."""
+    if vector.data.dtype == _np.float64:
+        return vector.data
+    if _int_peak(vector) >= _EXACT_INT:
+        return None
+    return vector.data.astype(_np.float64)
+
+
+def _flagged_float(vector: ArrayVector) -> ArrayVector | None:
+    """An int64 vector as float64 with every slot flagged an int."""
+    if vector.data.dtype == _np.float64:
+        return vector
+    data = _float_data(vector)
+    if data is None:
+        return None
+    return ArrayVector(data, _np.ones(len(data), dtype=bool))
+
+
+def _concat_arrays(a: ArrayVector | None,
+                   b: ArrayVector | None) -> ArrayVector | None:
+    if a is None or b is None:
+        return None
+    if a.data.dtype != b.data.dtype:
+        a, b = _flagged_float(a), _flagged_float(b)
+        if a is None or b is None:
+            return None
+    ints = None
+    if a.ints is not None or b.ints is not None:
+        ints = _np.concatenate([
+            v.ints if v.ints is not None
+            else _np.zeros(len(v.data), dtype=bool) for v in (a, b)])
+    return ArrayVector(_np.concatenate((a.data, b.data)), ints)
+
+
+# -- column batches ------------------------------------------------------------
 
 class ColumnBatch:
     """A batch of rows in column-major form."""
 
     length: int
+    #: array views handed out so far (None included), by column
+    _arrays: dict
+
+    def _array_once(self, j: int, make) -> "ArrayVector | None":
+        try:
+            return self._arrays[j]
+        except KeyError:
+            made = self._arrays[j] = make()
+            return made
 
     def column(self, j: int) -> Vector:
         raise NotImplementedError
+
+    def array(self, j: int) -> ArrayVector | None:
+        """Column *j* as a typed vector, or None when it has no exact one
+        (see :func:`exact_array`) — callers then use :meth:`column`."""
+        return None
 
     def rows(self) -> list[tuple]:
         """Materialise row tuples (pipeline exit)."""
@@ -76,6 +219,9 @@ class StoreColumns(ColumnBatch):
     def column(self, j: int) -> Vector:
         return self._store.column(j)
 
+    def array(self, j: int) -> ArrayVector | None:
+        return self._store.array(j)
+
     def rows(self) -> list[tuple]:
         return self._store.materialized()
 
@@ -88,6 +234,7 @@ class RowsColumns(ColumnBatch):
         self.arity = arity
         self.length = len(rows)
         self._cache: dict[int, Vector] = {}
+        self._arrays: dict[int, ArrayVector | None] = {}
 
     def column(self, j: int) -> Vector:
         cached = self._cache.get(j)
@@ -95,26 +242,96 @@ class RowsColumns(ColumnBatch):
             cached = self._cache[j] = list(map(itemgetter(j), self._rows))
         return cached
 
+    def array(self, j: int) -> ArrayVector | None:
+        return self._array_once(j, lambda: exact_array(self.column(j)))
+
     def rows(self) -> list[tuple]:
         return self._rows
 
 
-class DerivedColumns(ColumnBatch):
-    """Computed columns (projection output), one thunk per column."""
+class SubsetColumns(ColumnBatch):
+    """A zero-copy column subset of a child batch (``ColumnPrune``)."""
 
-    def __init__(self, length: int, thunks: Sequence[Callable[[], Vector]]):
-        self.length = length
-        self._thunks = list(thunks)
+    def __init__(self, child: ColumnBatch, positions: Sequence[int],
+                 builder: Callable[[tuple], tuple]):
+        self._child = child
+        self._positions = positions
+        self._builder = builder
+        self.length = child.length
+
+    def column(self, j: int) -> Vector:
+        return self._child.column(self._positions[j])
+
+    def array(self, j: int) -> ArrayVector | None:
+        return self._child.array(self._positions[j])
+
+    def rows(self) -> list[tuple]:
+        return list(map(self._builder, self._child.rows()))
+
+
+class ArrayColumns(ColumnBatch):
+    """Columns that exist as typed vectors only — an array kernel's
+    output.  ``column``/``rows`` are where they leave the array pipeline:
+    one ``tolist`` per column."""
+
+    def __init__(self, vectors: Sequence[ArrayVector]):
+        self._vectors = vectors
+        self.length = len(vectors[0].data)
         self._cache: dict[int, Vector] = {}
 
     def column(self, j: int) -> Vector:
         cached = self._cache.get(j)
         if cached is None:
-            cached = self._cache[j] = self._thunks[j]()
+            cached = self._cache[j] = self._vectors[j].tolist()
         return cached
 
+    def array(self, j: int) -> ArrayVector | None:
+        return self._vectors[j]
+
     def rows(self) -> list[tuple]:
-        cols = [self.column(j) for j in range(len(self._thunks))]
+        return list(zip(*map(self.column, range(len(self._vectors)))))
+
+
+class DerivedColumns(ColumnBatch):
+    """Computed columns (projection output) over a child batch.
+
+    *vectors* are the expressions' list evaluators; the array evaluators
+    (:func:`compile_array`) are compiled on first use.  A computed column
+    asked for as a list tries its array form first — arithmetic on the
+    child's typed views plus one ``tolist`` — while a plain column
+    reference hands through the child's list.
+    """
+
+    def __init__(self, child: ColumnBatch, exprs: Sequence[Expression],
+                 vectors: Sequence[VectorFn]):
+        self._child = child
+        self._exprs = exprs
+        self._vectors = vectors
+        self.length = child.length
+        self._cache: dict[int, Vector] = {}
+        self._arrays: dict[int, ArrayVector | None] = {}
+
+    def column(self, j: int) -> Vector:
+        cached = self._cache.get(j)
+        if cached is None:
+            typed = (None if isinstance(self._exprs[j], BoundColumn)
+                     else self.array(j))
+            cached = self._cache[j] = (
+                typed.tolist() if typed is not None
+                else self._vectors[j](self._child))
+        return cached
+
+    def array(self, j: int) -> ArrayVector | None:
+        return self._array_once(j, lambda: self._evaluate_array(j))
+
+    def _evaluate_array(self, j: int) -> ArrayVector | None:
+        evaluate = compile_array(self._exprs[j])
+        result = evaluate(self._child) if evaluate is not None else None
+        # A bare literal evaluates to a scalar: the list kernel repeats it.
+        return result if isinstance(result, ArrayVector) else None
+
+    def rows(self) -> list[tuple]:
+        cols = [self.column(j) for j in range(len(self._vectors))]
         if not cols:
             return [()] * self.length
         if len(cols) == 1:
@@ -152,6 +369,7 @@ class ConcatColumns(ColumnBatch):
         self._right = right
         self.length = left.length + right.length
         self._cache: dict[int, Vector] = {}
+        self._arrays: dict[int, ArrayVector | None] = {}
 
     def column(self, j: int) -> Vector:
         cached = self._cache.get(j)
@@ -159,6 +377,10 @@ class ConcatColumns(ColumnBatch):
             cached = self._cache[j] = (self._left.column(j)
                                        + self._right.column(j))
         return cached
+
+    def array(self, j: int) -> ArrayVector | None:
+        return self._array_once(j, lambda: _concat_arrays(
+            self._left.array(j), self._right.array(j)))
 
     def rows(self) -> list[tuple]:
         return self._left.rows() + self._right.rows()
@@ -172,13 +394,14 @@ class JoinColumns(ColumnBatch):
     aggregate that touches two of five join columns never pays for the
     other three — and no concatenated row tuples exist at all.
 
-    ``probe_idx=None`` marks the identity gather: every probe row
-    matched exactly once, in order (a complete delta probing a unique
-    key).  Probe columns then pass through with no copy at all.
+    The position vectors are int arrays when a :class:`CsrIndex` probe
+    produced them — then :meth:`array` gathers typed columns with one
+    ``take`` each — and lists when a dict probe did (``probe_idx`` a
+    ``range`` when every probe row matched exactly once).
     """
 
     def __init__(self, probe: ColumnBatch, build: ColumnBatch,
-                 probe_idx: list[int] | None, build_pos: list[int],
+                 probe_idx, build_pos,
                  probe_arity: int, build_arity: int, probe_is_left: bool):
         self._probe = probe
         self._build = build
@@ -188,44 +411,140 @@ class JoinColumns(ColumnBatch):
         self._build_arity = build_arity
         self._probe_is_left = probe_is_left
         self.length = len(build_pos)
+        self._typed = not isinstance(build_pos, list)
+        self._position_lists: tuple | None = None
         self._cache: dict[int, Vector] = {}
+        self._arrays: dict[int, ArrayVector | None] = {}
 
-    def column(self, j: int) -> Vector:
-        cached = self._cache.get(j)
-        if cached is not None:
-            return cached
+    def _side(self, j: int) -> tuple[ColumnBatch, int, bool]:
+        """(input batch, its column, is it the probe side) for output *j*."""
         if self._probe_is_left:
             on_probe = j < self._probe_arity
             local = j if on_probe else j - self._probe_arity
         else:
             on_probe = j >= self._build_arity
             local = j - self._build_arity if on_probe else j
-        if on_probe:
-            source = self._probe.column(local)
-            if self.probe_idx is None:
-                cached = source
-            else:
-                cached = list(map(source.__getitem__, self.probe_idx))
+        return (self._probe if on_probe else self._build), local, on_probe
+
+    def _list_positions(self) -> tuple:
+        """(probe_idx, build_pos) as lists."""
+        if not self._typed:
+            return self.probe_idx, self.build_pos
+        if self._position_lists is None:
+            self._position_lists = (self.probe_idx.tolist(),
+                                    self.build_pos.tolist())
+        return self._position_lists
+
+    def array(self, j: int) -> ArrayVector | None:
+        if not self._typed:
+            return None
+        return self._array_once(j, lambda: self._gather_array(j))
+
+    def _gather_array(self, j: int) -> ArrayVector | None:
+        source, local, on_probe = self._side(j)
+        vector = source.array(local)
+        if vector is None:
+            return None
+        return vector.take(self.probe_idx if on_probe else self.build_pos)
+
+    def column(self, j: int) -> Vector:
+        cached = self._cache.get(j)
+        if cached is not None:
+            return cached
+        typed = self.array(j)
+        if typed is not None:
+            cached = typed.tolist()
         else:
-            source = self._build.column(local)
-            cached = list(map(source.__getitem__, self.build_pos))
+            source, local, on_probe = self._side(j)
+            positions = self._list_positions()[0 if on_probe else 1]
+            cached = source.column(local)
+            # A range is the identity: every probe row matched once.
+            if type(positions) is not range:
+                cached = list(map(cached.__getitem__, positions))
         self._cache[j] = cached
         return cached
 
     def rows(self) -> list[tuple]:
         probe_rows = self._probe.rows()
         build_rows = self._build.rows()
-        if self.probe_idx is None:
-            gathered = zip(probe_rows,
-                           map(build_rows.__getitem__, self.build_pos))
-            if self._probe_is_left:
-                return [p + b for p, b in gathered]
-            return [b + p for p, b in gathered]
+        probe_idx, build_pos = self._list_positions()
         if self._probe_is_left:
             return [probe_rows[i] + build_rows[p]
-                    for i, p in zip(self.probe_idx, self.build_pos)]
+                    for i, p in zip(probe_idx, build_pos)]
         return [build_rows[p] + probe_rows[i]
-                for i, p in zip(self.probe_idx, self.build_pos)]
+                for i, p in zip(probe_idx, build_pos)]
+
+
+def position_index(columns: Sequence[Vector]) -> tuple[dict, int]:
+    """``(key -> row positions, rows indexed)`` over a build side's key
+    columns: scalar keys for one column, tuples for several.  NULL keys
+    are left out — they match nothing."""
+    scalar = len(columns) == 1
+    index: dict = {}
+    for pos, key in enumerate(columns[0] if scalar else zip(*columns)):
+        if (key is None if scalar else None in key):
+            continue
+        bucket = index.get(key)
+        if bucket is None:
+            index[key] = [pos]
+        else:
+            bucket.append(pos)
+    return index, sum(map(len, index.values()))
+
+
+def _dense(low: int, high: int, n: int) -> bool:
+    """True when int keys spanning ``low..high`` over *n* rows can address
+    per-key slots directly (``key - low``): graph node ids, where the key
+    range is about the row count.  Sparser keys stay on the dict kernels."""
+    return high - low + 1 <= 4 * n + 1024
+
+
+class CsrIndex:
+    """Position index over a dense int64 build-key column, as typed arrays.
+
+    ``order`` is the stable argsort of the keys, so each distinct key owns
+    one run of it holding that key's row positions in ascending order —
+    the order a dict bucket lists them in.  ``starts``/``counts`` locate
+    the run, directly addressed by ``key - base``.
+    """
+
+    __slots__ = ("order", "starts", "counts", "base", "top")
+
+    def __init__(self, keys, base: int, top: int):
+        self.order = _np.argsort(keys, kind="stable")
+        self.base, self.top = base, top
+        self.counts = _np.bincount(keys - base, minlength=top - base + 1)
+        self.starts = _np.cumsum(self.counts) - self.counts
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def probe(self, keys) -> tuple:
+        """``(probe_idx, build_pos)`` int arrays pairing every probe row
+        with each build row of equal key — probe-major, ties in build
+        order: exactly the sequence the dict probe emits."""
+        # Compare before subtracting: a far-away key may wrap int64.
+        inside = (keys >= self.base) & (keys <= self.top)
+        slots = _np.where(inside, keys - self.base, 0)
+        counts = _np.where(inside, self.counts[slots], 0)
+        total = int(counts.sum())
+        probe_idx = _np.repeat(_np.arange(len(keys)), counts)
+        run_offset = _np.arange(total) - _np.repeat(
+            _np.cumsum(counts) - counts, counts)
+        build_pos = self.order[
+            _np.repeat(self.starts[slots], counts) + run_offset]
+        return probe_idx, build_pos
+
+
+def csr_index(keys: ArrayVector | None) -> CsrIndex | None:
+    """A :class:`CsrIndex` over a key column's array view, when it has an
+    all-int one with a dense key range."""
+    if not _is_int64(keys):
+        return None
+    base, top = int(keys.data.min()), int(keys.data.max())
+    if not _dense(base, top, len(keys.data)):
+        return None
+    return CsrIndex(keys.data, base, top)
 
 
 # -- vectorized expression evaluation ----------------------------------------
@@ -318,9 +637,98 @@ def compile_vector(expr: Expression) -> VectorFn | None:
     return None
 
 
+# -- array expression evaluation ----------------------------------------------
+
+#: Evaluates to an :class:`ArrayVector`, to a Python int/float (a literal
+#: operand), or to None when a column it reads has no array view or an
+#: operation would leave what int64/float64 compute exactly.
+ArrayFn = Callable[["ColumnBatch"], "ArrayVector | int | float | None"]
+
+_ARRAY_OPS = ("+", "-", "*")
+
+
+def _as_float(operand):
+    """The operand's exact float64 image (array or scalar), or None."""
+    if isinstance(operand, ArrayVector):
+        return _float_data(operand)
+    if type(operand) is float:
+        return operand
+    return float(operand) if abs(operand) < _EXACT_INT else None
+
+
+def _kind(operand) -> str:
+    """``"int"``, ``"float"`` or — a float64 vector with int slots —
+    ``"mixed"``, for a vector or a literal operand."""
+    if isinstance(operand, ArrayVector):
+        if operand.data.dtype == _np.int64:
+            return "int"
+        return "float" if operand.ints is None else "mixed"
+    return "int" if type(operand) is int else "float"
+
+
+def _array_binary(op: str, raw, a, b) -> ArrayVector | None:
+    """``a op b`` elementwise, where Python's arithmetic and numpy's agree:
+
+    * int with int stays int64, unless the result could leave int64
+      (Python ints grow, int64 wraps);
+    * anything with a float is IEEE double arithmetic in both — an int
+      operand converts first, exactly, below 2**53;
+    * a vector mixing ints and floats may only meet a float: against an
+      int its int slots would stay ints, with no float64 image to trust.
+    """
+    if not (isinstance(a, ArrayVector) or isinstance(b, ArrayVector)):
+        return None
+    kinds = {_kind(a), _kind(b)}
+    if kinds == {"int"}:
+        peaks = _int_peak(a), _int_peak(b)
+        bound = peaks[0] * peaks[1] if op == "*" else peaks[0] + peaks[1]
+        if bound >= 2 ** 63:
+            return None
+        return ArrayVector(raw(getattr(a, "data", a), getattr(b, "data", b)))
+    if "mixed" in kinds and kinds != {"mixed", "float"}:
+        return None
+    a, b = _as_float(a), _as_float(b)
+    if a is None or b is None:
+        return None
+    with _np.errstate(all="ignore"):  # inf/nan arise silently, as in Python
+        return ArrayVector(raw(a, b))
+
+
+def compile_array(expr: Expression) -> ArrayFn | None:
+    """Array twin of :func:`compile_vector` for int/float literals, column
+    references and ``+ - *``; None for anything else."""
+    if isinstance(expr, Literal):
+        value = expr.value
+        if type(value) in (int, float):
+            return lambda batch: value
+        return None
+    if isinstance(expr, BoundColumn):
+        index = expr.index
+        return lambda batch: batch.array(index)
+    if isinstance(expr, BinaryOp) and expr.op in _ARRAY_OPS:
+        left = compile_array(expr.left)
+        right = compile_array(expr.right)
+        if left is None or right is None:
+            return None
+        op = expr.op
+        raw = _RAW_BINARY_OPS[op]
+
+        def eval_binary(batch: ColumnBatch):
+            a = left(batch)
+            if a is None:
+                return None
+            b = right(batch)
+            if b is None:
+                return None
+            return _array_binary(op, raw, a, b)
+
+        return eval_binary
+    return None
+
+
 # -- grouped aggregate kernels ------------------------------------------------
 #
-# The kernels mirror the accumulation loops of the batch executor's
+# The list kernels mirror the accumulation loops of the batch executor's
 # single-aggregate fast path exactly, but read (key, value) pairs from
 # whole column vectors instead of itemgetters over join-output row
 # tuples.  The caller guarantees *clean* inputs — hashable keys and, for
@@ -330,17 +738,8 @@ def compile_vector(expr: Expression) -> VectorFn | None:
 # Anything unclean falls back to the row path.  Group output order is
 # first-seen, identical to the scalar loop's dict accumulation.
 #
-# When numpy is importable, sum first tries a vectorized path built on
-# *dense* per-key accumulators — graph workloads group by node id, so the
-# key range is about the row count and a direct-indexed array beats any
-# sort- or hash-based grouping (sparse key ranges fall back).  It only
-# runs where int64/float64 arithmetic is provably identical to the
-# scalar loop's: exact dtype conversions, additions applied in row
-# order, no -0.0 whose sign a zero-initialised accumulator could flip,
-# no int64 overflow.  Anything outside that envelope returns None and
-# the dict loop runs.  min/max stay as dict loops: locating each group's
-# first extreme *position* vectorized needs a sort, which measures
-# slower than the single-compare scalar loop at these cardinalities.
+# array_grouped is their array twin; the list kernels run whenever it
+# answers None.
 
 _ABSENT = object()
 
@@ -356,82 +755,80 @@ def clean_numeric(values: Vector) -> bool:
     return set(map(type, values)) <= {int, float, bool}
 
 
-def _np_vectors(keys: Vector, values: Vector):
-    """(karr, varr, values_are_int) as *exact* numpy arrays, or None.
+def array_grouped(function: str, keys,
+                  values: ArrayVector | None) -> tuple | None:
+    """``(group keys, aggregate)`` — an int64 array and an
+    :class:`ArrayVector`, groups in first-seen order — or None.
 
-    Conversion must not change any comparison or addition the scalar
-    loops would make: bool keys/values (dict-equal to ints but distinct
-    objects), ints outside int64, mixed int/float vectors (a float64 cast
-    of a big int compares differently) and NaN all disqualify.
+    *keys* is an int64 array, *values* the argument column (None for
+    ``count``, whose NULL-free argument does not matter).  Groups get
+    *dense* accumulator slots, ``key - min``, so a key range far wider
+    than the row count (:func:`_dense`) answers None.  Per function, what
+    makes the result the scalar loop's:
+
+    * ``sum`` of int64: exact whenever no partial sum can leave int64;
+      of float64: ``bincount`` adds the weights in row order, so every
+      group's additions associate as the loop's do — but it starts from
+      0.0 where the loop starts from the group's first value, which
+      differs for -0.0 (``0.0 + -0.0`` is ``0.0``), so negative zeros
+      answer None, as does a column mixing ints and floats;
+    * ``min``/``max``: the loop replaces its value only on a strict
+      comparison, so a group keeps the *first* row holding its extreme;
+      the kernel finds each group's extreme, then the first position
+      holding it, and gathers from there — an int meeting an equal float
+      survives exactly when it came first.  A NaN (comparisons all false:
+      the loop's result depends on where it sits) answers None.
     """
-    if set(map(type, keys)) != {int}:
+    n = len(keys)
+    if n == 0 or function not in ("sum", "min", "max", "count"):
         return None
-    try:
-        karr = _np.asarray(keys, dtype=_np.int64)
-    except (OverflowError, TypeError):
+    low, high = int(keys.min()), int(keys.max())
+    if not _dense(low, high, n):
         return None
-    value_types = set(map(type, values))
-    if value_types == {int}:
-        try:
-            return karr, _np.asarray(values, dtype=_np.int64), True
-        except (OverflowError, TypeError):
+    size = high - low + 1
+    slots = keys - low if low else keys
+    first = _np.full(size, n, dtype=_np.intp)
+    _np.minimum.at(first, slots, _np.arange(n))
+    groups = _np.flatnonzero(first < n)
+    groups = groups[_np.argsort(first[groups], kind="stable")]
+    group_keys = keys[first[groups]]
+    if function == "count":
+        counts = _np.bincount(slots, minlength=size)
+        return group_keys, ArrayVector(counts[groups])
+    if values is None:
+        return None
+    data = values.data
+    floating = data.dtype == _np.float64
+    if floating and _np.isnan(data).any():
+        return None
+    if function == "sum":
+        if values.ints is not None:
             return None
-    if value_types == {float}:
-        varr = _np.asarray(values, dtype=_np.float64)
-        if _np.isnan(varr).any():
-            return None  # the scalar loops' NaN ordering is sticky
-        return karr, varr, False
-    return None
-
-
-def _np_grouped_sum(keys: Vector, values: Vector) -> list[tuple] | None:
-    converted = _np_vectors(keys, values)
-    if converted is None:
-        return None
-    karr, varr, values_are_int = converted
-    n = len(karr)
-    kmin = int(karr.min())
-    kmax = int(karr.max())
-    if kmin < 0:
-        karr = karr - kmin
-        kmax -= kmin
-    size = kmax + 1
-    if size > max(4 * n, 1 << 20):
-        return None  # keys too sparse for dense accumulators
-    if values_are_int:
-        peak = max(int(varr.max()), -int(varr.min()))
-        if peak * n >= 2 ** 62:
-            return None  # partial sums could overflow int64
-        sums = _np.zeros(size, dtype=_np.int64)
-        _np.add.at(sums, karr, varr)
+        if floating:
+            if _np.signbit(data[data == 0.0]).any():
+                return None
+            sums = _np.bincount(slots, weights=data, minlength=size)
+        else:
+            if _int_peak(values) * n >= 2 ** 63:
+                return None
+            sums = _np.zeros(size, dtype=_np.int64)
+            _np.add.at(sums, slots, data)
+        return group_keys, ArrayVector(sums[groups])
+    if function == "min":
+        reduce_at = _np.minimum.at
+        seed = _np.inf if floating else _np.iinfo(_np.int64).max
     else:
-        # bincount accumulates weights in row order, so every group's
-        # additions associate exactly as the scalar loop's.  The loop
-        # seeds each group with its first value while bincount starts
-        # from 0.0; those differ only for -0.0 (0.0 + -0.0 flips the
-        # sign), so any negative zero falls back.
-        zero_mask = varr == 0.0
-        if zero_mask.any() and _np.signbit(varr[zero_mask]).any():
-            return None
-        sums = _np.bincount(karr, weights=varr, minlength=size)
-    # Reversed fancy assignment: the *last* write per key wins, so
-    # writing row indices back-to-front leaves each key's first
-    # occurrence — both the output order and the key object the scalar
-    # dict loop would keep.
-    first = _np.full(size, -1, dtype=_np.int64)
-    first[karr[::-1]] = _np.arange(n - 1, -1, -1, dtype=_np.int64)
-    present = _np.nonzero(first >= 0)[0]
-    order = present[_np.argsort(first[present], kind="stable")]
-    firsts = first[order].tolist()  # python ints: cheap list indexing
-    totals = sums[order].tolist()
-    return [(keys[i], total) for i, total in zip(firsts, totals)]
+        reduce_at = _np.maximum.at
+        seed = -_np.inf if floating else _np.iinfo(_np.int64).min
+    extreme = _np.full(size, seed, dtype=data.dtype)
+    reduce_at(extreme, slots, data)
+    holders = _np.flatnonzero(data == extreme[slots])
+    where = _np.full(size, n, dtype=_np.intp)
+    _np.minimum.at(where, slots[holders], holders)
+    return group_keys, values.take(where[groups])
 
 
 def grouped_sum(keys: Vector, values: Vector) -> list[tuple]:
-    if _np is not None and keys:
-        fast = _np_grouped_sum(keys, values)
-        if fast is not None:
-            return fast
     acc: dict = {}
     get = acc.get
     for key, value in zip(keys, values):

@@ -17,7 +17,8 @@ aggregations; the policy encodes the per-RDBMS behaviour the paper observed:
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from .expressions import ColumnRef, Expression
 from .physical import (
@@ -30,6 +31,7 @@ from .physical import (
     BatchHashSemiJoin,
     BatchProject,
     BatchUnionAll,
+    CachedBuildHashJoin,
     Filter,
     HashAggregate,
     HashAntiJoin,
@@ -51,10 +53,12 @@ from .relation import AggregateSpec
 #: Hash-family operator classes per executor.  Batch twins share labels
 #: with their tuple counterparts, so EXPLAIN output is executor-agnostic;
 #: MergeJoin / SortAggregate / NotInAntiJoin model dialect costs and stay
-#: tuple-at-a-time under either executor.
-_OPERATOR_SETS: dict[str, dict[str, type]] = {
+#: tuple-at-a-time under either executor.  ``equi_cached`` is the equi-join
+#: that keeps its build index between executions of one plan.
+_OPERATOR_SETS: dict[str, dict[str, Callable[..., PhysicalOperator]]] = {
     "tuple": {
         "equi": HashJoin,
+        "equi_cached": CachedBuildHashJoin,
         "left": HashLeftOuterJoin,
         "full": HashFullOuterJoin,
         "semi": HashSemiJoin,
@@ -66,6 +70,7 @@ _OPERATOR_SETS: dict[str, dict[str, type]] = {
     },
     "batch": {
         "equi": BatchHashJoin,
+        "equi_cached": partial(BatchHashJoin, cached_build=True),
         "left": BatchHashLeftOuterJoin,
         "full": BatchHashFullOuterJoin,
         "semi": BatchHashSemiJoin,
@@ -279,11 +284,14 @@ class CostBasedPolicy(PlannerPolicy):
     this policy picks operators from estimated costs
     (:mod:`repro.relational.optimizer`):
 
-    * hash join with the cheaper side as build, upgraded to a
-      :class:`~repro.relational.physical.CachedBuildHashJoin` when the
-      build input is stable across re-executions — inside a with+ loop
-      the stable base table's hash is built once and only the delta is
-      probed each iteration;
+    * hash join with the cheaper side as build, keeping its build index
+      across re-executions when the build input is stable — inside a
+      with+ loop the stable base table's index is built once and only the
+      delta is probed each iteration.  The tuple executor gets the
+      pull-based :class:`~repro.relational.physical.CachedBuildHashJoin`;
+      the batch executor a :class:`~repro.relational.physical.BatchHashJoin`
+      with ``cached_build`` set, so the join stays a block-pipeline
+      boundary inside fixpoints;
     * merge join only when both inputs arrive presorted through a sorted
       index and neither side re-executes against loop bindings;
     * hash aggregation throughout.
@@ -335,11 +343,7 @@ class CostBasedPolicy(PlannerPolicy):
         self.estimator = CardinalityEstimator(refresh=True)
 
     def make_equi_join(self, left, right, left_keys, right_keys):
-        from .physical import (
-            CachedBuildHashJoin,
-            contains_binding_scan,
-            stable_input_fingerprint,
-        )
+        from .physical import contains_binding_scan, stable_input_fingerprint
 
         left_rows = self.estimator.annotate(left)
         right_rows = self.estimator.annotate(right)
@@ -364,8 +368,8 @@ class CostBasedPolicy(PlannerPolicy):
         build_stable = stable_left if build_side == "left" else stable_right
         rescanned = rescanned_left or rescanned_right
         if build_stable and (self.executor == "tuple" or rescanned):
-            join = CachedBuildHashJoin(left, right, left_keys, right_keys,
-                                       build_side)
+            join = self._ops["equi_cached"](left, right, left_keys,
+                                            right_keys, build_side)
         else:
             join = self._ops["equi"](left, right, left_keys, right_keys,
                                      build_side)

@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.accel import mm_join_accel, mv_join_accel
+pytest.importorskip("scipy")  # brings numpy; both optional
+
+from repro.core.accel import mm_join_accel, mv_join_accel  # noqa: E402
 from repro.core.operators import mm_join, mv_join
 from repro.core.semiring import MAX_TIMES, MIN_PLUS, MIN_TIMES, PLUS_TIMES
 from repro.relational.relation import Relation

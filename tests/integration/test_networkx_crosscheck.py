@@ -90,6 +90,7 @@ class TestScores:
         enough iterations — compare against networkx there."""
         from repro.datasets import preferential_attachment
 
+        pytest.importorskip("scipy")  # networkx's pagerank runs on it
         graph = preferential_attachment(40, 4.0, directed=False, seed=17)
         # 0.85^k convergence: 140 iterations push the residual below 1e-9.
         ours = pagerank.run_sql(Engine("oracle"), graph,
@@ -100,6 +101,7 @@ class TestScores:
             assert ours[node] == pytest.approx(theirs[node], abs=1e-8)
 
     def test_hits_vs_networkx(self, small_directed):
+        pytest.importorskip("scipy")  # networkx's hits runs on it
         ours = hits.run_sql(Engine("oracle"), small_directed,
                             iterations=60).values
         hubs, authorities = nx.hits(to_networkx(small_directed),

@@ -31,7 +31,6 @@ from repro.relational.columnar import (
     pack_nulls,
     unpack_nulls,
 )
-from repro.relational.physical import blocks as blocks_module
 from repro.relational.physical.blocks import (
     grouped_count,
     grouped_max,
@@ -285,27 +284,21 @@ def test_store_assign_and_lazy_recolumnarisation():
     assert list(store) == rows
 
 
-@pytest.mark.parametrize("kind", ["scalar-rows", "scalar-positions",
-                                  "tuple-rows", "tuple-positions"])
-def test_store_join_index_kinds(kind):
+@pytest.mark.parametrize("positions", [(0,), (0, 1)])
+def test_store_join_index_positions(positions):
     rows = [(1, 10.0), (2, 20.0), (1, 30.0), (None, 40.0), (3, 50.0)]
     store = ColumnStore(arity=2, morsel=2)
     store.extend(rows)
-    positions = (0,) if kind.startswith("scalar") else (0, 1)
-    index, observed = store.join_index(positions, kind)
+    index, observed = store.join_index(positions, "positions")
     assert observed == 4  # NULL keys excluded
-    if kind == "scalar-rows":
-        assert index[1] == [(1, 10.0), (1, 30.0)]
-    elif kind == "scalar-positions":
+    if len(positions) == 1:
         assert index[1] == [0, 2]
-    elif kind == "tuple-rows":
-        assert index[(1, 10.0)] == [(1, 10.0)]
     else:
         assert index[(1, 10.0)] == [0]
     # Cache: same object until a mutation invalidates it.
-    assert store.join_index(positions, kind)[0] is index
+    assert store.join_index(positions, "positions")[0] is index
     store.append((9, 90.0))
-    assert store.join_index(positions, kind)[0] is not index
+    assert store.join_index(positions, "positions")[0] is not index
 
 
 def test_store_unknown_join_index_kind():
@@ -367,19 +360,10 @@ def test_grouped_kernels_match_reference(seed):
         assert counts[key] == keys.count(key)
 
 
-def test_grouped_sum_numpy_path_agrees_with_fallback(monkeypatch):
-    keys = [i % 50 for i in range(1000)]
-    values = [i * 0.125 for i in range(1000)]
-    fast = grouped_sum(keys, values)
-    monkeypatch.setattr(blocks_module, "_np", None)
-    slow = grouped_sum(keys, values)
-    assert fast == slow
-    assert [type(v) for _, v in fast] == [type(v) for _, v in slow]
-
-
 def test_grouped_sum_exactness_guards():
-    # Each of these inputs would go wrong under naive vectorisation;
-    # the kernel must detect them and produce the scalar loop's answer.
+    # Each of these inputs would go wrong under naive vectorisation; the
+    # list kernel is the scalar loop, and the reference the array kernel
+    # is held to (tests/relational/test_array_pipeline.py).
     huge = 1 << 70                      # outside int64
     assert grouped_sum([1, 1], [huge, 1]) == [(1, huge + 1)]
     near = 1 << 61                      # int64-safe alone, overflows summed
@@ -392,9 +376,3 @@ def test_grouped_sum_exactness_guards():
     assert math.isnan(out[0][1])
     assert grouped_sum([True, 1], [1, 2]) == [(True, 3)]  # bool/int alias
     assert grouped_sum([1, 2], [1, 2.5]) == [(1, 1), (2, 2.5)]  # mixed
-
-
-def test_grouped_sum_sparse_keys_take_fallback():
-    keys = [0, 1 << 50]
-    values = [1.0, 2.0]
-    assert grouped_sum(keys, values) == [(0, 1.0), (1 << 50, 2.0)]
