@@ -21,6 +21,12 @@ bit).  ``ColumnStore`` keeps data column-major:
   recursive loop's per-iteration rebuilds O(|rows|) list work with no
   mandatory re-encode, the delta-store trade every columnar engine
   makes between write- and read-optimised representations.
+* **Vector overlay** — ``assign_vectors`` (the array form of the same
+  rebuild) swaps in one typed vector per column.  ``array(j)`` answers
+  from them as they are; ``column(j)`` and ``materialized()`` decode
+  them on demand, one ``tolist`` each.  The vectors are never written
+  to — a snapshot shares them — and the first mutation of any other
+  kind decodes them into the row overlay and drops them.
 
 In-place updates (``store[pos] = row``) write through to the column
 vectors; a write landing in a sealed block first *decays* that block to
@@ -132,6 +138,9 @@ class ColumnStore:
         # otherwise a cache of the blocks+tail contents.
         self._rows: list | None = []
         self._cols_stale = False
+        # Vector overlay: typed column vectors holding the current
+        # contents (after assign_vectors), else None.
+        self._vectors: tuple | None = None
         self._col_cache: dict[int, list] = {}
         self._index_cache: dict = {}
         # Tombstones: per sealed-block dead physical offsets.  Deletes
@@ -205,6 +214,7 @@ class ColumnStore:
         return len(rows)
 
     def clear(self) -> None:
+        self._vectors = None
         self._touch()
         self._blocks.clear()
         self._dead.clear()
@@ -215,14 +225,33 @@ class ColumnStore:
 
     def assign(self, rows: list) -> None:
         """Swap in new contents; columns are rebuilt lazily on demand."""
+        self._vectors = None
         self._touch()
         self._rows = rows if isinstance(rows, list) else list(rows)
         self._len = len(self._rows)
-        self._blocks.clear()
-        self._dead.clear()
-        self._tail = [[] for _ in range(self.arity)]
-        self._cols_stale = True
+        self._drop_columns()
         self.row_assigns += 1
+
+    def assign_vectors(self, vectors: Sequence) -> None:
+        """Swap in new contents as one typed vector per column (plain
+        :class:`~repro.relational.physical.blocks.ArrayVector`, values in
+        stored form); rows and list columns are decoded on demand."""
+        self._vectors = None
+        self._touch()
+        self._vectors = tuple(vectors)
+        self._rows = None
+        self._len = len(self._vectors[0].data)
+        self._drop_columns()
+        self.row_assigns += 1
+
+    def vector_batch(self):
+        """The vector overlay as a column batch sharing its vectors, or
+        None when the contents are not held as vectors."""
+        if self._vectors is None:
+            return None
+        from ..physical.blocks import ArrayColumns
+
+        return ArrayColumns(self._vectors)
 
     def delete_positions(self, positions: Sequence[int]) -> None:
         """Tombstone the rows at the given (live) *positions*.
@@ -277,6 +306,8 @@ class ColumnStore:
 
     def materialized(self) -> list:
         """The full contents as a live row-tuple list (cached)."""
+        if self._rows is None and self._cols_stale:
+            self._rows = list(zip(*map(self.column, range(self.arity))))
         if self._rows is None:
             rows: list = []
             for block_idx, block in enumerate(self._blocks):
@@ -300,13 +331,17 @@ class ColumnStore:
         cached = self._col_cache.get(j)
         if cached is None:
             if self._cols_stale:
-                # Row overlay is authoritative (post-``assign``): extract
-                # just this column with one C pass instead of transposing
-                # the whole table — a fixpoint loop that only reads the
-                # key column between assigns never pays for the rest.
-                from operator import itemgetter
+                # An overlay is authoritative.  Vectors decode with one
+                # ``tolist``; rows (post-``assign``) give up just this
+                # column in one C pass instead of a whole-table transpose
+                # — a fixpoint loop that only reads the key column
+                # between assigns never pays for the rest.
+                if self._vectors is not None:
+                    cached = self._vectors[j].tolist()
+                else:
+                    from operator import itemgetter
 
-                cached = list(map(itemgetter(j), self.materialized()))
+                    cached = list(map(itemgetter(j), self._rows))
                 self._col_cache[j] = cached
                 return cached
             parts = []
@@ -330,7 +365,10 @@ class ColumnStore:
     def array(self, j: int):
         """Column *j* as an exact typed vector, or None when the column
         has none (:func:`repro.relational.physical.blocks.exact_array`);
-        cached beside the join indexes, dropped by the same mutations."""
+        cached beside the join indexes, dropped by the same mutations.
+        The vector overlay answers with its vector as it is."""
+        if self._vectors is not None:
+            return self._vectors[j]
         cache_key = ("array", j)
         if cache_key not in self._index_cache:
             from ..physical.blocks import exact_array
@@ -412,6 +450,9 @@ class ColumnStore:
         self._index_cache.clear()
         if not self._cols_stale:
             self._rows = None
+            self._vectors = None
+        elif self._vectors is not None:
+            self._rows = None
 
     def size_bytes(self) -> int:
         """Resident bytes of the stored data, caches excluded."""
@@ -436,8 +477,21 @@ class ColumnStore:
     # -- internals ------------------------------------------------------
 
     def _touch(self) -> None:
+        if self._vectors is not None:
+            # A mutation the vectors cannot take: the row overlay (or,
+            # once _ensure_columns ran, the columns) carries on.
+            if self._cols_stale:
+                self.materialized()
+            self._vectors = None
         self._col_cache.clear()
         self._index_cache.clear()
+
+    def _drop_columns(self) -> None:
+        """Forget blocks and tail: an overlay is authoritative now."""
+        self._blocks.clear()
+        self._dead.clear()
+        self._tail = [[] for _ in range(self.arity)]
+        self._cols_stale = True
 
     def _locate(self, pos: int) -> tuple[int | None, int]:
         """Map a live position onto ``(block_idx, offset)`` — or

@@ -323,6 +323,7 @@ class Engine:
         profiler = self.telemetry.profiler
         with tracer.span("execute") as exec_span:
             result = executor.execute(statement)
+            result.relation.rows  # a statement returns a finished result
             self._last_parallel = getattr(executor, "parallel_used", 0)
             for title, plan, plan_stats in executor.instrumented_plans():
                 if exec_span is not None:
@@ -393,6 +394,7 @@ class Engine:
                 self._instrumented.append(("query", plan, plan_stats))
             else:
                 relation = plan.execute()
+            relation.rows  # a statement returns a finished result
         phases["execute"] = (time.perf_counter() - started) * 1000
         self._last_parallel = getattr(plan, "engaged", 0)
         return WithExecutionResult(relation=relation)

@@ -235,7 +235,13 @@ def _batch_source(node: PhysicalOperator) -> ColumnBatch | None:
         store = _columnar_store(node)
         return StoreColumns(store) if store is not None else None
     if isinstance(node, (RelationScan, BindingScan)):
-        return RowsColumns(list(node.rows()), node.schema.arity)
+        # A relation a plan root handed over as a batch scans as that
+        # batch: the recursive relation re-enters the pipeline as the
+        # typed vectors it left it as.
+        relation = node.relation
+        if relation.batch is not None:
+            return relation.batch
+        return RowsColumns(relation.rows, node.schema.arity)
     if isinstance(node, Requalify):
         # Pure rename (ρ): rows pass through untouched.
         return _batch_source(node.child)
@@ -278,6 +284,18 @@ def _batch_source(node: PhysicalOperator) -> ColumnBatch | None:
         # (span tracing) sees the aggregate's work where it happens.
         return node.rows(batch=True)
     return None
+
+
+def _typed_columns(source: ColumnBatch, arity: int) -> list | None:
+    """Every column of *source* as a typed vector, or None when one has
+    none (or there are no columns)."""
+    vectors = []
+    for j in range(arity):
+        vector = source.array(j)
+        if vector is None:
+            return None
+        vectors.append(vector)
+    return vectors or None
 
 
 class _BlockBuild:
@@ -918,19 +936,34 @@ class BatchHashAggregate(_AggregateBase):
 class BatchProject(Project):
     """Project twin: one list-comprehension pass with the compiled
     row-builder, and a trusted materialise at the plan root (skipping the
-    per-row validation of ``Relation.__init__``)."""
+    per-row validation of ``Relation.__init__``).
+
+    At the plan root a block pipeline whose every output column has a
+    typed form is handed over as those vectors: the relation builds row
+    tuples only if someone reads them, and a with+ branch's delta reaches
+    the union-by-update merge — and the next iteration's scan — as it is.
+    """
 
     def execute(self) -> Relation:
-        return Relation.from_trusted_rows(self.schema, self._compute())
+        result = self._compute(root=True)
+        if isinstance(result, ColumnBatch):
+            return Relation.from_batch(self.schema, result)
+        return Relation.from_trusted_rows(self.schema, result)
 
     def rows(self) -> Iterator[Row]:
         return iter(self._compute())
 
-    def _compute(self) -> list[Row]:
+    def _compute(self, root: bool = False) -> list[Row] | ColumnBatch:
         if _block_eligible(self):
             try:
                 source = _batch_source(self)
                 if source is not None:
+                    # Evaluated here, inside the speculation: what is
+                    # handed over can only be decoded, not fail.
+                    vectors = _typed_columns(source, len(self.items)) \
+                        if root else None
+                    if vectors is not None:
+                        return ArrayColumns(vectors)
                     return source.rows()
             except Exception:
                 pass  # replay through the row path for the exact error

@@ -227,9 +227,9 @@ class StoreColumns(ColumnBatch):
 
 
 class RowsColumns(ColumnBatch):
-    """Columns extracted lazily from an existing row list."""
+    """Columns extracted lazily from an existing row sequence."""
 
-    def __init__(self, rows: list[tuple], arity: int):
+    def __init__(self, rows: Sequence[tuple], arity: int):
         self._rows = rows
         self.arity = arity
         self.length = len(rows)
@@ -245,7 +245,7 @@ class RowsColumns(ColumnBatch):
     def array(self, j: int) -> ArrayVector | None:
         return self._array_once(j, lambda: exact_array(self.column(j)))
 
-    def rows(self) -> list[tuple]:
+    def rows(self) -> Sequence[tuple]:
         return self._rows
 
 
@@ -271,8 +271,11 @@ class SubsetColumns(ColumnBatch):
 
 class ArrayColumns(ColumnBatch):
     """Columns that exist as typed vectors only — an array kernel's
-    output.  ``column``/``rows`` are where they leave the array pipeline:
-    one ``tolist`` per column."""
+    output, a plan root's hand-over, a vector-overlay table's snapshot.
+    ``column``/``rows`` are where they leave the array pipeline: one
+    ``tolist`` per column.  Holding nothing but (never written) arrays,
+    its contents are final whatever happens to the tables they came from.
+    """
 
     def __init__(self, vectors: Sequence[ArrayVector]):
         self._vectors = vectors
@@ -383,7 +386,7 @@ class ConcatColumns(ColumnBatch):
             self._left.array(j), self._right.array(j)))
 
     def rows(self) -> list[tuple]:
-        return self._left.rows() + self._right.rows()
+        return [*self._left.rows(), *self._right.rows()]
 
 
 class JoinColumns(ColumnBatch):
@@ -545,6 +548,94 @@ def csr_index(keys: ArrayVector | None) -> CsrIndex | None:
     if not _dense(base, top, len(keys.data)):
         return None
     return CsrIndex(keys.data, base, top)
+
+
+# -- union-by-update on typed vectors -----------------------------------------
+#
+# The recursive relation of a with+ fixpoint is keyed by a dense vertex
+# id, so ``R ⊎ delta`` needs no hash table: a delta row's key addresses
+# its slot directly.  These are the array twins of the list merge in
+# :meth:`repro.relational.table.Table.merge_delta_rebuild`, which runs
+# whenever one of them answers None.
+
+
+def all_distinct(vector: ArrayVector) -> bool:
+    """True when no two values of *vector* compare equal and none is a
+    NaN (which a set of row values tells apart by identity)."""
+    data = _np.sort(vector.data)  # NaNs sort last
+    return bool((data[1:] != data[:-1]).all()) \
+        and not (len(data) and data[-1] != data[-1])
+
+
+def cast_exact(vector: ArrayVector, integer: bool) -> ArrayVector | None:
+    """*vector* as the plain int64 (*integer*) or float64 vector of what
+    :func:`repro.relational.types.coerce` stores for each value, or None
+    where a dtype cast is not that: INTEGER takes floats that are finite
+    and inside int64, truncated as ``int()`` truncates; DOUBLE takes ints
+    below 2**53 and no NaN (stored rows compare a NaN by identity)."""
+    data = vector.data
+    if integer:
+        if data.dtype == _np.int64:
+            return vector
+        if not (_np.abs(data) < 2.0 ** 63).all():  # false for NaN and inf
+            return None
+        return ArrayVector(data.astype(_np.int64))
+    if data.dtype == _np.int64:
+        data = _float_data(vector)
+        return None if data is None else ArrayVector(data)
+    if _np.isnan(data).any():
+        return None
+    return vector if vector.ints is None else ArrayVector(data)
+
+
+def merge_dense_key(old: Sequence[ArrayVector], new: Sequence[ArrayVector],
+                    key: int) -> tuple | None:
+    """``old ⊎ new`` on column *key*, both sides column-major and already
+    in stored form (plain vectors of one dtype per column): ``(merged
+    vectors, replaced, appended)``, or None unless the keys are int64,
+    dense and distinct within *new*.
+
+    Same contents, order and counts as the list merge: every *old* row
+    whose key *new* carries takes the new row's values in place
+    (*replaced* counts those that differ), the others stay, and new keys
+    follow in *new*'s order.  The merged vectors are fresh arrays —
+    nothing a reader of *old* holds is written to.
+    """
+    old_keys, new_keys = old[key].data, new[key].data
+    if not (old_keys.dtype == new_keys.dtype == _np.int64
+            and len(old_keys) and len(new_keys)):
+        return None
+    for before, after in zip(old, new):
+        if before.ints is not None or before.data.dtype != after.data.dtype:
+            return None
+    low = min(int(old_keys.min()), int(new_keys.min()))
+    high = max(int(old_keys.max()), int(new_keys.max()))
+    if not _dense(low, high, len(old_keys) + len(new_keys)):
+        return None
+    size = high - low + 1
+    new_slots = new_keys - low
+    source = _np.full(size, -1, dtype=_np.intp)
+    source[new_slots] = _np.arange(len(new_keys))
+    if _np.count_nonzero(source >= 0) != len(new_keys):
+        return None  # a key twice in *new*: the list merge's last-wins
+    old_slots = old_keys - low
+    hit = source[old_slots]  # the new row replacing each old one, or -1
+    matched = hit >= 0
+    everything = bool(matched.all())
+    present = _np.zeros(size, dtype=bool)
+    present[old_slots] = True
+    fresh = _np.flatnonzero(~present[new_slots])
+    changed = _np.zeros(len(old_keys), dtype=bool)
+    merged = []
+    for before, after in zip(old, new):
+        values = after.data[hit]
+        if not everything:
+            values = _np.where(matched, values, before.data)
+        changed |= values != before.data
+        if len(fresh):
+            values = _np.concatenate((values, after.data[fresh]))
+        merged.append(ArrayVector(values))
+    return merged, int(_np.count_nonzero(changed)), len(fresh)
 
 
 # -- vectorized expression evaluation ----------------------------------------

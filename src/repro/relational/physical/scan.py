@@ -81,14 +81,20 @@ class BindingScan(PhysicalOperator):
     def schema(self) -> Schema:
         return self._schema
 
-    def rows(self) -> Iterator[Row]:
+    @property
+    def relation(self) -> Relation:
+        """The slot's current relation (what :class:`RelationScan` holds
+        from plan time on)."""
         relation = self.slots.get(self.name)
         if relation is None:
             raise ExecutionError(f"unbound recursive slot {self.name!r}")
         if relation.schema.arity != self._schema.arity:
             raise ExecutionError(
                 f"slot {self.name!r} changed arity; cached plan is stale")
-        return iter(relation.rows)
+        return relation
+
+    def rows(self) -> Iterator[Row]:
+        return iter(self.relation.rows)
 
     def detail(self) -> str:
         return self.alias or self.name

@@ -23,6 +23,7 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 from .database import Database
@@ -512,6 +513,9 @@ class RecursiveExecutor:
             or (self.tracer is not None and self.tracer.enabled) \
             or (telemetry is not None and telemetry.profiler.enabled)
         self._analyzed: list[tuple[str, object, dict]] = []
+        #: (table, its statistics version, its rows as a set) as of the
+        #: last UNION combine — see :meth:`_seen_rows`.
+        self._union_seen: tuple | None = None
 
     def _span(self, name: str, **attrs):
         """A tracer span when tracing is on, else a free null context."""
@@ -1062,16 +1066,20 @@ class RecursiveExecutor:
             working = Relation(table.schema, combined)
             return added > 0, working, UpdateCounts(inserted=added)
         if cte.union_kind is UnionKind.UNION:
-            existing = set(table.rows)
+            existing = self._seen_rows(table)
+            # Candidates dedup (first-seen order) on the tuples as the
+            # branches produced them; the seen-set takes them as the
+            # table stored them.
+            produced = dict.fromkeys(
+                chain.from_iterable(delta.rows for delta in deltas))
+            pending = [row for row in produced if row not in existing]
             fresh: list[tuple] = []
-            for delta in deltas:
-                for row in delta.rows:
-                    coerced = tuple(row)
-                    if coerced not in existing:
-                        existing.add(coerced)
-                        table.insert(coerced)
-                        fresh.append(table.rows[-1])
-            working = Relation(table.schema, fresh)
+            if pending:
+                table.insert_many(pending)
+                fresh = table.rows[len(table) - len(pending):]
+                existing.update(fresh)
+            self._union_seen = (table, table.statistics.version, existing)
+            working = Relation.from_trusted_rows(table.schema, fresh)
             return bool(fresh), working, UpdateCounts(inserted=len(fresh))
         # union by update — single delta guaranteed by validation
         delta = deltas[0]
@@ -1088,6 +1096,15 @@ class RecursiveExecutor:
         if counts.changed is not None:
             return counts.changed, after, counts
         return after != snapshot, after, counts
+
+    def _seen_rows(self, table: Table) -> set[tuple]:
+        """The table's rows as a set — the one the last UNION combine left
+        behind while that combine is still the table's last mutation."""
+        seen = self._union_seen
+        if seen is not None and seen[0] is table \
+                and seen[1] == table.statistics.version:
+            return seen[2]
+        return set(table.rows)
 
     def _maybe_index(self, table: Table) -> None:
         columns = self.temp_indexes.get(table.name) \

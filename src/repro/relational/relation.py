@@ -74,7 +74,9 @@ def _finish_aggregate(function: str, values: list[Any]) -> Any:
     if function in ("sum", "avg"):
         for value in values:
             require_numeric(function, value)
-        total = sum(values)
+        # Seeded with the first value, as every accumulating loop is:
+        # ``0 + -0.0`` would lose the zero's sign.
+        total = sum(values[1:], values[0])
         return total if function == "sum" else total / len(values)
     if function == "min":
         return min(values)
@@ -84,12 +86,21 @@ def _finish_aggregate(function: str, values: list[Any]) -> Any:
 
 
 class Relation:
-    """An immutable schema-carrying bag of tuples."""
+    """An immutable schema-carrying bag of tuples.
 
-    __slots__ = ("schema", "rows")
+    A relation the batch executor produced may be backed by the column
+    batch its plan root ended in (:meth:`from_batch`): ``len()`` answers
+    from the batch and the row tuples are built on the first read of
+    :attr:`rows`, once — a fixpoint iteration that hands its result to
+    the next as typed vectors never builds them at all.
+    """
+
+    __slots__ = ("schema", "_rows", "batch")
 
     def __init__(self, schema: Schema, rows: Iterable[Row] = ()):
         self.schema = schema
+        #: the backing column batch; None for a relation built from rows
+        self.batch = None
         materialized = []
         arity = schema.arity
         for row in rows:
@@ -98,7 +109,7 @@ class Relation:
                 raise SchemaError(
                     f"row of arity {len(row)} does not fit schema of arity {arity}")
             materialized.append(row)
-        self.rows: tuple[Row, ...] = tuple(materialized)
+        self._rows: tuple[Row, ...] | None = tuple(materialized)
 
     # -- construction ---------------------------------------------------------
 
@@ -124,6 +135,15 @@ class Relation:
         return Relation(schema, ())
 
     @classmethod
+    def _make(cls, schema: Schema, rows: "tuple[Row, ...] | None",
+              batch) -> "Relation":
+        relation = cls.__new__(cls)
+        relation.schema = schema
+        relation._rows = rows
+        relation.batch = batch
+        return relation
+
+    @classmethod
     def from_trusted_rows(cls, schema: Schema,
                           rows: Sequence[Row]) -> "Relation":
         """Construct without per-row validation.
@@ -132,10 +152,22 @@ class Relation:
         re-walking them in ``__init__`` would cost a Python-level loop per
         row.  Callers guarantee every element is a tuple of the right arity.
         """
-        relation = cls.__new__(cls)
-        relation.schema = schema
-        relation.rows = tuple(rows)
-        return relation
+        return cls._make(schema, tuple(rows), None)
+
+    @classmethod
+    def from_batch(cls, schema: Schema, batch) -> "Relation":
+        """A relation over a column batch of *schema*'s arity — ``length``,
+        ``column(j)``, ``array(j)``, ``rows()``, as in
+        :mod:`repro.relational.physical.blocks` — whose contents are
+        final: every read sees the tuples ``batch.rows()`` yields."""
+        return cls._make(schema, None, batch)
+
+    @property
+    def rows(self) -> tuple[Row, ...]:
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = tuple(self.batch.rows())
+        return rows
 
     def replace_rows(self, rows: Iterable[Row]) -> "Relation":
         """Same schema, new rows."""
@@ -144,13 +176,22 @@ class Relation:
     # -- protocol -------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.rows)
+        if self._rows is None:
+            return self.batch.length
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self.rows)
 
     def __bool__(self) -> bool:
-        return bool(self.rows)
+        return len(self) > 0
+
+    def __getstate__(self):
+        return self.schema, self.rows
+
+    def __setstate__(self, state) -> None:
+        self.schema, self._rows = state
+        self.batch = None
 
     def __eq__(self, other: object) -> bool:
         """Bag equality: same schema names and same multiset of rows."""
@@ -158,7 +199,7 @@ class Relation:
             return NotImplemented
         if self.schema.names != other.schema.names:
             return False
-        if len(self.rows) != len(other.rows):
+        if len(self) != len(other):
             return False
         if self.rows == other.rows:
             return True
@@ -270,8 +311,8 @@ class Relation:
         return Relation(schema, self.rows)
 
     def rename_columns(self, column_names: Sequence[str]) -> "Relation":
-        return Relation.from_trusted_rows(
-            self.schema.rename_columns(column_names), self.rows)
+        return Relation._make(self.schema.rename_columns(column_names),
+                              self._rows, self.batch)
 
     # -- derived operations ----------------------------------------------------
 

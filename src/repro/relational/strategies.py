@@ -77,60 +77,52 @@ def consolidate_delta(delta: Relation,
     if not key_columns or len(delta) <= 1:
         return delta
     positions = [delta.schema.index_of(k) for k in key_columns]
-    if len(positions) == 1:
-        # Single-column key (every recursive workload): extract the key
-        # column and test uniqueness in two C passes.  Deltas produced by
-        # a GROUP BY on the key — the steady state of the recursive loop
-        # — are always unique and return untouched.
-        from operator import itemgetter
-
-        keys = list(map(itemgetter(positions[0]), delta.rows))
-        try:
-            unique = len(set(keys)) == len(keys)
-        except TypeError:
-            unique = False  # unhashable key value: let the loop report it
-        if unique:
-            return delta
-        seen_scalar: dict = {}
-        out = []
-        collapsed = False
-        for key, row in zip(keys, delta.rows):
-            previous = seen_scalar.get(key)
-            if previous is None:
-                seen_scalar[key] = row
-                out.append(row)
-            elif previous == row:
-                collapsed = True
-            else:
-                first, second = sorted((previous, row), key=repr)
-                raise ConstraintError(
-                    f"union by update delta has conflicting rows for key"
-                    f" {(key,)!r}: {first!r} vs {second!r}")
-        if not collapsed:
-            return delta
-        return Relation(delta.schema, out)
+    # Single-column key (every recursive workload): deltas produced by a
+    # GROUP BY on the key — the steady state of the recursive loop — are
+    # always unique and return untouched.
+    if len(positions) == 1 and _keys_distinct(delta, positions[0]):
+        return delta
     seen: dict[tuple, tuple] = {}
+    conflicts: dict[tuple, set[tuple]] = {}
     out = []
-    collapsed = False
     for row in delta.rows:
         key = tuple(row[i] for i in positions)
         previous = seen.get(key)
         if previous is None:
             seen[key] = row
             out.append(row)
-        elif previous == row:
-            collapsed = True
-        else:
-            # Report the pair in a plan-independent order: the delta's row
-            # order varies with the join order the planner picked, and the
-            # error message must not.
-            first, second = sorted((previous, row), key=repr)
-            raise ConstraintError(
-                f"union by update delta has conflicting rows for key"
-                f" {key!r}: {first!r} vs {second!r}")
-    if not collapsed:
+        elif previous != row:
+            conflicts.setdefault(key, {previous}).add(row)
+    if conflicts:
+        # Report a plan-independent key and pair: the delta's row order
+        # varies with the join order the planner picked, and the error
+        # message must not.
+        key = min(conflicts, key=repr)
+        first, second = sorted(conflicts[key], key=repr)[:2]
+        raise ConstraintError(
+            f"union by update delta has conflicting rows for key"
+            f" {key!r}: {first!r} vs {second!r}")
+    if len(out) == len(delta):
         return delta
     return Relation(delta.schema, out)
+
+
+def _keys_distinct(delta: Relation, position: int) -> bool:
+    """True when the delta's one key column provably holds no value twice
+    — on the typed key vector when the block pipeline handed the delta
+    over as a column batch (its rows stay unbuilt), else in two C passes
+    over the rows.  False sends the caller to its row loop, which tells
+    duplicates from conflicts."""
+    if delta.batch is not None:
+        from .physical.blocks import all_distinct
+
+        vector = delta.batch.array(position)
+        if vector is not None:
+            return all_distinct(vector)
+    from operator import itemgetter
+
+    keys = list(map(itemgetter(position), delta.rows))
+    return len(set(keys)) == len(keys)
 
 
 def apply_union_by_update(database: Database, table: Table, delta: Relation,

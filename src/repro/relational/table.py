@@ -72,9 +72,16 @@ class Table:
 
     def snapshot(self) -> Relation:
         """Current contents as an immutable relation."""
+        if self.storage == "columnar":
+            # Merges swap new vectors in and never write to old ones, so
+            # the relation can share them (no copy, no row tuples).
+            batch = self.rows.vector_batch()
+            if batch is not None:
+                return Relation.from_batch(self.schema, batch)
         # Stored rows are already coerced tuples of the right arity, so
         # skip Relation's per-row validation pass.
-        return Relation.from_trusted_rows(self.schema, list(self.rows))
+        return Relation.from_trusted_rows(self.schema,
+                                          self.rows.materialized())
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -437,9 +444,10 @@ class Table:
                 f"cannot merge arity-{delta.schema.arity} delta into"
                 f" arity-{self.schema.arity} table {self.name}")
         if self.storage == "columnar" and len(key_columns) == 1:
-            fast = self._merge_delta_columnar(delta, key_columns[0])
-            if fast is not None:
-                return fast
+            merged = self._merge_delta_arrays(delta, key_columns[0])
+            if merged is None:
+                merged = self._merge_delta_columnar(delta, key_columns[0])
+            return merged
         target_key = itemgetter(*(self.schema.index_of(k)
                                   for k in key_columns))
         delta_key = itemgetter(*(delta.schema.index_of(k)
@@ -469,8 +477,47 @@ class Table:
         self._rebuild_auxiliary()
         return replaced, appended
 
+    def _merge_delta_arrays(self, delta: Relation,
+                            key_column: str) -> tuple[int, int] | None:
+        """Array form of :meth:`merge_delta_rebuild` for a delta the block
+        pipeline handed over as a column batch: the table's and the
+        delta's typed vectors merge by key position
+        (:func:`~repro.relational.physical.blocks.merge_dense_key`) and
+        the store takes the result as vectors — no row tuples on either
+        side.  Coercion is a dtype cast.  Same contents, row order and
+        counts as the list merge, which runs whenever this answers None:
+        a key constraint or secondary index to maintain, a column that is
+        not all int / all float (NULL, bool, text, NaN), a cast that is
+        not exact, or keys that are not dense, distinct ints.  Declines
+        before touching the table.
+        """
+        from .physical.blocks import cast_exact, merge_dense_key
+
+        batch = delta.batch
+        kpos = self.schema.index_of(key_column)
+        if batch is None or self.enforce_key or self.indexes \
+                or delta.schema.index_of(key_column) != kpos:
+            return None
+        old, new = [], []
+        for j, column in enumerate(self.schema.columns):
+            before, after = self.rows.array(j), batch.array(j)
+            if before is None or after is None:
+                return None
+            after = cast_exact(after, column.sql_type is SqlType.INTEGER)
+            if after is None:
+                return None
+            old.append(before)
+            new.append(after)
+        merged = merge_dense_key(old, new, kpos)
+        if merged is None:
+            return None
+        vectors, replaced, appended = merged
+        self.rows.assign_vectors(vectors)
+        self._rebuild_auxiliary()
+        return replaced, appended
+
     def _merge_delta_columnar(self, delta: Relation,
-                              key_column: str) -> tuple[int, int] | None:
+                              key_column: str) -> tuple[int, int]:
         """Columnwise :meth:`merge_delta_rebuild` for columnar storage.
 
         Reads the table's key column straight from the store (one decoded
@@ -480,7 +527,6 @@ class Table:
         skipped entirely when one C type scan per column proves every
         value is already in stored form.  Row order, contents and the
         ``(replaced, appended)`` counts match the row-path merge exactly.
-        Returns None on unhashable key values (the caller falls back).
         """
         from operator import eq, itemgetter
 
@@ -488,15 +534,12 @@ class Table:
         dpos = delta.schema.index_of(key_column)
         coerced = self._coerce_delta_rows(delta)
         rows = self.rows.materialized()
-        try:
-            delta_keys = list(map(itemgetter(dpos), coerced))
-            # Last write wins on duplicate delta keys, like the row path.
-            replacement = dict(zip(delta_keys, coerced))
-            id_col = self.rows.column(kpos)
-            hits = list(map(replacement.get, id_col))
-            present = set(id_col)
-        except TypeError:
-            return None
+        delta_keys = list(map(itemgetter(dpos), coerced))
+        # Last write wins on duplicate delta keys, like the row path.
+        replacement = dict(zip(delta_keys, coerced))
+        id_col = self.rows.column(kpos)
+        hits = list(map(replacement.get, id_col))
+        present = set(id_col)
         matched_total = len(hits) - hits.count(None)
         if matched_total == len(hits):
             out = hits  # every table row replaced: the hit vector is the result

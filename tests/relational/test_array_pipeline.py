@@ -72,23 +72,22 @@ def numpy_mode(request, monkeypatch):
     return request.param
 
 
-def identity(rows, signed_zero=True):
+def identity(rows):
     """Rows as comparable values that also tell ``1`` from ``1.0`` from
-    ``True``, ``0.0`` from ``-0.0`` (unless told not to), and equate NaNs."""
+    ``True`` and ``0.0`` from ``-0.0``, and equate NaNs."""
     def cell(value):
         if isinstance(value, float):
             if value != value:
                 return ("nan",)
-            sign = math.copysign(1.0, value) if signed_zero else None
-            return ("float", value, sign)
+            return ("float", value, math.copysign(1.0, value))
         return (type(value).__name__, value)
     return [tuple(map(cell, row)) for row in rows]
 
 
-def outcome(plan, signed_zero=True):
+def outcome(plan):
     """A plan's identity-exact rows, or the error it raises."""
     try:
-        return identity(plan.execute().rows, signed_zero)
+        return identity(plan.execute().rows)
     except Exception as error:  # compared, not swallowed
         return (type(error).__name__, str(error))
 
@@ -162,7 +161,8 @@ def test_stable_side_is_indexed_once_per_table_state(monkeypatch):
 def test_cached_build_survives_on_the_operator_for_row_storage(monkeypatch):
     """Row storage has no store cache: the join keeps its own build index
     while the build input's fingerprint stands."""
-    engine, graph = fixpoint_engine(executor="batch", optimizer="cost")
+    engine, graph = fixpoint_engine(executor="batch", optimizer="cost",
+                                    storage="rows")
     scans = []
     original = TableScan.rows
 
@@ -383,16 +383,10 @@ def branch_plan(batch, delta_rows, table, function, combine, union,
 def assert_branch_matches_tuple(delta_rows, stable_rows, function, combine,
                                 union, build_side="right"):
     table = stable_table(stable_rows)
-    # The tuple executor folds a group with sum() — 0 + -0.0 is 0.0 —
-    # where every batch loop seeds with the group's first value: equal
-    # sums, but a zero's sign may differ.  That predates the array
-    # kernels (which decline -0.0 to stay with the batch loops), so sums
-    # are compared up to it; everything else to the sign bit.
-    signed_zero = function != "sum"
     expected = outcome(branch_plan(False, delta_rows, table, function,
-                                   combine, union, build_side), signed_zero)
+                                   combine, union, build_side))
     got = outcome(branch_plan(True, delta_rows, table, function, combine,
-                              union, build_side), signed_zero)
+                              union, build_side))
     assert got == expected
 
 
