@@ -3,8 +3,7 @@
 CI runs the suite benchmarks at smoke scale and compares each query's
 **speedup ratio** against the corresponding entry in the committed
 ``BENCH_executor.json`` / ``BENCH_optimizer.json`` /
-``BENCH_storage.json`` / ``BENCH_parallel.json`` /
-``BENCH_streaming.json``.  Ratios, not absolute milliseconds: the smoke
+``BENCH_storage.json`` / ``BENCH_streaming.json``.  Ratios, not absolute milliseconds: the smoke
 runs use a much smaller graph (and a different machine class) than the
 committed reports, so wall times are incomparable, but "the batch
 executor beats the tuple executor by ~2x on PageRank" is a property of
@@ -39,7 +38,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: baseline file -> callable(scale) producing a fresh report of the
 #: same shape (every results[] entry carries `query`, `speedup`,
 #: `identical`).
-SUITES = ("executor", "optimizer", "storage", "parallel", "streaming")
+SUITES = ("executor", "optimizer", "storage", "streaming")
 
 
 def _run_suite(name: str, scale: float) -> dict[str, Any]:
@@ -49,9 +48,6 @@ def _run_suite(name: str, scale: float) -> dict[str, Any]:
     if name == "optimizer":
         from repro.bench.optimizer_bench import run_optimizer_bench
         return run_optimizer_bench(scale=scale, repeats=1)
-    if name == "parallel":
-        from repro.bench.parallel_bench import run_parallel_bench
-        return run_parallel_bench(scale=scale, repeats=1)
     if name == "streaming":
         from repro.bench.streaming_bench import run_streaming_bench
         return run_streaming_bench(scale=scale, repeats=1)
@@ -74,16 +70,7 @@ def compare_suite(name: str, baseline: dict[str, Any],
     measured speedup stayed above ``baseline_speedup * ratio - slack``.
     Queries present only on one side are reported (and fail the gate) so
     a renamed workload can't silently drop out of coverage.
-
-    The parallel suite's speedup is a multiprocessing ratio: it only
-    means anything when the host has at least as many CPUs as the
-    benchmark's worker count, so on smaller hosts the floor check is
-    skipped (result identity — the part that is never hardware-bound —
-    is still enforced).
     """
-    enforce_speedup = True
-    if "host_cpus" in fresh and "workers" in fresh:
-        enforce_speedup = fresh["host_cpus"] >= fresh["workers"]
     fresh_by_query = {r["query"]: r for r in fresh["results"]}
     rows: list[dict[str, Any]] = []
     for entry in baseline["results"]:
@@ -108,11 +95,6 @@ def compare_suite(name: str, baseline: dict[str, Any],
         if not measured["identical"]:
             row.update(status="diverged",
                        detail="fresh run results not identical")
-        elif not enforce_speedup:
-            row.update(status="ok",
-                       detail=(f"speedup floor skipped: host has"
-                               f" {fresh['host_cpus']} cpu(s) for"
-                               f" {fresh['workers']} workers"))
         elif measured["speedup"] < floor:
             row.update(
                 status="regressed",

@@ -38,8 +38,8 @@ from repro.graphsystems.graph import Graph
 
 from .harness import BENCH_SCALE, fresh_engine, time_call
 
-#: Nodes at scale 1.0 / average out-degree — the storage/parallel
-#: benches' base graph, so numbers line up across reports.
+#: Nodes at scale 1.0 / average out-degree — the storage bench's base
+#: graph, so numbers line up across reports.
 BASE_NODES = 8000
 DEGREE = 4.0
 

@@ -56,30 +56,23 @@ class EngineConfig:
     strategy: str = "full_outer_join"
     telemetry: str = "off"
     storage: str = "rows"
-    parallel: int = 0
 
     def label(self) -> str:
-        text = (f"{self.dialect}/{self.executor}/opt={self.optimizer}"
+        return (f"{self.dialect}/{self.executor}/opt={self.optimizer}"
                 f"/{self.strategy}/telemetry={self.telemetry}"
                 f"/{self.storage}")
-        if self.parallel:
-            text += f"/parallel={self.parallel}"
-        return text
 
     def build_engine(self) -> Engine:
         engine = Engine(dialect=self.dialect, executor=self.executor,
                         optimizer=self.optimizer, telemetry=self.telemetry,
-                        storage=self.storage, parallel=self.parallel)
+                        storage=self.storage)
         engine.union_by_update_strategy = self.strategy
         return engine
 
 
 def default_matrix() -> tuple[EngineConfig, ...]:
-    """The full 96-cell matrix: 4 strategy/dialect pairs x 2 executors
-    x 2 optimizer settings x 2 telemetry settings x 2 storage backends,
-    plus 32 partitioned-execution cells (parallel=2, telemetry off *and*
-    on — workers ship their telemetry shards back, so instrumented runs
-    exercise the pool like any other)."""
+    """The full 64-cell matrix: 4 strategy/dialect pairs x 2 executors
+    x 2 optimizer settings x 2 telemetry settings x 2 storage backends."""
     configs = []
     for strategy, dialect in STRATEGY_DIALECTS:
         for executor in ("tuple", "batch"):
@@ -90,15 +83,6 @@ def default_matrix() -> tuple[EngineConfig, ...]:
                             dialect=dialect, executor=executor,
                             optimizer=optimizer, strategy=strategy,
                             telemetry=telemetry, storage=storage))
-    for strategy, dialect in STRATEGY_DIALECTS:
-        for executor in ("tuple", "batch"):
-            for telemetry in ("off", "on"):
-                for storage in ("rows", "columnar"):
-                    configs.append(EngineConfig(
-                        dialect=dialect, executor=executor,
-                        optimizer="off", strategy=strategy,
-                        telemetry=telemetry, storage=storage,
-                        parallel=2))
     return tuple(configs)
 
 
@@ -114,7 +98,7 @@ def relevant_matrix(scenario: Scenario,
     out = []
     for config in matrix:
         key = (config.dialect, config.executor, config.optimizer,
-               config.telemetry, config.storage, config.parallel)
+               config.telemetry, config.storage)
         if key in seen:
             continue
         seen.add(key)

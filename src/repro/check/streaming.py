@@ -44,7 +44,6 @@ class StreamingScenario:
     kind: str                       # "graph" | "table"
     executor: str = "tuple"
     storage: str = "rows"
-    parallel: int = 0
     #: graph kind: initial vertices 0..nodes-1, initial (u, v, w) edges,
     #: then per-batch mutations.
     nodes: int = 0
@@ -57,9 +56,8 @@ class StreamingScenario:
     table_rows: tuple = ()
 
     def label(self) -> str:
-        par = f" parallel={self.parallel}" if self.parallel else ""
         return (f"seed={self.seed} kind={self.kind}"
-                f" executor={self.executor} storage={self.storage}{par}"
+                f" executor={self.executor} storage={self.storage}"
                 f" batches={len(self.batches)}")
 
 
@@ -126,7 +124,6 @@ def _engine_knobs(rng: random.Random) -> dict:
     return {
         "executor": rng.choice(("tuple", "tuple", "batch")),
         "storage": rng.choice(("rows", "rows", "columnar")),
-        "parallel": 2 if rng.random() < 0.08 else 0,
     }
 
 
@@ -257,8 +254,7 @@ def _check_graph(scenario: StreamingScenario,
     if not graph.num_nodes:
         return None
     engine = Engine("oracle", executor=scenario.executor,
-                    storage=scenario.storage,
-                    parallel=scenario.parallel or None)
+                    storage=scenario.storage)
     manager = engine.streaming
     manager.attach_graph(graph)
     source = scenario.sssp_source

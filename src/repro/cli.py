@@ -47,7 +47,6 @@ Commands
 from __future__ import annotations
 
 import argparse
-import statistics
 import sys
 import time
 
@@ -91,8 +90,7 @@ def _load_for(key: str, args,
         graph = random_dag(graph.num_nodes,
                            max(graph.average_degree / 2.0, 0.5),
                            seed=1234, name=f"{graph.name}-dag")
-    return Engine(args.dialect, telemetry=telemetry,
-                  parallel=getattr(args, "parallel", 0) or None), graph
+    return Engine(args.dialect, telemetry=telemetry), graph
 
 
 def _resolve_algorithm(token: str) -> str:
@@ -166,7 +164,7 @@ def cmd_psm(args) -> int:
 
 
 def cmd_query(args) -> int:
-    engine = Engine(args.dialect, parallel=args.parallel or None)
+    engine = Engine(args.dialect)
     graph = load(args.dataset, args.scale)
     common.load_graph(engine, graph)
     common.prepare_transition(engine)
@@ -243,51 +241,6 @@ def cmd_trace(args) -> int:
         "Storage (per-table maintenance and compression counters)"))
     print()
 
-    if args.parallel and args.parallel >= 2:
-        # Workers carry their own telemetry shards, so the traced run
-        # above executed on the pool directly — report its health and
-        # the per-iteration straggler picture from the same run.
-        pool = engine._parallel_pool
-        if pool is None:
-            print(f"Parallel: requested {args.parallel} workers but the"
-                  " query never engaged the pool (shape ineligible)")
-        else:
-            health = pool.health()
-            jobs = " ".join(f"{kind}x{count}" for kind, count
-                            in sorted(health["jobs"].items())) or "-"
-            busy = " ".join(f"{fraction * 100:.0f}%" for fraction
-                            in health["busy_fraction"])
-            print(format_table(
-                ["workers", "alive", "queue", "sent", "received",
-                 "busy", "jobs"],
-                [[health["workers"], health["alive"],
-                  health["queue_depth"], health["bytes_sent"],
-                  health["bytes_received"], busy, jobs]],
-                "Parallel (traced run, pool health)"))
-            straggler_rows = []
-            for stat in result.per_iteration:
-                seconds = getattr(stat, "worker_seconds", ())
-                if not seconds:
-                    continue
-                max_ms = max(seconds) * 1000
-                median_ms = statistics.median(seconds) * 1000
-                wrows = getattr(stat, "worker_rows", ())
-                straggler_rows.append([
-                    stat.iteration, f"{max_ms:.2f}", f"{median_ms:.2f}",
-                    f"{max_ms / median_ms:.2f}" if median_ms else "-",
-                    max(wrows) if wrows else "-",
-                    int(statistics.median(wrows)) if wrows else "-"])
-            if straggler_rows:
-                if len(straggler_rows) > args.limit:
-                    straggler_rows = (straggler_rows[:args.limit]
-                                      + [["..."] * 6])
-                print()
-                print(format_table(
-                    ["iter", "max ms", "median ms", "skew", "max rows",
-                     "median rows"], straggler_rows,
-                    "Stragglers (per-iteration partition skew)"))
-        print()
-
     print("Spans:")
     for root in engine.tracer.roots:
         _print_span(root)
@@ -319,23 +272,20 @@ def cmd_fuzz(args) -> int:
 
     matrix = None
     if (args.executors or args.optimizers or args.telemetry
-            or args.storage or args.parallel is not None):
+            or args.storage):
         executors = args.executors or ["tuple", "batch"]
         optimizers = args.optimizers or ["off", "cost"]
         telemetry = args.telemetry or ["off", "on"]
         storages = args.storage or ["rows", "columnar"]
-        parallels = args.parallel if args.parallel is not None else [0]
         matrix = tuple(
             EngineConfig(dialect=dialect, executor=executor,
                          optimizer=optimizer, strategy=strategy,
-                         telemetry=mode, storage=storage,
-                         parallel=parallel)
+                         telemetry=mode, storage=storage)
             for strategy, dialect in STRATEGY_DIALECTS
             for executor in executors
             for optimizer in optimizers
             for mode in telemetry
-            for storage in storages
-            for parallel in parallels)
+            for storage in storages)
     started = time.perf_counter()
     last_tick = [started]
 
@@ -382,8 +332,7 @@ def cmd_ingest(args) -> int:
     from repro.streaming import read_batches
 
     batches = read_batches(args.batches)
-    engine = Engine(args.dialect, telemetry=args.telemetry,
-                    parallel=args.parallel or None)
+    engine = Engine(args.dialect, telemetry=args.telemetry)
     graph = load(args.dataset, args.scale)
     manager = engine.streaming
     manager.attach_graph(graph)
@@ -566,9 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=sorted(DATASETS))
         p.add_argument("--scale", type=float, default=0.35)
         p.add_argument("--limit", type=int, default=10)
-        p.add_argument("--parallel", type=int, default=0, metavar="N",
-                       help="partitioned execution on N worker processes"
-                            " (0 = serial; also via REPRO_PARALLEL)")
 
     p = sub.add_parser("list", help="algorithms and datasets")
     p.add_argument("--scale", type=float, default=0.35)
@@ -624,9 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict the matrix's telemetry axis")
     p.add_argument("--storage", nargs="*", choices=("rows", "columnar"),
                    help="restrict the matrix's storage axis")
-    p.add_argument("--parallel", nargs="*", type=int, metavar="N",
-                   help="restrict the matrix's parallel axis (worker"
-                        " counts; 0 = serial, e.g. --parallel 0 2)")
     p.add_argument("--no-metamorphic", action="store_true",
                    help="config-matrix comparison only")
     p.add_argument("--streaming", action="store_true",

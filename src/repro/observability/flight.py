@@ -199,24 +199,11 @@ class FlightRecorder:
                              for title, report in plan_reports],
             "explain": explain,
             "span_forest": None if span is None else [span.to_dict()],
-            # Parallel context: the configured pool size, the worker
-            # count the statement actually ran on, and the last worker
-            # incident (if any).  Replay below stays serial — results
-            # are byte-identical by contract, so a bundle captured from
-            # a parallel run still replays deterministically.
-            "parallel": {
-                "configured": getattr(engine, "parallel", 0),
-                "effective": getattr(engine, "_last_parallel", 0),
-                "incident": getattr(engine.telemetry,
-                                    "last_parallel_incident", None),
-            },
             "per_iteration": [{
                 "iteration": s.iteration, "delta_rows": s.delta_rows,
                 "total_rows": s.total_rows, "ms": round(s.seconds * 1000, 3),
                 "inserted": s.inserted, "overwritten": s.overwritten,
                 "pruned": s.pruned, "antijoin_pruned": s.antijoin_pruned,
-                "worker_ms": [round(sec * 1000, 3)
-                              for sec in getattr(s, "worker_seconds", ())],
             } for s in per_iteration],
             "statistics": statistics,
             "storage": storage,

@@ -131,20 +131,6 @@ class Histogram:
         return {f"p{int(q * 100)}": self.quantile(q)
                 for q in SUMMARY_QUANTILES}
 
-    def load(self, counts: Sequence[int], total: float,
-             count: int) -> None:
-        """Overwrite with an externally accumulated distribution — the
-        histogram analogue of ``Gauge.set``, for sources that keep their
-        own per-bucket tallies (e.g. the process-global shipment stats)
-        and are re-collected idempotently on every scrape."""
-        if len(counts) != len(self.counts):
-            raise ValueError(
-                f"expected {len(self.counts)} bucket counts,"
-                f" got {len(counts)}")
-        self.counts = list(counts)
-        self.sum = float(total)
-        self.count = int(count)
-
 
 def _label_key(labels: dict[str, Any]) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))

@@ -143,8 +143,6 @@ class Profiler:
         self._iterations: dict[int, dict[str, float]] = {}
         #: operator label -> drift aggregation.
         self._misestimates: dict[str, _MisestimateEntry] = {}
-        #: iteration index -> cross-worker skew aggregation.
-        self._worker_iterations: dict[int, dict[str, float]] = {}
 
     # -- recording -----------------------------------------------------------
 
@@ -155,7 +153,6 @@ class Profiler:
         self._phases.clear()
         self._iterations.clear()
         self._misestimates.clear()
-        self._worker_iterations.clear()
 
     def record_query(self, kind: str, phases: dict[str, float],
                      per_iteration: Iterable[Any] = ()) -> None:
@@ -233,51 +230,6 @@ class Profiler:
         self._misestimates.setdefault(
             node.label, _MisestimateEntry()).observe(ratio, detail)
 
-    def record_worker(self, payload: dict[str, Any]) -> None:
-        """Fold one worker's ``repro-telemetry-v1`` span tree into the
-        profile as per-rank stacks: ``worker:rankN;job:<kind>;step:<name>``
-        with self time (inclusive minus children), so the flamegraph
-        shows where each rank spent its partition's wall clock."""
-        if not self.enabled or not payload:
-            return
-        rank = payload.get("rank", 0)
-        base = (f"worker:rank{rank}",)
-
-        def visit(record: dict[str, Any], path: tuple[str, ...]) -> None:
-            prefix = "job" if len(path) == 1 else "step"
-            stack = path + (f"{prefix}:{record['name']}",)
-            children = record.get("children", ())
-            child_seconds = sum(c["duration"] for c in children)
-            self_seconds = max(record["duration"] - child_seconds, 0.0)
-            entry = self._stacks.setdefault(stack, _StackEntry())
-            entry.add(self_seconds,
-                      int(record.get("attrs", {}).get("rows", 0)), 1, 0)
-            for child in children:
-                visit(child, stack)
-
-        for record in payload.get("spans", ()):
-            visit(record, base)
-
-    def record_worker_iteration(self, index: int,
-                                worker_seconds: tuple,
-                                worker_rows: tuple) -> None:
-        """Fold one parallel fixpoint iteration's per-partition timings
-        into the straggler aggregation (max vs median partition time,
-        rows-per-partition imbalance)."""
-        if not self.enabled or not worker_seconds:
-            return
-        slot = self._worker_iterations.setdefault(index, {
-            "runs": 0, "workers": len(worker_seconds),
-            "max_ms": 0.0, "median_ms": 0.0,
-            "rows_max": 0, "rows_median": 0.0})
-        slot["runs"] += 1
-        slot["workers"] = len(worker_seconds)
-        slot["max_ms"] += max(worker_seconds) * 1000.0
-        slot["median_ms"] += _median(worker_seconds) * 1000.0
-        if worker_rows:
-            slot["rows_max"] += max(worker_rows)
-            slot["rows_median"] += _median(worker_rows)
-
     # -- reports -------------------------------------------------------------
 
     def to_collapsed(self) -> str:
@@ -335,28 +287,6 @@ class Profiler:
                            for key, value in slot.items()}})
         return out
 
-    def straggler_report(self) -> list[dict[str, Any]]:
-        """Per-iteration skew across the worker pool: average max vs
-        median partition wall time (skew = max/median; 1.0 is a perfectly
-        balanced iteration) and the rows-per-partition spread."""
-        out = []
-        for index in sorted(self._worker_iterations):
-            slot = self._worker_iterations[index]
-            runs = max(int(slot["runs"]), 1)
-            max_ms = slot["max_ms"] / runs
-            median_ms = slot["median_ms"] / runs
-            out.append({
-                "iteration": index,
-                "workers": int(slot["workers"]),
-                "runs": runs,
-                "max_ms": round(max_ms, 3),
-                "median_ms": round(median_ms, 3),
-                "skew": round(max_ms / median_ms, 3) if median_ms else 0.0,
-                "rows_max": round(slot["rows_max"] / runs, 1),
-                "rows_median": round(slot["rows_median"] / runs, 1),
-            })
-        return out
-
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready snapshot (the ``/profile`` endpoint payload and the
         :class:`ProfileStore` merge unit)."""
@@ -369,7 +299,6 @@ class Profiler:
                        for stack, entry in sorted(self._stacks.items())},
             "top_operators": self.top_operators(k=len(self._operators) or 1),
             "iterations": self.iteration_profile(),
-            "stragglers": self.straggler_report(),
             "misestimates": self.misestimate_report(
                 k=len(self._misestimates) or 1),
         }
@@ -424,16 +353,6 @@ class ProfileStore:
         lines = [f"{stack} {entry['us']}"
                  for stack, entry in sorted(self.data["stacks"].items())]
         return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _median(values: Iterable[float]) -> float:
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return float(ordered[mid])
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
 def _json_safe_tree(value: Any) -> Any:

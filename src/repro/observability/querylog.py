@@ -45,10 +45,6 @@ class QueryLogEntry:
     slow: bool = False
     #: Physical table storage backend the engine ran with.
     storage: str = "rows"
-    #: Worker count the statement actually executed on: N when the pool
-    #: ran it, 0 for serial (including a parallel engine whose cost rule
-    #: declined to fork) — "why didn't this go parallel?" reads here.
-    parallel: int = 0
     #: Exception type name when the statement failed, else ``None``.
     error: str | None = None
     #: Wall-clock (``time.time()``) at completion.
@@ -64,7 +60,6 @@ class QueryLogEntry:
             "iterations": self.iterations,
             "slow": self.slow,
             "storage": self.storage,
-            "parallel": self.parallel,
             "error": self.error,
             "timestamp": self.timestamp,
         }
@@ -92,7 +87,6 @@ class QueryLog:
     def record(self, sql: str, kind: str, total_ms: float,
                phases: dict[str, float] | None = None, rows: int = 0,
                iterations: int = 0, storage: str = "rows",
-               parallel: int = 0,
                error: str | None = None) -> QueryLogEntry:
         text = sql if len(sql) <= MAX_SQL_LENGTH \
             else sql[:MAX_SQL_LENGTH] + "…"
@@ -100,8 +94,7 @@ class QueryLog:
             sql=text, kind=kind, total_ms=total_ms,
             phases=dict(phases or {}), rows=rows, iterations=iterations,
             slow=total_ms >= self.slow_ms, storage=storage,
-            parallel=parallel, error=error,
-            timestamp=time.time())
+            error=error, timestamp=time.time())
         self._entries.append(entry)
         if self.jsonl_path is not None:
             self._append_jsonl(entry)

@@ -4,10 +4,8 @@
 :class:`ObservabilityServer` — a daemon-threaded ``http.server`` with no
 dependencies — exposing:
 
-* ``GET /metrics``  — the Prometheus text exposition (storage *and*
-  worker-pool gauges are refreshed on every scrape, like
-  ``engine.metrics`` — including pools another engine in the process
-  created, via the shared-pool registry);
+* ``GET /metrics``  — the Prometheus text exposition (storage gauges
+  are refreshed on every scrape, like ``engine.metrics``);
 * ``GET /healthz``  — liveness JSON (status, uptime, engine config,
   queries logged);
 * ``GET /queries``  — recent query-log entries as JSON, newest first
@@ -141,7 +139,6 @@ class ObservabilityServer:
             "profiling": self.engine.telemetry.profiler.enabled,
             "tracing": self.engine.telemetry.tracing,
             "flight": self.engine.telemetry.flight is not None,
-            "parallel": getattr(self.engine, "parallel", 0),
         }
 
     @staticmethod

@@ -59,9 +59,6 @@ class Telemetry:
             if flight_max_rows is not None:
                 kwargs["max_rows_per_table"] = flight_max_rows
             self.flight = FlightRecorder(flight_dir, **kwargs)
-        #: last worker-side failure observed by a parallel driver, folded
-        #: into the next flight bundle's ``parallel`` section
-        self.last_parallel_incident: dict[str, Any] | None = None
 
     @property
     def tracing(self) -> bool:
@@ -76,7 +73,6 @@ class Telemetry:
         self.metrics.reset()
         self.query_log.clear()
         self.profiler.reset()
-        self.last_parallel_incident = None
 
 
 def resolve_telemetry(spec: Any) -> Telemetry:

@@ -39,7 +39,6 @@ from ..observability import (
 from .database import Database
 from .dialects import Dialect, get_dialect
 from .errors import FeatureNotSupportedError, RelationalError
-from .parallel import WorkerPool, record_parallel_metrics, resolve_parallel
 from .physical import (execute_analyzed, explain_plan, instrument,
                        render_analysis)
 from .planner import POLICIES, PlannerPolicy
@@ -108,9 +107,7 @@ class Engine:
         existing :class:`repro.observability.Telemetry` may be passed to
         share one registry across several engines.  ``None`` (default)
         reads the ``REPRO_TELEMETRY`` environment variable, then
-        ``"off"``.  Telemetry composes with ``parallel``: worker
-        processes record their own spans/counters and ship them back for
-        merging, so tracing no longer forces serial execution.
+        ``"off"``.
     storage:
         Physical table storage: ``"rows"`` (list of row tuples) or
         ``"columnar"`` (typed, compressed column vectors in morsel
@@ -120,15 +117,6 @@ class Engine:
         Results are identical across backends; only the physical layout
         — and the batch executor's ability to run block kernels over it
         — differs.
-    parallel:
-        Worker count for partitioned parallel execution (see
-        ``docs/parallel.md``).  ``0``/``1`` stays serial; ``N >= 2``
-        hash-partitions eligible plans across a persistent
-        ``multiprocessing`` worker pool (shared per process and created
-        lazily on the first eligible query).  ``None`` (default) reads
-        the ``REPRO_PARALLEL`` environment variable, then ``0``.
-        Results are byte-identical to serial execution — parallelism
-        changes wall time, never answers or iteration counts.
     """
 
     def __init__(self, dialect: str | Dialect = "oracle",
@@ -136,8 +124,7 @@ class Engine:
                  executor: str = "tuple", optimizer: str = "off",
                  replan_factor: float = 8.0,
                  telemetry: str | bool | Telemetry | None = None,
-                 storage: str | None = None,
-                 parallel: int | None = None):
+                 storage: str | None = None):
         self.dialect = (dialect if isinstance(dialect, Dialect)
                         else get_dialect(dialect))
         if storage is not None and storage not in ("rows", "columnar"):
@@ -166,12 +153,6 @@ class Engine:
         self.mode = mode
         self._ubu_strategy: str | None = None
         self.temp_indexes: dict[str, Sequence[str]] = {}
-        self.parallel = resolve_parallel(parallel)
-        self._parallel_pool: WorkerPool | None = None
-        #: worker count the last statement actually fanned out to
-        #: (0 = serial, including cost-rule declines and degradations) —
-        #: recorded in the query log and the root query span.
-        self._last_parallel = 0
         if telemetry is None:
             telemetry = os.environ.get("REPRO_TELEMETRY") or "off"
         self.telemetry = resolve_telemetry(telemetry)
@@ -200,28 +181,7 @@ class Engine:
         operator metrics.
         """
         record_storage_metrics(self.telemetry.metrics, self.database)
-        pool = self._parallel_pool
-        if pool is None and self.parallel >= 2:
-            # The engine may not have engaged the (shared) pool itself
-            # yet; scrape-time collection still reflects whatever pool
-            # of this size already exists, without forking one.
-            pool = WorkerPool.peek(self.parallel)
-        if pool is not None:
-            record_parallel_metrics(self.telemetry.metrics, pool)
         return self.telemetry.metrics
-
-    def parallel_pool(self) -> WorkerPool | None:
-        """The shared worker pool for this engine's ``parallel`` setting,
-        created lazily on first use (``None`` when running serial).
-
-        This is the *provider* the parallel placement rule and fixpoint
-        driver call only after a query proves eligible — engines with
-        ``parallel=N`` that never run an eligible query never fork."""
-        if self.parallel < 2:
-            return None
-        if self._parallel_pool is None or not self._parallel_pool.usable():
-            self._parallel_pool = WorkerPool.shared(self.parallel)
-        return self._parallel_pool
 
     @property
     def query_log(self):
@@ -266,7 +226,6 @@ class Engine:
         phases: dict[str, float] = {}
         sql_text = sql if isinstance(sql, str) else type(sql).__name__
         self._instrumented = []
-        self._last_parallel = 0
         total_started = time.perf_counter()
         try:
             with tracer.span("query", sql=sql_text,
@@ -316,15 +275,12 @@ class Engine:
             ubu_strategy=self._ubu_strategy,
             temp_indexes=self.temp_indexes,
             telemetry=self.telemetry,
-            parallel_pool_provider=(self.parallel_pool
-                                    if self.parallel >= 2 else None),
             warm_start=warm_start)
         started = time.perf_counter()
         profiler = self.telemetry.profiler
         with tracer.span("execute") as exec_span:
             result = executor.execute(statement)
             result.relation.rows  # a statement returns a finished result
-            self._last_parallel = getattr(executor, "parallel_used", 0)
             for title, plan, plan_stats in executor.instrumented_plans():
                 if exec_span is not None:
                     root_stats = plan_stats.get(plan)
@@ -359,15 +315,6 @@ class Engine:
         started = time.perf_counter()
         with tracer.span("plan"):
             plan = runner.plan(statement)
-            if self.parallel >= 2:
-                # The parallel placement rule.  Workers carry their own
-                # telemetry shard and ship spans/counters back with the
-                # results, so observing no longer forces serial.
-                from .parallel.plain import maybe_parallel_plan
-
-                plan = maybe_parallel_plan(plan, self.parallel_pool,
-                                           self.parallel,
-                                           telemetry=self.telemetry)
         phases["plan"] = (time.perf_counter() - started) * 1000
         started = time.perf_counter()
         with tracer.span("optimize"):
@@ -396,7 +343,6 @@ class Engine:
                 relation = plan.execute()
             relation.rows  # a statement returns a finished result
         phases["execute"] = (time.perf_counter() - started) * 1000
-        self._last_parallel = getattr(plan, "engaged", 0)
         return WithExecutionResult(relation=relation)
 
     def _publish_iterations(self, result: WithExecutionResult) -> None:
@@ -417,10 +363,7 @@ class Engine:
         entry = telemetry.query_log.record(sql_text, kind, total_ms, phases,
                                            rows=rows,
                                            iterations=result.iterations,
-                                           storage=self.storage,
-                                           parallel=self._last_parallel)
-        if query_span is not None:
-            query_span.attrs["parallel"] = self._last_parallel
+                                           storage=self.storage)
         metrics = telemetry.metrics
         metrics.counter("repro_queries_total", "Statements executed.",
                         kind=kind).inc()
@@ -474,8 +417,7 @@ class Engine:
         telemetry = self.telemetry
         telemetry.query_log.record(sql_text, "error", total_ms, phases,
                                    storage=self.storage,
-                                   error=type(error).__name__,
-                                   parallel=self._last_parallel)
+                                   error=type(error).__name__)
         telemetry.metrics.counter(
             "repro_query_errors_total", "Statements that raised.",
             error=type(error).__name__).inc()

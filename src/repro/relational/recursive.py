@@ -87,12 +87,6 @@ class IterationStat:
     antijoin_pruned: int = 0
     #: Wall seconds per recursive branch, in branch order.
     branch_seconds: tuple = ()
-    #: Parallel runs only: busy seconds per worker rank for this
-    #: iteration's delta evaluation (straggler/skew source; empty when
-    #: the iteration ran serially).
-    worker_seconds: tuple = ()
-    #: Parallel runs only: delta rows owned per worker rank.
-    worker_rows: tuple = ()
 
 
 @dataclass
@@ -466,7 +460,6 @@ class RecursiveExecutor:
                  ubu_strategy: str | None = None,
                  temp_indexes: dict[str, Sequence[str]] | None = None,
                  analyze: bool = False, telemetry=None,
-                 parallel_pool_provider=None,
                  warm_start: dict[str, "Relation"] | None = None):
         if mode not in ("with", "with+"):
             raise ValueError(f"mode must be 'with' or 'with+', not {mode!r}")
@@ -489,11 +482,6 @@ class RecursiveExecutor:
         #: per-operator spans.
         self.telemetry = telemetry
         self.tracer = telemetry.tracer if telemetry is not None else None
-        #: Zero-argument callable returning a
-        #: :class:`repro.relational.parallel.WorkerPool` (or ``None``) —
-        #: called only after a fixpoint proves parallel-eligible, so the
-        #: pool is forked lazily.  ``None`` disables parallel execution.
-        self.parallel_pool_provider = parallel_pool_provider
         #: Warm-start seeds: lowercase recursive-CTE name → Relation used
         #: *instead of* evaluating the CTE's initial branches.  The
         #: streaming layer passes a prior fixpoint (with the delta
@@ -502,9 +490,6 @@ class RecursiveExecutor:
         #: seed that is already a fixpoint converges in one iteration.
         self.warm_start = {name.lower(): relation
                            for name, relation in (warm_start or {}).items()}
-        #: Worker count the fixpoint actually ran on (0 = serial); the
-        #: engine copies this into the query log's ``parallel`` field.
-        self.parallel_used = 0
         #: Wall seconds spent compiling plans (initial queries, cached and
         #: fresh branch plans, the final body) — the engine reports this as
         #: the recursive statement's "plan" phase.
@@ -614,9 +599,9 @@ class RecursiveExecutor:
         seed = self.warm_start.get(cte.name.lower())
         if seed is not None:
             # Warm start: the caller's seed stands in for the initial
-            # queries.  Everything downstream (temp table, parallel
-            # handoff, the serial loop) is unchanged — the fixpoint is
-            # simply resumed from the seed instead of derived from zero.
+            # queries.  Everything downstream (temp table, the loop) is
+            # unchanged — the fixpoint is simply resumed from the seed
+            # instead of derived from zero.
             current = seed
         else:
             current = self._run_timed(runner, initial[0].statement)
@@ -633,19 +618,6 @@ class RecursiveExecutor:
                                                 replace=True)
         table.insert_relation(current)
         self._maybe_index(table)
-
-        if self.parallel_pool_provider is not None:
-            # Partitioned parallel fixpoint (byte-identical to the serial
-            # loop below; see docs/parallel.md).  Returns None on any
-            # ineligible shape, falling through untouched.  Instrumented
-            # runs take this path too: workers ship telemetry shards back
-            # with their replies (docs/observability.md).
-            from .parallel.fixpoint import try_parallel_fixpoint
-
-            parallel_result = try_parallel_fixpoint(
-                self, cte, bindings, stats, table)
-            if parallel_result is not None:
-                return parallel_result
 
         limit = cte.maxrecursion
         cap = limit if limit is not None else DEFAULT_RECURSION_CAP

@@ -82,13 +82,6 @@ class ColumnStatistics:
         return DEFAULT_RANGE_SELECTIVITY
 
 
-#: Process-wide monotonic source for :attr:`TableStatistics.uid` —
-#: unlike ``id(table)``, a uid is never recycled, so caches keyed on it
-#: (worker-side static shipments) cannot alias a dropped table with a
-#: re-registered one.
-_UID_COUNTER = iter(range(1, 1 << 62)).__next__
-
-
 @dataclass
 class TableStatistics:
     """Row count plus per-column stats; ``fresh`` marks an analyzed table.
@@ -96,22 +89,12 @@ class TableStatistics:
     ``version`` counts invalidations (i.e. table mutations).  The optimizer
     uses it both to know when a lazy re-ANALYZE is due and to fingerprint
     hash-join build sides cached across recursive-loop iterations.
-
-    ``epoch`` counts only *non-append* mutations (updates, deletes,
-    truncates, rebuilds).  Between two reads with an unchanged epoch,
-    every previously-observed row position still holds the same row —
-    the table has only grown at the tail — which is the invariant the
-    parallel static-shipment cache exploits to ship appended suffixes
-    instead of whole tables.  ``uid`` identifies the table instance
-    durably across the process (never reused).
     """
 
     row_count: int = 0
     columns: dict[str, ColumnStatistics] = field(default_factory=dict)
     fresh: bool = False
     version: int = 0
-    epoch: int = 0
-    uid: int = field(default_factory=_UID_COUNTER)
 
     def refresh(self, relation: "Relation") -> None:
         """Recompute all statistics from *relation* (the ANALYZE operation)."""
@@ -138,16 +121,10 @@ class TableStatistics:
             self.columns[column.name.lower()] = stats
         self.fresh = True
 
-    def invalidate(self, append_only: bool = False) -> None:
-        """Mark statistics stale (called on writes).
-
-        *append_only* is the pure-append promise: prior row positions are
-        untouched, so the append ``epoch`` stays put while ``version``
-        still advances for plan/index fingerprints."""
+    def invalidate(self) -> None:
+        """Mark statistics stale (called on writes)."""
         self.fresh = False
         self.version += 1
-        if not append_only:
-            self.epoch += 1
 
     def column(self, name: str) -> ColumnStatistics | None:
         return self.columns.get(name.lower())

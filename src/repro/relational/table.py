@@ -109,7 +109,7 @@ class Table:
             index.insert(coerced)
             self.incremental_index_ops += 1
         self._positions_cache = None
-        self.statistics.invalidate(append_only=True)
+        self.statistics.invalidate()
 
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> int:
         """Batch insert: one coerce/validate pass over all rows, one bulk
@@ -141,7 +141,7 @@ class Table:
             index.bulk_load(coerced_rows)
             self.incremental_index_ops += len(coerced_rows)
         self._positions_cache = None
-        self.statistics.invalidate(append_only=True)
+        self.statistics.invalidate()
         return len(coerced_rows)
 
     def insert_relation(self, relation: Relation) -> int:

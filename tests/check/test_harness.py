@@ -107,19 +107,15 @@ def test_injected_crash_is_caught(monkeypatch):
 
 def test_matrix_covers_every_strategy_and_executor():
     matrix = default_matrix()
-    assert len(matrix) == 96
+    assert len(matrix) == 64
     assert {c.strategy for c in matrix} == {
         "merge", "full_outer_join", "update_from", "drop_alter"}
     assert {c.executor for c in matrix} == {"tuple", "batch"}
     assert {c.optimizer for c in matrix} == {"off", "cost"}
     assert {c.telemetry for c in matrix} == {"off", "on"}
     assert {c.storage for c in matrix} == {"rows", "columnar"}
-    assert {c.parallel for c in matrix} == {0, 2}
-    # Partitioned cells cover both telemetry modes — worker telemetry
-    # shards mean instrumented runs still fan out.
-    assert {c.telemetry for c in matrix if c.parallel} == {"off", "on"}
     # Plain selects collapse the strategy axis...
     reduced = relevant_matrix(JOIN_SCENARIO, matrix)
     assert len(reduced) < len(matrix)
-    # ...recursive scenarios keep all 96 cells.
+    # ...recursive scenarios keep all 64 cells.
     assert relevant_matrix(UBU_SCENARIO, matrix) == matrix

@@ -42,6 +42,14 @@ class TestResolveTelemetry:
         with pytest.raises(ValueError):
             resolve_telemetry("loud")
 
+    def test_repro_telemetry_env_enables_tracing(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TELEMETRY", "on")
+        engine = make_engine(telemetry=None)
+        assert engine.telemetry.tracing
+        engine.execute_detailed(RECURSIVE_SQL)
+        (query,) = engine.tracer.find("query")
+        assert query.find("iteration")
+
 
 class TestPhaseSpans:
     def test_plain_query_has_four_nested_phases(self):

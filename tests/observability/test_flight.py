@@ -136,6 +136,23 @@ class TestReplay:
         outcome = replay_bundle(path)
         assert outcome.reproduced
 
+    def test_bundle_with_retired_parallel_fields_replays(self, tmp_path):
+        # Bundles written before partitioned execution was removed carry
+        # a "parallel" section and per-iteration "worker_ms"; replay
+        # never read either, so they still reproduce.
+        engine = make_engine(tmp_path)
+        engine.execute_detailed(RECURSIVE_SQL)
+        (path,) = engine.telemetry.flight.bundles()
+        bundle = json.loads(open(path).read())
+        assert "parallel" not in bundle
+        bundle["parallel"] = {"configured": 2, "effective": 2,
+                              "incident": None}
+        for entry in bundle["per_iteration"]:
+            entry["worker_ms"] = [0.5, 0.7]
+        with open(path, "w") as handle:
+            json.dump(bundle, handle)
+        assert replay_bundle(path).reproduced
+
     def test_tampered_data_diverges(self, tmp_path):
         engine = make_engine(tmp_path)
         engine.execute("select count(*) as n from E")

@@ -162,8 +162,7 @@ class TestProfileJsonSchema:
         assert snapshot["format"] == "repro-profile-v1"
         assert set(snapshot) == {"format", "queries", "phases", "stacks",
                                  "top_operators", "iterations",
-                                 "misestimates", "stragglers"}
-        assert snapshot["stragglers"] == []  # serial run: no partitions
+                                 "misestimates"}
         assert snapshot["queries"] == 1
         for stack, entry in snapshot["stacks"].items():
             assert set(entry) == {"us", "rows", "calls", "bytes"}

@@ -48,56 +48,6 @@ class TestRoutes:
         _, _, body = fetch(server.url + "/metrics")
         assert "repro_storage_index_rebuilds" in body
 
-    def test_metrics_scrape_refreshes_parallel_gauges(self, monkeypatch):
-        """Regression: pool gauges must be fresh on scrape even when
-        *this* engine never engaged the shared pool itself."""
-        monkeypatch.setenv("REPRO_PARALLEL_STRICT", "1")
-        worker_engine = Engine("oracle", parallel=2)
-        worker_engine.database.load_edge_table(
-            "E", [(i, (i + 1) % 40, 1.0) for i in range(40)])
-        worker_engine.database.load_node_table(
-            "V", [(i, 1.0) for i in range(40)])
-        worker_engine.execute("""with P(ID, val) as (
-          (select ID, 0.5 as val from V)
-          union by update ID
-          (select E.T, 0.2 + 0.8 * sum(P.val * E.ew)
-           from P, E where P.ID = E.F group by E.T)
-          maxrecursion 3
-        ) select ID, val from P""")
-        jobs_before = worker_engine._parallel_pool.health()["jobs"].get(
-            "fix_iter", 0)
-        # A second engine with the same parallel setting shares the pool
-        # registry; its scrape must see the pool without forking one.
-        scrape_engine = Engine("oracle", parallel=2)
-        assert scrape_engine._parallel_pool is None
-        server = scrape_engine.serve_metrics()
-        try:
-            _, _, body = fetch(server.url + "/metrics")
-        finally:
-            server.stop()
-        assert scrape_engine._parallel_pool is None  # peeked, not forked
-        assert 'repro_parallel_workers{state="configured"} 2' in body
-        assert f'repro_parallel_jobs{{kind="fix_iter"}} {jobs_before}' \
-            in body
-        # A later run advances the counters; a fresh scrape must track it.
-        worker_engine.execute("""with P2(ID, val) as (
-          (select ID, 0.5 as val from V)
-          union by update ID
-          (select E.T, 0.2 + 0.8 * sum(P2.val * E.ew)
-           from P2, E where P2.ID = E.F group by E.T)
-          maxrecursion 3
-        ) select ID, val from P2""")
-        jobs_after = worker_engine._parallel_pool.health()["jobs"].get(
-            "fix_iter", 0)
-        assert jobs_after > jobs_before
-        server = scrape_engine.serve_metrics()
-        try:
-            _, _, body = fetch(server.url + "/metrics")
-        finally:
-            server.stop()
-        assert f'repro_parallel_jobs{{kind="fix_iter"}} {jobs_after}' \
-            in body
-
     def test_healthz(self, served_engine):
         engine, server = served_engine
         status, payload = fetch_json(server.url + "/healthz")

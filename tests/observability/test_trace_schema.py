@@ -22,15 +22,6 @@ with R(F, T) as (
 select count(*) as n from R
 """
 
-PAGERANK_SQL = """with P(ID, val) as (
-  (select ID, 0.5 as val from V)
-  union by update ID
-  (select E.T, 0.2 + 0.8 * sum(P.val * E.ew)
-   from P, E where P.ID = E.F group by E.T)
-  maxrecursion 5
-) select ID, val from P"""
-
-
 @pytest.fixture(scope="module")
 def schema() -> dict:
     return json.loads(SCHEMA_PATH.read_text())
@@ -56,27 +47,6 @@ class TestChromeTraceSchema:
         for expected in ("query", "parse", "execute", "iteration",
                         "branch"):
             assert expected in names
-
-    def test_parallel_export_conforms_with_worker_spans(self, schema,
-                                                        tmp_path,
-                                                        monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_STRICT", "1")
-        engine = Engine("oracle", telemetry="on", parallel=2)
-        engine.database.load_edge_table(
-            "E", [(i, (i + 1) % 40, 1.0) for i in range(40)])
-        engine.database.load_node_table("V", [(i, 1.0) for i in range(40)])
-        engine.execute_detailed(PAGERANK_SQL)
-        path = tmp_path / "trace_parallel.json"
-        engine.tracer.export_chrome(str(path))
-        trace = json.loads(path.read_text())
-        validate(trace, schema)
-        names = [event["name"] for event in trace["traceEvents"]]
-        # Worker spans arrive rank-tagged and parent under the
-        # coordinator's exchange spans.
-        assert "rank0:fix_iter" in names
-        assert "rank1:fix_iter" in names
-        assert "exchange" in names
-        assert "parallel_setup" in names
 
     def test_validator_rejects_malformed_events(self, schema):
         good = traced_engine()
@@ -124,28 +94,10 @@ class TestPrometheusRoundTrip:
             if name.startswith("repro_query_ms_bucket"))
         values = [value for _, value in buckets]
         assert values[-1] == samples["repro_query_ms_count"]
-
-    def test_parallel_exposition_carries_worker_labels(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_STRICT", "1")
-        engine = Engine("oracle", telemetry="on", parallel=2)
-        engine.database.load_edge_table(
-            "E", [(i, (i + 1) % 40, 1.0) for i in range(40)])
-        engine.database.load_node_table("V", [(i, 1.0) for i in range(40)])
-        engine.execute_detailed(PAGERANK_SQL)
-        samples = _parse_prometheus(engine.metrics.to_prometheus())
-        jobs0 = 'repro_worker_jobs_total{job="fix_iter",worker="0"}'
-        jobs1 = 'repro_worker_jobs_total{job="fix_iter",worker="1"}'
-        assert samples[jobs0] >= 1.0
-        assert samples[jobs1] >= 1.0
-        rows = sum(value for name, value in samples.items()
-                   if name.startswith('repro_worker_rows_total{'))
-        assert rows > 0.0
-        # The worker job-latency histogram merges across ranks into one
-        # coordinator-side series.
-        assert samples['repro_worker_job_ms_count{job="fix_iter"}'] \
-            >= samples[jobs0] + samples[jobs1]
-        assert samples["repro_parallel_time_skew"] > 0.0
-        assert samples["repro_parallel_rows_imbalance"] > 0.0
+        # No families survive from the removed partitioned execution.
+        for retired in ("repro_parallel_", "repro_worker_",
+                        "repro_shipment_"):
+            assert retired not in text
 
     def test_exposition_headers_precede_samples(self):
         registry = MetricsRegistry()

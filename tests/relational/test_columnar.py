@@ -11,6 +11,7 @@ paths that decay sealed blocks.
 
 import math
 import random
+import struct
 
 import pytest
 
@@ -152,6 +153,64 @@ def test_mixed_types_round_trip_exactly():
     rng = random.Random(8)
     soup = [rng.choice([0, 0.0, False, "0", None]) for _ in range(400)]
     assert_identity(soup)
+
+
+# -- bit-exact fidelity -------------------------------------------------------
+
+#: column → the codec encode_column's selection rules pick for it.
+CODEC_COLUMNS = {
+    "rle": [7] * 40 + [8] * 24,
+    "rle_nulls": [None] * 30 + ["x"] * 34,
+    "for": list(range(1000, 1064)),
+    "for_nulls": [None if i % 7 == 0 else 1000 + i for i in range(64)],
+    "delta": list(range(0, 640, 10)),
+    "int64": [(-1) ** i * i * 10**14 for i in range(64)],
+    "int64_nulls": [None if i % 5 == 0 else (-1) ** i * i * 10**14
+                    for i in range(64)],
+    "float64": [i * 0.1 for i in range(64)],
+    "float64_nulls": [None if i % 3 == 0 else i * 0.1
+                      for i in range(64)],
+    "dictionary": [f"tag-{i % 5}" for i in range(64)],
+    "plain": [float("nan") if i % 3 == 0 else f"mix-{i}"
+              for i in range(64)],
+}
+
+
+def _bits(value):
+    """A bit-exact fingerprint: floats by IEEE bits, the rest by repr and
+    type (1 vs 1.0 vs True and -0.0 vs 0.0 must not collapse)."""
+    if isinstance(value, float):
+        return ("f", struct.pack("<d", value))
+    return (type(value).__name__, repr(value))
+
+
+def test_every_codec_roundtrips_bit_for_bit():
+    columns = [encode_column(values) for values in CODEC_COLUMNS.values()]
+    # the fixture must actually cover all seven codecs
+    assert {column.name for column in columns} == {
+        "rle", "for", "delta", "int64", "float64", "dictionary", "plain"}
+    for column, values in zip(columns, CODEC_COLUMNS.values()):
+        assert [_bits(v) for v in column.decode()] == \
+            [_bits(v) for v in values]
+
+
+def test_roundtrip_preserves_bool_int_and_negative_zero():
+    # encode_column keys float zeros by copysign, so -0.0 and 0.0 keep
+    # distinct dictionary/run entries and every value decodes bit for bit.
+    tricky = [True, False, 1, 0, -0.0, 0.0, 1.0, None]
+    assert [_bits(v) for v in encode_column(tricky).decode()] == \
+        [_bits(v) for v in tricky]
+
+
+def test_encode_column_constant_negative_zero_keeps_sign():
+    # An all -0.0 column is a legitimate constant run; an almost-constant
+    # one (one +0.0 in the middle) must not collapse into it.
+    constant = encode_column([-0.0] * 64)
+    assert all(math.copysign(1.0, v) == -1.0 for v in constant.decode())
+    mixed = [-0.0] * 32 + [0.0] + [-0.0] * 31
+    decoded = encode_column(mixed).decode()
+    assert [math.copysign(1.0, v) for v in decoded] == \
+        [math.copysign(1.0, v) for v in mixed]
 
 
 # -- null bitmap --------------------------------------------------------------

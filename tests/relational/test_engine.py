@@ -32,6 +32,29 @@ class TestConstruction:
                 with R(F) as ((select F from E) union all
                   (select R.F from R where R.F < 0)) select * from R""")
 
+    def test_no_partitioned_execution_knob(self):
+        """Partitioned parallel execution is gone: no ``parallel`` engine
+        parameter, fuzz-matrix field or CLI flag survives it."""
+        import argparse
+        import dataclasses
+        import inspect
+
+        from repro.check.oracles import EngineConfig
+        from repro.cli import build_parser
+
+        assert "parallel" not in inspect.signature(Engine.__init__).parameters
+        assert "parallel" not in {f.name for f in
+                                  dataclasses.fields(EngineConfig)}
+        with pytest.raises(TypeError):
+            Engine("oracle", parallel=2)
+        parsers = [build_parser()]
+        for parser in parsers:
+            for action in parser._actions:
+                assert "--parallel" not in action.option_strings
+                if isinstance(action, argparse._SubParsersAction):
+                    parsers.extend(action.choices.values())
+        assert len(parsers) > 10  # every subcommand was walked
+
 
 class TestConfiguration:
     def test_default_ubu_strategy_is_dialects(self):

@@ -1,5 +1,5 @@
 """Byte-identity of maintained views vs cold re-derivation, across the
-executor/storage/parallel matrix (the PR's acceptance contract)."""
+executor/storage matrix (the PR's acceptance contract)."""
 
 import pytest
 
@@ -26,11 +26,9 @@ BATCHES = (
 )
 
 CONFIGS = (
-    {"executor": "tuple", "storage": "rows", "parallel": 0},
-    {"executor": "batch", "storage": "rows", "parallel": 0},
-    {"executor": "tuple", "storage": "columnar", "parallel": 0},
-    {"executor": "tuple", "storage": "rows", "parallel": 2},
-    {"executor": "batch", "storage": "columnar", "parallel": 2},
+    {"executor": "tuple", "storage": "rows"},
+    {"executor": "batch", "storage": "rows"},
+    {"executor": "tuple", "storage": "columnar"},
 )
 
 
@@ -42,10 +40,8 @@ def scenario_for(config) -> StreamingScenario:
 
 @pytest.mark.parametrize(
     "config", CONFIGS,
-    ids=lambda c: f"{c['executor']}-{c['storage']}-par{c['parallel']}")
-def test_views_byte_identical_to_cold_runs(config, monkeypatch):
-    if config["parallel"]:
-        monkeypatch.setenv("REPRO_PARALLEL_STRICT", "1")
+    ids=lambda c: f"{c['executor']}-{c['storage']}")
+def test_views_byte_identical_to_cold_runs(config):
     detail = check_streaming(scenario_for(config))
     assert detail is None, detail
 
@@ -61,6 +57,5 @@ def test_mixed_batches_exercise_both_refresh_modes():
 @pytest.mark.parametrize("seed", [11, 12, 13, 14, 15])
 def test_seeded_streaming_scenarios_hold(seed):
     scenario = generate_streaming_scenario(seed)
-    scenario.parallel = 0  # keep the unit run serial
     detail = check_streaming(scenario)
     assert detail is None, detail
