@@ -9,7 +9,9 @@ Emits random-but-valid programs in two families:
   ORDER BY + LIMIT — over NULL-heavy data;
 * ``with+`` programs over a generated graph — UNION ALL / UNION /
   UNION BY UPDATE recursion, nonlinear branches, COMPUTED BY feeders,
-  anti-join pruning, and MAXRECURSION edges.
+  anti-join pruning, MAXRECURSION edges, and pair-shaped ``t(F, T)``
+  recursions (TC with a two-column GROUP BY; k-truss's two-key
+  self-join under a keyless update) for the packed-key kernels.
 
 Two invariants keep the differential oracles sound:
 
@@ -348,9 +350,14 @@ def _generate_with_scenario(seed: int, rng: random.Random) -> Scenario:
         # min() fold can cycle values around a loop forever — the cap is
         # mandatory for every UBU scenario.
         maxrecursion = rng.randint(1, 8)
+        # The pair shape is k-truss: a keyless update by a support count
+        # over a two-key self-join, grouped on two columns.
+        pair = rng.random() < 0.3
         query = WithIR(
             union_kind=union_kind, seeds=seeds, aggregate=aggregate,
-            maxrecursion=maxrecursion, extra_where=extra_where,
+            pair=pair, having=rng.randint(1, 2) if pair else None,
+            maxrecursion=maxrecursion,
+            extra_where=() if pair else extra_where,
             body_aggregate=rng.random() < 0.3)
     elif union_kind == "union all":
         query = WithIR(
@@ -362,10 +369,14 @@ def _generate_with_scenario(seed: int, rng: random.Random) -> Scenario:
             body_aggregate=rng.random() < 0.3)
     else:
         nonlinear = rng.random() < 0.4
+        # The pair shape is TC over t(F, T), optionally keeping only
+        # pairs reached along enough paths (a two-column group by).
+        pair = not nonlinear and rng.random() < 0.4
         query = WithIR(
             union_kind=union_kind, seeds=seeds, nonlinear=nonlinear,
-            antijoin=not nonlinear and rng.random() < 0.3,
-            computed_by=not nonlinear and rng.random() < 0.3,
+            pair=pair, having=rng.choice((None, 1, 2)) if pair else None,
+            antijoin=not (nonlinear or pair) and rng.random() < 0.3,
+            computed_by=not (nonlinear or pair) and rng.random() < 0.3,
             maxrecursion=rng.choice((None, None, rng.randint(0, 10))),
             # The nonlinear branch scopes aliases a/b, not E.
             extra_where=() if nonlinear else extra_where,

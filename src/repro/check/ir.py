@@ -362,6 +362,10 @@ class WithIR:
     seeds: tuple[int, ...] = (0,)   # initial-branch source nodes
     aggregate: str | None = None    # UBU branch fold: min | max | sum | None
     nonlinear: bool = False         # t a join t b (TC-style, union kinds)
+    # t(F, T) seeded from E: UNION over t join E (TC), UBU as a keyless
+    # k-truss filter (two-key t-t-t join, two-column group by)
+    pair: bool = False
+    having: int | None = None       # pair: count(*) >= having per (F, T)
     antijoin: bool = False          # not in (select ... from t) pruning
     computed_by: bool = False       # frontier COMPUTED BY feeder
     maxrecursion: int | None = None
@@ -386,6 +390,8 @@ class WithIR:
         ew = names.table_column(self.edge_table, "ew")
         e = self.edge_table
         where = list(self.extra_where)
+        if self.pair:
+            return self._render_pair(names, f, t, e, where)
         if self.union_kind == "union by update":
             return self._render_ubu(names, f, t, ew, e, where)
         if self.nonlinear:
@@ -433,6 +439,29 @@ class WithIR:
         return (f"with t(ID, val) as ( ({seeds}) union by update ID"
                 f" {recursive}{cap} ) {body}")
 
+    def _render_pair(self, names, f, t, e, where) -> str:
+        initial = f"(select {f} as F, {t} as T from {e})"
+        if self.union_kind == "union by update":
+            # Keyless: each step replaces t by its edges with enough
+            # triangle support — t only shrinks, so the loop settles.
+            recursive = (
+                f"(select s.F, s.T from s where s.c >= {self.having}"
+                " computed by s(F, T, c) as select t1.F, t1.T, count(*)"
+                " from t as t1, t as t2, t as t3 where t2.F = t1.F"
+                " and t3.F = t1.T and t2.T = t3.T group by t1.F, t1.T; )")
+        else:
+            recursive = (f"(select t.F, {e}.{t} as T from t join {e}"
+                         f" on {e}.{f} = t.T"
+                         f"{self._render_where(where, names, f, t, e)}")
+            if self.having is not None:
+                recursive += (f" group by t.F, {e}.{t}"
+                              f" having count(*) >= {self.having}")
+            recursive += ")"
+        cap = f" maxrecursion {self.maxrecursion}" \
+            if self.maxrecursion is not None else ""
+        return (f"with t(F, T) as ( {initial} {self.union_kind}"
+                f" {recursive}{cap} ) {self._render_body()}")
+
     def _render_where(self, where, names, f, t, e) -> str:
         rendered = []
         for conjunct in where:
@@ -446,21 +475,25 @@ class WithIR:
 
     def _render_body(self) -> str:
         if self.body_aggregate:
+            if self.nonlinear or self.pair:
+                return "select count(*) as n from t"
             if self.union_kind == "union by update":
                 return ("select count(*) as n, min(val) as lo,"
                         " max(val) as hi from t")
-            if self.nonlinear:
-                return "select count(*) as n from t"
             return "select count(*) as n, min(ID) as lo from t"
+        if self.nonlinear or self.pair:
+            return "select F, T from t"
         if self.union_kind == "union by update":
             return "select ID, val from t"
-        if self.nonlinear:
-            return "select F, T from t"
         return "select ID from t"
 
     # -- shrinking -----------------------------------------------------
 
     def variants(self) -> Iterator["WithIR"]:
+        if self.pair:
+            yield replace(self, pair=False, having=None)
+            if self.having is not None and self.union_kind == "union":
+                yield replace(self, having=None)
         if self.computed_by:
             yield replace(self, computed_by=False)
         if self.antijoin:
@@ -482,8 +515,8 @@ class WithIR:
     def clause_count(self) -> int:
         count = 2 + len(self.seeds)  # CTE + body + initial branches
         count += len(self.extra_where)
-        for flag in (self.nonlinear, self.antijoin, self.computed_by,
-                     self.body_aggregate):
+        for flag in (self.nonlinear, self.pair, self.having is not None,
+                     self.antijoin, self.computed_by, self.body_aggregate):
             if flag:
                 count += 1
         if self.maxrecursion is not None:

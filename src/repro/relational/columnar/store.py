@@ -244,6 +244,27 @@ class ColumnStore:
         self._drop_columns()
         self.row_assigns += 1
 
+    def append_vectors(self, vectors: Sequence) -> bool:
+        """Append rows given as one plain typed vector per column (values
+        in stored form).  The result is held as new vectors —
+        concatenations; no array is written, no block sealed — so
+        snapshots of the old contents stay as they were.  False, nothing
+        changed, unless the store is empty or has a plain typed view of
+        the same dtype for every column."""
+        from ..physical.blocks import _concat_arrays
+
+        if not self._len:
+            self.assign_vectors(vectors)
+            return True
+        old = self._vectors or [self.array(j) for j in range(self.arity)]
+        if not all(before is not None and before.ints is None
+                   and before.data.dtype == added.data.dtype
+                   for before, added in zip(old, vectors)):
+            return False
+        self.assign_vectors([_concat_arrays(before, added)
+                             for before, added in zip(old, vectors)])
+        return True
+
     def vector_batch(self):
         """The vector overlay as a column batch sharing its vectors, or
         None when the contents are not held as vectors."""
@@ -404,19 +425,25 @@ class ColumnStore:
         keys are excluded, matching the executors' build loops.  ``"csr"``
         is its typed-array form for one dense all-int key column — a
         :class:`~repro.relational.physical.blocks.CsrIndex`, or None when
-        the column is anything else (NULLs included).  Returns ``(index,
-        build_rows_observed)``; the cache survives until any mutation, so
-        a fixpoint loop probing a static build table pays the build cost
-        once instead of once per iteration.
+        the column is anything else (NULLs included) — and ``"sorted"``
+        for several all-int key columns, a
+        :class:`~repro.relational.physical.blocks.SortedIndex` over their
+        packed keys.  Returns ``(index, build_rows_observed)``; the cache
+        survives until any mutation, so a fixpoint loop probing a static
+        build table pays the build cost once instead of once per
+        iteration.
         """
         cache_key = (kind, key_positions)
         hit = self._index_cache.get(cache_key)
         if hit is not None:
             return hit
-        from ..physical.blocks import csr_index, position_index
+        from ..physical.blocks import csr_index, position_index, sorted_index
 
-        if kind == "csr":
-            index = csr_index(self.array(key_positions[0]))
+        if kind in ("csr", "sorted"):
+            if kind == "csr":
+                index = csr_index(self.array(key_positions[0]))
+            else:
+                index = sorted_index([self.array(p) for p in key_positions])
             result = (index, 0 if index is None else len(index))
         elif kind == "positions":
             result = position_index([self.column(p) for p in key_positions])

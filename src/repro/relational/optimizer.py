@@ -219,7 +219,13 @@ class CardinalityEstimator:
                               right: PhysicalOperator,
                               left_keys: Sequence[Expression],
                               right_keys: Sequence[Expression]) -> float:
-        """System-R style: one over the larger distinct count per key pair."""
+        """System-R style: one over the larger distinct count per key pair.
+
+        A composite key has no more distinct values than its larger input
+        has rows, so the per-key product stops at one over that row count
+        — multiplied out unchecked, two keys over node ids estimate a
+        self-join of an edge table at one row.
+        """
         selectivity = 1.0
         left_rows = max(self._side_estimate(left), 1.0)
         right_rows = max(self._side_estimate(right), 1.0)
@@ -231,7 +237,7 @@ class CardinalityEstimator:
             if ndv_right is None:
                 ndv_right = right_rows
             selectivity *= 1.0 / max(ndv_left, ndv_right, 1.0)
-        return selectivity
+        return max(selectivity, 1.0 / max(left_rows, right_rows))
 
     def column_distinct(self, node: PhysicalOperator,
                         key: Expression) -> float | None:

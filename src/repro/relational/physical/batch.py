@@ -55,7 +55,10 @@ from .blocks import (
     grouped_min,
     grouped_sum,
     int_keys,
+    pack_keys,
     position_index,
+    sorted_index,
+    unpack_keys,
 )
 from .filter import Filter
 from .joins import _BinaryJoin, stable_input_fingerprint
@@ -210,8 +213,18 @@ def _instrumented(node: PhysicalOperator) -> bool:
 
 
 def _has_columnar_anchor(node: PhysicalOperator) -> bool:
+    """True when a leaf of *node* is a columnar table scan, or a scan of a
+    relation backed by a column batch — the typed output of an earlier
+    block pipeline (a with+ snapshot, a COMPUTED BY table), which only
+    columnar storage produces."""
     if _columnar_store(node) is not None:
         return True
+    if isinstance(node, BindingScan):
+        # Peek without raising: an unbound slot fails on the row path.
+        relation = node.slots.get(node.name)
+        return relation is not None and relation.batch is not None
+    if isinstance(node, RelationScan):
+        return node.relation.batch is not None
     return any(_has_columnar_anchor(child) for child in node.children())
 
 
@@ -317,6 +330,7 @@ class _BlockBuild:
         self._store = _columnar_store(build)
         self._store_positions = _store_positions(build, positions)
         self._csr: tuple | None = None
+        self._sorted: tuple | None = None
         self._dict: tuple | None = None
         self._unique: tuple | None = None
 
@@ -328,6 +342,17 @@ class _BlockBuild:
             index = csr_index(self.source.array(self.positions[0]))
             self._csr = (index, 0 if index is None else len(index))
         return self._csr
+
+    def sorted(self) -> tuple:
+        """``(SortedIndex | None, build rows indexed)`` over the packed
+        key columns of a composite key."""
+        if self._store is not None:
+            return self._store.join_index(self._store_positions, "sorted")
+        if self._sorted is None:
+            index = sorted_index([self.source.array(p)
+                                  for p in self.positions])
+            self._sorted = (index, 0 if index is None else len(index))
+        return self._sorted
 
     def unique_index(self) -> dict | None:
         """``key -> build position`` when a one-column build outside a
@@ -404,10 +429,11 @@ class BatchHashJoin(_BatchBinaryJoin):
         concatenated row tuples are built at all.
 
         An all-int key column on both sides probes a :class:`CsrIndex`
-        with array arithmetic; anything else probes a dict — of positions
-        when the build keys are distinct, of position buckets row by row
-        otherwise.  All emit pairs probe-major with ties in build order,
-        the row path's output order.
+        with array arithmetic, all-int composite keys a
+        :class:`SortedIndex` over packed keys; anything else probes a
+        dict — of positions when the build keys are distinct, of position
+        buckets row by row otherwise.  All emit pairs probe-major with
+        ties in build order, the row path's output order.
         """
         if self.build_side == "right":
             build, probe = self.right, self.left
@@ -433,6 +459,13 @@ class BatchHashJoin(_BatchBinaryJoin):
                 index, observed = built.csr()
                 if index is not None:
                     probe_idx, build_pos = index.probe(probe_keys.data)
+        else:
+            index, observed = built.sorted()
+            if index is not None:
+                packed = pack_keys([probe_src.array(p)
+                                    for p in probe_positions], index.packing)
+                if packed is not None:
+                    probe_idx, build_pos = index.probe(packed[0])
         unique = built.unique_index() if build_pos is None else None
         if unique is not None:
             observed = len(unique)
@@ -675,6 +708,12 @@ class BatchHashAggregate(_AggregateBase):
                 and isinstance(self._bound_args[0], BoundColumn)):
             self._kv_getter = itemgetter(self._bound_keys[0].index,
                                          self._bound_args[0].index)
+        # Group-key column positions when every key is a plain column
+        # (the block kernels' shapes), else None.
+        self._key_positions = None
+        if self._bound_keys and all(isinstance(k, BoundColumn)
+                                    for k in self._bound_keys):
+            self._key_positions = tuple(k.index for k in self._bound_keys)
 
     def execute(self) -> Relation:
         return Relation.from_trusted_rows(self.schema, self._compute())
@@ -688,13 +727,14 @@ class BatchHashAggregate(_AggregateBase):
 
     # -- single-aggregate fast paths -----------------------------------
     def _block_source(self) -> ColumnBatch | None:
-        """The single-aggregate, one-key shape as a column batch, so a
-        projection above it (PageRank's ``c * sum + t``) computes on the
-        array kernel's typed output and rows are built once, at the plan
-        root.  When the block kernels decline, the batch wraps the row
-        path's result; other shapes answer None (callers iterate ``rows``).
+        """The single-aggregate shape grouped on plain columns as a column
+        batch, so a projection above it (PageRank's ``c * sum + t``)
+        computes on the array kernel's typed output and rows are built
+        once, at the plan root.  When the block kernels decline, the batch
+        wraps the row path's result; other shapes answer None (callers
+        iterate ``rows``).
         """
-        if len(self.aggregates) != 1 or self._scalar_key is None:
+        if len(self.aggregates) != 1 or self._key_positions is None:
             return None
         spec = self.aggregates[0]
         fast = self._block_single(spec.function)
@@ -706,7 +746,7 @@ class BatchHashAggregate(_AggregateBase):
     def _block_single(self, function: str) -> ColumnBatch | None:
         """Whole-column grouped aggregation over a block pipeline: the
         array kernel when keys and argument have typed views inside its
-        exactness envelope, the list kernels otherwise.
+        exactness envelope, else — one key column only — the list kernels.
 
         Speculative: any exception (heterogeneous values, a kernel the
         vectorizer mis-covers) returns None and the caller replays the
@@ -716,12 +756,12 @@ class BatchHashAggregate(_AggregateBase):
             src = _batch_source(self.child)
             if src is None:
                 return None
-            key_index = self._bound_keys[0].index
             arg_expr = self._bound_args[0] if self._bound_args else None
-            fast = self._array_single(function, src, key_index, arg_expr)
-            if fast is not None:
+            fast = self._array_single(function, src, self._key_positions,
+                                      arg_expr)
+            if fast is not None or self._scalar_key is None:
                 return fast
-            keys = src.column(key_index)
+            keys = src.column(self._key_positions[0])
             if not int_keys(keys):
                 return None
             if function == "count":
@@ -745,25 +785,38 @@ class BatchHashAggregate(_AggregateBase):
             return None
 
     @staticmethod
-    def _array_single(function: str, src: ColumnBatch, key_index: int,
+    def _array_single(function: str, src: ColumnBatch,
+                      key_positions: tuple[int, ...],
                       arg_expr) -> ArrayColumns | None:
-        keys = src.array(key_index)
-        if not _is_int64(keys):
-            return None
+        """One key column groups on its int64 values; several group on
+        their packed keys (:func:`pack_keys`), unpacked again on output."""
+        if len(key_positions) == 1:
+            keys = src.array(key_positions[0])
+            if not _is_int64(keys):
+                return None
+            key_data, packing = keys.data, None
+        else:
+            packed = pack_keys([src.array(j) for j in key_positions])
+            if packed is None:
+                return None
+            key_data, packing = packed
         values = None
         if arg_expr is not None:
             evaluate = compile_array(arg_expr)
             values = evaluate(src) if evaluate is not None else None
             if not isinstance(values, ArrayVector):
                 return None
-        grouped = array_grouped(function, keys.data, values)
+        grouped = array_grouped(function, key_data, values,
+                                sparse=packing is not None)
         if grouped is None:
             return None
         group_keys, aggregate = grouped
-        return ArrayColumns([ArrayVector(group_keys), aggregate])
+        key_columns = [group_keys] if packing is None \
+            else unpack_keys(group_keys, packing)
+        return ArrayColumns([*map(ArrayVector, key_columns), aggregate])
 
     def _compute_single(self, function: str, arg) -> list[tuple]:
-        if self._scalar_key is not None and _block_eligible(self):
+        if self._key_positions is not None and _block_eligible(self):
             fast = self._block_single(function)
             if fast is not None:
                 return fast.rows()

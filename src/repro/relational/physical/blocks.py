@@ -13,11 +13,12 @@ or an operator without a block implementation).
 Every kernel exists twice.  The *list* kernels (``column``,
 :func:`compile_vector`, ``grouped_*``) work on any SQL values and are the
 reference.  The *array* kernels (``array``, :func:`compile_array`,
-:class:`CsrIndex`, :func:`array_grouped`) run the same computation on
+:class:`CsrIndex`, :func:`array_grouped`, and for composite keys
+:func:`pack_keys` with :class:`SortedIndex`) run the same computation on
 numpy int64/float64 vectors and only exist inside an exactness envelope
-the data itself must prove — see :func:`exact_array` and
-:func:`array_grouped`; outside it (or without numpy) they answer ``None``
-and the caller takes the list kernel.
+the data itself must prove — see :func:`exact_array`,
+:func:`array_grouped` and :func:`pack_keys`; outside it (or without
+numpy) they answer ``None`` and the caller takes the list kernel.
 
 Everything here is *speculative*: the dispatch in
 :mod:`.batch` only takes these paths when the result is provably
@@ -343,13 +344,15 @@ class DerivedColumns(ColumnBatch):
 
 
 class FilteredColumns(ColumnBatch):
-    """A selection vector over a child batch; gathers columns lazily."""
+    """A selection vector over a child batch; gathers columns lazily —
+    a typed column with one ``take``."""
 
     def __init__(self, child: ColumnBatch, selection: list[int]):
         self._child = child
         self.selection = selection
         self.length = len(selection)
         self._cache: dict[int, Vector] = {}
+        self._arrays: dict[int, ArrayVector | None] = {}
 
     def column(self, j: int) -> Vector:
         cached = self._cache.get(j)
@@ -358,6 +361,15 @@ class FilteredColumns(ColumnBatch):
             cached = self._cache[j] = list(
                 map(source.__getitem__, self.selection))
         return cached
+
+    def array(self, j: int) -> ArrayVector | None:
+        return self._array_once(j, lambda: self._gather_array(j))
+
+    def _gather_array(self, j: int) -> ArrayVector | None:
+        vector = self._child.array(j)
+        if vector is None:
+            return None
+        return vector.take(_np.array(self.selection, dtype=_np.intp))
 
     def rows(self) -> list[tuple]:
         source = self._child.rows()
@@ -530,24 +542,166 @@ class CsrIndex:
         inside = (keys >= self.base) & (keys <= self.top)
         slots = _np.where(inside, keys - self.base, 0)
         counts = _np.where(inside, self.counts[slots], 0)
-        total = int(counts.sum())
-        probe_idx = _np.repeat(_np.arange(len(keys)), counts)
-        run_offset = _np.arange(total) - _np.repeat(
-            _np.cumsum(counts) - counts, counts)
-        build_pos = self.order[
-            _np.repeat(self.starts[slots], counts) + run_offset]
-        return probe_idx, build_pos
+        return _expand_runs(self.order, self.starts[slots], counts)
+
+
+def _expand_runs(order, starts, counts) -> tuple:
+    """``(probe_idx, build_pos)`` for probe rows each matching the run
+    ``order[starts[i]:starts[i] + counts[i]]`` of build positions."""
+    total = int(counts.sum())
+    probe_idx = _np.repeat(_np.arange(len(counts)), counts)
+    run_offset = _np.arange(total) - _np.repeat(
+        _np.cumsum(counts) - counts, counts)
+    return probe_idx, order[_np.repeat(starts, counts) + run_offset]
 
 
 def csr_index(keys: ArrayVector | None) -> CsrIndex | None:
-    """A :class:`CsrIndex` over a key column's array view, when it has an
-    all-int one with a dense key range."""
-    if not _is_int64(keys):
+    """A :class:`CsrIndex` over a key column's array view, when it has a
+    non-empty all-int one with a dense key range."""
+    if not _is_int64(keys) or not len(keys.data):
         return None
     base, top = int(keys.data.min()), int(keys.data.max())
     if not _dense(base, top, len(keys.data)):
         return None
     return CsrIndex(keys.data, base, top)
+
+
+# -- packed multi-column keys --------------------------------------------------
+#
+# The paper's relations are edge-shaped, ``(F, T)``: UNION deduplicates
+# pairs, MM-joins and triangle counts join and group on two columns.  Two
+# int64 key columns whose value ranges multiply to less than 2**62 pack
+# into one int64 that is equal exactly when the pairs are, and orders as
+# they do lexicographically — so every single-key array kernel (sort,
+# ``unique``, ``searchsorted``) serves composite keys unchanged.
+
+#: Packed keys stay below this bound (and so inside int64).
+_PACK_LIMIT = 2 ** 62
+
+
+def pack_keys(vectors: Sequence[ArrayVector | None],
+              packing: tuple | None = None) -> tuple | None:
+    """``(packed, packing)``: the key columns *vectors* as one int64
+    vector ``Σ (column_j - base_j) · stride_j``, where *packing* holds a
+    ``(base, span)`` per column and ``stride_j`` is the product of the
+    spans after column *j*.  None unless every column is an int64 view —
+    NULL, bool, float and text columns have none — and, when the layout
+    is derived from the data, the columns are non-empty and their spans
+    multiply to less than 2**62.
+
+    Given a *packing* (a cached build index's), rows outside it pack to
+    ``-1``, which no row inside it packs to.
+    """
+    if not vectors or not all(map(_is_int64, vectors)):
+        return None
+    n = len(vectors[0].data)
+    bounds = [(int(v.data.min()), int(v.data.max())) if n else (0, -1)
+              for v in vectors]
+    if packing is None:
+        if not n:
+            return None
+        size = 1
+        for low, high in bounds:
+            size *= high - low + 1
+            if size >= _PACK_LIMIT:
+                return None
+        packing = tuple((low, high - low + 1) for low, high in bounds)
+    clipped = any(low < base or high > base + span - 1
+                  for (low, high), (base, span) in zip(bounds, packing))
+    packed = _np.zeros(n, dtype=_np.int64)
+    inside = _np.ones(n, dtype=bool) if clipped else None
+    for vector, (base, span) in zip(vectors, packing):
+        data = vector.data
+        packed *= span
+        if clipped:
+            # Compare before subtracting: a far-away key may wrap int64.
+            fits = (data >= base) & (data <= base + span - 1)
+            inside &= fits
+            packed += _np.where(fits, data - base, 0)
+        else:
+            packed += data - base
+    if clipped:
+        packed[~inside] = -1
+    return packed, packing
+
+
+def unpack_keys(packed, packing: tuple) -> list:
+    """The int64 key columns :func:`pack_keys` packed into *packed*."""
+    columns = []
+    for low, span in reversed(packing):
+        packed, offset = _np.divmod(packed, span)
+        columns.append(offset + low)
+    return columns[::-1]
+
+
+def packed_member(keys, sorted_keys):
+    """A bool vector: whether each of *keys* occurs in the ascending
+    *sorted_keys* (binary search)."""
+    slots = _np.searchsorted(sorted_keys, keys)
+    inside = slots < len(sorted_keys)
+    found = _np.zeros(len(keys), dtype=bool)
+    found[inside] = sorted_keys[slots[inside]] == keys[inside]
+    return found
+
+
+class SortedIndex:
+    """Position index over an int64 key column that is not dense —
+    packed composite keys — as typed arrays: the :class:`CsrIndex` twin
+    that finds each key's run by binary search in the sorted keys instead
+    of addressing it.  ``order`` is the stable argsort, so a run lists its
+    rows in ascending position, the order a dict bucket lists them in.
+    ``packing`` is the layout the keys were packed with (probe keys must
+    be packed with it too).
+    """
+
+    __slots__ = ("order", "keys", "packing")
+
+    def __init__(self, keys, packing: tuple):
+        self.order = _np.argsort(keys, kind="stable")
+        self.keys = keys[self.order]
+        self.packing = packing
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def probe(self, keys) -> tuple:
+        """As :meth:`CsrIndex.probe`: the dict probe's sequence."""
+        starts = _np.searchsorted(self.keys, keys, side="left")
+        counts = _np.searchsorted(self.keys, keys, side="right") - starts
+        return _expand_runs(self.order, starts, counts)
+
+
+def sorted_index(keys: Sequence[ArrayVector | None]) -> SortedIndex | None:
+    """A :class:`SortedIndex` over several key columns' array views, when
+    :func:`pack_keys` packs them."""
+    packed = pack_keys(keys)
+    if packed is None:
+        return None
+    return SortedIndex(*packed)
+
+
+def same_bag(left: "ColumnBatch", right: "ColumnBatch",
+             arity: int) -> bool | None:
+    """Whether two batches of equal length hold the same multiset of rows,
+    decided on their typed columns — or None when a column has no typed
+    view on either side, the two views differ in dtype, or a float column
+    holds a NaN (rows compare a NaN object by identity)."""
+    if _np is None or not arity:
+        return None
+    pairs = []
+    for j in range(arity):
+        a, b = left.array(j), right.array(j)
+        if a is None or b is None or a.data.dtype != b.data.dtype:
+            return None
+        if a.data.dtype == _np.float64 and (
+                _np.isnan(a.data).any() or _np.isnan(b.data).any()):
+            return None
+        pairs.append((a.data, b.data))
+    # Sort both sides' rows lexicographically (the last key is primary).
+    left_order = _np.lexsort([a for a, _ in reversed(pairs)])
+    right_order = _np.lexsort([b for _, b in reversed(pairs)])
+    return all(bool((a[left_order] == b[right_order]).all())
+               for a, b in pairs)
 
 
 # -- union-by-update on typed vectors -----------------------------------------
@@ -846,16 +1000,48 @@ def clean_numeric(values: Vector) -> bool:
     return set(map(type, values)) <= {int, float, bool}
 
 
-def array_grouped(function: str, keys,
-                  values: ArrayVector | None) -> tuple | None:
+def _key_slots(keys, sparse: bool) -> tuple | None:
+    """``(slots, first)`` over a non-empty int64 key vector: each row's
+    slot — ``key - min`` when the keys are dense, else, with *sparse*, the
+    key's rank among the distinct keys (``np.unique``) — and per slot, in
+    ascending key order, the first row holding it (``len(keys)`` for a
+    slot no row holds).  None for sparse keys without *sparse*."""
+    n = len(keys)
+    low, high = int(keys.min()), int(keys.max())
+    if _dense(low, high, n):
+        slots = keys - low if low else keys
+        first = _np.full(high - low + 1, n, dtype=_np.intp)
+        _np.minimum.at(first, slots, _np.arange(n))
+        return slots, first
+    if not sparse:
+        return None
+    _, first, slots = _np.unique(keys, return_index=True,
+                                 return_inverse=True)
+    return slots, first
+
+
+def distinct_first(keys) -> tuple:
+    """``(distinct, first)``: an int64 vector's distinct values, ascending,
+    and the position of each one's first occurrence — ``np.unique`` with
+    ``return_index``, by direct addressing when the values are dense."""
+    if not len(keys):
+        return keys, _np.zeros(0, dtype=_np.intp)
+    _, first = _key_slots(keys, sparse=True)
+    first = first[first < len(keys)]
+    return keys[first], first
+
+
+def array_grouped(function: str, keys, values: ArrayVector | None,
+                  sparse: bool = False) -> tuple | None:
     """``(group keys, aggregate)`` — an int64 array and an
     :class:`ArrayVector`, groups in first-seen order — or None.
 
     *keys* is an int64 array, *values* the argument column (None for
     ``count``, whose NULL-free argument does not matter).  Groups get
-    *dense* accumulator slots, ``key - min``, so a key range far wider
-    than the row count (:func:`_dense`) answers None.  Per function, what
-    makes the result the scalar loop's:
+    *dense* accumulator slots, ``key - min``; a key range far wider than
+    the row count (:func:`_dense`) answers None — unless *sparse*, for
+    packed composite keys, where ``np.unique`` numbers the groups instead.
+    Per function, what makes the result the scalar loop's:
 
     * ``sum`` of int64: exact whenever no partial sum can leave int64;
       of float64: ``bincount`` adds the weights in row order, so every
@@ -873,13 +1059,11 @@ def array_grouped(function: str, keys,
     n = len(keys)
     if n == 0 or function not in ("sum", "min", "max", "count"):
         return None
-    low, high = int(keys.min()), int(keys.max())
-    if not _dense(low, high, n):
+    grouping = _key_slots(keys, sparse)
+    if grouping is None:
         return None
-    size = high - low + 1
-    slots = keys - low if low else keys
-    first = _np.full(size, n, dtype=_np.intp)
-    _np.minimum.at(first, slots, _np.arange(n))
+    slots, first = grouping
+    size = len(first)
     groups = _np.flatnonzero(first < n)
     groups = groups[_np.argsort(first[groups], kind="stable")]
     group_keys = keys[first[groups]]

@@ -57,6 +57,7 @@ from .sql.ast import (
 from .sql.compiler import QueryRunner
 from .strategies import UpdateCounts, apply_union_by_update
 from .table import Table
+from .types import SqlType
 
 #: Safety cap when a query carries no MAXRECURSION hint.
 DEFAULT_RECURSION_CAP = 10_000
@@ -501,6 +502,9 @@ class RecursiveExecutor:
         #: (table, its statistics version, its rows as a set) as of the
         #: last UNION combine — see :meth:`_seen_rows`.
         self._union_seen: tuple | None = None
+        #: Its array twin: (table, version, key packing, the rows' packed
+        #: keys sorted) — see :meth:`_seen_keys`.
+        self._union_keys: tuple | None = None
 
     def _span(self, name: str, **attrs):
         """A tracer span when tracing is on, else a free null context."""
@@ -1038,6 +1042,9 @@ class RecursiveExecutor:
             working = Relation(table.schema, combined)
             return added > 0, working, UpdateCounts(inserted=added)
         if cte.union_kind is UnionKind.UNION:
+            combined = self._union_arrays(table, deltas)
+            if combined is not None:
+                return combined
             existing = self._seen_rows(table)
             # Candidates dedup (first-seen order) on the tuples as the
             # branches produced them; the seen-set takes them as the
@@ -1053,10 +1060,8 @@ class RecursiveExecutor:
             self._union_seen = (table, table.statistics.version, existing)
             working = Relation.from_trusted_rows(table.schema, fresh)
             return bool(fresh), working, UpdateCounts(inserted=len(fresh))
-        # union by update — single delta guaranteed by validation
-        delta = deltas[0]
-        for extra in deltas[1:]:
-            delta = delta.union_all(extra)
+        # union by update — single delta guaranteed by validate_withplus
+        (delta,) = deltas
         aligned = delta.rename_columns(table.schema.names) \
             if delta.schema.arity == table.schema.arity else delta
         counts = UpdateCounts()
@@ -1077,6 +1082,89 @@ class RecursiveExecutor:
                 and seen[1] == table.statistics.version:
             return seen[2]
         return set(table.rows)
+
+    def _union_arrays(self, table: Table, deltas: list[Relation]
+                      ) -> tuple[bool, Relation, UpdateCounts] | None:
+        """The UNION combine on packed keys, or None — before touching
+        anything — unless the table is columnar with INTEGER columns only
+        and no key constraint or index, and every delta is batch-backed
+        with an int64 view of every column (so stored rows are the
+        produced ones).
+
+        Same contents, row order and counts as the set path: candidate
+        rows are tested against the table's packed keys, kept sorted
+        across iterations (:meth:`_seen_keys`); those not found dedup
+        first-seen (:func:`~.physical.blocks.distinct_first`, in position
+        order) and are appended to the store as vectors.
+        """
+        from .physical.blocks import (
+            ArrayColumns,
+            ArrayVector,
+            _is_int64,
+            _np,
+            distinct_first,
+            packed_member,
+        )
+
+        arity = table.schema.arity
+        if _np is None or table.storage != "columnar" or table.enforce_key \
+                or table.indexes or any(column.sql_type is not SqlType.INTEGER
+                                        for column in table.schema.columns):
+            return None
+        parts: list[list] = [[] for _ in range(arity)]
+        for delta in deltas:
+            if delta.batch is None or delta.schema.arity != arity:
+                return None
+            for j in range(arity):
+                vector = delta.batch.array(j)
+                if not _is_int64(vector):
+                    return None
+                parts[j].append(vector.data)
+        candidates = [ArrayVector(_np.concatenate(p)) for p in parts]
+        seen = self._seen_keys(table, candidates)
+        if seen is None:
+            return None
+        packing, kept, packed = seen
+        unknown = _np.flatnonzero(~packed_member(packed, kept))
+        keys, first = distinct_first(packed[unknown])
+        fresh = unknown[_np.sort(first)]  # first-seen order
+        if len(fresh):
+            working = Relation.from_batch(table.schema, ArrayColumns(
+                [vector.take(fresh) for vector in candidates]))
+            table.insert_relation(working)
+            kept = _np.insert(kept, _np.searchsorted(kept, keys), keys)
+        else:
+            working = Relation.from_trusted_rows(table.schema, ())
+        self._union_keys = (table, table.statistics.version, packing, kept)
+        return bool(len(fresh)), working, UpdateCounts(inserted=len(fresh))
+
+    def _seen_keys(self, table: Table, candidates: list
+                   ) -> tuple | None:
+        """``(packing, the table's packed keys sorted, the candidates'
+        packed keys)``: the sorted keys the last UNION combine left behind
+        while it is still the table's last mutation and the candidates fit
+        their packing, else packed afresh over table and candidates
+        together — or None when a table column has no int64 view or the
+        pair does not pack."""
+        from .physical.blocks import ArrayVector, _is_int64, _np, pack_keys
+
+        kept = self._union_keys
+        if kept is not None and kept[0] is table \
+                and kept[1] == table.statistics.version:
+            packed = pack_keys(candidates, kept[2])
+            if packed is not None and not (packed[0] < 0).any():
+                return kept[2], kept[3], packed[0]
+        stored = [table.rows.array(j) for j in range(table.schema.arity)]
+        if not all(map(_is_int64, stored)):
+            return None
+        packed = pack_keys([
+            ArrayVector(_np.concatenate((old.data, new.data)))
+            for old, new in zip(stored, candidates)])
+        if packed is None:
+            return None
+        keys, packing = packed
+        rows = len(table)
+        return packing, _np.sort(keys[:rows]), keys[rows:]
 
     def _maybe_index(self, table: Table) -> None:
         columns = self.temp_indexes.get(table.name) \

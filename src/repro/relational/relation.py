@@ -201,6 +201,14 @@ class Relation:
             return False
         if len(self) != len(other):
             return False
+        if self.batch is not None and other.batch is not None:
+            # Two batch-backed relations (a fixpoint's snapshots) compare
+            # on their typed columns when they have them.
+            from .physical.blocks import same_bag
+
+            verdict = same_bag(self.batch, other.batch, self.schema.arity)
+            if verdict is not None:
+                return verdict
         if self.rows == other.rows:
             return True
         from collections import Counter

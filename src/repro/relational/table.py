@@ -145,12 +145,23 @@ class Table:
         return len(coerced_rows)
 
     def insert_relation(self, relation: Relation) -> int:
-        """Append all rows of *relation* (schemas must be arity-compatible)."""
+        """Append all rows of *relation* (schemas must be arity-compatible).
+
+        A batch-backed relation (:meth:`_stored_vectors`) goes into
+        columnar storage as vectors (``ColumnStore.append_vectors``) — no
+        row tuples, no sealed blocks — when the table is empty or holds
+        typed views of the same dtypes.
+        """
         if relation.schema.arity != self.schema.arity:
             raise SchemaError(
                 f"cannot insert arity-{relation.schema.arity} relation"
                 f" into arity-{self.schema.arity} table {self.name}")
-        return self.insert_many(relation.rows)
+        vectors = self._stored_vectors(relation)
+        if vectors is None or not self.rows.append_vectors(vectors):
+            return self.insert_many(relation.rows)
+        self._positions_cache = None
+        self.statistics.invalidate()
+        return len(relation)
 
     def truncate(self) -> None:
         """Remove all rows (the TRUNCATE TABLE of Algorithm 1's loop)."""
@@ -219,14 +230,45 @@ class Table:
         return len(positions)
 
     def replace_contents(self, relation: Relation) -> None:
-        """Swap in entirely new contents (the drop/alter strategy's core)."""
+        """Swap in entirely new contents (the drop/alter strategy's core) —
+        as vectors when :meth:`_stored_vectors` has them."""
         if relation.schema.arity != self.schema.arity:
             raise SchemaError(
                 f"cannot replace arity-{self.schema.arity} table {self.name}"
                 f" with arity-{relation.schema.arity} contents")
-        coerce_row = self._coerce_row
-        self.rows.assign([coerce_row(row) for row in relation.rows])
+        vectors = self._stored_vectors(relation)
+        if vectors is not None:
+            self.rows.assign_vectors(vectors)
+        else:
+            coerce_row = self._coerce_row
+            self.rows.assign([coerce_row(row) for row in relation.rows])
         self._rebuild_auxiliary()
+
+    def _stored_vectors(self, relation: Relation) -> list | None:
+        """*relation*'s columns in stored form as typed vectors — what
+        coercing its rows would store, cast per column
+        (:func:`~repro.relational.physical.blocks.cast_exact`) — or None
+        unless the table is columnar with no key constraint or secondary
+        index to maintain, the relation is non-empty and batch-backed,
+        and every column is INTEGER or DOUBLE with an exact cast."""
+        batch = relation.batch
+        if batch is None or self.storage != "columnar" or self.enforce_key \
+                or self.indexes or not len(relation):
+            return None
+        from .physical.blocks import cast_exact
+
+        vectors = []
+        for j, column in enumerate(self.schema.columns):
+            if column.sql_type not in (SqlType.INTEGER, SqlType.DOUBLE):
+                return None
+            vector = batch.array(j)
+            if vector is None:
+                return None
+            vector = cast_exact(vector, column.sql_type is SqlType.INTEGER)
+            if vector is None:
+                return None
+            vectors.append(vector)
+        return vectors
 
     def merge_by_key(self, source: Relation,
                      key_columns: Sequence[str] | None = None) -> tuple[int, int]:
@@ -491,23 +533,17 @@ class Table:
         not exact, or keys that are not dense, distinct ints.  Declines
         before touching the table.
         """
-        from .physical.blocks import cast_exact, merge_dense_key
+        from .physical.blocks import merge_dense_key
 
-        batch = delta.batch
         kpos = self.schema.index_of(key_column)
-        if batch is None or self.enforce_key or self.indexes \
-                or delta.schema.index_of(key_column) != kpos:
+        if delta.schema.index_of(key_column) != kpos:
             return None
-        old, new = [], []
-        for j, column in enumerate(self.schema.columns):
-            before, after = self.rows.array(j), batch.array(j)
-            if before is None or after is None:
-                return None
-            after = cast_exact(after, column.sql_type is SqlType.INTEGER)
-            if after is None:
-                return None
-            old.append(before)
-            new.append(after)
+        new = self._stored_vectors(delta)
+        if new is None:
+            return None
+        old = [self.rows.array(j) for j in range(self.schema.arity)]
+        if any(before is None for before in old):
+            return None
         merged = merge_dense_key(old, new, kpos)
         if merged is None:
             return None

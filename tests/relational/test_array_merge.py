@@ -531,22 +531,33 @@ def closure_engine(kwargs):
 
 @pytest.mark.parametrize("kwargs", [{}, BEST], ids=["default", "best"])
 def test_union_combine_inserts_once_per_iteration(kwargs, monkeypatch):
-    """TC used to call ``Table.insert`` once per fresh row."""
-    single, bulk = [], []
-    insert, insert_many = Table.insert, Table.insert_many
+    """TC used to call ``Table.insert`` once per fresh row.  Each write is
+    one bulk call — ``insert_many`` rows on the set path,
+    ``insert_relation`` vectors on the array path — counted outermost."""
+    single, bulk, depth = [], [], [0]
+    insert = Table.insert
 
     def counting_insert(self, row):
         single.append(self.name)
         return insert(self, row)
 
-    def counting_insert_many(self, rows):
-        count = insert_many(self, rows)
-        bulk.append((self.name, count))
-        return count
+    def counting_bulk(method):
+        def counting(self, rows):
+            depth[0] += 1
+            try:
+                count = method(self, rows)
+            finally:
+                depth[0] -= 1
+            if not depth[0]:
+                bulk.append((self.name, count))
+            return count
+        return counting
 
     engine, dag = closure_engine(kwargs)
     monkeypatch.setattr(Table, "insert", counting_insert)
-    monkeypatch.setattr(Table, "insert_many", counting_insert_many)
+    monkeypatch.setattr(Table, "insert_many", counting_bulk(Table.insert_many))
+    monkeypatch.setattr(Table, "insert_relation",
+                        counting_bulk(Table.insert_relation))
     result = engine.execute_detailed(tc.sql())
     assert {(row[0], row[1]) for row in result.relation.rows} \
         == set(tc.run_reference(dag).values)
@@ -559,9 +570,11 @@ def test_union_combine_inserts_once_per_iteration(kwargs, monkeypatch):
 
 @pytest.mark.parametrize("kwargs", [{}, BEST], ids=["default", "best"])
 def test_union_combine_builds_the_seen_set_once(kwargs, monkeypatch):
-    """... and to rebuild ``set(table.rows)`` every iteration."""
+    """... and to rebuild ``set(table.rows)`` every iteration — as the
+    array path would its sorted packed keys."""
     rebuilt = []
     seen_rows = RecursiveExecutor._seen_rows
+    seen_keys = RecursiveExecutor._seen_keys
 
     def counting_seen_rows(self, table):
         rows = seen_rows(self, table)
@@ -569,7 +582,14 @@ def test_union_combine_builds_the_seen_set_once(kwargs, monkeypatch):
                        or rows is not self._union_seen[2])
         return rows
 
+    def counting_seen_keys(self, table, candidates):
+        seen = seen_keys(self, table, candidates)
+        rebuilt.append(self._union_keys is None
+                       or seen[1] is not self._union_keys[3])
+        return seen
+
     monkeypatch.setattr(RecursiveExecutor, "_seen_rows", counting_seen_rows)
+    monkeypatch.setattr(RecursiveExecutor, "_seen_keys", counting_seen_keys)
     engine, _ = closure_engine(kwargs)
     result = engine.execute_detailed(tc.sql())
     assert rebuilt == [True] + [False] * (result.iterations - 1)

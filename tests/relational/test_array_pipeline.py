@@ -1,35 +1,43 @@
 """The array-native block pipeline: join -> project -> aggregate on typed
-arrays over a cached CSR index.
+arrays over a cached CSR index, and on packed composite keys.
 
-The row path (tuple executor) is the oracle throughout.  Three layers:
+The row path (tuple executor) is the oracle throughout.  Four layers:
 
 * planner guard — a ``best``-profile with+ branch has no generator-model
   join, and its stable side is indexed once per table state;
-* kernels — ``exact_array``, ``CsrIndex`` and ``array_grouped`` against
-  the list kernels / plain dict loops they stand in for (numpy only);
+* kernels — ``exact_array``, ``CsrIndex``, ``array_grouped``,
+  ``pack_keys`` and ``SortedIndex`` against the list kernels / plain dict
+  loops they stand in for (numpy only);
 * plans — batch plans over a columnar anchor against the same plan built
   from tuple operators, on inputs chosen to sit on and beyond every edge
   of the exactness envelope; run with numpy and with ``blocks._np`` set
-  to ``None``.
+  to ``None``;
+* the loop — the UNION combine on packed keys against the set path, and
+  TC / k-truss leaving no row tuples behind inside the fixpoint.
 """
 
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.algorithms import bellman_ford, ktruss, pagerank, tc, wcc
 from repro.core.algorithms.common import load_graph, prepare_transition
+from repro.core.algorithms.registry import ALGORITHMS
 from repro.datasets import preferential_attachment
 from repro.datasets.generators import random_dag
 from repro.relational import Engine
+from repro.relational.columnar.store import ColumnBlock
 from repro.relational.engine import parse_statement
 from repro.relational.expressions import BinaryOp, Literal, col
 from repro.relational.physical import (
+    BatchFilter,
     BatchHashAggregate,
     BatchHashJoin,
     BatchProject,
     BatchUnionAll,
+    Filter,
     HashAggregate,
     HashJoin,
     MergeJoin,
@@ -52,6 +60,7 @@ from repro.relational.physical.blocks import (
 from repro.relational.recursive import RecursiveExecutor
 from repro.relational.relation import AggregateSpec, Relation
 from repro.relational.schema import Column, Schema
+from repro.relational.sql.ast import UnionKind
 from repro.relational.table import Table
 from repro.relational.types import SqlType
 
@@ -340,6 +349,122 @@ def test_array_grouped_first_seen_group_order_and_sparse_keys_decline():
     assert array_grouped("count", sparse, None) is None
 
 
+# -- packed composite keys ------------------------------------------------------
+
+wide_ints = st.one_of(st.integers(-4, 4), st.integers(-(2 ** 63), 2 ** 63 - 1))
+
+
+def key_columns(rows, width):
+    return [[row[j] for row in rows] for j in range(width)]
+
+
+@needs_numpy
+@given(data=st.data(), width=st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_pack_keys_round_trips_and_orders_like_the_tuples(data, width):
+    rows = data.draw(st.lists(st.tuples(*[wide_ints] * width), min_size=1,
+                              max_size=12))
+    columns = key_columns(rows, width)
+    packed = blocks.pack_keys([exact_array(c) for c in columns])
+    size = math.prod(max(c) - min(c) + 1 for c in columns)
+    assert (packed is None) == (size >= 2 ** 62)
+    if packed is None:
+        return
+    keys, packing = packed
+    unpacked = blocks.unpack_keys(keys, packing)
+    assert [c.tolist() for c in unpacked] == columns
+    # equal exactly when the rows are, ordered as they are
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    assert sorted(range(len(rows)), key=keys.tolist().__getitem__) == order
+    assert len(set(keys.tolist())) == len(set(rows))
+
+
+@needs_numpy
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_pack_keys_with_a_given_packing_marks_rows_outside_it(data):
+    build = data.draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                               min_size=1, max_size=10))
+    probe = data.draw(st.lists(st.tuples(wide_ints, wide_ints), max_size=10))
+    _, packing = blocks.pack_keys([exact_array(c)
+                                   for c in key_columns(build, 2)])
+    np = blocks._np
+    got, same = blocks.pack_keys(
+        [blocks.ArrayVector(np.array(c, dtype=np.int64))
+         for c in key_columns(probe, 2)], packing)
+    assert same == packing
+    for row, key in zip(probe, got.tolist()):
+        inside = all(base <= v < base + span
+                     for v, (base, span) in zip(row, packing))
+        assert (key >= 0) == inside
+
+
+@needs_numpy
+def test_pack_keys_declines_what_has_no_int64_view():
+    np = blocks._np
+    ints = exact_array([1, 2])
+    assert blocks.pack_keys([ints, exact_array([1.5, 2.5])]) is None  # float
+    assert blocks.pack_keys([ints, exact_array([True, 2])]) is None  # bool
+    assert blocks.pack_keys([ints, exact_array([None, 2])]) is None  # NULL
+    assert blocks.pack_keys([ints, exact_array(["a", "b"])]) is None  # text
+    wide = exact_array([0, 2 ** 31])
+    assert blocks.pack_keys([wide, wide]) is None  # spans multiply past 2**62
+    empty = blocks.ArrayVector(np.zeros(0, dtype=np.int64))
+    assert blocks.pack_keys([empty, empty]) is None
+
+
+@needs_numpy
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_sorted_index_probe_emits_the_dict_probe_sequence(data):
+    pairs = st.tuples(st.integers(0, 4), st.one_of(st.integers(0, 3),
+                                                   st.just(2 ** 40)))
+    build = data.draw(st.lists(pairs, min_size=1, max_size=14))
+    probe = data.draw(st.lists(st.one_of(pairs, st.tuples(
+        wide_ints, wide_ints)), max_size=14))
+    np = blocks._np
+    index = blocks.sorted_index([exact_array(c)
+                                 for c in key_columns(build, 2)])
+    assert len(index) == len(build)
+    packed, _ = blocks.pack_keys(
+        [blocks.ArrayVector(np.array(c, dtype=np.int64))
+         for c in key_columns(probe, 2)], index.packing)
+    probe_idx, build_pos = index.probe(packed)
+    assert (probe_idx.tolist(), build_pos.tolist()) == \
+        dict_probe(build, probe)
+
+
+@needs_numpy
+@given(function=st.sampled_from(["sum", "min", "max", "count"]),
+       data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_multi_key_array_grouped_is_the_list_kernels(function, data):
+    n = data.draw(st.integers(1, 16))
+    keys = data.draw(st.lists(st.tuples(
+        st.integers(0, 3), st.one_of(st.integers(-2, 2), st.just(2 ** 40))),
+        min_size=n, max_size=n))
+    column = data.draw(st.one_of(
+        st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+        st.lists(floats, min_size=n, max_size=n)))
+    vector = exact_array(column)
+    if vector is None:
+        return
+    packed, packing = blocks.pack_keys([exact_array(c)
+                                        for c in key_columns(keys, 2)])
+    grouped = array_grouped(function, packed,
+                            None if function == "count" else vector,
+                            sparse=True)
+    if grouped is None:  # a NaN, -0.0 under sum: the value envelope
+        return
+    group_keys, aggregate = grouped
+    got = list(zip(zip(*(c.tolist() for c in blocks.unpack_keys(
+        group_keys, packing))), aggregate.tolist()))
+    kernel = {"sum": grouped_sum, "min": grouped_min, "max": grouped_max}
+    expected = grouped_count(keys) if function == "count" \
+        else kernel[function](keys, column)
+    assert identity(got) == identity(expected)
+
+
 # -- plans: batch over a columnar anchor vs the tuple operators -----------------
 
 STABLE_SCHEMA = Schema((Column("K", SqlType.INTEGER, "B"),
@@ -584,6 +709,140 @@ def test_projection_above_the_aggregate_matches(numpy_mode):
     assert outcome(plan(True)) == outcome(plan(False))
 
 
+# -- two-key plans: packed keys vs the tuple operators -------------------------
+
+
+def pair_plan(batch, delta_rows, table, function, build_side="right",
+              snapshot=False):
+    """``select P.a, P.b, f(B.W) from P, B where P.a = B.K and P.b = B.T
+    group by P.a, P.b`` from batch or tuple operators — the k-truss
+    support shape.  With *snapshot* the stable side is scanned as the
+    table's batch-backed snapshot instead of the table."""
+    join_cls, aggregate_cls = ((BatchHashJoin, BatchHashAggregate) if batch
+                               else (HashJoin, HashAggregate))
+    delta = RelationScan(Relation.from_pairs(("a", "b"), delta_rows), "P")
+    stable = (RelationScan(table.snapshot(), "B") if snapshot
+              else TableScan(table, "B"))
+    join = join_cls(delta, stable, [col("P.a"), col("P.b")],
+                    [col("B.K"), col("B.T")], build_side)
+    argument = None if function == "count*" else col("B.W")
+    return aggregate_cls(join, [col("P.a"), col("P.b")],
+                         [AggregateSpec(function.rstrip("*"), argument, "out")])
+
+
+def vector_table(rows):
+    """A columnar ``B`` holding *rows* as a vector overlay (when numpy and
+    the data allow), the way a with+ loop leaves its tables."""
+    table = Table("B", STABLE_SCHEMA, storage="columnar")
+    vectors = [stable_table(rows).rows.array(j) for j in range(3)]
+    if any(vector is None for vector in vectors):
+        table.insert_many(rows)
+    else:
+        table.insert_relation(Relation.from_batch(
+            STABLE_SCHEMA, blocks.ArrayColumns(vectors)))
+    return table
+
+
+pair_keys = st.one_of(st.integers(0, 4), st.none(), st.booleans(),
+                      st.integers(0, 4).map(float),
+                      st.sampled_from([2 ** 40, -(2 ** 40), 2 ** 63 - 1]))
+
+
+@given(delta_rows=st.lists(st.tuples(pair_keys, pair_keys), max_size=10),
+       stable_rows=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                                      floats), max_size=10),
+       function=st.sampled_from(["sum", "min", "max", "count", "count*"]),
+       build_side=st.sampled_from(["left", "right"]),
+       snapshot=st.booleans())
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_pair_shape_matches_tuple_operators(numpy_mode, delta_rows,
+                                            stable_rows, function,
+                                            build_side, snapshot):
+    table = vector_table(stable_rows)
+    expected = outcome(pair_plan(False, delta_rows, table, function,
+                                 build_side, snapshot))
+    got = outcome(pair_plan(True, delta_rows, table, function, build_side,
+                            snapshot))
+    assert got == expected
+
+
+@pytest.fixture
+def pair_kernel_runs(monkeypatch):
+    """Which packed-key kernels produced a result: ``"probe"`` per
+    SortedIndex probe, ``"group"`` per array aggregate (False: declined)."""
+    runs = []
+    probe, single = blocks.SortedIndex.probe, BatchHashAggregate._array_single
+
+    def probing(self, keys):
+        runs.append("probe")
+        return probe(self, keys)
+
+    def grouping(*args):
+        result = single(*args)
+        runs.append(("group", result is not None))
+        return result
+
+    monkeypatch.setattr(blocks.SortedIndex, "probe", probing)
+    monkeypatch.setattr(BatchHashAggregate, "_array_single",
+                        staticmethod(grouping))
+    return runs
+
+
+CLEAN_PAIRS = [(0, 1), (1, 1), (1, 2), (3, 2), (0, 1)]
+
+#: name -> (delta rows, stable rows, expected kernel runs): each edge of
+#: the packed-key envelope in the two-key plan, and the result still the
+#: tuple operators'.
+PAIR_ENVELOPE = {
+    "two int keys": (CLEAN_PAIRS, CLEAN_STABLE, ["probe", ("group", True)]),
+    "probe keys outside the build's packing": (
+        CLEAN_PAIRS + [(9, 9), (-(2 ** 63), 2 ** 63 - 1)], CLEAN_STABLE,
+        ["probe", ("group", True)]),
+    "null in a key": (CLEAN_PAIRS + [(None, 1)], CLEAN_STABLE,
+                      [("group", False)]),
+    "bool key": (CLEAN_PAIRS + [(True, 1)], CLEAN_STABLE,
+                 [("group", False)]),
+    "float key": (CLEAN_PAIRS + [(1.0, 1)], CLEAN_STABLE,
+                  [("group", False)]),
+    "key spans past 2**62": (CLEAN_PAIRS + [(2 ** 40, -(2 ** 40))],
+                             CLEAN_STABLE + [(2 ** 40, -(2 ** 40), 1.0)],
+                             [("group", False)]),
+}
+
+
+@needs_numpy
+@pytest.mark.parametrize("case", sorted(PAIR_ENVELOPE))
+@pytest.mark.parametrize("snapshot", [False, True],
+                         ids=["table", "snapshot"])
+def test_pair_envelope_edges(case, snapshot, pair_kernel_runs):
+    delta_rows, stable_rows, expected_runs = PAIR_ENVELOPE[case]
+    table = vector_table(stable_rows)
+    expected = outcome(pair_plan(False, delta_rows, table, "sum",
+                                 snapshot=snapshot))
+    assert outcome(pair_plan(True, delta_rows, table, "sum",
+                             snapshot=snapshot)) == expected
+    assert pair_kernel_runs == expected_runs
+
+
+def test_filter_hands_on_typed_columns(numpy_mode):
+    """k-truss's ``SUP.c >= k`` over a batch-backed relation: the
+    selection gathers typed columns, so the projection above it ends the
+    pipeline as vectors."""
+    table = vector_table(CLEAN_STABLE)
+    scan = RelationScan(table.snapshot(), "B")
+
+    def plan(batch):
+        filter_cls, project_cls = ((BatchFilter, BatchProject) if batch
+                                   else (Filter, Project))
+        kept = filter_cls(scan, BinaryOp(">=", col("B.W"), Literal(1.0)))
+        return project_cls(kept, [(col("B.K"), "K"), (col("B.T"), "T")])
+
+    result = plan(True).execute()
+    assert identity(result.rows) == outcome(plan(False))
+    assert (result.batch is not None) == (numpy_mode == "numpy")
+
+
 # -- algorithms: best == default, byte for byte ---------------------------------
 
 
@@ -596,6 +855,43 @@ def test_fixpoints_best_equals_default(numpy_mode):
     default, _ = fixpoint_engine(nodes=120)
     for name, sql in fixpoint_statements(graph).items():
         assert repr_rows(best, sql) == repr_rows(default, sql), name
+
+
+SQL_ALGORITHMS = sorted(key for key, info in ALGORITHMS.items()
+                        if info.has_sql)
+
+
+def value_identity(values):
+    """An algorithm's ``{node or edge: value}`` as comparable cells that
+    tell ``1`` from ``1.0`` (see :func:`identity`)."""
+    return sorted(identity([(repr(key), value)
+                            for key, value in values.items()]))
+
+
+@pytest.mark.parametrize("key", SQL_ALGORITHMS)
+def test_every_registry_algorithm_best_equals_default(numpy_mode, key):
+    """All SQL algorithms of the registry, ``best`` against the plain
+    ``Engine("oracle")``: iterations and what every iteration's combine
+    wrote — the MM-join shapes (APSP, FW, SR, MCL) included, which group
+    and join on two columns.  Values are byte-identical to the tuple
+    executor over row storage running the same cost-based plans; against
+    the default's join order, float sums may associate differently (HITS,
+    MCL), so there they agree to rounding."""
+    info = ALGORITHMS[key]
+    graph = (random_dag(50, 2, seed=3) if info.needs_dag
+             else preferential_attachment(60, 3, seed=3))
+    best, same_plans, default = [
+        info.run_sql(Engine("oracle", **kwargs), graph)
+        for kwargs in (BEST, {"optimizer": "cost"}, {})]
+    assert value_identity(best.values) == value_identity(same_plans.values)
+    assert best.values.keys() == default.values.keys()
+    for node, value in default.values.items():
+        assert type(best.values[node]) is type(value)
+        assert best.values[node] == pytest.approx(value, rel=1e-9), node
+    for other in (same_plans, default):
+        assert best.iterations == other.iterations
+        assert [(s.inserted, s.overwritten) for s in best.per_iteration] \
+            == [(s.inserted, s.overwritten) for s in other.per_iteration]
 
 
 def test_closures_best_equals_default(numpy_mode):
@@ -614,3 +910,176 @@ def test_closures_best_equals_default(numpy_mode):
             results.append(sorted(repr_rows(engine, sql)))
         assert results[0] == results[1]
         assert results[0]
+
+
+# -- the loop on vectors: UNION combine and what stays unbuilt ------------------
+
+UNION = SimpleNamespace(union_kind=UnionKind.UNION)
+PAIRS = Schema((Column("F", SqlType.INTEGER), Column("T", SqlType.INTEGER)))
+
+
+class SetPathExecutor(RecursiveExecutor):
+    """The UNION combine as a numpy-less run has it."""
+
+    def _union_arrays(self, table, deltas):
+        return None
+
+
+def batch_relation(rows, schema=PAIRS):
+    """*rows* the way a block-pipeline plan root hands them over."""
+    return Relation.from_batch(schema, blocks.RowsColumns(rows,
+                                                          schema.arity))
+
+
+def union_log(executor_cls, table, batches):
+    """``(changed, inserted, working rows)`` per combine, then the table —
+    or the error a combine raises."""
+    engine = Engine("oracle", **BEST)
+    executor = executor_cls(engine.database, engine.dialect, engine.policy)
+    log = []
+    try:
+        for deltas in batches:
+            changed, working, counts = executor._combine(
+                UNION, table, table.snapshot(), deltas)
+            log.append((changed, counts.inserted, identity(working.rows)))
+    except Exception as error:  # compared, not swallowed
+        log.append((type(error).__name__, str(error)))
+    return log, identity(table.rows)
+
+
+def union_table(rows, schema=PAIRS, **kwargs):
+    table = Table("R", schema, storage="columnar", **kwargs)
+    table.insert_many(rows)
+    return table
+
+
+union_values = st.one_of(st.integers(0, 6), st.sampled_from(
+    [2 ** 40, -(2 ** 40), 2 ** 63 - 1, -(2 ** 63)]))
+union_pairs = st.tuples(st.integers(0, 6), union_values)
+
+
+@needs_numpy
+@given(table_rows=st.lists(union_pairs, max_size=10),
+       batches=st.lists(st.lists(st.lists(union_pairs, max_size=8),
+                                 min_size=1, max_size=2), max_size=4))
+@settings(max_examples=250, deadline=None)
+def test_union_combine_on_arrays_is_the_set_path(table_rows, batches):
+    """Contents, row order, counts and the working set, over a sequence
+    of combines — keys packed afresh when a batch leaves the kept
+    packing, the set path taking over where a batch does not pack."""
+    deltas = [[batch_relation(rows) for rows in batch] for batch in batches]
+    assert union_log(RecursiveExecutor, union_table(table_rows), deltas) \
+        == union_log(SetPathExecutor, union_table(table_rows), deltas)
+
+
+@pytest.fixture
+def union_runs(monkeypatch):
+    """Whether each UNION combine ran on arrays."""
+    runs = []
+    original = RecursiveExecutor._union_arrays
+
+    def recording(self, table, deltas):
+        result = original(self, table, deltas)
+        runs.append(result is not None)
+        return result
+
+    monkeypatch.setattr(RecursiveExecutor, "_union_arrays", recording)
+    return runs
+
+
+BASE_PAIRS = [(0, 1), (1, 2), (2, 3)]
+DOUBLES = Schema((Column("F", SqlType.INTEGER), Column("T", SqlType.DOUBLE)))
+
+#: name -> (table, delta batches, array path taken per combine): one case
+#: per edge of the UNION combine's envelope.
+UNION_ENVELOPE = {
+    "int pairs": (lambda: union_table(BASE_PAIRS),
+                  lambda: [[batch_relation([(1, 3), (0, 1), (1, 3)])]],
+                  [True]),
+    "a batch outside the kept packing": (
+        lambda: union_table(BASE_PAIRS),
+        lambda: [[batch_relation([(0, 3)])], [batch_relation([(9, 9)])]],
+        [True, True]),
+    "keys spanning past 2**62": (
+        lambda: union_table(BASE_PAIRS),
+        lambda: [[batch_relation([(2 ** 62, -(2 ** 62))])]], [False]),
+    "float delta column": (lambda: union_table(BASE_PAIRS),
+                           lambda: [[batch_relation([(1, 3.0)])]], [False]),
+    "DOUBLE table column": (
+        lambda: union_table([(0, 1.0)], DOUBLES),
+        lambda: [[batch_relation([(1, 2.0)], DOUBLES)]], [False]),
+    "rows-backed delta": (
+        lambda: union_table(BASE_PAIRS),
+        lambda: [[Relation(PAIRS, [(1, 3)])]], [False]),
+    "empty table": (lambda: union_table([]),
+                    lambda: [[batch_relation([(1, 3)])]], [False]),
+    "key constraint": (
+        lambda: union_table(BASE_PAIRS, Schema(PAIRS.columns, ("F",))),
+        lambda: [[batch_relation([(5, 3)])]], [False]),
+    "delta of another arity": (
+        lambda: union_table(BASE_PAIRS),
+        lambda: [[batch_relation([(1, 3, 4)], Schema(
+            PAIRS.columns + (Column("W", SqlType.INTEGER),)))]], [False]),
+}
+
+
+@needs_numpy
+@pytest.mark.parametrize("case", sorted(UNION_ENVELOPE))
+def test_union_envelope_edges(case, union_runs):
+    make_table, make_batches, expected_runs = UNION_ENVELOPE[case]
+    expected = union_log(SetPathExecutor, make_table(), make_batches())
+    union_runs.clear()
+    assert union_log(RecursiveExecutor, make_table(), make_batches()) \
+        == expected
+    assert union_runs == expected_runs
+
+
+def test_union_with_a_secondary_index_takes_the_set_path(union_runs):
+    table = union_table(BASE_PAIRS)
+    table.create_index("ix", ["F"])
+    log, rows = union_log(RecursiveExecutor, table,
+                          [[batch_relation([(1, 3), (0, 1)])]])
+    assert log == [(True, 1, identity([(1, 3)]))]
+    assert union_runs == [False]
+    assert table.indexes["ix"].lookup((1,)) == [(1, 2), (1, 3)]
+
+
+@needs_numpy
+@pytest.mark.parametrize("name", ["tc", "ktruss"])
+def test_closures_build_no_row_tuples_inside_the_loop(name, monkeypatch):
+    """Under ``best`` TC's UNION and k-truss's two-key join, group-by,
+    filter and keyless union-by-update all stay on vectors: the one row
+    list built is the statement's result."""
+    if name == "tc":
+        graph, sql = random_dag(60, 2.0, seed=1), tc.sql()
+    else:
+        graph = preferential_attachment(50, 6.0, directed=False, seed=2)
+        sql = ktruss.sql(3)
+    engine = Engine("oracle", **BEST)
+    load_graph(engine, graph)
+    wcc.prepare_symmetric_edges(engine)
+    engine.execute(sql)  # warm the base tables' array views and indexes
+    built = []
+
+    def spy(owner, method, label):
+        original = getattr(owner, method)
+
+        def recording(self, *args):
+            # (the engine publishes iteration statistics as __iterations__)
+            if not getattr(self, "name", "").startswith("__"):
+                built.append(label or type(self).__name__)
+            return original(self, *args)
+
+        monkeypatch.setattr(owner, method, recording)
+
+    for batch_cls in (blocks.ArrayColumns, blocks.JoinColumns,
+                      blocks.DerivedColumns, blocks.FilteredColumns,
+                      blocks.ConcatColumns, blocks.SubsetColumns,
+                      blocks.StoreColumns):
+        spy(batch_cls, "rows", None)
+    spy(blocks.RowsColumns, "__init__", "RowsColumns")
+    spy(Table, "insert_many", "insert_many")
+    spy(ColumnBlock, "seal", "seal")
+    result = engine.execute_detailed(sql)
+    assert result.iterations > 1
+    assert built == ["ArrayColumns"]  # the result, read once

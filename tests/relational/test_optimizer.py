@@ -63,6 +63,53 @@ class TestCardinalityEstimates:
             assert "actual rows=" in line, line
 
 
+class TestCompositeKeyEstimates:
+    """Per-key selectivities multiply, but a composite key has no more
+    distinct values than its larger input has rows."""
+
+    def test_selectivity_stops_at_one_over_the_larger_input(self, loaded):
+        from repro.relational.expressions import col
+        from repro.relational.physical import TableScan
+
+        engine = loaded()
+        estimator = engine.policy.estimator
+        table = engine.database.table("E")
+        left, right = TableScan(table, "A"), TableScan(table, "B")
+        keys = ([col("A.F"), col("A.T")], [col("B.T"), col("B.F")])
+        # 200 rows, 200 distinct F, 40 distinct T: each key pair is 1/200,
+        # the product would be 1/40000
+        assert estimator.equi_join_selectivity(left, right, *keys) == 1 / 200
+        assert estimator.equi_join_selectivity(
+            left, right, [col("A.T")], [col("B.T")]) == 1 / 40
+
+    def test_ktruss_support_join_is_not_estimated_at_one_row(self):
+        from repro.core.algorithms import ktruss, wcc
+        from repro.core.algorithms.common import load_graph
+        from repro.relational.engine import parse_statement
+        from repro.relational.recursive import RecursiveExecutor
+
+        graph = preferential_attachment(150, 6.0, directed=False, seed=2)
+        engine = Engine("oracle", executor="batch", optimizer="cost",
+                        storage="columnar")
+        load_graph(engine, graph)
+        wcc.prepare_symmetric_edges(engine)
+        executor = RecursiveExecutor(
+            engine.database, engine.dialect, engine.policy, mode=engine.mode,
+            ubu_strategy=engine._ubu_strategy, analyze=True)
+        executor.execute(parse_statement(ktruss.sql(3)))
+        (support,) = [plan for title, plan, _ in executor._analyzed
+                      if title == "computed by SUP"]
+        stack, joins = [support], []
+        while stack:
+            node = stack.pop()
+            stack.extend(node.children())
+            if len(getattr(node, "left_keys", ())) == 2:
+                joins.append(node)
+        (join,) = joins  # E2.T = E3.T and E3.F = E1.T
+        inputs = [child.estimated_rows for child in join.children()]
+        assert join.estimated_rows >= min(inputs) > 1
+
+
 class TestPushdownAndReordering:
     def test_single_table_predicate_pushed_below_join(self, loaded):
         plan = loaded().explain(
