@@ -110,6 +110,10 @@ class RowStore(list):
         self[:] = [row for pos, row in enumerate(self)
                    if pos not in dead]
 
+    def gather(self, positions: Sequence[int]) -> list:
+        """The rows at *positions*."""
+        return [self[pos] for pos in positions]
+
     def materialized(self) -> list:
         """The live row list (no copy)."""
         return self
@@ -346,6 +350,16 @@ class ColumnStore:
 
     def to_list(self) -> list:
         return list(self.materialized())
+
+    def gather(self, positions: Sequence[int]) -> list:
+        """The rows at *positions*: from the row list when one is held,
+        else assembled from the decoded columns — no whole-table rows."""
+        if self._rows is not None:
+            rows = self._rows
+            return [rows[pos] for pos in positions]
+        columns = [self.column(j) for j in range(self.arity)]
+        return [tuple(column[pos] for column in columns)
+                for pos in positions]
 
     def column(self, j: int) -> list:
         """Column *j* as one decoded, concatenated vector (cached)."""

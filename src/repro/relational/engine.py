@@ -38,7 +38,8 @@ from ..observability import (
 )
 from .database import Database
 from .dialects import Dialect, get_dialect
-from .errors import FeatureNotSupportedError, RelationalError
+from .errors import (ExecutionError, FeatureNotSupportedError,
+                     RelationalError)
 from .physical import (execute_analyzed, explain_plan, instrument,
                        render_analysis)
 from .planner import POLICIES, PlannerPolicy
@@ -67,6 +68,10 @@ ITERATIONS_SCHEMA = Schema((
     Column("pruned", SqlType.INTEGER),
     Column("antijoin_pruned", SqlType.INTEGER),
 ))
+
+#: What CPython's ``TypeError`` says when a rich comparison (``<``,
+#: ``sorted``, ``min``) meets two values it cannot order.
+_INCOMPARABLE = " not supported between instances of "
 
 
 class Engine:
@@ -256,6 +261,19 @@ class Engine:
             total_ms = (time.perf_counter() - total_started) * 1000
             self._record_failure(sql_text, total_ms, phases, error)
             raise
+        except TypeError as error:
+            # Comparison operators, sorts and min/max are the raw Python
+            # ones, so comparing incomparable SQL values (text < int)
+            # raises here, outside every per-row loop.  The message
+            # names no operand: which pair meets first depends on the
+            # plan, and every configuration must report the same error.
+            if _INCOMPARABLE not in str(error):
+                raise
+            failure = ExecutionError(
+                "cannot compare values of incomparable types")
+            total_ms = (time.perf_counter() - total_started) * 1000
+            self._record_failure(sql_text, total_ms, phases, failure)
+            raise failure from error
         total_ms = (time.perf_counter() - total_started) * 1000
         self._record_query(sql_text, kind, total_ms, phases, result,
                            query_span)

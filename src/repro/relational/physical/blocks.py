@@ -644,6 +644,71 @@ def packed_member(keys, sorted_keys):
     return found
 
 
+#: int64's range: a Python int outside it equals no value of an int64 view.
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
+
+
+def matching_positions(columns: Sequence[ArrayVector | None],
+                       probes: Sequence[tuple]) -> list | None:
+    """Ascending positions of the rows whose key — one value from each of
+    the key *columns* — equals one of the *probes* (tuples of coerced
+    values), as a dict keyed by those tuples would match them; or None
+    unless every column is a plain int64 or float64 view (``ints`` unset)
+    and every probe value is an ``int`` or a ``float`` as its column is.
+
+    The int64 columns are packed (:func:`pack_keys`) and tested against
+    the sorted distinct packed probes, each float column against its
+    sorted distinct probe values; rows passing every test are candidates,
+    and with a float column among the keys the candidates' key tuples
+    are checked against the probe set itself.  A probe of the wrong
+    width, an int outside int64 or a NaN can equal no stored key and is
+    dropped.
+    """
+    if _np is None or not columns:
+        return None
+    kinds = []
+    for column in columns:
+        if column is None or column.ints is not None:
+            return None
+        kinds.append(int if column.data.dtype == _np.int64 else float)
+    width = len(columns)
+    wanted = []
+    for probe in probes:
+        if len(probe) != width:
+            continue
+        if any(type(value) is not kind for value, kind in zip(probe, kinds)):
+            return None
+        if all(value == value if kind is float
+               else _INT64_MIN <= value <= _INT64_MAX
+               for value, kind in zip(probe, kinds)):
+            wanted.append(probe)
+    if not wanted:
+        return []
+    ints = [j for j, kind in enumerate(kinds) if kind is int]
+    floats = [j for j, kind in enumerate(kinds) if kind is float]
+    found = None
+    if ints:
+        packed = pack_keys([columns[j] for j in ints])
+        if packed is None:
+            return None
+        keys, packing = packed
+        probe_keys = pack_keys(
+            [ArrayVector(_np.array([probe[j] for probe in wanted],
+                                   dtype=_np.int64)) for j in ints],
+            packing)[0]
+        found = packed_member(keys, _np.unique(probe_keys[probe_keys >= 0]))
+    for j in floats:
+        member = packed_member(columns[j].data, _np.unique(
+            _np.array([probe[j] for probe in wanted], dtype=_np.float64)))
+        found = member if found is None else found & member
+    positions = _np.flatnonzero(found).tolist()
+    if floats and positions:
+        wanted = set(wanted)
+        keys = zip(*(column.data[positions].tolist() for column in columns))
+        positions = [pos for pos, key in zip(positions, keys) if key in wanted]
+    return positions
+
+
 class SortedIndex:
     """Position index over an int64 key column that is not dense —
     packed composite keys — as typed arrays: the :class:`CsrIndex` twin

@@ -183,8 +183,17 @@ class Table:
 
     def delete_by_key(self, keys: Iterable[Sequence[Any]],
                       key_columns: Sequence[str]) -> int:
-        """Delete every row whose *key_columns* value is in *keys* —
-        O(|delta|) when the positions-by-key cache is warm.
+        """Delete every row whose *key_columns* value is in *keys*.
+
+        On columnar storage the coerced probes are matched against the
+        store's typed key vectors
+        (:func:`~repro.relational.physical.blocks.matching_positions`) —
+        vector work, no per-row Python.  The positions-by-key dict is the
+        fallback (O(|delta|) when its cache is warm): without numpy, on
+        row storage, for a key column with no plain int or float vector
+        (TEXT, BOOLEAN, NULL, NaN, ints beside floats, an empty table),
+        for int key columns whose spans do not pack, and for a NULL
+        probe.  Both find the same positions.
 
         Storage-level removal goes through ``rows.delete_positions``
         (tombstones on the columnar backend — sealed blocks are not
@@ -198,19 +207,26 @@ class Table:
                                  for k in key_columns)
         key_types = tuple(self.schema.columns[i].sql_type
                           for i in target_positions)
-        mapping = self.positions_by_key(target_positions)
-        positions: list[int] = []
-        for key in keys:
-            if not isinstance(key, (tuple, list)):
-                key = (key,)
-            probe = tuple(coerce(v, t) for v, t in zip(key, key_types))
-            bucket = mapping.get(probe)
-            if bucket:
-                positions.extend(bucket)
+        probes = [tuple(coerce(v, t) for v, t in zip(
+                      key if isinstance(key, (tuple, list)) else (key,),
+                      key_types))
+                  for key in keys]
+        positions = None
+        if self.storage == "columnar":
+            from .physical.blocks import matching_positions
+
+            positions = matching_positions(
+                [self.rows.array(j) for j in target_positions], probes)
+        if positions is None:
+            mapping = self.positions_by_key(target_positions)
+            found: set[int] = set()
+            for probe in probes:
+                found.update(mapping.get(probe, ()))
+            positions = sorted(found)
         if not positions:
             return 0
-        positions = sorted(set(positions))
-        removed_rows = [self.rows[pos] for pos in positions]
+        removed_rows = (self.rows.gather(positions)
+                        if self.indexes or self.enforce_key else ())
         self.rows.delete_positions(positions)
         if self.indexes:
             if 2 * len(positions) > len(self.rows):

@@ -14,14 +14,19 @@ A :class:`StreamingManager` hangs off an :class:`~repro.relational.engine.Engine
   through the generic table path (keyed deletes when the table has a
   primary key, full-row deletes otherwise).
 * **Views** — :meth:`register_view` pins an algorithm result
-  (``pagerank`` / ``wcc`` / ``sssp``) that is patched after every batch,
-  incrementally where the per-view cost rule allows and by bounded full
-  re-derivation otherwise (see :mod:`repro.streaming.views`).
+  (``pagerank`` / ``wcc`` / ``sssp``) that is refreshed after every
+  batch: PageRank by an array recompute, WCC and SSSP incrementally
+  where their cost rule allows and by bounded full re-derivation
+  otherwise (see :mod:`repro.streaming.views`).
 
-All table mutations go through the O(|delta|) storage paths
-(tail appends, tombstoned deletes) and bump table statistics versions,
-so cached join indexes, cardinality estimates and plan fingerprints
-re-derive on the next query.
+All table mutations go through the O(|delta|) storage paths: tail
+appends, tombstoned deletes, and keyed deletes that (on columnar
+storage with numpy) find their rows by vector matching on the store's
+typed key columns, with no Python pass over the table.  Each mirror or
+derived table takes at most one delete and one insert call per batch,
+and every mutation bumps table statistics versions, so cached join
+indexes, cardinality estimates and plan fingerprints re-derive on the
+next query.
 
 Observability: ``repro_ingest_*`` counters and the ``repro_ingest_batch_ms``
 histogram are always on; each batch runs under an ``ingest_batch`` span
@@ -412,7 +417,12 @@ class StreamingManager:
 
     def _sync_symmetric(self, delta: GraphDelta, track) -> None:
         """Keep ``ES`` = E ∪ Eᵀ under set semantics: a row (a, b, w) is
-        present iff it is derivable from some surviving edge."""
+        present iff it is derivable from some surviving edge.
+
+        One pass over the sorted candidates sorts them into rows to drop
+        and rows to add, then one keyed delete and one bulk insert patch
+        the table.  Every dropped row predates the batch, so this leaves
+        the contents and row order a per-row delete/insert walk would."""
         database = self.engine.database
         if not database.exists("ES"):
             return
@@ -433,17 +443,18 @@ class StreamingManager:
             return (graph.out_neighbors(a).get(b) == w
                     or graph.out_neighbors(b).get(a) == w)
 
-        inserted = deleted = 0
+        doomed: list[tuple[int, int, float]] = []
+        fresh: list[tuple[int, int, float]] = []
         for row in sorted(candidates):
             if derivable(row):
                 if row not in self._es_rows:
-                    table.insert(row)
-                    self._es_rows.add(row)
-                    inserted += 1
+                    fresh.append(row)
             elif row in self._es_rows:
-                deleted += table.delete_by_key(
-                    [row], tuple(table.schema.names))
-                self._es_rows.discard(row)
+                doomed.append(row)
+        deleted = table.delete_by_key(doomed, tuple(table.schema.names))
+        inserted = table.insert_many(fresh)
+        self._es_rows.difference_update(doomed)
+        self._es_rows.update(fresh)
         track(table.name, inserted, deleted)
 
     # -- failure capture ---------------------------------------------------------

@@ -1,17 +1,17 @@
-"""Incrementally-maintained algorithm results ("views") over a
-streaming graph.
+"""Maintained algorithm results ("views") over a streaming graph.
 
 Each view pins one registered algorithm result (PageRank, WCC or SSSP)
-to the manager's live graph and patches it after every
+to the manager's live graph and refreshes it after every
 :meth:`~repro.streaming.StreamingManager.apply_batch` — bit-identically
 to a from-scratch run on the mutated graph:
 
-* **PageRank** is a fixed-iteration *trajectory*: the view stores every
-  iteration's vector and recomputes only the dirty frontier per
-  iteration (targets of changed transition rows, plus out-neighbours of
-  values that changed in the previous iteration), accumulating partial
-  sums in the exact scan order of the transition relation ``S`` so
-  unchanged nodes keep their floats bit-for-bit.
+* **PageRank** is recomputed from scratch on every batch, on arrays:
+  each iteration is one ``bincount`` over the edge list in the scan
+  order of the transition relation ``S``, which performs the float
+  additions of the engine's per-target sums in the same order.  There
+  is no dirty-frontier patch: on a preferential-attachment graph the
+  frontier reaches most vertices within a few iterations, so patching
+  loses to a plain recompute even in pure Python.
 * **WCC** is a monotone min-label flood: unaffected components keep
   their prior (integer) labels as the warm-start seed, every vertex of
   a deletion-affected component is reset to its own ID, and the engine
@@ -23,17 +23,18 @@ to a from-scratch run on the mutated graph:
   deleted edge's head back to +infinity, everything else warm-starts
   from its prior distance, and insertions need no resets at all.
 
-The cost rule is per-view: when the affected region crosses a fraction
-of the graph (or a semantic gate fails, e.g. non-unit WCC weights or a
-vertex-set change for PageRank's teleport term), the view falls back to
-a bounded full re-derivation instead.  Either path yields byte-identical
-results; the rule only chooses how much work to spend.
+WCC and SSSP have a cost rule: when the affected region crosses a
+fraction of the graph (or a semantic gate fails, e.g. non-unit WCC
+weights), the view falls back to a bounded full re-derivation instead.
+Either path yields byte-identical results; the rule only chooses how
+much work to spend.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
+from repro.relational.physical import blocks
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.types import SqlType
@@ -69,8 +70,7 @@ class StreamingView:
 
     def prepare(self, delta: "GraphDelta") -> None:
         """Pre-mutation pass: capture whatever the incremental path needs
-        from the *old* graph/result (dirty frontiers, tight closures)."""
-        raise NotImplementedError
+        from the *old* graph/result (affected labels, tight closures)."""
 
     def refresh(self, delta: "GraphDelta") -> str:
         """Post-mutation pass; returns the mode used."""
@@ -92,7 +92,7 @@ class StreamingView:
 
 
 class PageRankView(StreamingView):
-    """Fixed-iteration PageRank trajectory, maintained in pure Python.
+    """Fixed-iteration PageRank, recomputed from scratch after every batch.
 
     The engine's UBU semantics are reproduced exactly: per iteration,
     partial sums accumulate over the transition relation ``S`` in scan
@@ -102,6 +102,12 @@ class PageRankView(StreamingView):
     value.  ``S`` scan order equals ``graph.weighted_edges()`` order,
     so the view never needs the relational engine — which also sidesteps
     the mutated edge table's append-reordered rows.
+
+    With numpy an iteration is one ``bincount`` over the edge vectors
+    (:meth:`_array_values`); without it the same loop runs over dicts
+    (:meth:`_scratch_values`).  ``bincount`` adds the weights into each
+    target in edge order, as the dict loop does, so the two agree to the
+    bit.  Every refresh reports mode ``"full"``.
     """
 
     algorithm = "pagerank"
@@ -111,25 +117,31 @@ class PageRankView(StreamingView):
         super().__init__(manager, name)
         self.damping = damping
         self.iterations = iterations
-        #: W_0 .. W_k (iteration 0 is the all-zero initialisation).
-        self.trajectory: list[dict[int, float]] = []
-        self._structural: set[int] = set()
-        self._touched: set[int] = set()
+        self._values: dict[int, float] = {}
 
     @property
     def values(self) -> dict[int, float]:
-        return dict(self.trajectory[-1])
+        return dict(self._values)
 
     def full_refresh(self) -> None:
-        self.trajectory = self._scratch_trajectory()
+        np = blocks._np
+        self._values = (self._scratch_values() if np is None
+                        else self._array_values(np))
 
-    def _scratch_trajectory(self) -> list[dict[int, float]]:
+    def refresh(self, delta: "GraphDelta") -> str:
+        self.full_refresh()
+        self.mode_history.append("full")
+        return "full"
+
+    def _teleport(self) -> float:
+        n = self.graph.num_nodes
+        return (1.0 - self.damping) / n if n else 0.0
+
+    def _scratch_values(self) -> dict[int, float]:
         graph = self.graph
-        n = graph.num_nodes
-        teleport = (1.0 - self.damping) / n if n else 0.0
+        teleport = self._teleport()
         damping = self.damping
         current = {v: 0.0 for v in graph.nodes()}
-        trajectory = [dict(current)]
         edges = list(graph.weighted_edges())
         inv_degree = {u: 1.0 / graph.out_degree(u) for u, _, _ in edges}
         for _ in range(self.iterations):
@@ -139,83 +151,31 @@ class PageRankView(StreamingView):
             nxt = dict(current)
             for v, total in sums.items():
                 nxt[v] = damping * total + teleport
-            trajectory.append(nxt)
             current = nxt
-        return trajectory
+        return current
 
-    def prepare(self, delta: "GraphDelta") -> None:
-        if delta.inserted_vertices or delta.removed_vertices:
-            # |V| changes the teleport constant: every value moves.
-            self._plan = "full"
-            return
+    def _array_values(self, np) -> dict[int, float]:
         graph = self.graph
-        touched = {u for u, _, _ in delta.removed_edges}
-        touched |= {u for u, _, _ in delta.inserted_edges}
-        # Old out-neighbours: their S rows disappear or get reweighted.
-        structural = set()
-        for u in touched:
-            structural.update(graph.out_neighbors(u))
-        self._touched = touched
-        self._structural = structural
-        self._plan = "incremental"
-
-    def refresh(self, delta: "GraphDelta") -> str:
-        graph = self.graph
-        if self._plan == "incremental":
-            for u in self._touched:
-                self._structural.update(graph.out_neighbors(u))
-            if self._too_large(len(self._structural)):
-                self._plan = "full"
-        if self._plan == "full":
-            self.full_refresh()
-            self.mode_history.append("full")
-            return "full"
-        self._incremental_refresh()
-        self.mode_history.append("incremental")
-        return "incremental"
-
-    def _incremental_refresh(self) -> None:
-        graph = self.graph
-        n = graph.num_nodes
-        teleport = (1.0 - self.damping) / n if n else 0.0
-        damping = self.damping
-        structural = self._structural
-        old = self.trajectory
-        # Per-target scan order: within one target, S contributions
-        # arrive grouped by source position in the adjacency dict — the
-        # weighted_edges() order restricted to the target's in-edges.
-        order = {u: i for i, u in enumerate(graph.nodes())}
-        inv_degree = {u: 1.0 / graph.out_degree(u)
-                      for u in graph.nodes() if graph.out_degree(u)}
-        in_lists = {
-            t: sorted(graph.in_neighbors(t), key=order.__getitem__)
-            for t in structural}
-        trajectory = [old[0]]
-        changed: set[int] = set()
-        for k in range(1, self.iterations + 1):
-            dirty = set(structural)
-            for u in changed:
-                dirty.update(graph.out_neighbors(u))
-            previous = trajectory[k - 1]
-            patched = dict(old[k])
-            changed = set()
-            for t in dirty:
-                sources = in_lists.get(t)
-                if sources is None:
-                    sources = in_lists[t] = sorted(
-                        graph.in_neighbors(t), key=order.__getitem__)
-                if sources:
-                    total = 0.0
-                    for u in sources:
-                        total += previous[u] * inv_degree[u]
-                    value = damping * total + teleport
-                else:
-                    value = previous[t]
-                if value != patched[t]:
-                    patched[t] = value
-                    changed.add(t)
-            trajectory.append(patched)
-        self.trajectory = trajectory
+        nodes = list(graph.nodes())
+        n = len(nodes)
+        slot = {v: i for i, v in enumerate(nodes)}
+        degree = np.array([graph.out_degree(v) for v in nodes],
+                          dtype=np.int64)
+        # Edges in weighted_edges() order, as node slots.
+        src = np.repeat(np.arange(n), degree)
+        dst = np.fromiter(
+            (slot[t] for v in nodes for t in graph.out_neighbors(v)),
+            dtype=np.intp, count=len(src))
+        inv_degree = 1.0 / degree[src]
+        targets = np.bincount(dst, minlength=n) > 0
+        teleport = self._teleport()
+        current = np.zeros(n)
+        for _ in range(self.iterations):
+            sums = np.bincount(dst, weights=current[src] * inv_degree,
+                               minlength=n)
+            current = np.where(targets, self.damping * sums + teleport,
+                               current)
+        return dict(zip(nodes, current.tolist()))
 
 
 class _WarmStartView(StreamingView):

@@ -1,11 +1,14 @@
 """StreamingManager semantics: delta building, mirror sync, rejection."""
 
+import random
+import types
 from collections import Counter
 
 import pytest
 
 from repro.core.algorithms import wcc
 from repro.core.algorithms.common import prepare_transition
+from repro.datasets import preferential_attachment
 from repro.graphsystems.graph import Graph
 from repro.relational import Engine
 from repro.relational.schema import Schema
@@ -162,3 +165,100 @@ def test_view_refresh_modes_recorded_per_batch():
     result = engine.apply_batch(inserts={"E": [(0, 4)]})
     assert result.views["pr"] in ("incremental", "full")
     assert engine.streaming.views["pr"].mode_history == [result.views["pr"]]
+
+
+# -- ES: one patch per batch, same as the per-row walk ------------------------
+
+
+def per_row_sync_symmetric(manager, delta, track):
+    """The per-row ``ES`` walk that one delete + one insert replaced —
+    kept here as the oracle."""
+    database = manager.engine.database
+    if not database.exists("ES"):
+        return
+    graph = manager.graph
+    table = database.table("ES")
+    if manager._es_rows is None:
+        manager._es_rows = set(map(tuple, table.rows))
+    candidates = set()
+    for u, v, w in delta.removed_edges + delta.inserted_edges:
+        candidates.add((u, v, w))
+        candidates.add((v, u, w))
+    inserted = deleted = 0
+    for row in sorted(candidates):
+        a, b, w = row
+        if (graph.out_neighbors(a).get(b) == w
+                or graph.out_neighbors(b).get(a) == w):
+            if row not in manager._es_rows:
+                table.insert(row)
+                manager._es_rows.add(row)
+                inserted += 1
+        elif row in manager._es_rows:
+            deleted += table.delete_by_key([row], tuple(table.schema.names))
+            manager._es_rows.discard(row)
+    track(table.name, inserted, deleted)
+
+
+def mixed_batches(seed, graph, count=6):
+    """Valid batches against a shadow of *graph*: edge deletes, now and
+    then a vertex delete, edge inserts (some mirroring a present edge,
+    some changing a weight, some from a new vertex)."""
+    rng = random.Random(seed)
+    shadow = {(u, v): w for u, v, w in graph.weighted_edges()}
+    nodes = sorted(graph.nodes())
+    next_vertex = nodes[-1] + 1
+    batches = []
+    for _ in range(count):
+        deletes = {}
+        doomed = rng.sample(sorted(shadow),
+                            min(len(shadow), rng.randint(0, 3)))
+        if doomed:
+            deletes["E"] = doomed
+        gone = list(doomed)
+        if rng.random() < 0.2 and len(nodes) > 3:
+            z = nodes.pop(rng.randrange(len(nodes)))
+            deletes["V"] = [(z,)]
+            gone += [edge for edge in shadow if z in edge]
+        for edge in gone:
+            shadow.pop(edge, None)
+        fresh = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.3 and shadow:
+                # the reverse of a present edge: its ES rows exist already
+                (v, u), weight = rng.choice(sorted(shadow.items()))
+            else:
+                u, v = rng.sample(nodes, 2)
+                weight = rng.choice([1.0, 1.0, 2.0, 0.5])
+            if shadow.get((u, v)) != weight:
+                shadow[(u, v)] = weight
+                fresh.append((u, v, weight))
+        if rng.random() < 0.3:
+            fresh.append((next_vertex, rng.choice(nodes), 1.0))
+            shadow[fresh[-1][:2]] = 1.0
+            nodes.append(next_vertex)
+            next_vertex += 1
+        batches.append(({"E": fresh}, deletes))
+    return batches
+
+
+@pytest.mark.parametrize("storage", ["rows", "columnar"])
+@pytest.mark.parametrize("seed", range(5))
+def test_symmetric_patch_matches_the_per_row_walk(storage, seed):
+    runs = []
+    for oracle in (False, True):
+        engine = Engine("oracle", storage=storage)
+        graph = preferential_attachment(12, 2.0, directed=True, seed=seed)
+        engine.streaming.attach_graph(graph)
+        wcc.prepare_symmetric_edges(engine)
+        manager = engine.streaming
+        if oracle:
+            manager._sync_symmetric = types.MethodType(
+                per_row_sync_symmetric, manager)
+        counts = [engine.apply_batch(inserts=i, deletes=d).tables["ES"]
+                  for i, d in mixed_batches(seed, graph)]
+        rows = list(engine.database.table("ES").rows)
+        assert manager._es_rows == set(rows)
+        runs.append((counts, rows))
+    assert runs[0] == runs[1]
+    assert any(c["deleted"] for c in runs[0][0])
+    assert any(c["inserted"] for c in runs[0][0])

@@ -2,10 +2,15 @@
 executor/storage matrix (the PR's acceptance contract)."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.check.streaming import (StreamingReport, StreamingScenario,
                                    check_streaming,
                                    generate_streaming_scenario)
+from repro.core.algorithms import pagerank
+from repro.graphsystems.graph import Graph
+from repro.relational import Engine
+from repro.relational.physical import blocks
 
 #: Ring 0..9 plus chords.
 EDGES = tuple(
@@ -59,3 +64,67 @@ def test_seeded_streaming_scenarios_hold(seed):
     scenario = generate_streaming_scenario(seed)
     detail = check_streaming(scenario)
     assert detail is None, detail
+
+
+# -- PageRank: the array recompute against the Python loop --------------------
+
+@pytest.fixture(params=["numpy", "no-numpy"])
+def numpy_mode(request, monkeypatch):
+    if request.param == "no-numpy":
+        monkeypatch.setattr(blocks, "_np", None)
+    elif blocks._np is None:
+        pytest.skip("numpy not installed")
+    return request.param
+
+
+def assert_same_floats(got: dict, want: dict) -> None:
+    assert list(got) == list(want)
+    assert [repr(got[v]) for v in got] == [repr(want[v]) for v in want]
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_pagerank_recompute_is_bit_identical(numpy_mode, data):
+    n = data.draw(st.integers(1, 10), label="nodes")
+    graph = Graph(directed=True)
+    for v in range(n):
+        graph.add_node(v)  # vertices without edges stay isolated
+    # An adjacency matrix, so most targets have several in-edges and
+    # the order of the float additions shows in the last bit.
+    adjacency = data.draw(st.lists(st.booleans(), min_size=n * n,
+                                   max_size=n * n), label="adjacency")
+    for u in range(n):
+        for v in range(n):
+            if u != v and adjacency[u * n + v]:
+                graph.add_edge(u, v)  # a vertex with none out is a sink
+    engine = Engine("oracle")
+    manager = engine.streaming
+    manager.attach_graph(graph)
+    iterations = data.draw(st.integers(1, 8), label="iterations")
+    view = manager.register_view("pr", "pagerank", iterations=iterations)
+    next_vertex = n
+    for _ in range(data.draw(st.integers(1, 3), label="batches")):
+        nodes = sorted(graph.nodes())
+        edges = sorted(graph.edges())
+        kind = data.draw(st.sampled_from(
+            ["edge+", "edge-", "vertex+", "vertex-"]), label="kind")
+        if kind == "edge-" and edges:
+            batch = {"deletes": {"E": [data.draw(st.sampled_from(edges))]}}
+        elif kind == "vertex-" and len(nodes) > 1:
+            batch = {"deletes": {"V": [(data.draw(st.sampled_from(nodes)),)]}}
+        elif kind == "vertex+":
+            batch = {"inserts": {"V": [(next_vertex,)]}}
+            next_vertex += 1
+        else:  # an edge from a present or a new (implicit) vertex
+            u = data.draw(st.sampled_from(nodes + [next_vertex]))
+            v = data.draw(st.sampled_from(nodes))
+            if u == next_vertex:
+                next_vertex += 1
+            batch = {"inserts": {"E": [(u, v, 1.0)]}}
+        assert manager.apply_batch(**batch).views == {"pr": "full"}
+        assert_same_floats(view.values, view._scratch_values())
+        cold = pagerank.run_sql(Engine("oracle"), graph,
+                                iterations=iterations).values
+        assert {v: repr(x) for v, x in view.values.items()} \
+            == {v: repr(x) for v, x in cold.items()}
