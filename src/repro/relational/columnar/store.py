@@ -32,8 +32,13 @@ In-place updates (``store[pos] = row``) write through to the column
 vectors; a write landing in a sealed block first *decays* that block to
 uncompressed column lists (counted in ``block_decays``).  Reads are
 served from caches — a materialised row list, decoded full columns (as
-lists and, where exact, as typed arrays) and join indexes — that any
-mutation invalidates; ``size_bytes``
+lists and, where exact, as typed arrays) and join indexes.  Appends and
+deletes keep the row list up to date and replace each plain int64 /
+float64 column array with a new one (old array plus the appended
+values, folded in on the next read, or minus the deleted slots — never
+written in place), so a streaming batch does not re-decode the sealed
+blocks; list columns and join indexes are dropped and rebuilt from
+those arrays.  Any other mutation drops every cache.  ``size_bytes``
 deliberately excludes them so space accounting reflects the encoded
 data, and ``drop_caches`` releases them for honest measurement.
 """
@@ -41,12 +46,22 @@ data, and ``drop_caches`` releases them for honest measurement.
 from __future__ import annotations
 
 import sys
+from itertools import compress
 from typing import Any, Iterable, Iterator, Sequence
 
 from .encodings import ColumnCodec, PlainColumn, _zone_bounds, encode_column
 
 #: Rows per sealed block (the storage morsel).
 MORSEL = 2048
+
+
+def _keep_mask(length: int, dead: Iterable[int]) -> list[bool]:
+    """A keep-flag per position, False at the *dead* ones — the selector
+    :func:`itertools.compress` filters a row or column list with in C."""
+    keep = [True] * length
+    for pos in dead:
+        keep[pos] = False
+    return keep
 
 
 class ColumnBlock:
@@ -106,9 +121,7 @@ class RowStore(list):
         """Remove the rows at *positions* (one filtering pass)."""
         if not positions:
             return
-        dead = set(positions)
-        self[:] = [row for pos, row in enumerate(self)
-                   if pos not in dead]
+        self[:] = list(compress(self, _keep_mask(len(self), positions)))
 
     def gather(self, positions: Sequence[int]) -> list:
         """The rows at *positions*."""
@@ -147,6 +160,12 @@ class ColumnStore:
         self._vectors: tuple | None = None
         self._col_cache: dict[int, list] = {}
         self._index_cache: dict = {}
+        # Plain int64/float64 column vectors that appends and deletes
+        # carry over instead of dropping, and the rows appended since they
+        # were last brought up to date (folded in on the next read, so a
+        # loop of single-row appends does not copy them once per row).
+        self._arrays: dict[int, Any] = {}
+        self._appended: list = []
         # Tombstones: per sealed-block dead physical offsets.  Deletes
         # mark rows dead instead of re-sealing the table; readers filter,
         # ``compact()`` flushes.  The ragged tail deletes eagerly (plain
@@ -189,23 +208,23 @@ class ColumnStore:
                     self._tail[j][offset] = value
 
     def append(self, row: tuple) -> None:
-        self._touch()
+        self._touch(keep_arrays=True)
         if self._rows is not None:
             self._rows.append(row)
         if not self._cols_stale:
             for j, value in enumerate(row):
                 self._tail[j].append(value)
-            self._len += 1
             if len(self._tail[0] if self._tail else ()) >= self.morsel:
                 self._seal_tail()
-            return
         self._len += 1
+        if self._arrays:
+            self._appended.append(row)
 
     def extend(self, rows: Iterable[tuple]) -> int:
         rows = rows if isinstance(rows, list) else list(rows)
         if not rows:
             return 0
-        self._touch()
+        self._touch(keep_arrays=True)
         if self._rows is not None:
             self._rows.extend(rows)
         if not self._cols_stale:
@@ -215,6 +234,8 @@ class ColumnStore:
             while self._tail and len(self._tail[0]) >= self.morsel:
                 self._seal_tail()
         self._len += len(rows)
+        if self._arrays:
+            self._appended.extend(rows)
         return len(rows)
 
     def clear(self) -> None:
@@ -290,11 +311,12 @@ class ColumnStore:
         dead_logical = sorted(set(positions))
         if dead_logical[0] < 0 or dead_logical[-1] >= self._len:
             raise IndexError("delete position out of range")
-        self._touch()
+        self._touch(keep_arrays=True)
+        self._keep_survivors(dead_logical)
         if self._rows is not None:
-            dead_set = set(dead_logical)
-            self._rows = [row for pos, row in enumerate(self._rows)
-                          if pos not in dead_set]
+            self._rows = list(compress(self._rows,
+                                       _keep_mask(len(self._rows),
+                                                  dead_logical)))
         if self._cols_stale:
             self._len = len(self._rows)
             self.tombstones_set += len(dead_logical)
@@ -321,9 +343,9 @@ class ColumnStore:
                     self._dead[block_idx] = set(offsets)
             live_start = live_end
         if cursor < total:
-            tail_dead = {p - live_start for p in dead_logical[cursor:]}
-            self._tail = [[v for o, v in enumerate(col)
-                           if o not in tail_dead] for col in self._tail]
+            keep = _keep_mask(len(self._tail[0]),
+                              [p - live_start for p in dead_logical[cursor:]])
+            self._tail = [list(compress(col, keep)) for col in self._tail]
         self._len -= total
         self.tombstones_set += total
 
@@ -365,6 +387,11 @@ class ColumnStore:
         """Column *j* as one decoded, concatenated vector (cached)."""
         cached = self._col_cache.get(j)
         if cached is None:
+            held = self._held(j)
+            if held is not None:
+                # The typed vector holds exactly the column's values.
+                cached = self._col_cache[j] = held.tolist()
+                return cached
             if self._cols_stale:
                 # An overlay is authoritative.  Vectors decode with one
                 # ``tolist``; rows (post-``assign``) give up just this
@@ -399,17 +426,40 @@ class ColumnStore:
 
     def array(self, j: int):
         """Column *j* as an exact typed vector, or None when the column
-        has none (:func:`repro.relational.physical.blocks.exact_array`);
-        cached beside the join indexes, dropped by the same mutations.
-        The vector overlay answers with its vector as it is."""
+        has none (:func:`repro.relational.physical.blocks.exact_array`),
+        cached.  A plain int64/float64 vector is carried across appends
+        and deletes (new arrays: old plus the appended values, or minus
+        the deleted slots); every other mutation drops it, and a vector
+        flagging ints or a None is dropped with the join indexes by any
+        mutation.  The vector overlay answers with its vector as it is."""
         if self._vectors is not None:
             return self._vectors[j]
+        held = self._held(j)
+        if held is not None:
+            return held
         cache_key = ("array", j)
         if cache_key not in self._index_cache:
             from ..physical.blocks import exact_array
 
-            self._index_cache[cache_key] = exact_array(self.column(j))
+            vector = exact_array(self.column(j))
+            if vector is not None and vector.ints is None:
+                self._arrays[j] = vector
+                return vector
+            self._index_cache[cache_key] = vector
         return self._index_cache[cache_key]
+
+    def held_vectors(self) -> list | None:
+        """One plain int64/float64 typed vector per column when the store
+        already holds them all (the vector overlay, or carried arrays) —
+        nothing is decoded to answer — else None."""
+        if self._vectors is not None:
+            vectors = list(self._vectors)
+        else:
+            vectors = [self._held(j) for j in range(self.arity)]
+        if self.arity and all(vector is not None and vector.ints is None
+                              for vector in vectors):
+            return vectors
+        return None
 
     def blocks(self) -> list:
         """The sealed blocks followed by the ragged tail (as a block).
@@ -489,6 +539,8 @@ class ColumnStore:
         """Release decode/row/index caches (space measurement honesty)."""
         self._col_cache.clear()
         self._index_cache.clear()
+        self._arrays.clear()
+        self._appended.clear()
         if not self._cols_stale:
             self._rows = None
             self._vectors = None
@@ -517,7 +569,7 @@ class ColumnStore:
 
     # -- internals ------------------------------------------------------
 
-    def _touch(self) -> None:
+    def _touch(self, keep_arrays: bool = False) -> None:
         if self._vectors is not None:
             # A mutation the vectors cannot take: the row overlay (or,
             # once _ensure_columns ran, the columns) carries on.
@@ -526,6 +578,51 @@ class ColumnStore:
             self._vectors = None
         self._col_cache.clear()
         self._index_cache.clear()
+        if not keep_arrays:
+            self._arrays.clear()
+            self._appended.clear()
+
+    def _held(self, j: int):
+        """The carried array of column *j*, brought up to date, or None."""
+        if self._appended:
+            self._fold_appended()
+        return self._arrays.get(j)
+
+    def _fold_appended(self) -> None:
+        """Each carried array concatenated with the exact array of its
+        column's appended values — unless those have none of the same
+        dtype (NULL, NaN, bool, text, out of int64, a float onto int64):
+        that array is dropped, and the next ``array(j)`` decodes."""
+        from ..physical.blocks import _concat_arrays, exact_array
+
+        rows, self._appended = self._appended, []
+        for j, before in list(self._arrays.items()):
+            merged = _concat_arrays(before,
+                                    exact_array([row[j] for row in rows]))
+            if merged is None or merged.ints is not None:
+                del self._arrays[j]
+            else:
+                self._arrays[j] = merged
+
+    def _keep_survivors(self, dead: list[int]) -> None:
+        """Before a delete of the live positions *dead*: each carried
+        array minus those slots.  Like the concatenations, these are new
+        arrays — snapshots and batches keep reading the old ones.  A
+        delete that empties the store keeps none (an empty column has no
+        exact array)."""
+        if not self._arrays:
+            return
+        if self._appended:
+            self._fold_appended()
+        if len(dead) == self._len:
+            self._arrays.clear()
+            return
+        from ..physical.blocks import _np
+
+        keep = _np.ones(self._len, dtype=bool)
+        keep[dead] = False
+        for j, before in self._arrays.items():
+            self._arrays[j] = before.take(keep)
 
     def _drop_columns(self) -> None:
         """Forget blocks and tail: an overlay is authoritative now."""

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import os
 import time
+from functools import lru_cache
 from typing import Sequence
 
 from ..observability import (
@@ -53,7 +54,13 @@ from .relation import Relation
 from .schema import Column, Schema, SqlType
 from .sql.ast import AnalyzeStatement, Statement, WithStatement
 from .sql.compiler import QueryRunner
-from .sql.parser import parse_statement
+from .sql.parser import parse_statement as _parse_statement
+
+#: The engine's parser: one parse per distinct statement text.  The AST is
+#: frozen dataclasses and tuples, so a statement text run again (a
+#: streaming view's refresh, a benchmark loop) shares one tree; a parse
+#: error raises on every call (exceptions are never cached).
+parse_statement = lru_cache(maxsize=256)(_parse_statement)
 
 #: Schema of the virtual ``__iterations__`` relation the engine refreshes
 #: after every recursive statement (fixpoint introspection — queryable

@@ -13,6 +13,12 @@ after an invalidation, so its estimates never read stale or empty numbers.
 Per column it keeps distinct counts, null fractions, min/max bounds and the
 most common values (MCVs) with their frequencies — the inputs to the
 equality/range selectivity formulas below.
+
+ANALYZE has two forms with one result.  :meth:`TableStatistics.refresh`
+walks the rows; :meth:`TableStatistics.refresh_from_vectors` computes the
+same numbers, ``repr`` for ``repr``, from one typed numpy vector per
+column — what ``Table.analyze`` uses when a columnar store already holds
+them, so re-analyzing a streamed table after each batch is vector work.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover
     from .relation import Relation
+    from .schema import Schema
 
 #: How many most-common values ANALYZE keeps per column.
 MCV_LIMIT = 10
@@ -121,6 +128,26 @@ class TableStatistics:
             self.columns[column.name.lower()] = stats
         self.fresh = True
 
+    def refresh_from_vectors(self, schema: "Schema", vectors: list) -> bool:
+        """ANALYZE from one plain int64/float64 typed vector per column
+        (:class:`~repro.relational.physical.blocks.ArrayVector`, no
+        ``ints`` flags): the same statistics :meth:`refresh` computes from
+        the rows, ``repr`` for ``repr``.  False, nothing changed, for an
+        empty table or a NaN (the row path counts NaN objects apart)."""
+        from .physical.blocks import _np
+
+        row_count = len(vectors[0].data)
+        if not row_count or any(
+                vector.data.dtype == _np.float64
+                and _np.isnan(vector.data).any() for vector in vectors):
+            return False
+        self.columns = {
+            column.name.lower(): _vector_column_statistics(vector.data)
+            for column, vector in zip(schema.columns, vectors)}
+        self.row_count = row_count
+        self.fresh = True
+        return True
+
     def invalidate(self) -> None:
         """Mark statistics stale (called on writes)."""
         self.fresh = False
@@ -135,3 +162,29 @@ class TableStatistics:
         if stats is None or stats.distinct_count == 0:
             return DEFAULT_EQ_SELECTIVITY
         return 1.0 / stats.distinct_count
+
+
+def _vector_column_statistics(data) -> ColumnStatistics:
+    """:meth:`TableStatistics.refresh`'s per-column pass over a non-empty,
+    NULL- and NaN-free numpy vector.  ``np.unique`` gives each distinct
+    value (``0.0`` and ``-0.0`` are one) its count and its first row:
+    MCVs order by count, ties by first row (what ``Counter.most_common``
+    keeps), and each value — like ``min``/``max`` via ``argmin``/``argmax``
+    — is read at the first row holding it, the object Python would have
+    kept, down to the sign of a zero."""
+    from .physical.blocks import _np
+
+    n = len(data)
+    low, high = data.argmin(), data.argmax()
+    _, first, counts = _np.unique(data, return_index=True,
+                                  return_counts=True)
+    top = _np.lexsort((first, -counts))[:MCV_LIMIT]
+    most_common = tuple(
+        (value, count / n) for value, count in zip(
+            data[first[top]].tolist(), counts[top].tolist()))
+    return ColumnStatistics(
+        distinct_count=len(counts),
+        null_fraction=0.0,
+        min_value=data[low].item(),
+        max_value=data[high].item(),
+        most_common=most_common)

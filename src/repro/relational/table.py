@@ -389,7 +389,15 @@ class Table:
         return None
 
     def analyze(self) -> None:
-        """Refresh planner statistics (ANALYZE)."""
+        """Refresh planner statistics (ANALYZE) — from the columnar
+        store's typed vectors when it already holds a plain one for every
+        column (:meth:`TableStatistics.refresh_from_vectors`), else from
+        the rows.  Both give the same statistics."""
+        if self.storage == "columnar":
+            vectors = self.rows.held_vectors()
+            if vectors is not None and \
+                    self.statistics.refresh_from_vectors(self.schema, vectors):
+                return
         self.statistics.refresh(self.snapshot())
 
     # -- incremental union-by-update ---------------------------------------------
