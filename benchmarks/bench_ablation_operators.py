@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import random
 
-from repro.bench.harness import time_call
+from repro.bench.harness import fresh_engine, time_call
 from repro.bench.reporting import format_table
-from repro.relational import Engine
 from repro.relational.expressions import BinaryOp, col
 from repro.relational.physical import (
     HashAggregate,
@@ -140,7 +139,7 @@ def test_linearization_ablation(benchmark, emit):
     linear = nonlinear.linearized()
 
     def loaded():
-        engine = Engine("oracle")
+        engine = fresh_engine("oracle")
         engine.database.load_edge_table(
             "E", [(u, v, w) for u, v, w in graph.weighted_edges()])
         return engine
@@ -186,7 +185,7 @@ def test_semi_naive_vs_full_binding(benchmark, emit):
     def run() -> dict:
         out = {}
         for mode in ("with", "with+"):
-            engine = Engine("postgres")
+            engine = fresh_engine("postgres")
             load_graph(engine, graph)
             detail, seconds = time_call(
                 lambda: engine.execute_detailed(query, mode=mode))

@@ -9,8 +9,9 @@ Table 1 cell by cell.
 
 from __future__ import annotations
 
+from repro.bench.harness import fresh_engine
 from repro.bench.reporting import format_table
-from repro.relational import Engine, FeatureNotSupportedError
+from repro.relational import FeatureNotSupportedError
 from repro.relational.dialects import DIALECTS, get_dialect
 from repro.relational.dialects.base import FEATURE_ROWS
 
@@ -95,7 +96,7 @@ def probe_feature(dialect_name: str, feature: str) -> bool | None:
     query = PROBES.get(feature)
     if query is None:
         return None
-    engine = Engine(dialect_name, mode="with")
+    engine = fresh_engine(dialect_name, mode="with")
     engine.database.load_edge_table("E", [(1, 2), (2, 3)], weighted=False)
     try:
         engine.execute(query)

@@ -8,7 +8,7 @@ Run:  python examples/show_sql.py
 from repro.core.algorithms import hits, pagerank, toposort
 from repro.core.withplus import WithPlusQuery
 from repro.datasets import preferential_attachment
-from repro.relational import Engine
+from repro.relational import REFERENCE_PROFILE, Engine
 from repro.relational.strategies import (
     UNION_BY_UPDATE_STRATEGIES,
     union_by_update_sql,
@@ -51,7 +51,9 @@ def main() -> None:
     join = ("select E.T, sum(P.vw * E.ew) as s from P, E"
             " where P.ID = E.F group by E.T")
     for dialect in ("oracle", "db2", "postgres"):
-        engine = Engine(dialect)
+        # the dialect's own planner: the default cost-based optimizer
+        # would give all three the same plan
+        engine = Engine(dialect, **REFERENCE_PROFILE)
         engine.database.load_edge_table(
             "E", [(u, v, w) for u, v, w in graph.weighted_edges()])
         temp = engine.database.create_temp_table(

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from ..relational import Engine
+from ..relational import REFERENCE_PROFILE, Engine
 from ..relational.errors import RelationalError
 from ..relational.schema import Column, Schema, SqlType
 
@@ -48,14 +48,15 @@ STRATEGY_DIALECTS = (
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """One cell of the differential matrix."""
+    """One cell of the differential matrix; unset knobs take
+    :data:`REFERENCE_PROFILE`'s values."""
 
     dialect: str = "oracle"
-    executor: str = "tuple"
-    optimizer: str = "off"
+    executor: str = REFERENCE_PROFILE["executor"]
+    optimizer: str = REFERENCE_PROFILE["optimizer"]
     strategy: str = "full_outer_join"
     telemetry: str = "off"
-    storage: str = "rows"
+    storage: str = REFERENCE_PROFILE["storage"]
 
     def label(self) -> str:
         return (f"{self.dialect}/{self.executor}/opt={self.optimizer}"

@@ -3,7 +3,9 @@
 The streaming subsystem's contract is *byte-identity*: after every
 mutation batch, each maintained view (PageRank trajectory, WCC labels,
 SSSP distances) must equal a cold from-scratch derivation on a fresh
-engine over the same mutated graph — same keys, same ``repr`` of every
+``REFERENCE_PROFILE`` engine over the same mutated graph (the scenario
+engines pin ``optimizer="off"`` and draw their executor and storage from
+the seed) — same keys, same ``repr`` of every
 value, so float bit-patterns (``-0.0`` included) count.  This module
 turns that contract into a seeded campaign:
 
@@ -32,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.graphsystems.graph import Graph
-from repro.relational import Engine
+from repro.relational import REFERENCE_PROFILE, Engine
 from repro.streaming import StreamingError
 
 
@@ -254,7 +256,7 @@ def _check_graph(scenario: StreamingScenario,
     if not graph.num_nodes:
         return None
     engine = Engine("oracle", executor=scenario.executor,
-                    storage=scenario.storage)
+                    optimizer="off", storage=scenario.storage)
     manager = engine.streaming
     manager.attach_graph(graph)
     source = scenario.sssp_source
@@ -282,21 +284,21 @@ def _check_graph(scenario: StreamingScenario,
         if not graph.num_nodes:
             return None
 
-        fresh = Engine("oracle")
+        fresh = Engine("oracle", **REFERENCE_PROFILE)
         cold_pr = pagerank.run_sql(
             fresh, graph, iterations=scenario.iterations).values
         detail = _repr_diff(f"batch {index} pagerank",
                             manager.views["pr"].values, cold_pr)
         if detail is not None:
             return detail
-        fresh = Engine("oracle")
+        fresh = Engine("oracle", **REFERENCE_PROFILE)
         cold_cc = wcc.run_sql(fresh, graph).values
         detail = _repr_diff(f"batch {index} wcc",
                             manager.views["cc"].values, cold_cc)
         if detail is not None:
             return detail
         if graph.has_node(source):
-            fresh = Engine("oracle")
+            fresh = Engine("oracle", **REFERENCE_PROFILE)
             cold_sp = bellman_ford.run_sql(fresh, graph, source).values
             detail = _repr_diff(f"batch {index} sssp",
                                 manager.views["sp"].values, cold_sp)
@@ -338,7 +340,7 @@ def _check_table(scenario: StreamingScenario) -> str | None:
     from repro.relational.types import SqlType
 
     engine = Engine("oracle", executor=scenario.executor,
-                    storage=scenario.storage)
+                    optimizer="off", storage=scenario.storage)
     table = engine.database.create_table(
         "TBL", Schema.of(("K", SqlType.INTEGER), ("A", SqlType.INTEGER),
                          primary_key=("K",)))

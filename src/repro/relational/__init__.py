@@ -4,7 +4,9 @@ This package stands in for the Oracle / DB2 / PostgreSQL installations the
 paper ran on.  The public surface:
 
 * :class:`Engine` — parse + execute SQL (including with+ recursion) under a
-  dialect profile;
+  dialect profile; ``Engine(dialect, **REFERENCE_PROFILE)`` is the paper's
+  modelled RDBMS (the differential oracle), ``Engine(dialect)`` the array
+  engine;
 * :class:`Database`, :class:`Table`, :class:`Relation`, :class:`Schema` —
   the storage and algebra layer the paper's operators are defined over;
 * :mod:`repro.relational.strategies` — the union-by-update strategies of
@@ -12,7 +14,7 @@ paper ran on.  The public surface:
 """
 
 from .database import Database
-from .engine import Engine
+from .engine import REFERENCE_PROFILE, Engine
 from .errors import (
     BindError,
     CatalogError,
@@ -33,6 +35,7 @@ from .types import INFINITY, SqlType
 
 __all__ = [
     "Engine",
+    "REFERENCE_PROFILE",
     "Database",
     "Table",
     "Relation",

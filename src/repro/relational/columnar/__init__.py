@@ -24,6 +24,7 @@ from .store import (
     ColumnStore,
     PlainBlock,
     RowStore,
+    check_storage,
     make_storage,
 )
 
@@ -41,6 +42,7 @@ __all__ = [
     "PlainColumn",
     "RLEColumn",
     "RowStore",
+    "check_storage",
     "encode_column",
     "make_storage",
     "pack_nulls",

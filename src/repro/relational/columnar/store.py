@@ -693,11 +693,17 @@ class ColumnStore:
                 f" tail={len(self._tail[0]) if self._tail else 0}>")
 
 
+def check_storage(storage: str) -> str:
+    """*storage* itself when it names a backend (``"rows"`` or
+    ``"columnar"``); ``ValueError`` otherwise."""
+    if storage not in ("rows", "columnar"):
+        raise ValueError(
+            f"unknown storage {storage!r}; expected 'rows' or 'columnar'")
+    return storage
+
+
 def make_storage(storage: str, arity: int):
     """Build a storage backend by name (``"rows"`` or ``"columnar"``)."""
-    if storage == "rows":
+    if check_storage(storage) == "rows":
         return RowStore()
-    if storage == "columnar":
-        return ColumnStore(arity)
-    raise ValueError(
-        f"unknown storage {storage!r}; expected 'rows' or 'columnar'")
+    return ColumnStore(arity)

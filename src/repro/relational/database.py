@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 from typing import Iterable, Sequence
 
+from .columnar import check_storage
 from .errors import CatalogError
 from .relation import Relation
 from .schema import Schema
@@ -23,14 +24,17 @@ class Database:
     """An in-memory catalog of base and temporary tables.
 
     ``storage`` is the physical backend every table (base and temporary)
-    is created with — ``"rows"`` or ``"columnar"``.  The default comes
-    from the ``REPRO_STORAGE`` environment variable so a whole test run
-    can be flipped to columnar without touching call sites.
+    is created with — ``"rows"`` or ``"columnar"``.  When it is not
+    given, the ``REPRO_STORAGE`` environment variable decides (so a whole
+    test run can be flipped to row storage without touching call sites),
+    then ``"columnar"``.  An empty value counts as unset; any other name
+    raises ``ValueError`` here, not at the first ``CREATE``.
     """
 
     def __init__(self, name: str = "repro", storage: str | None = None):
         self.name = name
-        self.storage = storage or os.environ.get("REPRO_STORAGE", "rows")
+        self.storage = check_storage(
+            storage or os.environ.get("REPRO_STORAGE") or "columnar")
         self._tables: dict[str, Table] = {}
         self._temp_tables: dict[str, Table] = {}
 

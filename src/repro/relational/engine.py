@@ -25,7 +25,8 @@ from __future__ import annotations
 import os
 import time
 from functools import lru_cache
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from ..observability import (
     QueryTelemetry,
@@ -37,6 +38,7 @@ from ..observability import (
     resolve_telemetry,
     result_digest,
 )
+from .columnar import check_storage
 from .database import Database
 from .dialects import Dialect, get_dialect
 from .errors import (ExecutionError, FeatureNotSupportedError,
@@ -76,6 +78,17 @@ ITERATIONS_SCHEMA = Schema((
     Column("antijoin_pruned", SqlType.INTEGER),
 ))
 
+#: The reference profile: the paper's modelled RDBMS and the fuzzer's
+#: oracle.  Iterator-model operators over row storage, planned by the
+#: dialect's own policy, so the three dialects reproduce the paper's plan
+#: shapes (merge joins, sort aggregates, nested loops).  ``Engine()``
+#: without arguments runs the array engine instead; pass
+#: ``Engine(dialect, **REFERENCE_PROFILE)`` wherever this configuration is
+#: meant — the paper-figure benchmarks and the differential tests' other
+#: side.
+REFERENCE_PROFILE: Mapping[str, str] = MappingProxyType({
+    "executor": "tuple", "optimizer": "off", "storage": "rows"})
+
 #: What CPython's ``TypeError`` says when a rich comparison (``<``,
 #: ``sorted``, ``min``) meets two values it cannot order.
 _INCOMPARABLE = " not supported between instances of "
@@ -94,18 +107,20 @@ class Engine:
         ``"with+"`` (default) accepts the paper's enhanced recursion;
         ``"with"`` enforces the dialect's SQL'99 Table-1 restrictions.
     executor:
-        ``"tuple"`` (default) runs the iterator-model operators;
-        ``"batch"`` swaps the hash-family operators for the columnar
-        batch kernels in :mod:`repro.relational.physical.batch`.  Plans
+        ``"batch"`` (default) runs the hash-family operators as the
+        columnar batch kernels in :mod:`repro.relational.physical.batch`
+        (typed-array kernels when numpy is importable); ``"tuple"`` runs
+        the iterator-model operators.  Under a dialect planner, plans
         and EXPLAIN output are identical either way; only the execution
         style (and speed) differs.
     optimizer:
-        ``"off"`` (default) keeps the dialect's modelled planner policy;
-        ``"cost"`` replaces it with the statistics-driven
+        ``"cost"`` (default) plans with the statistics-driven
         :class:`~repro.relational.planner.CostBasedPolicy` (cardinality
         estimation, join reordering, pushdown, cached build sides, and
-        iteration-adaptive replanning).  The default stays off so the
-        three dialect profiles keep reproducing the paper's plans.
+        iteration-adaptive replanning); ``"off"`` keeps the dialect's
+        modelled planner policy, which is what reproduces the paper's
+        per-dialect plans.  :data:`REFERENCE_PROFILE` (tuple / off /
+        rows) is that modelled RDBMS, kept as the differential oracle.
     replan_factor:
         With the cost-based optimizer, a cached recursive branch plan is
         thrown away and replanned when the loop's observed delta
@@ -125,7 +140,7 @@ class Engine:
         ``"columnar"`` (typed, compressed column vectors in morsel
         blocks — see ``docs/storage.md``).  ``None`` (default) keeps the
         attached database's backend (itself defaulting to the
-        ``REPRO_STORAGE`` environment variable, then ``"rows"``).
+        ``REPRO_STORAGE`` environment variable, then ``"columnar"``).
         Results are identical across backends; only the physical layout
         — and the batch executor's ability to run block kernels over it
         — differs.
@@ -133,15 +148,14 @@ class Engine:
 
     def __init__(self, dialect: str | Dialect = "oracle",
                  database: Database | None = None, mode: str = "with+",
-                 executor: str = "tuple", optimizer: str = "off",
+                 executor: str = "batch", optimizer: str = "cost",
                  replan_factor: float = 8.0,
                  telemetry: str | bool | Telemetry | None = None,
                  storage: str | None = None):
         self.dialect = (dialect if isinstance(dialect, Dialect)
                         else get_dialect(dialect))
-        if storage is not None and storage not in ("rows", "columnar"):
-            raise ValueError(
-                f"unknown storage {storage!r}; expected 'rows' or 'columnar'")
+        if storage is not None:
+            check_storage(storage)
         self.database = (database if database is not None
                          else Database(storage=storage))
         if storage is not None:

@@ -12,12 +12,12 @@ the per-row interpreter overhead (generator resumption, recursive
 expression evaluation, per-row arity checks) out of the hot loop and
 into a handful of C-level bulk operations.
 
-The planner selects these classes when the engine was created with
-``Engine(..., executor="batch")``; the default ``"tuple"`` executor
-keeps the iterator-model operators.  Only the hash family has batch
-twins — ``MergeJoin``/``SortAggregate``/``NotInAntiJoin`` are dialect
-cost models in their own right and stay tuple-at-a-time under either
-executor.
+The planner selects these classes under the default
+``Engine(..., executor="batch")``; the ``"tuple"`` executor (the
+reference profile's) keeps the iterator-model operators.  Only the hash
+family has batch twins — ``MergeJoin``/``SortAggregate``/``NotInAntiJoin``
+are dialect cost models in their own right and stay tuple-at-a-time
+under either executor.
 """
 
 from __future__ import annotations

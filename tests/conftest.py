@@ -6,8 +6,17 @@ import pytest
 
 from repro.datasets import preferential_attachment, random_dag
 from repro.graphsystems.graph import Graph
-from repro.relational import Engine
+from repro.relational import REFERENCE_PROFILE, Engine
 from repro.relational.relation import Relation
+
+
+def reference_engine(dialect: str = "oracle", **overrides) -> Engine:
+    """The differential tests' independent side: ``REFERENCE_PROFILE``
+    (tuple executor, dialect planner, row storage — the paper's modelled
+    RDBMS), with *overrides* varying single knobs.  A bare ``Engine()``
+    is the array engine, so comparing against it would compare the
+    default with itself."""
+    return Engine(dialect, **{**REFERENCE_PROFILE, **overrides})
 
 
 @pytest.fixture

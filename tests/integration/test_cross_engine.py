@@ -10,7 +10,7 @@ from repro.datasets import preferential_attachment
 from repro.graphsystems import gas, pregel, socialite
 from repro.relational import Engine
 
-from ..conftest import assert_same_values
+from ..conftest import assert_same_values, reference_engine
 
 graphs = st.builds(
     lambda n, seed: preferential_attachment(max(n, 4), 3.0, directed=True,
@@ -69,6 +69,7 @@ def test_tc_sql_vs_algebra_vs_reference(graph):
 @pytest.mark.parametrize("dialect", ["oracle", "db2", "postgres"])
 def test_dialects_agree_bit_for_bit(dialect, small_directed):
     """Dialect profiles change plans, never answers."""
-    baseline = pagerank.run_sql(Engine("oracle"), small_directed).values
-    got = pagerank.run_sql(Engine(dialect), small_directed).values
+    baseline = pagerank.run_sql(reference_engine("oracle"),
+                                small_directed).values
+    got = pagerank.run_sql(reference_engine(dialect), small_directed).values
     assert got == baseline

@@ -69,7 +69,7 @@ class TestProfilerRecording:
         top = profiler.top_operators(3)
         assert top and top[0]["seconds"] >= top[-1]["seconds"]
         # The label follows the engine's backend (REPRO_STORAGE may
-        # flip the default to columnar in CI).
+        # flip the default to rows in CI).
         assert all(entry["storage"] == engine.storage for entry in top)
         shares = [entry["share"] for entry in
                   profiler.top_operators(k=100)]

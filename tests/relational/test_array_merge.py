@@ -13,9 +13,10 @@ Layers:
   ``blocks._np`` set to ``None``;
 * store / relation — snapshots survive later merges, a batch-backed
   relation behaves as the tuples it stands for and builds them once;
-* loop — PR/WCC/SSSP iteration statistics ``best`` vs ``default`` under
-  all four strategies, streaming views against a cold refresh, and the
-  UNION combine's seen-set.
+* loop — PR/WCC/SSSP iteration statistics ``best`` vs ``default`` (here
+  and in test ids: ``REFERENCE_PROFILE``) under all four strategies,
+  streaming views against a cold refresh, and the UNION combine's
+  seen-set.
 """
 
 import math
@@ -28,7 +29,7 @@ from repro.core.algorithms import bellman_ford, pagerank, tc, wcc
 from repro.core.algorithms.common import load_graph, prepare_transition
 from repro.datasets import preferential_attachment
 from repro.datasets.generators import random_dag
-from repro.relational import Engine
+from repro.relational import REFERENCE_PROFILE, Engine
 from repro.relational.database import Database
 from repro.relational.errors import ConstraintError
 from repro.relational.physical import blocks
@@ -438,7 +439,7 @@ def test_iteration_statistics_best_equals_default(numpy_mode, strategy,
     # UPDATE ... FROM is PostgreSQL's; the other three are on offer in
     # every dialect
     dialect = "postgres" if strategy == "update_from" else "oracle"
-    default, graph = fixpoint_engine(70, dialect, storage="rows")
+    default, graph = fixpoint_engine(70, dialect, **REFERENCE_PROFILE)
     best, _ = fixpoint_engine(70, dialect, **BEST)
     for engine in (default, best):
         engine.union_by_update_strategy = strategy
@@ -516,7 +517,7 @@ def test_streaming_views_equal_a_cold_refresh(numpy_mode):
     for batch in batches:
         best.apply_batch(**batch)
     final = manager.graph
-    cold = register(Engine("oracle"),
+    cold = register(Engine("oracle", **REFERENCE_PROFILE),
                     graph_of(final.weighted_edges(), final.nodes()))
     for name, view in manager.views.items():
         assert view.values == cold.views[name].values, name
@@ -529,7 +530,8 @@ def closure_engine(kwargs):
     return engine, dag
 
 
-@pytest.mark.parametrize("kwargs", [{}, BEST], ids=["default", "best"])
+@pytest.mark.parametrize("kwargs", [REFERENCE_PROFILE, BEST],
+                         ids=["default", "best"])
 def test_union_combine_inserts_once_per_iteration(kwargs, monkeypatch):
     """TC used to call ``Table.insert`` once per fresh row.  Each write is
     one bulk call — ``insert_many`` rows on the set path,
@@ -568,7 +570,8 @@ def test_union_combine_inserts_once_per_iteration(kwargs, monkeypatch):
     assert closure[1:] == [s.inserted for s in result.per_iteration[:-1]]
 
 
-@pytest.mark.parametrize("kwargs", [{}, BEST], ids=["default", "best"])
+@pytest.mark.parametrize("kwargs", [REFERENCE_PROFILE, BEST],
+                         ids=["default", "best"])
 def test_union_combine_builds_the_seen_set_once(kwargs, monkeypatch):
     """... and to rebuild ``set(table.rows)`` every iteration — as the
     array path would its sorted packed keys."""
@@ -611,7 +614,8 @@ def test_the_seen_set_is_rebuilt_after_a_foreign_mutation():
     assert executor._seen_rows(other) == set()
 
 
-@pytest.mark.parametrize("kwargs", [{}, BEST], ids=["default", "best"])
+@pytest.mark.parametrize("kwargs", [REFERENCE_PROFILE, BEST],
+                         ids=["default", "best"])
 def test_union_dedups_on_produced_tuples_and_stores_coerced_rows(kwargs):
     """A candidate is compared as the branch produced it — against the
     stored rows and against this iteration's earlier candidates — and

@@ -27,7 +27,7 @@ from repro.core.algorithms.common import load_graph, prepare_transition
 from repro.core.algorithms.registry import ALGORITHMS
 from repro.datasets import preferential_attachment
 from repro.datasets.generators import random_dag
-from repro.relational import Engine
+from repro.relational import REFERENCE_PROFILE, Engine
 from repro.relational.columnar.store import ColumnBlock
 from repro.relational.engine import parse_statement
 from repro.relational.expressions import BinaryOp, Literal, col
@@ -653,6 +653,20 @@ def test_inside_the_envelope_runs_on_arrays(case, array_kernel_runs):
     assert array_kernel_runs == [True]
 
 
+@needs_numpy
+def test_the_default_engine_runs_pagerank_on_arrays(monkeypatch,
+                                                    array_kernel_runs):
+    """``Engine("oracle")`` with no other arguments is the array engine:
+    every iteration's grouped aggregate of the PageRank branch runs on
+    typed arrays."""
+    monkeypatch.delenv("REPRO_STORAGE", raising=False)
+    engine, graph = fixpoint_engine()
+    result = engine.execute_detailed(fixpoint_statements(graph)["pr"])
+    assert result.iterations > 2
+    assert len(array_kernel_runs) >= result.iterations
+    assert all(array_kernel_runs)
+
+
 @pytest.mark.parametrize("delta_keys, expected_idx", [
     ([1, 0, 3, 2], range(5)),   # distinct build keys, every probe row hits
     ([1, 3], [1, 2, 4]),        # distinct build keys, some probe rows miss
@@ -844,6 +858,7 @@ def test_filter_hands_on_typed_columns(numpy_mode):
 
 
 # -- algorithms: best == default, byte for byte ---------------------------------
+# ("default" here is REFERENCE_PROFILE, the row-path oracle.)
 
 
 def repr_rows(engine, sql):
@@ -852,7 +867,7 @@ def repr_rows(engine, sql):
 
 def test_fixpoints_best_equals_default(numpy_mode):
     best, graph = fixpoint_engine(nodes=120, **BEST)
-    default, _ = fixpoint_engine(nodes=120)
+    default, _ = fixpoint_engine(nodes=120, **REFERENCE_PROFILE)
     for name, sql in fixpoint_statements(graph).items():
         assert repr_rows(best, sql) == repr_rows(default, sql), name
 
@@ -870,19 +885,20 @@ def value_identity(values):
 
 @pytest.mark.parametrize("key", SQL_ALGORITHMS)
 def test_every_registry_algorithm_best_equals_default(numpy_mode, key):
-    """All SQL algorithms of the registry, ``best`` against the plain
-    ``Engine("oracle")``: iterations and what every iteration's combine
-    wrote — the MM-join shapes (APSP, FW, SR, MCL) included, which group
-    and join on two columns.  Values are byte-identical to the tuple
-    executor over row storage running the same cost-based plans; against
-    the default's join order, float sums may associate differently (HITS,
+    """All SQL algorithms of the registry, ``best`` against the reference
+    profile: iterations and what every iteration's combine wrote — the
+    MM-join shapes (APSP, FW, SR, MCL) included, which group and join on
+    two columns.  Values are byte-identical to the tuple executor over row
+    storage running the same cost-based plans; against the dialect
+    planner's join order, float sums may associate differently (HITS,
     MCL), so there they agree to rounding."""
     info = ALGORITHMS[key]
     graph = (random_dag(50, 2, seed=3) if info.needs_dag
              else preferential_attachment(60, 3, seed=3))
     best, same_plans, default = [
         info.run_sql(Engine("oracle", **kwargs), graph)
-        for kwargs in (BEST, {"optimizer": "cost"}, {})]
+        for kwargs in (BEST, {**REFERENCE_PROFILE, "optimizer": "cost"},
+                       REFERENCE_PROFILE)]
     assert value_identity(best.values) == value_identity(same_plans.values)
     assert best.values.keys() == default.values.keys()
     for node, value in default.values.items():
@@ -900,7 +916,7 @@ def test_closures_best_equals_default(numpy_mode):
     for graph, sql, symmetric in ((dag, tc.sql(), False),
                                   (undirected, ktruss.sql(3), True)):
         results = []
-        for kwargs in (BEST, {}):
+        for kwargs in (BEST, REFERENCE_PROFILE):
             engine = Engine("oracle", **kwargs)
             load_graph(engine, graph)
             if symmetric:

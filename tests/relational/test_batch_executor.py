@@ -32,6 +32,8 @@ from repro.relational.schema import Schema
 from repro.relational.table import Table
 from repro.relational.types import SqlType
 
+from ..conftest import reference_engine
+
 DIALECTS = ("oracle", "db2", "postgres")
 
 #: (semiring, SQL rendering of ⊕(⊙)) — the four MV-join instantiations the
@@ -177,29 +179,31 @@ def graph():
 class TestEndToEndAgreement:
     @pytest.mark.parametrize("dialect", DIALECTS)
     def test_pagerank(self, dialect, graph):
-        base = pagerank.run_sql(Engine(dialect), graph).values
-        batch = pagerank.run_sql(Engine(dialect, executor="batch"),
+        base = pagerank.run_sql(reference_engine(dialect), graph).values
+        batch = pagerank.run_sql(reference_engine(dialect, executor="batch"),
                                  graph).values
         assert batch == pytest.approx(base)
 
     @pytest.mark.parametrize("dialect", DIALECTS)
     def test_wcc(self, dialect, graph):
-        base = wcc.run_sql(Engine(dialect), graph).values
-        batch = wcc.run_sql(Engine(dialect, executor="batch"), graph).values
+        base = wcc.run_sql(reference_engine(dialect), graph).values
+        batch = wcc.run_sql(reference_engine(dialect, executor="batch"),
+                            graph).values
         assert batch == base
 
     def test_sssp(self, graph):
-        base = bellman_ford.run_sql(Engine("postgres"), graph, 0).values
-        batch = bellman_ford.run_sql(Engine("postgres", executor="batch"),
-                                     graph, 0).values
+        base = bellman_ford.run_sql(reference_engine("postgres"), graph,
+                                    0).values
+        batch = bellman_ford.run_sql(
+            reference_engine("postgres", executor="batch"), graph, 0).values
         assert batch == pytest.approx(base)
 
     @pytest.mark.parametrize("dialect", DIALECTS)
     def test_explain_identical_across_executors(self, dialect, graph):
         sql = ("SELECT E.F, count(*) AS c FROM E, V"
                " WHERE E.F = V.ID GROUP BY E.F")
-        tuple_engine = Engine(dialect)
-        batch_engine = Engine(dialect, executor="batch")
+        tuple_engine = reference_engine(dialect)
+        batch_engine = reference_engine(dialect, executor="batch")
         tuple_engine.load_graph(graph)
         batch_engine.load_graph(graph)
         assert tuple_engine.explain(sql) == batch_engine.explain(sql)

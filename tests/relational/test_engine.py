@@ -6,6 +6,9 @@ from repro.graphsystems.graph import Graph
 from repro.relational import Engine, FeatureNotSupportedError
 from repro.relational.database import Database
 from repro.relational.dialects import OracleDialect
+from repro.relational.planner import POLICIES
+
+from ..conftest import reference_engine
 
 
 class TestConstruction:
@@ -54,6 +57,46 @@ class TestConstruction:
                 if isinstance(action, argparse._SubParsersAction):
                     parsers.extend(action.choices.values())
         assert len(parsers) > 10  # every subcommand was walked
+
+
+class TestProfiles:
+    """``Engine()`` is the array engine; ``REFERENCE_PROFILE`` is the
+    modelled RDBMS the paper-figure benches and differential tests pin."""
+
+    def test_default_engine_is_batch_cost_columnar(self, monkeypatch):
+        monkeypatch.delenv("REPRO_STORAGE", raising=False)
+        engine = Engine()
+        assert (engine.executor, engine.optimizer, engine.storage) \
+            == ("batch", "cost", "columnar")
+        engine.database.load_edge_table("E", [(1, 2)])
+        assert engine.database.table("E").storage == "columnar"
+
+    def test_reference_helper_is_tuple_off_rows(self, monkeypatch):
+        monkeypatch.setenv("REPRO_STORAGE", "columnar")
+        for dialect in ("oracle", "db2", "postgres"):
+            engine = reference_engine(dialect)
+            assert (engine.executor, engine.optimizer, engine.storage) \
+                == ("tuple", "off", "rows")
+            assert type(engine.policy) is \
+                POLICIES[engine.dialect.policy_name]
+
+    @pytest.mark.parametrize("value", ["colunmar", "ROWS", " rows"])
+    def test_bad_storage_environment_raises_at_construction(
+            self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_STORAGE", value)
+        message = f"unknown storage {value!r}; expected 'rows' or 'columnar'"
+        for build in (Engine, Database):
+            with pytest.raises(ValueError) as raised:
+                build()
+            assert str(raised.value) == message
+        # an explicit backend never reads the environment
+        assert Engine(storage="rows").storage == "rows"
+
+    def test_empty_storage_environment_counts_as_unset(self, monkeypatch):
+        monkeypatch.setenv("REPRO_STORAGE", "")
+        assert Engine().storage == Database().storage == "columnar"
+        monkeypatch.setenv("REPRO_STORAGE", "rows")
+        assert Engine().storage == "rows"
 
 
 class TestConfiguration:

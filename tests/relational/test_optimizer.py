@@ -11,6 +11,8 @@ from repro.relational import Engine
 from repro.relational.optimizer import CardinalityEstimator, choose_join_order
 from repro.relational.planner import CostBasedPolicy
 
+from ..conftest import reference_engine
+
 
 @pytest.fixture
 def loaded(request):
@@ -52,7 +54,7 @@ class TestCardinalityEstimates:
         assert est < 20
 
     def test_dialect_policies_also_report_estimates(self):
-        engine = Engine("oracle")  # optimizer off
+        engine = reference_engine("oracle")
         engine.database.load_edge_table("E", [(1, 2), (2, 3)])
         assert "est_rows=" in engine.explain("select F from E")
 
@@ -157,7 +159,7 @@ class TestPushdownAndReordering:
         assert lines[a_scan].index("->") < lines[c_scan].index("->")
 
     def test_reordered_results_match_syntactic_order(self):
-        engine_off = Engine("oracle")
+        engine_off = reference_engine("oracle")
         engine_on = Engine("oracle", optimizer="cost")
         for engine in (engine_off, engine_on):
             engine.database.load_edge_table(
@@ -198,7 +200,7 @@ class TestPushdownAndReordering:
 class TestOperatorSelection:
     def test_build_side_on_smaller_input(self, loaded):
         # V (40 rows) much smaller than E (200): build from V's side.
-        plan = loaded().explain(JOIN_SQL)
+        plan = loaded(executor="tuple").explain(JOIN_SQL)
         join_line = next(l for l in plan.splitlines() if "Hash Join" in l)
         assert "cached build" in join_line
 
@@ -234,7 +236,7 @@ class TestOperatorSelection:
         plan = engine.explain(JOIN_SQL)
         assert "Hash Join" in plan
         rows = sorted(engine.execute(JOIN_SQL).rows)
-        baseline = Engine("oracle")
+        baseline = reference_engine("oracle")
         baseline.database.load_edge_table(
             "E", [(i, (i * 7 + 1) % 40, 1.0) for i in range(200)])
         baseline.database.load_node_table(
@@ -274,7 +276,7 @@ class TestAnalyzeStatement:
         assert table.statistics.fresh
 
     def test_dialect_policies_never_auto_refresh(self):
-        engine = Engine("postgres")
+        engine = reference_engine("postgres")
         engine.database.load_edge_table("E", [(1, 2), (2, 3)])
         engine.database.load_node_table("V", [(1, 0.0), (2, 0.0)])
         engine.database.table("E").insert((3, 1, 1.0))
@@ -369,7 +371,8 @@ class TestResultIdentity:
         graph = (random_dag(60, 2, seed=3) if info.needs_dag
                  else preferential_attachment(120, 3, seed=3))
         kwargs = dict(info.bench_kwargs or {})
-        off = info.run_sql(Engine("oracle"), graph, **kwargs)
-        on = info.run_sql(Engine("oracle", optimizer="cost"), graph, **kwargs)
+        off = info.run_sql(reference_engine("oracle"), graph, **kwargs)
+        on = info.run_sql(reference_engine("oracle", optimizer="cost"), graph,
+                          **kwargs)
         assert _comparable(off.values, on.values)
         assert off.iterations == on.iterations

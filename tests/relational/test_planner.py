@@ -2,14 +2,15 @@
 
 import pytest
 
-from repro.relational import Engine
 from repro.relational.planner import POLICIES
+
+from ..conftest import reference_engine
 
 
 @pytest.fixture
 def loaded(request):
     def make(dialect):
-        engine = Engine(dialect)
+        engine = reference_engine(dialect)
         engine.database.load_edge_table("E", [(1, 2), (2, 3), (1, 3)])
         engine.database.load_node_table("V", [(1, 0.0), (2, 0.0), (3, 0.0)])
         return engine

@@ -12,6 +12,8 @@ from repro.graphsystems.graph import Graph
 from repro.relational import Engine
 from repro.relational.physical import blocks
 
+from ..conftest import reference_engine
+
 #: Ring 0..9 plus chords.
 EDGES = tuple(
     [(i, (i + 1) % 10, 1.0) for i in range(10)]
@@ -124,7 +126,7 @@ def test_pagerank_recompute_is_bit_identical(numpy_mode, data):
             batch = {"inserts": {"E": [(u, v, 1.0)]}}
         assert manager.apply_batch(**batch).views == {"pr": "full"}
         assert_same_floats(view.values, view._scratch_values())
-        cold = pagerank.run_sql(Engine("oracle"), graph,
+        cold = pagerank.run_sql(reference_engine("oracle"), graph,
                                 iterations=iterations).values
         assert {v: repr(x) for v, x in view.values.items()} \
             == {v: repr(x) for v, x in cold.items()}

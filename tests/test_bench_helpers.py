@@ -1,6 +1,7 @@
 """The benchmark harness helpers and table rendering."""
 
-from repro.bench.harness import dag_twin, load_dataset, time_call
+from repro.bench.harness import (dag_twin, fresh_engine, load_dataset,
+                                 time_call)
 from repro.bench.reporting import format_cell, format_table
 
 
@@ -38,6 +39,28 @@ class TestHarness:
         small = load_dataset("WV", scale=0.1)
         big = load_dataset("WV", scale=0.4)
         assert big.num_nodes > small.num_nodes
+
+    def test_fresh_engine_keeps_the_dialect_plan_shapes(self, monkeypatch):
+        """The paper-figure benches run the reference profile, whatever
+        ``Engine()`` or ``REPRO_STORAGE`` say: row storage, PostgreSQL's
+        merge join over stale statistics, DB2's sort aggregate."""
+        monkeypatch.setenv("REPRO_STORAGE", "columnar")
+        plans = {}
+        for dialect in ("postgres", "db2"):
+            engine = fresh_engine(dialect)
+            assert (engine.executor, engine.optimizer, engine.storage) \
+                == ("tuple", "off", "rows")
+            engine.database.load_edge_table("E", [(1, 2), (2, 3), (1, 3)])
+            engine.database.load_node_table(
+                "V", [(1, 0.0), (2, 0.0), (3, 0.0)])
+            engine.database.table("E").insert((3, 1, 1.0))  # stale stats
+            plans[dialect] = (
+                engine.explain("select E.F, V.vw from E, V"
+                               " where E.T = V.ID"),
+                engine.explain("select T, sum(ew) as s from E group by T"))
+        assert "Merge Join" in plans["postgres"][0]
+        assert "Sort Aggregate" in plans["db2"][1]
+        assert fresh_engine("oracle", executor="batch").executor == "batch"
 
     def test_dag_twin_matches_size_and_is_acyclic(self):
         graph = load_dataset("WG", scale=0.2)
