@@ -11,7 +11,9 @@ Emits random-but-valid programs in two families:
   UNION BY UPDATE recursion, nonlinear branches, COMPUTED BY feeders,
   anti-join pruning, MAXRECURSION edges, and pair-shaped ``t(F, T)``
   recursions (TC with a two-column GROUP BY; k-truss's two-key
-  self-join under a keyless update) for the packed-key kernels.
+  self-join under a keyless update) for the packed-key kernels.  About
+  one graph in four scatters its node ids 10**6 apart, so packed keys
+  leave the dense ranges too.
 
 Two invariants keep the differential oracles sound:
 
@@ -314,7 +316,24 @@ def _generate_select_scenario(seed: int, rng: random.Random) -> Scenario:
 # -- with+ -------------------------------------------------------------------
 
 
-def _generate_graph(rng: random.Random) -> tuple[TableIR, TableIR]:
+#: Gap between the node ids of a scattered graph (:func:`_node_ids`).
+_SCATTER = 10 ** 6
+
+
+def _node_ids(seed: int, n_nodes: int) -> list[int]:
+    """Ascending node ids: ``0..n-1``, or — for about one graph in four —
+    ids ``_SCATTER`` apart plus a small jitter, so a packed ``(F, T)``
+    pair spans more slots than the UNION combine's bitmap covers and its
+    sorted-keys path runs too.  Drawn from a generator of its own, so
+    every other draw of the scenario stays as it was."""
+    scatter = random.Random(f"node ids {seed}")
+    if scatter.random() >= 0.25:
+        return list(range(n_nodes))
+    return [i * _SCATTER + scatter.randrange(1000) for i in range(n_nodes)]
+
+
+def _generate_graph(seed: int,
+                    rng: random.Random) -> tuple[TableIR, TableIR]:
     n_nodes = rng.randint(3, 9)
     density = rng.uniform(0.8, 2.2)
     edges = set()
@@ -322,9 +341,11 @@ def _generate_graph(rng: random.Random) -> tuple[TableIR, TableIR]:
         u = rng.randrange(n_nodes)
         v = rng.randrange(n_nodes)
         edges.add((u, v))
-    edge_rows = tuple(
-        (u, v, rng.randint(1, 12) / 4.0) for u, v in sorted(edges))
-    node_rows = tuple((i, rng.randint(0, 8) / 2.0) for i in range(n_nodes))
+    ids = _node_ids(seed, n_nodes)
+    edge_rows = tuple((ids[u], ids[v], rng.randint(1, 12) / 4.0)
+                      for u, v in sorted(edges))
+    node_rows = tuple((ids[i], rng.randint(0, 8) / 2.0)
+                      for i in range(n_nodes))
     edge = TableIR("E", (("F", "int"), ("T", "int"), ("ew", "double")),
                    edge_rows)
     node = TableIR("V", (("ID", "int"), ("vw", "double")), node_rows)
@@ -332,12 +353,12 @@ def _generate_graph(rng: random.Random) -> tuple[TableIR, TableIR]:
 
 
 def _generate_with_scenario(seed: int, rng: random.Random) -> Scenario:
-    edge, node = _generate_graph(rng)
+    edge, node = _generate_graph(seed, rng)
     tables = (edge, node)
     n_nodes = len(node.rows)
     union_kind = rng.choice(("union all", "union", "union",
                              "union by update", "union by update"))
-    seeds = tuple(sorted({rng.randrange(n_nodes)
+    seeds = tuple(sorted({node.rows[rng.randrange(n_nodes)][0]
                           for _ in range(rng.randint(1, 2))}))
     scope = [("E", "F", "int"), ("E", "T", "int"), ("E", "ew", "double")]
     extra_where = tuple(

@@ -122,7 +122,9 @@ class Database:
 
     def register(self, name: str, relation: Relation,
                  enforce_key: bool = False, temporary: bool = False) -> Table:
-        """Create a table named *name* with *relation*'s schema and contents."""
+        """Create a table named *name* with *relation*'s schema and
+        contents, ANALYZEd unless *temporary* — temporary tables are not
+        auto-analyzed (:mod:`.statistics`)."""
         if temporary:
             table = self.create_temp_table(name, relation.schema,
                                            enforce_key=enforce_key, replace=True)
@@ -132,7 +134,8 @@ class Database:
             table = self.create_table(name, relation.schema,
                                       enforce_key=enforce_key)
         table.insert_relation(relation)
-        table.analyze()
+        if not temporary:
+            table.analyze()
         return table
 
     def load_edge_table(self, name: str,

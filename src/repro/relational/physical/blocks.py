@@ -41,6 +41,7 @@ Semantics mirrored from :mod:`..expressions`:
 from __future__ import annotations
 
 from itertools import repeat
+from math import prod
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -642,6 +643,43 @@ def packed_member(keys, sorted_keys):
     found = _np.zeros(len(keys), dtype=bool)
     found[inside] = sorted_keys[slots[inside]] == keys[inside]
     return found
+
+
+#: A packed key space of at most this many slots holds a key set as a
+#: ``bool`` bitmap, one byte a slot (16 MiB at the bound; TC over 2000
+#: nodes packs into 4.0M slots); a larger — sparse — space keeps its keys
+#: sorted for :func:`packed_member`.
+_BITMAP_LIMIT = 2 ** 24
+
+
+def key_set(keys, packing: tuple):
+    """The packed *keys* as a set for :func:`key_set_member` and
+    :func:`key_set_add`: a ``bool`` bitmap over *packing*'s slots —
+    positional, membership is one gather — when they number at most
+    :data:`_BITMAP_LIMIT`, else the keys sorted."""
+    size = prod(span for _, span in packing)
+    if size > _BITMAP_LIMIT:
+        return _np.sort(keys)
+    bitmap = _np.zeros(size, dtype=bool)
+    bitmap[keys] = True
+    return bitmap
+
+
+def key_set_member(keys, seen):
+    """A bool vector: whether each of *keys*, packed inside the packing
+    *seen* was built for, is in *seen*."""
+    if seen.dtype == bool:
+        return seen[keys]
+    return packed_member(keys, seen)
+
+
+def key_set_add(seen, keys):
+    """*seen* with the ascending distinct *keys* added: a bitmap marked in
+    place (and returned), sorted keys as a new merged vector."""
+    if seen.dtype == bool:
+        seen[keys] = True
+        return seen
+    return _np.insert(seen, _np.searchsorted(seen, keys), keys)
 
 
 #: int64's range: a Python int outside it equals no value of an int64 view.

@@ -502,8 +502,9 @@ class RecursiveExecutor:
         #: (table, its statistics version, its rows as a set) as of the
         #: last UNION combine — see :meth:`_seen_rows`.
         self._union_seen: tuple | None = None
-        #: Its array twin: (table, version, key packing, the rows' packed
-        #: keys sorted) — see :meth:`_seen_keys`.
+        #: Its array twin: (table, version, key packing, the set of the
+        #: rows' packed keys — a bitmap or sorted keys) — see
+        #: :meth:`_seen_keys`.
         self._union_keys: tuple | None = None
 
     def _span(self, name: str, **attrs):
@@ -1092,10 +1093,11 @@ class RecursiveExecutor:
         produced ones).
 
         Same contents, row order and counts as the set path: candidate
-        rows are tested against the table's packed keys, kept sorted
+        rows are tested against the set of the table's packed keys, kept
         across iterations (:meth:`_seen_keys`); those not found dedup
         first-seen (:func:`~.physical.blocks.distinct_first`, in position
-        order) and are appended to the store as vectors.
+        order), are appended to the store as vectors and then join the
+        set.
         """
         from .physical.blocks import (
             ArrayColumns,
@@ -1103,7 +1105,8 @@ class RecursiveExecutor:
             _is_int64,
             _np,
             distinct_first,
-            packed_member,
+            key_set_add,
+            key_set_member,
         )
 
         arity = table.schema.arity
@@ -1125,14 +1128,14 @@ class RecursiveExecutor:
         if seen is None:
             return None
         packing, kept, packed = seen
-        unknown = _np.flatnonzero(~packed_member(packed, kept))
+        unknown = _np.flatnonzero(~key_set_member(packed, kept))
         keys, first = distinct_first(packed[unknown])
         fresh = unknown[_np.sort(first)]  # first-seen order
         if len(fresh):
             working = Relation.from_batch(table.schema, ArrayColumns(
                 [vector.take(fresh) for vector in candidates]))
             table.insert_relation(working)
-            kept = _np.insert(kept, _np.searchsorted(kept, keys), keys)
+            kept = key_set_add(kept, keys)  # only once the insert stood
         else:
             working = Relation.from_trusted_rows(table.schema, ())
         self._union_keys = (table, table.statistics.version, packing, kept)
@@ -1140,13 +1143,21 @@ class RecursiveExecutor:
 
     def _seen_keys(self, table: Table, candidates: list
                    ) -> tuple | None:
-        """``(packing, the table's packed keys sorted, the candidates'
-        packed keys)``: the sorted keys the last UNION combine left behind
-        while it is still the table's last mutation and the candidates fit
-        their packing, else packed afresh over table and candidates
-        together — or None when a table column has no int64 view or the
-        pair does not pack."""
-        from .physical.blocks import ArrayVector, _is_int64, _np, pack_keys
+        """``(packing, the set of the table's packed keys, the candidates'
+        packed keys)``: the set the last UNION combine left behind while
+        it is still the table's last mutation and the candidates fit its
+        packing, else packed afresh over table and candidates together —
+        or None when a table column has no int64 view or the pair does not
+        pack.  The set is a bitmap over the packed key space when that
+        fits :data:`~.physical.blocks._BITMAP_LIMIT`, else the sorted keys
+        (:func:`~.physical.blocks.key_set`)."""
+        from .physical.blocks import (
+            ArrayVector,
+            _is_int64,
+            _np,
+            key_set,
+            pack_keys,
+        )
 
         kept = self._union_keys
         if kept is not None and kept[0] is table \
@@ -1164,7 +1175,7 @@ class RecursiveExecutor:
             return None
         keys, packing = packed
         rows = len(table)
-        return packing, _np.sort(keys[:rows]), keys[rows:]
+        return packing, key_set(keys[:rows], packing), keys[rows:]
 
     def _maybe_index(self, table: Table) -> None:
         columns = self.temp_indexes.get(table.name) \

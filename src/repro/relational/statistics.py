@@ -4,8 +4,9 @@ The paper attributes PostgreSQL's sub-optimal recursive-query plans to
 missing statistics on temporary tables.  We model exactly that: statistics
 are collected by ``ANALYZE`` (here :meth:`TableStatistics.refresh`), the
 planner consults them when choosing join strategies, and — like PostgreSQL —
-**temporary tables are not auto-analyzed**, so a dialect that relies on
-fresh statistics degrades to its fallback plan for them.
+**temporary tables are not auto-analyzed** (``Database.register``
+analyzes base tables only), so a dialect that relies on fresh statistics
+degrades to its fallback plan for them.
 
 The cost-based optimizer (:mod:`repro.relational.optimizer`) goes further:
 it *lazily* refreshes stale statistics on the first cardinality estimate

@@ -16,6 +16,7 @@ conventions:
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from typing import Any
 
@@ -94,9 +95,15 @@ def make_row_coercer(sql_types) -> Any:
     the exact-type fast path per column (a ``type(v) is int`` test instead
     of a :func:`coerce` call) and only falls back to :func:`coerce` for
     NULLs and mistyped values.  Callers validate arity first — short rows
-    raise ``IndexError`` here, not truncate.
+    raise ``IndexError`` here, not truncate.  The function is pure, so
+    each type signature is compiled once and shared by every table with
+    it (a with+ statement creates its temporary tables afresh).
     """
-    types = tuple(sql_types)
+    return _compile_row_coercer(tuple(sql_types))
+
+
+@functools.lru_cache(maxsize=256)
+def _compile_row_coercer(types: tuple[SqlType, ...]) -> Any:
     if not types:
         return lambda row: ()
     loads = "; ".join(f"v{i} = row[{i}]" for i in range(len(types)))

@@ -70,6 +70,24 @@ def test_recursive_scenarios_always_cap_union_all_and_ubu(seed):
         assert scenario.query.maxrecursion is not None
 
 
+def test_some_graphs_scatter_their_node_ids():
+    """About one graph in four spreads its node ids 10**6 apart, so packed
+    ``(F, T)`` keys outgrow the UNION combine's bitmap; edges and seeds
+    always name nodes of the graph."""
+    scattered = []
+    for seed in range(200):
+        scenario = generate_scenario(seed)
+        if not isinstance(scenario.query, WithIR):
+            continue
+        edge, node = scenario.tables
+        ids = [row[0] for row in node.rows]
+        assert ids == sorted(set(ids))
+        ends = {row[0] for row in edge.rows} | {row[1] for row in edge.rows}
+        assert ends | set(scenario.query.seeds) <= set(ids)
+        scattered.append(ids[-1] >= 10 ** 6)
+    assert 0 < sum(scattered) < len(scattered) / 2
+
+
 def test_select_scenarios_limit_only_under_total_order():
     for seed in range(200):
         scenario = generate_scenario(seed)

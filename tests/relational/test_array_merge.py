@@ -574,7 +574,7 @@ def test_union_combine_inserts_once_per_iteration(kwargs, monkeypatch):
                          ids=["default", "best"])
 def test_union_combine_builds_the_seen_set_once(kwargs, monkeypatch):
     """... and to rebuild ``set(table.rows)`` every iteration — as the
-    array path would its sorted packed keys."""
+    array path would its set of packed keys (a bitmap here)."""
     rebuilt = []
     seen_rows = RecursiveExecutor._seen_rows
     seen_keys = RecursiveExecutor._seen_keys
@@ -612,6 +612,58 @@ def test_the_seen_set_is_rebuilt_after_a_foreign_mutation():
     assert fresh is not seen and fresh == set(table.rows)
     other = engine.database.create_temp_table("S", II)
     assert executor._seen_rows(other) == set()
+
+
+def union_on_arrays():
+    """An executor, a columnar temp table holding BASE, and a function
+    running one array UNION combine of some rows into it (→ inserted)."""
+    engine = Engine("oracle", **BEST)
+    executor = RecursiveExecutor(engine.database, engine.dialect,
+                                 engine.policy)
+    table = engine.database.create_temp_table("R", II)
+    table.insert_many(BASE)
+
+    def combine(*rows):
+        delta = Relation.from_batch(II, RowsColumns(list(rows), 2))
+        return executor._union_arrays(table, [delta])[2].inserted
+
+    return executor, table, combine
+
+
+@needs_numpy
+def test_the_key_set_is_rebuilt_after_a_foreign_mutation():
+    """The array twin: ``_union_keys`` serves while the last UNION combine
+    is the table's last mutation — its bitmap marked in place — and a
+    foreign ``insert`` forces a rebuild, or that row would count as new."""
+    executor, table, combine = union_on_arrays()
+    assert combine((0, 11), (1, 10)) == 2
+    kept = executor._union_keys[3]
+    assert kept.dtype == bool
+    assert combine((2, 13), (0, 11)) == 1
+    assert executor._union_keys[3] is kept
+    table.insert((3, 10))
+    assert combine((3, 10), (3, 11)) == 1
+    assert executor._union_keys[3] is not kept
+    assert sorted(table.rows) == sorted(
+        BASE + [(0, 11), (1, 10), (2, 13), (3, 10), (3, 11)])
+
+
+@needs_numpy
+def test_a_failed_union_append_leaves_the_key_set_unmarked(monkeypatch):
+    """Fresh keys join the bitmap only once the append stood: after one
+    that failed, the same rows are fresh again."""
+    executor, table, combine = union_on_arrays()
+    assert combine((0, 11)) == 1
+
+    def failing(self, relation):
+        raise RuntimeError("append failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Table, "insert_relation", failing)
+        with pytest.raises(RuntimeError):
+            combine((1, 12), (0, 11))
+    assert combine((1, 12), (0, 11)) == 1
+    assert sorted(table.rows) == sorted(BASE + [(0, 11), (1, 12)])
 
 
 @pytest.mark.parametrize("kwargs", [REFERENCE_PROFILE, BEST],

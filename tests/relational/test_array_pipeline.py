@@ -6,8 +6,8 @@ The row path (tuple executor) is the oracle throughout.  Four layers:
 * planner guard — a ``best``-profile with+ branch has no generator-model
   join, and its stable side is indexed once per table state;
 * kernels — ``exact_array``, ``CsrIndex``, ``array_grouped``,
-  ``pack_keys`` and ``SortedIndex`` against the list kernels / plain dict
-  loops they stand in for (numpy only);
+  ``pack_keys``, ``SortedIndex`` and ``key_set`` against the list
+  kernels / plain dict loops / sets they stand in for (numpy only);
 * plans — batch plans over a columnar anchor against the same plan built
   from tuple operators, on inputs chosen to sit on and beyond every edge
   of the exactness envelope; run with numpy and with ``blocks._np`` set
@@ -18,6 +18,7 @@ The row path (tuple executor) is the oracle throughout.  Four layers:
 
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -411,6 +412,35 @@ def test_pack_keys_declines_what_has_no_int64_view():
     assert blocks.pack_keys([wide, wide]) is None  # spans multiply past 2**62
     empty = blocks.ArrayVector(np.zeros(0, dtype=np.int64))
     assert blocks.pack_keys([empty, empty]) is None
+
+
+@needs_numpy
+@given(data=st.data(), bound=st.sampled_from([1, 35, 36, 2 ** 24]))
+@settings(max_examples=200, deadline=None)
+def test_key_set_is_a_set_on_either_side_of_the_bitmap_bound(data, bound):
+    """A bitmap within the bound, sorted keys past it: both answer
+    membership as a Python set does, before and after keys are added."""
+    pairs = st.tuples(st.integers(0, 5), st.integers(0, 5))
+    stored = data.draw(st.lists(pairs, min_size=1, max_size=12))
+    probe = data.draw(st.lists(pairs, max_size=12))
+    np = blocks._np
+    packed, packing = blocks.pack_keys(
+        [exact_array(c) for c in key_columns(stored + probe, 2)])
+    keys, probe_keys = packed[:len(stored)], packed[len(stored):]
+    with mock.patch.object(blocks, "_BITMAP_LIMIT", bound):
+        seen = blocks.key_set(keys, packing)
+    slots = math.prod(span for _, span in packing)
+    assert (seen.dtype == bool) == (slots <= bound)
+    every = np.arange(slots)
+    expected = set(keys.tolist())
+    assert blocks.key_set_member(every, seen).tolist() \
+        == [slot in expected for slot in range(slots)]
+    added = np.unique(probe_keys[~blocks.key_set_member(probe_keys, seen)])
+    grown = blocks.key_set_add(seen, added)
+    assert (grown is seen) == (seen.dtype == bool)  # a bitmap grows in place
+    expected |= set(added.tolist())
+    assert blocks.key_set_member(every, grown).tolist() \
+        == [slot in expected for slot in range(slots)]
 
 
 @needs_numpy
@@ -947,14 +977,23 @@ def batch_relation(rows, schema=PAIRS):
                                                           schema.arity))
 
 
-def union_log(executor_cls, table, batches):
-    """``(changed, inserted, working rows)`` per combine, then the table —
+#: A step of :func:`union_log` that is not a combine: a foreign delete of
+#: every row whose T lies outside 0..3, narrowing the packed key space.
+PRUNE = "prune"
+
+
+def union_log(executor_cls, table, steps):
+    """``(changed, inserted, working rows)`` per combine (a step listing
+    its deltas), the count :data:`PRUNE` steps removed, then the table —
     or the error a combine raises."""
     engine = Engine("oracle", **BEST)
     executor = executor_cls(engine.database, engine.dialect, engine.policy)
     log = []
     try:
-        for deltas in batches:
+        for deltas in steps:
+            if deltas == PRUNE:
+                log.append(table.delete_where(lambda row: not 0 <= row[1] <= 3))
+                continue
             changed, working, counts = executor._combine(
                 UNION, table, table.snapshot(), deltas)
             log.append((changed, counts.inserted, identity(working.rows)))
@@ -976,27 +1015,40 @@ union_pairs = st.tuples(st.integers(0, 6), union_values)
 
 @needs_numpy
 @given(table_rows=st.lists(union_pairs, max_size=10),
-       batches=st.lists(st.lists(st.lists(union_pairs, max_size=8),
-                                 min_size=1, max_size=2), max_size=4))
+       steps=st.lists(st.one_of(
+           st.lists(st.lists(union_pairs, max_size=8), min_size=1,
+                    max_size=2),
+           st.just(PRUNE)), max_size=5),
+       bound=st.sampled_from([12, 48, blocks._BITMAP_LIMIT]))
 @settings(max_examples=250, deadline=None)
-def test_union_combine_on_arrays_is_the_set_path(table_rows, batches):
+def test_union_combine_on_arrays_is_the_set_path(table_rows, steps, bound):
     """Contents, row order, counts and the working set, over a sequence
     of combines — keys packed afresh when a batch leaves the kept
-    packing, the set path taking over where a batch does not pack."""
-    deltas = [[batch_relation(rows) for rows in batch] for batch in batches]
-    assert union_log(RecursiveExecutor, union_table(table_rows), deltas) \
-        == union_log(SetPathExecutor, union_table(table_rows), deltas)
+    packing, the set path taking over where a batch does not pack.  With
+    the bitmap bound drawn low, a repack crosses it (bitmap → sorted
+    keys), and a foreign delete narrowing the key space crosses back."""
+    steps = [step if step == PRUNE else [batch_relation(rows)
+                                         for rows in step]
+             for step in steps]
+    with mock.patch.object(blocks, "_BITMAP_LIMIT", bound):
+        assert union_log(RecursiveExecutor, union_table(table_rows), steps) \
+            == union_log(SetPathExecutor, union_table(table_rows), steps)
 
 
 @pytest.fixture
 def union_runs(monkeypatch):
-    """Whether each UNION combine ran on arrays."""
+    """Per UNION combine, the key set it ran on arrays against —
+    ``"bitmap"`` or ``"sorted"`` — or None where it declined."""
     runs = []
     original = RecursiveExecutor._union_arrays
 
     def recording(self, table, deltas):
         result = original(self, table, deltas)
-        runs.append(result is not None)
+        if result is None:
+            runs.append(None)
+        else:
+            bitmap = self._union_keys[3].dtype == bool
+            runs.append("bitmap" if bitmap else "sorted")
         return result
 
     monkeypatch.setattr(RecursiveExecutor, "_union_arrays", recording)
@@ -1006,36 +1058,45 @@ def union_runs(monkeypatch):
 BASE_PAIRS = [(0, 1), (1, 2), (2, 3)]
 DOUBLES = Schema((Column("F", SqlType.INTEGER), Column("T", SqlType.DOUBLE)))
 
-#: name -> (table, delta batches, array path taken per combine): one case
-#: per edge of the UNION combine's envelope.
+#: name -> (table, delta batches, key set per combine — None where the
+#: set path ran): one case per edge of the UNION combine's envelope.
 UNION_ENVELOPE = {
     "int pairs": (lambda: union_table(BASE_PAIRS),
                   lambda: [[batch_relation([(1, 3), (0, 1), (1, 3)])]],
-                  [True]),
+                  ["bitmap"]),
     "a batch outside the kept packing": (
         lambda: union_table(BASE_PAIRS),
         lambda: [[batch_relation([(0, 3)])], [batch_relation([(9, 9)])]],
-        [True, True]),
+        ["bitmap", "bitmap"]),
+    # (0, 0) and (0, top) pack into top + 1 slots
+    "packed space at the bitmap bound": (
+        lambda: union_table([(0, 0)]),
+        lambda: [[batch_relation([(0, blocks._BITMAP_LIMIT - 1), (0, 0)])]],
+        ["bitmap"]),
+    "one slot past it": (
+        lambda: union_table([(0, 0)]),
+        lambda: [[batch_relation([(0, blocks._BITMAP_LIMIT), (0, 0)])]],
+        ["sorted"]),
     "keys spanning past 2**62": (
         lambda: union_table(BASE_PAIRS),
-        lambda: [[batch_relation([(2 ** 62, -(2 ** 62))])]], [False]),
+        lambda: [[batch_relation([(2 ** 62, -(2 ** 62))])]], [None]),
     "float delta column": (lambda: union_table(BASE_PAIRS),
-                           lambda: [[batch_relation([(1, 3.0)])]], [False]),
+                           lambda: [[batch_relation([(1, 3.0)])]], [None]),
     "DOUBLE table column": (
         lambda: union_table([(0, 1.0)], DOUBLES),
-        lambda: [[batch_relation([(1, 2.0)], DOUBLES)]], [False]),
+        lambda: [[batch_relation([(1, 2.0)], DOUBLES)]], [None]),
     "rows-backed delta": (
         lambda: union_table(BASE_PAIRS),
-        lambda: [[Relation(PAIRS, [(1, 3)])]], [False]),
+        lambda: [[Relation(PAIRS, [(1, 3)])]], [None]),
     "empty table": (lambda: union_table([]),
-                    lambda: [[batch_relation([(1, 3)])]], [False]),
+                    lambda: [[batch_relation([(1, 3)])]], [None]),
     "key constraint": (
         lambda: union_table(BASE_PAIRS, Schema(PAIRS.columns, ("F",))),
-        lambda: [[batch_relation([(5, 3)])]], [False]),
+        lambda: [[batch_relation([(5, 3)])]], [None]),
     "delta of another arity": (
         lambda: union_table(BASE_PAIRS),
         lambda: [[batch_relation([(1, 3, 4)], Schema(
-            PAIRS.columns + (Column("W", SqlType.INTEGER),)))]], [False]),
+            PAIRS.columns + (Column("W", SqlType.INTEGER),)))]], [None]),
 }
 
 
@@ -1050,13 +1111,29 @@ def test_union_envelope_edges(case, union_runs):
     assert union_runs == expected_runs
 
 
+@needs_numpy
+def test_union_key_set_crosses_the_bitmap_bound_and_back(union_runs):
+    """A batch outside the kept packing repacks it past the bound, so the
+    bitmap gives way to sorted keys; a foreign delete narrowing the key
+    space forces a rebuild, and the bitmap is back."""
+    steps = [[batch_relation([(0, 3)])], [batch_relation([(1, 2 ** 40)])],
+             [batch_relation([(2, 2 ** 40), (1, 2 ** 40)])], PRUNE,
+             [batch_relation([(1, 1), (0, 3)])]]
+    expected = union_log(SetPathExecutor, union_table(BASE_PAIRS), steps)
+    union_runs.clear()
+    assert union_log(RecursiveExecutor, union_table(BASE_PAIRS), steps) \
+        == expected
+    assert union_runs == ["bitmap", "sorted", "sorted", "bitmap"]
+    assert expected[0][3] == 2  # the delete removed both far rows
+
+
 def test_union_with_a_secondary_index_takes_the_set_path(union_runs):
     table = union_table(BASE_PAIRS)
     table.create_index("ix", ["F"])
     log, rows = union_log(RecursiveExecutor, table,
                           [[batch_relation([(1, 3), (0, 1)])]])
     assert log == [(True, 1, identity([(1, 3)]))]
-    assert union_runs == [False]
+    assert union_runs == [None]
     assert table.indexes["ix"].lookup((1,)) == [(1, 2), (1, 3)]
 
 

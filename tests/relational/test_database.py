@@ -99,3 +99,13 @@ class TestLoaders:
         db.register("r", Relation.from_pairs(("a",), [(1,)]))
         db.register("r", Relation.from_pairs(("a",), [(2,)]))
         assert db.relation("r").rows == ((2,),)
+
+    def test_register_analyzes_base_tables_only(self, db):
+        """Temporary tables are not auto-analyzed (``statistics``)."""
+        relation = Relation.from_pairs(("a",), [(1,), (2,)])
+        base = db.register("r", relation)
+        assert base.statistics.fresh and base.statistics.row_count == 2
+        temp = db.register("t", relation, temporary=True)
+        assert temp.temporary and temp.statistics.fresh is False
+        assert temp.statistics.columns == {}
+        assert db.relation("t").rows == ((1,), (2,))

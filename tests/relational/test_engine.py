@@ -171,6 +171,62 @@ class TestDispatch:
         assert not engine.database.exists("A")
 
 
+TC_SQL = """
+    with R(F, T) as (
+      (select F, T from E)
+      union
+      (select R.F, E.T from R, E where R.T = E.F)
+    ) select count(*) as c from R"""
+
+
+class TestWithPlusFixedCosts:
+    """A with+ statement pays no per-statement compile or ANALYZE."""
+
+    def test_a_repeated_statement_compiles_no_row_coercer(self):
+        from repro.core.algorithms import pagerank, tc
+        from repro.core.algorithms.common import load_graph, prepare_transition
+        from repro.datasets import preferential_attachment
+        from repro.relational import types
+
+        graph = preferential_attachment(40, 3.0, directed=True, seed=3)
+        engine = Engine("oracle")
+        load_graph(engine, graph)
+        prepare_transition(engine)
+        statements = (tc.sql(), pagerank.sql(graph.num_nodes))
+        first = [engine.execute(sql).rows for sql in statements]
+        misses = types._compile_row_coercer.cache_info().misses
+        assert [engine.execute(sql).rows for sql in statements] == first
+        assert types._compile_row_coercer.cache_info().misses == misses
+
+    def test_iterations_is_not_analyzed(self, monkeypatch):
+        from repro.relational.statistics import TableStatistics
+
+        analyzed = []
+        for name in ("refresh", "refresh_from_vectors"):
+            def spy(self, *args, _original=getattr(TableStatistics, name)):
+                analyzed.append(self)
+                return _original(self, *args)
+            monkeypatch.setattr(TableStatistics, name, spy)
+        engine = Engine("oracle")
+        engine.database.load_edge_table("E", [(1, 2), (2, 3), (3, 4)])
+        engine.execute(TC_SQL)
+        statistics = engine.database.table("__iterations__").statistics
+        assert statistics.fresh is False
+        assert not any(s is statistics for s in analyzed)
+
+    def test_iterations_reads_the_same_on_every_profile(self):
+        read = []
+        for engine in (Engine("oracle"), reference_engine()):
+            engine.database.load_edge_table("E", [(1, 2), (2, 3), (3, 4),
+                                                  (4, 1), (2, 5)])
+            engine.execute(TC_SQL)
+            read.append(engine.execute(
+                "select iteration, delta_rows, total_rows, inserted,"
+                " overwritten from __iterations__ order by iteration").rows)
+        assert read[0] == read[1]
+        assert len(read[0]) > 1
+
+
 class TestLoadGraph:
     def test_load_graph_creates_paper_relations(self):
         graph = Graph.from_edges([(1, 2, 0.5), (2, 3, 1.5)])

@@ -10,8 +10,11 @@ from repro.relational.types import (
     coerce,
     infer_type,
     is_null,
+    make_row_coercer,
     sql_repr,
 )
+
+INT, DOUBLE, TEXT = SqlType.INTEGER, SqlType.DOUBLE, SqlType.TEXT
 
 
 class TestCoerce:
@@ -39,6 +42,23 @@ class TestCoerce:
     def test_boolean_coercion(self):
         assert coerce(1, SqlType.BOOLEAN) is True
         assert coerce(0, SqlType.BOOLEAN) is False
+
+
+class TestRowCoercer:
+    def test_coerces_per_column(self):
+        coerce_row = make_row_coercer([INT, DOUBLE, TEXT])
+        row = coerce_row((2.0, 3, None))
+        assert row == (2, 3.0, None)
+        assert list(map(type, row)) == [int, float, type(None)]
+
+    def test_one_function_per_type_signature(self):
+        """Compiled once per signature, however the types are passed."""
+        first = make_row_coercer([INT, DOUBLE])
+        assert make_row_coercer((INT, DOUBLE)) is first
+        assert make_row_coercer(t for t in (INT, DOUBLE)) is first
+        assert make_row_coercer([DOUBLE, INT]) is not first
+        assert make_row_coercer([INT]) is not first
+        assert make_row_coercer([]) is make_row_coercer(())
 
 
 class TestInference:

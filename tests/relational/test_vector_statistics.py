@@ -7,8 +7,9 @@ column arrays across ``append``/``extend``/``delete_positions``
 already holds one for every column.  The row paths are the oracles: the
 carried arrays must equal ``exact_array`` of a fresh decode, and vector
 ANALYZE must equal row ANALYZE ``repr`` for ``repr``.  A spy shows a
-steady-state streaming cycle decodes no sealed block and row-ANALYZEs
-neither ``E`` nor ``ES``.
+steady-state streaming cycle decodes no sealed block, row-ANALYZEs
+neither ``E`` nor ``ES``, and does not ANALYZE the temporary
+``__iterations__`` at all.
 """
 
 import copy
@@ -407,7 +408,10 @@ def test_steady_ingest_cycle_decodes_nothing_and_analyzes_vectors(
     assert not any(s is e or s is es for s in storage_spy["rows"])
     assert any(s is e for s in storage_spy["vectors"])
     assert any(s is es for s in storage_spy["vectors"])
-    assert any(s is iterations for s in storage_spy["rows"])
+    # the with+ statements' __iterations__ is temporary: not analyzed
+    assert not any(s is iterations
+                   for s in storage_spy["rows"] + storage_spy["vectors"])
+    assert iterations.fresh is False
 
 
 def estimates_after_mixed_batches():
