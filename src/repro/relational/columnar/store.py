@@ -49,6 +49,8 @@ import sys
 from itertools import compress
 from typing import Any, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .encodings import ColumnCodec, PlainColumn, _zone_bounds, encode_column
 
 #: Rows per sealed block (the storage morsel).
@@ -617,9 +619,7 @@ class ColumnStore:
         if len(dead) == self._len:
             self._arrays.clear()
             return
-        from ..physical.blocks import _np
-
-        keep = _np.ones(self._len, dtype=bool)
+        keep = np.ones(self._len, dtype=bool)
         keep[dead] = False
         for j, before in self._arrays.items():
             self._arrays[j] = before.take(keep)

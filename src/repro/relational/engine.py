@@ -109,10 +109,10 @@ class Engine:
     executor:
         ``"batch"`` (default) runs the hash-family operators as the
         columnar batch kernels in :mod:`repro.relational.physical.batch`
-        (typed-array kernels when numpy is importable); ``"tuple"`` runs
-        the iterator-model operators.  Under a dialect planner, plans
-        and EXPLAIN output are identical either way; only the execution
-        style (and speed) differs.
+        (typed-array kernels inside their exactness envelope);
+        ``"tuple"`` runs the iterator-model operators.  Under a dialect
+        planner, plans and EXPLAIN output are identical either way; only
+        the execution style (and speed) differs.
     optimizer:
         ``"cost"`` (default) plans with the statistics-driven
         :class:`~repro.relational.planner.CostBasedPolicy` (cardinality

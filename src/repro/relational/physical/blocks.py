@@ -17,8 +17,8 @@ reference.  The *array* kernels (``array``, :func:`compile_array`,
 :func:`pack_keys` with :class:`SortedIndex`) run the same computation on
 numpy int64/float64 vectors and only exist inside an exactness envelope
 the data itself must prove — see :func:`exact_array`,
-:func:`array_grouped` and :func:`pack_keys`; outside it (or without
-numpy) they answer ``None`` and the caller takes the list kernel.
+:func:`array_grouped` and :func:`pack_keys`; outside it they answer
+``None`` and the caller takes the list kernel.
 
 Everything here is *speculative*: the dispatch in
 :mod:`.batch` only takes these paths when the result is provably
@@ -45,10 +45,7 @@ from math import prod
 from operator import itemgetter
 from typing import Callable, Sequence
 
-try:  # optional: without numpy every array view is None
-    import numpy as _np
-except Exception:  # pragma: no cover - environment without numpy
-    _np = None
+import numpy as _np
 
 from ..expressions import (
     _RAW_BINARY_OPS,
@@ -103,13 +100,10 @@ class ArrayVector:
 
 def exact_array(values: Vector) -> ArrayVector | None:
     """*values* as an :class:`ArrayVector`, or None when an array cannot
-    stand in for the list: numpy missing, an empty column, NULLs, bools
-    (dict-equal to ints but distinct objects), ints outside int64 (or,
-    beside floats, outside ±2**53), any other type, or a NaN — the row
-    path carries the NaN *object* along, and tuple equality on it is by
-    identity."""
-    if _np is None:
-        return None
+    stand in for the list: an empty column, NULLs, bools (dict-equal to
+    ints but distinct objects), ints outside int64 (or, beside floats,
+    outside ±2**53), any other type, or a NaN — the row path carries the
+    NaN *object* along, and tuple equality on it is by identity."""
     kinds = set(map(type, values))
     try:
         if kinds == {int}:
@@ -702,7 +696,7 @@ def matching_positions(columns: Sequence[ArrayVector | None],
     width, an int outside int64 or a NaN can equal no stored key and is
     dropped.
     """
-    if _np is None or not columns:
+    if not columns:
         return None
     kinds = []
     for column in columns:
@@ -789,7 +783,7 @@ def same_bag(left: "ColumnBatch", right: "ColumnBatch",
     decided on their typed columns — or None when a column has no typed
     view on either side, the two views differ in dtype, or a float column
     holds a NaN (rows compare a NaN object by identity)."""
-    if _np is None or not arity:
+    if not arity:
         return None
     pairs = []
     for j in range(arity):

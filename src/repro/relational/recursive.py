@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Sequence
 
+import numpy as np
+
 from .database import Database
 from .dialects.base import Dialect
 from .errors import (
@@ -1103,14 +1105,13 @@ class RecursiveExecutor:
             ArrayColumns,
             ArrayVector,
             _is_int64,
-            _np,
             distinct_first,
             key_set_add,
             key_set_member,
         )
 
         arity = table.schema.arity
-        if _np is None or table.storage != "columnar" or table.enforce_key \
+        if table.storage != "columnar" or table.enforce_key \
                 or table.indexes or any(column.sql_type is not SqlType.INTEGER
                                         for column in table.schema.columns):
             return None
@@ -1123,14 +1124,14 @@ class RecursiveExecutor:
                 if not _is_int64(vector):
                     return None
                 parts[j].append(vector.data)
-        candidates = [ArrayVector(_np.concatenate(p)) for p in parts]
+        candidates = [ArrayVector(np.concatenate(p)) for p in parts]
         seen = self._seen_keys(table, candidates)
         if seen is None:
             return None
         packing, kept, packed = seen
-        unknown = _np.flatnonzero(~key_set_member(packed, kept))
+        unknown = np.flatnonzero(~key_set_member(packed, kept))
         keys, first = distinct_first(packed[unknown])
-        fresh = unknown[_np.sort(first)]  # first-seen order
+        fresh = unknown[np.sort(first)]  # first-seen order
         if len(fresh):
             working = Relation.from_batch(table.schema, ArrayColumns(
                 [vector.take(fresh) for vector in candidates]))
@@ -1154,7 +1155,6 @@ class RecursiveExecutor:
         from .physical.blocks import (
             ArrayVector,
             _is_int64,
-            _np,
             key_set,
             pack_keys,
         )
@@ -1169,7 +1169,7 @@ class RecursiveExecutor:
         if not all(map(_is_int64, stored)):
             return None
         packed = pack_keys([
-            ArrayVector(_np.concatenate((old.data, new.data)))
+            ArrayVector(np.concatenate((old.data, new.data)))
             for old, new in zip(stored, candidates)])
         if packed is None:
             return None

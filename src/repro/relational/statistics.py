@@ -28,6 +28,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover
     from .relation import Relation
     from .schema import Schema
@@ -135,12 +137,10 @@ class TableStatistics:
         ``ints`` flags): the same statistics :meth:`refresh` computes from
         the rows, ``repr`` for ``repr``.  False, nothing changed, for an
         empty table or a NaN (the row path counts NaN objects apart)."""
-        from .physical.blocks import _np
-
         row_count = len(vectors[0].data)
         if not row_count or any(
-                vector.data.dtype == _np.float64
-                and _np.isnan(vector.data).any() for vector in vectors):
+                vector.data.dtype == np.float64
+                and np.isnan(vector.data).any() for vector in vectors):
             return False
         self.columns = {
             column.name.lower(): _vector_column_statistics(vector.data)
@@ -173,13 +173,11 @@ def _vector_column_statistics(data) -> ColumnStatistics:
     keeps), and each value — like ``min``/``max`` via ``argmin``/``argmax``
     — is read at the first row holding it, the object Python would have
     kept, down to the sign of a zero."""
-    from .physical.blocks import _np
-
     n = len(data)
     low, high = data.argmin(), data.argmax()
-    _, first, counts = _np.unique(data, return_index=True,
-                                  return_counts=True)
-    top = _np.lexsort((first, -counts))[:MCV_LIMIT]
+    _, first, counts = np.unique(data, return_index=True,
+                                 return_counts=True)
+    top = np.lexsort((first, -counts))[:MCV_LIMIT]
     most_common = tuple(
         (value, count / n) for value, count in zip(
             data[first[top]].tolist(), counts[top].tolist()))

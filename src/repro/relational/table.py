@@ -189,8 +189,8 @@ class Table:
         store's typed key vectors
         (:func:`~repro.relational.physical.blocks.matching_positions`) —
         vector work, no per-row Python.  The positions-by-key dict is the
-        fallback (O(|delta|) when its cache is warm): without numpy, on
-        row storage, for a key column with no plain int or float vector
+        fallback (O(|delta|) when its cache is warm): on row storage,
+        for a key column with no plain int or float vector
         (TEXT, BOOLEAN, NULL, NaN, ints beside floats, an empty table),
         for int key columns whose spans do not pack, and for a NULL
         probe.  Both find the same positions.

@@ -21,7 +21,7 @@ A :class:`StreamingManager` hangs off an :class:`~repro.relational.engine.Engine
 
 All table mutations go through the O(|delta|) storage paths: tail
 appends, tombstoned deletes, and keyed deletes that (on columnar
-storage with numpy) find their rows by vector matching on the store's
+storage) find their rows by vector matching on the store's
 typed key columns, with no Python pass over the table.  Each mirror or
 derived table takes at most one delete and one insert call per batch,
 and every mutation bumps table statistics versions, so cached join

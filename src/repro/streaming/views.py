@@ -34,7 +34,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.relational.physical import blocks
+import numpy as np
+
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.types import SqlType
@@ -103,11 +104,10 @@ class PageRankView(StreamingView):
     so the view never needs the relational engine — which also sidesteps
     the mutated edge table's append-reordered rows.
 
-    With numpy an iteration is one ``bincount`` over the edge vectors
-    (:meth:`_array_values`); without it the same loop runs over dicts
-    (:meth:`_scratch_values`).  ``bincount`` adds the weights into each
-    target in edge order, as the dict loop does, so the two agree to the
-    bit.  Every refresh reports mode ``"full"``.
+    An iteration is one ``bincount`` over the edge vectors, which adds
+    the weights into each target in edge order, as the engine's per-target
+    sums do, so the two agree to the bit.  Every refresh reports mode
+    ``"full"``.
     """
 
     algorithm = "pagerank"
@@ -123,38 +123,12 @@ class PageRankView(StreamingView):
     def values(self) -> dict[int, float]:
         return dict(self._values)
 
-    def full_refresh(self) -> None:
-        np = blocks._np
-        self._values = (self._scratch_values() if np is None
-                        else self._array_values(np))
-
     def refresh(self, delta: "GraphDelta") -> str:
         self.full_refresh()
         self.mode_history.append("full")
         return "full"
 
-    def _teleport(self) -> float:
-        n = self.graph.num_nodes
-        return (1.0 - self.damping) / n if n else 0.0
-
-    def _scratch_values(self) -> dict[int, float]:
-        graph = self.graph
-        teleport = self._teleport()
-        damping = self.damping
-        current = {v: 0.0 for v in graph.nodes()}
-        edges = list(graph.weighted_edges())
-        inv_degree = {u: 1.0 / graph.out_degree(u) for u, _, _ in edges}
-        for _ in range(self.iterations):
-            sums: dict[int, float] = {}
-            for u, v, _ in edges:
-                sums[v] = sums.get(v, 0.0) + current[u] * inv_degree[u]
-            nxt = dict(current)
-            for v, total in sums.items():
-                nxt[v] = damping * total + teleport
-            current = nxt
-        return current
-
-    def _array_values(self, np) -> dict[int, float]:
+    def full_refresh(self) -> None:
         graph = self.graph
         nodes = list(graph.nodes())
         n = len(nodes)
@@ -168,14 +142,14 @@ class PageRankView(StreamingView):
             dtype=np.intp, count=len(src))
         inv_degree = 1.0 / degree[src]
         targets = np.bincount(dst, minlength=n) > 0
-        teleport = self._teleport()
+        teleport = (1.0 - self.damping) / n if n else 0.0
         current = np.zeros(n)
         for _ in range(self.iterations):
             sums = np.bincount(dst, weights=current[src] * inv_degree,
                                minlength=n)
             current = np.where(targets, self.damping * sums + teleport,
                                current)
-        return dict(zip(nodes, current.tolist()))
+        self._values = dict(zip(nodes, current.tolist()))
 
 
 class _WarmStartView(StreamingView):

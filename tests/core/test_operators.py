@@ -1,15 +1,9 @@
 """The four operations: definitions, basic-op equivalence, independence
 properties, and agreement with numpy linear algebra."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-
-try:
-    import numpy as np
-except ImportError:  # numpy is optional; only the comparisons below need it
-    np = None
-
-needs_numpy = pytest.mark.skipif(np is None, reason="compares against numpy")
 
 from repro.core.operators import (
     anti_join,
@@ -40,7 +34,6 @@ C = vector_relation([(0, 1.0), (1, 2.0), (2, 3.0)])
 
 
 class TestMMJoin:
-    @needs_numpy
     def test_plus_times_matches_numpy(self):
         n = 3
         dense = np.zeros((n, n))
@@ -63,7 +56,6 @@ class TestMMJoin:
 
 
 class TestMVJoin:
-    @needs_numpy
     def test_forward_matches_numpy(self):
         dense = np.zeros((3, 3))
         for f, t, w in A.rows:
@@ -74,7 +66,6 @@ class TestMVJoin:
         for i in range(3):
             assert got.get(i, 0.0) == pytest.approx(expected[i])
 
-    @needs_numpy
     def test_transpose_matches_numpy(self):
         dense = np.zeros((3, 3))
         for f, t, w in A.rows:
@@ -174,7 +165,6 @@ def test_mm_join_equiv_basic_property(entries_a, entries_b):
         assert fast[key] == pytest.approx(basic[key])
 
 
-@needs_numpy
 @given(matrix_entries, vector_entries)
 @settings(max_examples=40)
 def test_mv_join_against_numpy_property(entries_a, entries_c):

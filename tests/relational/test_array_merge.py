@@ -9,8 +9,7 @@ Layers:
   against the row-storage table on contents, row order, value identity
   (``1`` vs ``1.0``, ``0.0`` vs ``-0.0``) and the ``(replaced, appended)``
   pair; one named case per edge of the envelope with a spy proving the
-  array path ran or declined; all of it with numpy and with
-  ``blocks._np`` set to ``None``;
+  array path ran or declined;
 * store / relation — snapshots survive later merges, a batch-backed
   relation behaves as the tuples it stands for and builds them once;
 * loop — PR/WCC/SSSP iteration statistics ``best`` vs ``default`` (here
@@ -23,7 +22,7 @@ import math
 import pickle
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.algorithms import bellman_ford, pagerank, tc, wcc
 from repro.core.algorithms.common import load_graph, prepare_transition
@@ -32,7 +31,6 @@ from repro.datasets.generators import random_dag
 from repro.relational import REFERENCE_PROFILE, Engine
 from repro.relational.database import Database
 from repro.relational.errors import ConstraintError
-from repro.relational.physical import blocks
 from repro.relational.physical.blocks import RowsColumns
 from repro.relational.recursive import RecursiveExecutor
 from repro.relational.relation import Relation
@@ -46,18 +44,6 @@ from repro.relational.table import Table
 from repro.relational.types import SqlType
 
 BEST = {"executor": "batch", "optimizer": "cost", "storage": "columnar"}
-
-needs_numpy = pytest.mark.skipif(blocks._np is None,
-                                 reason="array kernels need numpy")
-
-
-@pytest.fixture(params=["numpy", "no-numpy"])
-def numpy_mode(request, monkeypatch):
-    if request.param == "no-numpy":
-        monkeypatch.setattr(blocks, "_np", None)
-    elif blocks._np is None:
-        pytest.skip("numpy not installed")
-    return request.param
 
 
 @pytest.fixture
@@ -156,9 +142,8 @@ def merges(draw):
 
 
 @given(case=merges())
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_array_merge_matches_the_row_storage_table(numpy_mode, case):
+@settings(max_examples=300, deadline=None)
+def test_array_merge_matches_the_row_storage_table(case):
     assert_merge_matches_rows(*case)
 
 
@@ -192,7 +177,6 @@ INSIDE = {
 }
 
 
-@needs_numpy
 @pytest.mark.parametrize("case", sorted(INSIDE))
 def test_inside_the_envelope_merges_on_arrays(case, array_merges):
     assert_merge_matches_rows(*INSIDE[case])
@@ -223,7 +207,6 @@ OUTSIDE = {
 }
 
 
-@needs_numpy
 @pytest.mark.parametrize("case", sorted(OUTSIDE))
 def test_outside_the_envelope_falls_back_to_the_list_merge(case,
                                                            array_merges):
@@ -235,7 +218,6 @@ def test_outside_the_envelope_falls_back_to_the_list_merge(case,
         assert (counts[0] == "ValueError") == (case.startswith("infinity"))
 
 
-@needs_numpy
 def test_key_constraint_declines(array_merges):
     keyed = schema_of(SqlType.INTEGER, SqlType.INTEGER, key=("ID",))
     assert_merge_matches_rows(keyed, BASE, [(1, 5), (8, 6)],
@@ -243,7 +225,6 @@ def test_key_constraint_declines(array_merges):
     assert array_merges == [False]
 
 
-@needs_numpy
 def test_secondary_index_declines_and_is_maintained(array_merges):
     table = Table("R", II, enforce_key=False, storage="columnar")
     table.insert_many(BASE)
@@ -255,7 +236,6 @@ def test_secondary_index_declines_and_is_maintained(array_merges):
     assert_merge_matches_rows(II, BASE, [(1, 5), (8, 6)], index=["a"])
 
 
-@needs_numpy
 def test_two_key_columns_take_the_row_merge(array_merges):
     three = schema_of(SqlType.INTEGER, SqlType.INTEGER, SqlType.INTEGER)
     base = [(0, 0, 1), (0, 1, 2), (1, 0, 3)]
@@ -264,18 +244,11 @@ def test_two_key_columns_take_the_row_merge(array_merges):
     assert array_merges == []  # the columnar fast path is one key column
 
 
-@needs_numpy
 def test_rows_backed_delta_takes_the_list_merge(array_merges):
     table = Table("R", II, enforce_key=False, storage="columnar")
     table.insert_many(BASE)
     assert table.merge_delta_rebuild(Relation(II, [(1, 5)]), ("ID",)) \
         == (1, 0)
-    assert array_merges == [False]
-
-
-def test_without_numpy_the_list_merge_runs(monkeypatch, array_merges):
-    monkeypatch.setattr(blocks, "_np", None)
-    assert_merge_matches_rows(II, BASE, [(1, 5), (8, 6)])
     assert array_merges == [False]
 
 
@@ -294,21 +267,19 @@ def consolidate_outcome(delta):
 
 
 @given(rows=consolidate_rows)
-@settings(max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_consolidate_on_the_key_vector_matches_the_row_loop(numpy_mode, rows):
+@settings(max_examples=200, deadline=None)
+def test_consolidate_on_the_key_vector_matches_the_row_loop(rows):
     assert consolidate_outcome(batch_backed(ID_, rows)) \
         == consolidate_outcome(Relation(ID_, rows))
 
 
-@needs_numpy
 def test_unique_key_vector_leaves_the_rows_unbuilt():
     delta = batch_backed(II, [(3, 1), (1, 2), (2, 3)])
     assert consolidate_delta(delta, ("ID",)) is delta
     assert delta._rows is None
 
 
-def test_duplicates_and_conflicts_are_the_row_loops(numpy_mode):
+def test_duplicates_and_conflicts_are_the_row_loops():
     collapsed = consolidate_delta(
         batch_backed(II, [(1, 5), (2, 6), (1, 5)]), ("ID",))
     assert collapsed.rows == ((1, 5), (2, 6))
@@ -319,7 +290,7 @@ def test_duplicates_and_conflicts_are_the_row_loops(numpy_mode):
 
 
 @pytest.mark.parametrize("strategy", UNION_BY_UPDATE_STRATEGIES)
-def test_every_strategy_takes_a_batch_backed_delta(numpy_mode, strategy):
+def test_every_strategy_takes_a_batch_backed_delta(strategy):
     """``merge`` and ``update_from`` are per-row by definition and read the
     delta's rows; the set-oriented strategies may not have to."""
     outcomes = []
@@ -339,7 +310,6 @@ def test_every_strategy_takes_a_batch_backed_delta(numpy_mode, strategy):
 # -- store and relation -------------------------------------------------------------
 
 
-@needs_numpy
 def test_a_snapshot_keeps_its_values_across_later_merges(array_merges):
     table = Table("R", ID_, enforce_key=False, storage="columnar")
     table.insert_many([(0, 1.0), (1, 2.0), (2, 3.0)])
@@ -358,7 +328,6 @@ def test_a_snapshot_keeps_its_values_across_later_merges(array_merges):
                                 (9, 9.0)]
 
 
-@needs_numpy
 def test_the_vector_overlay_serves_every_read_and_every_write():
     table = Table("R", II, enforce_key=False, storage="columnar")
     table.insert_many(BASE)
@@ -434,8 +403,7 @@ def trajectory(result):
 
 
 @pytest.mark.parametrize("strategy", UNION_BY_UPDATE_STRATEGIES)
-def test_iteration_statistics_best_equals_default(numpy_mode, strategy,
-                                                  array_merges):
+def test_iteration_statistics_best_equals_default(strategy, array_merges):
     # UPDATE ... FROM is PostgreSQL's; the other three are on offer in
     # every dialect
     dialect = "postgres" if strategy == "update_from" else "oracle"
@@ -451,14 +419,13 @@ def test_iteration_statistics_best_equals_default(numpy_mode, strategy,
         assert trajectory(got) == trajectory(expected)
         assert identity(sorted(got.relation.rows)) \
             == identity(sorted(expected.relation.rows))
-    if strategy == "full_outer_join" and numpy_mode == "numpy":
+    if strategy == "full_outer_join":
         # every iteration delivers a table-sized delta: all on arrays
         assert array_merges and all(array_merges)
     elif strategy in ("merge", "update_from"):
         assert array_merges == []
 
 
-@needs_numpy
 def test_the_recursive_relation_stays_in_vectors_between_iterations(
         monkeypatch):
     """Under ``best`` no snapshot of R and no delta builds row tuples
@@ -486,7 +453,7 @@ def test_the_recursive_relation_stays_in_vectors_between_iterations(
     assert len(built) <= 2 * len(statements)
 
 
-def test_streaming_views_equal_a_cold_refresh(numpy_mode):
+def test_streaming_views_equal_a_cold_refresh():
     from repro.graphsystems.graph import Graph
 
     def graph_of(edges, nodes):
@@ -630,7 +597,6 @@ def union_on_arrays():
     return executor, table, combine
 
 
-@needs_numpy
 def test_the_key_set_is_rebuilt_after_a_foreign_mutation():
     """The array twin: ``_union_keys`` serves while the last UNION combine
     is the table's last mutation — its bitmap marked in place — and a
@@ -648,7 +614,6 @@ def test_the_key_set_is_rebuilt_after_a_foreign_mutation():
         BASE + [(0, 11), (1, 10), (2, 13), (3, 10), (3, 11)])
 
 
-@needs_numpy
 def test_a_failed_union_append_leaves_the_key_set_unmarked(monkeypatch):
     """Fresh keys join the bitmap only once the append stood: after one
     that failed, the same rows are fresh again."""

@@ -7,11 +7,11 @@ The row path (tuple executor) is the oracle throughout.  Four layers:
   join, and its stable side is indexed once per table state;
 * kernels — ``exact_array``, ``CsrIndex``, ``array_grouped``,
   ``pack_keys``, ``SortedIndex`` and ``key_set`` against the list
-  kernels / plain dict loops / sets they stand in for (numpy only);
+  kernels / plain dict loops / sets they stand in for;
 * plans — batch plans over a columnar anchor against the same plan built
   from tuple operators, on inputs chosen to sit on and beyond every edge
-  of the exactness envelope; run with numpy and with ``blocks._np`` set
-  to ``None``;
+  of the exactness envelope, and the reference profile running none of
+  the array kernels at all;
 * the loop — the UNION combine on packed keys against the set path, and
   TC / k-truss leaving no row tuples behind inside the fixpoint.
 """
@@ -20,8 +20,9 @@ import math
 from types import SimpleNamespace
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.algorithms import bellman_ford, ktruss, pagerank, tc, wcc
 from repro.core.algorithms.common import load_graph, prepare_transition
@@ -65,21 +66,9 @@ from repro.relational.sql.ast import UnionKind
 from repro.relational.table import Table
 from repro.relational.types import SqlType
 
+from ..conftest import reference_engine
+
 BEST = {"executor": "batch", "optimizer": "cost", "storage": "columnar"}
-
-needs_numpy = pytest.mark.skipif(blocks._np is None,
-                                 reason="array kernels need numpy")
-
-
-@pytest.fixture(params=["numpy", "no-numpy"])
-def numpy_mode(request, monkeypatch):
-    """Every plan-level test runs twice: array kernels on, and off the
-    way a numpy-less install has them."""
-    if request.param == "no-numpy":
-        monkeypatch.setattr(blocks, "_np", None)
-    elif blocks._np is None:
-        pytest.skip("numpy not installed")
-    return request.param
 
 
 def identity(rows):
@@ -145,7 +134,6 @@ def test_best_profile_branch_has_no_generator_model_join(name):
                    for j in joins)
 
 
-@needs_numpy
 def test_stable_side_is_indexed_once_per_table_state(monkeypatch):
     engine, graph = fixpoint_engine(**BEST)
     built = []
@@ -218,7 +206,6 @@ def has_array_view(column):
     return True
 
 
-@needs_numpy
 @given(column=homogeneous)
 @settings(max_examples=300, deadline=None)
 def test_exact_array_round_trips_or_declines(column):
@@ -226,7 +213,7 @@ def test_exact_array_round_trips_or_declines(column):
     assert (vector is not None) == has_array_view(column)
     if vector is not None:
         assert identity([tuple(vector.tolist())]) == identity([tuple(column)])
-        taken = vector.take(blocks._np.arange(len(column))[::-1])
+        taken = vector.take(np.arange(len(column))[::-1])
         assert identity([tuple(taken.tolist())]) == \
             identity([tuple(column[::-1])])
 
@@ -244,7 +231,6 @@ key_domains = st.sampled_from([(-3, 6), (-(2 ** 63), -(2 ** 63) + 5),
                                (2 ** 63 - 6, 2 ** 63 - 1), (0, 2 ** 40)])
 
 
-@needs_numpy
 @given(domain=key_domains, data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_csr_probe_emits_the_dict_probe_sequence(domain, data):
@@ -254,7 +240,6 @@ def test_csr_probe_emits_the_dict_probe_sequence(domain, data):
     build = data.draw(st.lists(keys, max_size=14))
     probe = data.draw(st.lists(st.one_of(keys, st.sampled_from(
         [0, -(2 ** 63), 2 ** 63 - 1])), max_size=14))
-    np = blocks._np
     index = csr_index(exact_array(build))
     # An empty or sparse-keyed build has no CSR index: the dict probe runs.
     assert (index is None) == (
@@ -284,7 +269,6 @@ def loop_grouped(function, keys, values):
     return list(acc.items())
 
 
-@needs_numpy
 @given(function=st.sampled_from(["sum", "min", "max", "count"]),
        domain=key_domains, data=st.data())
 @settings(max_examples=400, deadline=None)
@@ -299,7 +283,6 @@ def test_array_grouped_is_the_scalar_loop_or_declines(function, domain, data):
         st.lists(floats, min_size=n, max_size=n),
         st.lists(st.one_of(st.integers(-4, 4), floats),
                  min_size=n, max_size=n)))
-    np = blocks._np
     vector = exact_array(column)
     if vector is None:
         return  # no array view: the pipeline never reaches the kernel
@@ -325,9 +308,7 @@ def test_array_grouped_is_the_scalar_loop_or_declines(function, domain, data):
         assert identity(got) == identity(kernel[function](keys, column))
 
 
-@needs_numpy
 def test_array_grouped_int_float_tie_keeps_the_first_object():
-    np = blocks._np
     keys = np.array([7, 7, 8, 8, 9], dtype=np.int64)
     vector = exact_array([3, 3.0, 3.0, 3, 4])
     group_keys, aggregate = array_grouped("min", keys, vector)
@@ -339,9 +320,7 @@ def test_array_grouped_int_float_tie_keeps_the_first_object():
     assert group_keys.tolist() == [7, 8, 9]
 
 
-@needs_numpy
 def test_array_grouped_first_seen_group_order_and_sparse_keys_decline():
-    np = blocks._np
     keys = [5, 2, 5, 9, 2, 0]
     grouped = array_grouped("count", np.array(keys, dtype=np.int64), None)
     assert list(zip(grouped[0].tolist(), grouped[1].tolist())) == \
@@ -359,7 +338,6 @@ def key_columns(rows, width):
     return [[row[j] for row in rows] for j in range(width)]
 
 
-@needs_numpy
 @given(data=st.data(), width=st.integers(1, 3))
 @settings(max_examples=300, deadline=None)
 def test_pack_keys_round_trips_and_orders_like_the_tuples(data, width):
@@ -380,7 +358,6 @@ def test_pack_keys_round_trips_and_orders_like_the_tuples(data, width):
     assert len(set(keys.tolist())) == len(set(rows))
 
 
-@needs_numpy
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_pack_keys_with_a_given_packing_marks_rows_outside_it(data):
@@ -389,7 +366,6 @@ def test_pack_keys_with_a_given_packing_marks_rows_outside_it(data):
     probe = data.draw(st.lists(st.tuples(wide_ints, wide_ints), max_size=10))
     _, packing = blocks.pack_keys([exact_array(c)
                                    for c in key_columns(build, 2)])
-    np = blocks._np
     got, same = blocks.pack_keys(
         [blocks.ArrayVector(np.array(c, dtype=np.int64))
          for c in key_columns(probe, 2)], packing)
@@ -400,9 +376,7 @@ def test_pack_keys_with_a_given_packing_marks_rows_outside_it(data):
         assert (key >= 0) == inside
 
 
-@needs_numpy
 def test_pack_keys_declines_what_has_no_int64_view():
-    np = blocks._np
     ints = exact_array([1, 2])
     assert blocks.pack_keys([ints, exact_array([1.5, 2.5])]) is None  # float
     assert blocks.pack_keys([ints, exact_array([True, 2])]) is None  # bool
@@ -414,7 +388,6 @@ def test_pack_keys_declines_what_has_no_int64_view():
     assert blocks.pack_keys([empty, empty]) is None
 
 
-@needs_numpy
 @given(data=st.data(), bound=st.sampled_from([1, 35, 36, 2 ** 24]))
 @settings(max_examples=200, deadline=None)
 def test_key_set_is_a_set_on_either_side_of_the_bitmap_bound(data, bound):
@@ -423,7 +396,6 @@ def test_key_set_is_a_set_on_either_side_of_the_bitmap_bound(data, bound):
     pairs = st.tuples(st.integers(0, 5), st.integers(0, 5))
     stored = data.draw(st.lists(pairs, min_size=1, max_size=12))
     probe = data.draw(st.lists(pairs, max_size=12))
-    np = blocks._np
     packed, packing = blocks.pack_keys(
         [exact_array(c) for c in key_columns(stored + probe, 2)])
     keys, probe_keys = packed[:len(stored)], packed[len(stored):]
@@ -443,7 +415,6 @@ def test_key_set_is_a_set_on_either_side_of_the_bitmap_bound(data, bound):
         == [slot in expected for slot in range(slots)]
 
 
-@needs_numpy
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_sorted_index_probe_emits_the_dict_probe_sequence(data):
@@ -452,7 +423,6 @@ def test_sorted_index_probe_emits_the_dict_probe_sequence(data):
     build = data.draw(st.lists(pairs, min_size=1, max_size=14))
     probe = data.draw(st.lists(st.one_of(pairs, st.tuples(
         wide_ints, wide_ints)), max_size=14))
-    np = blocks._np
     index = blocks.sorted_index([exact_array(c)
                                  for c in key_columns(build, 2)])
     assert len(index) == len(build)
@@ -464,7 +434,6 @@ def test_sorted_index_probe_emits_the_dict_probe_sequence(data):
         dict_probe(build, probe)
 
 
-@needs_numpy
 @given(function=st.sampled_from(["sum", "min", "max", "count"]),
        data=st.data())
 @settings(max_examples=300, deadline=None)
@@ -563,11 +532,10 @@ stable_rows_strategy = st.lists(
        function=st.sampled_from(["sum", "min", "max", "count", "count*"]),
        combine=st.sampled_from(["left", "right", "*", "+", "-"]),
        union=st.booleans(), build_side=st.sampled_from(["left", "right"]))
-@settings(max_examples=400, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_branch_shape_matches_tuple_operators(numpy_mode, delta_rows,
-                                              stable_rows, function, combine,
-                                              union, build_side):
+@settings(max_examples=400, deadline=None)
+def test_branch_shape_matches_tuple_operators(delta_rows, stable_rows,
+                                              function, combine, union,
+                                              build_side):
     assert_branch_matches_tuple(delta_rows, stable_rows, function, combine,
                                 union, build_side)
 
@@ -635,7 +603,6 @@ def array_kernel_runs(monkeypatch):
     return runs
 
 
-@needs_numpy
 @pytest.mark.parametrize("case", sorted(OUTSIDE_ENVELOPE))
 def test_outside_the_envelope_falls_back_to_the_tuple_result(
         case, array_kernel_runs):
@@ -674,7 +641,6 @@ INSIDE_ENVELOPE = {
 }
 
 
-@needs_numpy
 @pytest.mark.parametrize("case", sorted(INSIDE_ENVELOPE))
 def test_inside_the_envelope_runs_on_arrays(case, array_kernel_runs):
     delta_rows, function, combine, union = INSIDE_ENVELOPE[case]
@@ -683,7 +649,6 @@ def test_inside_the_envelope_runs_on_arrays(case, array_kernel_runs):
     assert array_kernel_runs == [True]
 
 
-@needs_numpy
 def test_the_default_engine_runs_pagerank_on_arrays(monkeypatch,
                                                     array_kernel_runs):
     """``Engine("oracle")`` with no other arguments is the array engine:
@@ -702,9 +667,9 @@ def test_the_default_engine_runs_pagerank_on_arrays(monkeypatch,
     ([1, 3], [1, 2, 4]),        # distinct build keys, some probe rows miss
     ([1, 1, 3], [1, 1, 2, 2, 4]),  # duplicates: the bucket probe
 ])
-def test_delta_on_build_probes_the_stable_column_in_one_pass(
-        numpy_mode, delta_keys, expected_idx):
-    """Without a CSR index (float keys here; any key without numpy) a
+def test_delta_on_build_probes_the_stable_column_in_one_pass(delta_keys,
+                                                             expected_idx):
+    """Without a CSR index (float keys here) a
     delta with distinct keys on the build side resolves the stable
     table's whole key column with one ``map(dict.get)``."""
     table = stable_table(CLEAN_STABLE)
@@ -737,7 +702,7 @@ def test_replayed_join_counts_its_build_rows_once(monkeypatch):
     assert join.build_rows_observed == len(CLEAN_STABLE)
 
 
-def test_projection_above_the_aggregate_matches(numpy_mode):
+def test_projection_above_the_aggregate_matches():
     """PageRank's ``c * sum(...) + t`` sits above the aggregate and
     computes on its typed output; rows are built once, at the root."""
     table = stable_table(CLEAN_STABLE)
@@ -775,8 +740,8 @@ def pair_plan(batch, delta_rows, table, function, build_side="right",
 
 
 def vector_table(rows):
-    """A columnar ``B`` holding *rows* as a vector overlay (when numpy and
-    the data allow), the way a with+ loop leaves its tables."""
+    """A columnar ``B`` holding *rows* as a vector overlay (when the data
+    allow), the way a with+ loop leaves its tables."""
     table = Table("B", STABLE_SCHEMA, storage="columnar")
     vectors = [stable_table(rows).rows.array(j) for j in range(3)]
     if any(vector is None for vector in vectors):
@@ -798,10 +763,8 @@ pair_keys = st.one_of(st.integers(0, 4), st.none(), st.booleans(),
        function=st.sampled_from(["sum", "min", "max", "count", "count*"]),
        build_side=st.sampled_from(["left", "right"]),
        snapshot=st.booleans())
-@settings(max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_pair_shape_matches_tuple_operators(numpy_mode, delta_rows,
-                                            stable_rows, function,
+@settings(max_examples=200, deadline=None)
+def test_pair_shape_matches_tuple_operators(delta_rows, stable_rows, function,
                                             build_side, snapshot):
     table = vector_table(stable_rows)
     expected = outcome(pair_plan(False, delta_rows, table, function,
@@ -855,7 +818,6 @@ PAIR_ENVELOPE = {
 }
 
 
-@needs_numpy
 @pytest.mark.parametrize("case", sorted(PAIR_ENVELOPE))
 @pytest.mark.parametrize("snapshot", [False, True],
                          ids=["table", "snapshot"])
@@ -869,7 +831,7 @@ def test_pair_envelope_edges(case, snapshot, pair_kernel_runs):
     assert pair_kernel_runs == expected_runs
 
 
-def test_filter_hands_on_typed_columns(numpy_mode):
+def test_filter_hands_on_typed_columns():
     """k-truss's ``SUP.c >= k`` over a batch-backed relation: the
     selection gathers typed columns, so the projection above it ends the
     pipeline as vectors."""
@@ -884,7 +846,7 @@ def test_filter_hands_on_typed_columns(numpy_mode):
 
     result = plan(True).execute()
     assert identity(result.rows) == outcome(plan(False))
-    assert (result.batch is not None) == (numpy_mode == "numpy")
+    assert result.batch is not None
 
 
 # -- algorithms: best == default, byte for byte ---------------------------------
@@ -895,11 +857,40 @@ def repr_rows(engine, sql):
     return [repr(row) for row in engine.execute(sql).rows]
 
 
-def test_fixpoints_best_equals_default(numpy_mode):
+def test_fixpoints_best_equals_default():
     best, graph = fixpoint_engine(nodes=120, **BEST)
     default, _ = fixpoint_engine(nodes=120, **REFERENCE_PROFILE)
     for name, sql in fixpoint_statements(graph).items():
         assert repr_rows(best, sql) == repr_rows(default, sql), name
+
+
+def test_the_reference_profile_runs_no_array_kernel(monkeypatch):
+    """The oracle is independent of the array engine by what it runs:
+    ``REFERENCE_PROFILE`` builds no typed vector for PR, WCC, SSSP, TC or
+    k-truss, while ``Engine()`` builds them (which shows the spy works)."""
+    monkeypatch.delenv("REPRO_STORAGE", raising=False)
+    built = []
+    original = blocks.ArrayVector.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(blocks.ArrayVector, "__init__", counting)
+    directed = preferential_attachment(60, 3.0, directed=True, seed=5)
+    undirected = preferential_attachment(50, 6.0, directed=False, seed=2)
+    dag = random_dag(60, 2.0, seed=1)
+    counts = []
+    for make_engine in (reference_engine, Engine):
+        built.clear()
+        pagerank.run_sql(make_engine("oracle"), directed)
+        wcc.run_sql(make_engine("oracle"), directed)
+        bellman_ford.run_sql(make_engine("oracle"), directed, 0)
+        tc.run_sql(make_engine("oracle"), dag)
+        ktruss.run_sql(make_engine("oracle"), undirected)
+        counts.append(len(built))
+    assert counts[0] == 0
+    assert counts[1] > 0
 
 
 SQL_ALGORITHMS = sorted(key for key, info in ALGORITHMS.items()
@@ -914,7 +905,7 @@ def value_identity(values):
 
 
 @pytest.mark.parametrize("key", SQL_ALGORITHMS)
-def test_every_registry_algorithm_best_equals_default(numpy_mode, key):
+def test_every_registry_algorithm_best_equals_default(key):
     """All SQL algorithms of the registry, ``best`` against the reference
     profile: iterations and what every iteration's combine wrote — the
     MM-join shapes (APSP, FW, SR, MCL) included, which group and join on
@@ -940,7 +931,7 @@ def test_every_registry_algorithm_best_equals_default(numpy_mode, key):
             == [(s.inserted, s.overwritten) for s in other.per_iteration]
 
 
-def test_closures_best_equals_default(numpy_mode):
+def test_closures_best_equals_default():
     dag = random_dag(60, 2.0, seed=1)
     undirected = preferential_attachment(50, 6.0, directed=False, seed=2)
     for graph, sql, symmetric in ((dag, tc.sql(), False),
@@ -965,7 +956,8 @@ PAIRS = Schema((Column("F", SqlType.INTEGER), Column("T", SqlType.INTEGER)))
 
 
 class SetPathExecutor(RecursiveExecutor):
-    """The UNION combine as a numpy-less run has it."""
+    """The UNION combine on the set path only: the reference the array
+    combine is held to."""
 
     def _union_arrays(self, table, deltas):
         return None
@@ -1013,7 +1005,6 @@ union_values = st.one_of(st.integers(0, 6), st.sampled_from(
 union_pairs = st.tuples(st.integers(0, 6), union_values)
 
 
-@needs_numpy
 @given(table_rows=st.lists(union_pairs, max_size=10),
        steps=st.lists(st.one_of(
            st.lists(st.lists(union_pairs, max_size=8), min_size=1,
@@ -1100,7 +1091,6 @@ UNION_ENVELOPE = {
 }
 
 
-@needs_numpy
 @pytest.mark.parametrize("case", sorted(UNION_ENVELOPE))
 def test_union_envelope_edges(case, union_runs):
     make_table, make_batches, expected_runs = UNION_ENVELOPE[case]
@@ -1111,7 +1101,6 @@ def test_union_envelope_edges(case, union_runs):
     assert union_runs == expected_runs
 
 
-@needs_numpy
 def test_union_key_set_crosses_the_bitmap_bound_and_back(union_runs):
     """A batch outside the kept packing repacks it past the bound, so the
     bitmap gives way to sorted keys; a foreign delete narrowing the key
@@ -1137,7 +1126,6 @@ def test_union_with_a_secondary_index_takes_the_set_path(union_runs):
     assert table.indexes["ix"].lookup((1,)) == [(1, 2), (1, 3)]
 
 
-@needs_numpy
 @pytest.mark.parametrize("name", ["tc", "ktruss"])
 def test_closures_build_no_row_tuples_inside_the_loop(name, monkeypatch):
     """Under ``best`` TC's UNION and k-truss's two-key join, group-by,

@@ -6,37 +6,25 @@ positions-by-key dict is the fallback and, on row storage, the oracle.
 Both must leave the same removed count, contents and row order (value
 identity included: ``1`` vs ``1.0``, ``0.0`` vs ``-0.0``), key set and
 index contents.  A spy on ``positions_by_key`` shows which path ran:
-one named case per decline rule, with numpy and without.
+one named case per decline rule.
 """
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.relational.physical import blocks
 from repro.relational.physical.blocks import ArrayVector, matching_positions
 from repro.relational.schema import Column, Schema
 from repro.relational.table import Table
 from repro.relational.types import SqlType
-
-needs_numpy = pytest.mark.skipif(blocks._np is None,
-                                 reason="array kernels need numpy")
 
 INT, DOUBLE = SqlType.INTEGER, SqlType.DOUBLE
 
 #: ID, a, b — the delete keys below are subsets of these
 SCHEMA = Schema((Column("ID", INT), Column("a", DOUBLE), Column("b", INT)))
 KEYED = Schema(SCHEMA.columns, ("ID",))
-
-
-@pytest.fixture(params=["numpy", "no-numpy"])
-def numpy_mode(request, monkeypatch):
-    if request.param == "no-numpy":
-        monkeypatch.setattr(blocks, "_np", None)
-    elif blocks._np is None:
-        pytest.skip("numpy not installed")
-    return request.param
 
 
 @pytest.fixture
@@ -125,9 +113,8 @@ def deletions(draw):
 
 
 @given(case=deletions())
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_array_delete_matches_the_dict_path(numpy_mode, case):
+@settings(max_examples=300, deadline=None)
+def test_array_delete_matches_the_dict_path(case):
     rows, deletes = case
     assert_same_as_rows(SCHEMA, rows, deletes)
 
@@ -135,9 +122,8 @@ def test_array_delete_matches_the_dict_path(numpy_mode, case):
 @given(rows=st.lists(st.tuples(ids, floats, st.integers(0, 3)),
                      unique_by=lambda row: row[0], max_size=7),
        probes=st.lists(st.one_of(ids, wild_ints), max_size=5))
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_key_set_is_maintained_like_the_dict_path(numpy_mode, rows, probes):
+@settings(max_examples=150, deadline=None)
+def test_key_set_is_maintained_like_the_dict_path(rows, probes):
     assert_same_as_rows(KEYED, rows, [(probes, ("ID",))], enforce_key=True)
 
 
@@ -146,7 +132,6 @@ def test_key_set_is_maintained_like_the_dict_path(numpy_mode, rows, probes):
 BASE = [(0, 0.0, 1), (1, -0.0, 2), (2, 1.5, 1), (1, 2.5, 3), (5, 0.0, 0)]
 
 
-@needs_numpy
 @pytest.mark.parametrize("probes, key_columns", [
     ([(1,), (5,), (9,)], ("ID",)),
     ([(1, 0.0), (2, 1.5), (2 ** 64, 1.5)], ("ID", "a")),
@@ -183,7 +168,6 @@ DECLINES = {
 }
 
 
-@needs_numpy
 @pytest.mark.parametrize("case", sorted(DECLINES))
 def test_outside_the_envelope_takes_the_dict_path(dict_lookups, case):
     schema, rows, probes, key_columns = DECLINES[case]
@@ -191,22 +175,16 @@ def test_outside_the_envelope_takes_the_dict_path(dict_lookups, case):
     assert len(dict_lookups) == 2  # the oracle and the columnar table
 
 
-@needs_numpy
 def test_a_column_mixing_ints_and_floats_declines():
     # Stored columns are coerced to one type, so the mix only reaches the
     # kernel through a flagged vector.
-    np = blocks._np
     mixed = ArrayVector(np.array([1.0, 2.0]), np.array([True, False]))
     plain = ArrayVector(np.array([1.0, 2.0]))
     assert matching_positions([mixed], [(1,)]) is None
     assert matching_positions([plain], [(2.0,)]) == [1]
 
 
-def test_row_storage_and_no_numpy_take_the_dict_path(monkeypatch,
-                                                     dict_lookups):
+def test_row_storage_takes_the_dict_path(dict_lookups):
     table = make_table("rows", SCHEMA, BASE)
     assert table.delete_by_key([(1,)], ("ID",)) == 2
-    monkeypatch.setattr(blocks, "_np", None)
-    table = make_table("columnar", SCHEMA, BASE)
-    assert table.delete_by_key([(1,)], ("ID",)) == 2
-    assert len(dict_lookups) == 2
+    assert len(dict_lookups) == 1

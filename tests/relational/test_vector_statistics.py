@@ -16,14 +16,14 @@ import copy
 import random
 import re
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.datasets import preferential_attachment
 from repro.relational import Engine
 from repro.relational.columnar.encodings import ColumnCodec
 from repro.relational.columnar.store import ColumnStore
-from repro.relational.physical import blocks
 from repro.relational.physical.blocks import ArrayVector, exact_array
 from repro.relational.relation import Relation
 from repro.relational.schema import Column, Schema
@@ -31,21 +31,9 @@ from repro.relational.statistics import MCV_LIMIT, TableStatistics
 from repro.relational.table import Table
 from repro.relational.types import SqlType
 
-needs_numpy = pytest.mark.skipif(blocks._np is None,
-                                 reason="array kernels need numpy")
-
 INT, DOUBLE = SqlType.INTEGER, SqlType.DOUBLE
 INT64_MAX = 2 ** 63 - 1
 INT64_MIN = -2 ** 63
-
-
-@pytest.fixture(params=["numpy", "no-numpy"])
-def numpy_mode(request, monkeypatch):
-    if request.param == "no-numpy":
-        monkeypatch.setattr(blocks, "_np", None)
-    elif blocks._np is None:
-        pytest.skip("numpy not installed")
-    return request.param
 
 
 def identity(values):
@@ -104,7 +92,6 @@ def assert_vector_analyze_is_row_analyze(column_values):
     assert statistics_repr(by_vectors) == statistics_repr(by_rows)
 
 
-@needs_numpy
 @given(first=columns(), second=columns())
 @settings(max_examples=400, deadline=None)
 def test_vector_analyze_equals_row_analyze(first, second):
@@ -112,7 +99,6 @@ def test_vector_analyze_equals_row_analyze(first, second):
     assert_vector_analyze_is_row_analyze([first[:n], second[:n]])
 
 
-@needs_numpy
 @pytest.mark.parametrize("values", [
     [0.0, -0.0, -0.0, 0.0],          # one distinct value: the first zero
     [-0.0, 0.0, 1.0, 1.0],           # min keeps -0.0, the MCV ties on count
@@ -125,9 +111,7 @@ def test_named_edge_cases(values):
     assert_vector_analyze_is_row_analyze([values])
 
 
-@needs_numpy
 def test_nan_declines_and_changes_nothing():
-    np = blocks._np
     statistics = TableStatistics()
     schema = Schema((Column("x", DOUBLE),))
     assert not statistics.refresh_from_vectors(
@@ -135,8 +119,7 @@ def test_nan_declines_and_changes_nothing():
     assert not statistics.fresh and statistics.columns == {}
 
 
-def test_analyze_takes_vectors_only_when_the_store_holds_them(numpy_mode,
-                                                            monkeypatch):
+def test_analyze_takes_vectors_only_when_the_store_holds_them(monkeypatch):
     schema = Schema((Column("a", INT), Column("b", DOUBLE)))
     rows = [(i % 5, float(i % 3) - 1.0) for i in range(40)]
     table = Table("R", schema, storage="columnar")
@@ -160,7 +143,7 @@ def test_analyze_takes_vectors_only_when_the_store_holds_them(numpy_mode,
     assert ran == []
     table.rows.array(1)
     table.analyze()
-    assert ran == ([True] if numpy_mode == "numpy" else [])
+    assert ran == [True]
     assert statistics_repr(table.statistics) == \
         statistics_repr(oracle.statistics)
 
@@ -220,9 +203,8 @@ def assert_held_arrays_are_exact(store, model):
 
 
 @given(ops=mutations(), start=st.integers(0, 14), seed=st.integers(0, 99))
-@settings(max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_held_arrays_track_appends_and_deletes(numpy_mode, ops, start, seed):
+@settings(max_examples=200, deadline=None)
+def test_held_arrays_track_appends_and_deletes(ops, start, seed):
     store = ColumnStore(3, morsel=4)  # tiny morsels: sealing, tombstones
     model = plain_rows(start, seed)
     store.extend(list(model))
@@ -250,7 +232,6 @@ def test_held_arrays_track_appends_and_deletes(numpy_mode, ops, start, seed):
             assert vector.data.tolist() == data.tolist()
 
 
-@needs_numpy
 def test_steady_appends_and_deletes_keep_every_plain_array():
     store = ColumnStore(2, morsel=4)
     store.extend([(i, float(i)) for i in range(10)])
@@ -279,9 +260,7 @@ def test_steady_appends_and_deletes_keep_every_plain_array():
     assert store.held_vectors() is None and store.array(0) is None
 
 
-@needs_numpy
 def test_snapshots_and_vector_batches_keep_their_old_values():
-    np = blocks._np
     schema = Schema((Column("a", INT), Column("b", DOUBLE)))
     table = Table("R", schema, storage="columnar")
     table.rows.morsel = 4
@@ -325,8 +304,8 @@ def test_delete_positions_keeps_list_order(storage):
 BEST = dict(executor="batch", optimizer="cost", storage="columnar")
 
 
-def streaming_engine(seed=5):
-    engine = Engine("oracle", **BEST)
+def streaming_engine(seed=5, storage="columnar"):
+    engine = Engine("oracle", **{**BEST, "storage": storage})
     # > 2048 edges: E and ES each hold sealed blocks, so deletes tombstone.
     graph = preferential_attachment(1100, 4.0, directed=True, seed=seed)
     manager = engine.streaming
@@ -391,7 +370,6 @@ def storage_spy(monkeypatch):
     return seen
 
 
-@needs_numpy
 def test_steady_ingest_cycle_decodes_nothing_and_analyzes_vectors(
         storage_spy):
     engine, graph = streaming_engine()
@@ -414,10 +392,10 @@ def test_steady_ingest_cycle_decodes_nothing_and_analyzes_vectors(
     assert iterations.fresh is False
 
 
-def estimates_after_mixed_batches():
+def estimates_after_mixed_batches(storage):
     from repro.core.algorithms import bellman_ford, wcc
 
-    engine, graph = streaming_engine(seed=8)
+    engine, graph = streaming_engine(seed=8, storage=storage)
     rng = random.Random(11)
     for _ in range(3):
         run_cycle(engine, graph, rng)
@@ -429,9 +407,9 @@ def estimates_after_mixed_batches():
     return stats, estimates
 
 
-@needs_numpy
-def test_view_estimates_do_not_depend_on_numpy(monkeypatch):
-    with_numpy = estimates_after_mixed_batches()
-    monkeypatch.setattr(blocks, "_np", None)
-    without = estimates_after_mixed_batches()
-    assert all(with_numpy[1]) and with_numpy == without
+def test_view_estimates_do_not_depend_on_the_analyze_path():
+    """The same batches leave the same statistics and WCC/SSSP estimates
+    behind whether ANALYZE read vectors (columnar) or rows (rows)."""
+    columnar = estimates_after_mixed_batches("columnar")
+    rows = estimates_after_mixed_batches("rows")
+    assert all(columnar[1]) and columnar == rows

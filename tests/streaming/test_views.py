@@ -2,7 +2,7 @@
 executor/storage matrix (the PR's acceptance contract)."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.check.streaming import (StreamingReport, StreamingScenario,
                                    check_streaming,
@@ -10,7 +10,6 @@ from repro.check.streaming import (StreamingReport, StreamingScenario,
 from repro.core.algorithms import pagerank
 from repro.graphsystems.graph import Graph
 from repro.relational import Engine
-from repro.relational.physical import blocks
 
 from ..conftest import reference_engine
 
@@ -68,26 +67,11 @@ def test_seeded_streaming_scenarios_hold(seed):
     assert detail is None, detail
 
 
-# -- PageRank: the array recompute against the Python loop --------------------
-
-@pytest.fixture(params=["numpy", "no-numpy"])
-def numpy_mode(request, monkeypatch):
-    if request.param == "no-numpy":
-        monkeypatch.setattr(blocks, "_np", None)
-    elif blocks._np is None:
-        pytest.skip("numpy not installed")
-    return request.param
-
-
-def assert_same_floats(got: dict, want: dict) -> None:
-    assert list(got) == list(want)
-    assert [repr(got[v]) for v in got] == [repr(want[v]) for v in want]
-
+# -- PageRank: the array recompute against a cold reference run ---------------
 
 @given(data=st.data())
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_pagerank_recompute_is_bit_identical(numpy_mode, data):
+@settings(max_examples=40, deadline=None)
+def test_pagerank_recompute_is_bit_identical(data):
     n = data.draw(st.integers(1, 10), label="nodes")
     graph = Graph(directed=True)
     for v in range(n):
@@ -125,7 +109,7 @@ def test_pagerank_recompute_is_bit_identical(numpy_mode, data):
                 next_vertex += 1
             batch = {"inserts": {"E": [(u, v, 1.0)]}}
         assert manager.apply_batch(**batch).views == {"pr": "full"}
-        assert_same_floats(view.values, view._scratch_values())
+        assert list(view.values) == list(graph.nodes())
         cold = pagerank.run_sql(reference_engine("oracle"), graph,
                                 iterations=iterations).values
         assert {v: repr(x) for v, x in view.values.items()} \
