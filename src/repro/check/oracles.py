@@ -71,6 +71,11 @@ class EngineConfig:
         return engine
 
 
+#: ``Engine()``'s own configuration, the array engine.
+ARRAY_ENGINE = EngineConfig(executor="batch", optimizer="cost",
+                            storage="columnar")
+
+
 def default_matrix() -> tuple[EngineConfig, ...]:
     """The full 64-cell matrix: 4 strategy/dialect pairs x 2 executors
     x 2 optimizer settings x 2 telemetry settings x 2 storage backends."""
@@ -127,18 +132,21 @@ Outcome = tuple
 
 def run_scenario(scenario: Scenario, config: EngineConfig,
                  rename: dict[str, dict[str, str]] | None = None,
-                 sql: str | None = None) -> Outcome:
+                 sql: str | None = None,
+                 engine: Engine | None = None) -> Outcome:
     """Execute *scenario* under *config* and return its outcome.
 
     ``rename`` re-renders the program (and the DDL) under a column
     renaming; ``sql`` overrides the rendered text (for the TLP
     partition queries).  Row-order invariance is exercised by handing
-    in a scenario whose tables were reshuffled upstream.
+    in a scenario whose tables were reshuffled upstream.  An *engine*
+    with the tables loaded is run on as it is (the plan-reuse oracle);
+    by default a new one is built and loaded.
     """
-    tables = scenario.tables
     try:
-        engine = config.build_engine()
-        load_tables(engine, tables, rename)
+        if engine is None:
+            engine = config.build_engine()
+            load_tables(engine, scenario.tables, rename)
         text = sql if sql is not None else scenario.sql(rename)
         if scenario.recursive:
             result = engine.execute_detailed(text, mode=scenario.mode)

@@ -16,10 +16,11 @@ A scenario passes when:
     change the outcome;
   - **column-rename invariance**: re-rendering the same program under
     renamed base-table columns must not change the outcome;
-  - **fixpoint stability**: for recursive programs, re-running on the
-    same engine must reproduce rows *and* iteration counts (cached
-    plans, temp-table cleanup), and raising MAXRECURSION by one when
-    the fixpoint was reached early must change nothing.
+  - **plan reuse**: re-running on one engine must reproduce the outcome,
+    and after each in-bound base-table write a run on the kept plans
+    must equal a fresh engine's run on the mutated tables;
+  - **fixpoint stability**: for recursive programs, raising MAXRECURSION
+    by one when the fixpoint was reached early must change nothing.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field, replace
 from .generator import _predicate, generate_scenario
 from .ir import Scenario, SelectIR
 from .oracles import (
+    ARRAY_ENGINE,
     EngineConfig,
     Outcome,
     default_matrix,
@@ -41,13 +43,17 @@ from .oracles import (
 )
 from .shrinker import shrink
 
+#: In-bound writes the plan-reuse oracle makes (one one-row write missed
+#: a cached IN subquery), each followed by a run on the kept plans.
+REUSE_WRITES = 3
+
 
 @dataclass
 class Divergence:
     """One confirmed disagreement, before and after shrinking."""
 
     scenario: Scenario
-    oracle: str        # matrix | crash | tlp | row-order | rename | fixpoint
+    oracle: str  # matrix|crash|tlp|row-order|rename|plan-reuse|fixpoint
     detail: str
     shrunk: Scenario | None = None
     regression_path: str | None = None
@@ -135,6 +141,7 @@ class DifferentialRunner:
         for oracle, check in (("tlp", self._check_tlp),
                               ("row-order", self._check_row_order),
                               ("rename", self._check_rename),
+                              ("plan-reuse", self._check_plan_reuse),
                               ("fixpoint", self._check_fixpoint)):
             detail = check(scenario, config, baseline)
             if detail is not None:
@@ -209,28 +216,43 @@ class DifferentialRunner:
                     f"  renamed:  {describe_outcome(outcome)}")
         return None
 
+    def _check_plan_reuse(self, scenario: Scenario, config: EngineConfig,
+                          baseline: Outcome) -> str | None:
+        if baseline[0] != "rows":
+            return None
+        # The matrix agreed on *baseline*.  On one engine of the baseline
+        # cell and one of the array engine (whose kept plans hold cached
+        # builds), re-runs must reproduce it — kept temp tables, plans and
+        # telemetry state must not leak — and each in-bound write must
+        # show in the next run on the kept plans.
+        for cell in dict.fromkeys((config, ARRAY_ENGINE)):
+            engine = cell.build_engine()
+            load_tables(engine, scenario.tables)
+            runs = [run_scenario(scenario, cell, engine=engine)
+                    for _ in range(2)]
+            if runs != [baseline, baseline]:
+                return (f"re-executing on one {cell.label()} engine"
+                        f" diverged\n  first:  {describe_outcome(runs[0])}"
+                        f"\n  second: {describe_outcome(runs[1])}")
+            rng = random.Random(scenario.seed ^ 0x9e05)
+            mutated = scenario
+            for _ in range(REUSE_WRITES):
+                mutated = _mutate_one_table(engine, mutated, rng)
+                if mutated is None:
+                    break
+                reused = run_scenario(mutated, cell, engine=engine)
+                fresh = run_scenario(mutated, cell)
+                if reused != fresh:
+                    return (f"a run on kept {cell.label()} plans missed a"
+                            " base-table write\n"
+                            f"  kept plans: {describe_outcome(reused)}\n"
+                            f"  fresh:      {describe_outcome(fresh)}")
+        return None
+
     def _check_fixpoint(self, scenario: Scenario, config: EngineConfig,
                         baseline: Outcome) -> str | None:
         if not scenario.recursive or baseline[0] != "rows":
             return None
-        # Re-run on the SAME engine: cached artefacts (temp tables,
-        # plan caches, telemetry state) must not leak across executions.
-        engine = config.build_engine()
-        load_tables(engine, scenario.tables)
-        text = scenario.sql()
-        try:
-            first = engine.execute_detailed(text, mode=scenario.mode)
-            second = engine.execute_detailed(text, mode=scenario.mode)
-        except Exception as exc:  # noqa: BLE001 — state leaked across runs
-            return ("re-executing on the same engine raised"
-                    f" {type(exc).__name__}: {exc}")
-        if (Counter(first.relation.rows) != Counter(second.relation.rows)
-                or first.iterations != second.iterations):
-            return ("re-executing on the same engine diverged:"
-                    f" {first.iterations} vs {second.iterations}"
-                    " iteration(s),"
-                    f" {len(first.relation)} vs {len(second.relation)}"
-                    " row(s)")
         cap = scenario.query.maxrecursion
         if cap is not None and len(baseline) > 3 and baseline[3] < cap:
             # The fixpoint arrived before the cap: one more headroom
@@ -245,6 +267,33 @@ class DifferentialRunner:
                         f"  cap {cap}:     {describe_outcome(baseline)}\n"
                         f"  cap {cap + 1}: {describe_outcome(outcome)}")
         return None
+
+
+
+
+def _mutate_one_table(engine, scenario: Scenario,
+                      rng: random.Random) -> Scenario | None:
+    """One write to a non-empty table of *engine*, well inside the replan
+    bound: insert up to as many rows (mixing stored values) as it holds,
+    or delete every copy of up to half its rows.  Returns *scenario* with
+    the rows the engine now stores, or None when every table is empty."""
+    candidates = [t for t in scenario.tables if t.rows]
+    if not candidates:
+        return None
+    chosen = rng.choice(candidates)
+    table = engine.database.table(chosen.name)
+    stored = list(table.rows)
+    count = rng.randint(1, max(len(stored) // 2, 1))
+    if rng.random() < 0.5:
+        table.insert_many([
+            tuple(rng.choice(stored)[j] for j in range(len(chosen.columns)))
+            for _ in range(2 * count)])
+    else:
+        doomed = set(rng.sample(stored, count))
+        table.delete_where(lambda row: row in doomed)
+    mutated = replace(chosen, rows=tuple(table.rows))
+    return replace(scenario, tables=tuple(
+        mutated if t is chosen else t for t in scenario.tables))
 
 
 # -- campaign ----------------------------------------------------------------

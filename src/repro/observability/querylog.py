@@ -47,6 +47,9 @@ class QueryLogEntry:
     storage: str = "rows"
     #: Exception type name when the statement failed, else ``None``.
     error: str | None = None
+    #: Plans compiled, and kept plans reused (0 compiled: all cached).
+    plans_compiled: int = 0
+    plan_cache_hits: int = 0
     #: Wall-clock (``time.time()``) at completion.
     timestamp: float = 0.0
 
@@ -61,6 +64,8 @@ class QueryLogEntry:
             "slow": self.slow,
             "storage": self.storage,
             "error": self.error,
+            "plans_compiled": self.plans_compiled,
+            "plan_cache_hits": self.plan_cache_hits,
             "timestamp": self.timestamp,
         }
 
@@ -87,14 +92,16 @@ class QueryLog:
     def record(self, sql: str, kind: str, total_ms: float,
                phases: dict[str, float] | None = None, rows: int = 0,
                iterations: int = 0, storage: str = "rows",
-               error: str | None = None) -> QueryLogEntry:
+               error: str | None = None, plans_compiled: int = 0,
+               plan_cache_hits: int = 0) -> QueryLogEntry:
         text = sql if len(sql) <= MAX_SQL_LENGTH \
             else sql[:MAX_SQL_LENGTH] + "…"
         entry = QueryLogEntry(
             sql=text, kind=kind, total_ms=total_ms,
             phases=dict(phases or {}), rows=rows, iterations=iterations,
             slow=total_ms >= self.slow_ms, storage=storage,
-            error=error, timestamp=time.time())
+            error=error, plans_compiled=plans_compiled,
+            plan_cache_hits=plan_cache_hits, timestamp=time.time())
         self._entries.append(entry)
         if self.jsonl_path is not None:
             self._append_jsonl(entry)

@@ -48,7 +48,9 @@ from .physical import (execute_analyzed, explain_plan, instrument,
 from .planner import POLICIES, PlannerPolicy
 from .psm import PsmProgram, translate_with_to_psm
 from .recursive import (
+    PlanCache,
     RecursiveExecutor,
+    StatementPlans,
     WithExecutionResult,
     cte_is_recursive,
 )
@@ -122,10 +124,11 @@ class Engine:
         per-dialect plans.  :data:`REFERENCE_PROFILE` (tuple / off /
         rows) is that modelled RDBMS, kept as the differential oracle.
     replan_factor:
-        With the cost-based optimizer, a cached recursive branch plan is
-        thrown away and replanned when the loop's observed delta
-        cardinality drifts from the planned cardinality by more than
-        this factor (in either direction).
+        A kept plan is replanned once a cardinality it was planned for
+        drifts by more than this factor (in either direction): a with+
+        branch's delta cardinality (cost-based optimizer), or the row
+        count of a table it scans (plans are kept across statements —
+        ``docs/optimizer.md``, "Plans across statements").
     telemetry:
         ``"off"`` (default) keeps the always-on-cheap accounting only:
         phase timings, the query log, and engine counters.  ``"on"``
@@ -177,6 +180,8 @@ class Engine:
                 executor=executor)
         self.executor = executor
         self.mode = mode
+        self.replan_factor = replan_factor
+        self._plan_cache = PlanCache()
         self._ubu_strategy: str | None = None
         self.temp_indexes: dict[str, Sequence[str]] = {}
         if telemetry is None:
@@ -277,7 +282,8 @@ class Engine:
                                                      warm_start=warm_start)
                 else:
                     kind = "select"
-                    result = self._execute_plain(statement, tracer, phases)
+                    result = self._execute_plain(statement, mode, tracer,
+                                                 phases)
         except RelationalError as error:
             total_ms = (time.perf_counter() - total_started) * 1000
             self._record_failure(sql_text, total_ms, phases, error)
@@ -308,18 +314,23 @@ class Engine:
         are compiled, cached, and replanned there), so the plan phase is
         the executor's accumulated compile time and the remainder of the
         loop's wall time is the execute phase."""
+        mode = mode or self.mode
+        profiler = self.telemetry.profiler
+        bypass = tracer.enabled or profiler.enabled
+        plans, stale = self._take_plans(statement, mode, bypass)
         executor = RecursiveExecutor(
             self.database, self.dialect, self.policy,
-            mode=mode or self.mode,
+            mode=mode,
             ubu_strategy=self._ubu_strategy,
             temp_indexes=self.temp_indexes,
             telemetry=self.telemetry,
-            warm_start=warm_start)
+            warm_start=warm_start,
+            plans=plans)
         started = time.perf_counter()
-        profiler = self.telemetry.profiler
         with tracer.span("execute") as exec_span:
             result = executor.execute(statement)
             result.relation.rows  # a statement returns a finished result
+            self._keep_plans(plans, stale, bypass, result)
             for title, plan, plan_stats in executor.instrumented_plans():
                 if exec_span is not None:
                     root_stats = plan_stats.get(plan)
@@ -346,14 +357,32 @@ class Engine:
         self._publish_iterations(result)
         return result
 
-    def _execute_plain(self, statement: Statement, tracer,
+    def _take_plans(self, statement: Statement, mode: str, bypass: bool
+                    ) -> tuple[StatementPlans, str | None]:
+        """The statement's kept plans, or a new entry and why the kept one
+        was stale.  Instrumented plans carry counters: never kept."""
+        if bypass:
+            return StatementPlans(statement, mode), None
+        return self._plan_cache.take(statement, mode, self.database,
+                                     max(self.replan_factor, 1.0))
+
+    def _keep_plans(self, plans: StatementPlans, stale: str | None,
+                    bypass: bool, result: WithExecutionResult) -> None:
+        """Keep a statement's plans after it succeeded."""
+        if stale is not None:
+            result.replanned(stale)
+        if not bypass:
+            self._plan_cache.put(plans)
+
+    def _execute_plain(self, statement: Statement, mode, tracer,
                        phases) -> WithExecutionResult:
-        runner = QueryRunner(self.database, self.policy)
         profiler = self.telemetry.profiler
         observe = tracer.enabled or profiler.enabled
+        plans, stale = self._take_plans(statement, mode or self.mode, observe)
         started = time.perf_counter()
         with tracer.span("plan"):
-            plan = runner.plan(statement)
+            plan, compiled = plans.plan(statement, self.database,
+                                        self.policy, plans.slots)
         phases["plan"] = (time.perf_counter() - started) * 1000
         started = time.perf_counter()
         with tracer.span("optimize"):
@@ -382,7 +411,11 @@ class Engine:
                 relation = plan.execute()
             relation.rows  # a statement returns a finished result
         phases["execute"] = (time.perf_counter() - started) * 1000
-        return WithExecutionResult(relation=relation)
+        result = WithExecutionResult(relation=relation,
+                                     plans_compiled=int(compiled),
+                                     plan_cache_hits=int(not compiled))
+        self._keep_plans(plans, stale, observe, result)
+        return result
 
     def _publish_iterations(self, result: WithExecutionResult) -> None:
         """Refresh the virtual ``__iterations__`` relation with the just-run
@@ -399,10 +432,11 @@ class Engine:
                       query_span) -> None:
         telemetry = self.telemetry
         rows = len(result.relation)
-        entry = telemetry.query_log.record(sql_text, kind, total_ms, phases,
-                                           rows=rows,
-                                           iterations=result.iterations,
-                                           storage=self.storage)
+        entry = telemetry.query_log.record(
+            sql_text, kind, total_ms, phases, rows=rows,
+            iterations=result.iterations, storage=self.storage,
+            plans_compiled=result.plans_compiled,
+            plan_cache_hits=result.plan_cache_hits)
         metrics = telemetry.metrics
         metrics.counter("repro_queries_total", "Statements executed.",
                         kind=kind).inc()
@@ -421,14 +455,17 @@ class Engine:
                         "Recursive with+ loop iterations."
                         ).inc(result.iterations)
         metrics.counter("repro_plans_compiled_total",
-                        "Statements compiled to physical plans in the"
-                        " recursive loop.").inc(result.plans_compiled)
+                        "Statement plans compiled (plain statements, and"
+                        " every query of a with+ statement)."
+                        ).inc(result.plans_compiled)
         metrics.counter("repro_plan_cache_hits_total",
-                        "Cached plans re-executed instead of recompiled."
+                        "Kept plans re-executed instead of recompiled."
                         ).inc(result.plan_cache_hits)
-        metrics.counter("repro_replans_total",
-                        "Cached plans dropped for cardinality drift."
-                        ).inc(result.replans)
+        for reason, count in result.replan_reasons.items():
+            metrics.counter("repro_replans_total",
+                            "Kept plans dropped and replanned, by reason"
+                            " (drift, replaced, analyze, schema).",
+                            reason=reason).inc(count)
         estimator = getattr(self.policy, "estimator", None)
         if estimator is not None and \
                 estimator.refreshes > self._refreshes_seen:
@@ -488,6 +525,7 @@ class Engine:
         names = ([statement.table] if statement.table is not None
                  else self.database.table_names())
         rows = []
+        self._plan_cache.analyzes += 1  # kept plans are replanned
         for name in names:
             table = self.database.table(name)
             table.analyze()

@@ -21,6 +21,7 @@ enhanced language.
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import chain
@@ -31,6 +32,7 @@ import numpy as np
 from .database import Database
 from .dialects.base import Dialect
 from .errors import (
+    CatalogError,
     ExecutionError,
     FeatureNotSupportedError,
     PlanError,
@@ -38,6 +40,7 @@ from .errors import (
     StratificationError,
 )
 from .expressions import Expression, FunctionCall, contains_aggregate
+from .physical import IndexOrderedScan, TableScan
 from .planner import PlannerPolicy
 from .relation import Relation
 from .sql.ast import (
@@ -63,6 +66,10 @@ from .types import SqlType
 
 #: Safety cap when a query carries no MAXRECURSION hint.
 DEFAULT_RECURSION_CAP = 10_000
+
+#: Statements whose plans an engine keeps: as many as the parser keeps
+#: parsed texts.
+PLAN_CACHE_SIZE = 256
 
 #: Safety cap on the recursive relation's size: a divergent UNION ALL can
 #: grow the table super-linearly long before the iteration cap triggers,
@@ -100,20 +107,27 @@ class WithExecutionResult:
     iterations: int = 0
     per_iteration: list[IterationStat] = field(default_factory=list)
     hit_maxrecursion: bool = False
-    #: Statements compiled to physical plans inside the recursive loop.
-    #: With plan caching a K-iteration loop compiles each branch (and each
-    #: COMPUTED BY definition) once, not K times.
+    #: Statement plans compiled: initial queries, each branch (and
+    #: COMPUTED BY definition) once rather than per iteration, the body —
+    #: or a plain statement's one plan.  0 when a statement run again
+    #: found its plans kept (:class:`PlanCache`).
     plans_compiled: int = 0
-    #: Cached plans re-executed instead of recompiled inside the loop.
+    #: Kept plans re-executed instead of recompiled.
     plan_cache_hits: int = 0
-    #: Cached plans thrown away because the loop's observed cardinality
-    #: drifted from the cardinality they were planned for (cost-based
-    #: policies only; see ``Engine(replan_factor=...)``).
+    #: Kept plans dropped and replanned — mid-loop on cardinality drift
+    #: (see ``Engine(replan_factor=...)``) or when a statement's kept
+    #: plans were stale — counted by reason in ``replan_reasons``:
+    #: ``drift``, ``replaced``, ``analyze`` or ``schema``.
     replans: int = 0
+    replan_reasons: dict[str, int] = field(default_factory=dict)
     #: A :class:`repro.observability.QueryTelemetry` when executed through
     #: an :class:`~repro.relational.engine.Engine` (phase timings, row
     #: counts, convergence trajectory); ``None`` for bare executor runs.
     telemetry: object | None = None
+
+    def replanned(self, reason: str) -> None:
+        self.replans += 1
+        self.replan_reasons[reason] = self.replan_reasons.get(reason, 0) + 1
 
     @property
     def convergence(self) -> tuple[int, ...]:
@@ -373,7 +387,7 @@ def _statement_is_plan_cacheable(statement: Statement) -> bool:
 
     :class:`~repro.relational.sql.compiler.QueryRunner` materialises
     IN/EXISTS/scalar subqueries (and nested WITH bodies) *at plan time*,
-    so a cached plan would freeze their first-iteration results.  Derived
+    so a cached plan would freeze their first results.  Derived
     tables (``FROM (subquery) AS x``) are fine: in live-slot mode the
     compiler inlines them as subplans that re-read the slots.
     """
@@ -428,6 +442,8 @@ class _CachedBranchPlans:
 
     computed: list  # [(definition, PhysicalOperator), ...]
     statement_plan: object
+    #: rows of the recursive relation's slot when these were planned
+    planned_input: int | None = None
 
     @property
     def statement_count(self) -> int:
@@ -452,6 +468,110 @@ def _plans_pruned_total(plans) -> int:
     return total
 
 
+class StatementPlans:
+    """One statement's plans, kept by the engine across calls as a PSM
+    procedure's are (docs/optimizer.md, "Plans across statements").
+    ``plans`` maps the ``id()`` of an AST node of ``statement`` (held, so
+    the id stays unique) to what was compiled for it; ``slots`` holds the
+    CTE results, ``loop_slots`` each recursive CTE's branch / COMPUTED BY
+    slot pair — all emptied after each run."""
+
+    def __init__(self, statement: Statement, mode: str, analyzes: int = 0):
+        self.statement = statement
+        self.mode = mode
+        self.analyzes = analyzes
+        self.plans: dict[int, object] = {}
+        self.slots: dict = {}
+        self.loop_slots: dict[int, tuple[dict, dict]] = {}
+        #: id(cte) -> the recursive relation's (name, type) pairs
+        self.schemas: dict[int, tuple] = {}
+        self._scans: dict[int, list] = {}
+
+    def plan(self, statement: Statement, database, policy, slots: dict):
+        """``(plan, compiled)``: the kept plan of *statement*, a query of
+        this entry's statement, or a new one against *slots* — kept when
+        it can be re-executed as-is."""
+        plan = self.plans.get(id(statement))
+        if plan is not None:
+            return plan, False
+        plan = QueryRunner(database, policy, slots,
+                           live_slots=slots).plan(statement)
+        if _statement_is_plan_cacheable(statement):
+            self.store(id(statement), plan, [plan])
+        return plan, True
+
+    def store(self, key: int, item, plans) -> None:
+        """Keep *item* for AST node ``key``; *plans* are its plan roots,
+        whose table scans are noted with the table sizes they saw."""
+        self.plans[key] = item
+        scans = self._scans[key] = []
+        stack = list(plans)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (TableScan, IndexOrderedScan)):
+                scans.append((node.table.name, node, len(node.table)))
+            stack.extend(node.children())
+
+    def reset(self) -> None:
+        self.plans.clear()
+        self._scans.clear()
+
+    def release(self) -> None:
+        """Drop every relation the slots hold."""
+        self.slots.clear()
+        for pair in self.loop_slots.values():
+            for slots in pair:
+                slots.clear()
+
+    def stale(self, database, analyzes: int, factor: float) -> str | None:
+        """Why the plans may no longer be used, or None."""
+        if analyzes != self.analyzes:
+            return "analyze"
+        for scans in self._scans.values():
+            for name, node, rows in scans:
+                try:
+                    current = database.table(name)
+                except CatalogError:
+                    return "replaced"
+                if current is not node.table or (
+                        isinstance(node, IndexOrderedScan)
+                        and current.indexes.get(node.index_name)
+                        is not node.index):
+                    return "replaced"
+                if _cardinality_drifted(rows, len(current), factor):
+                    return "drift"
+        return None
+
+
+class PlanCache:
+    """The engine's entries, least recently used first, keyed by the
+    statement object (compared with ``is``) and the with/with+ mode."""
+
+    def __init__(self):
+        #: ANALYZE statements run so far; an entry planned before the
+        #: latest one is stale.
+        self.analyzes = 0
+        self._entries: OrderedDict[tuple[int, str], StatementPlans] = \
+            OrderedDict()
+
+    def take(self, statement: Statement, mode: str, database,
+             factor: float) -> tuple[StatementPlans, str | None]:
+        """Remove and return the statement's entry, or a new one and why
+        the kept one was stale; a run that fails never puts it back."""
+        entry = self._entries.pop((id(statement), mode), None)
+        reason = None
+        if entry is not None and entry.statement is statement:
+            reason = entry.stale(database, self.analyzes, factor)
+            if reason is None:
+                return entry, None
+        return StatementPlans(statement, mode, self.analyzes), reason
+
+    def put(self, entry: StatementPlans) -> None:
+        self._entries[(id(entry.statement), entry.mode)] = entry
+        while len(self._entries) > PLAN_CACHE_SIZE:
+            self._entries.popitem(last=False)
+
+
 # -- execution ---------------------------------------------------------------------
 
 
@@ -463,7 +583,8 @@ class RecursiveExecutor:
                  ubu_strategy: str | None = None,
                  temp_indexes: dict[str, Sequence[str]] | None = None,
                  analyze: bool = False, telemetry=None,
-                 warm_start: dict[str, "Relation"] | None = None):
+                 warm_start: dict[str, "Relation"] | None = None,
+                 plans: StatementPlans | None = None):
         if mode not in ("with", "with+"):
             raise ValueError(f"mode must be 'with' or 'with+', not {mode!r}")
         self.database = database
@@ -493,6 +614,9 @@ class RecursiveExecutor:
         #: seed that is already a fixpoint converges in one iteration.
         self.warm_start = {name.lower(): relation
                            for name, relation in (warm_start or {}).items()}
+        #: The statement's plans, kept by the engine between calls (a new
+        #: entry when none is passed); queries plan against its slots.
+        self.plans = plans
         #: Wall seconds spent compiling plans (initial queries, cached and
         #: fresh branch plans, the final body) — the engine reports this as
         #: the recursive statement's "plan" phase.
@@ -523,21 +647,20 @@ class RecursiveExecutor:
     # -- top level -------------------------------------------------------------
 
     def execute(self, statement: WithStatement) -> WithExecutionResult:
-        bindings: dict[str, Relation] = {}
+        if self.plans is None or self.plans.statement is not statement:
+            self.plans = StatementPlans(statement, self.mode)
+        outer = self.plans.slots
         stats = WithExecutionResult(relation=Relation.from_pairs((), ()))
         created_temp_names: list[str] = []
         try:
             for cte in statement.ctes:
                 if cte_is_recursive(cte):
-                    result = self._run_recursive_cte(cte, bindings, stats)
+                    result = self._run_recursive_cte(cte, stats)
                 else:
-                    result = self._run_plain_cte(cte, bindings)
-                bindings[cte.name.lower()] = result
+                    result = self._run_plain_cte(cte, stats)
+                outer[cte.name.lower()] = result
                 created_temp_names.append(cte.name)
-            runner = QueryRunner(self.database, self.policy, bindings)
-            started = time.perf_counter()
-            body_plan = runner.plan(statement.body)
-            self.plan_seconds += time.perf_counter() - started
+            body_plan = self._planned(statement.body, outer, stats)
             if self._instrument:
                 from .physical import instrument
 
@@ -547,7 +670,21 @@ class RecursiveExecutor:
             stats.relation = body_plan.execute()
             return stats
         finally:
+            self.plans.release()
             self._cleanup(created_temp_names)
+
+    def _planned(self, statement: Statement, slots: dict[str, Relation],
+                 stats: WithExecutionResult):
+        """The kept plan of a query, or a new one against *slots*."""
+        started = time.perf_counter()
+        plan, compiled = self.plans.plan(statement, self.database,
+                                         self.policy, slots)
+        if compiled:
+            self.plan_seconds += time.perf_counter() - started
+            stats.plans_compiled += 1
+        else:
+            stats.plan_cache_hits += 1
+        return plan
 
     def _cleanup(self, names: list[str]) -> None:
         for name in names:
@@ -578,12 +715,12 @@ class RecursiveExecutor:
         return "\n\n".join(sections)
 
     def _run_plain_cte(self, cte: CommonTableExpression,
-                       bindings: dict[str, Relation]) -> Relation:
+                       stats: WithExecutionResult) -> Relation:
         if len(cte.branches) != 1 or cte.branches[0].computed_by:
             raise PlanError(
                 f"non-recursive CTE {cte.name!r} must be a single plain query")
-        runner = QueryRunner(self.database, self.policy, bindings)
-        result = runner.run(cte.branches[0].statement)
+        result = self._planned(cte.branches[0].statement, self.plans.slots,
+                               stats).execute()
         if cte.columns:
             result = result.rename_columns(cte.columns)
         return result
@@ -591,18 +728,18 @@ class RecursiveExecutor:
     # -- recursive CTE ------------------------------------------------------------
 
     def _run_recursive_cte(self, cte: CommonTableExpression,
-                           bindings: dict[str, Relation],
                            stats: WithExecutionResult) -> Relation:
         validate_withplus(cte)
         if cte.search_clause is not None or cte.cycle_clause is not None:
-            return self._run_search_cycle_cte(cte, bindings, stats)
+            return self._run_search_cycle_cte(cte, stats)
         if self.mode == "with":
             check_sql99_restrictions(cte, self.dialect)
         initial, recursive = split_branches(cte)
         if not initial:
             raise PlanError(f"recursive CTE {cte.name!r} has no initial query")
 
-        runner = QueryRunner(self.database, self.policy, bindings)
+        entry = self.plans
+        outer = entry.slots
         seed = self.warm_start.get(cte.name.lower())
         if seed is not None:
             # Warm start: the caller's seed stands in for the initial
@@ -611,15 +748,24 @@ class RecursiveExecutor:
             # instead of derived from zero.
             current = seed
         else:
-            current = self._run_timed(runner, initial[0].statement)
+            current = self._planned(initial[0].statement, outer,
+                                    stats).execute()
             for branch in initial[1:]:
-                extra = self._run_timed(runner, branch.statement)
+                extra = self._planned(branch.statement, outer,
+                                      stats).execute()
                 if cte.union_kind is UnionKind.UNION_ALL:
                     current = current.union_all(extra)
                 else:
                     current = current.union(extra)
         if cte.columns:
             current = current.rename_columns(cte.columns)
+        shape = tuple((column.name.lower(), column.sql_type)
+                      for column in current.schema.columns)
+        if entry.schemas.setdefault(id(cte), shape) != shape:
+            # A seed of another schema than the plans read R with.
+            entry.reset()
+            entry.schemas[id(cte)] = shape
+            stats.replanned("schema")
 
         table = self.database.create_temp_table(cte.name, current.schema,
                                                 replace=True)
@@ -651,26 +797,32 @@ class RecursiveExecutor:
             semi_naive = False
         working = current  # only consulted on the semi-naive path
         rname = cte.name.lower()
-        # Live slot dicts backing the cached plans' BindingScans.  Two
+        # The entry's live slot dicts backing the plans' BindingScans.  Two
         # views of R: branch statements may see the semi-naive working
         # set, COMPUTED BY definitions always see the full snapshot.
-        branch_slots: dict[str, Relation] = {}
-        computed_slots: dict[str, Relation] = {}
-        cacheable = [_branch_is_plan_cacheable(b) for b in recursive]
-        cached: list[_CachedBranchPlans | None] = [None] * len(recursive)
-        # Iteration-adaptive replanning (cost-based policies): remember the
-        # R cardinality each cached plan was compiled against; when the
-        # loop's live cardinality drifts past replan_factor in either
+        branch_slots, computed_slots = entry.loop_slots.setdefault(
+            id(cte), ({}, {}))
+        branch_slots.update(outer)
+        computed_slots.update(outer)
+        # The entry's branch plans are the ones compiled at iteration 1.
+        cached: list[_CachedBranchPlans | None] = [
+            entry.plans.get(id(b)) for b in recursive]
+        cacheable = [c is not None or _branch_is_plan_cacheable(b)
+                     for c, b in zip(cached, recursive)]
+        # Iteration-adaptive replanning (cost-based policies): each cached
+        # plan remembers the R cardinality it was compiled against; when
+        # the loop's live cardinality drifts past replan_factor in either
         # direction, the cached plan's estimates (and hence its build-side
         # and operator choices) are stale — drop it and replan against the
-        # current bindings.
-        planned_inputs: list[int | None] = [None] * len(recursive)
+        # current bindings.  A replan after iteration 1 stays local to this
+        # statement; the entry keeps the iteration-1 plans.
         adaptive = getattr(self.policy, "adaptive", False)
         replan_factor = max(
             float(getattr(self.policy, "replan_factor", 8.0)), 1.0)
         # Cumulative anti-join pruned totals already attributed per cached
         # branch plan; the per-iteration value is the delta against these.
-        pruned_seen: list[int] = [0] * len(recursive)
+        pruned_seen = [_plans_pruned_total(c.all_plans()) if c else 0
+                       for c in cached]
         while True:
             if iteration >= cap:
                 if limit is None:
@@ -690,17 +842,17 @@ class RecursiveExecutor:
                     branch_started = time.perf_counter()
                     if (adaptive and cached[position] is not None
                             and _cardinality_drifted(
-                                planned_inputs[position],
+                                cached[position].planned_input,
                                 len(branch_slots[rname]), replan_factor)):
                         cached[position] = None
                         pruned_seen[position] = 0
-                        stats.replans += 1
+                        stats.replanned("drift")
                     with self._span("branch", position=position):
                         if not cacheable[position]:
-                            statement_bindings = dict(bindings)
+                            statement_bindings = dict(outer)
                             statement_bindings[rname] = working if semi_naive \
                                 else snapshot
-                            computed_bindings = dict(bindings)
+                            computed_bindings = dict(outer)
                             computed_bindings[rname] = snapshot
                             delta, branch_pruned = self._run_branch(
                                 branch, statement_bindings,
@@ -708,13 +860,17 @@ class RecursiveExecutor:
                             antijoin_pruned += branch_pruned
                             stats.plans_compiled += 1 + len(branch.computed_by)
                         elif cached[position] is None:
-                            planned_inputs[position] = len(branch_slots[rname])
-                            delta, entry = self._plan_and_run_branch(
-                                branch, bindings, branch_slots, computed_slots,
+                            planned = len(branch_slots[rname])
+                            delta, compiled = self._plan_and_run_branch(
+                                branch, branch_slots, computed_slots,
                                 computed_names)
-                            cached[position] = entry
-                            stats.plans_compiled += entry.statement_count
-                            total = _plans_pruned_total(entry.all_plans())
+                            compiled.planned_input = planned
+                            cached[position] = compiled
+                            if iteration == 1:
+                                entry.store(id(branch), compiled,
+                                            compiled.all_plans())
+                            stats.plans_compiled += compiled.statement_count
+                            total = _plans_pruned_total(compiled.all_plans())
                             antijoin_pruned += total - pruned_seen[position]
                             pruned_seen[position] = total
                         else:
@@ -767,7 +923,6 @@ class RecursiveExecutor:
     # -- SEARCH / CYCLE (Oracle's looping control, Table 1 section E) --------
 
     def _run_search_cycle_cte(self, cte: CommonTableExpression,
-                              bindings: dict[str, Relation],
                               stats: WithExecutionResult) -> Relation:
         """Row-provenance evaluation for SEARCH / CYCLE clauses.
 
@@ -795,6 +950,7 @@ class RecursiveExecutor:
         if statement_references(branch.statement, cte.name) != 1:
             raise PlanError("SEARCH/CYCLE require linear recursion")
 
+        bindings = self.plans.slots
         runner = QueryRunner(self.database, self.policy, bindings)
         current = runner.run(initial[0].statement)
         for extra_branch in initial[1:]:
@@ -906,14 +1062,6 @@ class RecursiveExecutor:
             stack.extend(reversed(children.get(index, [])))
         return order
 
-    def _run_timed(self, runner: QueryRunner, statement) -> Relation:
-        """``runner.run(statement)`` with the compile half credited to
-        :attr:`plan_seconds` (phase accounting for the engine)."""
-        started = time.perf_counter()
-        plan = runner.plan(statement)
-        self.plan_seconds += time.perf_counter() - started
-        return plan.execute()
-
     def _run_branch(self, branch: CteBranch,
                     statement_bindings: dict[str, Relation],
                     computed_bindings: dict[str, Relation],
@@ -955,7 +1103,6 @@ class RecursiveExecutor:
         return delta, _plans_pruned_total(plans)
 
     def _plan_and_run_branch(self, branch: CteBranch,
-                             bindings: dict[str, Relation],
                              branch_slots: dict[str, Relation],
                              computed_slots: dict[str, Relation],
                              computed_names: set[str]
@@ -964,7 +1111,7 @@ class RecursiveExecutor:
         against the live slots, run it, and keep the plans for reuse."""
         computed_plans = []
         for definition in branch.computed_by:
-            runner = QueryRunner(self.database, self.policy, bindings,
+            runner = QueryRunner(self.database, self.policy,
                                  live_slots=computed_slots)
             started = time.perf_counter()
             plan = runner.plan(definition.statement)
@@ -978,7 +1125,7 @@ class RecursiveExecutor:
             computed_plans.append((definition, plan))
             self._fill_computed(definition, plan, branch_slots,
                                 computed_slots, computed_names)
-        runner = QueryRunner(self.database, self.policy, bindings,
+        runner = QueryRunner(self.database, self.policy,
                              live_slots=branch_slots)
         started = time.perf_counter()
         statement_plan = runner.plan(branch.statement)

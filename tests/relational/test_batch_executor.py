@@ -224,7 +224,8 @@ class TestPlanCache:
         wcc.prepare_symmetric_edges(engine)
         detail = engine.execute_detailed(wcc.sql())
         assert detail.iterations > 1
-        assert detail.plans_compiled == 1
+        # The initial query, the branch (once) and the final body.
+        assert detail.plans_compiled == 3
         # Every later iteration reuses the single cached branch plan.
         assert detail.plan_cache_hits == detail.iterations - 1
 
@@ -334,7 +335,8 @@ class TestExplainAnalyze:
         detail = engine.execute_detailed(wcc.sql())
         report = engine.explain_analyze(wcc.sql())
         assert f"iterations={detail.iterations}" in report
-        assert "plans_compiled=1" in report
+        # EXPLAIN ANALYZE plans afresh: initial query, branch, body.
+        assert "plans_compiled=3" in report
         # The cached branch plan ran once per iteration.
         assert f"loops={detail.iterations}" in report
         assert "recursive branch:" in report and "final body:" in report
