@@ -1,5 +1,7 @@
-"""The benchmark harness: workloads, runners and table reporting for
-regenerating every table and figure of the paper's evaluation."""
+"""Helpers for the paper-figure scripts (``benchmarks/bench_fig*``,
+``bench_table*``, ``bench_ablation*``): reference-profile engines,
+scaled datasets (``REPRO_BENCH_SCALE``), timing and table rendering.
+Performance is measured end to end by ``benchmarks/e2e/``, not here."""
 
 from .harness import (
     BENCH_SCALE,

@@ -33,7 +33,7 @@ def load_dataset(key: str, scale: float | None = None) -> Graph:
 def fresh_engine(dialect: str, **kwargs: Any) -> Engine:
     """An engine in :data:`REFERENCE_PROFILE` — the paper's modelled RDBMS,
     whose dialect plan shapes the figures reproduce — with *kwargs*
-    overriding single knobs (the per-knob benches vary one at a time)."""
+    overriding single knobs."""
     return Engine(dialect, **{**REFERENCE_PROFILE, **kwargs})
 
 
@@ -42,23 +42,6 @@ def time_call(fn: Callable[[], Any]) -> tuple[Any, float]:
     started = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - started
-
-
-def phase_breakdown(engine: Engine) -> dict[str, float]:
-    """Per-phase milliseconds summed over every statement the engine's
-    query log recorded — parse/plan/optimize/execute, always-on telemetry
-    so it costs the benchmarks nothing extra.  Keys are stable
-    (``*_ms``) so BENCH JSON consumers can rely on them."""
-    totals: dict[str, float] = {}
-    for entry in engine.telemetry.query_log.entries():
-        for phase, ms in entry.phases.items():
-            totals[phase] = totals.get(phase, 0.0) + ms
-    return {
-        "parse_ms": round(totals.get("parse", 0.0), 3),
-        "plan_ms": round(totals.get("plan", 0.0), 3),
-        "optimize_ms": round(totals.get("optimize", 0.0), 3),
-        "execute_ms": round(totals.get("execute", 0.0), 3),
-    }
 
 
 def dag_twin(graph: Graph, seed_offset: int = 0) -> Graph:

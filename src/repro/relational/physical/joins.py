@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Sequence
 
+from ..errors import SchemaError
 from ..expressions import Expression, bind, compile_expression, compile_key_function
 from ..relation import Row
 from ..schema import Schema
@@ -161,7 +162,7 @@ class MergeJoin(_BinaryJoin):
                 return False
             try:
                 wanted.append(child.schema.index_of(key.name, key.qualifier))
-            except Exception:
+            except SchemaError:
                 return False
         return tuple(wanted) == tuple(child.index.key_positions)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Sequence
 
+from .errors import SchemaError
 from .expressions import ColumnRef, Expression
 from .physical import (
     BatchFilter,
@@ -268,7 +269,7 @@ class MergeJoinPolicy(PlannerPolicy):
             column_names.append(key.name)
         try:
             index = node.table.index_on(column_names)
-        except Exception:
+        except SchemaError:
             return node
         if index is None or not isinstance(index, SortedIndex):
             return node

@@ -555,11 +555,7 @@ def _contains_window(expr: Expression) -> bool:
 def _resolvable(expr: Expression, schema: Schema) -> bool:
     """True when every column reference in *expr* resolves in *schema*."""
     if isinstance(expr, ColumnRef):
-        try:
-            schema.index_of(expr.name, expr.qualifier)
-            return True
-        except Exception:
-            return False
+        return schema.has_column(expr.name, expr.qualifier)
     if isinstance(expr, BoundColumn):
         return True
     return all(_resolvable(c, schema) for c in expr.children())

@@ -349,21 +349,3 @@ class TestExplainAnalyze:
         engine.explain_analyze(wcc.sql())
         assert rows_set(engine.execute(wcc.sql())) == rows_set(expected)
 
-
-# -- benchmark smoke ---------------------------------------------------------
-
-
-class TestBenchSmoke:
-    def test_executor_bench_runs_at_tiny_scale(self, tmp_path):
-        from repro.bench.executor_bench import run_executor_bench, write_report
-
-        report = run_executor_bench(scale=0.05, repeats=1)
-        assert {r["query"] for r in report["results"]} == {"PR", "WCC", "SSSP"}
-        for result in report["results"]:
-            assert result["identical"], result
-            assert result["tuple_ms"] > 0 and result["batch_ms"] > 0
-        path = write_report(report, tmp_path / "bench.json")
-        assert path.exists()
-        import json
-
-        assert json.loads(path.read_text())["bench"] == "executor"

@@ -28,6 +28,16 @@ def loaded(request):
 
 JOIN_SQL = "select E.F, V.vw from E, V where E.T = V.ID"
 
+SCAN_FILTER_AGGREGATE_SQL = (
+    "select F, T, ew from E",
+    "select F, T from E where ew < 0.35 and T > 16",
+    "select T, count(*) as c, sum(ew) as s, min(F) as lo from E group by T",
+)
+
+FOUR_WAY_SQL = ("select count(*) as paths from E as A, E as B, E as C, V"
+                " where A.T = B.F and B.T = C.F and C.T = V.ID"
+                " and V.ID < 4")
+
 
 class TestCardinalityEstimates:
     def test_explain_reports_estimates_on_every_operator(self, loaded):
@@ -228,20 +238,19 @@ class TestOperatorSelection:
 
     @pytest.mark.parametrize("executor", ["tuple", "batch"])
     def test_plans_agree_across_executors(self, executor):
+        # 3000 rows: a columnar E holds a sealed block.  Quarter weights
+        # keep every sum exact whatever order it adds in.
+        edges = [(i, (i * 7 + 1) % 40, (i % 4) / 4) for i in range(3000)]
+        nodes = [(i, float(i % 5)) for i in range(40)]
         engine = Engine("oracle", optimizer="cost", executor=executor)
-        engine.database.load_edge_table(
-            "E", [(i, (i * 7 + 1) % 40, 1.0) for i in range(200)])
-        engine.database.load_node_table(
-            "V", [(i, float(i % 5)) for i in range(40)])
-        plan = engine.explain(JOIN_SQL)
-        assert "Hash Join" in plan
-        rows = sorted(engine.execute(JOIN_SQL).rows)
         baseline = reference_engine("oracle")
-        baseline.database.load_edge_table(
-            "E", [(i, (i * 7 + 1) % 40, 1.0) for i in range(200)])
-        baseline.database.load_node_table(
-            "V", [(i, float(i % 5)) for i in range(40)])
-        assert rows == sorted(baseline.execute(JOIN_SQL).rows)
+        for each in (engine, baseline):
+            each.database.load_edge_table("E", edges)
+            each.database.load_node_table("V", nodes)
+        assert "Hash Join" in engine.explain(JOIN_SQL)
+        for sql in (JOIN_SQL, *SCAN_FILTER_AGGREGATE_SQL, FOUR_WAY_SQL):
+            assert sorted(engine.execute(sql).rows) \
+                == sorted(baseline.execute(sql).rows), sql
 
 
 class TestAnalyzeStatement:

@@ -83,6 +83,24 @@ class TestJoins:
         assert "left presorted" in join.detail()
         assert len(join.execute()) == 3
 
+    def test_presorted_check_lets_lookup_bugs_surface(self, monkeypatch):
+        # Only an unresolvable key means "not presorted"; any other error
+        # from the column lookup is a bug and fails the join.
+        db = Database()
+        table = db.create_table("T", Schema.of("k", "v"))
+        table.insert_many([(1, 2.0)])
+        table.create_index("ix", ["k"], "btree")
+        left = IndexOrderedScan(table, "ix", "L")
+        right = scan(("k2",), [(1,)], "R")
+        join = MergeJoin(left, right, [col("L.k")], [col("R.k2")])
+
+        def broken(self, name, qualifier=None):
+            raise RuntimeError("lookup bug")
+
+        monkeypatch.setattr(Schema, "index_of", broken)
+        with pytest.raises(RuntimeError, match="lookup bug"):
+            join.detail()
+
     def test_nested_loop_theta(self, people, depts):
         join = NestedLoopJoin(people, depts,
                               BinaryOp("<", col("P.id"), col("D.head")))

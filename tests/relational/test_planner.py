@@ -73,6 +73,24 @@ class TestPlanShapes:
         assert "Index Scan" in plan
         assert "presorted" in plan
 
+    def test_index_feed_lookup_bug_surfaces(self, loaded, monkeypatch):
+        # Only an unresolvable join column means "no index feed"; any
+        # other error from the lookup is a bug and fails the plan.
+        from repro.relational.table import Table
+
+        engine = loaded("postgres")
+        temp = engine.database.create_temp_table(
+            "P", engine.database.table("V").schema)
+        temp.insert_many([(1, 0.0), (2, 0.0)])
+        temp.create_index("ix", ["ID"], "btree")
+
+        def broken(self, columns):
+            raise RuntimeError("index lookup bug")
+
+        monkeypatch.setattr(Table, "index_on", broken)
+        with pytest.raises(RuntimeError, match="index lookup bug"):
+            engine.explain("select P.ID from P, E where P.ID = E.F")
+
     def test_oracle_build_side_selection(self, loaded):
         engine = loaded("oracle")
         # V (3 rows) smaller than E after E grows

@@ -29,6 +29,13 @@ BATCHES = (
     ({}, {"V": ((4,),)}),
     ({}, {"E": ((5, 1),)}),
     ({"E": ((8, 3, 1.0),)}, {}),
+    # Larger insert-only batches: 16 new edges between present vertices,
+    # then 64 that route through 32 new vertices.
+    ({"E": tuple((u, (u + k) % 10, 1.0) for k in (2, 3) for u in range(10)
+                 if 4 not in (u, (u + k) % 10))}, {}),
+    ({"E": tuple(edge for j in range(32)
+                 for edge in ((j % 10, 100 + j, 1.0),
+                              (100 + j, j * 3 % 10, 1.0)))}, {}),
 )
 
 CONFIGS = (

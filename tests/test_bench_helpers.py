@@ -68,48 +68,3 @@ class TestHarness:
         assert dag.num_nodes == graph.num_nodes
         assert all(u < v for u, v in dag.edges())
 
-
-class TestRegressionGate:
-    """compare_suite from benchmarks/bench_regression_gate.py — loaded by
-    path since benchmarks/ is not a package."""
-
-    @staticmethod
-    def _compare(baseline_results, fresh_results, ratio=0.5, slack=0.15):
-        import importlib.util
-        import os
-
-        path = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "benchmarks",
-            "bench_regression_gate.py")
-        spec = importlib.util.spec_from_file_location("gate", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module.compare_suite(
-            "suite", {"results": baseline_results},
-            {"results": fresh_results}, ratio, slack)
-
-    def test_retained_speedup_passes(self):
-        rows = self._compare(
-            [{"query": "PR", "speedup": 2.0}],
-            [{"query": "PR", "speedup": 1.2, "identical": True}])
-        assert [r["status"] for r in rows] == ["ok"]
-
-    def test_lost_speedup_fails(self):
-        rows = self._compare(
-            [{"query": "PR", "speedup": 2.0}],
-            [{"query": "PR", "speedup": 0.6, "identical": True}])
-        assert rows[0]["status"] == "regressed"
-        assert "floor" in rows[0]["detail"]
-
-    def test_divergence_always_fails(self):
-        rows = self._compare(
-            [{"query": "PR", "speedup": 2.0}],
-            [{"query": "PR", "speedup": 5.0, "identical": False}])
-        assert rows[0]["status"] == "diverged"
-
-    def test_missing_and_new_queries_are_reported(self):
-        rows = self._compare(
-            [{"query": "PR", "speedup": 2.0}],
-            [{"query": "WCC", "speedup": 2.0, "identical": True}])
-        statuses = {r["query"]: r["status"] for r in rows}
-        assert statuses == {"PR": "missing", "WCC": "new"}
