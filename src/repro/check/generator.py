@@ -8,7 +8,9 @@ Emits random-but-valid programs in two families:
   subqueries), GROUP BY + aggregates + HAVING, DISTINCT, deterministic
   ORDER BY + LIMIT — over NULL-heavy data;
 * ``with+`` programs over a generated graph — UNION ALL / UNION /
-  UNION BY UPDATE recursion, nonlinear branches, COMPUTED BY feeders,
+  UNION BY UPDATE recursion (seeded from a node or two, or — keys
+  stable from the first iteration — from every vertex), nonlinear
+  branches, COMPUTED BY feeders,
   anti-join pruning, MAXRECURSION edges, and pair-shaped ``t(F, T)``
   recursions (TC with a two-column GROUP BY; k-truss's two-key
   self-join under a keyless update) for the packed-key kernels.  About
@@ -380,6 +382,12 @@ def _generate_with_scenario(seed: int, rng: random.Random) -> Scenario:
             maxrecursion=maxrecursion,
             extra_where=() if pair else extra_where,
             body_aggregate=rng.random() < 0.3)
+        # The key-stable variant seeds every vertex, as PR, WCC and SSSP
+        # do: R's keys stay put, and the branch's key plans are reused
+        # from one iteration to the next.  Drawn last, so the draws
+        # before it give every other scenario what they gave before.
+        if not pair and rng.random() < 0.4:
+            query = dataclasses.replace(query, full_seed=True)
     elif union_kind == "union all":
         query = WithIR(
             union_kind=union_kind, seeds=seeds,

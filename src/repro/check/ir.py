@@ -371,6 +371,9 @@ class WithIR:
     maxrecursion: int | None = None
     extra_where: tuple[Expr, ...] = ()   # conjuncts on the recursive branch
     body_aggregate: bool = False    # body folds the CTE to count/min/max
+    # UBU: the initial branch covers all of V (SSSP's literal CASE), so
+    # R's keys stay put from the first iteration — the key-plan reuse path
+    full_seed: bool = False
     mode: str = "with+"
 
     edge_table: str = "E"
@@ -421,9 +424,15 @@ class WithIR:
                 f" {recursive}{cap} ) {body}")
 
     def _render_ubu(self, names, f, t, ew, e, where) -> str:
-        seeds = " union all ".join(
-            f"select {s} as ID, 0.0 as val from {e} where {f} = {s}"
-            f" group by {f}" for s in self.seeds)
+        if self.full_seed:
+            node = names.table_column(self.node_table, "ID")
+            seeds = (f"select {node} as ID, case when {node} = "
+                     f"{self.seeds[0]} then 0.0 else 100.0 end as val"
+                     f" from {self.node_table}")
+        else:
+            seeds = " union all ".join(
+                f"select {s} as ID, 0.0 as val from {e} where {f} = {s}"
+                f" group by {f}" for s in self.seeds)
         clauses = self._render_where(list(where), names, f, t, e)
         if self.aggregate is not None:
             recursive = (f"(select {e}.{t} as ID,"
@@ -502,6 +511,8 @@ class WithIR:
             yield replace(self, nonlinear=False)
         if self.body_aggregate:
             yield replace(self, body_aggregate=False)
+        if self.full_seed:
+            yield replace(self, full_seed=False)
         for index in range(len(self.extra_where)):
             yield replace(self, extra_where=_drop(self.extra_where, index))
         if len(self.seeds) > 1:
@@ -516,7 +527,8 @@ class WithIR:
         count = 2 + len(self.seeds)  # CTE + body + initial branches
         count += len(self.extra_where)
         for flag in (self.nonlinear, self.pair, self.having is not None,
-                     self.antijoin, self.computed_by, self.body_aggregate):
+                     self.antijoin, self.computed_by, self.body_aggregate,
+                     self.full_seed):
             if flag:
                 count += 1
         if self.maxrecursion is not None:

@@ -173,6 +173,9 @@ class ColumnStore:
         # ``compact()`` flushes.  The ragged tail deletes eagerly (plain
         # lists), so it never carries tombstones.
         self._dead: dict[int, set[int]] = {}
+        #: Counts mutations: what a plan kept over this store's arrays is
+        #: validated against besides their identity.
+        self.version = 0
         #: Observable storage counters (surfaced through MetricsRegistry).
         self.blocks_sealed = 0
         self.block_decays = 0
@@ -572,6 +575,7 @@ class ColumnStore:
     # -- internals ------------------------------------------------------
 
     def _touch(self, keep_arrays: bool = False) -> None:
+        self.version += 1
         if self._vectors is not None:
             # A mutation the vectors cannot take: the row overlay (or,
             # once _ensure_columns ran, the columns) carries on.

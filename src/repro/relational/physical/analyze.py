@@ -30,6 +30,11 @@ class OperatorStats:
     calls: int = 0
 
 
+#: How many trees :func:`instrument` has patched: the batch kernels decide
+#: once per plan whether a tree is instrumented, and again when this moves.
+patched_trees = 0
+
+
 def instrument(root: PhysicalOperator
                ) -> dict[PhysicalOperator, OperatorStats]:
     """Wrap every node of *root*'s tree with row/time accounting.
@@ -37,6 +42,8 @@ def instrument(root: PhysicalOperator
     Returns a node → :class:`OperatorStats` mapping that fills in as the
     plan executes (and keeps accumulating over repeated executions).
     """
+    global patched_trees
+    patched_trees += 1
     stats: dict[PhysicalOperator, OperatorStats] = {}
 
     def wrap(node: PhysicalOperator) -> None:

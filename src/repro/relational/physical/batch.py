@@ -30,6 +30,7 @@ from ..errors import ExecutionError
 from ..expressions import BoundColumn, bind, single_column_getter
 from ..relation import Relation, Row, require_numeric
 from ..schema import Schema
+from . import analyze
 from .aggregate import _AggregateBase
 from .base import PhysicalOperator
 from .blocks import (
@@ -45,11 +46,16 @@ from .blocks import (
     SubsetColumns,
     _is_int64,
     _none_free,
+    GROUPED_FUNCTIONS,
+    VALUE_ERRORS,
+    GroupPlan,
+    ProbePlan,
     array_grouped,
     clean_numeric,
     compile_array,
     compile_vector,
     csr_index,
+    group_plan,
     grouped_count,
     grouped_max,
     grouped_min,
@@ -57,6 +63,7 @@ from .blocks import (
     int_keys,
     pack_keys,
     position_index,
+    probe_plan,
     sorted_index,
     unpack_keys,
 )
@@ -179,10 +186,10 @@ def _key_set(rows: list[Row], scalar, key_fn) -> set:
 # without a columnar anchor takes exactly the pre-existing row path, so
 # row-storage engines are untouched; (2) an instrumented plan (EXPLAIN
 # ANALYZE / telemetry="on") falls back so every inter-operator hand-off
-# stays observable; (3) the block computation is speculative — if a
-# kernel raises, the caller replays the operator through the row path,
-# which reproduces the row engine's exact error (or its result, when
-# only the vectorized evaluation order could fail).
+# stays observable; (3) the block computation is speculative — a kernel
+# that cannot prove its result declines with None, and where values SQL
+# rejects make a list kernel raise, the caller replays the operator
+# through the row path, which reproduces the row engine's exact error.
 
 
 def _columnar_store(node: PhysicalOperator):
@@ -205,31 +212,50 @@ def _store_positions(node: PhysicalOperator,
     return positions
 
 
-def _instrumented(node: PhysicalOperator) -> bool:
-    """True when EXPLAIN ANALYZE patched ``rows`` anywhere in the tree."""
-    if "rows" in node.__dict__:
-        return True
-    return any(_instrumented(child) for child in node.children())
-
-
-def _has_columnar_anchor(node: PhysicalOperator) -> bool:
-    """True when a leaf of *node* is a columnar table scan, or a scan of a
-    relation backed by a column batch — the typed output of an earlier
-    block pipeline (a with+ snapshot, a COMPUTED BY table), which only
-    columnar storage produces."""
-    if _columnar_store(node) is not None:
-        return True
-    if isinstance(node, BindingScan):
-        # Peek without raising: an unbound slot fails on the row path.
-        relation = node.slots.get(node.name)
-        return relation is not None and relation.batch is not None
-    if isinstance(node, RelationScan):
-        return node.relation.batch is not None
-    return any(_has_columnar_anchor(child) for child in node.children())
+def _tree_facts(node: PhysicalOperator) -> tuple:
+    """``(instrumented, anchored, binding scans)`` of *node*'s tree:
+    whether EXPLAIN ANALYZE patched ``rows`` anywhere in it, whether a
+    leaf is a columnar table scan or a scan of a relation backed by a
+    column batch (the typed output of an earlier block pipeline, which
+    only columnar storage produces), and the loop-slot scans whose
+    binding decides that per execution.  Walked once per plan, and again
+    only after :func:`~.analyze.instrument` patched some tree."""
+    facts = node.__dict__.get("_tree_facts")
+    if facts is not None and facts[0] == analyze.patched_trees:
+        return facts[1]
+    instrumented = "rows" in node.__dict__
+    anchored = _columnar_store(node) is not None or (
+        isinstance(node, RelationScan) and node.relation.batch is not None)
+    scans = (node,) if isinstance(node, BindingScan) else ()
+    children = node.children()
+    if not anchored:
+        for child in children:
+            child_instrumented, child_anchored, child_scans = \
+                _tree_facts(child)
+            instrumented = instrumented or child_instrumented
+            anchored = anchored or child_anchored
+            scans += child_scans
+    else:
+        instrumented = instrumented or any(
+            _tree_facts(child)[0] for child in children)
+    result = (instrumented, anchored, () if anchored else scans)
+    if children:  # a leaf is cheap, and a scan's facts would name itself
+        node._tree_facts = (analyze.patched_trees, result)
+    return result
 
 
 def _block_eligible(node: PhysicalOperator) -> bool:
-    return _has_columnar_anchor(node) and not _instrumented(node)
+    instrumented, anchored, scans = _tree_facts(node)
+    if instrumented:
+        return False
+    if anchored:
+        return True
+    for scan in scans:
+        # Peek without raising: an unbound slot fails on the row path.
+        relation = scan.slots.get(scan.name)
+        if relation is not None and relation.batch is not None:
+            return True
+    return False
 
 
 def _bound_positions(keys, schema) -> tuple[int, ...] | None:
@@ -264,16 +290,14 @@ def _batch_source(node: PhysicalOperator) -> ColumnBatch | None:
             return None
         return SubsetColumns(child, node.positions, node._builder)
     if isinstance(node, BatchProject):
-        vectors = [compile_vector(bound) for bound, _ in node.items]
-        if any(v is None for v in vectors):
+        if node.block_columns is None:
             return None
         child = _batch_source(node.child)
         if child is None:
             return None
-        return DerivedColumns(child, [bound for bound, _ in node.items],
-                              vectors)
+        return DerivedColumns(child, *node.block_columns)
     if isinstance(node, BatchFilter):
-        predicate = compile_vector(node.predicate)
+        predicate = node.block_predicate
         if predicate is None:
             return None
         child = _batch_source(node.child)
@@ -289,7 +313,8 @@ def _batch_source(node: PhysicalOperator) -> ColumnBatch | None:
         right = _batch_source(node.right)
         if right is None:
             return None
-        return ConcatColumns(left, right)
+        return ConcatColumns(left, right,
+                             node.concat_memo if node.key_plans else None)
     if type(node) is BatchHashJoin:
         return node._block_source()
     if type(node) is BatchHashAggregate:
@@ -333,6 +358,16 @@ class _BlockBuild:
         self._sorted: tuple | None = None
         self._dict: tuple | None = None
         self._unique: tuple | None = None
+
+    def key_identity(self) -> tuple:
+        """``(key vector, store version)``: the one key column's typed
+        vector — what :meth:`csr` indexes — and the version of the store
+        it came from (None off a store), which a :class:`ProbePlan` over
+        this build side is validated against."""
+        if self._store is not None:
+            return (self._store.array(self._store_positions[0]),
+                    self._store.version)
+        return self.source.array(self.positions[0]), None
 
     def csr(self) -> tuple:
         """``(CsrIndex | None, build rows indexed)`` for a one-column key."""
@@ -391,9 +426,15 @@ class BatchHashJoin(_BatchBinaryJoin):
     is stable across re-executions — a with+ branch probing a base table
     with each iteration's delta) keeps the build side's index between
     executions, keyed by :func:`stable_input_fingerprint`.
+
+    A one-column int key probes a CSR index into a :class:`ProbePlan`;
+    with ``key_plans`` (:func:`keep_key_plans`) the join keeps its last
+    one, and a re-execution whose probe and build key vectors are the
+    same objects skips the index and the probe altogether.
     """
 
     label = "Hash Join"
+    key_plans = False
 
     def __init__(self, left, right, left_keys, right_keys,
                  build_side: str = "right", cached_build: bool = False):
@@ -404,6 +445,7 @@ class BatchHashJoin(_BatchBinaryJoin):
         self.cached_build = cached_build
         #: slot -> (build-input fingerprint, what was built from it)
         self._build_cache: dict[str, tuple] = {}
+        self._key_plan: ProbePlan | None = None
 
     def detail(self) -> str:
         base = super().detail()
@@ -452,13 +494,14 @@ class BatchHashJoin(_BatchBinaryJoin):
             "block", build, lambda: _BlockBuild(build, build_positions))
         if built.source is None:
             return None
-        probe_idx = build_pos = None
+        probe_idx = build_pos = plan = None
         if built.scalar:
             probe_keys = probe_src.array(probe_positions[0])
             if _is_int64(probe_keys):
-                index, observed = built.csr()
-                if index is not None:
-                    probe_idx, build_pos = index.probe(probe_keys.data)
+                plan = self._probe_plan(built, probe_keys)
+                if plan is not None:
+                    probe_idx, build_pos = plan.probe_idx, plan.build_pos
+                    observed = plan.observed
         else:
             index, observed = built.sorted()
             if index is not None:
@@ -496,7 +539,26 @@ class BatchHashJoin(_BatchBinaryJoin):
         self.build_rows_observed += observed
         return JoinColumns(probe_src, built.source, probe_idx, build_pos,
                            probe.schema.arity, build.schema.arity,
-                           probe_is_left=(self.build_side == "right"))
+                           probe_is_left=(self.build_side == "right"),
+                           plan=plan)
+
+    def _probe_plan(self, built: _BlockBuild,
+                    probe_keys: ArrayVector) -> ProbePlan | None:
+        """The kept :class:`ProbePlan` when it fits these key vectors,
+        else a new one over the build side's CSR index (kept with
+        ``key_plans``) — or None when the build keys have none."""
+        build_keys, version = built.key_identity()
+        plan = self._key_plan
+        if plan is not None and plan.fits(probe_keys, build_keys, version):
+            return plan
+        self._key_plan = None
+        index, observed = built.csr()
+        if index is None:
+            return None
+        plan = probe_plan(index, observed, probe_keys, build_keys, version)
+        if self.key_plans:
+            self._key_plan = plan
+        return plan
 
     def _compute(self) -> list[Row]:
         if _block_eligible(self):
@@ -696,9 +758,16 @@ class BatchHashAggregate(_AggregateBase):
     """
 
     label = "Hash Aggregate"
+    key_plans = False
 
     def __init__(self, child, keys, aggregates, key_aliases=None):
         super().__init__(child, keys, aggregates, key_aliases)
+        # The block kernels' argument evaluators, compiled once.
+        arg = self._bound_args[0] if len(self._bound_args) == 1 else None
+        self._arg_vector = None if arg is None else compile_vector(arg)
+        self._arg_array = None if arg is None else compile_array(arg)
+        #: the last grouping of one int64 key vector (with ``key_plans``)
+        self._group_plan: GroupPlan | None = None
         self._scalar_key = single_column_getter(self._bound_keys)
         # Single-column key + single-column argument (PageRank, WCC, SSSP
         # all fit): one two-slot itemgetter yields (key, value) pairs in C
@@ -748,48 +817,59 @@ class BatchHashAggregate(_AggregateBase):
         array kernel when keys and argument have typed views inside its
         exactness envelope, else — one key column only — the list kernels.
 
-        Speculative: any exception (heterogeneous values, a kernel the
-        vectorizer mis-covers) returns None and the caller replays the
-        row path, reproducing its exact result or error.
+        Kernels that cannot vouch for their result decline with None.
+        Where list evaluation — building the input batch, or a list
+        kernel — meets values SQL arithmetic rejects
+        (:data:`~.blocks.VALUE_ERRORS`), this returns None too and the
+        caller replays the row path for the row engine's exact error.
+        Any other exception is a bug and surfaces.
         """
         try:
             src = _batch_source(self.child)
-            if src is None:
-                return None
-            arg_expr = self._bound_args[0] if self._bound_args else None
-            fast = self._array_single(function, src, self._key_positions,
-                                      arg_expr)
-            if fast is not None or self._scalar_key is None:
-                return fast
-            keys = src.column(self._key_positions[0])
-            if not int_keys(keys):
-                return None
-            if function == "count":
-                if arg_expr is not None:
-                    vector = compile_vector(arg_expr)
-                    if vector is None or not _none_free(vector(src)):
-                        return None
-                return RowsColumns(grouped_count(keys), self.schema.arity)
-            kernel = {"sum": grouped_sum, "min": grouped_min,
-                      "max": grouped_max}.get(function)
-            if kernel is None or arg_expr is None:
-                return None
-            vector = compile_vector(arg_expr)
-            if vector is None:
-                return None
-            values = vector(src)
-            if not clean_numeric(values):
-                return None
-            return RowsColumns(kernel(keys, values), self.schema.arity)
-        except Exception:
+        except VALUE_ERRORS:
+            return None
+        if src is None:
+            return None
+        fast = self._array_single(function, src)
+        if fast is not None or self._scalar_key is None:
+            return fast
+        try:
+            return self._list_single(function, src)
+        except VALUE_ERRORS:
             return None
 
-    @staticmethod
-    def _array_single(function: str, src: ColumnBatch,
-                      key_positions: tuple[int, ...],
-                      arg_expr) -> ArrayColumns | None:
+    def _list_single(self, function: str,
+                     src: ColumnBatch) -> RowsColumns | None:
+        """The list kernels over one int key column: None unless the keys
+        are ints and the argument clean numbers (NULL-free for count)."""
+        keys = src.column(self._key_positions[0])
+        if not int_keys(keys):
+            return None
+        vector = self._arg_vector
+        if function == "count":
+            if self._bound_args[0] is not None:
+                if vector is None or not _none_free(vector(src)):
+                    return None
+            return RowsColumns(grouped_count(keys), self.schema.arity)
+        kernel = {"sum": grouped_sum, "min": grouped_min,
+                  "max": grouped_max}.get(function)
+        if kernel is None or vector is None:
+            return None
+        values = vector(src)
+        if not clean_numeric(values):
+            return None
+        return RowsColumns(kernel(keys, values), self.schema.arity)
+
+    def _array_single(self, function: str,
+                      src: ColumnBatch) -> ArrayColumns | None:
         """One key column groups on its int64 values; several group on
-        their packed keys (:func:`pack_keys`), unpacked again on output."""
+        their packed keys (:func:`pack_keys`), unpacked again on output.
+        With ``key_plans``, a one-column grouping is kept and reused while
+        the key vector is the same object — its group keys then come back
+        as the same vector too."""
+        if function not in GROUPED_FUNCTIONS:
+            return None
+        key_positions = self._key_positions
         if len(key_positions) == 1:
             keys = src.array(key_positions[0])
             if not _is_int64(keys):
@@ -801,19 +881,28 @@ class BatchHashAggregate(_AggregateBase):
                 return None
             key_data, packing = packed
         values = None
-        if arg_expr is not None:
-            evaluate = compile_array(arg_expr)
+        if self._bound_args[0] is not None:
+            evaluate = self._arg_array
             values = evaluate(src) if evaluate is not None else None
             if not isinstance(values, ArrayVector):
                 return None
-        grouped = array_grouped(function, key_data, values,
-                                sparse=packing is not None)
+        plan = self._group_plan
+        if plan is None or not plan.fits(key_data):
+            self._group_plan = None
+            plan = group_plan(key_data, sparse=packing is not None)
+            if plan is None:
+                return None
+            if self.key_plans and packing is None:
+                self._group_plan = plan
+        grouped = array_grouped(function, key_data, values, plan=plan)
         if grouped is None:
             return None
-        group_keys, aggregate = grouped
-        key_columns = [group_keys] if packing is None \
-            else unpack_keys(group_keys, packing)
-        return ArrayColumns([*map(ArrayVector, key_columns), aggregate])
+        if packing is None:
+            key_columns = [plan.group_vector]
+        else:
+            key_columns = [ArrayVector(column) for column in
+                           unpack_keys(plan.group_keys, packing)]
+        return ArrayColumns([*key_columns, grouped[1]])
 
     def _compute_single(self, function: str, arg) -> list[tuple]:
         if self._key_positions is not None and _block_eligible(self):
@@ -997,6 +1086,16 @@ class BatchProject(Project):
     the union-by-update merge — and the next iteration's scan — as it is.
     """
 
+    def __init__(self, child, items):
+        super().__init__(child, items)
+        exprs = [bound for bound, _ in self.items]
+        vectors = [compile_vector(expr) for expr in exprs]
+        #: ``(expressions, list evaluators, array evaluators)`` for
+        #: :class:`DerivedColumns`, compiled once — None when an
+        #: expression has no list form (the row path then runs).
+        self.block_columns = None if any(v is None for v in vectors) \
+            else (exprs, vectors, [compile_array(expr) for expr in exprs])
+
     def execute(self) -> Relation:
         result = self._compute(root=True)
         if isinstance(result, ColumnBatch):
@@ -1027,6 +1126,11 @@ class BatchFilter(Filter):
     """Filter twin: whole-input list comprehension over the compiled
     predicate instead of a per-row generator."""
 
+    def __init__(self, child, predicate):
+        super().__init__(child, predicate)
+        #: the predicate's list evaluator (None: none), compiled once
+        self.block_predicate = compile_vector(self.predicate)
+
     def execute(self) -> Relation:
         return Relation.from_trusted_rows(self.schema, self._compute())
 
@@ -1048,7 +1152,15 @@ class BatchFilter(Filter):
 
 class BatchUnionAll(UnionAllOp):
     """UNION ALL twin: concatenate the materialised inputs in one list
-    operation instead of chaining per-row generators."""
+    operation instead of chaining per-row generators.  With
+    ``key_plans`` its block form memoises each typed column's
+    concatenation (:class:`~.blocks.ConcatColumns`)."""
+
+    key_plans = False
+
+    def __init__(self, left, right):
+        super().__init__(left, right)
+        self.concat_memo: dict = {}
 
     def execute(self) -> Relation:
         return Relation.from_trusted_rows(self.schema, self._compute())
@@ -1058,3 +1170,16 @@ class BatchUnionAll(UnionAllOp):
 
     def _compute(self) -> list[Row]:
         return _materialize(self.left) + _materialize(self.right)
+
+
+def keep_key_plans(root: PhysicalOperator) -> None:
+    """Let the block operators of *root*'s tree keep their key plans
+    between executions.  For the branch plans of a keyed union-by-update
+    fixpoint: R's keys are distinct there and, once every vertex is in R,
+    the same vectors iteration after iteration, so a kept plan hits and
+    is bounded by the size of its inputs.  Anywhere else (a UNION
+    fixpoint's R grows every round) the plans are built and dropped."""
+    if isinstance(root, (BatchHashJoin, BatchHashAggregate, BatchUnionAll)):
+        root.key_plans = True
+    for child in root.children():
+        keep_key_plans(child)

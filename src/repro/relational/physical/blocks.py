@@ -22,9 +22,17 @@ the data itself must prove — see :func:`exact_array`,
 
 Everything here is *speculative*: the dispatch in
 :mod:`.batch` only takes these paths when the result is provably
-identical to the row-at-a-time computation, and any exception raised
-mid-kernel makes the caller replay the operator through the row path so
-error type, message and blame order match the row engine exactly.
+identical to the row-at-a-time computation.  A kernel that cannot prove
+it declines with None before touching any state; a list kernel that
+meets values SQL arithmetic rejects (:data:`VALUE_ERRORS`) makes the
+caller replay the operator through the row path, so error type, message
+and blame order match the row engine exactly.
+
+The three key-dependent kernels — the CSR probe, the grouping and the
+union-by-update merge — come in two halves, a *key plan* built from key
+arrays only and an apply that gathers and reduces values (see "key
+plans" below), so a fixpoint whose keys stay put pays for its values
+only.
 
 Semantics mirrored from :mod:`..expressions`:
 
@@ -47,10 +55,12 @@ from typing import Callable, Sequence
 
 import numpy as _np
 
+from ..errors import ExecutionError
 from ..expressions import (
     _RAW_BINARY_OPS,
     BinaryOp,
     BoundColumn,
+    CaseWhen,
     Expression,
     IsNull,
     Literal,
@@ -63,6 +73,13 @@ VectorFn = Callable[["ColumnBatch"], Vector]
 #: Python ints below this magnitude have an exact float64 image, so an
 #: int meeting a float computes the same value in either representation.
 _EXACT_INT = 2 ** 53
+
+#: What evaluating SQL arithmetic on Python values raises — mixed types,
+#: a division or modulo by zero, an int too large for a float.  A list
+#: kernel evaluates whole columns one subexpression at a time, so when
+#: several rows fail it may meet another of these first than the row
+#: path would: the caller replays the row path for the row engine's error.
+VALUE_ERRORS = (TypeError, ArithmeticError, ExecutionError)
 
 
 # -- typed column vectors ------------------------------------------------------
@@ -294,18 +311,21 @@ class ArrayColumns(ColumnBatch):
 class DerivedColumns(ColumnBatch):
     """Computed columns (projection output) over a child batch.
 
-    *vectors* are the expressions' list evaluators; the array evaluators
-    (:func:`compile_array`) are compiled on first use.  A computed column
-    asked for as a list tries its array form first — arithmetic on the
-    child's typed views plus one ``tolist`` — while a plain column
-    reference hands through the child's list.
+    *vectors* are the expressions' list evaluators, *arrays* their array
+    evaluators (:func:`compile_array`, None where there is none), both
+    compiled once by the operator.  A computed column asked for as a list
+    tries its array form first — arithmetic on the child's typed views
+    plus one ``tolist`` — while a plain column reference or a literal
+    hands through the child's list or repeats the value.
     """
 
     def __init__(self, child: ColumnBatch, exprs: Sequence[Expression],
-                 vectors: Sequence[VectorFn]):
+                 vectors: Sequence[VectorFn],
+                 arrays: Sequence["ArrayFn | None"]):
         self._child = child
         self._exprs = exprs
         self._vectors = vectors
+        self._array_fns = arrays
         self.length = child.length
         self._cache: dict[int, Vector] = {}
         self._arrays: dict[int, ArrayVector | None] = {}
@@ -313,7 +333,7 @@ class DerivedColumns(ColumnBatch):
     def column(self, j: int) -> Vector:
         cached = self._cache.get(j)
         if cached is None:
-            typed = (None if isinstance(self._exprs[j], BoundColumn)
+            typed = (None if isinstance(self._exprs[j], (BoundColumn, Literal))
                      else self.array(j))
             cached = self._cache[j] = (
                 typed.tolist() if typed is not None
@@ -324,10 +344,12 @@ class DerivedColumns(ColumnBatch):
         return self._array_once(j, lambda: self._evaluate_array(j))
 
     def _evaluate_array(self, j: int) -> ArrayVector | None:
-        evaluate = compile_array(self._exprs[j])
+        evaluate = self._array_fns[j]
         result = evaluate(self._child) if evaluate is not None else None
-        # A bare literal evaluates to a scalar: the list kernel repeats it.
-        return result if isinstance(result, ArrayVector) else None
+        if result is None or isinstance(result, ArrayVector):
+            return result
+        # A bare literal evaluates to a scalar: one value per row.
+        return literal_array(result, self.length)
 
     def rows(self) -> list[tuple]:
         cols = [self.column(j) for j in range(len(self._vectors))]
@@ -372,11 +394,20 @@ class FilteredColumns(ColumnBatch):
 
 
 class ConcatColumns(ColumnBatch):
-    """UNION ALL of two batches."""
+    """UNION ALL of two batches.
 
-    def __init__(self, left: ColumnBatch, right: ColumnBatch):
+    *memo* (the operator's, inside a union-by-update fixpoint) remembers
+    each typed column's concatenation by its two input vectors: the same
+    two objects concatenate to the same object again, so a grouping key
+    that is one branch's gathered keys followed by R's keys stays one
+    vector from iteration to iteration.
+    """
+
+    def __init__(self, left: ColumnBatch, right: ColumnBatch,
+                 memo: dict | None = None):
         self._left = left
         self._right = right
+        self._memo = memo
         self.length = left.length + right.length
         self._cache: dict[int, Vector] = {}
         self._arrays: dict[int, ArrayVector | None] = {}
@@ -389,8 +420,20 @@ class ConcatColumns(ColumnBatch):
         return cached
 
     def array(self, j: int) -> ArrayVector | None:
-        return self._array_once(j, lambda: _concat_arrays(
-            self._left.array(j), self._right.array(j)))
+        return self._array_once(j, lambda: self._concat_array(j))
+
+    def _concat_array(self, j: int) -> ArrayVector | None:
+        left, right = self._left.array(j), self._right.array(j)
+        if self._memo is None:
+            return _concat_arrays(left, right)
+        hit = self._memo.get(j)
+        if hit is not None and hit[0] is left and hit[1] is right:
+            return hit[2]
+        result = _concat_arrays(left, right)
+        if result is not None:
+            _freeze(result)
+            self._memo[j] = (left, right, result)
+        return result
 
     def rows(self) -> list[tuple]:
         return [*self._left.rows(), *self._right.rows()]
@@ -406,15 +449,18 @@ class JoinColumns(ColumnBatch):
 
     The position vectors are int arrays when a :class:`CsrIndex` probe
     produced them — then :meth:`array` gathers typed columns with one
-    ``take`` each — and lists when a dict probe did (``probe_idx`` a
-    ``range`` when every probe row matched exactly once).
+    ``take`` each, through the :class:`ProbePlan` when one made them —
+    and lists when a dict probe did (``probe_idx`` a ``range`` when every
+    probe row matched exactly once).
     """
 
     def __init__(self, probe: ColumnBatch, build: ColumnBatch,
                  probe_idx, build_pos,
-                 probe_arity: int, build_arity: int, probe_is_left: bool):
+                 probe_arity: int, build_arity: int, probe_is_left: bool,
+                 plan: "ProbePlan | None" = None):
         self._probe = probe
         self._build = build
+        self._plan = plan
         self.probe_idx = probe_idx
         self.build_pos = build_pos
         self._probe_arity = probe_arity
@@ -455,6 +501,8 @@ class JoinColumns(ColumnBatch):
         vector = source.array(local)
         if vector is None:
             return None
+        if self._plan is not None:
+            return self._plan.gather(j, vector, on_probe)
         return vector.take(self.probe_idx if on_probe else self.build_pos)
 
     def column(self, j: int) -> Vector:
@@ -559,6 +607,84 @@ def csr_index(keys: ArrayVector | None) -> CsrIndex | None:
     if not _dense(base, top, len(keys.data)):
         return None
     return CsrIndex(keys.data, base, top)
+
+
+# -- key plans -----------------------------------------------------------------
+#
+# Once every vertex is in R, a union-by-update fixpoint changes R's values
+# and never its keys: each iteration probes the same key vector against
+# the same build keys, groups the same gathered keys and merges the same
+# delta keys into the same table keys.  A *key plan* is what a kernel
+# computes from key arrays alone — probe pairs, group slots, the merge's
+# slot map — and the operator that built one keeps it (one entry) for as
+# long as its next input's key vectors are the very objects the plan
+# holds a strong reference to: identity (``is``), never equality and
+# never ``id()``.  The arrays are made read-only, so the same object is
+# the same data.  Only plans inside a keyed union-by-update fixpoint are
+# kept (:func:`~repro.relational.physical.batch.keep_key_plans`): there
+# R's keys are distinct, so a plan is bounded by the size of its inputs
+# and does not grow with the iterations.
+
+
+def _freeze(*items) -> None:
+    """Mark numpy arrays, or an :class:`ArrayVector`'s arrays, read-only."""
+    for item in items:
+        if isinstance(item, ArrayVector):
+            item.data.flags.writeable = False
+            if item.ints is not None:
+                item.ints.flags.writeable = False
+        else:
+            item.flags.writeable = False
+
+
+class ProbePlan:
+    """The key half of a block join: the ``(probe_idx, build_pos)`` pairs
+    a :class:`CsrIndex` probe made of one probe key vector against one
+    build key vector (and the build store's ``version``, None off a
+    store), with the ``observed`` build rows indexed.
+
+    It also memoises the gathers it served, one per output column: the
+    same source vector taken at these pairs is the same vector again —
+    which keeps a grouping key gathered from a static table one object
+    from iteration to iteration.
+    """
+
+    __slots__ = ("probe_keys", "build_keys", "version", "probe_idx",
+                 "build_pos", "observed", "_gathers", "__weakref__")
+
+    def __init__(self, probe_keys: ArrayVector, build_keys: ArrayVector,
+                 version, probe_idx, build_pos, observed: int):
+        _freeze(probe_keys, build_keys, probe_idx, build_pos)
+        self.probe_keys, self.build_keys = probe_keys, build_keys
+        self.version = version
+        self.probe_idx, self.build_pos = probe_idx, build_pos
+        self.observed = observed
+        self._gathers: dict[int, tuple] = {}
+
+    def fits(self, probe_keys: ArrayVector, build_keys: ArrayVector,
+             version) -> bool:
+        return (self.probe_keys is probe_keys
+                and self.build_keys is build_keys
+                and self.version == version)
+
+    def gather(self, j: int, vector: ArrayVector,
+               on_probe: bool) -> ArrayVector:
+        """Output column *j*: *vector* taken at the probe or build side's
+        positions."""
+        hit = self._gathers.get(j)
+        if hit is not None and hit[0] is vector:
+            return hit[1]
+        taken = vector.take(self.probe_idx if on_probe else self.build_pos)
+        _freeze(taken)
+        self._gathers[j] = (vector, taken)
+        return taken
+
+
+def probe_plan(index: CsrIndex, observed: int, probe_keys: ArrayVector,
+               build_keys: ArrayVector, version) -> ProbePlan:
+    """Probe *index* (built over *build_keys*) with *probe_keys*."""
+    return ProbePlan(probe_keys, build_keys, version,
+                     *index.probe(probe_keys.data), observed)
 
 
 # -- packed multi-column keys --------------------------------------------------
@@ -839,54 +965,96 @@ def cast_exact(vector: ArrayVector, integer: bool) -> ArrayVector | None:
     return vector if vector.ints is None else ArrayVector(data)
 
 
+class MergePlan:
+    """The key half of :func:`merge_dense_key` for one pair of key
+    vectors: per old row the new row replacing it (``hit``, -1 for none;
+    ``matched``, and ``everything`` when every old row is), and the new
+    rows whose key is not among the old ones (``fresh``), in order."""
+
+    __slots__ = ("old_keys", "new_keys", "hit", "matched", "everything",
+                 "fresh", "__weakref__")
+
+    def __init__(self, old_keys: ArrayVector, new_keys: ArrayVector,
+                 hit, fresh):
+        self.old_keys, self.new_keys = old_keys, new_keys
+        self.hit, self.fresh = hit, fresh
+        self.matched = hit >= 0
+        self.everything = bool(self.matched.all())
+        _freeze(old_keys, new_keys, hit, fresh, self.matched)
+
+    def fits(self, old_keys: ArrayVector, new_keys: ArrayVector) -> bool:
+        return self.old_keys is old_keys and self.new_keys is new_keys
+
+
+def merge_plan(old_keys: ArrayVector, new_keys: ArrayVector
+               ) -> MergePlan | None:
+    """The slot map of ``old ⊎ new`` on two non-empty int64 key vectors,
+    or None unless their keys are dense and distinct within *new*."""
+    old_data, new_data = old_keys.data, new_keys.data
+    low = min(int(old_data.min()), int(new_data.min()))
+    high = max(int(old_data.max()), int(new_data.max()))
+    if not _dense(low, high, len(old_data) + len(new_data)):
+        return None
+    size = high - low + 1
+    new_slots = new_data - low
+    source = _np.full(size, -1, dtype=_np.intp)
+    source[new_slots] = _np.arange(len(new_data))
+    if _np.count_nonzero(source >= 0) != len(new_data):
+        return None  # a key twice in *new*: the list merge's last-wins
+    old_slots = old_data - low
+    present = _np.zeros(size, dtype=bool)
+    present[old_slots] = True
+    return MergePlan(old_keys, new_keys, source[old_slots],
+                     _np.flatnonzero(~present[new_slots]))
+
+
 def merge_dense_key(old: Sequence[ArrayVector], new: Sequence[ArrayVector],
-                    key: int) -> tuple | None:
+                    key: int, plan: MergePlan | None = None) -> tuple | None:
     """``old ⊎ new`` on column *key*, both sides column-major and already
     in stored form (plain vectors of one dtype per column): ``(merged
-    vectors, replaced, appended)``, or None unless the keys are int64,
-    dense and distinct within *new*.
+    vectors, replaced, appended, plan)``, or None unless the keys are
+    int64, dense and distinct within *new*.  *plan* is the caller's last
+    :class:`MergePlan`, reused when it fits these key vectors; the one
+    used comes back.
 
     Same contents, order and counts as the list merge: every *old* row
     whose key *new* carries takes the new row's values in place
     (*replaced* counts those that differ), the others stay, and new keys
     follow in *new*'s order.  The merged vectors are fresh arrays —
-    nothing a reader of *old* holds is written to.
+    nothing a reader of *old* holds is written to — except the key
+    column when no key is appended: its values cannot change, so it is
+    *old*'s key vector itself, and the next merge's plan still fits.
     """
-    old_keys, new_keys = old[key].data, new[key].data
-    if not (old_keys.dtype == new_keys.dtype == _np.int64
-            and len(old_keys) and len(new_keys)):
+    old_keys, new_keys = old[key], new[key]
+    if not (old_keys.data.dtype == new_keys.data.dtype == _np.int64
+            and len(old_keys.data) and len(new_keys.data)):
         return None
     for before, after in zip(old, new):
         if before.ints is not None or before.data.dtype != after.data.dtype:
             return None
-    low = min(int(old_keys.min()), int(new_keys.min()))
-    high = max(int(old_keys.max()), int(new_keys.max()))
-    if not _dense(low, high, len(old_keys) + len(new_keys)):
-        return None
-    size = high - low + 1
-    new_slots = new_keys - low
-    source = _np.full(size, -1, dtype=_np.intp)
-    source[new_slots] = _np.arange(len(new_keys))
-    if _np.count_nonzero(source >= 0) != len(new_keys):
-        return None  # a key twice in *new*: the list merge's last-wins
-    old_slots = old_keys - low
-    hit = source[old_slots]  # the new row replacing each old one, or -1
-    matched = hit >= 0
-    everything = bool(matched.all())
-    present = _np.zeros(size, dtype=bool)
-    present[old_slots] = True
-    fresh = _np.flatnonzero(~present[new_slots])
-    changed = _np.zeros(len(old_keys), dtype=bool)
+    if plan is None or not plan.fits(old_keys, new_keys):
+        plan = merge_plan(old_keys, new_keys)
+        if plan is None:
+            return None
+    hit, fresh = plan.hit, plan.fresh
+    changed = _np.zeros(len(old_keys.data), dtype=bool)
     merged = []
-    for before, after in zip(old, new):
-        values = after.data[hit]
-        if not everything:
-            values = _np.where(matched, values, before.data)
-        changed |= values != before.data
+    for j, (before, after) in enumerate(zip(old, new)):
+        if j == key:
+            # A matched row's new key is its old key.
+            if not len(fresh):
+                merged.append(before)
+                continue
+            values = before.data
+        else:
+            values = after.data[hit]
+            if not plan.everything:
+                values = _np.where(plan.matched, values, before.data)
+            changed |= values != before.data
         if len(fresh):
             values = _np.concatenate((values, after.data[fresh]))
         merged.append(ArrayVector(values))
-    return merged, int(_np.count_nonzero(changed)), len(fresh)
+    return merged, int(_np.count_nonzero(changed)), len(fresh), plan
 
 
 # -- vectorized expression evaluation ----------------------------------------
@@ -976,7 +1144,35 @@ def compile_vector(expr: Expression) -> VectorFn | None:
         if expr.negated:
             return lambda batch: [v is not None for v in operand(batch)]
         return lambda batch: [v is None for v in operand(batch)]
+    case = _literal_case(expr)
+    if case is not None:
+        index, key, then, otherwise = case
+        # A NULL value equals nothing (the row path's NULL is not True),
+        # and *key* is not NULL, so ``==`` decides exactly as it does.
+        return lambda batch: [then if value == key else otherwise
+                              for value in batch.column(index)]
     return None
+
+
+def _literal_case(expr: Expression) -> tuple | None:
+    """``(column, key, then, otherwise)`` when *expr* is ``CASE WHEN
+    column = key THEN then ELSE otherwise END`` over literals — SSSP's
+    initial distance, either side of the ``=`` — with a non-NULL key;
+    else None."""
+    if not (isinstance(expr, CaseWhen) and len(expr.branches) == 1
+            and isinstance(expr.default, Literal)):
+        return None
+    (condition, then), = expr.branches
+    if not (isinstance(condition, BinaryOp) and condition.op == "="
+            and isinstance(then, Literal)):
+        return None
+    column, key = condition.left, condition.right
+    if isinstance(column, Literal):
+        column, key = key, column
+    if not (isinstance(column, BoundColumn) and isinstance(key, Literal)
+            and key.value is not None):
+        return None
+    return column.index, key.value, then.value, expr.default.value
 
 
 # -- array expression evaluation ----------------------------------------------
@@ -1036,14 +1232,62 @@ def _array_binary(op: str, raw, a, b) -> ArrayVector | None:
         return ArrayVector(raw(a, b))
 
 
+def literal_array(value, length: int) -> ArrayVector | None:
+    """*length* copies of an int or float literal as an int64 or float64
+    vector — or None where :func:`exact_array` would decline the list of
+    them: no rows, an int outside int64, a NaN."""
+    if not length or value != value:
+        return None
+    if type(value) is float:
+        return ArrayVector(_np.full(length, value, dtype=_np.float64))
+    if _INT64_MIN <= value <= _INT64_MAX:
+        return ArrayVector(_np.full(length, value, dtype=_np.int64))
+    return None
+
+
+def _equal_mask(vector: ArrayVector, key):
+    """``vector == key`` as a bool vector where numpy's comparison is
+    Python's: an int64 vector against an int inside int64, a float64 one
+    (int slots flagged or not) against a float or an int below 2**53;
+    else None."""
+    if vector.data.dtype == _np.int64:
+        if type(key) is int and _INT64_MIN <= key <= _INT64_MAX:
+            return vector.data == key
+        return None
+    if type(key) is float or (type(key) is int and abs(key) < _EXACT_INT):
+        return vector.data == key
+    return None
+
+
 def compile_array(expr: Expression) -> ArrayFn | None:
     """Array twin of :func:`compile_vector` for int/float literals, column
-    references and ``+ - *``; None for anything else."""
+    references, ``+ - *`` and the literal CASE of :func:`_literal_case`
+    when both its arms are ints or both floats; None for anything else.
+    A bare literal evaluates to the Python value (see
+    :func:`literal_array`)."""
     if isinstance(expr, Literal):
         value = expr.value
         if type(value) in (int, float):
             return lambda batch: value
         return None
+    case = _literal_case(expr)
+    if case is not None:
+        index, key, then, otherwise = case
+        if not (type(then) is type(otherwise) and type(then) in (int, float)):
+            return None
+
+        def eval_case(batch: ColumnBatch) -> ArrayVector | None:
+            vector = batch.array(index)
+            mask = None if vector is None else _equal_mask(vector, key)
+            if mask is None:
+                return None
+            chosen = literal_array(then, len(mask))
+            other = literal_array(otherwise, len(mask))
+            if chosen is None or other is None:
+                return None
+            return ArrayVector(_np.where(mask, chosen.data, other.data))
+
+        return eval_case
     if isinstance(expr, BoundColumn):
         index = expr.index
         return lambda batch: batch.array(index)
@@ -1128,17 +1372,61 @@ def distinct_first(keys) -> tuple:
     return keys[first], first
 
 
+#: The aggregate functions :func:`array_grouped` computes.
+GROUPED_FUNCTIONS = ("sum", "min", "max", "count")
+
+
+class GroupPlan:
+    """The key half of :func:`array_grouped` over one key vector: each
+    row's accumulator slot (``slots``, ``size`` of them) and, in
+    first-seen order, the groups' slots and keys (``groups``,
+    ``group_keys``; ``group_vector`` wraps the keys as an
+    :class:`ArrayVector`)."""
+
+    __slots__ = ("keys", "slots", "size", "groups", "group_keys",
+                 "group_vector", "__weakref__")
+
+    def __init__(self, keys, slots, first):
+        n = len(keys)
+        # The rows that open a group, in row order: first-seen order.
+        opens = _np.zeros(n, dtype=bool)
+        opens[first[first < n]] = True
+        openers = _np.flatnonzero(opens)
+        self.keys, self.slots, self.size = keys, slots, len(first)
+        self.groups = slots[openers]
+        self.group_keys = keys[openers]
+        self.group_vector = ArrayVector(self.group_keys)
+        _freeze(keys, slots, self.groups, self.group_keys)
+
+    def fits(self, keys) -> bool:
+        return self.keys is keys
+
+
+def group_plan(keys, sparse: bool = False) -> GroupPlan | None:
+    """The :class:`GroupPlan` of a non-empty int64 key vector, or None —
+    for no rows, and for sparse keys without *sparse* (:func:`_key_slots`)."""
+    if not len(keys):
+        return None
+    grouping = _key_slots(keys, sparse)
+    if grouping is None:
+        return None
+    return GroupPlan(keys, *grouping)
+
+
 def array_grouped(function: str, keys, values: ArrayVector | None,
-                  sparse: bool = False) -> tuple | None:
+                  sparse: bool = False,
+                  plan: GroupPlan | None = None) -> tuple | None:
     """``(group keys, aggregate)`` — an int64 array and an
     :class:`ArrayVector`, groups in first-seen order — or None.
 
     *keys* is an int64 array, *values* the argument column (None for
-    ``count``, whose NULL-free argument does not matter).  Groups get
-    *dense* accumulator slots, ``key - min``; a key range far wider than
-    the row count (:func:`_dense`) answers None — unless *sparse*, for
-    packed composite keys, where ``np.unique`` numbers the groups instead.
-    Per function, what makes the result the scalar loop's:
+    ``count``, whose NULL-free argument does not matter).  The grouping
+    is *plan* when the caller has one for these keys, else
+    :func:`group_plan`'s: groups get *dense* accumulator slots,
+    ``key - min``; a key range far wider than the row count
+    (:func:`_dense`) answers None — unless *sparse*, for packed composite
+    keys, where ``np.unique`` numbers the groups instead.  Per function,
+    what makes the result the scalar loop's:
 
     * ``sum`` of int64: exact whenever no partial sum can leave int64;
       of float64: ``bincount`` adds the weights in row order, so every
@@ -1153,20 +1441,22 @@ def array_grouped(function: str, keys, values: ArrayVector | None,
       survives exactly when it came first.  A NaN (comparisons all false:
       the loop's result depends on where it sits) answers None.
     """
-    n = len(keys)
-    if n == 0 or function not in ("sum", "min", "max", "count"):
+    if function not in GROUPED_FUNCTIONS:
         return None
-    grouping = _key_slots(keys, sparse)
-    if grouping is None:
-        return None
-    slots, first = grouping
-    size = len(first)
-    groups = _np.flatnonzero(first < n)
-    groups = groups[_np.argsort(first[groups], kind="stable")]
-    group_keys = keys[first[groups]]
+    if plan is None:
+        plan = group_plan(keys, sparse)
+        if plan is None:
+            return None
+    aggregate = _reduce_groups(function, plan, values)
+    return None if aggregate is None else (plan.group_keys, aggregate)
+
+
+def _reduce_groups(function: str, plan: GroupPlan,
+                   values: ArrayVector | None) -> ArrayVector | None:
+    """The apply half of :func:`array_grouped`."""
+    slots, size, groups = plan.slots, plan.size, plan.groups
     if function == "count":
-        counts = _np.bincount(slots, minlength=size)
-        return group_keys, ArrayVector(counts[groups])
+        return ArrayVector(_np.bincount(slots, minlength=size)[groups])
     if values is None:
         return None
     data = values.data
@@ -1181,11 +1471,11 @@ def array_grouped(function: str, keys, values: ArrayVector | None,
                 return None
             sums = _np.bincount(slots, weights=data, minlength=size)
         else:
-            if _int_peak(values) * n >= 2 ** 63:
+            if _int_peak(values) * len(data) >= 2 ** 63:
                 return None
             sums = _np.zeros(size, dtype=_np.int64)
             _np.add.at(sums, slots, data)
-        return group_keys, ArrayVector(sums[groups])
+        return ArrayVector(sums[groups])
     if function == "min":
         reduce_at = _np.minimum.at
         seed = _np.inf if floating else _np.iinfo(_np.int64).max
@@ -1195,9 +1485,9 @@ def array_grouped(function: str, keys, values: ArrayVector | None,
     extreme = _np.full(size, seed, dtype=data.dtype)
     reduce_at(extreme, slots, data)
     holders = _np.flatnonzero(data == extreme[slots])
-    where = _np.full(size, n, dtype=_np.intp)
+    where = _np.full(size, len(data), dtype=_np.intp)
     _np.minimum.at(where, slots[holders], holders)
-    return group_keys, values.take(where[groups])
+    return values.take(where[groups])
 
 
 def grouped_sum(keys: Vector, values: Vector) -> list[tuple]:

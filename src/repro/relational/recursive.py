@@ -41,6 +41,7 @@ from .errors import (
 )
 from .expressions import Expression, FunctionCall, contains_aggregate
 from .physical import IndexOrderedScan, TableScan
+from .physical.batch import keep_key_plans
 from .planner import PlannerPolicy
 from .relation import Relation
 from .sql.ast import (
@@ -795,6 +796,11 @@ class RecursiveExecutor:
             semi_naive = self.mode == "with"
         else:
             semi_naive = False
+        # A keyed union-by-update R keeps its key vector from iteration to
+        # iteration once every key is in it, so its cached branch plans
+        # keep their key plans (probe pairs, groupings) between executions.
+        key_plans = cte.union_kind is UnionKind.UNION_BY_UPDATE \
+            and bool(cte.update_key)
         working = current  # only consulted on the semi-naive path
         rname = cte.name.lower()
         # The entry's live slot dicts backing the plans' BindingScans.  Two
@@ -863,7 +869,7 @@ class RecursiveExecutor:
                             planned = len(branch_slots[rname])
                             delta, compiled = self._plan_and_run_branch(
                                 branch, branch_slots, computed_slots,
-                                computed_names)
+                                computed_names, key_plans)
                             compiled.planned_input = planned
                             cached[position] = compiled
                             if iteration == 1:
@@ -1105,10 +1111,11 @@ class RecursiveExecutor:
     def _plan_and_run_branch(self, branch: CteBranch,
                              branch_slots: dict[str, Relation],
                              computed_slots: dict[str, Relation],
-                             computed_names: set[str]
+                             computed_names: set[str], key_plans: bool
                              ) -> tuple[Relation, _CachedBranchPlans]:
         """First iteration of a cacheable branch: compile each statement
-        against the live slots, run it, and keep the plans for reuse."""
+        against the live slots, run it, and keep the plans for reuse —
+        with their key plans too when *key_plans*."""
         computed_plans = []
         for definition in branch.computed_by:
             runner = QueryRunner(self.database, self.policy,
@@ -1116,6 +1123,8 @@ class RecursiveExecutor:
             started = time.perf_counter()
             plan = runner.plan(definition.statement)
             self.plan_seconds += time.perf_counter() - started
+            if key_plans:
+                keep_key_plans(plan)
             if self._instrument:
                 from .physical import instrument
 
@@ -1130,6 +1139,8 @@ class RecursiveExecutor:
         started = time.perf_counter()
         statement_plan = runner.plan(branch.statement)
         self.plan_seconds += time.perf_counter() - started
+        if key_plans:
+            keep_key_plans(statement_plan)
         if self._instrument:
             from .physical import instrument
 

@@ -63,6 +63,10 @@ class Table:
         # the recursive loop's union-by-update do O(|delta|) work.
         self._positions_cache: tuple[tuple[int, ...],
                                      dict[tuple, list[int]]] | None = None
+        #: The last union-by-update merge's key plan
+        #: (:class:`~repro.relational.physical.blocks.MergePlan`): the next
+        #: merge of the same two key vectors reuses its slot map.
+        self._merge_plan = None
         #: Maintenance counters (observable cost model): full index/keyset
         #: rebuilds vs. incremental per-row index delete/insert operations.
         self.index_rebuilds = 0
@@ -555,7 +559,8 @@ class Table:
         a key constraint or secondary index to maintain, a column that is
         not all int / all float (NULL, bool, text, NaN), a cast that is
         not exact, or keys that are not dense, distinct ints.  Declines
-        before touching the table.
+        before touching the table.  The slot map is the table's last
+        merge's when that was made of the same two key vectors.
         """
         from .physical.blocks import merge_dense_key
 
@@ -568,10 +573,10 @@ class Table:
         old = [self.rows.array(j) for j in range(self.schema.arity)]
         if any(before is None for before in old):
             return None
-        merged = merge_dense_key(old, new, kpos)
+        merged = merge_dense_key(old, new, kpos, self._merge_plan)
         if merged is None:
             return None
-        vectors, replaced, appended = merged
+        vectors, replaced, appended, self._merge_plan = merged
         self.rows.assign_vectors(vectors)
         self._rebuild_auxiliary()
         return replaced, appended

@@ -159,6 +159,20 @@ class _WarmStartView(StreamingView):
 
     cte_name = "?"
 
+    def _seed(self, schema: Schema, rows: list[tuple]) -> Relation:
+        """*rows* as a seed relation: on columnar storage as typed vectors
+        when every column has an exact one, so the recursive relation
+        starts out as the vectors the loop keeps (and its key plans fit
+        from the second iteration on); else as the rows."""
+        if self.manager.engine.database.storage == "columnar":
+            from repro.relational.physical.blocks import (ArrayColumns,
+                                                          exact_array)
+
+            vectors = [exact_array(list(column)) for column in zip(*rows)]
+            if vectors and None not in vectors:
+                return Relation.from_batch(schema, ArrayColumns(vectors))
+        return Relation(schema, rows)
+
     def _run(self, sql: str,
              seed: Relation | None = None) -> Relation:
         engine = self.manager.engine
@@ -235,7 +249,7 @@ class WccView(_WarmStartView):
                 rows.append((v, v))  # own-ID, exactly the cold init
             else:
                 rows.append((v, prior))
-        seed = Relation(self.SEED_SCHEMA, rows)
+        seed = self._seed(self.SEED_SCHEMA, rows)
         self.labels = dict(self._run(wcc.sql(), seed).rows)
         self.mode_history.append("incremental")
         return "incremental"
@@ -320,7 +334,7 @@ class SsspView(_WarmStartView):
                 rows.append((v, INF))
             else:
                 rows.append((v, dist[v]))
-        seed = Relation(self.SEED_SCHEMA, rows)
+        seed = self._seed(self.SEED_SCHEMA, rows)
         self.distances = dict(self._run(
             bellman_ford.sql(self.source), seed).rows)
         self.mode_history.append("incremental")

@@ -13,10 +13,16 @@ The row path (tuple executor) is the oracle throughout.  Four layers:
   of the exactness envelope, and the reference profile running none of
   the array kernels at all;
 * the loop — the UNION combine on packed keys against the set path, and
-  TC / k-truss leaving no row tuples behind inside the fixpoint.
+  TC / k-truss leaving no row tuples behind inside the fixpoint;
+* key plans — a union-by-update fixpoint builds its probe pairs,
+  grouping and merge map once while R's keys stay put, rebuilds them
+  when they move, and nothing else keeps one.
 """
 
+import gc
 import math
+import weakref
+from collections import Counter
 from types import SimpleNamespace
 from unittest import mock
 
@@ -29,8 +35,9 @@ from repro.core.algorithms.common import load_graph, prepare_transition
 from repro.core.algorithms.registry import ALGORITHMS
 from repro.datasets import preferential_attachment
 from repro.datasets.generators import random_dag
+from repro.graphsystems.graph import Graph
 from repro.relational import REFERENCE_PROFILE, Engine
-from repro.relational.columnar.store import ColumnBlock
+from repro.relational.columnar.store import ColumnBlock, ColumnStore
 from repro.relational.engine import parse_statement
 from repro.relational.expressions import BinaryOp, Literal, col
 from repro.relational.physical import (
@@ -48,7 +55,7 @@ from repro.relational.physical import (
     TableScan,
     UnionAllOp,
 )
-from repro.relational.physical import blocks
+from repro.relational.physical import batch, blocks
 from repro.relational.physical.blocks import (
     CsrIndex,
     array_grouped,
@@ -62,6 +69,7 @@ from repro.relational.physical.blocks import (
 from repro.relational.recursive import RecursiveExecutor
 from repro.relational.relation import AggregateSpec, Relation
 from repro.relational.schema import Column, Schema
+from repro.streaming import StreamingManager
 from repro.relational.sql.ast import UnionKind
 from repro.relational.table import Table
 from repro.relational.types import SqlType
@@ -593,13 +601,12 @@ def array_kernel_runs(monkeypatch):
     runs = []
     original = BatchHashAggregate._array_single
 
-    def recording(*args):
-        result = original(*args)
+    def recording(self, *args):
+        result = original(self, *args)
         runs.append(result is not None)
         return result
 
-    monkeypatch.setattr(BatchHashAggregate, "_array_single",
-                        staticmethod(recording))
+    monkeypatch.setattr(BatchHashAggregate, "_array_single", recording)
     return runs
 
 
@@ -785,14 +792,13 @@ def pair_kernel_runs(monkeypatch):
         runs.append("probe")
         return probe(self, keys)
 
-    def grouping(*args):
-        result = single(*args)
+    def grouping(self, *args):
+        result = single(self, *args)
         runs.append(("group", result is not None))
         return result
 
     monkeypatch.setattr(blocks.SortedIndex, "probe", probing)
-    monkeypatch.setattr(BatchHashAggregate, "_array_single",
-                        staticmethod(grouping))
+    monkeypatch.setattr(BatchHashAggregate, "_array_single", grouping)
     return runs
 
 
@@ -1164,3 +1170,240 @@ def test_closures_build_no_row_tuples_inside_the_loop(name, monkeypatch):
     result = engine.execute_detailed(sql)
     assert result.iterations > 1
     assert built == ["ArrayColumns"]  # the result, read once
+
+
+# -- key plans ------------------------------------------------------------------
+
+
+@pytest.fixture
+def plan_builds(monkeypatch):
+    """Counts the key plans built, by kind: ``probe`` (a join's probe
+    pairs), ``group`` (an aggregate's grouping), ``merge`` (the
+    union-by-update merge's slot map)."""
+    builds = Counter()
+    for owner, name, kind in ((batch, "probe_plan", "probe"),
+                              (batch, "group_plan", "group"),
+                              (blocks, "merge_plan", "merge")):
+        def counting(*args, _original=getattr(owner, name), _kind=kind,
+                     **kwargs):
+            builds[_kind] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    return builds
+
+
+@pytest.mark.parametrize("name", ["pr", "sssp"])
+def test_constant_and_case_initial_queries_append_vectors(name, monkeypatch):
+    """PageRank's ``select ID, 0.0 from V`` and SSSP's ``case when ID = 0
+    then 0.0 else 1e18 end`` are evaluated on vectors: the recursive
+    table's first contents reach ``ColumnStore.append_vectors``, and no
+    row ``insert_many`` runs."""
+    monkeypatch.delenv("REPRO_STORAGE", raising=False)
+    engine, graph = fixpoint_engine()
+    appended, inserted = [], []
+    append_vectors, insert_many = ColumnStore.append_vectors, \
+        Table.insert_many
+
+    def appending(self, vectors):
+        result = append_vectors(self, vectors)
+        appended.append(result)
+        return result
+
+    def inserting(self, rows):
+        inserted.append(self.name)
+        return insert_many(self, rows)
+
+    monkeypatch.setattr(ColumnStore, "append_vectors", appending)
+    monkeypatch.setattr(Table, "insert_many", inserting)
+    sql = fixpoint_statements(graph)[name]
+    rows = repr_rows(engine, sql)
+    assert appended and all(appended)
+    assert not [table for table in inserted if not table.startswith("__")]
+    default, _ = fixpoint_engine(**REFERENCE_PROFILE)
+    assert rows == repr_rows(default, sql)
+
+
+LITERAL_CASES = {
+    "int column, int key, float arms": ([(0,), (1,), (2,)], "0", "0.0",
+                                        "1e18"),
+    "int column, float key": ([(0,), (1,)], "1.0", "2.5", "-0.0"),
+    "int arms": ([(0,), (1,)], "1", "7", "-3"),
+    "float column, int key": ([(0.0,), (1.5,), (1.0,)], "1", "1.0", "2.0"),
+    "mixed int/float column": ([(1,), (1.0,), (2.5,)], "1", "0.5", "4.0"),
+    "NULL in the column": ([(0,), (None,), (2,)], "2", "1.0", "2.0"),
+    "int and float arms": ([(0,), (1,)], "0", "0", "1.5"),
+    "NULL arm": ([(0,), (1,)], "0", "NULL", "1.5"),
+    "key outside int64": ([(0,), (1,)], str(2 ** 64), "1.0", "2.0"),
+    "bool column": ([(True,), (False,)], "1", "1.0", "2.0"),
+    "text column": ([("a",), ("b",)], "'a'", "1.0", "2.0"),
+    "no rows": ([], "0", "1.0", "2.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LITERAL_CASES))
+def test_literal_case_matches_the_row_path(case):
+    """``CASE WHEN c = key THEN a ELSE b END`` over a columnar table, as
+    the block projection computes it (on vectors where both arms are ints
+    or both floats, else on lists) and as the row path does."""
+    rows, key, then, otherwise = LITERAL_CASES[case]
+    engine = Engine("oracle", **BEST)
+    default = reference_engine()
+    for each in (engine, default):
+        each.database.register("T", Relation.from_pairs(("c",), rows))
+    sql = (f"select c, case when c = {key} then {then} else {otherwise}"
+           " end as v from T")
+    assert identity(engine.execute(sql).rows) \
+        == identity(default.execute(sql).rows)
+
+
+@pytest.mark.parametrize("name", ["pr", "sssp"])
+def test_each_key_plan_is_built_at_most_once_per_statement(name, plan_builds,
+                                                           monkeypatch):
+    """On ``Engine()`` the 15-iteration PageRank statement and SSSP build
+    their probe pairs, grouping and merge map once: from the second
+    iteration on, R's key vector is the object the plans were built from
+    (the merge hands it back when no key is appended)."""
+    monkeypatch.delenv("REPRO_STORAGE", raising=False)
+    engine, graph = fixpoint_engine()
+    plan_builds.clear()  # loading the graph ran aggregates of its own
+    result = engine.execute_detailed(fixpoint_statements(graph)[name])
+    assert result.iterations > 3
+    assert plan_builds == {"probe": 1, "group": 1, "merge": 1}
+
+
+def ring_graph(size=8):
+    """A directed ring with two chords: every vertex reachable from 0,
+    the farthest ``size - 1`` steps away."""
+    graph = Graph(directed=True)
+    for node in range(size):
+        graph.add_edge(node, (node + 1) % size, 0.5)
+    graph.add_edge(0, size // 2, 0.25)
+    graph.add_edge(size - 1, 2, 0.75)
+    return graph
+
+
+#: A PageRank-like fold from vertex 0 alone: R gains keys for a few
+#: iterations, then keeps them while the values move until the cap.
+GROWING_SQL = """
+with P(ID, W) as (
+  (select ID, 1.0 from V where ID = 0)
+  union by update ID
+  (select E.T, 0.5 * sum(P.W * E.ew) + 0.25 from P, E where P.ID = E.F
+   group by E.T)
+  maxrecursion 16
+)
+select ID, W from P
+"""
+
+
+def test_key_plans_are_rebuilt_while_keys_grow_then_reused(plan_builds):
+    graph = ring_graph()
+    best, default = Engine("oracle", **BEST), reference_engine()
+    for engine in (best, default):
+        load_graph(engine, graph)
+    plan_builds.clear()
+    result = best.execute_detailed(GROWING_SQL)
+    assert result.iterations == 16
+    grown = [stat.inserted for stat in result.per_iteration]
+    assert grown[0] and not grown[-1]
+    # One plan per key vector R held: the initial one, and one per
+    # iteration that appended keys.
+    appending = sum(1 for inserted in grown if inserted)
+    for kind in ("probe", "group", "merge"):
+        assert plan_builds[kind] == appending + 1, kind
+    assert [repr(row) for row in result.relation.rows] \
+        == repr_rows(default, GROWING_SQL)
+
+
+def test_key_plans_are_rebuilt_after_apply_batch_mutates_E(plan_builds):
+    """The cached SSSP statement rerun after a streaming batch mutated E:
+    the build store moved on (new key vector, new version), so the probe
+    pairs are rebuilt, and the result is a cold engine's."""
+    engine, graph = fixpoint_engine(**BEST)
+    manager = StreamingManager(engine)
+    manager.attach_graph(graph, load=False)
+    sql = fixpoint_statements(graph)["sssp"]
+    engine.execute(sql)
+    manager.apply_batch(inserts={"E": [(0, 7, 0.5), (3, 11, 2.0)]},
+                        deletes={"E": [next(iter(graph.edges()))[:2]]})
+    plan_builds.clear()
+    rows = repr_rows(engine, sql)
+    assert plan_builds["probe"] == 1
+    cold = reference_engine()
+    load_graph(cold, manager.graph)
+    assert rows == repr_rows(cold, sql)
+
+
+WCC_SEED = Schema.of(("ID", SqlType.INTEGER), ("vw", SqlType.INTEGER))
+
+
+def test_a_warm_start_seed_in_another_row_order(plan_builds):
+    """The same WCC warm start seeded in V order, then reversed: the
+    second seed's key vector is another object, so the statement builds
+    its own plans instead of pairing keys by the first seed's order."""
+    best, graph = fixpoint_engine(**BEST)
+    default, _ = fixpoint_engine(**REFERENCE_PROFILE)
+    sql = fixpoint_statements(graph)["wcc"]
+    best.execute(sql)  # plans cached: each run below builds key plans only
+    labels = [(node, node if node % 3 else 0) for node in graph.nodes()]
+    for seed_rows in (labels, labels[::-1]):
+        seed = Relation.from_batch(WCC_SEED, blocks.ArrayColumns(
+            [exact_array(list(column)) for column in zip(*seed_rows)]))
+        plan_builds.clear()
+        got = best.execute_detailed(sql, warm_start={"C": seed})
+        want = default.execute_detailed(
+            sql, warm_start={"C": Relation(WCC_SEED, seed_rows)})
+        assert [repr(row) for row in got.relation.rows] \
+            == [repr(row) for row in want.relation.rows]
+        assert plan_builds["probe"] == 1
+
+
+@pytest.mark.parametrize("name", ["tc", "ktruss"])
+def test_union_fixpoints_keep_no_key_plan(name, monkeypatch):
+    """TC's R grows every round and k-truss updates without a key: their
+    joins and aggregates build key plans and drop them — none is alive
+    after the statement."""
+    if name == "tc":
+        graph, sql = random_dag(60, 2.0, seed=1), tc.sql()
+    else:
+        graph = preferential_attachment(50, 6.0, directed=False, seed=2)
+        sql = ktruss.sql(3)
+    engine = Engine("oracle", **BEST)
+    load_graph(engine, graph)
+    wcc.prepare_symmetric_edges(engine)
+    alive = []
+    for owner, name_ in ((batch, "probe_plan"), (batch, "group_plan"),
+                         (blocks, "merge_plan")):
+        def watching(*args, _original=getattr(owner, name_), **kwargs):
+            plan = _original(*args, **kwargs)
+            if plan is not None:
+                alive.append(weakref.ref(plan))
+            return plan
+
+        monkeypatch.setattr(owner, name_, watching)
+    result = engine.execute_detailed(sql)
+    assert result.iterations > 1
+    gc.collect()
+    assert alive  # the spies saw the plans being built
+    assert not [ref for ref in alive if ref() is not None]
+    default = reference_engine()
+    load_graph(default, graph)
+    wcc.prepare_symmetric_edges(default)
+    # Set results: the row order follows the plan, the rows must not.
+    assert sorted(repr(row) for row in result.relation.rows) \
+        == sorted(repr_rows(default, sql))
+
+
+def test_a_kernel_bug_surfaces_from_a_pagerank_statement(monkeypatch):
+    """Only values SQL rejects send the aggregate back to the row path: a
+    kernel raising anything else is a bug, and the statement fails with
+    it instead of being replayed on rows."""
+    engine, graph = fixpoint_engine(**BEST)
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("array_grouped bug")
+
+    monkeypatch.setattr(batch, "array_grouped", broken)
+    with pytest.raises(RuntimeError, match="array_grouped bug"):
+        engine.execute(fixpoint_statements(graph)["pr"])
