@@ -11,7 +11,8 @@ Emits random-but-valid programs in two families:
   UNION BY UPDATE recursion (seeded from a node or two, or — keys
   stable from the first iteration — from every vertex), nonlinear
   branches, COMPUTED BY feeders,
-  anti-join pruning, MAXRECURSION edges, and pair-shaped ``t(F, T)``
+  anti-join pruning, MAXRECURSION edges, a linear UNION whose value
+  column R's INTEGER type coerces, and pair-shaped ``t(F, T)``
   recursions (TC with a two-column GROUP BY; k-truss's two-key
   self-join under a keyless update) for the packed-key kernels.  About
   one graph in four scatters its node ids 10**6 apart, so packed keys
@@ -410,4 +411,13 @@ def _generate_with_scenario(seed: int, rng: random.Random) -> Scenario:
             # The nonlinear branch scopes aliases a/b, not E.
             extra_where=() if nonlinear else extra_where,
             body_aggregate=rng.random() < 0.3)
+        # The coerced variant carries a value column the INTEGER column
+        # truncates, so full binding derives again rows the combine
+        # stored in another form: the optimizer axis (full binding on
+        # "off", delta on "cost" unless the type rule declines) checks
+        # that rule.  Its values grow round by round, hence the cap; it
+        # is drawn last, so every other scenario stays as it was.
+        if not (nonlinear or pair) and rng.random() < 0.5:
+            query = dataclasses.replace(query, coerced=True,
+                                        maxrecursion=rng.randint(1, 6))
     return Scenario(seed, tables, query)

@@ -374,6 +374,9 @@ class WithIR:
     # UBU: the initial branch covers all of V (SSSP's literal CASE), so
     # R's keys stay put from the first iteration — the key-plan reuse path
     full_seed: bool = False
+    # linear UNION over t(ID, d), d INTEGER and the branch's t.d + E.ew
+    # DOUBLE: the insert truncates it, the delta-binding type rule's case
+    coerced: bool = False
     mode: str = "with+"
 
     edge_table: str = "E"
@@ -401,22 +404,31 @@ class WithIR:
             columns = "(F, T)"
             initial = f"(select {f} as F, {t} as T from {e})"
             recursive = f"(select a.F, b.T from t a join t b on a.T = b.F"
+            frontier = ""
         else:
-            columns = "(ID)"
-            seeds = " union all ".join(
-                f"select {s} as ID from {e} where {f} = {s}"
-                f" group by {f}" for s in self.seeds)
-            initial = f"({seeds})"
             source = "frontier" if self.computed_by else "t"
-            recursive = (f"(select {e}.{t} as ID from {source}"
+            if self.coerced:
+                # t also carries d: INTEGER (E's T), and the branch adds
+                # E's DOUBLE ew to it
+                columns, kept = "(ID, d)", "ID, d"
+                seeds = " union all ".join(
+                    f"select {f} as ID, {t} as d from {e} where {f} = {s}"
+                    for s in self.seeds)
+                value = f", {source}.d + {e}.{ew} as d"
+            else:
+                columns, kept, value = "(ID)", "ID", ""
+                seeds = " union all ".join(
+                    f"select {s} as ID from {e} where {f} = {s}"
+                    f" group by {f}" for s in self.seeds)
+            initial = f"({seeds})"
+            recursive = (f"(select {e}.{t} as ID{value} from {source}"
                          f" join {e} on {e}.{f} = {source}.ID")
             if self.antijoin:
                 where.append(("__antijoin__",))
-        clauses = self._render_where(where, names, f, t, e)
-        recursive += clauses
-        if self.computed_by and not self.nonlinear:
-            recursive += " computed by frontier as select ID from t"
-        recursive += ")"
+            frontier = f" computed by frontier as select {kept} from t" \
+                if self.computed_by else ""
+        recursive += self._render_where(where, names, f, t, e)
+        recursive += frontier + ")"
         cap = f" maxrecursion {self.maxrecursion}" \
             if self.maxrecursion is not None else ""
         body = self._render_body()
@@ -494,6 +506,8 @@ class WithIR:
             return "select F, T from t"
         if self.union_kind == "union by update":
             return "select ID, val from t"
+        if self.coerced:
+            return "select ID, d from t"
         return "select ID from t"
 
     # -- shrinking -----------------------------------------------------
@@ -513,6 +527,8 @@ class WithIR:
             yield replace(self, body_aggregate=False)
         if self.full_seed:
             yield replace(self, full_seed=False)
+        if self.coerced:
+            yield replace(self, coerced=False)
         for index in range(len(self.extra_where)):
             yield replace(self, extra_where=_drop(self.extra_where, index))
         if len(self.seeds) > 1:
@@ -528,7 +544,7 @@ class WithIR:
         count += len(self.extra_where)
         for flag in (self.nonlinear, self.pair, self.having is not None,
                      self.antijoin, self.computed_by, self.body_aggregate,
-                     self.full_seed):
+                     self.full_seed, self.coerced):
             if flag:
                 count += 1
         if self.maxrecursion is not None:

@@ -567,9 +567,10 @@ class BatchHashJoin(_BatchBinaryJoin):
                 source = _batch_source(self)
                 if source is not None:
                     return source.rows()
-            except Exception:
+            except VALUE_ERRORS:
                 # Replay through the row path for the exact error; it
-                # counts the build rows itself.
+                # counts the build rows itself.  Anything else is a bug
+                # in a kernel and surfaces.
                 self.build_rows_observed = observed
         if self.build_side == "right":
             build, probe = self.right, self.left

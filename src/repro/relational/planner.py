@@ -302,7 +302,8 @@ class CostBasedPolicy(PlannerPolicy):
     join reordering) when it sees ``cost_based`` on the policy, and the
     recursive executor reads ``adaptive`` / ``replan_factor`` to replan
     cached branch plans when observed delta cardinality drifts from the
-    estimates.
+    estimates, and ``delta_binding`` to evaluate a provably linear with+
+    ``UNION`` semi-naively.
     """
 
     name = "cost-based"
@@ -310,6 +311,10 @@ class CostBasedPolicy(PlannerPolicy):
     cost_based = True
     #: Recursive-executor switch: replan on cardinality drift.
     adaptive = True
+    #: Recursive-executor switch: a with+ UNION whose branches provably
+    #: derive the same new rows from the last round's delta reads only
+    #: the delta (``recursive.delta_binding_is_exact``).
+    delta_binding = True
 
     #: Merge join needs both inputs presorted and size-balanced at least
     #: this much; otherwise building a hash on the small side wins.

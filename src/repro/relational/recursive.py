@@ -44,15 +44,18 @@ from .physical import IndexOrderedScan, TableScan
 from .physical.batch import keep_key_plans
 from .planner import PlannerPolicy
 from .relation import Relation
+from .schema import Schema
 from .sql.ast import (
     CommonTableExpression,
     CteBranch,
     ExistsSubquery,
     InSubquery,
+    JoinKind,
     JoinSource,
     ScalarSubquery,
     SelectStatement,
     SetOperation,
+    SetOpKind,
     Statement,
     SubquerySource,
     TableRef,
@@ -121,6 +124,10 @@ class WithExecutionResult:
     #: ``drift``, ``replaced``, ``analyze`` or ``schema``.
     replans: int = 0
     replan_reasons: dict[str, int] = field(default_factory=dict)
+    #: Per recursive CTE name, what its branch statements read R as from
+    #: iteration 2 on: ``"delta"`` (the last round's new rows) or
+    #: ``"full"`` (all of R) — see docs/with_plus_language.md.
+    binding: dict[str, str] = field(default_factory=dict)
     #: A :class:`repro.observability.QueryTelemetry` when executed through
     #: an :class:`~repro.relational.engine.Engine` (phase timings, row
     #: counts, convergence trajectory); ``None`` for bare executor runs.
@@ -328,7 +335,10 @@ def check_sql99_restrictions(cte: CommonTableExpression,
         if statement_references(branch.statement, cte.name) > 1:
             refuse("nonlinear recursion")
         for statement in _leaf_selects(branch.statement):
-            _check_recursive_leaf(statement, cte, dialect, refuse)
+            for feature in _leaf_features(statement, cte.name):
+                switch = _DIALECT_SWITCHES.get(feature)
+                if switch is None or not dialect.supports_with_feature(switch):
+                    refuse(feature)
 
 
 def _leaf_selects(statement: Statement):
@@ -339,30 +349,35 @@ def _leaf_selects(statement: Statement):
         yield from _leaf_selects(statement.right)
 
 
-def _check_recursive_leaf(statement: SelectStatement,
-                          cte: CommonTableExpression, dialect: Dialect,
-                          refuse) -> None:
+#: Leaf features a dialect's plain ``with`` may allow, by its Table 1 switch.
+_DIALECT_SWITCHES = {
+    "distinct in a recursive query": "distinct",
+    "analytical functions in a recursive query": "analytical_functions",
+    "general functions in a recursive query": "general_functions",
+}
+
+
+def _leaf_features(statement: SelectStatement, name: str) -> list[str]:
+    """The Table 1 features a recursive leaf SELECT over *name* uses, in
+    the order :func:`check_sql99_restrictions` refuses them."""
+    expressions = list(_subquery_expressions(statement))
+    features = []
     if statement.group_by or statement.having is not None:
-        refuse("group by / having in a recursive query")
-    if any(contains_aggregate(e)
-           for e in _subquery_expressions(statement)):
-        refuse("aggregate functions in a recursive query")
-    if statement.distinct and not dialect.supports_with_feature("distinct"):
-        refuse("distinct in a recursive query")
+        features.append("group by / having in a recursive query")
+    if any(map(contains_aggregate, expressions)):
+        features.append("aggregate functions in a recursive query")
+    if statement.distinct:
+        features.append("distinct in a recursive query")
     if _expression_has_negation(statement.where):
-        refuse("negation in a recursive query")
-    if any(_expression_has_window(e)
-           for e in _subquery_expressions(statement)):
-        if not dialect.supports_with_feature("analytical_functions"):
-            refuse("analytical functions in a recursive query")
-    if any(_expression_has_scalar_function(e)
-           for e in _subquery_expressions(statement)):
-        if not dialect.supports_with_feature("general_functions"):
-            refuse("general functions in a recursive query")
-    for expr in _subquery_expressions(statement):
-        for sub in _embedded_statements(expr):
-            if statement_references(sub, cte.name):
-                refuse("subquery referencing the recursive relation")
+        features.append("negation in a recursive query")
+    if any(map(_expression_has_window, expressions)):
+        features.append("analytical functions in a recursive query")
+    if any(map(_expression_has_scalar_function, expressions)):
+        features.append("general functions in a recursive query")
+    if any(statement_references(sub, name) for expr in expressions
+           for sub in _embedded_statements(expr)):
+        features.append("subquery referencing the recursive relation")
+    return features
 
 
 def _embedded_statements(expr: Expression):
@@ -370,6 +385,73 @@ def _embedded_statements(expr: Expression):
         yield expr.subquery
     for child in expr.children():
         yield from _embedded_statements(child)
+
+
+# -- semi-naive by proof ---------------------------------------------------------
+
+#: Leaf features that make a SELECT's rows depend on R as a whole, not row
+#: by row: a with+ UNION branch using one keeps reading the full R.
+_WHOLE_R_FEATURES = frozenset((
+    "group by / having in a recursive query",
+    "aggregate functions in a recursive query",
+    "analytical functions in a recursive query",
+    "subquery referencing the recursive relation",
+))
+
+
+def delta_binding_is_exact(cte: CommonTableExpression, schema: Schema,
+                           outputs: Sequence[Schema]) -> bool:
+    """True when the recursive branches of the with+ ``UNION`` CTE *cte*
+    derive the same new rows each round from the last round's new rows
+    as from the whole recursive relation R — R of *schema*, the branches
+    producing relations of the schemas *outputs*.
+
+    That holds when every recursive branch has no COMPUTED BY and reads R
+    exactly once (:func:`_reads_r_linearly`), and every branch output
+    column has R's column type: the insert then stores the rows as
+    produced, so a derived row the combine dropped as old is never one it
+    stored in another form (docs/with_plus_language.md, "Semi-naive by
+    proof", says why each rule exists).
+    """
+    types = tuple(column.sql_type for column in schema.columns)
+    _, recursive = split_branches(cte)
+    return all(not branch.computed_by
+               and statement_references(branch.statement, cte.name) == 1
+               and _reads_r_linearly(branch.statement, cte.name)
+               for branch in recursive) \
+        and all(tuple(column.sql_type for column in output.columns) == types
+                for output in outputs)
+
+
+def _reads_r_linearly(statement: Statement, name: str) -> bool:
+    """True when the one reference to *name* in *statement* is a FROM
+    table of a leaf SELECT reached through UNION [ALL] only, outside any
+    subquery and the null-supplying side of an outer join, in a leaf
+    with no LIMIT and none of :data:`_WHOLE_R_FEATURES`."""
+    if isinstance(statement, SetOperation):
+        if statement.kind not in (SetOpKind.UNION, SetOpKind.UNION_ALL):
+            return False
+        side = statement.left if statement_references(statement.left, name) \
+            else statement.right
+        return _reads_r_linearly(side, name)
+    return (isinstance(statement, SelectStatement)
+            and statement.limit is None
+            and _WHOLE_R_FEATURES.isdisjoint(_leaf_features(statement, name))
+            and any(_source_reads(source, name.lower())
+                    for source in statement.sources))
+
+
+def _source_reads(source, name: str) -> bool:
+    """True when FROM item *source* reads table *name* on a preserved
+    side: never inside a derived table, never NULL-padded."""
+    if isinstance(source, TableRef):
+        return source.name.lower() == name
+    if isinstance(source, JoinSource):
+        return ((source.kind not in (JoinKind.RIGHT, JoinKind.FULL)
+                 and _source_reads(source.left, name))
+                or (source.kind not in (JoinKind.LEFT, JoinKind.FULL)
+                    and _source_reads(source.right, name)))
+    return False
 
 
 # -- plan caching ------------------------------------------------------------------
@@ -486,6 +568,8 @@ class StatementPlans:
         self.loop_slots: dict[int, tuple[dict, dict]] = {}
         #: id(cte) -> the recursive relation's (name, type) pairs
         self.schemas: dict[int, tuple] = {}
+        #: id(cte) -> a with+ UNION's proven binding, "delta" or "full"
+        self.bindings: dict[int, str] = {}
         self._scans: dict[int, list] = {}
 
     def plan(self, statement: Statement, database, policy, slots: dict):
@@ -516,6 +600,7 @@ class StatementPlans:
     def reset(self) -> None:
         self.plans.clear()
         self._scans.clear()
+        self.bindings.clear()
 
     def release(self) -> None:
         """Drop every relation the slots hold."""
@@ -706,11 +791,17 @@ class RecursiveExecutor:
 
         sections: list[str] = []
         if result is not None:
-            sections.append(
-                f"iterations={result.iterations}"
-                f" plans_compiled={result.plans_compiled}"
-                f" plan_cache_hits={result.plan_cache_hits}"
-                f" replans={result.replans}")
+            header = (f"iterations={result.iterations}"
+                      f" plans_compiled={result.plans_compiled}"
+                      f" plan_cache_hits={result.plan_cache_hits}"
+                      f" replans={result.replans}")
+            if result.binding:
+                shown = list(result.binding.values()) \
+                    if len(result.binding) == 1 else \
+                    [f"{name}:{choice}" for name, choice
+                     in result.binding.items()]
+                header += " binding=" + ",".join(shown)
+            sections.append(header)
         for title, plan, plan_stats in self._analyzed:
             sections.append(f"{title}:\n{render_analysis(plan, plan_stats)}")
         return "\n\n".join(sections)
@@ -788,7 +879,10 @@ class RecursiveExecutor:
         #   re-derive every old row each round and diverge.
         # * UNION in plain ``with`` mode is semi-naive too (how PostgreSQL
         #   executes it); in with+ mode it reads the full relation — the
-        #   paper's Exp-C distinguishes exactly these two TC evaluations.
+        #   paper's Exp-C distinguishes exactly these two TC evaluations —
+        #   unless the policy may prove the delta rule exact: then, from
+        #   iteration 2 on, it reads the last round's new rows when
+        #   delta_binding_is_exact() holds (decided once per entry).
         # * UNION BY UPDATE reads the full relation (value updates need it).
         if cte.union_kind is UnionKind.UNION_ALL:
             semi_naive = True
@@ -796,6 +890,8 @@ class RecursiveExecutor:
             semi_naive = self.mode == "with"
         else:
             semi_naive = False
+        prove = cte.union_kind is UnionKind.UNION and not semi_naive \
+            and getattr(self.policy, "delta_binding", False)
         # A keyed union-by-update R keeps its key vector from iteration to
         # iteration once every key is in it, so its cached branch plans
         # keep their key plans (probe pairs, groupings) between executions.
@@ -895,6 +991,14 @@ class RecursiveExecutor:
                 changed, working, combine_counts = self._combine(
                     cte, table, snapshot, deltas)
                 table = self.database.table(cte.name)  # drop/alter may swap it
+                if prove and iteration == 1:
+                    binding = entry.bindings.get(id(cte))
+                    if binding is None:
+                        binding = entry.bindings[id(cte)] = (
+                            "delta" if delta_binding_is_exact(
+                                cte, table.schema, [d.schema for d in deltas])
+                            else "full")
+                    semi_naive = binding == "delta"
                 elapsed = time.perf_counter() - started
                 delta_rows = sum(len(d) for d in deltas)
                 if iter_span is not None:
@@ -921,6 +1025,7 @@ class RecursiveExecutor:
                 break
         stats.iterations = iteration
         stats.hit_maxrecursion = hit_limit
+        stats.binding[cte.name] = "delta" if semi_naive else "full"
         for name in computed_names:
             if self.database.exists(name):
                 self.database.drop_table(name)
@@ -1018,6 +1123,7 @@ class RecursiveExecutor:
                 seconds=time.perf_counter() - started))
             working = next_working
         stats.iterations = iteration
+        stats.binding[cte.name] = "delta"
 
         order = self._search_order(rows, schema, search)
         out_columns = list(schema.columns)

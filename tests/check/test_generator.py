@@ -70,6 +70,16 @@ def test_recursive_scenarios_always_cap_union_all_and_ubu(seed):
         assert scenario.query.maxrecursion is not None
 
 
+def test_coerced_scenarios_are_capped_linear_unions():
+    coerced = [generate_scenario(seed).query for seed in range(400)]
+    coerced = [q for q in coerced if isinstance(q, WithIR) and q.coerced]
+    assert coerced
+    for query in coerced:
+        assert query.union_kind == "union"
+        assert not (query.nonlinear or query.pair)
+        assert query.maxrecursion is not None
+
+
 def test_some_graphs_scatter_their_node_ids():
     """About one graph in four spreads its node ids 10**6 apart, so packed
     ``(F, T)`` keys outgrow the UNION combine's bitmap; edges and seeds

@@ -19,6 +19,7 @@ from repro.check.ir import (
 )
 from repro.check.oracles import default_matrix, relevant_matrix
 from repro.check.runner import DifferentialRunner
+from repro.relational import recursive as recursive_module
 from repro.relational.physical import batch as batch_module
 
 T0 = TableIR("T0", (("k0", "int"), ("c0", "int")),
@@ -48,10 +49,17 @@ UBU_SCENARIO = Scenario(
     query=WithIR(union_kind="union by update", seeds=(0,),
                  aggregate="min", maxrecursion=5))
 
+#: A linear UNION whose branch adds E's DOUBLE ew to t's INTEGER d.
+COERCED_SCENARIO = Scenario(
+    seed=0, tables=UBU_SCENARIO.tables,
+    query=WithIR(union_kind="union", seeds=(0,), coerced=True,
+                 maxrecursion=3))
+
 
 def test_healthy_engine_passes_all_oracles():
     runner = DifferentialRunner()
-    for scenario in (JOIN_SCENARIO, AGG_SCENARIO, UBU_SCENARIO):
+    for scenario in (JOIN_SCENARIO, AGG_SCENARIO, UBU_SCENARIO,
+                     COERCED_SCENARIO):
         divergence = runner.check(scenario)
         assert divergence is None, divergence and divergence.detail
 
@@ -103,6 +111,18 @@ def test_injected_crash_is_caught(monkeypatch):
     divergence = runner.check(JOIN_SCENARIO)
     assert divergence is not None
     assert divergence.oracle in ("matrix", "crash")
+
+
+def test_the_optimizer_axis_is_the_binding_oracle(monkeypatch):
+    """``opt=off`` binds a with+ UNION to the full R, ``opt=cost`` to the
+    delta where the proof holds: proving it for a coercing branch (the
+    type rule gone) makes the two cells disagree."""
+    monkeypatch.setattr(recursive_module, "delta_binding_is_exact",
+                        lambda cte, schema, outputs: True)
+    divergence = DifferentialRunner().check(COERCED_SCENARIO)
+    assert divergence is not None
+    assert divergence.oracle == "matrix"
+    assert "opt=off" in divergence.detail and "opt=cost" in divergence.detail
 
 
 def test_matrix_covers_every_strategy_and_executor():

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.algorithms import (
     bellman_ford,
+    diameter,
     floyd_warshall,
     hits,
     kcore,
@@ -15,7 +16,8 @@ from repro.core.algorithms import (
     toposort,
     wcc,
 )
-from repro.relational import Engine
+from repro.graphsystems.graph import Graph
+from repro.relational import REFERENCE_PROFILE, Engine
 
 
 def to_networkx(graph):
@@ -81,6 +83,29 @@ class TestStructure:
         position = {v: i for i, v in enumerate(order)}
         for u, v in g.edges():
             assert position[u] < position[v]
+
+
+class TestDiameter:
+    """Diameter's answer is its closure's iteration count, which the
+    engine's binding choice could skew: it must stay within the ±1
+    ``diameter.py`` documents of networkx's on the symmetrised graph, on
+    the default engine (delta binding) and the reference (full R)."""
+
+    @staticmethod
+    def symmetrised_diameter(graph) -> int:
+        g = to_networkx(graph).to_undirected()
+        return max(nx.diameter(g.subgraph(component))
+                   for component in nx.connected_components(g))
+
+    @pytest.mark.parametrize("profile", [{}, REFERENCE_PROFILE],
+                             ids=["default", "reference"])
+    def test_diameter_vs_networkx(self, profile, small_directed,
+                                  small_undirected, small_dag):
+        path = Graph.from_edges([(i, i + 1, 1.0) for i in range(12)])
+        for graph in (small_directed, small_undirected, small_dag, path):
+            ours = diameter.run_sql(Engine("oracle", **profile),
+                                    graph).values["diameter"]
+            assert abs(ours - self.symmetrised_diameter(graph)) <= 1
 
 
 class TestScores:

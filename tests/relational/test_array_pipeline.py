@@ -702,7 +702,7 @@ def test_replayed_join_counts_its_build_rows_once(monkeypatch):
         TableScan(table, "B"), [col("P.k")], [col("B.K")], "right")
 
     def broken(self):
-        raise RuntimeError("kernel failure after the probe")
+        raise TypeError("list kernel meets a value SQL rejects")
 
     monkeypatch.setattr(blocks.JoinColumns, "rows", broken)
     assert len(join.execute().rows) == 3  # the row path's answer
@@ -1407,3 +1407,18 @@ def test_a_kernel_bug_surfaces_from_a_pagerank_statement(monkeypatch):
     monkeypatch.setattr(batch, "array_grouped", broken)
     with pytest.raises(RuntimeError, match="array_grouped bug"):
         engine.execute(fixpoint_statements(graph)["pr"])
+
+
+def test_a_join_kernel_bug_surfaces_from_a_tc_statement(monkeypatch):
+    """The join, too, replays the row path on values SQL rejects only: a
+    bug in its kernel fails the TC statement instead of being replayed on
+    rows."""
+    engine = Engine("oracle", **BEST)
+    load_graph(engine, random_dag(40, 2.0, seed=5))
+
+    def broken(self):
+        raise RuntimeError("join kernel bug")
+
+    monkeypatch.setattr(batch.BatchHashJoin, "_block_source", broken)
+    with pytest.raises(RuntimeError, match="join kernel bug"):
+        engine.execute(tc.sql())

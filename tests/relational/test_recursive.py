@@ -1,14 +1,25 @@
 """Recursive execution semantics: union kinds, semi-naive vs with+,
-computed-by, maxrecursion, and the SQL'99 restriction checking."""
+computed-by, maxrecursion, and the SQL'99 restriction checking.
+
+What a recursive branch reads R as is pinned per profile: the reference
+profile (``optimizer="off"``) binds the full R for a with+ ``UNION``, as
+Algorithm 1 does and Exp-C measures; ``Engine()`` binds the last round's
+new rows when ``delta_binding_is_exact`` proves it derives the same new
+rows, and each of the proof's decline rules has a test here that the
+choice is ``"full"`` and the result, iteration by iteration, is the
+reference's.
+"""
 
 import pytest
 
 from repro.relational import (
+    REFERENCE_PROFILE,
     Engine,
     FeatureNotSupportedError,
     RecursionLimitError,
     StratificationError,
 )
+from repro.relational import recursive
 from repro.relational.recursive import (
     cte_is_recursive,
     split_branches,
@@ -18,13 +29,20 @@ from repro.relational.recursive import (
 from repro.relational.sql.parser import parse_statement
 
 
+def _load_graph(engine: Engine) -> Engine:
+    engine.database.load_edge_table("E", [(1, 2), (2, 3), (3, 4), (2, 4)],
+                                    weighted=False)
+    engine.database.load_node_table("V", [(i, 0.0) for i in range(1, 5)])
+    return engine
+
+
+def _reference() -> Engine:
+    return _load_graph(Engine("postgres", **REFERENCE_PROFILE))
+
+
 @pytest.fixture
 def engine() -> Engine:
-    e = Engine("postgres")
-    e.database.load_edge_table("E", [(1, 2), (2, 3), (3, 4), (2, 4)],
-                               weighted=False)
-    e.database.load_node_table("V", [(i, 0.0) for i in range(1, 5)])
-    return e
+    return _load_graph(Engine("postgres"))
 
 
 class TestReferenceDetection:
@@ -106,9 +124,17 @@ class TestUnionSemantics:
         assert result.to_dict() == {1: 9.0, 2: 0.0, 3: 0.0, 4: 0.0}
 
 
+def _iterations(result) -> list[tuple]:
+    """``per_iteration`` without its wall-clock fields."""
+    return [(s.iteration, s.delta_rows, s.total_rows, s.inserted,
+             s.overwritten, s.pruned) for s in result.per_iteration]
+
+
 class TestSemiNaiveVsWithPlus:
     """mode='with' binds the recursive name to the previous delta (SQL'99
-    semi-naive); mode='with+' binds the full relation (Algorithm 1)."""
+    semi-naive); mode='with+' binds the full relation (Algorithm 1) on
+    the reference profile, and the delta on ``Engine()`` where that is
+    provably the same evaluation."""
 
     LEVELS_QUERY = """
         with R(x, lvl) as (
@@ -131,17 +157,135 @@ class TestSemiNaiveVsWithPlus:
             result = engine.execute(self.LEVELS_QUERY, mode=mode)
             assert sorted(r[1] for r in result.rows) == [0, 1, 2]
 
-    def test_union_full_binding_rederives_in_withplus(self, engine):
-        # Exp-C's distinction: with+ TC joins the whole accumulated
-        # relation each round (delta includes re-derivations, deduplicated
-        # on combine); plain-with TC is semi-naive (delta shrinks to the
-        # frontier).  Same closure either way.
+    def test_union_full_binding_rederives_in_withplus(self):
+        # Exp-C's distinction, on the paper's modelled RDBMS: with+ TC
+        # joins the whole accumulated relation each round (delta includes
+        # re-derivations, deduplicated on combine); plain-with TC is
+        # semi-naive (delta shrinks to the frontier).  Same closure
+        # either way.
+        engine = _reference()
         plus = engine.execute_detailed(self.TC_QUERY, mode="with+")
-        plain = Engine("postgres", database=engine.database) \
-            .execute_detailed(self.TC_QUERY, mode="with")
+        plain = engine.execute_detailed(self.TC_QUERY, mode="with")
+        assert plus.binding == {"TC": "full"}
         assert set(plus.relation.rows) == set(plain.relation.rows)
         assert plus.per_iteration[-1].delta_rows > \
             plain.per_iteration[-1].delta_rows
+
+    def test_union_delta_binding_on_the_default_engine(self, engine):
+        # The mirror on Engine(): with+ TC is linear, so it reads only
+        # the last round's new rows — plain with's evaluation, delta for
+        # delta — and derives what the reference derives, round by round.
+        plus = engine.execute_detailed(self.TC_QUERY, mode="with+")
+        plain = engine.execute_detailed(self.TC_QUERY, mode="with")
+        assert plus.binding == {"TC": "delta"}
+        assert [s.delta_rows for s in plus.per_iteration] == \
+            [s.delta_rows for s in plain.per_iteration]
+        reference = _reference().execute_detailed(self.TC_QUERY)
+        assert repr(plus.relation.rows) == repr(reference.relation.rows)
+        assert [(s.inserted, s.total_rows) for s in plus.per_iteration] == \
+            [(s.inserted, s.total_rows) for s in reference.per_iteration]
+
+    def test_a_kept_statement_keeps_its_binding(self, engine, monkeypatch):
+        # The proof runs once per kept statement plan, not per run.
+        proofs = []
+
+        def spy(*args, _original=recursive.delta_binding_is_exact):
+            proofs.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(recursive, "delta_binding_is_exact", spy)
+        first = engine.execute_detailed(self.TC_QUERY)
+        again = engine.execute_detailed(self.TC_QUERY)
+        assert again.plans_compiled == 0
+        assert len(proofs) == 1
+        assert again.binding == first.binding == {"TC": "delta"}
+        assert _iterations(again) == _iterations(first)
+
+    def test_analysis_report_shows_the_binding(self, engine):
+        header = engine.explain_analyze(self.TC_QUERY).splitlines()[0]
+        assert header.endswith(" binding=delta")
+        header = _reference().explain_analyze(self.TC_QUERY).splitlines()[0]
+        assert header.endswith(" binding=full")
+
+
+class TestDeltaBindingDeclines:
+    """Each rule under which a with+ ``UNION`` keeps reading the full R on
+    ``Engine()``: the choice is ``"full"``, and rows and per-iteration
+    counts are the reference profile's, ``repr`` for ``repr``."""
+
+    @staticmethod
+    def check_full(engine: Engine, sql: str) -> None:
+        ours = engine.execute_detailed(sql)
+        theirs = _reference().execute_detailed(sql)
+        assert ours.binding == {"R": "full"}
+        assert repr(ours.relation.rows) == repr(theirs.relation.rows)
+        assert repr(_iterations(ours)) == repr(_iterations(theirs))
+        assert ours.iterations > 1
+
+    def test_r_twice(self, engine):
+        self.check_full(engine, """
+            with R(F, T) as (
+              (select F, T from E)
+              union
+              (select a.F, b.T from R a, R b where a.T = b.F)
+            ) select F, T from R""")
+
+    def test_not_in_over_r(self, engine):
+        self.check_full(engine, """
+            with R(F, T) as (
+              (select F, T from E where F = 1)
+              union
+              (select E.F, E.T from E where E.F not in (select T from R))
+            ) select F, T from R""")
+
+    def test_r_in_an_aggregate(self, engine):
+        # An aggregate's output columns are DOUBLE, so R's are too: the
+        # type rule passes and the aggregate rule alone decides.
+        self.check_full(engine, """
+            with R(F, T) as (
+              (select F * 1.0 as F, T * 1.0 as T from E)
+              union
+              (select R.F, min(E.T) from R, E where R.T = E.F
+               group by R.F)
+            ) select F, T from R""")
+
+    def test_limit(self, engine):
+        self.check_full(engine, """
+            with R(F, T) as (
+              (select F, T from E where F = 1)
+              union
+              (select R.F, E.T from R, E where R.T = E.F
+               order by R.F, E.T limit 2)
+            ) select F, T from R""")
+
+    def test_r_on_the_null_supplying_side(self, engine):
+        self.check_full(engine, """
+            with R(F, T) as (
+              (select F, T from E where F = 1)
+              union
+              (select E.F, R.T from E left join R on E.T = R.F)
+            ) select F, T from R""")
+
+    def test_computed_by(self, engine):
+        self.check_full(engine, """
+            with R(F, T) as (
+              (select F, T from E)
+              union
+              (select R.F, X.T from R, X where R.T = X.F
+               computed by X as select F, T from R;)
+            ) select F, T from R""")
+
+    def test_a_coercing_output_column(self, engine):
+        # R.T + 0.5 is DOUBLE, R's T INTEGER: the insert stores (2, 2.5)
+        # as (2, 2), which the combine never matches, so full binding
+        # derives it again each round and delta binding would not.
+        self.check_full(engine, """
+            with R(F, T) as (
+              (select F, T from E where F = 1)
+              union
+              (select E.T, R.T + 0.5 from R, E where R.F = E.F)
+              maxrecursion 3
+            ) select F, T from R""")
 
 
 class TestComputedBy:
