@@ -55,18 +55,15 @@ class EngineConfig:
     executor: str = REFERENCE_PROFILE["executor"]
     optimizer: str = REFERENCE_PROFILE["optimizer"]
     strategy: str = "full_outer_join"
-    telemetry: str = "off"
     storage: str = REFERENCE_PROFILE["storage"]
 
     def label(self) -> str:
         return (f"{self.dialect}/{self.executor}/opt={self.optimizer}"
-                f"/{self.strategy}/telemetry={self.telemetry}"
-                f"/{self.storage}")
+                f"/{self.strategy}/{self.storage}")
 
     def build_engine(self) -> Engine:
         engine = Engine(dialect=self.dialect, executor=self.executor,
-                        optimizer=self.optimizer, telemetry=self.telemetry,
-                        storage=self.storage)
+                        optimizer=self.optimizer, storage=self.storage)
         engine.union_by_update_strategy = self.strategy
         return engine
 
@@ -76,20 +73,20 @@ ARRAY_ENGINE = EngineConfig(executor="batch", optimizer="cost",
                             storage="columnar")
 
 
-def default_matrix() -> tuple[EngineConfig, ...]:
-    """The full 64-cell matrix: 4 strategy/dialect pairs x 2 executors
-    x 2 optimizer settings x 2 telemetry settings x 2 storage backends."""
-    configs = []
-    for strategy, dialect in STRATEGY_DIALECTS:
-        for executor in ("tuple", "batch"):
-            for optimizer in ("off", "cost"):
-                for telemetry in ("off", "on"):
-                    for storage in ("rows", "columnar"):
-                        configs.append(EngineConfig(
-                            dialect=dialect, executor=executor,
-                            optimizer=optimizer, strategy=strategy,
-                            telemetry=telemetry, storage=storage))
-    return tuple(configs)
+def default_matrix(executors=None, optimizers=None, storages=None
+                   ) -> tuple[EngineConfig, ...]:
+    """The full 32-cell matrix: 4 strategy/dialect pairs x 2 executors
+    x 2 optimizer settings x 2 storage backends, or the cells with the
+    given executors / optimizers / storages.  Telemetry is no axis: a
+    recorded statement runs the same plans as an unrecorded one (the
+    on/off identity tests in ``tests/observability`` pin that)."""
+    return tuple(
+        EngineConfig(dialect=dialect, executor=executor, optimizer=optimizer,
+                     strategy=strategy, storage=storage)
+        for strategy, dialect in STRATEGY_DIALECTS
+        for executor in executors or ("tuple", "batch")
+        for optimizer in optimizers or ("off", "cost")
+        for storage in storages or ("rows", "columnar"))
 
 
 def relevant_matrix(scenario: Scenario,
@@ -104,7 +101,7 @@ def relevant_matrix(scenario: Scenario,
     out = []
     for config in matrix:
         key = (config.dialect, config.executor, config.optimizer,
-               config.telemetry, config.storage)
+               config.storage)
         if key in seen:
             continue
         seen.add(key)

@@ -55,8 +55,7 @@ def assert_matrix_agreement(tables, sql: str, recursive: bool = False,
     if not recursive:
         seen, reduced = set(), []
         for config in configs:
-            key = (config.dialect, config.executor, config.optimizer,
-                   config.telemetry)
+            key = (config.dialect, config.executor, config.optimizer)
             if key not in seen:
                 seen.add(key)
                 reduced.append(config)

@@ -222,8 +222,8 @@ class DifferentialRunner:
             return None
         # The matrix agreed on *baseline*.  On one engine of the baseline
         # cell and one of the array engine (whose kept plans hold cached
-        # builds), re-runs must reproduce it — kept temp tables, plans and
-        # telemetry state must not leak — and each in-bound write must
+        # builds), re-runs must reproduce it — kept temp tables and plans
+        # must not leak — and each in-bound write must
         # show in the next run on the kept plans.
         for cell in dict.fromkeys((config, ARRAY_ENGINE)):
             engine = cell.build_engine()

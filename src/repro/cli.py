@@ -268,24 +268,9 @@ def cmd_fuzz(args) -> int:
     if args.streaming:
         return _cmd_fuzz_streaming(args)
     from repro.check import fuzz
-    from repro.check.oracles import STRATEGY_DIALECTS, EngineConfig
+    from repro.check.oracles import default_matrix
 
-    matrix = None
-    if (args.executors or args.optimizers or args.telemetry
-            or args.storage):
-        executors = args.executors or ["tuple", "batch"]
-        optimizers = args.optimizers or ["off", "cost"]
-        telemetry = args.telemetry or ["off", "on"]
-        storages = args.storage or ["rows", "columnar"]
-        matrix = tuple(
-            EngineConfig(dialect=dialect, executor=executor,
-                         optimizer=optimizer, strategy=strategy,
-                         telemetry=mode, storage=storage)
-            for strategy, dialect in STRATEGY_DIALECTS
-            for executor in executors
-            for optimizer in optimizers
-            for mode in telemetry
-            for storage in storages)
+    matrix = default_matrix(args.executors, args.optimizers, args.storage)
     started = time.perf_counter()
     last_tick = [started]
 
@@ -566,8 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict the matrix's executor axis")
     p.add_argument("--optimizers", nargs="*", choices=("off", "cost"),
                    help="restrict the matrix's optimizer axis")
-    p.add_argument("--telemetry", nargs="*", choices=("off", "on"),
-                   help="restrict the matrix's telemetry axis")
     p.add_argument("--storage", nargs="*", choices=("rows", "columnar"),
                    help="restrict the matrix's storage axis")
     p.add_argument("--no-metamorphic", action="store_true",

@@ -25,8 +25,7 @@ each); tracing is opt-in via ``Engine(telemetry="on")``, profiling via
 ``Engine(telemetry="profile")``.
 """
 
-from .collect import (attach_operator_spans, record_drift_metrics,
-                      record_plan_metrics, record_storage_metrics, walk_plan)
+from .collect import record_plan, record_storage_metrics
 from .flight import (FlightRecorder, ReplayOutcome, load_bundle,
                      replay_bundle, result_digest)
 from .metrics import (DEFAULT_BUCKETS_MS, SUMMARY_QUANTILES, Counter, Gauge,
@@ -56,13 +55,10 @@ __all__ = [
     "Span",
     "Telemetry",
     "Tracer",
-    "attach_operator_spans",
     "load_bundle",
-    "record_drift_metrics",
-    "record_plan_metrics",
+    "record_plan",
     "record_storage_metrics",
     "replay_bundle",
     "resolve_telemetry",
     "result_digest",
-    "walk_plan",
 ]

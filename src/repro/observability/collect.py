@@ -1,127 +1,111 @@
-"""Bridging the physical plan's instrumentation into spans and metrics.
+"""Bridging the physical plan's recorded stats into spans and metrics.
 
-The physical layer already knows how to observe itself — ``instrument()``
-(see ``repro.relational.physical.analyze``) produces per-operator
-:class:`OperatorStats`, and individual operators publish byproducts of
-their own work (``build_rows_observed`` on hash joins, ``pruned_total``
-on anti-joins).  This module is duck-typed glue: it walks any plan tree
-and copies those observations into the telemetry layer without the
-physical operators importing it.
+The physical layer observes itself: a statement's
+:class:`~repro.relational.physical.analyze.StatsSink` holds per-operator
+stats recorded at the operators' own boundaries, with the byproducts of
+their work (join build rows, anti-join pruned rows).  This module is
+duck-typed glue: :func:`record_plan` walks a plan tree once and copies
+those observations into the telemetry layer.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any
 
 from .metrics import MetricsRegistry
-from .profiling import DRIFT_THRESHOLD
+from .profiling import DRIFT_THRESHOLD, Profiler, estimate_row_bytes
 from .tracing import Span
 
 
-def walk_plan(root: Any) -> Iterator[Any]:
-    """Depth-first pre-order walk of a physical plan tree."""
-    yield root
-    for child in root.children():
-        yield from walk_plan(child)
+def record_plan(root: Any, stats: dict[Any, Any], *,
+                metrics: MetricsRegistry | None = None,
+                profiler: Profiler | None = None, span: Span | None = None,
+                kind: str = "select", title: str = "query",
+                storage: str = "rows",
+                threshold: float = DRIFT_THRESHOLD) -> None:
+    """Fold one executed plan's operator stats into the telemetry, in one
+    walk of the tree.
 
-
-def attach_operator_spans(parent: Span, root: Any,
-                          stats: dict[Any, Any]) -> None:
-    """Graft per-operator spans under *parent*, mirroring the plan tree.
-
-    Operator timings are measured by instrumentation rather than by
-    entering ``with`` blocks, so the spans are synthetic: each starts at
-    its parent span's start and lasts the operator's *inclusive* observed
-    seconds — child durations never exceed the parent's, so trace viewers
-    nest them by containment.
+    * Under *span*, per-operator spans mirroring the plan.  Operator
+      timings are recorded at the operators' boundaries rather than by
+      entering ``with`` blocks, so the spans are synthetic: each starts at
+      its parent span's start and lasts the operator's *inclusive*
+      seconds.
+    * Into *metrics*, rows and seconds per operator, join build rows,
+      anti-join pruned rows, and ``repro_cardinality_misestimates_total``
+      for every operator whose :func:`drift` lies beyond *threshold* in
+      either direction (``under`` = actual exceeded the estimate,
+      ``over`` = the estimate exceeded the actual) — the aggregate half
+      of EXPLAIN ANALYZE's ``drift=``.
+    * Into an enabled *profiler*, one stack per operator with its self
+      time, and the same drifts for its misestimate report.
     """
+    from ..relational.physical.analyze import drift
 
-    def graft(node: Any, into: Span) -> None:
-        node_stats = stats.get(node)
-        attrs: dict[str, Any] = {}
-        detail = node.detail()
-        if detail:
-            attrs["detail"] = detail
-        estimate = getattr(node, "estimated_rows", None)
-        if estimate is not None:
-            attrs["est_rows"] = estimate
-        if node_stats is not None:
-            attrs["rows"] = node_stats.rows
-            attrs["calls"] = node_stats.calls
-        span = into.child(
-            "op:" + node.label,
-            duration=node_stats.seconds if node_stats is not None else 0.0,
-            **attrs)
-        for child in node.children():
-            graft(child, span)
+    if profiler is not None and not profiler.enabled:
+        profiler = None
 
-    graft(root, parent)
-
-
-def record_plan_metrics(metrics: MetricsRegistry, root: Any,
-                        stats: dict[Any, Any]) -> None:
-    """Fold one executed plan's operator stats into the registry."""
-    for node in walk_plan(root):
-        node_stats = stats.get(node)
-        if node_stats is None or node_stats.calls == 0:
-            continue
-        metrics.counter(
-            "repro_operator_rows_total",
-            "Rows produced per physical operator.",
-            operator=node.label).inc(node_stats.rows)
-        metrics.counter(
-            "repro_operator_seconds_total",
-            "Inclusive wall seconds per physical operator.",
-            operator=node.label).inc(node_stats.seconds)
-        build_rows = getattr(node, "build_rows_observed", None)
-        if build_rows:
-            metrics.counter(
-                "repro_join_build_rows_total",
-                "Rows hashed into join build sides.").inc(build_rows)
-        pruned = getattr(node, "pruned_total", 0)
-        if pruned:
-            metrics.counter(
-                "repro_antijoin_pruned_rows_total",
-                "Rows removed by anti-join delta pruning.").inc(pruned)
-
-
-def record_drift_metrics(metrics: MetricsRegistry, root: Any,
-                         stats: dict[Any, Any],
-                         threshold: float = DRIFT_THRESHOLD) -> None:
-    """Count operators whose cardinality estimate drifted from reality.
-
-    For every executed operator carrying an ``estimated_rows`` annotation,
-    the per-execution actual is compared against the estimate; ratios
-    beyond *threshold* in either direction increment
-    ``repro_cardinality_misestimates_total`` labelled by operator and
-    direction (``under`` = actual exceeded the estimate, ``over`` = the
-    estimate exceeded the actual).  This is the aggregate half of the
-    EXPLAIN ANALYZE ``drift=`` annotation — the profiler's misestimate
-    report ranks the same observations per operator.
-    """
-    for node in walk_plan(root):
+    def visit(node: Any, parent: Span | None, path: tuple[str, ...]) -> None:
         node_stats = stats.get(node)
         estimate = getattr(node, "estimated_rows", None)
-        if node_stats is None or node_stats.calls == 0 or estimate is None:
-            continue
-        per_loop = node_stats.rows / node_stats.calls
-        if estimate <= 0:
-            if per_loop <= 0:
-                continue  # predicted empty, was empty
-            direction = "under"
-        else:
-            ratio = per_loop / estimate
-            if ratio > threshold:
-                direction = "under"
-            elif ratio < 1.0 / threshold:
-                direction = "over"
-            else:
-                continue
+        children = node.children()
+        stack = path + (f"op:{node.label}",)
+        if parent is not None:
+            attrs = {"detail": node.detail() or None, "est_rows": estimate}
+            if node_stats is not None:
+                attrs.update(rows=node_stats.rows, calls=node_stats.calls)
+            parent = parent.child(
+                "op:" + node.label,
+                duration=getattr(node_stats, "seconds", 0.0),
+                **{key: value for key, value in attrs.items()
+                   if value is not None})
+        if node_stats is not None and node_stats.calls > 0:
+            ratio = drift(node_stats, estimate)
+            misestimated = ratio is not None and not (
+                1.0 / threshold <= ratio <= threshold)
+            if metrics is not None:
+                _count_operator(metrics, node, node_stats)
+                if misestimated:
+                    metrics.counter(
+                        "repro_cardinality_misestimates_total",
+                        "Executed operators whose est_rows drifted beyond"
+                        " the threshold.", operator=node.label,
+                        direction="under" if ratio > 1.0 else "over").inc()
+            if profiler is not None:
+                child_seconds = sum(stats[c].seconds for c in children
+                                    if c in stats)
+                profiler.add_operator(
+                    stack, node.label, storage,
+                    max(node_stats.seconds - child_seconds, 0.0),
+                    node_stats.rows, node_stats.calls,
+                    node_stats.rows * estimate_row_bytes(node.schema))
+                if misestimated:
+                    profiler.add_misestimate(node.label, ratio,
+                                             node.detail() or "")
+        for child in children:
+            visit(child, parent, stack)
+
+    visit(root, span, (f"query:{kind}", f"plan:{title}"))
+
+
+def _count_operator(metrics: MetricsRegistry, node: Any,
+                    node_stats: Any) -> None:
+    metrics.counter(
+        "repro_operator_rows_total",
+        "Rows produced per physical operator.",
+        operator=node.label).inc(node_stats.rows)
+    metrics.counter(
+        "repro_operator_seconds_total",
+        "Inclusive wall seconds per physical operator.",
+        operator=node.label).inc(node_stats.seconds)
+    if node_stats.build_rows:
         metrics.counter(
-            "repro_cardinality_misestimates_total",
-            "Executed operators whose est_rows drifted beyond the"
-            " threshold.",
-            operator=node.label, direction=direction).inc()
+            "repro_join_build_rows_total",
+            "Rows hashed into join build sides.").inc(node_stats.build_rows)
+    if node_stats.pruned:
+        metrics.counter(
+            "repro_antijoin_pruned_rows_total",
+            "Rows removed by anti-join delta pruning.").inc(node_stats.pruned)
 
 
 def record_storage_metrics(metrics: MetricsRegistry, database: Any) -> None:

@@ -11,7 +11,7 @@ file holding:
 * the failure, if any (exception type + message);
 * phase timings, row/iteration counts, and the fixpoint trajectory;
 * the per-operator EXPLAIN ANALYZE reports (``est_rows`` vs actual with
-  the ``drift=`` ratio) when the query ran instrumented, else the plain
+  the ``drift=`` ratio) when the query was recorded, else the plain
   EXPLAIN when one can be planned;
 * the span forest, when tracing was on;
 * per-table statistics versions and storage gauges at capture time;
@@ -166,7 +166,7 @@ class FlightRecorder:
             }
         explain = None
         if not plan_reports and kind == "select" and error is None:
-            try:  # best-effort plan-only EXPLAIN for uninstrumented runs
+            try:  # best-effort plan-only EXPLAIN for unrecorded runs
                 explain = engine.explain(sql)
             except Exception:
                 explain = None

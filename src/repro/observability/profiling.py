@@ -1,12 +1,12 @@
 """Continuous profiling: per-operator and per-iteration accounting.
 
-The physical layer's ``instrument()`` already measures every executed
-plan (rows, inclusive seconds, calls per operator — see
-``repro.relational.physical.analyze``).  The :class:`Profiler` turns
-those one-shot measurements into an *aggregate* profile that survives
-across queries:
+A recorded statement's operators measure themselves (rows, inclusive
+seconds, calls — ``repro.relational.physical.analyze``), and
+``repro.observability.collect.record_plan`` walks each recorded plan
+once, feeding the :class:`Profiler` here, which aggregates across
+queries:
 
-* **Operator stacks.**  Every instrumented plan contributes one stack
+* **Operator stacks.**  Every recorded plan contributes one stack
   per operator — ``query:<kind>;plan:<title>;op:A;op:B`` — with the
   operator's *self* wall time (inclusive minus children, the flamegraph
   convention), rows produced, calls, and an estimate of the resident
@@ -19,17 +19,14 @@ across queries:
   ``IterationStat`` trajectory in; the profiler aggregates by iteration
   *index*, so "iteration 3 is always the expensive one" is visible
   across runs.
-* **Misestimates.**  Operators carrying an ``estimated_rows`` annotation
-  are checked against their actual per-loop rows; drifts beyond
-  :data:`DRIFT_THRESHOLD` are aggregated into the misestimate report the
-  planner work feeds on (and counted into the metrics registry by
-  ``repro.observability.collect.record_drift_metrics``).
+* **Misestimates.**  Operators whose ``drift`` (actual per-loop rows
+  over ``estimated_rows``) lies beyond :data:`DRIFT_THRESHOLD` are
+  aggregated into the misestimate report the planner work feeds on.
 
-A disabled profiler (the default) returns from every ``record_*`` call
-before doing any work, so telemetry-off engines pay one attribute check
-per query, never per operator.  :class:`ProfileStore` persists merged
-profiles as JSON so ``repro profile --store`` accumulates across
-processes.
+A disabled profiler (the default) records nothing and is never walked
+into, so telemetry-off engines pay one attribute check per query.
+:class:`ProfileStore` persists merged profiles as JSON so
+``repro profile --store`` accumulates across processes.
 """
 
 from __future__ import annotations
@@ -123,7 +120,7 @@ class _MisestimateEntry:
 
 
 class Profiler:
-    """Aggregates plan instrumentation across queries.
+    """Aggregates recorded plan stats across queries.
 
     All state is plain dicts so a snapshot (:meth:`to_dict`) is cheap and
     the ``/profile`` endpoint can serve it without locking: the engine is
@@ -178,57 +175,23 @@ class Profiler:
             slot["pruned"] += stat.pruned
             slot["antijoin_pruned"] += stat.antijoin_pruned
 
-    def record_plan(self, kind: str, title: str, root: Any,
-                    stats: dict[Any, Any], storage: str = "rows") -> None:
-        """Fold one instrumented plan tree into the operator profile.
+    def add_operator(self, stack: tuple[str, ...], label: str,
+                     storage: str, self_seconds: float, rows: int,
+                     calls: int, bytes_est: int) -> None:
+        """Fold one executed operator into its stack and its label's
+        totals.  ``repro.observability.collect.record_plan`` walks each
+        recorded plan and calls this per operator; cached recursive
+        branch plans arrive once per query with totals accumulated over
+        every loop iteration."""
+        self._stacks.setdefault(stack, _StackEntry()).add(
+            self_seconds, rows, calls, bytes_est)
+        self._operators.setdefault((label, storage), _StackEntry()).add(
+            self_seconds, rows, calls, bytes_est)
 
-        *stats* is the node → ``OperatorStats`` mapping ``instrument()``
-        produced; cached recursive branch plans arrive once per query
-        with totals accumulated over every loop iteration.
-        """
-        if not self.enabled:
-            return
-        base = (f"query:{kind}", f"plan:{title}")
-
-        def visit(node: Any, path: tuple[str, ...]) -> None:
-            node_stats = stats.get(node)
-            stack = path + (f"op:{node.label}",)
-            children = node.children()
-            if node_stats is not None and node_stats.calls > 0:
-                child_seconds = sum(
-                    stats[c].seconds for c in children
-                    if c in stats)
-                self_seconds = max(node_stats.seconds - child_seconds, 0.0)
-                bytes_est = node_stats.rows * estimate_row_bytes(node.schema)
-                entry = self._stacks.setdefault(stack, _StackEntry())
-                entry.add(self_seconds, node_stats.rows, node_stats.calls,
-                          bytes_est)
-                op = self._operators.setdefault((node.label, storage),
-                                                _StackEntry())
-                op.add(self_seconds, node_stats.rows, node_stats.calls,
-                       bytes_est)
-                self._observe_estimate(node, node_stats)
-            for child in children:
-                visit(child, stack)
-
-        visit(root, base)
-
-    def _observe_estimate(self, node: Any, node_stats: Any) -> None:
-        estimate = getattr(node, "estimated_rows", None)
-        if estimate is None or node_stats.calls == 0:
-            return
-        per_loop = node_stats.rows / node_stats.calls
-        if estimate <= 0:
-            if per_loop <= 0:
-                return  # estimated empty, was empty — perfect
-            ratio = float("inf")
-        else:
-            ratio = per_loop / estimate
-        if 1.0 / DRIFT_THRESHOLD <= ratio <= DRIFT_THRESHOLD:
-            return
-        detail = node.detail() or ""
+    def add_misestimate(self, label: str, ratio: float, detail: str) -> None:
+        """One operator whose ``drift`` lay beyond :data:`DRIFT_THRESHOLD`."""
         self._misestimates.setdefault(
-            node.label, _MisestimateEntry()).observe(ratio, detail)
+            label, _MisestimateEntry()).observe(ratio, detail)
 
     # -- reports -------------------------------------------------------------
 

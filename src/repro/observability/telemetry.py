@@ -8,7 +8,7 @@ a shorthand spec resolved by :func:`resolve_telemetry`:
   (they are cheap), tracing and profiling are disabled;
 * ``"on"`` / ``True`` — tracing enabled as well;
 * ``"profile"`` — the continuous profiler enabled (per-operator plan
-  instrumentation feeding the aggregate profile) without span capture;
+  stats feeding the aggregate profile) without span capture;
 * ``"full"`` — tracing *and* profiling;
 * an existing :class:`Telemetry` — shared between engines, e.g. to
   aggregate metrics across dialect facades.

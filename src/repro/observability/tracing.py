@@ -57,8 +57,8 @@ class Span:
     def child(self, name: str, start: float | None = None,
               duration: float = 0.0, **attrs: Any) -> "Span":
         """Attach a synthetic child span (used to graft per-operator
-        timings, which are measured by instrumentation rather than by
-        entering a ``with`` block)."""
+        timings, which operators record at their own boundaries rather
+        than by entering a ``with`` block)."""
         span = Span(name, self.start if start is None else start,
                     duration, attrs)
         self.children.append(span)

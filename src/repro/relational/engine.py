@@ -31,9 +31,7 @@ from typing import Mapping, Sequence
 from ..observability import (
     QueryTelemetry,
     Telemetry,
-    attach_operator_spans,
-    record_drift_metrics,
-    record_plan_metrics,
+    record_plan,
     record_storage_metrics,
     resolve_telemetry,
     result_digest,
@@ -43,8 +41,8 @@ from .database import Database
 from .dialects import Dialect, get_dialect
 from .errors import (ExecutionError, FeatureNotSupportedError,
                      RelationalError)
-from .physical import (execute_analyzed, explain_plan, instrument,
-                       render_analysis)
+from .optimizer import annotate_estimates
+from .physical import StatsSink, explain_plan, recording, render_analysis
 from .planner import POLICIES, PlannerPolicy
 from .psm import PsmProgram, translate_with_to_psm
 from .recursive import (
@@ -133,7 +131,8 @@ class Engine:
         ``"off"`` (default) keeps the always-on-cheap accounting only:
         phase timings, the query log, and engine counters.  ``"on"``
         additionally enables tracing — nested spans with per-operator
-        timings (which *does* add per-row instrumentation cost).  An
+        timings, recorded at each operator's boundaries while the same
+        plans run (``docs/observability.md``).  An
         existing :class:`repro.observability.Telemetry` may be passed to
         share one registry across several engines.  ``None`` (default)
         reads the ``REPRO_TELEMETRY`` environment variable, then
@@ -191,9 +190,9 @@ class Engine:
         self.policy.metrics = self.telemetry.metrics
         self._refreshes_seen = 0
         #: (title, plan, stats) triples from the current statement's
-        #: instrumented plans — the flight recorder renders these into
+        #: recorded plans — the flight recorder renders these into
         #: est-vs-actual reports when it snapshots a bundle.
-        self._instrumented: list[tuple[str, object, dict]] = []
+        self._observed: list[tuple[str, object, dict]] = []
 
     # -- configuration -----------------------------------------------------------
 
@@ -256,7 +255,7 @@ class Engine:
         tracer = self.telemetry.tracer
         phases: dict[str, float] = {}
         sql_text = sql if isinstance(sql, str) else type(sql).__name__
-        self._instrumented = []
+        self._observed = []
         total_started = time.perf_counter()
         try:
             with tracer.span("query", sql=sql_text,
@@ -315,37 +314,21 @@ class Engine:
         the executor's accumulated compile time and the remainder of the
         loop's wall time is the execute phase."""
         mode = mode or self.mode
-        profiler = self.telemetry.profiler
-        bypass = tracer.enabled or profiler.enabled
-        plans, stale = self._take_plans(statement, mode, bypass)
-        executor = RecursiveExecutor(
-            self.database, self.dialect, self.policy,
-            mode=mode,
-            ubu_strategy=self._ubu_strategy,
-            temp_indexes=self.temp_indexes,
-            telemetry=self.telemetry,
-            warm_start=warm_start,
-            plans=plans)
+        plans, stale = self._take_plans(statement, mode)
+        executor = self._executor(mode, plans, telemetry=self.telemetry,
+                                  warm_start=warm_start)
         started = time.perf_counter()
         with tracer.span("execute") as exec_span:
             result = executor.execute(statement)
             result.relation.rows  # a statement returns a finished result
-            self._keep_plans(plans, stale, bypass, result)
-            for title, plan, plan_stats in executor.instrumented_plans():
+            self._keep_plans(plans, stale, result)
+            for title, plan, plan_stats in executor.observed:
+                section = None
                 if exec_span is not None:
-                    root_stats = plan_stats.get(plan)
                     section = exec_span.child(
-                        f"plan:{title}",
-                        duration=root_stats.seconds if root_stats else 0.0)
-                    attach_operator_spans(section, plan, plan_stats)
-                record_plan_metrics(self.telemetry.metrics, plan,
-                                    plan_stats)
-                record_drift_metrics(self.telemetry.metrics, plan,
-                                     plan_stats)
-                if profiler.enabled:
-                    profiler.record_plan("recursive", title, plan,
-                                         plan_stats, storage=self.storage)
-                self._instrumented.append((title, plan, plan_stats))
+                        f"plan:{title}", duration=plan_stats[plan].seconds)
+                self._record_plan("recursive", title, plan, plan_stats,
+                                  section)
         elapsed_ms = (time.perf_counter() - started) * 1000
         plan_ms = executor.plan_seconds * 1000
         phases["plan"] = plan_ms
@@ -357,28 +340,41 @@ class Engine:
         self._publish_iterations(result)
         return result
 
-    def _take_plans(self, statement: Statement, mode: str, bypass: bool
+    def _executor(self, mode: str, plans: StatementPlans,
+                  **kwargs) -> RecursiveExecutor:
+        return RecursiveExecutor(
+            self.database, self.dialect, self.policy, mode=mode,
+            ubu_strategy=self._ubu_strategy, temp_indexes=self.temp_indexes,
+            plans=plans, **kwargs)
+
+    def _take_plans(self, statement: Statement, mode: str
                     ) -> tuple[StatementPlans, str | None]:
         """The statement's kept plans, or a new entry and why the kept one
-        was stale.  Instrumented plans carry counters: never kept."""
-        if bypass:
-            return StatementPlans(statement, mode), None
+        was stale."""
         return self._plan_cache.take(statement, mode, self.database,
                                      max(self.replan_factor, 1.0))
 
     def _keep_plans(self, plans: StatementPlans, stale: str | None,
-                    bypass: bool, result: WithExecutionResult) -> None:
+                    result: WithExecutionResult) -> None:
         """Keep a statement's plans after it succeeded."""
         if stale is not None:
             result.replanned(stale)
-        if not bypass:
-            self._plan_cache.put(plans)
+        self._plan_cache.put(plans)
+
+    def _record_plan(self, kind: str, title: str, plan, plan_stats,
+                     span) -> None:
+        """Feed one recorded plan to the spans, metrics and profiler, and
+        keep it for a flight bundle's est-vs-actual report."""
+        record_plan(plan, plan_stats, metrics=self.telemetry.metrics,
+                    profiler=self.telemetry.profiler, span=span, kind=kind,
+                    title=title, storage=self.storage)
+        self._observed.append((title, plan, plan_stats))
 
     def _execute_plain(self, statement: Statement, mode, tracer,
                        phases) -> WithExecutionResult:
-        profiler = self.telemetry.profiler
-        observe = tracer.enabled or profiler.enabled
-        plans, stale = self._take_plans(statement, mode or self.mode, observe)
+        telemetry = self.telemetry
+        observe = telemetry.tracing or telemetry.profiling
+        plans, stale = self._take_plans(statement, mode or self.mode)
         started = time.perf_counter()
         with tracer.span("plan"):
             plan, compiled = plans.plan(statement, self.database,
@@ -391,30 +387,23 @@ class Engine:
             # The profiler needs it too — drift accounting compares the
             # annotations against observed cardinalities.
             if observe:
-                self._annotate_estimates(plan)
+                annotate_estimates(plan, self.policy)
         phases["optimize"] = (time.perf_counter() - started) * 1000
         started = time.perf_counter()
         with tracer.span("execute") as exec_span:
+            with recording(StatsSink() if observe else None) as plan_stats:
+                if observe:
+                    plan_stats.watch(plan)
+                relation = plan.execute()
             if observe:
-                plan_stats = instrument(plan)
-                relation = plan.execute()
-                if exec_span is not None:
-                    attach_operator_spans(exec_span, plan, plan_stats)
-                record_plan_metrics(self.telemetry.metrics, plan, plan_stats)
-                record_drift_metrics(self.telemetry.metrics, plan,
-                                     plan_stats)
-                if profiler.enabled:
-                    profiler.record_plan("select", "query", plan, plan_stats,
-                                         storage=self.storage)
-                self._instrumented.append(("query", plan, plan_stats))
-            else:
-                relation = plan.execute()
+                self._record_plan("select", "query", plan, plan_stats,
+                                  exec_span)
             relation.rows  # a statement returns a finished result
         phases["execute"] = (time.perf_counter() - started) * 1000
         result = WithExecutionResult(relation=relation,
                                      plans_compiled=int(compiled),
                                      plan_cache_hits=int(not compiled))
-        self._keep_plans(plans, stale, observe, result)
+        self._keep_plans(plans, stale, result)
         return result
 
     def _publish_iterations(self, result: WithExecutionResult) -> None:
@@ -504,10 +493,10 @@ class Engine:
                 plan_reports=self._plan_reports())
 
     def _plan_reports(self) -> list[tuple[str, str]]:
-        """Render the statement's instrumented plans (est vs actual) for a
+        """Render the statement's recorded plans (est vs actual) for a
         flight bundle."""
         return [(title, render_analysis(plan, stats))
-                for title, plan, stats in self._instrumented]
+                for title, plan, stats in self._observed]
 
     def serve_metrics(self, host: str = "127.0.0.1", port: int = 0):
         """Start the live ops endpoint over this engine and return the
@@ -538,25 +527,13 @@ class Engine:
                          Column("row_count", SqlType.INTEGER)))
         return Relation(schema, rows)
 
-    def _annotate_estimates(self, plan) -> None:
-        """Attach ``estimated_rows`` to every node for EXPLAIN output."""
-        from .optimizer import CardinalityEstimator
-
-        estimator = getattr(self.policy, "estimator", None)
-        if estimator is None:
-            # Dialect policies report from whatever statistics exist but
-            # never auto-refresh them — their modelled plans depend on
-            # staleness (the PostgreSQL profile's merge joins).
-            estimator = CardinalityEstimator(refresh=False)
-        estimator.annotate(plan)
-
     def explain(self, sql: str | Statement) -> str:
         """Physical plan of a non-recursive statement, as indented text,
         with per-operator cardinality estimates."""
         statement = parse_statement(sql) if isinstance(sql, str) else sql
         runner = QueryRunner(self.database, self.policy)
         plan = runner.plan(statement)
-        self._annotate_estimates(plan)
+        annotate_estimates(plan, self.policy)
         return explain_plan(plan)
 
     def explain_analyze(self, sql: str | Statement,
@@ -564,28 +541,32 @@ class Engine:
         """Execute a statement and return its plan annotated with actual
         per-operator row counts, inclusive timings, and loop counts.
 
-        For recursive ``with``/``with+`` statements the report covers every
-        cached branch plan (and COMPUTED BY feeder); since cached plans run
-        once per iteration, their totals accumulate over the whole loop.
-        Branches that cannot be plan-cached are re-planned each iteration
-        and do not appear in the report.
+        The statement runs as :meth:`execute` would run it — the same
+        kept plans, the same kernels — while its operators record their
+        stats.  For recursive ``with``/``with+`` statements the report
+        covers every cached branch plan (and COMPUTED BY feeder) and the
+        final body; since cached plans run once per iteration, their
+        totals accumulate over the whole loop.  Branches that cannot be
+        plan-cached are re-planned each iteration and do not appear in
+        the report.
         """
         statement = parse_statement(sql) if isinstance(sql, str) else sql
+        mode = mode or self.mode
+        plans, stale = self._take_plans(statement, mode)
         if isinstance(statement, WithStatement) and \
                 any(cte_is_recursive(c) for c in statement.ctes):
-            executor = RecursiveExecutor(
-                self.database, self.dialect, self.policy,
-                mode=mode or self.mode,
-                ubu_strategy=self._ubu_strategy,
-                temp_indexes=self.temp_indexes,
-                analyze=True)
+            executor = self._executor(mode, plans, analyze=True)
             result = executor.execute(statement)
+            self._keep_plans(plans, stale, result)
             return executor.analysis_report(result)
-        runner = QueryRunner(self.database, self.policy)
-        plan = runner.plan(statement)
-        self._annotate_estimates(plan)
-        _, report = execute_analyzed(plan)
-        return report
+        plan, _ = plans.plan(statement, self.database, self.policy,
+                             plans.slots)
+        annotate_estimates(plan, self.policy)
+        with recording(StatsSink()) as stats:
+            stats.watch(plan)
+            plan.execute()
+        self._plan_cache.put(plans)
+        return render_analysis(plan, stats)
 
     def to_psm(self, sql: str | Statement,
                procedure_name: str = "F_Q") -> PsmProgram:

@@ -357,6 +357,21 @@ class CardinalityEstimator:
         return self._find_column_stats(source, name)
 
 
+def annotate_estimates(plan: PhysicalOperator, policy) -> None:
+    """Attach ``estimated_rows`` to every node of *plan* for EXPLAIN
+    (ANALYZE) output, once: a kept plan keeps the estimates of its first
+    report.  *policy*'s estimator makes them; a dialect policy has none,
+    and its plans report from whatever statistics exist, never refreshed
+    — the modelled plans depend on staleness (the PostgreSQL profile's
+    merge joins)."""
+    if getattr(plan, "estimated_rows", None) is not None:
+        return
+    estimator = getattr(policy, "estimator", None)
+    if estimator is None:
+        estimator = CardinalityEstimator(refresh=False)
+    estimator.annotate(plan)
+
+
 def _referenced_name(expr: Expression) -> str | None:
     if isinstance(expr, (ColumnRef, BoundColumn)) and expr.name:
         return expr.name

@@ -7,7 +7,7 @@ executor materialises the root into a
 :class:`~repro.relational.relation.Relation`.
 """
 
-from .analyze import OperatorStats, execute_analyzed, instrument, render_analysis
+from .analyze import OperatorStats, StatsSink, recording, render_analysis
 from .base import PhysicalOperator, explain_plan
 from .scan import BindingScan, IndexOrderedScan, RelationScan, TableScan
 from .filter import Filter
@@ -54,9 +54,9 @@ __all__ = [
     "PhysicalOperator",
     "explain_plan",
     "OperatorStats",
-    "instrument",
+    "StatsSink",
+    "recording",
     "render_analysis",
-    "execute_analyzed",
     "TableScan",
     "RelationScan",
     "BindingScan",

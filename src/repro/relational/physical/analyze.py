@@ -1,24 +1,35 @@
-"""EXPLAIN ANALYZE: execute a plan with per-operator instrumentation.
+"""EXPLAIN ANALYZE: per-operator stats recorded where every execution
+already passes — an operator's ``rows()`` and ``execute()`` (wrapped per
+class by :func:`observed`) and, for a node the block pipeline fuses into
+its parent, ``batch._batch_source``, which credits it with the rows of
+the batch it hands on.  Each boundary checks :data:`SINK` once per call.
 
-:func:`instrument` patches each plan node's ``rows`` *instance* attribute
-with a counting/timing wrapper — parents pull from ``self.child.rows()``,
-so the instance attribute shadows the class method and every inter-operator
-row hand-off is observed.  Timings are *inclusive*: an operator's time
-covers its own work plus everything it pulled from its children, exactly
-like the ``actual time`` of PostgreSQL's ``EXPLAIN ANALYZE``.
+A traced, profiled or EXPLAIN ANALYZEd statement runs inside
+:func:`recording`; the plans it :meth:`watches <StatsSink.watch>` add
+their rows, time and calls to its :class:`StatsSink`.  Nothing is
+patched into a plan: the plan measured is the plan that runs, kept plans
+included, and stats accumulate over the statement (a cached with+ branch
+reports its totals over every iteration).
 
-Stats objects accumulate across executions of the same plan, so the
-recursive executor can instrument a cached branch plan once and read
-totals over all iterations of the with+ loop.
+Timings are inclusive, like PostgreSQL's ``actual time``.  An
+iterator-model operator that streams its rows is counted as its consumer
+pulls them (a C-level count, no Python frame per row); its time is the
+time to open the stream, its work shows in its consumer's.
 """
 
 from __future__ import annotations
 
+import math
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import wraps
+from itertools import count
+from operator import itemgetter, length_hint
+from typing import Any, Iterator
 
 from ..relation import Relation
-from .base import PhysicalOperator
 
 
 @dataclass
@@ -28,123 +39,179 @@ class OperatorStats:
     rows: int = 0
     seconds: float = 0.0
     calls: int = 0
+    #: join build rows / anti-join pruned rows during the recording
+    build_rows: int = 0
+    pruned: int = 0
 
 
-#: How many trees :func:`instrument` has patched: the batch kernels decide
-#: once per plan whether a tree is instrumented, and again when this moves.
-patched_trees = 0
+#: Iterators whose length is known before anything is pulled.
+_SIZED_ITERATORS = (type(iter([])), type(iter(())))
+_FIRST = itemgetter(0)
 
 
-def instrument(root: PhysicalOperator
-               ) -> dict[PhysicalOperator, OperatorStats]:
-    """Wrap every node of *root*'s tree with row/time accounting.
+class StatsSink(dict):
+    """One statement's ``node -> OperatorStats``, for the plans it watches."""
 
-    Returns a node → :class:`OperatorStats` mapping that fills in as the
-    plan executes (and keeps accumulating over repeated executions).
-    """
-    global patched_trees
-    patched_trees += 1
-    stats: dict[PhysicalOperator, OperatorStats] = {}
+    def __init__(self):
+        super().__init__()
+        #: (stats, rows, seconds, counter) per credit: what rollback undoes
+        self._log: list[tuple] = []
+        #: (stats, counter) per streamed hand-off, counted by settle()
+        self._streams: list[tuple] = []
 
-    def wrap(node: PhysicalOperator) -> None:
-        node_stats = OperatorStats()
-        stats[node] = node_stats
-        original = node.rows  # bound method, captured before patching
+    def watch(self, root: Any) -> bool:
+        """Record *root*'s tree from now on; False when it already is."""
+        if root in self:
+            return False
+        pending = [root]
+        while pending:
+            node = pending.pop()
+            # The byproduct counters start from their current values;
+            # settle() adds the final ones.
+            self.setdefault(node, OperatorStats(
+                build_rows=-getattr(node, "build_rows_observed", 0),
+                pruned=-getattr(node, "pruned_total", 0)))
+            pending.extend(node.children())
+        return True
 
-        def instrumented_rows():
-            node_stats.calls += 1
-            # Create the source iterator eagerly so operators that do their
-            # work up front (the batch kernels' materialising rows()) are
-            # timed — and credited — even when the parent never iterates
-            # the result or the operator yields zero rows.
-            started = time.perf_counter()
-            iterator = iter(original())
-            node_stats.seconds += time.perf_counter() - started
+    def credit(self, stats: OperatorStats, rows: int, seconds: float,
+               counter: Iterator[int] | None = None) -> None:
+        """One execution handing on *rows* rows (or *counter*'s count)."""
+        stats.rows += rows
+        stats.seconds += seconds
+        stats.calls += 1
+        self._log.append((stats, rows, seconds, counter))
+        if counter is not None:
+            self._streams.append((stats, counter))
 
-            def gen():
-                elapsed = 0.0
-                produced = 0
-                try:
-                    while True:
-                        pull = time.perf_counter()
-                        try:
-                            row = next(iterator)
-                        except StopIteration:
-                            elapsed += time.perf_counter() - pull
-                            break
-                        elapsed += time.perf_counter() - pull
-                        produced += 1
-                        yield row
-                finally:
-                    node_stats.rows += produced
-                    node_stats.seconds += elapsed
+    def rollback(self, mark: int) -> None:
+        """Undo the credits since *mark* (a log length): a declined block
+        pipeline hands its operators to the row path, which credits them."""
+        for stats, rows, seconds, counter in self._log[mark:]:
+            stats.rows -= rows
+            stats.seconds -= seconds
+            stats.calls -= 1
+            if counter is not None:
+                self._streams = [entry for entry in self._streams
+                                 if entry[1] is not counter]
+        del self._log[mark:]
 
-            return gen()
+    def settle(self) -> None:
+        """Count the streamed rows and the byproducts: final stats."""
+        for stats, counter in self._streams:
+            stats.rows += next(counter)
+        self._streams.clear()
+        self._log.clear()
+        for node, stats in self.items():
+            stats.build_rows += getattr(node, "build_rows_observed", 0)
+            stats.pruned += getattr(node, "pruned_total", 0)
 
-        node.rows = instrumented_rows  # type: ignore[method-assign]
-        original_execute = node.execute
+    def observe(self, stats: OperatorStats, method, node: Any,
+                args: tuple, kwargs: dict) -> Any:
+        """Run one boundary call of a watched *node* and credit it."""
+        calls, seconds = stats.calls, stats.seconds
+        started = time.perf_counter()
+        out = method(node, *args, **kwargs)
+        elapsed = time.perf_counter() - started
+        if stats.calls != calls:
+            # The call credited its node already (execute() through
+            # rows(), a kernel resolving its own block pipeline): keep
+            # that count and time the whole call.
+            stats.seconds = seconds + elapsed
+        elif hasattr(out, "__next__"):
+            if type(out) in _SIZED_ITERATORS:
+                self.credit(stats, length_hint(out), elapsed)
+            else:
+                counter = count()
+                # zip pulls a row before a count: the counter's next value
+                # is the number of rows handed on.
+                out = map(_FIRST, zip(out, counter))
+                self.credit(stats, 0, elapsed, counter)
+        elif isinstance(out, (list, tuple, Relation)):
+            self.credit(stats, len(out), elapsed)
+        # Anything else (a column batch, None) is credited by whoever
+        # resolves it into the pipeline.
+        return out
 
-        def instrumented_execute():
-            # Batch kernels' execute() builds the result without calling
-            # their own rows(); time the call and credit the stats unless
-            # the rows() wrapper already observed this execution.
-            calls_before = node_stats.calls
-            started = time.perf_counter()
-            relation = original_execute()
-            elapsed = time.perf_counter() - started
-            if node_stats.calls == calls_before:
-                node_stats.calls += 1
-                node_stats.rows += len(relation.rows)
-                node_stats.seconds += elapsed
-            return relation
 
-        node.execute = instrumented_execute  # type: ignore[method-assign]
-        for child in node.children():
-            wrap(child)
-
-    wrap(root)
-    return stats
+#: The sink of the statement being recorded in this context, or None.
+SINK: ContextVar[StatsSink | None] = ContextVar("repro_stats_sink",
+                                                default=None)
 
 
-def render_analysis(root: PhysicalOperator,
-                    stats: dict[PhysicalOperator, OperatorStats]) -> str:
+@contextmanager
+def recording(new: StatsSink | None):
+    """Record watched plans into *new* until exit (None: record nothing)."""
+    token = SINK.set(new)
+    try:
+        yield new
+    finally:
+        SINK.reset(token)
+        if new is not None:
+            new.settle()
+
+
+def mark() -> int | None:
+    """Where a speculative block attempt starts in the recording."""
+    sink = SINK.get()
+    return None if sink is None else len(sink._log)
+
+
+def rollback(mark: int | None) -> None:
+    """Undo a declined block attempt's credits since :func:`mark`."""
+    if mark is not None:
+        SINK.get().rollback(mark)
+
+
+def observed(method):
+    """Wrap an operator's ``rows``/``execute``: a credit when a recording
+    watches the node, else one check of :data:`SINK`."""
+
+    @wraps(method)
+    def boundary(node, *args, **kwargs):
+        sink = SINK.get()
+        if sink is not None:
+            stats = sink.get(node)
+            if stats is not None:
+                return sink.observe(stats, method, node, args, kwargs)
+        return method(node, *args, **kwargs)
+
+    return boundary
+
+
+def drift(stats: OperatorStats | None, estimate: int | None
+          ) -> float | None:
+    """Actual rows per execution over ``est_rows``: the one drift rule of
+    EXPLAIN ANALYZE's ``drift=``, the misestimate counter and the
+    profiler's misestimate report.  None when there is nothing to compare
+    (no estimate, or the operator never ran); an operator estimated empty
+    was exact if it was empty (1.0) and under-estimated without bound
+    (``inf``) if it produced rows."""
+    if estimate is None or stats is None or not stats.calls:
+        return None
+    per_loop = stats.rows / stats.calls
+    if estimate > 0:
+        return per_loop / estimate
+    return 1.0 if per_loop <= 0 else math.inf
+
+
+def render_analysis(root: Any, stats: dict[Any, OperatorStats]) -> str:
     """The EXPLAIN tree annotated with actual row counts and timings."""
-    lines: list[str] = []
+    from .base import explain_plan
 
-    def visit(node: PhysicalOperator, depth: int) -> None:
-        annotation = node.detail()
-        suffix = f" [{annotation}]" if annotation else ""
-        estimate = getattr(node, "estimated_rows", None)
-        if estimate is not None:
-            suffix += f" (est_rows={estimate})"
+    def actuals(node: Any) -> str:
         node_stats = stats.get(node)
         if node_stats is None or node_stats.calls == 0:
-            actual = " (never executed)"
-        else:
-            actual = (f" (actual rows={node_stats.rows}"
-                      f" time={node_stats.seconds * 1000:.3f} ms"
-                      f" loops={node_stats.calls}")
-            if estimate is not None:
-                # Estimated-vs-actual drift, per execution of this node: a
-                # ratio far from 1.00 marks the misestimates worth chasing.
-                # A zero/negative estimate has no meaningful ratio — those
-                # render as n/a instead of dividing by a clamped floor.
-                per_loop = node_stats.rows / node_stats.calls
-                if estimate > 0:
-                    actual += f" drift={per_loop / estimate:.2f}x"
-                else:
-                    actual += " drift=n/a"
-            actual += ")"
-        lines.append("  " * depth + f"-> {node.label}{suffix}{actual}")
-        for child in node.children():
-            visit(child, depth + 1)
+            return " (never executed)"
+        text = (f" (actual rows={node_stats.rows}"
+                f" time={node_stats.seconds * 1000:.3f} ms"
+                f" loops={node_stats.calls}")
+        ratio = drift(node_stats, getattr(node, "estimated_rows", None))
+        if ratio is not None:
+            # A ratio far from 1.00 marks the misestimates worth chasing;
+            # an empty estimate that was not has no ratio.
+            text += (" drift=n/a" if math.isinf(ratio)
+                     else f" drift={ratio:.2f}x")
+        return text + ")"
 
-    visit(root, 0)
-    return "\n".join(lines)
-
-
-def execute_analyzed(root: PhysicalOperator) -> tuple[Relation, str]:
-    """Instrument *root*, execute it once, and return (result, report)."""
-    stats = instrument(root)
-    relation = Relation(root.schema, root.rows())
-    return relation, render_analysis(root, stats)
+    return explain_plan(root, actuals)

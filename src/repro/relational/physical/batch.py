@@ -22,6 +22,7 @@ under either executor.
 
 from __future__ import annotations
 
+import time
 from itertools import repeat
 from operator import itemgetter
 from typing import Any, Iterator
@@ -182,14 +183,14 @@ def _key_set(rows: list[Row], scalar, key_fn) -> set:
 #
 # When a plan subtree is anchored at a columnar table scan, the batch
 # kernels switch from row tuples to the column batches of
-# :mod:`.blocks`.  Dispatch is conservative three ways: (1) a subtree
+# :mod:`.blocks`.  Dispatch is conservative two ways: (1) a subtree
 # without a columnar anchor takes exactly the pre-existing row path, so
-# row-storage engines are untouched; (2) an instrumented plan (EXPLAIN
-# ANALYZE / telemetry="on") falls back so every inter-operator hand-off
-# stays observable; (3) the block computation is speculative — a kernel
-# that cannot prove its result declines with None, and where values SQL
-# rejects make a list kernel raise, the caller replays the operator
-# through the row path, which reproduces the row engine's exact error.
+# row-storage engines are untouched; (2) the block computation is
+# speculative — a kernel that cannot prove its result declines with
+# None, and where values SQL rejects make a list kernel raise, the
+# caller replays the operator through the row path, which reproduces the
+# row engine's exact error.  A recording (EXPLAIN ANALYZE, tracing,
+# profiling) runs the same pipeline (see :func:`_batch_source`).
 
 
 def _columnar_store(node: PhysicalOperator):
@@ -213,41 +214,31 @@ def _store_positions(node: PhysicalOperator,
 
 
 def _tree_facts(node: PhysicalOperator) -> tuple:
-    """``(instrumented, anchored, binding scans)`` of *node*'s tree:
-    whether EXPLAIN ANALYZE patched ``rows`` anywhere in it, whether a
-    leaf is a columnar table scan or a scan of a relation backed by a
-    column batch (the typed output of an earlier block pipeline, which
-    only columnar storage produces), and the loop-slot scans whose
-    binding decides that per execution.  Walked once per plan, and again
-    only after :func:`~.analyze.instrument` patched some tree."""
+    """``(anchored, binding scans)`` of *node*'s tree: whether a leaf is
+    a columnar table scan or a scan of a relation backed by a column
+    batch (the typed output of an earlier block pipeline, which only
+    columnar storage produces), and the loop-slot scans whose binding
+    decides that per execution.  Walked once per plan."""
     facts = node.__dict__.get("_tree_facts")
-    if facts is not None and facts[0] == analyze.patched_trees:
-        return facts[1]
-    instrumented = "rows" in node.__dict__
+    if facts is not None:
+        return facts
     anchored = _columnar_store(node) is not None or (
         isinstance(node, RelationScan) and node.relation.batch is not None)
     scans = (node,) if isinstance(node, BindingScan) else ()
     children = node.children()
     if not anchored:
         for child in children:
-            child_instrumented, child_anchored, child_scans = \
-                _tree_facts(child)
-            instrumented = instrumented or child_instrumented
+            child_anchored, child_scans = _tree_facts(child)
             anchored = anchored or child_anchored
             scans += child_scans
-    else:
-        instrumented = instrumented or any(
-            _tree_facts(child)[0] for child in children)
-    result = (instrumented, anchored, () if anchored else scans)
+    facts = (anchored, () if anchored else scans)
     if children:  # a leaf is cheap, and a scan's facts would name itself
-        node._tree_facts = (analyze.patched_trees, result)
-    return result
+        node._tree_facts = facts
+    return facts
 
 
 def _block_eligible(node: PhysicalOperator) -> bool:
-    instrumented, anchored, scans = _tree_facts(node)
-    if instrumented:
-        return False
+    anchored, scans = _tree_facts(node)
     if anchored:
         return True
     for scan in scans:
@@ -267,9 +258,23 @@ def _bound_positions(keys, schema) -> tuple[int, ...] | None:
 
 
 def _batch_source(node: PhysicalOperator) -> ColumnBatch | None:
-    """Resolve *node* into a column batch, or None to use the row path."""
-    if "rows" in node.__dict__:
-        return None
+    """Resolve *node* into a column batch, or None to use the row path.
+    A watched *node* is credited here with the rows it hands on; a
+    declined resolution rolls back its subtree's credits."""
+    sink = analyze.SINK.get()
+    stats = None if sink is None else sink.get(node)
+    if stats is None:
+        return _resolve(node)
+    mark, started = analyze.mark(), time.perf_counter()
+    source = _resolve(node)
+    if source is None:
+        sink.rollback(mark)
+    else:
+        sink.credit(stats, source.length, time.perf_counter() - started)
+    return source
+
+
+def _resolve(node: PhysicalOperator) -> ColumnBatch | None:
     if isinstance(node, TableScan):
         store = _columnar_store(node)
         return StoreColumns(store) if store is not None else None
@@ -563,6 +568,7 @@ class BatchHashJoin(_BatchBinaryJoin):
     def _compute(self) -> list[Row]:
         if _block_eligible(self):
             observed = self.build_rows_observed
+            mark = analyze.mark()
             try:
                 source = _batch_source(self)
                 if source is not None:
@@ -572,6 +578,7 @@ class BatchHashJoin(_BatchBinaryJoin):
                 # counts the build rows itself.  Anything else is a bug
                 # in a kernel and surfaces.
                 self.build_rows_observed = observed
+                analyze.rollback(mark)
         if self.build_side == "right":
             build, probe = self.right, self.left
             build_scalar, probe_scalar = self._right_scalar, self._left_scalar
@@ -825,19 +832,20 @@ class BatchHashAggregate(_AggregateBase):
         caller replays the row path for the row engine's exact error.
         Any other exception is a bug and surfaces.
         """
+        mark = analyze.mark()
         try:
             src = _batch_source(self.child)
         except VALUE_ERRORS:
-            return None
-        if src is None:
-            return None
-        fast = self._array_single(function, src)
-        if fast is not None or self._scalar_key is None:
-            return fast
-        try:
-            return self._list_single(function, src)
-        except VALUE_ERRORS:
-            return None
+            src = None
+        fast = None if src is None else self._array_single(function, src)
+        if fast is None and src is not None and self._scalar_key is not None:
+            try:
+                fast = self._list_single(function, src)
+            except VALUE_ERRORS:
+                pass
+        if fast is None:
+            analyze.rollback(mark)  # the row path reads the child again
+        return fast
 
     def _list_single(self, function: str,
                      src: ColumnBatch) -> RowsColumns | None:
@@ -1108,6 +1116,7 @@ class BatchProject(Project):
 
     def _compute(self, root: bool = False) -> list[Row] | ColumnBatch:
         if _block_eligible(self):
+            mark = analyze.mark()
             try:
                 source = _batch_source(self)
                 if source is not None:
@@ -1118,8 +1127,10 @@ class BatchProject(Project):
                     if vectors is not None:
                         return ArrayColumns(vectors)
                     return source.rows()
-            except Exception:
-                pass  # replay through the row path for the exact error
+            except VALUE_ERRORS:
+                # Replay through the row path for the exact error.
+                # Anything else is a bug in a kernel and surfaces.
+                analyze.rollback(mark)
         return list(map(self._builder, _materialize(self.child)))
 
 
@@ -1140,12 +1151,15 @@ class BatchFilter(Filter):
 
     def _compute(self) -> list[Row]:
         if _block_eligible(self):
+            mark = analyze.mark()
             try:
                 source = _batch_source(self)
                 if source is not None:
                     return source.rows()
-            except Exception:
-                pass  # replay through the row path for the exact error
+            except VALUE_ERRORS:
+                # Replay through the row path for the exact error.
+                # Anything else is a bug in a kernel and surfaces.
+                analyze.rollback(mark)
         evaluate = self._compiled
         return [row for row in _materialize(self.child)
                 if evaluate(row) is True]

@@ -40,8 +40,10 @@ from .errors import (
     StratificationError,
 )
 from .expressions import Expression, FunctionCall, contains_aggregate
-from .physical import IndexOrderedScan, TableScan
+from .physical import (IndexOrderedScan, StatsSink, TableScan, recording,
+                       render_analysis)
 from .physical.batch import keep_key_plans
+from .optimizer import annotate_estimates
 from .planner import PlannerPolicy
 from .relation import Relation
 from .schema import Schema
@@ -682,16 +684,23 @@ class RecursiveExecutor:
             raise FeatureNotSupportedError(
                 dialect.name, f"union-by-update strategy {self.ubu_strategy}")
         self.temp_indexes = dict(temp_indexes or {})
-        #: When True, cached branch plans (and the final body plan) are
-        #: instrumented; totals accumulate across every loop iteration and
-        #: are rendered by :meth:`analysis_report`.
+        #: When True, the branch plans, their COMPUTED BY feeders and the
+        #: final body are recorded; totals accumulate across every loop
+        #: iteration and are rendered by :meth:`analysis_report`.
         self.analyze = analyze
         #: The engine's :class:`repro.observability.Telemetry`, when run
-        #: through one.  Tracing-enabled telemetry turns on the same plan
-        #: instrumentation the analyze path uses, so traces carry
-        #: per-operator spans.
+        #: through one.  Tracing or profiling records the same plans the
+        #: analyze path does, so traces carry per-operator spans.
         self.telemetry = telemetry
         self.tracer = telemetry.tracer if telemetry is not None else None
+        #: The statement's recording (None: nothing watches): the plans
+        #: run exactly as they would unwatched, kept plans included.
+        self.sink = StatsSink() if analyze or (
+            telemetry is not None
+            and (telemetry.tracing or telemetry.profiling)) else None
+        #: (title, plan, stats) per recorded plan, in first-execution
+        #: order — the engine grafts these into the trace
+        self.observed: list[tuple[str, object, StatsSink]] = []
         #: Warm-start seeds: lowercase recursive-CTE name → Relation used
         #: *instead of* evaluating the CTE's initial branches.  The
         #: streaming layer passes a prior fixpoint (with the delta
@@ -707,10 +716,6 @@ class RecursiveExecutor:
         #: fresh branch plans, the final body) — the engine reports this as
         #: the recursive statement's "plan" phase.
         self.plan_seconds = 0.0
-        self._instrument = analyze \
-            or (self.tracer is not None and self.tracer.enabled) \
-            or (telemetry is not None and telemetry.profiler.enabled)
-        self._analyzed: list[tuple[str, object, dict]] = []
         #: (table, its statistics version, its rows as a set) as of the
         #: last UNION combine — see :meth:`_seen_rows`.
         self._union_seen: tuple | None = None
@@ -725,10 +730,12 @@ class RecursiveExecutor:
             return self.tracer.span(name, **attrs)
         return nullcontext(None)
 
-    def instrumented_plans(self) -> list[tuple[str, object, dict]]:
-        """(title, plan, stats) per instrumented plan — the engine grafts
-        these into the trace as per-operator spans."""
-        return list(self._analyzed)
+    def _watch(self, title: str, plan) -> None:
+        """Record *plan* from its first execution in this statement on,
+        when the statement is recorded."""
+        if self.sink is not None and self.sink.watch(plan):
+            annotate_estimates(plan, self.policy)
+            self.observed.append((title, plan, self.sink))
 
     # -- top level -------------------------------------------------------------
 
@@ -738,26 +745,22 @@ class RecursiveExecutor:
         outer = self.plans.slots
         stats = WithExecutionResult(relation=Relation.from_pairs((), ()))
         created_temp_names: list[str] = []
-        try:
-            for cte in statement.ctes:
-                if cte_is_recursive(cte):
-                    result = self._run_recursive_cte(cte, stats)
-                else:
-                    result = self._run_plain_cte(cte, stats)
-                outer[cte.name.lower()] = result
-                created_temp_names.append(cte.name)
-            body_plan = self._planned(statement.body, outer, stats)
-            if self._instrument:
-                from .physical import instrument
-
-                self._annotate_estimates(body_plan)
-                body_stats = instrument(body_plan)
-                self._analyzed.append(("final body", body_plan, body_stats))
-            stats.relation = body_plan.execute()
-            return stats
-        finally:
-            self.plans.release()
-            self._cleanup(created_temp_names)
+        with recording(self.sink):
+            try:
+                for cte in statement.ctes:
+                    if cte_is_recursive(cte):
+                        result = self._run_recursive_cte(cte, stats)
+                    else:
+                        result = self._run_plain_cte(cte, stats)
+                    outer[cte.name.lower()] = result
+                    created_temp_names.append(cte.name)
+                body_plan = self._planned(statement.body, outer, stats)
+                self._watch("final body", body_plan)
+                stats.relation = body_plan.execute()
+                return stats
+            finally:
+                self.plans.release()
+                self._cleanup(created_temp_names)
 
     def _planned(self, statement: Statement, slots: dict[str, Relation],
                  stats: WithExecutionResult):
@@ -780,15 +783,13 @@ class RecursiveExecutor:
     def analysis_report(self, result: WithExecutionResult | None = None) -> str:
         """The EXPLAIN ANALYZE report for an ``analyze=True`` run.
 
-        One annotated plan tree per instrumented plan (cached recursive
+        One annotated plan tree per recorded plan (cached recursive
         branch plans, their COMPUTED BY feeders, and the final body).
         Because cached plans execute once per iteration, their operator
         totals cover *all* iterations of the with+ loop.
         """
         if not self.analyze:
             raise ExecutionError("executor was not created with analyze=True")
-        from .physical import render_analysis
-
         sections: list[str] = []
         if result is not None:
             header = (f"iterations={result.iterations}"
@@ -802,7 +803,7 @@ class RecursiveExecutor:
                      in result.binding.items()]
                 header += " binding=" + ",".join(shown)
             sections.append(header)
-        for title, plan, plan_stats in self._analyzed:
+        for title, plan, plan_stats in self.observed:
             sections.append(f"{title}:\n{render_analysis(plan, plan_stats)}")
         return "\n\n".join(sections)
 
@@ -1231,12 +1232,7 @@ class RecursiveExecutor:
             self.plan_seconds += time.perf_counter() - started
             if key_plans:
                 keep_key_plans(plan)
-            if self._instrument:
-                from .physical import instrument
-
-                self._annotate_estimates(plan)
-                self._analyzed.append((f"computed by {definition.name}",
-                                       plan, instrument(plan)))
+            self._watch(f"computed by {definition.name}", plan)
             computed_plans.append((definition, plan))
             self._fill_computed(definition, plan, branch_slots,
                                 computed_slots, computed_names)
@@ -1247,12 +1243,7 @@ class RecursiveExecutor:
         self.plan_seconds += time.perf_counter() - started
         if key_plans:
             keep_key_plans(statement_plan)
-        if self._instrument:
-            from .physical import instrument
-
-            self._annotate_estimates(statement_plan)
-            self._analyzed.append(("recursive branch", statement_plan,
-                                   instrument(statement_plan)))
+        self._watch("recursive branch", statement_plan)
         return (statement_plan.execute(),
                 _CachedBranchPlans(computed_plans, statement_plan))
 
@@ -1263,19 +1254,11 @@ class RecursiveExecutor:
         """Subsequent iterations: re-execute the cached plans; the live
         slots already point at this iteration's R."""
         for definition, plan in entry.computed:
+            self._watch(f"computed by {definition.name}", plan)
             self._fill_computed(definition, plan, branch_slots,
                                 computed_slots, computed_names)
+        self._watch("recursive branch", entry.statement_plan)
         return entry.statement_plan.execute()
-
-    def _annotate_estimates(self, plan) -> None:
-        """Attach ``estimated_rows`` so EXPLAIN ANALYZE reports estimates
-        next to actuals (the loop's slots are populated at plan time)."""
-        from .optimizer import CardinalityEstimator
-
-        estimator = getattr(self.policy, "estimator", None)
-        if estimator is None:
-            estimator = CardinalityEstimator(refresh=False)
-        estimator.annotate(plan)
 
     def _fill_computed(self, definition, plan, branch_slots, computed_slots,
                        computed_names: set[str]) -> None:

@@ -127,15 +127,14 @@ def test_the_optimizer_axis_is_the_binding_oracle(monkeypatch):
 
 def test_matrix_covers_every_strategy_and_executor():
     matrix = default_matrix()
-    assert len(matrix) == 64
+    assert len(matrix) == 32
     assert {c.strategy for c in matrix} == {
         "merge", "full_outer_join", "update_from", "drop_alter"}
     assert {c.executor for c in matrix} == {"tuple", "batch"}
     assert {c.optimizer for c in matrix} == {"off", "cost"}
-    assert {c.telemetry for c in matrix} == {"off", "on"}
     assert {c.storage for c in matrix} == {"rows", "columnar"}
     # Plain selects collapse the strategy axis...
     reduced = relevant_matrix(JOIN_SCENARIO, matrix)
     assert len(reduced) < len(matrix)
-    # ...recursive scenarios keep all 64 cells.
+    # ...recursive scenarios keep all 32 cells.
     assert relevant_matrix(UBU_SCENARIO, matrix) == matrix

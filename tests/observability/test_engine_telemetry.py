@@ -236,16 +236,17 @@ class TestQueryLogAndMetrics:
         assert series[0]["labels"] == {"error": "SchemaError"}
 
     def test_cardinality_misestimate_counter_has_direction_labels(self):
-        from repro.observability import record_drift_metrics
-        from repro.relational.physical import instrument
+        from repro.observability import record_plan
+        from repro.relational.physical import StatsSink, recording
         from repro.relational.sql.compiler import QueryRunner
         from repro.relational.sql.parser import parse_statement
 
         engine = make_engine()
         plan = QueryRunner(engine.database, engine.policy).plan(
             parse_statement("select F from E"))
-        stats = instrument(plan)
-        plan.execute()
+        with recording(StatsSink()) as stats:
+            stats.watch(plan)
+            plan.execute()
         # Force both drift directions across the tree: the root far
         # under-estimated, every other executed node far over-estimated.
         nodes = [node for node in [plan] + list(plan.children())
@@ -253,7 +254,7 @@ class TestQueryLogAndMetrics:
         nodes[0].estimated_rows = 1
         for node in nodes[1:]:
             node.estimated_rows = stats[node].rows * 100 + 100
-        record_drift_metrics(engine.telemetry.metrics, plan, stats)
+        record_plan(plan, stats, metrics=engine.telemetry.metrics)
         data = engine.metrics.to_json()
         series = data["repro_cardinality_misestimates_total"]["series"]
         directions = {entry["labels"]["direction"] for entry in series}

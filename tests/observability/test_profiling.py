@@ -5,10 +5,11 @@ import json
 
 import pytest
 
-from repro.observability import DRIFT_THRESHOLD, ProfileStore, Profiler
+from repro.observability import (DRIFT_THRESHOLD, MetricsRegistry,
+                                  ProfileStore, Profiler, record_plan)
 from repro.observability.profiling import estimate_row_bytes
 from repro.relational import Engine
-from repro.relational.physical import instrument, render_analysis
+from repro.relational.physical import StatsSink, recording, render_analysis
 from repro.relational.schema import Column, Schema, SqlType
 from repro.relational.sql.compiler import QueryRunner
 from repro.relational.sql.parser import parse_statement
@@ -34,6 +35,14 @@ def make_engine(**kwargs) -> Engine:
 def plan_query(engine: Engine, sql: str):
     runner = QueryRunner(engine.database, engine.policy)
     return runner.plan(parse_statement(sql))
+
+
+def recorded(plan) -> StatsSink:
+    """Execute *plan* once while recording it; its per-operator stats."""
+    with recording(StatsSink()) as stats:
+        stats.watch(plan)
+        plan.execute()
+    return stats
 
 
 class TestRowBytesEstimate:
@@ -116,11 +125,10 @@ class TestMisestimates:
         profiler = Profiler(enabled=True)
         engine = make_engine()
         runner_plan = plan_query(engine, "select F from E")
-        stats = instrument(runner_plan)
-        runner_plan.execute()
+        stats = recorded(runner_plan)
         for node in [runner_plan] + list(runner_plan.children()):
             node.estimated_rows = 1  # force every node far off
-        profiler.record_plan("select", "query", runner_plan, stats)
+        record_plan(runner_plan, stats, profiler=profiler)
         report = profiler.misestimate_report()
         assert report, "120 actual vs est 1 must register"
         assert report[0]["under"] >= 1
@@ -130,13 +138,12 @@ class TestMisestimates:
         profiler = Profiler(enabled=True)
         engine = make_engine()
         plan = plan_query(engine, "select F from E")
-        stats = instrument(plan)
-        plan.execute()
+        stats = recorded(plan)
         for node in [plan] + list(plan.children()):
             node_stats = stats.get(node)
             if node_stats is not None:
                 node.estimated_rows = max(node_stats.rows, 1)
-        profiler.record_plan("select", "query", plan, stats)
+        record_plan(plan, stats, profiler=profiler)
         assert profiler.misestimate_report() == []
 
 
@@ -144,14 +151,42 @@ class TestDriftRendering:
     def test_zero_estimate_renders_na_not_a_ratio(self):
         engine = make_engine()
         plan = plan_query(engine, "select F from E")
-        stats = instrument(plan)
-        plan.execute()
+        stats = recorded(plan)
         plan.estimated_rows = 0
         report = render_analysis(plan, stats)
         assert "drift=n/a" in report.splitlines()[0]
         plan.estimated_rows = 120
         report = render_analysis(plan, stats)
         assert "drift=1.00x" in report.splitlines()[0]
+
+
+    def test_one_drift_rule_across_the_three_surfaces(self):
+        """EXPLAIN ANALYZE's ``drift=``, the misestimate counter and the
+        profiler's report judge an operator alike: estimated empty but
+        producing rows is an unbounded under-estimate everywhere, and a
+        ratio within DRIFT_THRESHOLD is quiet everywhere."""
+        engine = make_engine()
+        plan = plan_query(engine, "select F from E where F < 30")
+        stats = recorded(plan)
+        nodes = [node for node in [plan, *plan.children()]
+                 if stats[node].calls]
+        assert len(nodes) == 2 and all(stats[n].rows for n in nodes)
+        empty, close = nodes
+        empty.estimated_rows = 0
+        close.estimated_rows = int(stats[close].rows * DRIFT_THRESHOLD * 0.9)
+        lines = render_analysis(plan, stats).splitlines()
+        assert "drift=n/a" in lines[0]
+        assert "drift=0.2" in lines[1]  # 1 / (0.9 * threshold) = 0.28
+        metrics, profiler = MetricsRegistry(), Profiler(enabled=True)
+        record_plan(plan, stats, metrics=metrics, profiler=profiler)
+        series = metrics.to_json()[
+            "repro_cardinality_misestimates_total"]["series"]
+        assert [entry["labels"] for entry in series] == [
+            {"operator": empty.label, "direction": "under"}]
+        report = profiler.misestimate_report()
+        assert [entry["operator"] for entry in report] == [empty.label]
+        assert report[0]["under"] == 1
+        assert report[0]["worst_ratio"] == float("inf")
 
 
 class TestProfileJsonSchema:

@@ -130,7 +130,7 @@ def test_best_profile_branch_has_no_generator_model_join(name):
         ubu_strategy=engine._ubu_strategy, temp_indexes=engine.temp_indexes,
         analyze=True)
     executor.execute(parse_statement(fixpoint_statements(graph)[name]))
-    branches = [plan for label, plan, _ in executor._analyzed
+    branches = [plan for label, plan, _ in executor.observed
                 if label == "recursive branch"]
     assert branches
     for plan in branches:
@@ -1422,3 +1422,31 @@ def test_a_join_kernel_bug_surfaces_from_a_tc_statement(monkeypatch):
     monkeypatch.setattr(batch.BatchHashJoin, "_block_source", broken)
     with pytest.raises(RuntimeError, match="join kernel bug"):
         engine.execute(tc.sql())
+
+
+def test_a_projection_kernel_bug_surfaces_from_a_pagerank_statement(
+        monkeypatch):
+    """The projection, too, replays the row path on values SQL rejects
+    only: a bug in its block form fails the statement instead of being
+    replayed on rows."""
+    engine, graph = fixpoint_engine(**BEST)
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("projection kernel bug")
+
+    monkeypatch.setattr(batch, "DerivedColumns", broken)
+    with pytest.raises(RuntimeError, match="projection kernel bug"):
+        engine.execute(fixpoint_statements(graph)["pr"])
+
+
+def test_a_filter_kernel_bug_surfaces_from_a_scan(monkeypatch):
+    """So does the filter: a bug in its block form fails the statement."""
+    engine = Engine("oracle", **BEST)
+    load_graph(engine, random_dag(40, 2.0, seed=5))
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("filter kernel bug")
+
+    monkeypatch.setattr(batch, "FilteredColumns", broken)
+    with pytest.raises(RuntimeError, match="filter kernel bug"):
+        engine.execute("select F, T from E where F < 20")

@@ -109,7 +109,7 @@ class TestCompositeKeyEstimates:
             engine.database, engine.dialect, engine.policy, mode=engine.mode,
             ubu_strategy=engine._ubu_strategy, analyze=True)
         executor.execute(parse_statement(ktruss.sql(3)))
-        (support,) = [plan for title, plan, _ in executor._analyzed
+        (support,) = [plan for title, plan, _ in executor.observed
                       if title == "computed by SUP"]
         stack, joins = [support], []
         while stack:
@@ -167,6 +167,32 @@ class TestPushdownAndReordering:
         # A joins last: its scan renders after C's and sits shallower.
         assert a_scan > c_scan
         assert lines[a_scan].index("->") < lines[c_scan].index("->")
+
+    def test_a_join_beyond_the_dp_limit_is_ordered_greedily(self,
+                                                            monkeypatch):
+        """One relation more than DP_RELATION_LIMIT in a chain: the greedy
+        heuristic orders it, and the result is the reference profile's."""
+        from repro.relational import optimizer
+
+        orders = []
+        greedy = optimizer._greedy_order
+
+        def spy(n, *args):
+            orders.append(greedy(n, *args))
+            return orders[-1]
+
+        monkeypatch.setattr(optimizer, "_greedy_order", spy)
+        n = optimizer.DP_RELATION_LIMIT + 1
+        sql = ("select R0.F, R{}.T from ".format(n - 1)
+               + ", ".join(f"E as R{i}" for i in range(n)) + " where "
+               + " and ".join(f"R{i}.T = R{i + 1}.F" for i in range(n - 1)))
+        edges = [(i, (i * 7 + 1) % 40, 1.0) for i in range(60)]
+        engine, baseline = Engine("oracle"), reference_engine("oracle")
+        for each in (engine, baseline):
+            each.database.load_edge_table("E", edges)
+        rows = engine.execute(sql).rows
+        assert [sorted(order) for order in orders] == [list(range(n))]
+        assert rows and sorted(rows) == sorted(baseline.execute(sql).rows)
 
     def test_reordered_results_match_syntactic_order(self):
         engine_off = reference_engine("oracle")

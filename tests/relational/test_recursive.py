@@ -340,6 +340,36 @@ class TestComputedBy:
             validate_withplus(stmt.ctes[0])
 
 
+class TestPlainCteBesideRecursion:
+    SQL = """
+    with S(F, T) as (select F, T from E where F < 3),
+    R(F, T) as (
+      (select F, T from S)
+      union
+      (select R.F, E.T from R, E where R.T = E.F)
+    )
+    select F, T from R
+    """
+
+    @pytest.mark.parametrize("profile", ["default", "reference"])
+    def test_a_non_recursive_cte_feeds_the_recursive_one(self, profile,
+                                                          monkeypatch):
+        runs = []
+        plain = recursive.RecursiveExecutor._run_plain_cte
+
+        def spy(self, cte, stats):
+            runs.append(cte.name)
+            return plain(self, cte, stats)
+
+        monkeypatch.setattr(recursive.RecursiveExecutor, "_run_plain_cte",
+                            spy)
+        engine = (_load_graph(Engine("postgres")) if profile == "default"
+                  else _reference())
+        rows = engine.execute(self.SQL).rows
+        assert runs == ["S"]
+        assert sorted(rows) == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
+
+
 class TestLoopingControl:
     def test_maxrecursion_caps_iterations(self, engine):
         result = engine.execute_detailed("""
