@@ -11,8 +11,9 @@ Emits random-but-valid programs in two families:
   UNION BY UPDATE recursion (seeded from a node or two, or — keys
   stable from the first iteration — from every vertex), nonlinear
   branches, COMPUTED BY feeders,
-  anti-join pruning, MAXRECURSION edges, a linear UNION whose value
-  column R's INTEGER type coerces, and pair-shaped ``t(F, T)``
+  anti-join pruning, MAXRECURSION edges, a union-by-update over signed
+  zero and negative edge weights, a linear UNION whose value column R's
+  INTEGER type coerces, and pair-shaped ``t(F, T)``
   recursions (TC with a two-column GROUP BY; k-truss's two-key
   self-join under a keyless update) for the packed-key kernels.  About
   one graph in four scatters its node ids 10**6 apart, so packed keys
@@ -322,6 +323,10 @@ def _generate_select_scenario(seed: int, rng: random.Random) -> Scenario:
 #: Gap between the node ids of a scattered graph (:func:`_node_ids`).
 _SCATTER = 10 ** 6
 
+#: Edge weights of a signed union-by-update scenario: both zeros and
+#: negatives, quarter units so sums stay exact.
+_SIGNED_WEIGHTS = (0.0, -0.0, -0.0, -0.25, -1.0, -2.5, 0.5, 1.25)
+
 
 def _node_ids(seed: int, n_nodes: int) -> list[int]:
     """Ascending node ids: ``0..n-1``, or — for about one graph in four —
@@ -389,6 +394,16 @@ def _generate_with_scenario(seed: int, rng: random.Random) -> Scenario:
         # before it give every other scenario what they gave before.
         if not pair and rng.random() < 0.4:
             query = dataclasses.replace(query, full_seed=True)
+        # The signed variant redraws the edge weights from both zeros
+        # and negatives and starts the seeds from -0.0, so min/max meet
+        # 0.0 beside -0.0 and values fall below the seeds'.  Drawn after
+        # everything else, so every other scenario stays as it was.
+        if not pair and rng.random() < 0.5:
+            query = dataclasses.replace(query, signed=True)
+            edge = dataclasses.replace(edge, rows=tuple(
+                (f, t, rng.choice(_SIGNED_WEIGHTS))
+                for f, t, _ in edge.rows))
+            tables = (edge, node)
     elif union_kind == "union all":
         query = WithIR(
             union_kind=union_kind, seeds=seeds,

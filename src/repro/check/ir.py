@@ -374,6 +374,11 @@ class WithIR:
     # UBU: the initial branch covers all of V (SSSP's literal CASE), so
     # R's keys stay put from the first iteration — the key-plan reuse path
     full_seed: bool = False
+    # UBU over edge weights that include 0.0, -0.0 and negatives (the
+    # generator draws them), from seeds valued -0.0 (a full seed: every
+    # vertex but the source): min/max meet 0.0 beside -0.0, where which
+    # row holds the extreme decides the value
+    signed: bool = False
     # linear UNION over t(ID, d), d INTEGER and the branch's t.d + E.ew
     # DOUBLE: the insert truncates it, the delta-binding type rule's case
     coerced: bool = False
@@ -438,12 +443,14 @@ class WithIR:
     def _render_ubu(self, names, f, t, ew, e, where) -> str:
         if self.full_seed:
             node = names.table_column(self.node_table, "ID")
+            rest = "-0.0" if self.signed else "100.0"
             seeds = (f"select {node} as ID, case when {node} = "
-                     f"{self.seeds[0]} then 0.0 else 100.0 end as val"
+                     f"{self.seeds[0]} then 0.0 else {rest} end as val"
                      f" from {self.node_table}")
         else:
+            start = "-0.0" if self.signed else "0.0"
             seeds = " union all ".join(
-                f"select {s} as ID, 0.0 as val from {e} where {f} = {s}"
+                f"select {s} as ID, {start} as val from {e} where {f} = {s}"
                 f" group by {f}" for s in self.seeds)
         clauses = self._render_where(list(where), names, f, t, e)
         if self.aggregate is not None:
@@ -527,6 +534,8 @@ class WithIR:
             yield replace(self, body_aggregate=False)
         if self.full_seed:
             yield replace(self, full_seed=False)
+        if self.signed:
+            yield replace(self, signed=False)
         if self.coerced:
             yield replace(self, coerced=False)
         for index in range(len(self.extra_where)):
@@ -544,7 +553,7 @@ class WithIR:
         count += len(self.extra_where)
         for flag in (self.nonlinear, self.pair, self.having is not None,
                      self.antijoin, self.computed_by, self.body_aggregate,
-                     self.full_seed, self.coerced):
+                     self.full_seed, self.signed, self.coerced):
             if flag:
                 count += 1
         if self.maxrecursion is not None:

@@ -47,10 +47,19 @@ from __future__ import annotations
 
 import sys
 from itertools import compress
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ..physical.blocks import (
+    ArrayColumns,
+    _concat_arrays,
+    csr_index,
+    exact_array,
+    position_index,
+    sorted_index,
+)
 from .encodings import ColumnCodec, PlainColumn, _zone_bounds, encode_column
 
 #: Rows per sealed block (the storage morsel).
@@ -281,8 +290,6 @@ class ColumnStore:
         snapshots of the old contents stay as they were.  False, nothing
         changed, unless the store is empty or has a plain typed view of
         the same dtype for every column."""
-        from ..physical.blocks import _concat_arrays
-
         if not self._len:
             self.assign_vectors(vectors)
             return True
@@ -300,8 +307,6 @@ class ColumnStore:
         None when the contents are not held as vectors."""
         if self._vectors is None:
             return None
-        from ..physical.blocks import ArrayColumns
-
         return ArrayColumns(self._vectors)
 
     def delete_positions(self, positions: Sequence[int]) -> None:
@@ -406,8 +411,6 @@ class ColumnStore:
                 if self._vectors is not None:
                     cached = self._vectors[j].tolist()
                 else:
-                    from operator import itemgetter
-
                     cached = list(map(itemgetter(j), self._rows))
                 self._col_cache[j] = cached
                 return cached
@@ -444,8 +447,6 @@ class ColumnStore:
             return held
         cache_key = ("array", j)
         if cache_key not in self._index_cache:
-            from ..physical.blocks import exact_array
-
             vector = exact_array(self.column(j))
             if vector is not None and vector.ints is None:
                 self._arrays[j] = vector
@@ -506,8 +507,6 @@ class ColumnStore:
         hit = self._index_cache.get(cache_key)
         if hit is not None:
             return hit
-        from ..physical.blocks import csr_index, position_index, sorted_index
-
         if kind in ("csr", "sorted"):
             if kind == "csr":
                 index = csr_index(self.array(key_positions[0]))
@@ -599,8 +598,6 @@ class ColumnStore:
         column's appended values — unless those have none of the same
         dtype (NULL, NaN, bool, text, out of int64, a float onto int64):
         that array is dropped, and the next ``array(j)`` decodes."""
-        from ..physical.blocks import _concat_arrays, exact_array
-
         rows, self._appended = self._appended, []
         for j, before in list(self._arrays.items()):
             merged = _concat_arrays(before,

@@ -50,7 +50,6 @@ from .recursive import (
     RecursiveExecutor,
     StatementPlans,
     WithExecutionResult,
-    cte_is_recursive,
 )
 from .relation import Relation
 from .schema import Column, Schema, SqlType
@@ -273,16 +272,18 @@ class Engine:
                             relation=self._run_analyze(statement))
                     phases["execute"] = \
                         (time.perf_counter() - started) * 1000
-                elif isinstance(statement, WithStatement) and \
-                        any(cte_is_recursive(c) for c in statement.ctes):
-                    kind = "recursive"
-                    result = self._execute_recursive(statement, mode, tracer,
-                                                     phases, query_span,
-                                                     warm_start=warm_start)
                 else:
-                    kind = "select"
-                    result = self._execute_plain(statement, mode, tracer,
-                                                 phases)
+                    mode = mode or self.mode
+                    plans, stale = self._take_plans(statement, mode)
+                    if plans.recursive():
+                        kind = "recursive"
+                        result = self._execute_recursive(
+                            statement, mode, plans, stale, tracer, phases,
+                            query_span, warm_start=warm_start)
+                    else:
+                        kind = "select"
+                        result = self._execute_plain(statement, plans, stale,
+                                                     tracer, phases)
         except RelationalError as error:
             total_ms = (time.perf_counter() - total_started) * 1000
             self._record_failure(sql_text, total_ms, phases, error)
@@ -305,7 +306,8 @@ class Engine:
                            query_span)
         return result
 
-    def _execute_recursive(self, statement: WithStatement, mode, tracer,
+    def _execute_recursive(self, statement: WithStatement, mode: str,
+                           plans: StatementPlans, stale: str | None, tracer,
                            phases, query_span,
                            warm_start: dict[str, Relation] | None = None
                            ) -> WithExecutionResult:
@@ -313,8 +315,6 @@ class Engine:
         are compiled, cached, and replanned there), so the plan phase is
         the executor's accumulated compile time and the remainder of the
         loop's wall time is the execute phase."""
-        mode = mode or self.mode
-        plans, stale = self._take_plans(statement, mode)
         executor = self._executor(mode, plans, telemetry=self.telemetry,
                                   warm_start=warm_start)
         started = time.perf_counter()
@@ -370,11 +370,11 @@ class Engine:
                     title=title, storage=self.storage)
         self._observed.append((title, plan, plan_stats))
 
-    def _execute_plain(self, statement: Statement, mode, tracer,
+    def _execute_plain(self, statement: Statement, plans: StatementPlans,
+                       stale: str | None, tracer,
                        phases) -> WithExecutionResult:
         telemetry = self.telemetry
         observe = telemetry.tracing or telemetry.profiling
-        plans, stale = self._take_plans(statement, mode or self.mode)
         started = time.perf_counter()
         with tracer.span("plan"):
             plan, compiled = plans.plan(statement, self.database,
@@ -553,8 +553,7 @@ class Engine:
         statement = parse_statement(sql) if isinstance(sql, str) else sql
         mode = mode or self.mode
         plans, stale = self._take_plans(statement, mode)
-        if isinstance(statement, WithStatement) and \
-                any(cte_is_recursive(c) for c in statement.ctes):
+        if plans.recursive():
             executor = self._executor(mode, plans, analyze=True)
             result = executor.execute(statement)
             self._keep_plans(plans, stale, result)

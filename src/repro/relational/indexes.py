@@ -35,8 +35,12 @@ class Index:
         raise NotImplementedError
 
     def delete(self, row: Row) -> None:
-        """Remove one occurrence of *row* (for incremental maintenance)."""
+        """Remove one occurrence of *row* (for incremental maintenance);
+        :class:`KeyError` when the index holds none."""
         raise NotImplementedError
+
+    def _absent(self) -> KeyError:
+        return KeyError(f"row not in index {self.name!r}")
 
     def bulk_load(self, rows: Iterable[Row]) -> None:
         for row in rows:
@@ -62,8 +66,8 @@ class HashIndex(Index):
     def delete(self, row: Row) -> None:
         key = self.key_of(row)
         bucket = self._buckets.get(key)
-        if bucket is None:
-            raise KeyError(f"row not in index {self.name!r}")
+        if bucket is None or row not in bucket:
+            raise self._absent()
         bucket.remove(row)
         if not bucket:
             del self._buckets[key]
@@ -106,6 +110,8 @@ class SortedIndex(Index):
     def delete(self, row: Row) -> None:
         key = self.key_of(row)
         if any(v is None for v in key):
+            if row not in self._null_rows:
+                raise self._absent()
             self._null_rows.remove(row)
             return
         lo = bisect.bisect_left(self._keys, key)
@@ -115,7 +121,7 @@ class SortedIndex(Index):
                 del self._keys[i]
                 del self._rows[i]
                 return
-        raise KeyError(f"row not in index {self.name!r}")
+        raise self._absent()
 
     def bulk_load(self, rows: Iterable[Row]) -> None:
         pairs = []

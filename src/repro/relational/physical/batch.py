@@ -730,6 +730,8 @@ class BatchHashAntiJoin(_BatchBinaryJoin):
     """
 
     label = "Hash Anti Join"
+    #: Rows removed, accumulated over executions.
+    pruned_total = 0
 
     @property
     def schema(self) -> Schema:

@@ -1435,11 +1435,15 @@ def array_grouped(function: str, keys, values: ArrayVector | None,
       differs for -0.0 (``0.0 + -0.0`` is ``0.0``), so negative zeros
       answer None, as does a column mixing ints and floats;
     * ``min``/``max``: the loop replaces its value only on a strict
-      comparison, so a group keeps the *first* row holding its extreme;
-      the kernel finds each group's extreme, then the first position
-      holding it, and gathers from there — an int meeting an equal float
-      survives exactly when it came first.  A NaN (comparisons all false:
-      the loop's result depends on where it sits) answers None.
+      comparison, so a group keeps the *first* row holding its extreme.
+      When equal values are the same SQL value — int64, or float64 with
+      no ``ints`` flags and no ``-0.0`` (:func:`_plain`) — any holder
+      will do and the extremes are the result, in one ``ufunc.at`` pass.
+      Otherwise the kernel then finds the first position holding each
+      extreme and gathers from there — an int meeting an equal float, or
+      ``0.0`` meeting ``-0.0``, survives exactly when it came first.  A
+      NaN (comparisons all false: the loop's result depends on where it
+      sits) answers None.
     """
     if function not in GROUPED_FUNCTIONS:
         return None
@@ -1464,11 +1468,9 @@ def _reduce_groups(function: str, plan: GroupPlan,
     if floating and _np.isnan(data).any():
         return None
     if function == "sum":
-        if values.ints is not None:
+        if not _plain(values):
             return None
         if floating:
-            if _np.signbit(data[data == 0.0]).any():
-                return None
             sums = _np.bincount(slots, weights=data, minlength=size)
         else:
             if _int_peak(values) * len(data) >= 2 ** 63:
@@ -1484,10 +1486,31 @@ def _reduce_groups(function: str, plan: GroupPlan,
         seed = -_np.inf if floating else _np.iinfo(_np.int64).min
     extreme = _np.full(size, seed, dtype=data.dtype)
     reduce_at(extreme, slots, data)
-    holders = _np.flatnonzero(data == extreme[slots])
-    where = _np.full(size, len(data), dtype=_np.intp)
+    if _plain(values):
+        return ArrayVector(extreme[groups])
+    return _first_holders(plan, values, extreme)
+
+
+def _plain(values: ArrayVector) -> bool:
+    """True when *values* holds no int beside floats and no ``-0.0``:
+    values that compare equal are then the same SQL value, so a group's
+    ``min``/``max`` may come from any row holding it, and a float sum may
+    start from ``0.0``."""
+    if values.ints is not None:
+        return False
+    data = values.data
+    return data.dtype == _np.int64 or not _np.signbit(data[data == 0.0]).any()
+
+
+def _first_holders(plan: GroupPlan, values: ArrayVector,
+                   extreme) -> ArrayVector:
+    """Per group, in first-seen order, the value at the first row holding
+    the group's *extreme* (indexed by slot)."""
+    slots = plan.slots
+    holders = _np.flatnonzero(values.data == extreme[slots])
+    where = _np.full(plan.size, len(values.data), dtype=_np.intp)
     _np.minimum.at(where, slots[holders], holders)
-    return values.take(where[groups])
+    return values.take(where[plan.groups])
 
 
 def grouped_sum(keys: Vector, values: Vector) -> list[tuple]:

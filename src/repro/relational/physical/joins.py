@@ -19,11 +19,21 @@ from __future__ import annotations
 from typing import Callable, Iterator, Sequence
 
 from ..errors import SchemaError
-from ..expressions import Expression, bind, compile_expression, compile_key_function
+from ..expressions import (
+    ColumnRef,
+    Expression,
+    bind,
+    compile_expression,
+    compile_key_function,
+)
 from ..relation import Row
 from ..schema import Schema
 from .base import PhysicalOperator
-from .scan import IndexOrderedScan
+from .filter import Filter
+from .project import Project
+from .prune import ColumnPrune
+from .rename import Requalify
+from .scan import BindingScan, IndexOrderedScan, RelationScan, TableScan
 
 KeyFn = Callable[[Row], tuple]
 
@@ -43,8 +53,6 @@ class _BinaryJoin(PhysicalOperator):
     #: Rows hashed into build-side tables, accumulated over executions.
     #: Telemetry reads these as free byproducts (no per-probe cost).
     build_rows_observed = 0
-    #: Rows the anti-join variants removed, accumulated over executions.
-    pruned_total = 0
 
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator,
                  left_keys: Sequence[Expression],
@@ -152,8 +160,6 @@ class MergeJoin(_BinaryJoin):
     @staticmethod
     def _feed_is_presorted(child: PhysicalOperator,
                            keys: Sequence[Expression]) -> bool:
-        from ..expressions import ColumnRef
-
         if not isinstance(child, IndexOrderedScan):
             return False
         wanted: list[int] = []
@@ -323,6 +329,8 @@ class HashAntiJoin(_BinaryJoin):
     """
 
     label = "Hash Anti Join"
+    #: Rows removed, accumulated over executions.
+    pruned_total = 0
 
     @property
     def schema(self) -> Schema:
@@ -357,6 +365,8 @@ class NotInAntiJoin(_BinaryJoin):
     """
 
     label = "Not-In Anti Join"
+    #: Rows removed, accumulated over executions.
+    pruned_total = 0
 
     @property
     def schema(self) -> Schema:
@@ -407,12 +417,6 @@ def stable_input_fingerprint(node: PhysicalOperator) -> tuple | None:
     The fingerprint changes whenever any underlying table mutates, so a
     cached hash-join build over it is invalidated exactly when needed.
     """
-    from .filter import Filter
-    from .project import Project
-    from .prune import ColumnPrune
-    from .rename import Requalify
-    from .scan import BindingScan, IndexOrderedScan, RelationScan, TableScan
-
     if isinstance(node, (TableScan, IndexOrderedScan)):
         return (id(node.table), node.table.statistics.version)
     if isinstance(node, RelationScan):
@@ -429,11 +433,23 @@ def stable_input_fingerprint(node: PhysicalOperator) -> tuple | None:
 
 def contains_binding_scan(node: PhysicalOperator) -> bool:
     """True when *node*'s subtree reads a live recursive-loop slot."""
-    from .scan import BindingScan
-
     if isinstance(node, BindingScan):
         return True
     return any(contains_binding_scan(c) for c in node.children())
+
+
+def pruning_nodes(plans) -> list[PhysicalOperator]:
+    """The nodes of the plan trees *plans* that count the rows they
+    prune in ``pruned_total`` — the anti-joins — found in one walk, so a
+    caller re-reading the counts of kept plans need not walk again."""
+    found = []
+    stack = list(plans)
+    while stack:
+        node = stack.pop()
+        if hasattr(node, "pruned_total"):
+            found.append(node)
+        stack.extend(node.children())
+    return found
 
 
 class CachedBuildHashJoin(HashJoin):

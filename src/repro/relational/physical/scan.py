@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from ..errors import ExecutionError
 from ..indexes import SortedIndex
 from ..relation import Relation, Row
 from ..schema import Schema
-from ..table import Table
 from .base import PhysicalOperator
+
+if TYPE_CHECKING:  # the storage layer imports the block kernels
+    from ..table import Table
 
 
 class TableScan(PhysicalOperator):

@@ -37,16 +37,28 @@ from .errors import (
     FeatureNotSupportedError,
     PlanError,
     RecursionLimitError,
+    SchemaError,
     StratificationError,
 )
-from .expressions import Expression, FunctionCall, contains_aggregate
+from .expressions import Expression, FunctionCall, InList, contains_aggregate
 from .physical import (IndexOrderedScan, StatsSink, TableScan, recording,
                        render_analysis)
 from .physical.batch import keep_key_plans
+from .physical.blocks import (
+    ArrayColumns,
+    ArrayVector,
+    _is_int64,
+    distinct_first,
+    key_set,
+    key_set_add,
+    key_set_member,
+    pack_keys,
+)
+from .physical.joins import pruning_nodes
 from .optimizer import annotate_estimates
 from .planner import PlannerPolicy
 from .relation import Relation
-from .schema import Schema
+from .schema import Column, Schema
 from .sql.ast import (
     CommonTableExpression,
     CteBranch,
@@ -240,15 +252,20 @@ def split_branches(cte: CommonTableExpression
 # -- with+ validation ----------------------------------------------------------
 
 
-def validate_withplus(cte: CommonTableExpression) -> None:
+def validate_withplus(cte: CommonTableExpression,
+                      recursive: Sequence[CteBranch] | None = None) -> None:
     """Structural rules of the enhanced with clause (Section 6).
 
     * ``UNION BY UPDATE`` admits exactly one recursive subquery (the update
       is otherwise not uniquely determined);
     * a COMPUTED BY block must be cycle-free: each definition may refer
       only to base tables, the recursive relation and *earlier* definitions.
+
+    *recursive* is the CTE's recursive branches when the caller has
+    them split already (:func:`split_branches`).
     """
-    initial, recursive = split_branches(cte)
+    if recursive is None:
+        _, recursive = split_branches(cte)
     if cte.union_kind is UnionKind.UNION_BY_UPDATE and len(recursive) > 1:
         raise StratificationError(
             "union by update admits exactly one recursive subquery;"
@@ -279,7 +296,6 @@ def _expression_has_negation(expr: Expression | None) -> bool:
         return False
     if isinstance(expr, (InSubquery, ExistsSubquery)) and expr.negated:
         return True
-    from .expressions import InList
     if isinstance(expr, InList) and expr.negated:
         return True
     return any(_expression_has_negation(c) for c in expr.children()
@@ -456,6 +472,42 @@ def _source_reads(source, name: str) -> bool:
     return False
 
 
+# -- distinct keys by proof ------------------------------------------------------
+
+
+def delta_keys_are_distinct(cte: CommonTableExpression,
+                            schema: Schema) -> bool:
+    """True when the one recursive branch of the union-by-update CTE
+    *cte*, over R of *schema*, never produces a key twice.
+
+    That holds for a plain SELECT — no COMPUTED BY, no ``*`` item, R's
+    arity — grouped on exactly one expression that is, as an AST, the
+    select item at the one update-key column's position (and holds no
+    subquery).  The compiler takes that item from the group key, one row
+    per group, and no two groups have equal keys; so consolidating the
+    delta (:func:`~repro.relational.strategies.consolidate_delta`) would
+    return it untouched.  docs/with_plus_language.md, "Distinct keys by
+    proof", has the rules.
+    """
+    _, recursive = split_branches(cte)
+    if len(cte.update_key) != 1 or len(recursive) != 1:
+        return False
+    (branch,) = recursive
+    statement = branch.statement
+    if branch.computed_by or not isinstance(statement, SelectStatement) \
+            or len(statement.items) != schema.arity \
+            or any(item.star for item in statement.items) \
+            or len(statement.group_by) != 1:
+        return False
+    try:
+        position = schema.index_of(cte.update_key[0])
+    except SchemaError:
+        return False
+    (key,) = statement.group_by
+    return statement.items[position].expression == key \
+        and not _expression_has_subquery(key)
+
+
 # -- plan caching ------------------------------------------------------------------
 
 
@@ -529,6 +581,11 @@ class _CachedBranchPlans:
     statement_plan: object
     #: rows of the recursive relation's slot when these were planned
     planned_input: int | None = None
+    #: the plans' anti-join nodes (:func:`~.physical.joins.pruning_nodes`)
+    pruning: list = field(init=False)
+
+    def __post_init__(self):
+        self.pruning = pruning_nodes(self.all_plans())
 
     @property
     def statement_count(self) -> int:
@@ -537,20 +594,14 @@ class _CachedBranchPlans:
     def all_plans(self) -> list:
         return [plan for _, plan in self.computed] + [self.statement_plan]
 
+    def pruned_total(self) -> int:
+        """Rows the plans' anti-joins pruned over all their executions —
+        a free byproduct the loop diffs per iteration."""
+        return _pruned_total(self.pruning)
 
-def _plans_pruned_total(plans) -> int:
-    """Cumulative anti-join ``pruned_total`` over every node of *plans*.
 
-    Anti-join operators accumulate their pruned-row counts across
-    executions as a free byproduct; the recursive loop diffs consecutive
-    readings to attribute pruning per iteration."""
-    total = 0
-    stack = list(plans)
-    while stack:
-        node = stack.pop()
-        total += getattr(node, "pruned_total", 0)
-        stack.extend(node.children())
-    return total
+def _pruned_total(nodes) -> int:
+    return sum(node.pruned_total for node in nodes)
 
 
 class StatementPlans:
@@ -572,7 +623,25 @@ class StatementPlans:
         self.schemas: dict[int, tuple] = {}
         #: id(cte) -> a with+ UNION's proven binding, "delta" or "full"
         self.bindings: dict[int, str] = {}
+        #: id(cte) -> whether a union-by-update delta's keys are distinct
+        #: by proof (:func:`delta_keys_are_distinct`)
+        self.distinct_keys: dict[int, bool] = {}
         self._scans: dict[int, list] = {}
+        self._branches: dict[int, tuple] = {}
+
+    def recursive(self) -> bool:
+        """True for a WITH statement with a recursive CTE."""
+        return isinstance(self.statement, WithStatement) and any(
+            self.branches(cte)[1] for cte in self.statement.ctes)
+
+    def branches(self, cte: CommonTableExpression
+                 ) -> tuple[list[CteBranch], list[CteBranch]]:
+        """*cte*'s ``(initial, recursive)`` branches, split once
+        (:func:`split_branches` walks every branch for references)."""
+        split = self._branches.get(id(cte))
+        if split is None:
+            split = self._branches[id(cte)] = split_branches(cte)
+        return split
 
     def plan(self, statement: Statement, database, policy, slots: dict):
         """``(plan, compiled)``: the kept plan of *statement*, a query of
@@ -603,6 +672,7 @@ class StatementPlans:
         self.plans.clear()
         self._scans.clear()
         self.bindings.clear()
+        self.distinct_keys.clear()
 
     def release(self) -> None:
         """Drop every relation the slots hold."""
@@ -723,6 +793,9 @@ class RecursiveExecutor:
         #: rows' packed keys — a bitmap or sorted keys) — see
         #: :meth:`_seen_keys`.
         self._union_keys: tuple | None = None
+        #: (a delta schema, the table schema, the delta schema under the
+        #: table's column names) — see :meth:`_aligned`.
+        self._renamed: tuple | None = None
 
     def _span(self, name: str, **attrs):
         """A tracer span when tracing is on, else a free null context."""
@@ -748,7 +821,7 @@ class RecursiveExecutor:
         with recording(self.sink):
             try:
                 for cte in statement.ctes:
-                    if cte_is_recursive(cte):
+                    if self.plans.branches(cte)[1]:
                         result = self._run_recursive_cte(cte, stats)
                     else:
                         result = self._run_plain_cte(cte, stats)
@@ -822,16 +895,16 @@ class RecursiveExecutor:
 
     def _run_recursive_cte(self, cte: CommonTableExpression,
                            stats: WithExecutionResult) -> Relation:
-        validate_withplus(cte)
+        entry = self.plans
+        initial, recursive = entry.branches(cte)
+        validate_withplus(cte, recursive)
         if cte.search_clause is not None or cte.cycle_clause is not None:
             return self._run_search_cycle_cte(cte, stats)
         if self.mode == "with":
             check_sql99_restrictions(cte, self.dialect)
-        initial, recursive = split_branches(cte)
         if not initial:
             raise PlanError(f"recursive CTE {cte.name!r} has no initial query")
 
-        entry = self.plans
         outer = entry.slots
         seed = self.warm_start.get(cte.name.lower())
         if seed is not None:
@@ -864,6 +937,13 @@ class RecursiveExecutor:
                                                 replace=True)
         table.insert_relation(current)
         self._maybe_index(table)
+        # A union-by-update delta grouped on the key skips consolidation.
+        distinct_keys = False
+        if cte.union_kind is UnionKind.UNION_BY_UPDATE:
+            distinct_keys = entry.distinct_keys.get(id(cte))
+            if distinct_keys is None:
+                distinct_keys = entry.distinct_keys[id(cte)] = \
+                    delta_keys_are_distinct(cte, table.schema)
 
         limit = cte.maxrecursion
         cap = limit if limit is not None else DEFAULT_RECURSION_CAP
@@ -924,8 +1004,7 @@ class RecursiveExecutor:
             float(getattr(self.policy, "replan_factor", 8.0)), 1.0)
         # Cumulative anti-join pruned totals already attributed per cached
         # branch plan; the per-iteration value is the delta against these.
-        pruned_seen = [_plans_pruned_total(c.all_plans()) if c else 0
-                       for c in cached]
+        pruned_seen = [c.pruned_total() if c else 0 for c in cached]
         while True:
             if iteration >= cap:
                 if limit is None:
@@ -973,7 +1052,7 @@ class RecursiveExecutor:
                                 entry.store(id(branch), compiled,
                                             compiled.all_plans())
                             stats.plans_compiled += compiled.statement_count
-                            total = _plans_pruned_total(compiled.all_plans())
+                            total = compiled.pruned_total()
                             antijoin_pruned += total - pruned_seen[position]
                             pruned_seen[position] = total
                         else:
@@ -982,15 +1061,14 @@ class RecursiveExecutor:
                                 computed_names)
                             stats.plan_cache_hits += \
                                 cached[position].statement_count
-                            total = _plans_pruned_total(
-                                cached[position].all_plans())
+                            total = cached[position].pruned_total()
                             antijoin_pruned += total - pruned_seen[position]
                             pruned_seen[position] = total
                     deltas.append(delta)
                     branch_seconds.append(
                         time.perf_counter() - branch_started)
                 changed, working, combine_counts = self._combine(
-                    cte, table, snapshot, deltas)
+                    cte, table, snapshot, deltas, distinct_keys)
                 table = self.database.table(cte.name)  # drop/alter may swap it
                 if prove and iteration == 1:
                     binding = entry.bindings.get(id(cte))
@@ -1129,13 +1207,10 @@ class RecursiveExecutor:
         order = self._search_order(rows, schema, search)
         out_columns = list(schema.columns)
         out_rows: list[tuple] = []
-        from .schema import Column as _Column, Schema as _Schema
-        from .types import SqlType as _SqlType
-
         if search is not None:
-            out_columns.append(_Column(search.set_column, _SqlType.INTEGER))
+            out_columns.append(Column(search.set_column, SqlType.INTEGER))
         if cycle is not None:
-            out_columns.append(_Column(cycle.set_column, _SqlType.TEXT))
+            out_columns.append(Column(cycle.set_column, SqlType.TEXT))
         for rank, index in enumerate(order, start=1):
             row, _, _, _, is_cycle = rows[index]
             extended = row
@@ -1145,7 +1220,7 @@ class RecursiveExecutor:
                 extended = extended + (
                     cycle.cycle_value if is_cycle else cycle.default_value,)
             out_rows.append(extended)
-        return Relation(_Schema(tuple(out_columns)), out_rows)
+        return Relation(Schema(tuple(out_columns)), out_rows)
 
     @staticmethod
     def _search_order(rows: list[tuple], schema,
@@ -1213,7 +1288,7 @@ class RecursiveExecutor:
         self.plan_seconds += time.perf_counter() - started
         plans.append(statement_plan)
         delta = statement_plan.execute()
-        return delta, _plans_pruned_total(plans)
+        return delta, _pruned_total(pruning_nodes(plans))
 
     def _plan_and_run_branch(self, branch: CteBranch,
                              branch_slots: dict[str, Relation],
@@ -1275,13 +1350,16 @@ class RecursiveExecutor:
         branch_slots[definition.name.lower()] = view
 
     def _combine(self, cte: CommonTableExpression, table: Table,
-                 snapshot: Relation, deltas: list[Relation]
+                 snapshot: Relation, deltas: list[Relation],
+                 distinct_keys: bool = False
                  ) -> tuple[bool, Relation, UpdateCounts]:
         """Fold the deltas into the recursive table.
 
         Returns ``(changed, working, counts)`` where *working* is the
         relation the next semi-naive step should see (the genuinely new
         rows) and *counts* records what the combine actually wrote.
+        *distinct_keys* is :func:`delta_keys_are_distinct`'s verdict for
+        a union-by-update CTE.
         """
         if cte.union_kind is UnionKind.UNION_ALL:
             added = 0
@@ -1312,17 +1390,27 @@ class RecursiveExecutor:
             return bool(fresh), working, UpdateCounts(inserted=len(fresh))
         # union by update — single delta guaranteed by validate_withplus
         (delta,) = deltas
-        aligned = delta.rename_columns(table.schema.names) \
-            if delta.schema.arity == table.schema.arity else delta
+        if delta.schema.arity == table.schema.arity:
+            delta = delta.with_schema(self._aligned(delta.schema, table))
         counts = UpdateCounts()
-        new_table = apply_union_by_update(self.database, table, aligned,
+        new_table = apply_union_by_update(self.database, table, delta,
                                           cte.update_key, self.ubu_strategy,
-                                          counts=counts)
+                                          counts=counts,
+                                          distinct_keys=distinct_keys)
         self._maybe_index(new_table)
         after = new_table.snapshot()
         if counts.changed is not None:
             return counts.changed, after, counts
         return after != snapshot, after, counts
+
+    def _aligned(self, schema: Schema, table: Table) -> Schema:
+        """*schema* with *table*'s column names — renamed once per
+        statement while the branch plan hands on the same schema."""
+        kept = self._renamed
+        if kept is None or kept[0] is not schema or kept[1] is not table.schema:
+            renamed = schema.rename_columns(table.schema.names)
+            kept = self._renamed = (schema, table.schema, renamed)
+        return kept[2]
 
     def _seen_rows(self, table: Table) -> set[tuple]:
         """The table's rows as a set — the one the last UNION combine left
@@ -1348,15 +1436,6 @@ class RecursiveExecutor:
         order), are appended to the store as vectors and then join the
         set.
         """
-        from .physical.blocks import (
-            ArrayColumns,
-            ArrayVector,
-            _is_int64,
-            distinct_first,
-            key_set_add,
-            key_set_member,
-        )
-
         arity = table.schema.arity
         if table.storage != "columnar" or table.enforce_key \
                 or table.indexes or any(column.sql_type is not SqlType.INTEGER
@@ -1399,13 +1478,6 @@ class RecursiveExecutor:
         pack.  The set is a bitmap over the packed key space when that
         fits :data:`~.physical.blocks._BITMAP_LIMIT`, else the sorted keys
         (:func:`~.physical.blocks.key_set`)."""
-        from .physical.blocks import (
-            ArrayVector,
-            _is_int64,
-            key_set,
-            pack_keys,
-        )
-
         kept = self._union_keys
         if kept is not None and kept[0] is table \
                 and kept[1] == table.statistics.version:

@@ -319,8 +319,12 @@ class Relation:
         return Relation(schema, self.rows)
 
     def rename_columns(self, column_names: Sequence[str]) -> "Relation":
-        return Relation._make(self.schema.rename_columns(column_names),
-                              self._rows, self.batch)
+        return self.with_schema(self.schema.rename_columns(column_names))
+
+    def with_schema(self, schema: Schema) -> "Relation":
+        """The same rows (or batch, unread) under *schema*, a schema of
+        the same arity and column types."""
+        return Relation._make(schema, self._rows, self.batch)
 
     # -- derived operations ----------------------------------------------------
 

@@ -20,10 +20,12 @@ work its SQL counterpart implies — no artificial delays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .database import Database
 from .errors import ConstraintError, ExecutionError
+from .physical.blocks import all_distinct
 from .relation import Relation
 from .table import Table
 from .types import coerce
@@ -73,13 +75,16 @@ def consolidate_delta(delta: Relation,
     * *conflicting* rows (same key, different values) raise
       :class:`ConstraintError`, deterministically, regardless of the row
       order the chosen plan produced them in.
+
+    A delta whose one key column holds no value twice returns untouched
+    after one check (:func:`_keys_distinct`).  The fixpoint loop does not
+    call this at all for a branch grouped on the key, whose keys are
+    distinct by construction
+    (:func:`~repro.relational.recursive.delta_keys_are_distinct`).
     """
     if not key_columns or len(delta) <= 1:
         return delta
     positions = [delta.schema.index_of(k) for k in key_columns]
-    # Single-column key (every recursive workload): deltas produced by a
-    # GROUP BY on the key — the steady state of the recursive loop — are
-    # always unique and return untouched.
     if len(positions) == 1 and _keys_distinct(delta, positions[0]):
         return delta
     seen: dict[tuple, tuple] = {}
@@ -114,31 +119,31 @@ def _keys_distinct(delta: Relation, position: int) -> bool:
     over the rows.  False sends the caller to its row loop, which tells
     duplicates from conflicts."""
     if delta.batch is not None:
-        from .physical.blocks import all_distinct
-
         vector = delta.batch.array(position)
         if vector is not None:
             return all_distinct(vector)
-    from operator import itemgetter
-
     keys = list(map(itemgetter(position), delta.rows))
     return len(set(keys)) == len(keys)
 
 
 def apply_union_by_update(database: Database, table: Table, delta: Relation,
                           key_columns: Sequence[str], strategy: str,
-                          counts: UpdateCounts | None = None) -> Table:
+                          counts: UpdateCounts | None = None,
+                          distinct_keys: bool = False) -> Table:
     """Apply ``table ⊎ delta`` on *key_columns* using *strategy*.
 
     Returns the table holding the result — a *different* object for the
     ``drop_alter`` strategy, which swaps a new table into the catalog.
     When *counts* is given, it is filled with the insert/overwrite totals.
     The delta is consolidated first (see :func:`consolidate_delta`), so
-    every strategy computes the same result from the same input.
+    every strategy computes the same result from the same input — unless
+    the caller passes *distinct_keys*, its proof that no key occurs twice
+    in the delta, which consolidation would then return untouched.
     """
     if counts is None:
         counts = UpdateCounts()
-    delta = consolidate_delta(delta, key_columns)
+    if not distinct_keys:
+        delta = consolidate_delta(delta, key_columns)
     if not key_columns:
         # Keyless union-by-update replaces the relation wholesale (the
         # paper's "without attributes" form).

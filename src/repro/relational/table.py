@@ -9,11 +9,13 @@ maintains secondary indexes incrementally.  Reads go through
 
 from __future__ import annotations
 
+from operator import eq, itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
 from .columnar import make_storage
 from .errors import CatalogError, ConstraintError, SchemaError
 from .indexes import Index, make_index
+from .physical.blocks import cast_exact, matching_positions, merge_dense_key
 from .relation import Relation, Row
 from .schema import Schema
 from .statistics import TableStatistics
@@ -217,8 +219,6 @@ class Table:
                   for key in keys]
         positions = None
         if self.storage == "columnar":
-            from .physical.blocks import matching_positions
-
             positions = matching_positions(
                 [self.rows.array(j) for j in target_positions], probes)
         if positions is None:
@@ -275,8 +275,6 @@ class Table:
         if batch is None or self.storage != "columnar" or self.enforce_key \
                 or self.indexes or not len(relation):
             return None
-        from .physical.blocks import cast_exact
-
         vectors = []
         for j, column in enumerate(self.schema.columns):
             if column.sql_type not in (SqlType.INTEGER, SqlType.DOUBLE):
@@ -507,8 +505,6 @@ class Table:
         ``(replaced, appended)`` where *replaced* counts matched rows whose
         value actually changed, matching :meth:`apply_delta_by_key`.
         """
-        from operator import itemgetter
-
         if delta.schema.arity != self.schema.arity:
             raise SchemaError(
                 f"cannot merge arity-{delta.schema.arity} delta into"
@@ -562,8 +558,6 @@ class Table:
         before touching the table.  The slot map is the table's last
         merge's when that was made of the same two key vectors.
         """
-        from .physical.blocks import merge_dense_key
-
         kpos = self.schema.index_of(key_column)
         if delta.schema.index_of(key_column) != kpos:
             return None
@@ -593,8 +587,6 @@ class Table:
         value is already in stored form.  Row order, contents and the
         ``(replaced, appended)`` counts match the row-path merge exactly.
         """
-        from operator import eq, itemgetter
-
         kpos = self.schema.index_of(key_column)
         dpos = delta.schema.index_of(key_column)
         coerced = self._coerce_delta_rows(delta)
@@ -624,8 +616,6 @@ class Table:
         """Delta rows coerced to this table's column types, reusing the
         incoming tuples untouched when a C type scan per column shows
         every value already has its stored Python type."""
-        from operator import itemgetter
-
         rows = delta.rows
         for j, column in enumerate(self.schema.columns):
             allowed = _IDENTITY_TYPES[column.sql_type]

@@ -80,6 +80,25 @@ def test_coerced_scenarios_are_capped_linear_unions():
         assert query.maxrecursion is not None
 
 
+def test_signed_scenarios_meet_both_zeros_and_negative_weights():
+    """The signed union-by-update variant draws its edge weights from a
+    set holding 0.0, -0.0 and negatives, and starts from -0.0."""
+    weights = set()
+    signed = 0
+    for seed in range(400):
+        scenario = generate_scenario(seed)
+        query = scenario.query
+        if not (isinstance(query, WithIR) and query.signed):
+            continue
+        signed += 1
+        assert query.union_kind == "union by update" and not query.pair
+        assert query.maxrecursion is not None
+        assert "-0.0 " in scenario.sql()
+        weights.update(repr(row[2]) for row in scenario.tables[0].rows)
+    assert signed
+    assert {"0.0", "-0.0", "-1.0"} <= weights
+
+
 def test_some_graphs_scatter_their_node_ids():
     """About one graph in four spreads its node ids 10**6 apart, so packed
     ``(F, T)`` keys outgrow the UNION combine's bitmap; edges and seeds

@@ -328,6 +328,43 @@ def test_array_grouped_int_float_tie_keeps_the_first_object():
     assert group_keys.tolist() == [7, 8, 9]
 
 
+#: min/max inputs, (keys, values): ties, signed zeros in both orders, an
+#: int-flagged mixed column, int64, a single group.
+EXTREME_CASES = {
+    "ties": ([1, 2, 1, 2, 1], [2.5, 4.0, 2.5, 4.0, 7.0]),
+    "+0.0 before -0.0": ([1, 1, 2, 2, 2], [0.0, -0.0, 0.0, -0.0, 1.0]),
+    "-0.0 before +0.0": ([1, 1, 2, 2, 2], [-0.0, 0.0, -0.0, 0.0, -1.0]),
+    "int-flagged": ([3, 3, 4, 4], [3, 3.0, 5.0, 5]),
+    "int64": ([1, 2, 1, 2, 2], [5, -3, 5, 9, -3]),
+    "single group": ([7, 7, 7, 7], [1.5, -2.0, -2.0, 9.25]),
+}
+
+
+@pytest.mark.parametrize("function", ["min", "max"])
+@pytest.mark.parametrize("case", sorted(EXTREME_CASES))
+def test_min_max_one_pass_and_holder_pass_are_the_list_kernels(
+        function, case, monkeypatch):
+    """Where equal values are one SQL value the reduce takes one
+    ``ufunc.at`` pass; elsewhere (an int beside an equal float, -0.0
+    beside 0.0) a holder pass picks the first row holding each extreme.
+    Both equal the list kernel, object for object."""
+    keys, column = EXTREME_CASES[case]
+    kernel = {"min": grouped_min, "max": grouped_max}[function]
+    want = identity(kernel(keys, column))
+    vector = exact_array(column)
+    plan = blocks.group_plan(np.array(keys, dtype=np.int64))
+
+    def reduced():
+        got = blocks._reduce_groups(function, plan, vector)
+        return identity(zip(plan.group_keys.tolist(), got.tolist()))
+
+    assert blocks._plain(vector) == (case in ("ties", "int64",
+                                              "single group"))
+    assert reduced() == want
+    monkeypatch.setattr(blocks, "_plain", lambda values: False)
+    assert reduced() == want  # the holder pass, on every case
+
+
 def test_array_grouped_first_seen_group_order_and_sparse_keys_decline():
     keys = [5, 2, 5, 9, 2, 0]
     grouped = array_grouped("count", np.array(keys, dtype=np.int64), None)

@@ -1,4 +1,4 @@
-"""Hash and sorted indexes."""
+"""Hash and sorted indexes, including incremental deletes."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -96,3 +96,72 @@ def test_hash_and_sorted_lookup_agree(keys, probe):
     hash_ix.bulk_load(rows)
     sorted_ix.bulk_load(rows)
     assert sorted(hash_ix.lookup((probe,))) == sorted(sorted_ix.lookup((probe,)))
+
+
+INDEXES = (HashIndex, SortedIndex)
+
+
+@pytest.mark.parametrize("kind", INDEXES)
+def test_delete_removes_one_of_two_equal_rows(kind):
+    ix = kind("ix", [0])
+    ix.bulk_load(ROWS + [(1, "a")])
+    ix.delete((1, "a"))
+    assert sorted(ix.lookup((1,))) == [(1, "a"), (1, "a2")]
+    ix.delete((1, "a"))
+    assert ix.lookup((1,)) == [(1, "a2")]
+    assert len(ix) == len(ROWS) - 1
+
+
+@pytest.mark.parametrize("kind", INDEXES)
+def test_delete_of_a_null_key_row(kind):
+    ix = kind("ix", [0])
+    ix.bulk_load(ROWS)
+    ix.delete((None, "n"))
+    assert len(ix) == len(ROWS) - 1
+    if kind is SortedIndex:
+        assert ix._null_rows == []
+        assert [r[0] for r in ix.ordered_rows()] == [1, 1, 2, 3]
+
+
+@pytest.mark.parametrize("row", [(99, "z"), (1, "z"), (None, "z")],
+                         ids=["absent key", "absent row", "absent NULL row"])
+@pytest.mark.parametrize("kind", INDEXES)
+def test_delete_of_an_absent_row_raises_key_error(kind, row):
+    ix = kind("ix", [0])
+    ix.bulk_load(ROWS)
+    with pytest.raises(KeyError, match="row not in index 'ix'"):
+        ix.delete(row)
+    assert len(ix) == len(ROWS)
+
+
+rows = st.tuples(st.one_of(st.none(), st.integers(0, 6)), st.integers(0, 3))
+
+
+@given(st.lists(st.tuples(st.booleans(), rows), max_size=60))
+def test_inserts_and_deletes_leave_a_fresh_bulk_load(operations):
+    """After any insert/delete sequence, each index answers as one
+    bulk-loaded from the surviving rows: same lookups, same key order."""
+    for kind in INDEXES:
+        ix = kind("ix", [0])
+        survivors = []
+        for insert, row in operations:
+            if insert:
+                ix.insert(row)
+                survivors.append(row)
+            elif row in survivors:
+                ix.delete(row)
+                survivors.remove(row)
+            else:
+                with pytest.raises(KeyError):
+                    ix.delete(row)
+        fresh = kind("fresh", [0])
+        fresh.bulk_load(survivors)
+        assert len(ix) == len(fresh) == len(survivors)
+        for key in range(7):
+            assert ix.lookup((key,)) == fresh.lookup((key,))
+        if kind is SortedIndex:
+            assert ix.ordered_rows() == fresh.ordered_rows()
+            assert ix.ordered_keys() == fresh.ordered_keys()
+            assert sorted(ix._null_rows) == sorted(fresh._null_rows)
+        else:
+            assert ix.lookup((None,)) == fresh.lookup((None,))
