@@ -19,6 +19,13 @@ Emits random-but-valid programs in two families:
   one graph in four scatters its node ids 10**6 apart, so packed keys
   leave the dense ranges too.
 
+About one plain SELECT in six is instead a *numeric* variant: NULL-free
+int/double tables, up to four aggregates over zero to two plain key
+columns, and comparison filters — the shapes the array aggregate and the
+array comparison mask answer — over values at the edges of their
+envelope (``-0.0``, ints at 2**53 beside doubles, ints near 2**62 whose
+sum leaves int64, ties).
+
 Two invariants keep the differential oracles sound:
 
 * **determinism** — every program has exactly one correct result
@@ -242,6 +249,9 @@ def _subquery_predicate(rng: random.Random, scope,
 
 
 def _generate_select_scenario(seed: int, rng: random.Random) -> Scenario:
+    numeric = random.Random(f"numeric {seed}")
+    if numeric.random() < _NUMERIC_SHARE:
+        return _generate_numeric_scenario(seed, numeric)
     tables = _generate_tables(rng, rng.randint(1, 3))
     by_name = {t.name: t for t in tables}
     base = rng.choice(tables)
@@ -315,6 +325,84 @@ def _generate_select_scenario(seed: int, rng: random.Random) -> Scenario:
     if rng.random() < 0.2:
         query = dataclasses.replace(query, order_limit=rng.randint(1, 10))
     return Scenario(seed, tables, query)
+
+
+# -- numeric aggregate / filter variant ----------------------------------------
+
+#: Share of plain SELECT scenarios drawn as the numeric variant.
+_NUMERIC_SHARE = 1 / 6
+
+#: INTEGER values by regime: small ties only (the array kernels answer),
+#: or beside ints at 2**53 (no float64 image next to a double) or near
+#: 2**62 (two of them overflow an int64 sum).
+_NUMERIC_INTS = {
+    "small": (-2, 0, 1, 1, 3, 5),
+    "2**53": (-1, 2, 3, 2 ** 53, 2 ** 53 + 1, -(2 ** 53) - 1),
+    "2**62": (1, 4, 2 ** 62, 2 ** 62 + 3, -(2 ** 62)),
+}
+
+#: DOUBLE values: quarter units with both zeros and ties, so every sum is
+#: exact whatever the fold order.
+_NUMERIC_DOUBLES = (-0.0, -0.0, 0.0, 0.25, 0.25, -1.5, 2.75, 4.0)
+
+#: Comparison literals: in range, at ±2**53 and past it, at the int64
+#: bounds, and doubles.
+_NUMERIC_LITERALS = (0, 1, 3, 2 ** 53, 2 ** 53 + 1, -(2 ** 53) - 1,
+                     2 ** 63 - 1, 0.25, -0.0, 2.5, 9007199254740992.0)
+
+
+def _generate_numeric_scenario(seed: int, rng: random.Random) -> Scenario:
+    """A NULL-free numeric table — keys ``k0``/``k1`` and values
+    ``c0`` (int) / ``c1`` (double) — under aggregates and comparison
+    filters, optionally self-joined on ``k0``.  SUM/AVG arguments are
+    plain columns: int sums are exact Python ints, double sums exact
+    quarter units, so the determinism invariant holds."""
+    ints = _NUMERIC_INTS[rng.choice(sorted(_NUMERIC_INTS))]
+    # Keys 2**40 apart have no dense slots: the array grouping declines.
+    step = rng.choice((1, 1, 2 ** 40))
+    rows = tuple((rng.randrange(3) * step, rng.randrange(4),
+                  rng.choice(ints), rng.choice(_NUMERIC_DOUBLES))
+                 for _ in range(rng.choice((0, 4, 9, 16))))
+    table = TableIR("T0", (("k0", "int"), ("k1", "int"), ("c0", "int"),
+                           ("c1", "double")), rows)
+    joins: tuple[JoinIR, ...] = ()
+    aliases = ["q0"]
+    if rng.random() < 0.3:
+        joins = (JoinIR("join", "T0", "q1", "q0", "k0", "k0"),)
+        aliases.append("q1")
+
+    def column(names=("k0", "k1", "c0", "c1")):
+        return ("col", rng.choice(aliases), rng.choice(names))
+
+    where = []
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        comparison = ("bin", rng.choice(_COMPARISONS), column(),
+                      column() if rng.random() < 0.3
+                      else ("lit", rng.choice(_NUMERIC_LITERALS)))
+        if rng.random() < 0.3:
+            comparison = ("bin", comparison[1], comparison[3],
+                          comparison[2])
+        where.append(comparison)
+    if len(where) == 2 and rng.random() < 0.5:
+        where = [("and", tuple(where))]
+    if rng.random() < 0.2:
+        items = tuple(ItemIR(column(), f"o{index}")
+                      for index in range(rng.randint(1, 3)))
+        query = SelectIR(base_table="T0", base_alias="q0", joins=joins,
+                         items=items, where=tuple(where))
+        return Scenario(seed, (table,), query)
+    keys = tuple(ItemIR(column(("k0", "k1")), f"g{index}")
+                 for index in range(rng.randint(0, 2)))
+    agg_items = []
+    for index in range(rng.randint(1, 4)):
+        function = rng.choice(("count", "sum", "min", "max", "avg"))
+        argument = (None if function == "count" and rng.random() < 0.5
+                    else column(("c0", "c1")))
+        agg_items.append(AggItemIR(function, argument, f"a{index}"))
+    query = SelectIR(base_table="T0", base_alias="q0", joins=joins,
+                     items=keys, agg_items=tuple(agg_items),
+                     where=tuple(where))
+    return Scenario(seed, (table,), query)
 
 
 # -- with+ -------------------------------------------------------------------

@@ -42,6 +42,10 @@ class OperatorStats:
     #: join build rows / anti-join pruned rows during the recording
     build_rows: int = 0
     pruned: int = 0
+    #: which kernel answered its last execution — ``"array"``,
+    #: ``"list"`` or ``"rows"`` — for the operators that say (the hash
+    #: aggregate and the filter of the batch executor)
+    path: str | None = None
 
 
 #: Iterators whose length is known before anything is pulled.
@@ -163,6 +167,16 @@ def rollback(mark: int | None) -> None:
         SINK.get().rollback(mark)
 
 
+def note_path(node: Any, path: str) -> None:
+    """Record which kernel answered *node* (:attr:`OperatorStats.path`)
+    when a recording watches it; else one check of :data:`SINK`."""
+    sink = SINK.get()
+    if sink is not None:
+        stats = sink.get(node)
+        if stats is not None:
+            stats.path = path
+
+
 def observed(method):
     """Wrap an operator's ``rows``/``execute``: a credit when a recording
     watches the node, else one check of :data:`SINK`."""
@@ -212,6 +226,8 @@ def render_analysis(root: Any, stats: dict[Any, OperatorStats]) -> str:
             # an empty estimate that was not has no ratio.
             text += (" drift=n/a" if math.isinf(ratio)
                      else f" drift={ratio:.2f}x")
+        if node_stats.path is not None:
+            text += f" path={node_stats.path}"
         return text + ")"
 
     return explain_plan(root, actuals)

@@ -27,6 +27,8 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Any, Iterator
 
+import numpy as _np
+
 from ..errors import ExecutionError
 from ..expressions import BoundColumn, bind, single_column_getter
 from ..relation import Relation, Row, require_numeric
@@ -54,6 +56,7 @@ from .blocks import (
     array_grouped,
     clean_numeric,
     compile_array,
+    compile_mask,
     compile_vector,
     csr_index,
     group_plan,
@@ -65,6 +68,7 @@ from .blocks import (
     pack_keys,
     position_index,
     probe_plan,
+    single_group,
     sorted_index,
     unpack_keys,
 )
@@ -140,8 +144,6 @@ class _BatchBinaryJoin(_BinaryJoin):
 
 
 def _scalar_key(keys, schema):
-    from ..expressions import bind
-
     return single_column_getter([bind(k, schema) for k in keys])
 
 
@@ -302,14 +304,14 @@ def _resolve(node: PhysicalOperator) -> ColumnBatch | None:
             return None
         return DerivedColumns(child, *node.block_columns)
     if isinstance(node, BatchFilter):
-        predicate = node.block_predicate
-        if predicate is None:
+        if node.block_mask is None and node.block_predicate is None:
             return None
         child = _batch_source(node.child)
         if child is None:
             return None
-        selection = [i for i, keep in enumerate(predicate(child))
-                     if keep is True]
+        selection = node.select(child)
+        if selection is None:
+            return None
         return FilteredColumns(child, selection)
     if isinstance(node, BatchUnionAll):
         left = _batch_source(node.left)
@@ -758,13 +760,15 @@ _MISSING = object()
 
 
 class BatchHashAggregate(_AggregateBase):
-    """Single-pass dict grouping with incremental scalar accumulators.
+    """Hash aggregation over column batches, with row loops behind them.
 
-    The tuple twin collects every group's values into per-aggregate lists
-    and folds them at the end; this kernel keeps one running scalar per
-    (group, aggregate) instead, and specialises the overwhelmingly common
-    single-aggregate case (PageRank's ``sum``, WCC/SSSP's ``min``) down
-    to a dict-get / compare / dict-set loop.
+    Grouped on plain columns (or on nothing) over a block pipeline, one
+    grouping serves every aggregate: the array kernel reduces each over
+    it, and the result leaves as typed vectors — to a projection above,
+    or as rows at the plan root.  One key column with one aggregate falls
+    back to the list kernels; anything else runs a row loop: one running
+    scalar per (group, aggregate), and for a single aggregate (the
+    fixpoints' ``sum`` / ``min``) a dict-get / compare / dict-set loop.
     """
 
     label = "Hash Aggregate"
@@ -772,13 +776,20 @@ class BatchHashAggregate(_AggregateBase):
 
     def __init__(self, child, keys, aggregates, key_aliases=None):
         super().__init__(child, keys, aggregates, key_aliases)
+        self._functions = tuple(spec.function for spec in self.aggregates)
+        self._array_functions = all(f in GROUPED_FUNCTIONS
+                                    for f in self._functions)
         # The block kernels' argument evaluators, compiled once.
-        arg = self._bound_args[0] if len(self._bound_args) == 1 else None
-        self._arg_vector = None if arg is None else compile_vector(arg)
-        self._arg_array = None if arg is None else compile_array(arg)
+        self._arg_arrays = [None if arg is None else compile_array(arg)
+                            for arg in self._bound_args]
         #: the last grouping of one int64 key vector (with ``key_plans``)
         self._group_plan: GroupPlan | None = None
         self._scalar_key = single_column_getter(self._bound_keys)
+        # The list kernels take one plain key column and one aggregate.
+        self._list_kernels = (self._scalar_key is not None
+                              and len(self.aggregates) == 1)
+        arg = self._bound_args[0] if self._list_kernels else None
+        self._arg_vector = None if arg is None else compile_vector(arg)
         # Single-column key + single-column argument (PageRank, WCC, SSSP
         # all fit): one two-slot itemgetter yields (key, value) pairs in C
         # instead of two Python-level calls per row.
@@ -787,11 +798,10 @@ class BatchHashAggregate(_AggregateBase):
                 and isinstance(self._bound_args[0], BoundColumn)):
             self._kv_getter = itemgetter(self._bound_keys[0].index,
                                          self._bound_args[0].index)
-        # Group-key column positions when every key is a plain column
-        # (the block kernels' shapes), else None.
+        # Group-key column positions when every key is a plain column —
+        # none at all for a key-less aggregate — else None.
         self._key_positions = None
-        if self._bound_keys and all(isinstance(k, BoundColumn)
-                                    for k in self._bound_keys):
+        if all(isinstance(k, BoundColumn) for k in self._bound_keys):
             self._key_positions = tuple(k.index for k in self._bound_keys)
 
     def execute(self) -> Relation:
@@ -804,28 +814,29 @@ class BatchHashAggregate(_AggregateBase):
             return self._block_source()
         return iter(self._compute())
 
-    # -- single-aggregate fast paths -----------------------------------
+    def _compute(self) -> list[tuple]:
+        source = self._block_source() if _block_eligible(self) else None
+        return self._row_aggregate() if source is None else source.rows()
+
+    # -- block path ----------------------------------------------------
     def _block_source(self) -> ColumnBatch | None:
-        """The single-aggregate shape grouped on plain columns as a column
-        batch, so a projection above it (PageRank's ``c * sum + t``)
-        computes on the array kernel's typed output and rows are built
-        once, at the plan root.  When the block kernels decline, the batch
-        wraps the row path's result; other shapes answer None (callers
-        iterate ``rows``).
-        """
-        if len(self.aggregates) != 1 or self._key_positions is None:
+        """The result as a column batch, so a projection above it
+        (PageRank's ``c * sum + t``) computes on the kernels' typed
+        output and rows are built once, at the plan root.  When the
+        kernels decline, the batch wraps the row loops' result; a
+        computed group key answers None (callers iterate ``rows``)."""
+        if self._key_positions is None:
             return None
-        spec = self.aggregates[0]
-        fast = self._block_single(spec.function)
+        fast = self._block_aggregate()
         if fast is not None:
             return fast
-        return RowsColumns(self._row_single(spec.function, self._arg_fns[0]),
-                           self.schema.arity)
+        return RowsColumns(self._row_aggregate(), self.schema.arity)
 
-    def _block_single(self, function: str) -> ColumnBatch | None:
-        """Whole-column grouped aggregation over a block pipeline: the
-        array kernel when keys and argument have typed views inside its
-        exactness envelope, else — one key column only — the list kernels.
+    def _block_aggregate(self) -> ColumnBatch | None:
+        """Whole-column aggregation over a block pipeline: the array
+        kernel when keys and arguments have typed views inside its
+        exactness envelope, else — one key column, one aggregate — the
+        list kernels.
 
         Kernels that cannot vouch for their result decline with None.
         Where list evaluation — building the input batch, or a list
@@ -839,14 +850,19 @@ class BatchHashAggregate(_AggregateBase):
             src = _batch_source(self.child)
         except VALUE_ERRORS:
             src = None
-        fast = None if src is None else self._array_single(function, src)
-        if fast is None and src is not None and self._scalar_key is not None:
-            try:
-                fast = self._list_single(function, src)
-            except VALUE_ERRORS:
-                pass
+        fast, path = None, "array"
+        if src is not None:
+            fast = self._array_aggregate(src)
+            if fast is None and self._list_kernels:
+                path = "list"
+                try:
+                    fast = self._list_single(self._functions[0], src)
+                except VALUE_ERRORS:
+                    pass
         if fast is None:
             analyze.rollback(mark)  # the row path reads the child again
+        elif mark is not None:  # a recording is on
+            analyze.note_path(self, path)
         return fast
 
     def _list_single(self, function: str,
@@ -871,15 +887,53 @@ class BatchHashAggregate(_AggregateBase):
             return None
         return RowsColumns(kernel(keys, values), self.schema.arity)
 
-    def _array_single(self, function: str,
-                      src: ColumnBatch) -> ArrayColumns | None:
-        """One key column groups on its int64 values; several group on
-        their packed keys (:func:`pack_keys`), unpacked again on output.
-        With ``key_plans``, a one-column grouping is kept and reused while
-        the key vector is the same object — its group keys then come back
-        as the same vector too."""
-        if function not in GROUPED_FUNCTIONS:
+    def _array_aggregate(self, src: ColumnBatch) -> ColumnBatch | None:
+        """Every aggregate over one grouping, or None when one declines.
+
+        Key-less, ``count`` is the row count (a typed argument has no
+        NULL) and the rest reduce over one group; an empty input is
+        :meth:`_empty_row`.  Keyed, see :meth:`_grouping`."""
+        if not self._array_functions:
             return None
+        keyless = not self._key_positions
+        if keyless and not src.length:
+            return RowsColumns([self._empty_row()], self.schema.arity)
+        arguments = []
+        for arg, evaluate in zip(self._bound_args, self._arg_arrays):
+            values = None
+            if arg is not None:
+                values = evaluate(src) if evaluate is not None else None
+                if not isinstance(values, ArrayVector):
+                    return None
+            arguments.append(values)
+        if keyless:
+            plan, key_columns = None, []
+        else:
+            grouping = self._grouping(src)
+            if grouping is None:
+                return None
+            plan, key_columns = grouping
+        columns = []
+        for function, values in zip(self._functions, arguments):
+            if keyless and function == "count":
+                columns.append(
+                    ArrayVector(_np.array([src.length], dtype=_np.int64)))
+                continue
+            if plan is None:
+                plan = single_group(src.length)
+            grouped = array_grouped(function, plan.keys, values, plan=plan)
+            if grouped is None:
+                return None
+            columns.append(grouped[1])
+        return ArrayColumns([*key_columns, *columns])
+
+    def _grouping(self, src: ColumnBatch) -> tuple | None:
+        """``(GroupPlan, group key vectors)``, or None.  One key column
+        groups on its int64 values; several group on their packed keys
+        (:func:`pack_keys`), unpacked again on output.  With
+        ``key_plans``, a one-column grouping is kept and reused while the
+        key vector is the same object — its group keys then come back as
+        the same vector too."""
         key_positions = self._key_positions
         if len(key_positions) == 1:
             keys = src.array(key_positions[0])
@@ -891,12 +945,6 @@ class BatchHashAggregate(_AggregateBase):
             if packed is None:
                 return None
             key_data, packing = packed
-        values = None
-        if self._bound_args[0] is not None:
-            evaluate = self._arg_array
-            values = evaluate(src) if evaluate is not None else None
-            if not isinstance(values, ArrayVector):
-                return None
         plan = self._group_plan
         if plan is None or not plan.fits(key_data):
             self._group_plan = None
@@ -905,22 +953,18 @@ class BatchHashAggregate(_AggregateBase):
                 return None
             if self.key_plans and packing is None:
                 self._group_plan = plan
-        grouped = array_grouped(function, key_data, values, plan=plan)
-        if grouped is None:
-            return None
         if packing is None:
-            key_columns = [plan.group_vector]
-        else:
-            key_columns = [ArrayVector(column) for column in
-                           unpack_keys(plan.group_keys, packing)]
-        return ArrayColumns([*key_columns, grouped[1]])
+            return plan, [plan.group_vector]
+        return plan, [ArrayVector(column) for column in
+                      unpack_keys(plan.group_keys, packing)]
 
-    def _compute_single(self, function: str, arg) -> list[tuple]:
-        if self._key_positions is not None and _block_eligible(self):
-            fast = self._block_single(function)
-            if fast is not None:
-                return fast.rows()
-        return self._row_single(function, arg)
+    # -- row loops -----------------------------------------------------
+    def _row_aggregate(self) -> list[tuple]:
+        """The result from the child's rows."""
+        analyze.note_path(self, "rows")
+        if len(self.aggregates) == 1:
+            return self._row_single(self._functions[0], self._arg_fns[0])
+        return self._row_multi()
 
     def _row_single(self, function: str, arg) -> list[tuple]:
         key_fn = self._scalar_key or self._key_fn
@@ -1018,11 +1062,7 @@ class BatchHashAggregate(_AggregateBase):
             values.append(0 if spec.function == "count" else None)
         return tuple(values)
 
-    # -- generic path --------------------------------------------------
-    def _compute(self) -> list[tuple]:
-        if len(self.aggregates) == 1:
-            spec = self.aggregates[0]
-            return self._compute_single(spec.function, self._arg_fns[0])
+    def _row_multi(self) -> list[tuple]:
         key_fn = self._scalar_key or self._key_fn
         arg_fns = self._arg_fns
         functions = [spec.function for spec in self.aggregates]
@@ -1137,13 +1177,32 @@ class BatchProject(Project):
 
 
 class BatchFilter(Filter):
-    """Filter twin: whole-input list comprehension over the compiled
+    """Filter twin: over a block pipeline, a selection of the child
+    batch's rows — from an array comparison mask where the predicate has
+    one (:func:`~.blocks.compile_mask`), else from the list predicate;
+    otherwise a whole-input list comprehension over the compiled
     predicate instead of a per-row generator."""
 
     def __init__(self, child, predicate):
         super().__init__(child, predicate)
-        #: the predicate's list evaluator (None: none), compiled once
+        #: the predicate's array and list evaluators (None: none),
+        #: compiled once
+        self.block_mask = compile_mask(self.predicate)
         self.block_predicate = compile_vector(self.predicate)
+
+    def select(self, source: ColumnBatch):
+        """The positions of *source*'s rows the predicate keeps — an intp
+        vector from the mask, a list from the list predicate — or None
+        when neither answers."""
+        mask = None if self.block_mask is None else self.block_mask(source)
+        if mask is not None:
+            analyze.note_path(self, "array")
+            return _np.flatnonzero(mask)
+        predicate = self.block_predicate
+        if predicate is None:
+            return None
+        analyze.note_path(self, "list")
+        return [i for i, keep in enumerate(predicate(source)) if keep is True]
 
     def execute(self) -> Relation:
         return Relation.from_trusted_rows(self.schema, self._compute())
@@ -1162,6 +1221,7 @@ class BatchFilter(Filter):
                 # Replay through the row path for the exact error.
                 # Anything else is a bug in a kernel and surfaces.
                 analyze.rollback(mark)
+        analyze.note_path(self, "rows")
         evaluate = self._compiled
         return [row for row in _materialize(self.child)
                 if evaluate(row) is True]

@@ -13,10 +13,10 @@ or an operator without a block implementation).
 Every kernel exists twice.  The *list* kernels (``column``,
 :func:`compile_vector`, ``grouped_*``) work on any SQL values and are the
 reference.  The *array* kernels (``array``, :func:`compile_array`,
-:class:`CsrIndex`, :func:`array_grouped`, and for composite keys
-:func:`pack_keys` with :class:`SortedIndex`) run the same computation on
-numpy int64/float64 vectors and only exist inside an exactness envelope
-the data itself must prove — see :func:`exact_array`,
+:func:`compile_mask`, :class:`CsrIndex`, :func:`array_grouped`, and for
+composite keys :func:`pack_keys` with :class:`SortedIndex`) run the same
+computation on numpy int64/float64 vectors and only exist inside an
+exactness envelope the data itself must prove — see :func:`exact_array`,
 :func:`array_grouped` and :func:`pack_keys`; outside it they answer
 ``None`` and the caller takes the list kernel.
 
@@ -48,6 +48,7 @@ Semantics mirrored from :mod:`..expressions`:
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import repeat
 from math import prod
 from operator import itemgetter
@@ -58,6 +59,7 @@ import numpy as _np
 from ..errors import ExecutionError
 from ..expressions import (
     _RAW_BINARY_OPS,
+    And,
     BinaryOp,
     BoundColumn,
     CaseWhen,
@@ -361,22 +363,32 @@ class DerivedColumns(ColumnBatch):
 
 
 class FilteredColumns(ColumnBatch):
-    """A selection vector over a child batch; gathers columns lazily —
-    a typed column with one ``take``."""
+    """A selection over a child batch — the positions a list predicate
+    kept, or the intp vector of an array mask's — gathering columns
+    lazily: a typed column with one ``take``, a list through the
+    selection as a list (converted once)."""
 
-    def __init__(self, child: ColumnBatch, selection: list[int]):
+    def __init__(self, child: ColumnBatch, selection):
         self._child = child
         self.selection = selection
         self.length = len(selection)
+        self._positions: list[int] | None = None
         self._cache: dict[int, Vector] = {}
         self._arrays: dict[int, ArrayVector | None] = {}
+
+    def _selected(self) -> list[int]:
+        if self._positions is None:
+            selection = self.selection
+            self._positions = (selection if isinstance(selection, list)
+                               else selection.tolist())
+        return self._positions
 
     def column(self, j: int) -> Vector:
         cached = self._cache.get(j)
         if cached is None:
             source = self._child.column(j)
             cached = self._cache[j] = list(
-                map(source.__getitem__, self.selection))
+                map(source.__getitem__, self._selected()))
         return cached
 
     def array(self, j: int) -> ArrayVector | None:
@@ -386,11 +398,11 @@ class FilteredColumns(ColumnBatch):
         vector = self._child.array(j)
         if vector is None:
             return None
-        return vector.take(_np.array(self.selection, dtype=_np.intp))
+        return vector.take(_np.asarray(self.selection, dtype=_np.intp))
 
     def rows(self) -> list[tuple]:
         source = self._child.rows()
-        return list(map(source.__getitem__, self.selection))
+        return list(map(source.__getitem__, self._selected()))
 
 
 class ConcatColumns(ColumnBatch):
@@ -1245,18 +1257,91 @@ def literal_array(value, length: int) -> ArrayVector | None:
     return None
 
 
-def _equal_mask(vector: ArrayVector, key):
-    """``vector == key`` as a bool vector where numpy's comparison is
-    Python's: an int64 vector against an int inside int64, a float64 one
-    (int slots flagged or not) against a float or an int below 2**53;
-    else None."""
-    if vector.data.dtype == _np.int64:
-        if type(key) is int and _INT64_MIN <= key <= _INT64_MAX:
-            return vector.data == key
+#: Evaluates to a bool vector over the batch's rows, or None when an
+#: operand has no typed view on which numpy compares as Python does.
+MaskFn = Callable[["ColumnBatch"], "object | None"]
+
+#: The comparisons :func:`compile_mask` lowers, and each one mirrored
+#: (``5 < c`` is ``c > 5``).
+_MASK_OPS = {"=": _np.equal, "<>": _np.not_equal, "<": _np.less,
+             "<=": _np.less_equal, ">": _np.greater,
+             ">=": _np.greater_equal}
+_MIRRORED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<",
+             ">=": "<="}
+
+
+def compile_mask(expr: Expression) -> MaskFn | None:
+    """Array twin of :func:`compile_vector` for a filter predicate: the
+    six comparisons over ``column op literal`` (the literal on either
+    side) or ``column op column``, and ``AND`` of those; None for
+    anything else — ``OR``, ``NOT``, ``IS NULL``, a literal that is not
+    an int or a float, a NaN literal.  A typed vector holds no NULL, so
+    the mask is exactly where the row predicate is True."""
+    if isinstance(expr, And):
+        parts = [compile_mask(operand) for operand in expr.operands]
+        if any(part is None for part in parts):
+            return None
+
+        def eval_and(batch: ColumnBatch):
+            mask = None
+            for part in parts:
+                kept = part(batch)
+                if kept is None:
+                    return None
+                mask = kept if mask is None else mask & kept
+            return mask
+
+        return eval_and
+    if not (isinstance(expr, BinaryOp) and expr.op in _MASK_OPS):
         return None
-    if type(key) is float or (type(key) is int and abs(key) < _EXACT_INT):
-        return vector.data == key
-    return None
+    left, right, op = expr.left, expr.right, expr.op
+    if isinstance(left, Literal):
+        left, right, op = right, left, _MIRRORED[op]
+    if not isinstance(left, BoundColumn):
+        return None
+    compare, index = _MASK_OPS[op], left.index
+    if isinstance(right, BoundColumn):
+        other = right.index
+        return lambda batch: _column_mask(compare, batch.array(index),
+                                          batch.array(other))
+    value = right.value if isinstance(right, Literal) else None
+    if type(value) not in (int, float) or value != value:
+        return None  # a NaN literal: declined, as exact_array declines NaN
+    return lambda batch: _literal_mask(compare, batch.array(index), value)
+
+
+def _literal_mask(compare, vector: ArrayVector | None, value):
+    """``vector op value`` as a bool vector where numpy's comparison is
+    Python's: an int64 vector against an int inside int64, or through its
+    exact float64 image (ints below 2**53) against a float; a float64
+    vector (int slots flagged or not) against a float or an int below
+    2**53.  Else None."""
+    if vector is None or type(value) not in (int, float):
+        return None
+    data = vector.data
+    if data.dtype == _np.int64:
+        if type(value) is int:
+            if _INT64_MIN <= value <= _INT64_MAX:
+                return compare(data, value)
+            return None
+        data = _float_data(vector)
+    elif type(value) is int and abs(value) >= _EXACT_INT:
+        return None
+    return None if data is None else compare(data, value)
+
+
+def _column_mask(compare, a: ArrayVector | None, b: ArrayVector | None):
+    """``a op b`` elementwise: two vectors of one dtype compare as they
+    are; an int64 vector meets a float64 one only through its exact
+    float64 image (ints below 2**53); else None."""
+    if a is None or b is None:
+        return None
+    left, right = a.data, b.data
+    if left.dtype != right.dtype:
+        left, right = _float_data(a), _float_data(b)
+        if left is None or right is None:
+            return None
+    return compare(left, right)
 
 
 def compile_array(expr: Expression) -> ArrayFn | None:
@@ -1278,7 +1363,7 @@ def compile_array(expr: Expression) -> ArrayFn | None:
 
         def eval_case(batch: ColumnBatch) -> ArrayVector | None:
             vector = batch.array(index)
-            mask = None if vector is None else _equal_mask(vector, key)
+            mask = _literal_mask(_np.equal, vector, key)
             if mask is None:
                 return None
             chosen = literal_array(then, len(mask))
@@ -1373,7 +1458,7 @@ def distinct_first(keys) -> tuple:
 
 
 #: The aggregate functions :func:`array_grouped` computes.
-GROUPED_FUNCTIONS = ("sum", "min", "max", "count")
+GROUPED_FUNCTIONS = ("sum", "min", "max", "count", "avg")
 
 
 class GroupPlan:
@@ -1413,6 +1498,13 @@ def group_plan(keys, sparse: bool = False) -> GroupPlan | None:
     return GroupPlan(keys, *grouping)
 
 
+def single_group(length: int) -> GroupPlan:
+    """The one-group plan over *length* (> 0) rows: a key-less
+    aggregate's."""
+    keys = _np.zeros(length, dtype=_np.int64)
+    return GroupPlan(keys, keys, _np.zeros(1, dtype=_np.intp))
+
+
 def array_grouped(function: str, keys, values: ArrayVector | None,
                   sparse: bool = False,
                   plan: GroupPlan | None = None) -> tuple | None:
@@ -1434,6 +1526,11 @@ def array_grouped(function: str, keys, values: ArrayVector | None,
       0.0 where the loop starts from the group's first value, which
       differs for -0.0 (``0.0 + -0.0`` is ``0.0``), so negative zeros
       answer None, as does a column mixing ints and floats;
+    * ``avg``: that sum over the group's count — one division, which
+      rounds as Python's does where the sum is exact: float64 under the
+      ``sum`` rule, int64 whose ``max|v| · n`` stays below 2**53 (the
+      float64 sum is the int sum, and ``int / int`` rounds the exact
+      quotient once too);
     * ``min``/``max``: the loop replaces its value only on a strict
       comparison, so a group keeps the *first* row holding its extreme.
       When equal values are the same SQL value — int64, or float64 with
@@ -1467,16 +1564,22 @@ def _reduce_groups(function: str, plan: GroupPlan,
     floating = data.dtype == _np.float64
     if floating and _np.isnan(data).any():
         return None
-    if function == "sum":
+    if function in ("sum", "avg"):
         if not _plain(values):
             return None
-        if floating:
+        average = function == "avg"
+        if not floating:
+            bound = _EXACT_INT if average else 2 ** 63
+            if _int_peak(values) * len(data) >= bound:
+                return None
+        if floating or average:
             sums = _np.bincount(slots, weights=data, minlength=size)
         else:
-            if _int_peak(values) * len(data) >= 2 ** 63:
-                return None
             sums = _np.zeros(size, dtype=_np.int64)
             _np.add.at(sums, slots, data)
+        if average:
+            return ArrayVector(
+                sums[groups] / _np.bincount(slots, minlength=size)[groups])
         return ArrayVector(sums[groups])
     if function == "min":
         reduce_at = _np.minimum.at
@@ -1569,6 +1672,4 @@ def grouped_max(keys: Vector, values: Vector) -> list[tuple]:
 def grouped_count(keys: Vector) -> list[tuple]:
     """COUNT per group (callers pass NULL-free inputs); Counter is a dict,
     so group order is first-seen exactly like the scalar loop's."""
-    from collections import Counter
-
     return list(Counter(keys).items())

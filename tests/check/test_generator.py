@@ -13,6 +13,7 @@ import pytest
 from repro.check import generate_scenario
 from repro.check.ir import SelectIR, WithIR
 from repro.check.oracles import EngineConfig, run_scenario
+from repro.check.runner import scenario_seed
 from repro.relational.sql.parser import parse_statement
 
 SEEDS = 500
@@ -127,3 +128,40 @@ def test_select_scenarios_limit_only_under_total_order():
             sql = scenario.sql()
             aliases = ", ".join(scenario.query.output_aliases())
             assert f"order by {aliases} limit" in sql
+
+
+NUMERIC_COLUMNS = (("k0", "int"), ("k1", "int"), ("c0", "int"),
+                   ("c1", "double"))
+
+
+def numeric_scenarios(seeds):
+    return [scenario for scenario in map(generate_scenario, seeds)
+            if scenario.tables[0].columns == NUMERIC_COLUMNS]
+
+
+def test_numeric_variant_reaches_the_array_envelope_edges():
+    """The NULL-free numeric variant draws ``-0.0``, ints at 2**53 beside
+    doubles, ints near 2**62, key-less and two-key aggregates, ``avg``,
+    column-to-column filters and ``AND``s — and nothing NULL."""
+    scenarios = numeric_scenarios(range(600))
+    assert len(scenarios) > 30
+    values = [value for scenario in scenarios
+              for row in scenario.tables[0].rows for value in row]
+    assert None not in values
+    assert any(type(v) is float and str(v) == "-0.0" for v in values)
+    assert any(type(v) is int and 2 ** 53 <= v < 2 ** 62 for v in values)
+    assert any(type(v) is int and v >= 2 ** 62 for v in values)
+    queries = [scenario.query for scenario in scenarios]
+    aggregated = [query for query in queries if query.agg_items]
+    assert {len(query.items) for query in aggregated} == {0, 1, 2}
+    assert any(item.function == "avg" for query in aggregated
+               for item in query.agg_items)
+    conjuncts = [c for query in queries for c in query.where]
+    assert any(c[0] == "and" for c in conjuncts)
+    assert any(c[0] == "bin" and c[3][0] == "col" for c in conjuncts)
+
+
+def test_the_numeric_ci_campaign_draws_its_named_count():
+    """CI's seed-52 campaign (budget 100) names 15 numeric scenarios."""
+    seeds = [scenario_seed(52, index) for index in range(100)]
+    assert len(numeric_scenarios(seeds)) == 15

@@ -82,18 +82,18 @@ def test_injected_join_fault_is_caught(monkeypatch):
 
 def test_injected_aggregate_fault_is_caught(monkeypatch):
     """Off-by-one in the batch count aggregate: caught by the matrix."""
-    original = batch_module.BatchHashAggregate._compute_single
+    original = batch_module.BatchHashAggregate._compute
 
-    def off_by_one(self, function, arg):
-        rows = original(self, function, arg)
-        if function == "count":
+    def off_by_one(self):
+        rows = original(self)
+        if [spec.function for spec in self.aggregates] == ["count"]:
             rows = [(key_count[0], key_count[1] + 1)
                     if len(key_count) == 2 else key_count
                     for key_count in rows]
         return rows
 
     monkeypatch.setattr(batch_module.BatchHashAggregate,
-                        "_compute_single", off_by_one)
+                        "_compute", off_by_one)
     divergence = DifferentialRunner().check(AGG_SCENARIO)
     assert divergence is not None
     assert divergence.oracle == "matrix"

@@ -39,7 +39,7 @@ from repro.graphsystems.graph import Graph
 from repro.relational import REFERENCE_PROFILE, Engine
 from repro.relational.columnar.store import ColumnBlock, ColumnStore
 from repro.relational.engine import parse_statement
-from repro.relational.expressions import BinaryOp, Literal, col
+from repro.relational.expressions import And, BinaryOp, BoundColumn, Literal, col
 from repro.relational.physical import (
     BatchFilter,
     BatchHashAggregate,
@@ -636,14 +636,14 @@ OUTSIDE_ENVELOPE = {
 def array_kernel_runs(monkeypatch):
     """Records whether each aggregate's array kernel produced a result."""
     runs = []
-    original = BatchHashAggregate._array_single
+    original = BatchHashAggregate._array_aggregate
 
     def recording(self, *args):
         result = original(self, *args)
         runs.append(result is not None)
         return result
 
-    monkeypatch.setattr(BatchHashAggregate, "_array_single", recording)
+    monkeypatch.setattr(BatchHashAggregate, "_array_aggregate", recording)
     return runs
 
 
@@ -823,7 +823,8 @@ def pair_kernel_runs(monkeypatch):
     """Which packed-key kernels produced a result: ``"probe"`` per
     SortedIndex probe, ``"group"`` per array aggregate (False: declined)."""
     runs = []
-    probe, single = blocks.SortedIndex.probe, BatchHashAggregate._array_single
+    probe = blocks.SortedIndex.probe
+    single = BatchHashAggregate._array_aggregate
 
     def probing(self, keys):
         runs.append("probe")
@@ -835,7 +836,7 @@ def pair_kernel_runs(monkeypatch):
         return result
 
     monkeypatch.setattr(blocks.SortedIndex, "probe", probing)
-    monkeypatch.setattr(BatchHashAggregate, "_array_single", grouping)
+    monkeypatch.setattr(BatchHashAggregate, "_array_aggregate", grouping)
     return runs
 
 
@@ -1487,3 +1488,297 @@ def test_a_filter_kernel_bug_surfaces_from_a_scan(monkeypatch):
     monkeypatch.setattr(batch, "FilteredColumns", broken)
     with pytest.raises(RuntimeError, match="filter kernel bug"):
         engine.execute("select F, T from E where F < 20")
+
+
+def test_a_mask_kernel_bug_surfaces_from_a_scan(monkeypatch):
+    """The filter's array mask is held to the same rule: a bug raised
+    inside it fails the statement instead of falling back to the list
+    predicate or the row path."""
+    engine = Engine("oracle", **BEST)
+    load_graph(engine, random_dag(40, 2.0, seed=5))
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("mask kernel bug")
+
+    monkeypatch.setattr(blocks, "_literal_mask", broken)
+    with pytest.raises(RuntimeError, match="mask kernel bug"):
+        engine.execute("select F, T from E where F < 20")
+
+
+# -- ad-hoc SELECTs: the aggregate and the filter on arrays ---------------------
+
+GROUP_SCHEMA = Schema(tuple(Column(name, SqlType.DOUBLE)
+                            for name in ("k0", "k1", "a", "b")))
+
+#: Argument values on either side of every aggregate edge: ties, signed
+#: zeros, ints at 2**53 (no float64 image beside floats) and near 2**62
+#: (an int64 sum overflows).
+AGG_INTS = st.one_of(st.integers(-3, 3),
+                     st.sampled_from([2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1,
+                                      2 ** 62, 2 ** 62 + 1, -(2 ** 62)]))
+AGG_FLOATS = st.one_of(st.integers(-4, 4).map(lambda v: v / 4),
+                       st.sampled_from([-0.0, 0.0, 1e308, 2.0 ** 53]))
+agg_columns = st.sampled_from(["ints", "floats", "mixed", "nullable"])
+AGG_FUNCTIONS = ["count*", "count", "sum", "min", "max", "avg"]
+
+
+def agg_value(kind):
+    return {"ints": AGG_INTS, "floats": AGG_FLOATS,
+            "mixed": st.one_of(AGG_INTS, AGG_FLOATS),
+            "nullable": st.one_of(st.integers(-3, 3), st.none())}[kind]
+
+
+def aggregate_pair(rows, n_keys, specs):
+    """``select k.., f(x).. from R group by k..`` as a batch aggregate over
+    a batch-backed relation, and as the tuple operator over its rows."""
+    keys = [col(f"R.k{i}") for i in range(n_keys)]
+    aggregates = [AggregateSpec(function.rstrip("*"),
+                                None if function == "count*"
+                                else col(f"R.{column}"), f"out{i}")
+                  for i, (function, column) in enumerate(specs)]
+    batch_scan = RelationScan(Relation.from_batch(
+        GROUP_SCHEMA, blocks.RowsColumns(rows, 4)), "R")
+    tuple_scan = RelationScan(Relation(GROUP_SCHEMA, rows), "R")
+    return (BatchHashAggregate(batch_scan, keys, aggregates),
+            HashAggregate(tuple_scan, keys, aggregates))
+
+
+@given(data=st.data(), n_keys=st.integers(0, 2),
+       specs=st.lists(st.tuples(st.sampled_from(AGG_FUNCTIONS),
+                                st.sampled_from(["a", "b"])),
+                      min_size=1, max_size=4),
+       kinds=st.tuples(agg_columns, agg_columns))
+@settings(max_examples=400, deadline=None)
+def test_the_array_aggregate_is_the_tuple_aggregate(data, n_keys, specs,
+                                                    kinds):
+    """Any number of aggregates over 0, 1 or 2 plain key columns: the
+    batch aggregate's rows are the tuple operator's, ``repr`` for
+    ``repr`` and in group order — on arrays inside the envelope, on the
+    list kernels or the row loops outside it."""
+    keys = st.one_of(st.integers(0, 3), st.sampled_from([2 ** 40]))
+    rows = data.draw(st.lists(st.tuples(keys, keys, agg_value(kinds[0]),
+                                        agg_value(kinds[1])),
+                              max_size=12))
+    batch_plan, tuple_plan = aggregate_pair(rows, n_keys, specs)
+    assert [repr(row) for row in batch_plan.execute().rows] \
+        == [repr(row) for row in tuple_plan.execute().rows]
+
+
+AGG_RUNS = {
+    # name -> (rows, keys, aggregates, answered on arrays)
+    "three aggregates, one key": (
+        [(0, 0, 1, 0.5), (1, 0, 2, 0.25), (0, 0, 3, 1.5)], 1,
+        [("count*", "a"), ("sum", "b"), ("min", "a")], True),
+    "avg of ints": ([(0, 0, 1, 0.5), (0, 0, 2, 0.25)], 1,
+                    [("avg", "a")], True),
+    "avg of floats, two keys": ([(0, 1, 1, 0.5), (0, 1, 2, 0.25)], 2,
+                                [("avg", "b"), ("max", "b")], True),
+    "key-less count and sum": ([(0, 0, 1, 0.5), (1, 1, 2, 0.25)], 0,
+                               [("count*", "a"), ("sum", "a"),
+                                ("count", "b")], True),
+    "key-less count of a column holding a NULL": (
+        [(0, 0, None, 0.5), (1, 1, 2, 0.25)], 0,
+        [("count*", "a"), ("count", "a")], False),
+    "avg of ints whose sum has no float64 image": (
+        [(0, 0, 2 ** 52, 0.5), (0, 0, 2 ** 52, 0.5)], 1,
+        [("avg", "a")], False),
+    "avg over a negative zero": ([(0, 0, 1, -0.0), (0, 0, 1, 2.0)], 0,
+                                 [("avg", "b")], False),
+    "one declining aggregate declines them all": (
+        [(0, 0, 2 ** 62, 0.5), (0, 0, 2 ** 62, 0.5)], 1,
+        [("count*", "a"), ("sum", "a")], False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AGG_RUNS))
+def test_aggregate_envelope_edges(case, array_kernel_runs):
+    rows, n_keys, specs, on_arrays = AGG_RUNS[case]
+    batch_plan, tuple_plan = aggregate_pair(rows, n_keys, specs)
+    assert [repr(row) for row in batch_plan.execute().rows] \
+        == [repr(row) for row in tuple_plan.execute().rows]
+    assert array_kernel_runs == [on_arrays]
+
+
+@pytest.mark.parametrize("n_keys, expected", [(0, ["(0, None, None)"]),
+                                              (1, [])])
+def test_an_empty_input_answers_the_empty_result(n_keys, expected,
+                                                 monkeypatch):
+    """Key-less, an empty input is ``(0,)`` / ``(None,)`` straight away —
+    the row loops never read the child again; keyed, it is no rows."""
+    batch_plan, tuple_plan = aggregate_pair(
+        [], n_keys, [("count*", "a"), ("sum", "a"), ("avg", "b")])
+    if n_keys == 0:
+        monkeypatch.setattr(BatchHashAggregate, "_row_multi", None)
+    assert [repr(row) for row in batch_plan.execute().rows] == expected
+    assert [repr(row) for row in tuple_plan.execute().rows] == expected
+
+
+MASK_OPS = ["=", "<>", "<", "<=", ">", ">="]
+MASK_INTS = st.one_of(st.integers(-3, 3),
+                      st.sampled_from([2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1,
+                                       -(2 ** 53), -(2 ** 53) - 1,
+                                       2 ** 63 - 1, -(2 ** 63)]))
+MASK_FLOATS = st.one_of(st.integers(-3, 3).map(float),
+                        st.sampled_from([0.5, -0.0, 2.0 ** 53,
+                                         float("inf"), -float("inf")]))
+MASK_LITERALS = st.one_of(
+    MASK_INTS, MASK_FLOATS,
+    st.sampled_from([2 ** 53 + 1, -(2 ** 53) - 1, 2 ** 63, -(2 ** 63) - 1,
+                     float("nan"), True, "x", None]))
+mask_columns = st.sampled_from(["ints", "floats", "mixed", "nullable"])
+
+
+def mask_column(kind):
+    return {"ints": MASK_INTS, "floats": MASK_FLOATS,
+            "mixed": st.one_of(st.integers(-3, 3), MASK_FLOATS),
+            "nullable": st.one_of(st.integers(-3, 3), st.none())}[kind]
+
+
+def masks_on_arrays(expr, columns) -> bool:
+    """The documented envelope of ``compile_mask``."""
+    if isinstance(expr, And):
+        return all(masks_on_arrays(part, columns) for part in expr.operands)
+    left, right = expr.left, expr.right
+    if isinstance(left, Literal):
+        left, right = right, left
+    column = columns[left.index]
+    if not has_array_view(column):
+        return False
+    is_int = set(map(type, column)) == {int}
+    peak = max(map(abs, column))
+    if isinstance(right, BoundColumn):
+        other = columns[right.index]
+        if not has_array_view(other):
+            return False
+        other_int = set(map(type, other)) == {int}
+        if is_int == other_int:
+            return True
+        return (peak if is_int else max(map(abs, other))) < 2 ** 53
+    value = right.value
+    if type(value) is float:
+        return value == value and (not is_int or peak < 2 ** 53)
+    if type(value) is not int:
+        return False
+    return (-(2 ** 63) <= value < 2 ** 63 if is_int
+            else abs(value) < 2 ** 53)
+
+
+@given(data=st.data(), kinds=st.tuples(mask_columns, mask_columns),
+       shape=st.sampled_from(["column op literal", "literal op column",
+                              "column op column", "and"]))
+@settings(max_examples=500, deadline=None)
+def test_the_mask_selects_what_the_row_predicate_keeps(data, kinds, shape):
+    """``compile_mask`` over int64, float64 and int-flagged float64
+    columns, the literal on either side: where it answers (exactly inside
+    its envelope), its selection is the rows the row predicate keeps."""
+    n = data.draw(st.integers(1, 8))
+    columns = [data.draw(st.lists(mask_column(kind), min_size=n,
+                                  max_size=n)) for kind in kinds]
+    rows = list(zip(*columns))
+
+    def comparison():
+        op = data.draw(st.sampled_from(MASK_OPS))
+        column = BoundColumn(data.draw(st.integers(0, 1)))
+        if shape == "column op column":
+            return BinaryOp(op, column, BoundColumn(1 - column.index))
+        literal = Literal(data.draw(MASK_LITERALS))
+        if shape == "literal op column":
+            return BinaryOp(op, literal, column)
+        return BinaryOp(op, column, literal)
+
+    expr = (And((comparison(), comparison())) if shape == "and"
+            else comparison())
+    evaluate = blocks.compile_mask(expr)
+    assert evaluate is not None or not masks_on_arrays(expr, columns)
+    mask = None if evaluate is None else \
+        evaluate(blocks.RowsColumns(rows, 2))
+    assert (mask is not None) == masks_on_arrays(expr, columns)
+    if mask is not None:
+        assert np.flatnonzero(mask).tolist() == [
+            i for i, row in enumerate(rows) if expr.evaluate(row) is True]
+
+
+@pytest.mark.parametrize("sql", [
+    "select F, T from E where F > 3 or T > 3",
+    "select F, T from E where not (F > 3)",
+    "select F, T from E where F is not null",
+    "select F, T from E where F in (1, 2, 3)",
+])
+def test_predicates_without_a_mask_keep_their_list_or_row_path(sql):
+    engine = Engine("oracle", **BEST)
+    load_graph(engine, random_dag(30, 2.0, seed=5))
+    reference = reference_engine("oracle")
+    load_graph(reference, random_dag(30, 2.0, seed=5))
+    assert repr_rows(engine, sql) == repr_rows(reference, sql)
+    assert "path=array" not in engine.explain_analyze(sql)
+
+
+def adhoc_statements(n):
+    """The six statement shapes of the ad-hoc benchmark workload."""
+    return {
+        "point": f"select F, T, ew from E where F = {n // 3}",
+        "scan_filter": f"select F, T from E where F < {n // 2}"
+                       f" and T < {n // 2}",
+        "group_agg": "select T, count(*) as c, sum(ew) as s, min(F) as m"
+                     " from E group by T",
+        "join2": "select count(*) as paths from E as A, E as B"
+                 f" where A.T = B.F and A.F < {n // 10}",
+        "join4": "select count(*) as paths from E as A, E as B, E as C, V"
+                 " where A.T = B.F and B.T = C.F and C.T = V.ID"
+                 f" and V.ID < {n // 10}",
+        "triangle": "select count(*) as c from E as A, E as B, E as C"
+                    " where A.T = B.F and B.T = C.T and C.F = A.F",
+    }
+
+
+def test_adhoc_selects_build_no_rows_below_the_plan_root(monkeypatch):
+    """``Engine()`` answers each ad-hoc shape on arrays up to the plan
+    root: no join, subset or store batch is drained into row tuples and
+    no aggregate row loop runs — and every result is the reference
+    profile's, ``repr`` for ``repr``."""
+    graph = preferential_attachment(300, 3.0, directed=True, seed=11)
+    engine, reference = Engine("oracle"), reference_engine("oracle")
+    load_graph(engine, graph)
+    load_graph(reference, graph)
+    called = []
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def watching(*args, **kwargs):
+            called.append(f"{owner.__name__}.{name}")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, watching)
+
+    for owner, name in [(blocks.JoinColumns, "rows"),
+                        (blocks.SubsetColumns, "rows"),
+                        (blocks.StoreColumns, "rows"),
+                        (BatchHashAggregate, "_row_single"),
+                        (BatchHashAggregate, "_row_multi")]:
+        spy(owner, name)
+    for name, sql in adhoc_statements(graph.num_nodes).items():
+        got = repr_rows(engine, sql)
+        assert called == [], name
+        assert got == repr_rows(reference, sql), name
+        called.clear()
+
+
+@pytest.mark.parametrize("path", ["array", "list", "rows"])
+def test_explain_analyze_names_the_path_that_answered(path):
+    """The Hash Aggregate and Filter lines say which kernel answered:
+    typed arrays, the list kernels, or the row loops."""
+    engine = Engine("oracle", storage="rows" if path == "rows"
+                    else "columnar")
+    # Keys 2**40 apart have no dense slots: the list kernels group them.
+    step = 2 ** 40 if path == "list" else 1
+    engine.database.register("S", Relation.from_pairs(
+        ("K", "W"), [(k * step, float(k)) for k in (0, 1, 1, 2)]))
+    predicate = "W is not null" if path == "list" else "W > 0.5"
+    report = engine.explain_analyze(
+        f"select K, count(*) as c from S where {predicate} group by K")
+    lines = [line for line in report.splitlines()
+             if "Hash Aggregate" in line or "Filter" in line]
+    assert len(lines) == 2
+    assert all(f"path={path})" in line for line in lines), report
+    assert "path=" not in engine.explain("select K from S where W > 0.5")
