@@ -59,13 +59,12 @@ class _AggregateBase(PhysicalOperator):
         return key + tuple(_finish_aggregate(spec.function, values)
                            for spec, values in zip(self.aggregates, buckets))
 
-
-class HashAggregate(_AggregateBase):
-    """Single-pass dict-based grouping."""
-
-    label = "Hash Aggregate"
-
-    def rows(self) -> Iterator[tuple]:
+    def _hash_rows(self) -> Iterator[tuple]:
+        """Single-pass dict grouping of the child's rows: per group and
+        aggregate the non-NULL argument values, folded by :meth:`_emit`
+        in first-seen group order.  A plain generator, not an operator's
+        ``rows``, so the batch twin runs it as its row loop without a
+        second stats record."""
         key_fn = self._key_fn
         arg_fns = self._arg_fns
         groups: dict[tuple, list[list[Any]]] = {}
@@ -89,6 +88,15 @@ class HashAggregate(_AggregateBase):
             order.append(())
         for key in order:
             yield self._emit(key, groups[key])
+
+
+class HashAggregate(_AggregateBase):
+    """Single-pass dict-based grouping."""
+
+    label = "Hash Aggregate"
+
+    def rows(self) -> Iterator[tuple]:
+        yield from self._hash_rows()
 
 
 class SortAggregate(_AggregateBase):

@@ -42,9 +42,9 @@ class OperatorStats:
     #: join build rows / anti-join pruned rows during the recording
     build_rows: int = 0
     pruned: int = 0
-    #: which kernel answered its last execution — ``"array"``,
-    #: ``"list"`` or ``"rows"`` — for the operators that say (the hash
-    #: aggregate and the filter of the batch executor)
+    #: which kernel answered its last execution, for the operators that
+    #: say: the batch executor's hash aggregate (``"array"`` or
+    #: ``"rows"``) and filter (``"array"``, ``"list"`` or ``"rows"``)
     path: str | None = None
 
 

@@ -48,23 +48,16 @@ from .blocks import (
     StoreColumns,
     SubsetColumns,
     _is_int64,
-    _none_free,
     GROUPED_FUNCTIONS,
     VALUE_ERRORS,
     GroupPlan,
     ProbePlan,
     array_grouped,
-    clean_numeric,
     compile_array,
     compile_mask,
     compile_vector,
     csr_index,
     group_plan,
-    grouped_count,
-    grouped_max,
-    grouped_min,
-    grouped_sum,
-    int_keys,
     pack_keys,
     position_index,
     probe_plan,
@@ -765,10 +758,10 @@ class BatchHashAggregate(_AggregateBase):
     Grouped on plain columns (or on nothing) over a block pipeline, one
     grouping serves every aggregate: the array kernel reduces each over
     it, and the result leaves as typed vectors — to a projection above,
-    or as rows at the plan root.  One key column with one aggregate falls
-    back to the list kernels; anything else runs a row loop: one running
-    scalar per (group, aggregate), and for a single aggregate (the
-    fixpoints' ``sum`` / ``min``) a dict-get / compare / dict-set loop.
+    or as rows at the plan root.  Where the kernel declines, a row loop
+    answers: for a single aggregate (the fixpoints' ``sum`` / ``min``) a
+    dict-get / compare / dict-set loop, for several the tuple operator's
+    dict grouping.
     """
 
     label = "Hash Aggregate"
@@ -785,11 +778,6 @@ class BatchHashAggregate(_AggregateBase):
         #: the last grouping of one int64 key vector (with ``key_plans``)
         self._group_plan: GroupPlan | None = None
         self._scalar_key = single_column_getter(self._bound_keys)
-        # The list kernels take one plain key column and one aggregate.
-        self._list_kernels = (self._scalar_key is not None
-                              and len(self.aggregates) == 1)
-        arg = self._bound_args[0] if self._list_kernels else None
-        self._arg_vector = None if arg is None else compile_vector(arg)
         # Single-column key + single-column argument (PageRank, WCC, SSSP
         # all fit): one two-slot itemgetter yields (key, value) pairs in C
         # instead of two Python-level calls per row.
@@ -821,9 +809,9 @@ class BatchHashAggregate(_AggregateBase):
     # -- block path ----------------------------------------------------
     def _block_source(self) -> ColumnBatch | None:
         """The result as a column batch, so a projection above it
-        (PageRank's ``c * sum + t``) computes on the kernels' typed
+        (PageRank's ``c * sum + t``) computes on the kernel's typed
         output and rows are built once, at the plan root.  When the
-        kernels decline, the batch wraps the row loops' result; a
+        kernel declines, the batch wraps the row loop's result; a
         computed group key answers None (callers iterate ``rows``)."""
         if self._key_positions is None:
             return None
@@ -835,57 +823,24 @@ class BatchHashAggregate(_AggregateBase):
     def _block_aggregate(self) -> ColumnBatch | None:
         """Whole-column aggregation over a block pipeline: the array
         kernel when keys and arguments have typed views inside its
-        exactness envelope, else — one key column, one aggregate — the
-        list kernels.
+        exactness envelope, else None — the row loop answers.
 
-        Kernels that cannot vouch for their result decline with None.
-        Where list evaluation — building the input batch, or a list
-        kernel — meets values SQL arithmetic rejects
-        (:data:`~.blocks.VALUE_ERRORS`), this returns None too and the
-        caller replays the row path for the row engine's exact error.
-        Any other exception is a bug and surfaces.
+        Where building the input batch meets values SQL arithmetic
+        rejects (:data:`~.blocks.VALUE_ERRORS`), this returns None too
+        and the row loop replays the child for the row engine's exact
+        error.  Any other exception is a bug and surfaces.
         """
         mark = analyze.mark()
         try:
             src = _batch_source(self.child)
         except VALUE_ERRORS:
             src = None
-        fast, path = None, "array"
-        if src is not None:
-            fast = self._array_aggregate(src)
-            if fast is None and self._list_kernels:
-                path = "list"
-                try:
-                    fast = self._list_single(self._functions[0], src)
-                except VALUE_ERRORS:
-                    pass
+        fast = None if src is None else self._array_aggregate(src)
         if fast is None:
-            analyze.rollback(mark)  # the row path reads the child again
+            analyze.rollback(mark)  # the row loop reads the child again
         elif mark is not None:  # a recording is on
-            analyze.note_path(self, path)
+            analyze.note_path(self, "array")
         return fast
-
-    def _list_single(self, function: str,
-                     src: ColumnBatch) -> RowsColumns | None:
-        """The list kernels over one int key column: None unless the keys
-        are ints and the argument clean numbers (NULL-free for count)."""
-        keys = src.column(self._key_positions[0])
-        if not int_keys(keys):
-            return None
-        vector = self._arg_vector
-        if function == "count":
-            if self._bound_args[0] is not None:
-                if vector is None or not _none_free(vector(src)):
-                    return None
-            return RowsColumns(grouped_count(keys), self.schema.arity)
-        kernel = {"sum": grouped_sum, "min": grouped_min,
-                  "max": grouped_max}.get(function)
-        if kernel is None or vector is None:
-            return None
-        values = vector(src)
-        if not clean_numeric(values):
-            return None
-        return RowsColumns(kernel(keys, values), self.schema.arity)
 
     def _array_aggregate(self, src: ColumnBatch) -> ColumnBatch | None:
         """Every aggregate over one grouping, or None when one declines.
@@ -948,7 +903,7 @@ class BatchHashAggregate(_AggregateBase):
         plan = self._group_plan
         if plan is None or not plan.fits(key_data):
             self._group_plan = None
-            plan = group_plan(key_data, sparse=packing is not None)
+            plan = group_plan(key_data)
             if plan is None:
                 return None
             if self.key_plans and packing is None:
@@ -964,7 +919,7 @@ class BatchHashAggregate(_AggregateBase):
         analyze.note_path(self, "rows")
         if len(self.aggregates) == 1:
             return self._row_single(self._functions[0], self._arg_fns[0])
-        return self._row_multi()
+        return list(self._hash_rows())
 
     def _row_single(self, function: str, arg) -> list[tuple]:
         key_fn = self._scalar_key or self._key_fn
@@ -1061,69 +1016,6 @@ class BatchHashAggregate(_AggregateBase):
         for spec in self.aggregates:
             values.append(0 if spec.function == "count" else None)
         return tuple(values)
-
-    def _row_multi(self) -> list[tuple]:
-        key_fn = self._scalar_key or self._key_fn
-        arg_fns = self._arg_fns
-        functions = [spec.function for spec in self.aggregates]
-        n = len(functions)
-        # slot layout: running scalar per aggregate; avg uses (sum, count)
-        groups: dict[Any, list[Any]] = {}
-        counts_needed = any(f == "avg" for f in functions)
-        avg_counts: dict[Any, list[int]] = {} if counts_needed else {}
-        for row in _materialize(self.child):
-            key = key_fn(row)
-            bucket = groups.get(key)
-            if bucket is None:
-                bucket = groups[key] = [0 if f == "count" else None
-                                        for f in functions]
-                if counts_needed:
-                    avg_counts[key] = [0] * n
-            for i in range(n):
-                arg = arg_fns[i]
-                function = functions[i]
-                if function == "count":
-                    if arg is None or arg(row) is not None:
-                        bucket[i] += 1
-                    continue
-                value = arg(row)
-                if value is None:
-                    continue
-                current = bucket[i]
-                if function == "sum" or function == "avg":
-                    if current is None:
-                        require_numeric(function, value)
-                        bucket[i] = value
-                    else:
-                        try:
-                            bucket[i] = current + value
-                        except TypeError:
-                            raise ExecutionError(
-                                f"{function}() requires numeric values"
-                            ) from None
-                    if function == "avg":
-                        avg_counts[key][i] += 1
-                elif function == "min":
-                    if current is None or value < current:
-                        bucket[i] = value
-                else:  # max
-                    if current is None or value > current:
-                        bucket[i] = value
-        if not self.keys and not groups:
-            return [self._empty_row()]
-        out: list[tuple] = []
-        scalar = self._scalar_key is not None
-        for key, bucket in groups.items():
-            values = []
-            for i in range(n):
-                if functions[i] == "avg":
-                    count = avg_counts[key][i]
-                    values.append(None if count == 0 else bucket[i] / count)
-                else:
-                    values.append(bucket[i])
-            prefix = (key,) if scalar else key
-            out.append(prefix + tuple(values))
-        return out
 
 
 class BatchProject(Project):

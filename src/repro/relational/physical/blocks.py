@@ -10,15 +10,16 @@ matched columns on demand, and aggregates fold whole key/value vectors.
 Row tuples are only materialised where the pipeline ends (the plan root
 or an operator without a block implementation).
 
-Every kernel exists twice.  The *list* kernels (``column``,
-:func:`compile_vector`, ``grouped_*``) work on any SQL values and are the
-reference.  The *array* kernels (``array``, :func:`compile_array`,
-:func:`compile_mask`, :class:`CsrIndex`, :func:`array_grouped`, and for
-composite keys :func:`pack_keys` with :class:`SortedIndex`) run the same
-computation on numpy int64/float64 vectors and only exist inside an
-exactness envelope the data itself must prove — see :func:`exact_array`,
-:func:`array_grouped` and :func:`pack_keys`; outside it they answer
-``None`` and the caller takes the list kernel.
+Every kernel but the aggregate's exists twice.  The *list* kernels
+(``column``, :func:`compile_vector`, :func:`position_index`) work on any SQL
+values and are the reference.  The *array* kernels (``array``,
+:func:`compile_array`, :func:`compile_mask`, :class:`CsrIndex`,
+:func:`array_grouped`, and for composite keys :func:`pack_keys` with
+:class:`SortedIndex`) run the same computation on numpy int64/float64
+vectors and only exist inside an exactness envelope the data itself must
+prove — see :func:`exact_array`, :func:`array_grouped` and
+:func:`pack_keys`; outside it they answer ``None`` and the caller takes
+the list kernel — or, for an aggregate, the operator's row loop.
 
 Everything here is *speculative*: the dispatch in
 :mod:`.batch` only takes these paths when the result is provably
@@ -40,15 +41,14 @@ Semantics mirrored from :mod:`..expressions`:
   otherwise apply the raw C-level operator — :func:`compile_vector`
   checks ``None in column`` once (a C scan) and picks ``map(op, a, b)``
   or a guarded comprehension accordingly;
-* aggregate kernels reproduce the scalar loops' dict accumulation in row
-  order, so float sums associate identically, ``min``/``max`` keep the
-  object the same comparisons in the same order would keep, and group
-  output order stays first-seen.
+* the aggregate kernel reproduces the scalar loops' dict accumulation
+  in row order, so float sums associate identically, ``min``/``max`` keep
+  the object the same comparisons in the same order would keep, and
+  group output order stays first-seen.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import repeat
 from math import prod
 from operator import itemgetter
@@ -460,10 +460,12 @@ class JoinColumns(ColumnBatch):
     other three — and no concatenated row tuples exist at all.
 
     The position vectors are int arrays when a :class:`CsrIndex` probe
-    produced them — then :meth:`array` gathers typed columns with one
-    ``take`` each, through the :class:`ProbePlan` when one made them —
-    and lists when a dict probe did (``probe_idx`` a ``range`` when every
-    probe row matched exactly once).
+    produced them, gathered through the :class:`ProbePlan` when one made
+    them, and lists when a dict probe did (``probe_idx`` a ``range`` when
+    every probe row matched exactly once).  :meth:`array` gathers a typed
+    column with one ``take`` either way — list positions are converted to
+    ``intp`` once — while :meth:`column` and :meth:`rows` gather lists
+    through list positions, never building an array no kernel asked for.
     """
 
     def __init__(self, probe: ColumnBatch, build: ColumnBatch,
@@ -481,6 +483,7 @@ class JoinColumns(ColumnBatch):
         self.length = len(build_pos)
         self._typed = not isinstance(build_pos, list)
         self._position_lists: tuple | None = None
+        self._position_arrays: tuple | None = None
         self._cache: dict[int, Vector] = {}
         self._arrays: dict[int, ArrayVector | None] = {}
 
@@ -503,9 +506,20 @@ class JoinColumns(ColumnBatch):
                                     self.build_pos.tolist())
         return self._position_lists
 
+    def _array_positions(self) -> tuple:
+        """(probe_idx, build_pos) as intp arrays."""
+        if self._typed:
+            return self.probe_idx, self.build_pos
+        if self._position_arrays is None:
+            probe_idx = self.probe_idx
+            self._position_arrays = (
+                _np.arange(len(probe_idx), dtype=_np.intp)
+                if type(probe_idx) is range
+                else _np.array(probe_idx, dtype=_np.intp),
+                _np.array(self.build_pos, dtype=_np.intp))
+        return self._position_arrays
+
     def array(self, j: int) -> ArrayVector | None:
-        if not self._typed:
-            return None
         return self._array_once(j, lambda: self._gather_array(j))
 
     def _gather_array(self, j: int) -> ArrayVector | None:
@@ -515,13 +529,13 @@ class JoinColumns(ColumnBatch):
             return None
         if self._plan is not None:
             return self._plan.gather(j, vector, on_probe)
-        return vector.take(self.probe_idx if on_probe else self.build_pos)
+        return vector.take(self._array_positions()[0 if on_probe else 1])
 
     def column(self, j: int) -> Vector:
         cached = self._cache.get(j)
         if cached is not None:
             return cached
-        typed = self.array(j)
+        typed = self.array(j) if self._typed else None
         if typed is not None:
             cached = typed.tolist()
         else:
@@ -1397,41 +1411,15 @@ def compile_array(expr: Expression) -> ArrayFn | None:
     return None
 
 
-# -- grouped aggregate kernels ------------------------------------------------
-#
-# The list kernels mirror the accumulation loops of the batch executor's
-# single-aggregate fast path exactly, but read (key, value) pairs from
-# whole column vectors instead of itemgetters over join-output row
-# tuples.  The caller guarantees *clean* inputs — hashable keys and, for
-# sum/min/max, a NULL-free all-numeric value vector (checked with one C
-# type scan) — so the per-row NULL branches and numeric guards of the
-# scalar loops provably never fire and can be dropped from the loop body.
-# Anything unclean falls back to the row path.  Group output order is
-# first-seen, identical to the scalar loop's dict accumulation.
-#
-# array_grouped is their array twin; the list kernels run whenever it
-# answers None.
-
-_ABSENT = object()
+# -- grouped aggregate kernel -------------------------------------------------
 
 
-def int_keys(keys: Vector) -> bool:
-    """True when every key is an int (or bool) — hashable, and bool/int
-    aliasing groups exactly as the scalar dict loop does."""
-    return set(map(type, keys)) <= {int, bool}
-
-
-def clean_numeric(values: Vector) -> bool:
-    """No NULLs, nothing but int/float/bool — one C type scan."""
-    return set(map(type, values)) <= {int, float, bool}
-
-
-def _key_slots(keys, sparse: bool) -> tuple | None:
+def _key_slots(keys) -> tuple:
     """``(slots, first)`` over a non-empty int64 key vector: each row's
-    slot — ``key - min`` when the keys are dense, else, with *sparse*, the
-    key's rank among the distinct keys (``np.unique``) — and per slot, in
-    ascending key order, the first row holding it (``len(keys)`` for a
-    slot no row holds).  None for sparse keys without *sparse*."""
+    slot — ``key - min`` when the keys are dense, else the key's rank
+    among the distinct keys (``np.unique``) — and per slot, in ascending
+    key order, the first row holding it (``len(keys)`` for a slot no row
+    holds)."""
     n = len(keys)
     low, high = int(keys.min()), int(keys.max())
     if _dense(low, high, n):
@@ -1439,8 +1427,6 @@ def _key_slots(keys, sparse: bool) -> tuple | None:
         first = _np.full(high - low + 1, n, dtype=_np.intp)
         _np.minimum.at(first, slots, _np.arange(n))
         return slots, first
-    if not sparse:
-        return None
     _, first, slots = _np.unique(keys, return_index=True,
                                  return_inverse=True)
     return slots, first
@@ -1452,7 +1438,7 @@ def distinct_first(keys) -> tuple:
     ``return_index``, by direct addressing when the values are dense."""
     if not len(keys):
         return keys, _np.zeros(0, dtype=_np.intp)
-    _, first = _key_slots(keys, sparse=True)
+    _, first = _key_slots(keys)
     first = first[first < len(keys)]
     return keys[first], first
 
@@ -1487,15 +1473,12 @@ class GroupPlan:
         return self.keys is keys
 
 
-def group_plan(keys, sparse: bool = False) -> GroupPlan | None:
-    """The :class:`GroupPlan` of a non-empty int64 key vector, or None —
-    for no rows, and for sparse keys without *sparse* (:func:`_key_slots`)."""
+def group_plan(keys) -> GroupPlan | None:
+    """The :class:`GroupPlan` of an int64 key vector (slots by
+    :func:`_key_slots`), or None when it has no rows."""
     if not len(keys):
         return None
-    grouping = _key_slots(keys, sparse)
-    if grouping is None:
-        return None
-    return GroupPlan(keys, *grouping)
+    return GroupPlan(keys, *_key_slots(keys))
 
 
 def single_group(length: int) -> GroupPlan:
@@ -1506,7 +1489,6 @@ def single_group(length: int) -> GroupPlan:
 
 
 def array_grouped(function: str, keys, values: ArrayVector | None,
-                  sparse: bool = False,
                   plan: GroupPlan | None = None) -> tuple | None:
     """``(group keys, aggregate)`` — an int64 array and an
     :class:`ArrayVector`, groups in first-seen order — or None.
@@ -1515,10 +1497,9 @@ def array_grouped(function: str, keys, values: ArrayVector | None,
     ``count``, whose NULL-free argument does not matter).  The grouping
     is *plan* when the caller has one for these keys, else
     :func:`group_plan`'s: groups get *dense* accumulator slots,
-    ``key - min``; a key range far wider than the row count
-    (:func:`_dense`) answers None — unless *sparse*, for packed composite
-    keys, where ``np.unique`` numbers the groups instead.  Per function,
-    what makes the result the scalar loop's:
+    ``key - min``, or — for a key range far wider than the row count
+    (:func:`_dense`) — ``np.unique`` numbers them.  Per function, what
+    makes the result the scalar loop's:
 
     * ``sum`` of int64: exact whenever no partial sum can leave int64;
       of float64: ``bincount`` adds the weights in row order, so every
@@ -1545,7 +1526,7 @@ def array_grouped(function: str, keys, values: ArrayVector | None,
     if function not in GROUPED_FUNCTIONS:
         return None
     if plan is None:
-        plan = group_plan(keys, sparse)
+        plan = group_plan(keys)
         if plan is None:
             return None
     aggregate = _reduce_groups(function, plan, values)
@@ -1614,62 +1595,3 @@ def _first_holders(plan: GroupPlan, values: ArrayVector,
     where = _np.full(plan.size, len(values.data), dtype=_np.intp)
     _np.minimum.at(where, slots[holders], holders)
     return values.take(where[plan.groups])
-
-
-def grouped_sum(keys: Vector, values: Vector) -> list[tuple]:
-    acc: dict = {}
-    get = acc.get
-    for key, value in zip(keys, values):
-        current = get(key, _ABSENT)
-        acc[key] = value if current is _ABSENT else current + value
-    return list(acc.items())
-
-
-_INF = float("inf")
-
-
-def _all_finite(values: Vector) -> bool:
-    # One C pass: a NaN anywhere makes the sum NaN (comparisons False),
-    # an infinity makes it ±inf or NaN.  A finite sum of clean numerics
-    # proves every element is finite and non-NaN, which the single-compare
-    # loops below need (an inf/NaN value would tie with the identity
-    # default and diverge from the scalar loop's first-value semantics).
-    # Overflow to inf on huge-but-finite data just takes the safe loop.
-    total = sum(values)
-    return -_INF < total < _INF
-
-
-def grouped_min(keys: Vector, values: Vector) -> list[tuple]:
-    acc: dict = {}
-    get = acc.get
-    if _all_finite(values):
-        for key, value in zip(keys, values):
-            if value < get(key, _INF):
-                acc[key] = value
-        return list(acc.items())
-    for key, value in zip(keys, values):
-        current = get(key, _ABSENT)
-        if current is _ABSENT or value < current:
-            acc[key] = value
-    return list(acc.items())
-
-
-def grouped_max(keys: Vector, values: Vector) -> list[tuple]:
-    acc: dict = {}
-    get = acc.get
-    if _all_finite(values):
-        for key, value in zip(keys, values):
-            if value > get(key, -_INF):
-                acc[key] = value
-        return list(acc.items())
-    for key, value in zip(keys, values):
-        current = get(key, _ABSENT)
-        if current is _ABSENT or value > current:
-            acc[key] = value
-    return list(acc.items())
-
-
-def grouped_count(keys: Vector) -> list[tuple]:
-    """COUNT per group (callers pass NULL-free inputs); Counter is a dict,
-    so group order is first-seen exactly like the scalar loop's."""
-    return list(Counter(keys).items())

@@ -288,54 +288,6 @@ class Table:
             vectors.append(vector)
         return vectors
 
-    def merge_by_key(self, source: Relation,
-                     key_columns: Sequence[str] | None = None) -> tuple[int, int]:
-        """SQL MERGE: update matching rows, insert the rest.
-
-        Matching is by the table's primary key unless *key_columns* is given.
-        Like the SQL standard, a source that matches the same target row more
-        than once is an error (the paper notes MERGE "checks and reports
-        duplicates in the source table").  Returns (updated, inserted).
-        """
-        if key_columns is None:
-            if not self.schema.primary_key:
-                raise ConstraintError(
-                    f"MERGE into {self.name} requires a key")
-            key_columns = self.schema.primary_key
-        target_positions = [self.schema.index_of(k) for k in key_columns]
-        source_positions = [source.schema.index_of(k) for k in key_columns]
-        by_key: dict[tuple, int] = {}
-        for pos, row in enumerate(self.rows):
-            by_key[tuple(row[i] for i in target_positions)] = pos
-        updated = inserted = 0
-        seen_source_keys: set[tuple] = set()
-        touched: list[tuple[Row, Row]] = []  # (old, new) per updated row
-        appended: list[Row] = []
-        for row in source.rows:
-            key = tuple(row[i] for i in source_positions)
-            if key in seen_source_keys:
-                raise ConstraintError(
-                    f"MERGE source has duplicate key {key!r}")
-            seen_source_keys.add(key)
-            coerced = tuple(coerce(v, c.sql_type)
-                            for v, c in zip(row, self.schema.columns))
-            target_pos = by_key.get(key)
-            if target_pos is None:
-                by_key[key] = len(self.rows)
-                self.rows.append(coerced)
-                appended.append(coerced)
-                if self.enforce_key:
-                    self._key_set.add(self.row_key(coerced))
-                inserted += 1
-            else:
-                touched.append((self.rows[target_pos], coerced))
-                self.rows[target_pos] = coerced
-                updated += 1
-        self._maintain_indexes(touched, appended)
-        self._positions_cache = None
-        self.statistics.invalidate()
-        return updated, inserted
-
     def update_from(self, source: Relation,
                     key_columns: Sequence[str]) -> int:
         """PostgreSQL-style ``UPDATE ... FROM``: overwrite matching rows only.

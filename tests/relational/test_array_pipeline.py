@@ -6,8 +6,8 @@ The row path (tuple executor) is the oracle throughout.  Four layers:
 * planner guard — a ``best``-profile with+ branch has no generator-model
   join, and its stable side is indexed once per table state;
 * kernels — ``exact_array``, ``CsrIndex``, ``array_grouped``,
-  ``pack_keys``, ``SortedIndex`` and ``key_set`` against the list
-  kernels / plain dict loops / sets they stand in for;
+  ``pack_keys``, ``SortedIndex`` and ``key_set`` against the tuple
+  aggregate's fold / plain dict loops / sets they stand in for;
 * plans — batch plans over a columnar anchor against the same plan built
   from tuple operators, on inputs chosen to sit on and beyond every edge
   of the exactness envelope, and the reference profile running none of
@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.algorithms import bellman_ford, ktruss, pagerank, tc, wcc
+from repro.core.algorithms import bellman_ford, ktruss, mnm, pagerank, tc, wcc
 from repro.core.algorithms.common import load_graph, prepare_transition
 from repro.core.algorithms.registry import ALGORITHMS
 from repro.datasets import preferential_attachment
@@ -61,13 +61,9 @@ from repro.relational.physical.blocks import (
     array_grouped,
     csr_index,
     exact_array,
-    grouped_count,
-    grouped_max,
-    grouped_min,
-    grouped_sum,
 )
 from repro.relational.recursive import RecursiveExecutor
-from repro.relational.relation import AggregateSpec, Relation
+from repro.relational.relation import AggregateSpec, Relation, _finish_aggregate
 from repro.relational.schema import Column, Schema
 from repro.streaming import StreamingManager
 from repro.relational.sql.ast import UnionKind
@@ -277,6 +273,16 @@ def loop_grouped(function, keys, values):
     return list(acc.items())
 
 
+def finished_grouped(function, keys, values):
+    """The tuple aggregate's fold: each group's values in first-seen group
+    order, reduced by ``_finish_aggregate``."""
+    groups = {}
+    for key, value in zip(keys, values):
+        groups.setdefault(key, []).append(value)
+    return [(key, _finish_aggregate(function, group))
+            for key, group in groups.items()]
+
+
 @given(function=st.sampled_from(["sum", "min", "max", "count"]),
        domain=key_domains, data=st.data())
 @settings(max_examples=400, deadline=None)
@@ -296,7 +302,7 @@ def test_array_grouped_is_the_scalar_loop_or_declines(function, domain, data):
         return  # no array view: the pipeline never reaches the kernel
     grouped = array_grouped(function, np.array(keys, dtype=np.int64),
                             None if function == "count" else vector)
-    declines = not blocks._dense(min(keys), max(keys), n) or (
+    declines = (
         function == "sum" and (
             vector.ints is not None  # ints beside floats
             or any(type(v) is float and v == 0.0
@@ -309,11 +315,7 @@ def test_array_grouped_is_the_scalar_loop_or_declines(function, domain, data):
     group_keys, aggregate = grouped
     got = list(zip(group_keys.tolist(), aggregate.tolist()))
     assert identity(got) == identity(loop_grouped(function, keys, column))
-    kernel = {"sum": grouped_sum, "min": grouped_min, "max": grouped_max}
-    if function == "count":
-        assert got == grouped_count(keys)
-    else:
-        assert identity(got) == identity(kernel[function](keys, column))
+    assert identity(got) == identity(finished_grouped(function, keys, column))
 
 
 def test_array_grouped_int_float_tie_keeps_the_first_object():
@@ -347,10 +349,9 @@ def test_min_max_one_pass_and_holder_pass_are_the_list_kernels(
     """Where equal values are one SQL value the reduce takes one
     ``ufunc.at`` pass; elsewhere (an int beside an equal float, -0.0
     beside 0.0) a holder pass picks the first row holding each extreme.
-    Both equal the list kernel, object for object."""
+    Both equal the tuple aggregate's fold, object for object."""
     keys, column = EXTREME_CASES[case]
-    kernel = {"min": grouped_min, "max": grouped_max}[function]
-    want = identity(kernel(keys, column))
+    want = identity(finished_grouped(function, keys, column))
     vector = exact_array(column)
     plan = blocks.group_plan(np.array(keys, dtype=np.int64))
 
@@ -365,13 +366,14 @@ def test_min_max_one_pass_and_holder_pass_are_the_list_kernels(
     assert reduced() == want  # the holder pass, on every case
 
 
-def test_array_grouped_first_seen_group_order_and_sparse_keys_decline():
-    keys = [5, 2, 5, 9, 2, 0]
-    grouped = array_grouped("count", np.array(keys, dtype=np.int64), None)
-    assert list(zip(grouped[0].tolist(), grouped[1].tolist())) == \
-        grouped_count(keys)
-    sparse = np.array([2 ** 40, -7, 2 ** 40, 3, -7], dtype=np.int64)
-    assert array_grouped("count", sparse, None) is None
+def test_array_grouped_first_seen_order_on_dense_and_sparse_keys():
+    """Dense keys group by ``key - min``, keys far sparser than the row
+    count by ``np.unique`` rank: groups come out first-seen either way."""
+    for keys in ([5, 2, 5, 9, 2, 0], [2 ** 40, -7, 2 ** 40, 3, -7]):
+        grouped = array_grouped("count", np.array(keys, dtype=np.int64),
+                                None)
+        assert list(zip(grouped[0].tolist(), grouped[1].tolist())) == \
+            finished_grouped("count", keys, keys)
 
 
 # -- packed composite keys ------------------------------------------------------
@@ -482,7 +484,7 @@ def test_sorted_index_probe_emits_the_dict_probe_sequence(data):
 @given(function=st.sampled_from(["sum", "min", "max", "count"]),
        data=st.data())
 @settings(max_examples=300, deadline=None)
-def test_multi_key_array_grouped_is_the_list_kernels(function, data):
+def test_multi_key_array_grouped_is_the_tuple_aggregate(function, data):
     n = data.draw(st.integers(1, 16))
     keys = data.draw(st.lists(st.tuples(
         st.integers(0, 3), st.one_of(st.integers(-2, 2), st.just(2 ** 40))),
@@ -496,17 +498,14 @@ def test_multi_key_array_grouped_is_the_list_kernels(function, data):
     packed, packing = blocks.pack_keys([exact_array(c)
                                         for c in key_columns(keys, 2)])
     grouped = array_grouped(function, packed,
-                            None if function == "count" else vector,
-                            sparse=True)
+                            None if function == "count" else vector)
     if grouped is None:  # a NaN, -0.0 under sum: the value envelope
         return
     group_keys, aggregate = grouped
     got = list(zip(zip(*(c.tolist() for c in blocks.unpack_keys(
         group_keys, packing))), aggregate.tolist()))
-    kernel = {"sum": grouped_sum, "min": grouped_min, "max": grouped_max}
-    expected = grouped_count(keys) if function == "count" \
-        else kernel[function](keys, column)
-    assert identity(got) == identity(expected)
+    assert identity(got) == identity(finished_grouped(function, keys,
+                                                      column))
 
 
 # -- plans: batch over a columnar anchor vs the tuple operators -----------------
@@ -589,8 +588,9 @@ CLEAN_STABLE = [(0, 1, 0.5), (1, 1, 0.25), (1, 2, 1.0), (2, 0, 2.0),
                 (3, 2, 4.0)]
 
 #: name -> (delta rows, stable rows, function, combine, union): one input
-#: per edge of the envelope.  The array kernel must decline each and the
-#: fallback must be the tuple operators' result, object for object.
+#: per edge of the envelope.  Either path must be the tuple operators'
+#: result, object for object; the array kernel must decline each case
+#: but those in :data:`DICT_PROBED_ON_ARRAYS`.
 OUTSIDE_ENVELOPE = {
     "nan value": ([(0, float("nan")), (1, 1.0)], CLEAN_STABLE, "min", "left",
                   False),
@@ -622,7 +622,8 @@ OUTSIDE_ENVELOPE = {
                                   False),
     "empty delta": ([], CLEAN_STABLE, "sum", "*", True),
     # keys far sparser than the row count have no dense slots: the join
-    # probes the dict, the aggregate folds with the list kernel
+    # probes the dict, the aggregate gathers through its positions and
+    # numbers the groups by rank
     "sparse join keys": ([(0, 1.0), (2 ** 40, 2.0)],
                          CLEAN_STABLE + [(2 ** 40, 1, 3.0)], "sum", "*",
                          False),
@@ -630,6 +631,15 @@ OUTSIDE_ENVELOPE = {
                           [(0, 2 ** 40, 0.5), (1, 3, 1.0), (1, 2 ** 40, 2.0)],
                           "sum", "*", False),
 }
+
+
+#: Cases outside the join's CSR envelope only: the join probes a dict,
+#: and the aggregate above still groups its int64 / float64 columns on
+#: arrays, gathered through the dict probe's positions.
+DICT_PROBED_ON_ARRAYS = {"bool key", "key outside int64",
+                         "null key on the delta",
+                         "null key on the stable side", "sparse join keys",
+                         "sparse group keys"}
 
 
 @pytest.fixture
@@ -664,7 +674,7 @@ def test_outside_the_envelope_falls_back_to_the_tuple_result(
                                    False)) == expected
     else:
         assert_branch_matches_tuple(*OUTSIDE_ENVELOPE[case])
-    assert array_kernel_runs == [False]
+    assert array_kernel_runs == [case in DICT_PROBED_ON_ARRAYS]
 
 
 INSIDE_ENVELOPE = {
@@ -691,6 +701,105 @@ def test_inside_the_envelope_runs_on_arrays(case, array_kernel_runs):
     assert_branch_matches_tuple(delta_rows, CLEAN_STABLE, function, combine,
                                 union)
     assert array_kernel_runs == [True]
+
+
+#: join key kind -> (column type, keys): each forces the join's dict
+#: probe — no int64 view (float, bool, a NULL), or no dense CSR range
+#: (both sides span 0..2**40).
+DICT_PROBE_KEYS = {
+    "float": (SqlType.DOUBLE, st.sampled_from([0.0, 1.0, 2.5, -3.0])),
+    "bool": (SqlType.BOOLEAN, st.booleans()),
+    "null": (SqlType.INTEGER, st.one_of(st.integers(0, 3), st.none())),
+    "sparse": (SqlType.INTEGER, st.sampled_from([0, 1, 2 ** 40])),
+}
+DICT_PROBE_FORCED = {"float": (), "bool": (), "null": (None,),
+                     "sparse": (0, 2 ** 40)}
+
+
+@given(kind=st.sampled_from(sorted(DICT_PROBE_KEYS)), data=st.data(),
+       function=st.sampled_from(["sum", "min", "max", "count", "avg"]),
+       value_type=st.sampled_from([SqlType.INTEGER, SqlType.DOUBLE]))
+@settings(max_examples=120, deadline=None)
+def test_an_aggregate_over_a_dict_probed_join_groups_on_arrays(
+        kind, data, function, value_type):
+    """``select B.T, f(P.v) from P, B where P.k = B.K group by B.T`` on
+    join keys the CSR probe cannot take: the join probes a dict, the
+    aggregate gathers its own int64 / float64 columns through the probe's
+    positions and groups them on arrays — and answers what the reference
+    profile does, ``repr`` for ``repr``.  A NULL in the argument column
+    (no typed view to gather from) or an empty join leaves it to the row
+    loop."""
+    key_type, keys = DICT_PROBE_KEYS[kind]
+    values = (st.integers(-4, 4) if value_type is SqlType.INTEGER
+              else st.sampled_from([-1.5, 0.0, 0.5, 2.0, 3.25]))
+    forced = DICT_PROBE_FORCED[kind]
+    delta = data.draw(st.lists(st.tuples(keys, st.one_of(values, st.none())),
+                               max_size=8))
+    delta += [(key, data.draw(values)) for key in forced]
+    stable = data.draw(st.lists(st.tuples(keys, st.sampled_from(
+        [0, 1, 2, 2 ** 40])), max_size=8))
+    stable += [(key, 0) for key in forced]
+    engines = (Engine("oracle", storage="columnar"),
+               reference_engine("oracle"))
+    for engine in engines:
+        engine.database.register("P", Relation(Schema.of(
+            ("k", key_type), ("v", value_type)), delta))
+        engine.database.register("B", Relation(Schema.of(
+            ("K", key_type), ("T", SqlType.INTEGER)), stable))
+    sql = (f"select B.T, {function}(P.v) as a from P, B where P.k = B.K"
+           " group by B.T")
+    probes = []
+    original = blocks.JoinColumns.__init__
+
+    def watching(self, probe, build, probe_idx, build_pos, *args, **kwargs):
+        probes.append(type(build_pos) is list)
+        original(self, probe, build, probe_idx, build_pos, *args, **kwargs)
+
+    with mock.patch.object(blocks.JoinColumns, "__init__", watching):
+        got = repr_rows(engines[0], sql)
+        report = engines[0].explain_analyze(sql)
+    # The planners may orient the join apart, and groups come first-seen.
+    assert sorted(got) == sorted(repr_rows(engines[1], sql))
+    assert probes and all(probes)
+    matched = any(k is not None and k == key
+                  for k, _ in delta for key, _ in stable)
+    typed = matched and None not in [v for _, v in delta]
+    aggregate, = [line for line in report.splitlines()
+                  if "Hash Aggregate" in line]
+    assert f"path={'array' if typed else 'rows'})" in aggregate, report
+
+
+def test_mnm_groups_over_its_dict_probed_join_on_arrays(monkeypatch):
+    """MNM's ``CH`` joins on ``P.w = B.bw``, a float, so the join probes a
+    dict; ``min(P.T) group by P.F`` above it still groups on arrays, and
+    no aggregate over a dict-probed join runs the row loop."""
+    probed, fell_back = [], []
+    declined = {}  # aggregate -> its last array attempt declined a dict probe
+    original_array = BatchHashAggregate._array_aggregate
+    original_rows = BatchHashAggregate._row_aggregate
+
+    def array(self, src):
+        result = original_array(self, src)
+        dict_probed = (isinstance(src, blocks.JoinColumns)
+                       and type(src.build_pos) is list)
+        if dict_probed:
+            probed.append(result is not None)
+        declined[self] = dict_probed and result is None
+        return result
+
+    def rows(self):
+        if declined.pop(self, False):
+            fell_back.append(self)
+        return original_rows(self)
+
+    monkeypatch.setattr(BatchHashAggregate, "_array_aggregate", array)
+    monkeypatch.setattr(BatchHashAggregate, "_row_aggregate", rows)
+    graph = preferential_attachment(40, 3.0, seed=3)
+    result = mnm.run_sql(Engine("oracle", storage="columnar"), graph)
+    assert result.values == mnm.run_sql(reference_engine("oracle"),
+                                        graph).values
+    assert len(probed) >= result.iterations - 2 and all(probed)
+    assert fell_back == []
 
 
 def test_the_default_engine_runs_pagerank_on_arrays(monkeypatch,
@@ -1554,7 +1663,7 @@ def test_the_array_aggregate_is_the_tuple_aggregate(data, n_keys, specs,
     """Any number of aggregates over 0, 1 or 2 plain key columns: the
     batch aggregate's rows are the tuple operator's, ``repr`` for
     ``repr`` and in group order — on arrays inside the envelope, on the
-    list kernels or the row loops outside it."""
+    row loops outside it."""
     keys = st.one_of(st.integers(0, 3), st.sampled_from([2 ** 40]))
     rows = data.draw(st.lists(st.tuples(keys, keys, agg_value(kinds[0]),
                                         agg_value(kinds[1])),
@@ -1608,7 +1717,7 @@ def test_an_empty_input_answers_the_empty_result(n_keys, expected,
     batch_plan, tuple_plan = aggregate_pair(
         [], n_keys, [("count*", "a"), ("sum", "a"), ("avg", "b")])
     if n_keys == 0:
-        monkeypatch.setattr(BatchHashAggregate, "_row_multi", None)
+        monkeypatch.setattr(BatchHashAggregate, "_row_aggregate", None)
     assert [repr(row) for row in batch_plan.execute().rows] == expected
     assert [repr(row) for row in tuple_plan.execute().rows] == expected
 
@@ -1737,7 +1846,8 @@ def test_adhoc_selects_build_no_rows_below_the_plan_root(monkeypatch):
     no aggregate row loop runs — and every result is the reference
     profile's, ``repr`` for ``repr``."""
     graph = preferential_attachment(300, 3.0, directed=True, seed=11)
-    engine, reference = Engine("oracle"), reference_engine("oracle")
+    engine = Engine("oracle", storage="columnar")
+    reference = reference_engine("oracle")
     load_graph(engine, graph)
     load_graph(reference, graph)
     called = []
@@ -1754,8 +1864,7 @@ def test_adhoc_selects_build_no_rows_below_the_plan_root(monkeypatch):
     for owner, name in [(blocks.JoinColumns, "rows"),
                         (blocks.SubsetColumns, "rows"),
                         (blocks.StoreColumns, "rows"),
-                        (BatchHashAggregate, "_row_single"),
-                        (BatchHashAggregate, "_row_multi")]:
+                        (BatchHashAggregate, "_row_aggregate")]:
         spy(owner, name)
     for name, sql in adhoc_statements(graph.num_nodes).items():
         got = repr_rows(engine, sql)
@@ -1767,18 +1876,22 @@ def test_adhoc_selects_build_no_rows_below_the_plan_root(monkeypatch):
 @pytest.mark.parametrize("path", ["array", "list", "rows"])
 def test_explain_analyze_names_the_path_that_answered(path):
     """The Hash Aggregate and Filter lines say which kernel answered:
-    typed arrays, the list kernels, or the row loops."""
+    typed arrays or the row loops — and for the filter, the list kernels
+    (an ``is not null`` has no array mask).  Keys 2**40 apart group on
+    arrays too, numbered by ``np.unique``."""
     engine = Engine("oracle", storage="rows" if path == "rows"
                     else "columnar")
-    # Keys 2**40 apart have no dense slots: the list kernels group them.
     step = 2 ** 40 if path == "list" else 1
     engine.database.register("S", Relation.from_pairs(
         ("K", "W"), [(k * step, float(k)) for k in (0, 1, 1, 2)]))
     predicate = "W is not null" if path == "list" else "W > 0.5"
     report = engine.explain_analyze(
         f"select K, count(*) as c from S where {predicate} group by K")
-    lines = [line for line in report.splitlines()
-             if "Hash Aggregate" in line or "Filter" in line]
-    assert len(lines) == 2
-    assert all(f"path={path})" in line for line in lines), report
+    aggregate, = [line for line in report.splitlines()
+                  if "Hash Aggregate" in line]
+    filters = [line for line in report.splitlines() if "Filter" in line]
+    assert len(filters) == 1
+    assert f"path={'array' if path == 'list' else path})" in aggregate, \
+        report
+    assert f"path={path})" in filters[0], report
     assert "path=" not in engine.explain("select K from S where W > 0.5")

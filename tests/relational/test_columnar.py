@@ -13,6 +13,7 @@ import math
 import random
 import struct
 
+import numpy as np
 import pytest
 
 from repro.relational.columnar import (
@@ -32,12 +33,19 @@ from repro.relational.columnar import (
     pack_nulls,
     unpack_nulls,
 )
-from repro.relational.physical.blocks import (
-    grouped_count,
-    grouped_max,
-    grouped_min,
-    grouped_sum,
+from repro.relational.expressions import col
+from repro.relational.physical import (
+    BatchHashAggregate,
+    HashAggregate,
+    RelationScan,
 )
+from repro.relational.physical.blocks import (
+    RowsColumns,
+    array_grouped,
+    exact_array,
+)
+from repro.relational.relation import AggregateSpec, Relation, _finish_aggregate
+from repro.relational.schema import Schema
 
 
 def assert_identity(values):
@@ -383,25 +391,23 @@ def test_size_bytes_reflects_compression():
     assert columnar.size_bytes() < plain.size_bytes() / 4
 
 
-# -- grouped kernels ----------------------------------------------------------
+# -- grouped aggregation --------------------------------------------------------
 
 
 def reference_grouped(function, keys, values):
-    acc = {}
+    """The tuple operators' fold: each group's values in first-seen group
+    order, reduced by ``_finish_aggregate``."""
+    groups = {}
     for key, value in zip(keys, values):
-        if key not in acc:
-            acc[key] = value
-        elif function == "sum":
-            acc[key] = acc[key] + value
-        elif function == "min":
-            acc[key] = value if value < acc[key] else acc[key]
-        else:
-            acc[key] = value if value > acc[key] else acc[key]
-    return list(acc.items())
+        groups.setdefault(key, []).append(value)
+    return [(key, _finish_aggregate(function, group))
+            for key, group in groups.items()]
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_grouped_kernels_match_reference(seed):
+    """``array_grouped`` over dense keys (slot ``key - min``) and keys far
+    sparser than the row count (numbered by ``np.unique``)."""
     rng = random.Random(seed)
     n = rng.choice([1, 10, 500])
     dense = rng.random() < 0.5
@@ -411,27 +417,46 @@ def test_grouped_kernels_match_reference(seed):
     values = ([float(rng.randrange(100)) for _ in range(n)]
               if rng.random() < 0.5
               else [rng.randrange(-1000, 1000) for _ in range(n)])
-    assert grouped_sum(keys, values) == reference_grouped("sum", keys, values)
-    assert grouped_min(keys, values) == reference_grouped("min", keys, values)
-    assert grouped_max(keys, values) == reference_grouped("max", keys, values)
-    counts = dict(grouped_count(keys))
-    for key in set(keys):
-        assert counts[key] == keys.count(key)
+    key_vector = np.array(keys, dtype=np.int64)
+    for function in ("sum", "min", "max", "count"):
+        group_keys, aggregate = array_grouped(
+            function, key_vector,
+            None if function == "count" else exact_array(values))
+        got = list(zip(group_keys.tolist(), aggregate.tolist()))
+        assert repr(got) == repr(reference_grouped(function, keys, values))
+
+
+def grouped_sum_pair(keys, values):
+    """``select K, sum(V) from R group by K`` as the batch aggregate over a
+    batch-backed relation and as the tuple operator over its rows."""
+    schema = Schema.of("K", "V")
+    rows = list(zip(keys, values))
+    spec = [AggregateSpec("sum", col("R.V"), "s")]
+    batch_scan = RelationScan(Relation.from_batch(
+        schema, RowsColumns(rows, 2)), "R")
+    tuple_scan = RelationScan(Relation(schema, rows), "R")
+    return (BatchHashAggregate(batch_scan, [col("R.K")], spec),
+            HashAggregate(tuple_scan, [col("R.K")], spec))
+
+
+#: (keys, values) that would each go wrong under naive vectorisation
+SUM_GUARDS = [
+    ([1, 1], [1 << 70, 1]),             # outside int64
+    ([1] * 8, [1 << 61] * 8),           # int64-safe alone, overflows summed
+    ([1], [-0.0]),                      # seed-vs-zero sign flip
+    ([1, 2, 2], [0.0, -0.0, -0.0]),
+    ([1, 1], [float("nan"), 1.0]),      # NaN ordering is sticky
+    ([True, 1], [1, 2]),                # bool/int alias one group
+    ([1, 2], [1, 2.5]),                 # int beside float
+    ([1, 1], [1, 2.5]),
+]
 
 
 def test_grouped_sum_exactness_guards():
-    # Each of these inputs would go wrong under naive vectorisation; the
-    # list kernel is the scalar loop, and the reference the array kernel
-    # is held to (tests/relational/test_array_pipeline.py).
-    huge = 1 << 70                      # outside int64
-    assert grouped_sum([1, 1], [huge, 1]) == [(1, huge + 1)]
-    near = 1 << 61                      # int64-safe alone, overflows summed
-    assert grouped_sum([1] * 8, [near] * 8) == [(1, near * 8)]
-    nz = -0.0                           # seed-vs-zero sign flip
-    result = grouped_sum([1], [nz])
-    assert math.copysign(1, result[0][1]) == -1
-    nan = float("nan")                  # NaN ordering is sticky
-    out = grouped_sum([1, 1], [nan, 1.0])
-    assert math.isnan(out[0][1])
-    assert grouped_sum([True, 1], [1, 2]) == [(True, 3)]  # bool/int alias
-    assert grouped_sum([1, 2], [1, 2.5]) == [(1, 1), (2, 2.5)]  # mixed
+    """On each guard input the batch aggregate answers what the tuple
+    operator does, ``repr`` for ``repr``, whichever of its paths takes
+    it."""
+    for keys, values in SUM_GUARDS:
+        batch_plan, tuple_plan = grouped_sum_pair(keys, values)
+        assert [repr(row) for row in batch_plan.execute().rows] \
+            == [repr(row) for row in tuple_plan.execute().rows], values

@@ -61,23 +61,6 @@ class TestDeleteTruncate:
 
 
 class TestMerge:
-    def test_merge_updates_and_inserts(self, node_table):
-        source = Relation.from_pairs(("ID", "vw"), [(2, 20.0), (9, 90.0)])
-        updated, inserted = node_table.merge_by_key(source)
-        assert (updated, inserted) == (1, 1)
-        assert node_table.snapshot().to_dict()[2] == 20.0
-        assert node_table.snapshot().to_dict()[9] == 90.0
-
-    def test_merge_rejects_duplicate_source_keys(self, node_table):
-        source = Relation.from_pairs(("ID", "vw"), [(2, 1.0), (2, 2.0)])
-        with pytest.raises(ConstraintError):
-            node_table.merge_by_key(source)
-
-    def test_merge_requires_key(self):
-        table = Table("X", Schema.of("a"))
-        with pytest.raises(ConstraintError):
-            table.merge_by_key(Relation.from_pairs(("a",), [(1,)]))
-
     def test_update_from_ignores_unmatched(self, node_table):
         source = Relation.from_pairs(("ID", "vw"), [(2, 20.0), (9, 90.0)])
         updated = node_table.update_from(source, ("ID",))
