@@ -30,34 +30,34 @@ def load_graph(engine: Engine, graph: Graph,
     * ``V(ID, vw)``  — the node/vector relation, ``vw`` = *node_value*;
     * ``W(ID, w)``   — the node weights (MNM);
     * ``L(ID, lbl)`` — the node labels (LP, KS).
+
+    Each is loaded with ``Table.load``: typed vectors on columnar storage.
     """
-    engine.database.load_edge_table(
-        "E", [(u, v, w) for u, v, w in graph.weighted_edges()])
-    engine.database.load_node_table(
-        "V", [(v, node_value) for v in graph.nodes()])
-    weights = engine.database.register(
-        "W", _two_column(graph, "w",
-                         [(v, graph.node_weight(v)) for v in graph.nodes()]))
-    labels = engine.database.register(
-        "L", _two_column(graph, "lbl",
-                         [(v, float(graph.label(v))) for v in graph.nodes()]))
-    weights.analyze()
-    labels.analyze()
+    database = engine.database
+    nodes = list(graph.nodes())
+    database.load_edge_table("E", graph.weighted_edges())
+    database.load_node_table("V", [(v, node_value) for v in nodes])
+    database.register("W", _two_column(
+        "w", nodes, list(map(graph.node_weight, nodes))))
+    database.register("L", _two_column(
+        "lbl", nodes, [float(graph.label(v)) for v in nodes]))
 
 
-def _two_column(graph: Graph, value_name: str, rows):
+def _two_column(value_name: str, nodes: list, values: list):
+    """The relation ``(ID, value_name)`` pairing *nodes* with *values*."""
     from repro.relational.relation import Relation
     from repro.relational.schema import Schema
     from repro.relational.types import SqlType
 
     schema = Schema.of(("ID", SqlType.INTEGER), (value_name, SqlType.DOUBLE),
                        primary_key=("ID",))
-    return Relation(schema, rows)
+    return Relation.from_trusted_rows(schema, list(zip(nodes, values)))
 
 
 def prepare_transition(engine: Engine, table: str = "S") -> None:
     """Create the out-degree-normalised transition relation ``S(F, T, ew)``
-    from ``E`` — the PageRank/RWR edge weights."""
+    from ``E`` — the PageRank/RWR edge weights.  On columnar storage
+    ``1.0 / D.c`` divides on arrays and ``S`` loads from the vectors."""
     relation = engine.execute(
         "select E.F, E.T, 1.0 / D.c as ew"
         " from E, (select F, count(*) as c from E group by F) as D"

@@ -19,7 +19,9 @@ from .common import AlgoResult, load_graph, rows_to_dict
 
 
 def prepare_symmetric_edges(engine: Engine, table: str = "ES") -> None:
-    """``ES`` = E ∪ Eᵀ — the undirected view used for weak connectivity."""
+    """``ES`` = E ∪ Eᵀ — the undirected view used for weak connectivity.
+    On columnar storage the UNION dedups E's typed columns and ``ES``
+    loads from the resulting vectors."""
     relation = engine.execute(
         "(select F, T, ew from E) union (select T as F, F as T, ew from E)")
     engine.database.register(table, relation)

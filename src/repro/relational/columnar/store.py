@@ -12,7 +12,8 @@ bit).  ``ColumnStore`` keeps data column-major:
 * **Sealed blocks** — immutable :class:`ColumnBlock` morsels of
   :data:`MORSEL` rows, one encoded vector per column (see
   :mod:`.encodings`), with per-block zone maps on numeric columns.
-  Bulk loads (``extend``) seal and compress eagerly.
+  Bulk loads (``extend``, and ``load`` of typed vectors) seal and
+  compress eagerly.
 * **Tail columns** — plain Python lists holding the ragged tail; sealed
   into a block when :data:`MORSEL` rows accumulate.
 * **Row overlay** — ``assign`` (the rebuild half of union-by-update)
@@ -26,7 +27,8 @@ bit).  ``ColumnStore`` keeps data column-major:
   from them as they are; ``column(j)`` and ``materialized()`` decode
   them on demand, one ``tolist`` each.  The vectors are never written
   to — a snapshot shares them — and the first mutation of any other
-  kind decodes them into the row overlay and drops them.
+  kind decodes them into the row overlay and drops them; an append or
+  a delete carries the plain ones on as column arrays (below).
 
 In-place updates (``store[pos] = row``) write through to the column
 vectors; a write landing in a sealed block first *decays* that block to
@@ -38,7 +40,8 @@ float64 column array with a new one (old array plus the appended
 values, folded in on the next read, or minus the deleted slots — never
 written in place), so a streaming batch does not re-decode the sealed
 blocks; list columns and join indexes are dropped and rebuilt from
-those arrays.  Any other mutation drops every cache.  ``size_bytes``
+those arrays.  ``load`` starts a store with its vectors as those arrays
+and no row list.  Any other mutation drops every cache.  ``size_bytes``
 deliberately excludes them so space accounting reflects the encoded
 data, and ``drop_caches`` releases them for honest measurement.
 """
@@ -242,15 +245,24 @@ class ColumnStore:
         if self._rows is not None:
             self._rows.extend(rows)
         if not self._cols_stale:
-            columns = list(map(list, zip(*rows)))
-            for j, values in enumerate(columns):
-                self._tail[j].extend(values)
-            while self._tail and len(self._tail[0]) >= self.morsel:
-                self._seal_tail()
+            self._fill_tail(list(map(list, zip(*rows))))
         self._len += len(rows)
         if self._arrays:
             self._appended.extend(rows)
         return len(rows)
+
+    def load(self, vectors: Sequence) -> None:
+        """Replace the contents with one plain int64/float64 typed vector
+        per column (values in stored form) — a bulk load.  The store
+        seals the blocks, with the codecs and the ragged tail, that
+        ``extend`` of the same rows into an empty store leaves; it
+        carries the vectors as the columns' arrays and holds no row list
+        (``materialized()`` builds one on demand)."""
+        self.clear()
+        self._fill_tail([vector.tolist() for vector in vectors])
+        self._rows = None
+        self._len = len(vectors[0].data)
+        self._arrays = dict(enumerate(vectors))
 
     def clear(self) -> None:
         self._vectors = None
@@ -362,9 +374,15 @@ class ColumnStore:
     # -- reads ----------------------------------------------------------
 
     def materialized(self) -> list:
-        """The full contents as a live row-tuple list (cached)."""
+        """The full contents as a live row-tuple list (cached) — built
+        from the carried arrays when every column has one, so nothing is
+        decoded."""
         if self._rows is None and self._cols_stale:
             self._rows = list(zip(*map(self.column, range(self.arity))))
+        if self._rows is None:
+            held = self.held_vectors()
+            if held is not None:
+                self._rows = list(zip(*(vector.tolist() for vector in held)))
         if self._rows is None:
             rows: list = []
             for block_idx, block in enumerate(self._blocks):
@@ -385,10 +403,16 @@ class ColumnStore:
 
     def gather(self, positions: Sequence[int]) -> list:
         """The rows at *positions*: from the row list when one is held,
-        else assembled from the decoded columns — no whole-table rows."""
+        else from the carried arrays (one gather each), else assembled
+        from the decoded columns — no whole-table rows."""
         if self._rows is not None:
             rows = self._rows
             return [rows[pos] for pos in positions]
+        held = self.held_vectors()
+        if held is not None:
+            index = np.asarray(positions, dtype=np.intp)
+            return list(zip(*(vector.data[index].tolist()
+                              for vector in held)))
         columns = [self.column(j) for j in range(self.arity)]
         return [tuple(column[pos] for column in columns)
                 for pos in positions]
@@ -577,9 +601,14 @@ class ColumnStore:
         self.version += 1
         if self._vectors is not None:
             # A mutation the vectors cannot take: the row overlay (or,
-            # once _ensure_columns ran, the columns) carries on.
+            # once _ensure_columns ran, the columns) carries on, and an
+            # append or delete carries the plain vectors on as arrays.
             if self._cols_stale:
                 self.materialized()
+            if keep_arrays:
+                self._arrays = {j: vector for j, vector
+                                in enumerate(self._vectors)
+                                if vector.ints is None}
             self._vectors = None
         self._col_cache.clear()
         self._index_cache.clear()
@@ -661,11 +690,28 @@ class ColumnStore:
             live_start += live_len
         return None, pos - live_start
 
+    def _fill_tail(self, columns: Sequence[list]) -> None:
+        """Append one value list per column to the tail, then seal every
+        full morsel at its head — the blocks and remainder a seal per
+        morsel leaves, without re-slicing the rest each time."""
+        for tail, values in zip(self._tail, columns):
+            tail.extend(values)
+        morsel = self.morsel
+        full = len(self._tail[0]) // morsel * morsel if self._tail else 0
+        if not full:
+            return
+        for start in range(0, full, morsel):
+            self._seal([col[start:start + morsel] for col in self._tail])
+        self._tail = [col[full:] for col in self._tail]
+
     def _seal_tail(self) -> None:
         morsel = self.morsel
         head = [col[:morsel] for col in self._tail]
         self._tail = [col[morsel:] for col in self._tail]
-        block = ColumnBlock.seal(head)
+        self._seal(head)
+
+    def _seal(self, columns: Sequence[list]) -> None:
+        block = ColumnBlock.seal(columns)
         self._blocks.append(block)
         self.blocks_sealed += 1
         self._count_encodings(block)

@@ -123,8 +123,8 @@ class Database:
     def register(self, name: str, relation: Relation,
                  enforce_key: bool = False, temporary: bool = False) -> Table:
         """Create a table named *name* with *relation*'s schema and
-        contents, ANALYZEd unless *temporary* — temporary tables are not
-        auto-analyzed (:mod:`.statistics`)."""
+        contents (:meth:`Table.load`), ANALYZEd unless *temporary* —
+        temporary tables are not auto-analyzed (:mod:`.statistics`)."""
         if temporary:
             table = self.create_temp_table(name, relation.schema,
                                            enforce_key=enforce_key, replace=True)
@@ -133,7 +133,7 @@ class Database:
                 self.drop_table(name)
             table = self.create_table(name, relation.schema,
                                       enforce_key=enforce_key)
-        table.insert_relation(relation)
+        table.load(relation)
         if not temporary:
             table.analyze()
         return table
@@ -152,12 +152,7 @@ class Database:
             schema = Schema.of(("F", SqlType.INTEGER), ("T", SqlType.INTEGER),
                                primary_key=("F", "T"))
             rows = [(e[0], e[1]) for e in edges]
-        if self.exists(name):
-            self.drop_table(name)
-        table = self.create_table(name, schema, enforce_key=True)
-        table.insert_many(rows)
-        table.analyze()
-        return table
+        return self._load_table(name, schema, rows)
 
     def load_node_table(self, name: str,
                         nodes: Iterable[Sequence]) -> Table:
@@ -166,9 +161,14 @@ class Database:
 
         schema = Schema.of(("ID", SqlType.INTEGER), ("vw", SqlType.DOUBLE),
                            primary_key=("ID",))
+        return self._load_table(name, schema, [tuple(n) for n in nodes])
+
+    def _load_table(self, name: str, schema: Schema, rows: list) -> Table:
+        """(Re)create the keyed base table *name* holding *rows*,
+        ANALYZEd."""
         if self.exists(name):
             self.drop_table(name)
         table = self.create_table(name, schema, enforce_key=True)
-        table.insert_many(tuple(n) for n in nodes)
+        table.load(rows)
         table.analyze()
         return table

@@ -408,13 +408,14 @@ class Engine:
 
     def _publish_iterations(self, result: WithExecutionResult) -> None:
         """Refresh the virtual ``__iterations__`` relation with the just-run
-        loop's per-iteration trajectory (queryable via plain SELECT)."""
+        loop's per-iteration trajectory (queryable via plain SELECT) — a
+        few rows a statement, inserted as rows."""
         rows = [(s.iteration, s.delta_rows, s.total_rows,
                  s.seconds * 1000.0, s.inserted, s.overwritten, s.pruned,
                  s.antijoin_pruned) for s in result.per_iteration]
-        self.database.register("__iterations__",
-                               Relation(ITERATIONS_SCHEMA, rows),
-                               temporary=True)
+        self.database.create_temp_table(
+            "__iterations__", ITERATIONS_SCHEMA, replace=True
+        ).insert_many(rows)
 
     def _record_query(self, sql_text: str, kind: str, total_ms: float,
                       phases: dict[str, float], result: WithExecutionResult,

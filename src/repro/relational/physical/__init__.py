@@ -36,6 +36,7 @@ from .batch import (
     BatchHashLeftOuterJoin,
     BatchHashSemiJoin,
     BatchProject,
+    BatchUnion,
     BatchUnionAll,
 )
 from .setops import ExceptOp, IntersectOp, UnionAllOp, UnionDistinctOp
@@ -85,6 +86,7 @@ __all__ = [
     "BatchHashAggregate",
     "BatchProject",
     "BatchFilter",
+    "BatchUnion",
     "BatchUnionAll",
     "UnionAllOp",
     "UnionDistinctOp",

@@ -953,6 +953,43 @@ def same_bag(left: "ColumnBatch", right: "ColumnBatch",
                for a, b in pairs)
 
 
+def distinct_rows(vectors: Sequence[ArrayVector]):
+    """The ascending positions of each distinct row's first occurrence
+    over the typed columns *vectors* (one length, at least one row) —
+    the rows a set of row tuples keeps, walked in order — or None where
+    tuple equality is not equality of the values: a column flagging ints,
+    or a NaN.  A float column is keyed with ``-0.0`` folded onto ``0.0``
+    (equal in a tuple); the kept row holds its own zero.
+
+    Each column becomes int64 codes (dense values offset, others ranked
+    by ``np.unique``) and the codes fold into one key per row, re-ranked
+    whenever the next fold could leave :data:`_PACK_LIMIT`."""
+    length = len(vectors[0].data)
+    key, span = None, 1
+    for vector in vectors:
+        data = vector.data
+        if vector.ints is not None:
+            return None
+        if data.dtype == _np.float64:
+            if _np.isnan(data).any():
+                return None
+            data = (data + 0.0).view(_np.int64)  # -0.0 + 0.0 is 0.0
+        low, high = int(data.min()), int(data.max())
+        if _dense(low, high, length):
+            codes, size = data - low, high - low + 1
+        else:
+            distinct, codes = _np.unique(data, return_inverse=True)
+            size = len(distinct)
+        if key is None:
+            key, span = codes, size
+            continue
+        if span * size >= _PACK_LIMIT:
+            distinct, key = _np.unique(key, return_inverse=True)
+            span = len(distinct)
+        key, span = key * size + codes, span * size
+    return _np.sort(distinct_first(key)[1])
+
+
 # -- union-by-update on typed vectors -----------------------------------------
 #
 # The recursive relation of a with+ fixpoint is keyed by a dense vertex
@@ -1208,7 +1245,9 @@ def _literal_case(expr: Expression) -> tuple | None:
 #: operation would leave what int64/float64 compute exactly.
 ArrayFn = Callable[["ColumnBatch"], "ArrayVector | int | float | None"]
 
-_ARRAY_OPS = ("+", "-", "*")
+#: The arithmetic :func:`compile_array` lowers, as numpy's ufuncs.
+_ARRAY_OPS = {"+": _np.add, "-": _np.subtract, "*": _np.multiply,
+              "/": _np.true_divide}
 
 
 def _as_float(operand):
@@ -1238,11 +1277,17 @@ def _array_binary(op: str, raw, a, b) -> ArrayVector | None:
     * anything with a float is IEEE double arithmetic in both — an int
       operand converts first, exactly, below 2**53;
     * a vector mixing ints and floats may only meet a float: against an
-      int its int slots would stay ints, with no float64 image to trust.
+      int its int slots would stay ints, with no float64 image to trust;
+    * ``/`` needs a float operand — SQL's int / int is an int when the
+      quotient is exact — and no zero divisor (``0`` or ``-0.0``), where
+      the row path raises its division-by-zero error.
     """
     if not (isinstance(a, ArrayVector) or isinstance(b, ArrayVector)):
         return None
     kinds = {_kind(a), _kind(b)}
+    if op == "/" and ("float" not in kinds or not _np.all(
+            getattr(b, "data", b) != 0)):
+        return None
     if kinds == {"int"}:
         peaks = _int_peak(a), _int_peak(b)
         bound = peaks[0] * peaks[1] if op == "*" else peaks[0] + peaks[1]
@@ -1360,7 +1405,7 @@ def _column_mask(compare, a: ArrayVector | None, b: ArrayVector | None):
 
 def compile_array(expr: Expression) -> ArrayFn | None:
     """Array twin of :func:`compile_vector` for int/float literals, column
-    references, ``+ - *`` and the literal CASE of :func:`_literal_case`
+    references, ``+ - * /`` and the literal CASE of :func:`_literal_case`
     when both its arms are ints or both floats; None for anything else.
     A bare literal evaluates to the Python value (see
     :func:`literal_array`)."""
@@ -1396,7 +1441,7 @@ def compile_array(expr: Expression) -> ArrayFn | None:
         if left is None or right is None:
             return None
         op = expr.op
-        raw = _RAW_BINARY_OPS[op]
+        raw = _ARRAY_OPS[op]
 
         def eval_binary(batch: ColumnBatch):
             a = left(batch)

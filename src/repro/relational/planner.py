@@ -31,6 +31,7 @@ from .physical import (
     BatchHashLeftOuterJoin,
     BatchHashSemiJoin,
     BatchProject,
+    BatchUnion,
     BatchUnionAll,
     CachedBuildHashJoin,
     Filter,
@@ -48,6 +49,7 @@ from .physical import (
     SortAggregate,
     TableScan,
     UnionAllOp,
+    UnionDistinctOp,
 )
 from .relation import AggregateSpec
 
@@ -68,6 +70,7 @@ _OPERATOR_SETS: dict[str, dict[str, Callable[..., PhysicalOperator]]] = {
         "project": Project,
         "filter": Filter,
         "union_all": UnionAllOp,
+        "union": UnionDistinctOp,
     },
     "batch": {
         "equi": BatchHashJoin,
@@ -80,6 +83,7 @@ _OPERATOR_SETS: dict[str, dict[str, Callable[..., PhysicalOperator]]] = {
         "project": BatchProject,
         "filter": BatchFilter,
         "union_all": BatchUnionAll,
+        "union": BatchUnion,
     },
 }
 
@@ -143,6 +147,10 @@ class PlannerPolicy:
     def make_union_all(self, left: PhysicalOperator,
                        right: PhysicalOperator) -> PhysicalOperator:
         return self._ops["union_all"](left, right)
+
+    def make_union(self, left: PhysicalOperator,
+                   right: PhysicalOperator) -> PhysicalOperator:
+        return self._ops["union"](left, right)
 
     def make_aggregate(self, child: PhysicalOperator,
                        keys: Sequence[Expression],

@@ -46,7 +46,6 @@ from ..physical import (
     Requalify,
     Sort,
     TableScan,
-    UnionDistinctOp,
     ExceptOp,
     IntersectOp,
 )
@@ -101,8 +100,9 @@ class QueryRunner:
             right = self.plan(statement.right)
             if statement.kind is SetOpKind.UNION_ALL:
                 return self.policy.make_union_all(left, right)
-            ops = {SetOpKind.UNION: UnionDistinctOp,
-                   SetOpKind.EXCEPT: ExceptOp,
+            if statement.kind is SetOpKind.UNION:
+                return self.policy.make_union(left, right)
+            ops = {SetOpKind.EXCEPT: ExceptOp,
                    SetOpKind.INTERSECT: IntersectOp}
             return ops[statement.kind](left, right)
         if isinstance(statement, WithStatement):

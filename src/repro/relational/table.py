@@ -12,10 +12,18 @@ from __future__ import annotations
 from operator import eq, itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
+import numpy as np
+
 from .columnar import make_storage
 from .errors import CatalogError, ConstraintError, SchemaError
 from .indexes import Index, make_index
-from .physical.blocks import cast_exact, matching_positions, merge_dense_key
+from .physical.blocks import (
+    cast_exact,
+    exact_array,
+    matching_positions,
+    merge_dense_key,
+    pack_keys,
+)
 from .relation import Relation, Row
 from .schema import Schema
 from .statistics import TableStatistics
@@ -169,6 +177,63 @@ class Table:
         self.statistics.invalidate()
         return len(relation)
 
+    def load(self, contents: Relation | list) -> int:
+        """Fill this empty table with *contents* — a relation, or a list
+        of rows — as :meth:`insert_many` of its rows would, without row
+        tuples on columnar storage: :meth:`_load_vectors` turns each
+        column into one typed vector of its stored type, once, and the
+        store seals them and carries them as the columns' arrays
+        (``ColumnStore.load``); the key set comes from the key vectors in
+        one ``zip``.  Everything the vectors cannot hold goes through
+        :meth:`insert_many`, errors included."""
+        vectors = self._load_vectors(contents)
+        if vectors is None:
+            return self.insert_many(contents.rows
+                                    if isinstance(contents, Relation)
+                                    else contents)
+        self.rows.load(vectors)
+        if self.enforce_key:
+            self._key_set = set(zip(*(vectors[i].data.tolist()
+                                      for i in self._key_positions)))
+        self._positions_cache = None
+        self.statistics.invalidate()
+        return len(vectors[0].data)
+
+    def _load_vectors(self, contents: Relation | list) -> list | None:
+        """*contents*' columns in stored form as plain typed vectors — a
+        batch-backed relation's own arrays, else one
+        :func:`~repro.relational.physical.blocks.exact_array` per column
+        of the rows — or None, for the row path: unless the table is
+        columnar, empty and unindexed, and the contents are non-empty
+        rows of its arity; for a column holding NULL, bool, TEXT, NaN, an
+        int beside a float or an int outside int64, or one whose cast is
+        not exact (:meth:`_stored_form`); and for a primary key that
+        repeats or whose columns do not pack (one ``np.unique`` over
+        :func:`~repro.relational.physical.blocks.pack_keys`)."""
+        if self.storage != "columnar" or len(self.rows) or self.indexes \
+                or not len(contents):
+            return None
+        arity = self.schema.arity
+        batch = contents.batch if isinstance(contents, Relation) else None
+        if batch is not None:
+            vectors = [batch.array(j) for j in range(arity)]
+        else:
+            rows = contents.rows if isinstance(contents, Relation) \
+                else contents
+            if set(map(len, rows)) != {arity}:
+                return None
+            vectors = list(map(exact_array, zip(*rows)))
+        if any(vector is None or vector.ints is not None
+               for vector in vectors):
+            return None
+        vectors = self._stored_form(vectors.__getitem__)
+        if vectors is None or not self.enforce_key:
+            return vectors
+        packed = pack_keys([vectors[i] for i in self._key_positions])
+        if packed is None or len(np.unique(packed[0])) != len(packed[0]):
+            return None
+        return vectors
+
     def truncate(self) -> None:
         """Remove all rows (the TRUNCATE TABLE of Algorithm 1's loop)."""
         self.rows.clear()
@@ -275,18 +340,27 @@ class Table:
         if batch is None or self.storage != "columnar" or self.enforce_key \
                 or self.indexes or not len(relation):
             return None
-        vectors = []
+        return self._stored_form(batch.array)
+
+    def _stored_form(self, vector_of: Callable[[int], Any]) -> list | None:
+        """Column *j*'s typed vector ``vector_of(j)``, for each column,
+        cast to its stored type
+        (:func:`~repro.relational.physical.blocks.cast_exact`) — or None
+        unless every column is INTEGER or DOUBLE with a vector whose cast
+        is exact.  No vector is asked for past the first column that
+        fails."""
+        stored = []
         for j, column in enumerate(self.schema.columns):
             if column.sql_type not in (SqlType.INTEGER, SqlType.DOUBLE):
                 return None
-            vector = batch.array(j)
+            vector = vector_of(j)
             if vector is None:
                 return None
             vector = cast_exact(vector, column.sql_type is SqlType.INTEGER)
             if vector is None:
                 return None
-            vectors.append(vector)
-        return vectors
+            stored.append(vector)
+        return stored
 
     def update_from(self, source: Relation,
                     key_columns: Sequence[str]) -> int:

@@ -49,7 +49,7 @@ def vectors_built(monkeypatch) -> list:
 def statement_sql(key: str, graph) -> str:
     """The registry algorithm's with+ statement, as its run_sql runs it."""
     texts = []
-    engine = Engine("oracle")
+    engine = Engine("oracle", storage="columnar")
     execute = engine.execute_detailed
 
     def capture(sql, *args, **kwargs):
@@ -69,14 +69,15 @@ def header_counts(report: str) -> tuple[int, int]:
 
 def runs(key: str, route: str, vectors_built: list) -> list[tuple]:
     """(vectors built, plans compiled, plan cache hits) of a first and a
-    repeated run of *key*'s statement, taken by *route*, on an engine
-    whose tables its run_sql loaded."""
+    repeated run of *key*'s statement, taken by *route*, on a columnar
+    engine (row storage runs no array kernel) whose tables its run_sql
+    loaded."""
     graph = graph_for(key)
     # A text of its own: a statement the engine has not seen yet, so the
     # first run compiles.
     sql = statement_sql(key, graph) + "\n"
     telemetry = route if route in ("on", "profile") else "off"
-    engine = Engine("oracle", telemetry=telemetry)
+    engine = Engine("oracle", telemetry=telemetry, storage="columnar")
     ALGORITHMS[key].run_sql(engine, graph)
     plans = StatementPlans(parse_statement(sql), "with+")
     out = []

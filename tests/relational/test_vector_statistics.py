@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.datasets import preferential_attachment
 from repro.relational import Engine
 from repro.relational.columnar.encodings import ColumnCodec
-from repro.relational.columnar.store import ColumnStore
+from repro.relational.columnar.store import ColumnBlock, ColumnStore
 from repro.relational.physical.blocks import ArrayVector, exact_array
 from repro.relational.relation import Relation
 from repro.relational.schema import Column, Schema
@@ -376,7 +376,14 @@ def test_steady_ingest_cycle_decodes_nothing_and_analyzes_vectors(
     rng = random.Random(3)
     for _ in range(2):
         run_cycle(engine, graph, rng)
-    assert storage_spy["decodes"] > 0  # the first array builds decode
+    # The load carries every table's arrays: not even the first cycles
+    # decode a block.
+    assert storage_spy["decodes"] == 0
+    # The spy counts: one explicit block decode is one.
+    block = next(block for block in engine.database.table("E").rows._blocks
+                 if isinstance(block, ColumnBlock))
+    block.decode_column(0)
+    assert storage_spy["decodes"] == 1
     storage_spy.update(decodes=0, rows=[], vectors=[])
     run_cycle(engine, graph, rng)
     database = engine.database
