@@ -269,18 +269,6 @@ class DictionaryColumn(ColumnCodec):
                 + sum(map(sys.getsizeof, self.values)))
 
 
-def _zone_bounds(values: Sequence[Any]) -> tuple[Any, Any] | None:
-    """(min, max) over comparable same-type non-null values, else None."""
-    present = values if None not in values \
-        else [v for v in values if v is not None]
-    if not present:
-        return None
-    types = set(map(type, present))
-    if types != {int} and types != {float}:
-        return None
-    return min(present), max(present)
-
-
 def _is_float_zero(value: Any) -> bool:
     return type(value) is float and value == 0.0
 

@@ -7,42 +7,37 @@ that swaps in freshly built contents — so every operator and
 union-by-update strategy works unchanged against either backend.
 
 ``RowStore`` *is* a Python list (the pre-columnar behaviour, bit for
-bit).  ``ColumnStore`` keeps data column-major:
+bit).  ``ColumnStore`` keeps data column-major, in exactly one of three
+forms:
 
-* **Sealed blocks** — immutable :class:`ColumnBlock` morsels of
-  :data:`MORSEL` rows, one encoded vector per column (see
-  :mod:`.encodings`), with per-block zone maps on numeric columns.
-  Bulk loads (``extend``, and ``load`` of typed vectors) seal and
-  compress eagerly.
-* **Tail columns** — plain Python lists holding the ragged tail; sealed
-  into a block when :data:`MORSEL` rows accumulate.
+* **Vector form** — ``assign_vectors``, ``append_vectors`` and a bulk
+  load swap in one plain int64/float64 typed vector per column.
+  ``array(j)`` answers with its vector as it is; ``column(j)`` and
+  ``materialized()`` decode on demand, one ``tolist`` each.  Appends
+  are recorded and folded into new vectors on the next read, deletes
+  keep the survivors as new vectors — the vectors are never written to,
+  so a snapshot shares them.  A folded value the column's dtype cannot
+  hold exactly, an in-place update or an ``assign`` ends the form (the
+  rows carry on as the row overlay); ``compact()`` seals the vectors.
 * **Row overlay** — ``assign`` (the rebuild half of union-by-update)
-  takes ownership of the new row list and marks columns stale; columns
-  are re-materialised lazily on first columnar access.  This keeps the
-  recursive loop's per-iteration rebuilds O(|rows|) list work with no
-  mandatory re-encode, the delta-store trade every columnar engine
-  makes between write- and read-optimised representations.
-* **Vector overlay** — ``assign_vectors`` (the array form of the same
-  rebuild) swaps in one typed vector per column.  ``array(j)`` answers
-  from them as they are; ``column(j)`` and ``materialized()`` decode
-  them on demand, one ``tolist`` each.  The vectors are never written
-  to — a snapshot shares them — and the first mutation of any other
-  kind decodes them into the row overlay and drops them; an append or
-  a delete carries the plain ones on as column arrays (below).
+  takes ownership of the new row list; columns are derived lazily on
+  first columnar access.  This keeps the recursive loop's per-iteration
+  rebuilds O(|rows|) list work with no mandatory re-encode, the
+  delta-store trade every columnar engine makes between write- and
+  read-optimised representations.
+* **Blocks** — immutable :class:`ColumnBlock` morsels of :data:`MORSEL`
+  rows, one encoded vector per column (see :mod:`.encodings`), plus the
+  ragged tail as plain Python lists, sealed into a block when
+  :data:`MORSEL` rows accumulate.  ``extend`` into this form and
+  ``compact()`` seal; deletes tombstone sealed rows.
 
 In-place updates (``store[pos] = row``) write through to the column
 vectors; a write landing in a sealed block first *decays* that block to
 uncompressed column lists (counted in ``block_decays``).  Reads are
 served from caches — a materialised row list, decoded full columns (as
-lists and, where exact, as typed arrays) and join indexes.  Appends and
-deletes keep the row list up to date and replace each plain int64 /
-float64 column array with a new one (old array plus the appended
-values, folded in on the next read, or minus the deleted slots — never
-written in place), so a streaming batch does not re-decode the sealed
-blocks; list columns and join indexes are dropped and rebuilt from
-those arrays.  ``load`` starts a store with its vectors as those arrays
-and no row list.  Any other mutation drops every cache.  ``size_bytes``
-deliberately excludes them so space accounting reflects the encoded
+lists and, where exact, as typed arrays) and join indexes — that every
+mutation drops (appends and deletes keep the row list up to date).
+``size_bytes`` excludes them so space accounting reflects the stored
 data, and ``drop_caches`` releases them for honest measurement.
 """
 
@@ -51,19 +46,18 @@ from __future__ import annotations
 import sys
 from itertools import compress
 from operator import itemgetter
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ..physical.blocks import (
-    ArrayColumns,
     _concat_arrays,
     csr_index,
     exact_array,
     position_index,
     sorted_index,
 )
-from .encodings import ColumnCodec, PlainColumn, _zone_bounds, encode_column
+from .encodings import ColumnCodec, encode_column
 
 #: Rows per sealed block (the storage morsel).
 MORSEL = 2048
@@ -81,21 +75,17 @@ def _keep_mask(length: int, dead: Iterable[int]) -> list[bool]:
 class ColumnBlock:
     """An immutable, sealed morsel: one encoded vector per column."""
 
-    __slots__ = ("columns", "length", "zones")
+    __slots__ = ("columns", "length")
 
-    def __init__(self, columns: Sequence[ColumnCodec], length: int,
-                 zones: tuple):
+    def __init__(self, columns: Sequence[ColumnCodec], length: int):
         self.columns = tuple(columns)
         self.length = length
-        #: Per-column (min, max) over non-null values, or None.
-        self.zones = zones
 
     @classmethod
     def seal(cls, column_values: Sequence[list]) -> "ColumnBlock":
         length = len(column_values[0]) if column_values else 0
-        codecs = [encode_column(values) for values in column_values]
-        zones = tuple(_zone_bounds(values) for values in column_values)
-        return cls(codecs, length, zones)
+        return cls([encode_column(values) for values in column_values],
+                   length)
 
     def decode_column(self, j: int) -> list:
         return self.columns[j].decode()
@@ -107,12 +97,11 @@ class ColumnBlock:
 class PlainBlock:
     """A decayed (or lazily built) block: mutable plain column lists."""
 
-    __slots__ = ("columns", "length", "zones")
+    __slots__ = ("columns", "length")
 
     def __init__(self, columns: Sequence[list]):
         self.columns = list(columns)
         self.length = len(self.columns[0]) if self.columns else 0
-        self.zones = tuple(None for _ in self.columns)
 
     def decode_column(self, j: int) -> list:
         return self.columns[j]
@@ -155,7 +144,8 @@ class RowStore(list):
 
 
 class ColumnStore:
-    """Column-major storage with sealed, compressed morsel blocks."""
+    """Column-major storage: typed vectors, a row overlay, or sealed,
+    compressed morsel blocks."""
 
     storage = "columnar"
 
@@ -165,21 +155,19 @@ class ColumnStore:
         self._blocks: list = []
         self._tail: list[list] = [[] for _ in range(arity)]
         self._len = 0
-        # Row overlay: authoritative when _cols_stale (after assign);
-        # otherwise a cache of the blocks+tail contents.
+        # Row list: authoritative in the row overlay (after assign);
+        # otherwise a cache of the contents.
         self._rows: list | None = []
+        # True in the vector form and the row overlay: blocks and tail
+        # hold nothing until _ensure_columns rebuilds them.
         self._cols_stale = False
-        # Vector overlay: typed column vectors holding the current
-        # contents (after assign_vectors), else None.
+        # Vector form: one plain typed vector per column, else None, and
+        # the rows appended since (folded in on the next read, so a loop
+        # of single-row appends does not copy the vectors once per row).
         self._vectors: tuple | None = None
+        self._pending: list = []
         self._col_cache: dict[int, list] = {}
         self._index_cache: dict = {}
-        # Plain int64/float64 column vectors that appends and deletes
-        # carry over instead of dropping, and the rows appended since they
-        # were last brought up to date (folded in on the next read, so a
-        # loop of single-row appends does not copy them once per row).
-        self._arrays: dict[int, Any] = {}
-        self._appended: list = []
         # Tombstones: per sealed-block dead physical offsets.  Deletes
         # mark rows dead instead of re-sealing the table; readers filter,
         # ``compact()`` flushes.  The ragged tail deletes eagerly (plain
@@ -211,6 +199,11 @@ class ColumnStore:
             pos += self._len
         if not 0 <= pos < self._len:
             raise IndexError("row position out of range")
+        if self._vectors is not None:
+            # The vectors are never written: the rows carry on.
+            self.materialized()
+            self._vectors = None
+            self._pending = []
         self._touch()
         if self._rows is not None:
             self._rows[pos] = row
@@ -225,47 +218,35 @@ class ColumnStore:
                     self._tail[j][offset] = value
 
     def append(self, row: tuple) -> None:
-        self._touch(keep_arrays=True)
+        self._touch()
         if self._rows is not None:
             self._rows.append(row)
-        if not self._cols_stale:
+        if self._vectors is not None:
+            self._pending.append(row)
+        elif not self._cols_stale:
             for j, value in enumerate(row):
                 self._tail[j].append(value)
             if len(self._tail[0] if self._tail else ()) >= self.morsel:
                 self._seal_tail()
         self._len += 1
-        if self._arrays:
-            self._appended.append(row)
 
     def extend(self, rows: Iterable[tuple]) -> int:
         rows = rows if isinstance(rows, list) else list(rows)
         if not rows:
             return 0
-        self._touch(keep_arrays=True)
+        self._touch()
         if self._rows is not None:
             self._rows.extend(rows)
-        if not self._cols_stale:
+        if self._vectors is not None:
+            self._pending.extend(rows)
+        elif not self._cols_stale:
             self._fill_tail(list(map(list, zip(*rows))))
         self._len += len(rows)
-        if self._arrays:
-            self._appended.extend(rows)
         return len(rows)
-
-    def load(self, vectors: Sequence) -> None:
-        """Replace the contents with one plain int64/float64 typed vector
-        per column (values in stored form) — a bulk load.  The store
-        seals the blocks, with the codecs and the ragged tail, that
-        ``extend`` of the same rows into an empty store leaves; it
-        carries the vectors as the columns' arrays and holds no row list
-        (``materialized()`` builds one on demand)."""
-        self.clear()
-        self._fill_tail([vector.tolist() for vector in vectors])
-        self._rows = None
-        self._len = len(vectors[0].data)
-        self._arrays = dict(enumerate(vectors))
 
     def clear(self) -> None:
         self._vectors = None
+        self._pending = []
         self._touch()
         self._blocks.clear()
         self._dead.clear()
@@ -275,8 +256,10 @@ class ColumnStore:
         self._len = 0
 
     def assign(self, rows: list) -> None:
-        """Swap in new contents; columns are rebuilt lazily on demand."""
+        """Swap in new contents as the row overlay; columns are rebuilt
+        lazily on demand."""
         self._vectors = None
+        self._pending = []
         self._touch()
         self._rows = rows if isinstance(rows, list) else list(rows)
         self._len = len(self._rows)
@@ -284,12 +267,13 @@ class ColumnStore:
         self.row_assigns += 1
 
     def assign_vectors(self, vectors: Sequence) -> None:
-        """Swap in new contents as one typed vector per column (plain
-        :class:`~repro.relational.physical.blocks.ArrayVector`, values in
-        stored form); rows and list columns are decoded on demand."""
-        self._vectors = None
+        """Swap in new contents in the vector form: one plain
+        :class:`~repro.relational.physical.blocks.ArrayVector` per column
+        (int64 or float64, values in stored form); rows and list columns
+        are decoded on demand.  Nothing is sealed."""
         self._touch()
         self._vectors = tuple(vectors)
+        self._pending = []
         self._rows = None
         self._len = len(self._vectors[0].data)
         self._drop_columns()
@@ -297,15 +281,15 @@ class ColumnStore:
 
     def append_vectors(self, vectors: Sequence) -> bool:
         """Append rows given as one plain typed vector per column (values
-        in stored form).  The result is held as new vectors —
-        concatenations; no array is written, no block sealed — so
-        snapshots of the old contents stay as they were.  False, nothing
-        changed, unless the store is empty or has a plain typed view of
-        the same dtype for every column."""
+        in stored form).  The result is held in the vector form as new
+        vectors — concatenations; no array is written, no block sealed —
+        so snapshots of the old contents stay as they were.  False,
+        nothing changed, unless the store is empty or has a plain typed
+        view of the same dtype for every column."""
         if not self._len:
             self.assign_vectors(vectors)
             return True
-        old = self._vectors or [self.array(j) for j in range(self.arity)]
+        old = self.vectors() or [self.array(j) for j in range(self.arity)]
         if not all(before is not None and before.ints is None
                    and before.data.dtype == added.data.dtype
                    for before, added in zip(old, vectors)):
@@ -314,38 +298,47 @@ class ColumnStore:
                              for before, added in zip(old, vectors)])
         return True
 
-    def vector_batch(self):
-        """The vector overlay as a column batch sharing its vectors, or
-        None when the contents are not held as vectors."""
-        if self._vectors is None:
-            return None
-        return ArrayColumns(self._vectors)
+    def vectors(self) -> tuple | None:
+        """The vector form's vectors, appended rows folded in — nothing
+        is decoded to answer — or None in any other form."""
+        if self._pending:
+            self._fold()
+        return self._vectors
 
     def delete_positions(self, positions: Sequence[int]) -> None:
-        """Tombstone the rows at the given (live) *positions*.
+        """Remove the rows at the given (live) *positions*.
 
-        Sealed blocks are not decoded or re-sealed: the dead physical
-        offsets are recorded per block and filtered on every read until
-        ``compact()`` flushes them.  Tail rows are filtered eagerly (the
-        tail is mutable plain lists anyway)."""
+        The vector form keeps the survivors as new vectors (deleting
+        every row leaves an empty store).  Sealed blocks are not decoded
+        or re-sealed: the dead physical offsets are recorded per block
+        and filtered on every read until ``compact()`` flushes them.
+        Tail rows are filtered eagerly (the tail is mutable plain lists
+        anyway)."""
         if not positions:
             return
         dead_logical = sorted(set(positions))
         if dead_logical[0] < 0 or dead_logical[-1] >= self._len:
             raise IndexError("delete position out of range")
-        self._touch(keep_arrays=True)
-        self._keep_survivors(dead_logical)
+        total = len(dead_logical)
+        self.tombstones_set += total
+        if self.vectors() is not None:
+            if total == self._len:
+                self.clear()
+                return
+            keep = np.ones(self._len, dtype=bool)
+            keep[dead_logical] = False
+            self._vectors = tuple(vector.take(keep)
+                                  for vector in self._vectors)
+        self._touch()
         if self._rows is not None:
             self._rows = list(compress(self._rows,
                                        _keep_mask(len(self._rows),
                                                   dead_logical)))
+        self._len -= total
         if self._cols_stale:
-            self._len = len(self._rows)
-            self.tombstones_set += len(dead_logical)
             return
         cursor = 0
         live_start = 0
-        total = len(dead_logical)
         for block_idx, block in enumerate(self._blocks):
             if cursor >= total:
                 break
@@ -368,21 +361,15 @@ class ColumnStore:
             keep = _keep_mask(len(self._tail[0]),
                               [p - live_start for p in dead_logical[cursor:]])
             self._tail = [list(compress(col, keep)) for col in self._tail]
-        self._len -= total
-        self.tombstones_set += total
 
     # -- reads ----------------------------------------------------------
 
     def materialized(self) -> list:
-        """The full contents as a live row-tuple list (cached) — built
-        from the carried arrays when every column has one, so nothing is
-        decoded."""
-        if self._rows is None and self._cols_stale:
-            self._rows = list(zip(*map(self.column, range(self.arity))))
-        if self._rows is None:
-            held = self.held_vectors()
-            if held is not None:
-                self._rows = list(zip(*(vector.tolist() for vector in held)))
+        """The full contents as a live row-tuple list (cached) — in the
+        vector form built from the vectors, so nothing is decoded."""
+        if self._rows is None and self.vectors() is not None:
+            self._rows = list(zip(*(vector.tolist()
+                                    for vector in self._vectors)))
         if self._rows is None:
             rows: list = []
             for block_idx, block in enumerate(self._blocks):
@@ -398,21 +385,17 @@ class ColumnStore:
             self._rows = rows
         return self._rows
 
-    def to_list(self) -> list:
-        return list(self.materialized())
-
     def gather(self, positions: Sequence[int]) -> list:
         """The rows at *positions*: from the row list when one is held,
-        else from the carried arrays (one gather each), else assembled
-        from the decoded columns — no whole-table rows."""
+        else from the vectors (one gather each), else assembled from the
+        decoded columns — no whole-table rows."""
+        if self._rows is None and self.vectors() is not None:
+            index = np.asarray(positions, dtype=np.intp)
+            return list(zip(*(vector.data[index].tolist()
+                              for vector in self._vectors)))
         if self._rows is not None:
             rows = self._rows
             return [rows[pos] for pos in positions]
-        held = self.held_vectors()
-        if held is not None:
-            index = np.asarray(positions, dtype=np.intp)
-            return list(zip(*(vector.data[index].tolist()
-                              for vector in held)))
         columns = [self.column(j) for j in range(self.arity)]
         return [tuple(column[pos] for column in columns)
                 for pos in positions]
@@ -421,22 +404,17 @@ class ColumnStore:
         """Column *j* as one decoded, concatenated vector (cached)."""
         cached = self._col_cache.get(j)
         if cached is None:
-            held = self._held(j)
-            if held is not None:
+            if self.vectors() is not None:
                 # The typed vector holds exactly the column's values.
-                cached = self._col_cache[j] = held.tolist()
+                cached = self._col_cache[j] = self._vectors[j].tolist()
                 return cached
             if self._cols_stale:
-                # An overlay is authoritative.  Vectors decode with one
-                # ``tolist``; rows (post-``assign``) give up just this
-                # column in one C pass instead of a whole-table transpose
-                # — a fixpoint loop that only reads the key column
-                # between assigns never pays for the rest.
-                if self._vectors is not None:
-                    cached = self._vectors[j].tolist()
-                else:
-                    cached = list(map(itemgetter(j), self._rows))
-                self._col_cache[j] = cached
+                # The row overlay gives up just this column in one C pass
+                # instead of a whole-table transpose — a fixpoint loop
+                # that only reads the key column between assigns never
+                # pays for the rest.
+                cached = self._col_cache[j] = list(map(itemgetter(j),
+                                                       self._rows))
                 return cached
             parts = []
             for block_idx, block in enumerate(self._blocks):
@@ -458,38 +436,17 @@ class ColumnStore:
 
     def array(self, j: int):
         """Column *j* as an exact typed vector, or None when the column
-        has none (:func:`repro.relational.physical.blocks.exact_array`),
-        cached.  A plain int64/float64 vector is carried across appends
-        and deletes (new arrays: old plus the appended values, or minus
-        the deleted slots); every other mutation drops it, and a vector
-        flagging ints or a None is dropped with the join indexes by any
-        mutation.  The vector overlay answers with its vector as it is."""
-        if self._vectors is not None:
-            return self._vectors[j]
-        held = self._held(j)
-        if held is not None:
-            return held
+        has none (:func:`repro.relational.physical.blocks.exact_array`).
+        The vector form answers with its vector as it is; any other form
+        with ``exact_array(column(j))``, cached until the next
+        mutation."""
+        vectors = self.vectors()
+        if vectors is not None:
+            return vectors[j]
         cache_key = ("array", j)
         if cache_key not in self._index_cache:
-            vector = exact_array(self.column(j))
-            if vector is not None and vector.ints is None:
-                self._arrays[j] = vector
-                return vector
-            self._index_cache[cache_key] = vector
+            self._index_cache[cache_key] = exact_array(self.column(j))
         return self._index_cache[cache_key]
-
-    def held_vectors(self) -> list | None:
-        """One plain int64/float64 typed vector per column when the store
-        already holds them all (the vector overlay, or carried arrays) —
-        nothing is decoded to answer — else None."""
-        if self._vectors is not None:
-            vectors = list(self._vectors)
-        else:
-            vectors = [self._held(j) for j in range(self.arity)]
-        if self.arity and all(vector is not None and vector.ints is None
-                              for vector in vectors):
-            return vectors
-        return None
 
     def blocks(self) -> list:
         """The sealed blocks followed by the ragged tail (as a block).
@@ -555,8 +512,8 @@ class ColumnStore:
             rows = self.materialized()
             self.assign(rows)
         self._ensure_columns()
-        while self._tail and len(self._tail[0]) >= self.morsel:
-            self._seal_tail()
+        tail, self._tail = self._tail, [[] for _ in range(self.arity)]
+        self._fill_tail(tail)
         for idx, block in enumerate(self._blocks):
             if isinstance(block, PlainBlock):
                 self._blocks[idx] = ColumnBlock.seal(block.columns)
@@ -567,16 +524,15 @@ class ColumnStore:
         """Release decode/row/index caches (space measurement honesty)."""
         self._col_cache.clear()
         self._index_cache.clear()
-        self._arrays.clear()
-        self._appended.clear()
-        if not self._cols_stale:
-            self._rows = None
-            self._vectors = None
-        elif self._vectors is not None:
+        if self._vectors is not None or not self._cols_stale:
             self._rows = None
 
     def size_bytes(self) -> int:
-        """Resident bytes of the stored data, caches excluded."""
+        """Resident bytes of the stored data, caches excluded: the
+        vectors' bytes in the vector form, else the blocks' and tail's."""
+        vectors = self.vectors()
+        if vectors is not None:
+            return sum(vector.data.nbytes for vector in vectors) + 256
         self._ensure_columns()
         total = sum(block.size_bytes() for block in self._blocks)
         total += sum(sys.getsizeof(col) + sum(map(sys.getsizeof, col))
@@ -597,65 +553,34 @@ class ColumnStore:
 
     # -- internals ------------------------------------------------------
 
-    def _touch(self, keep_arrays: bool = False) -> None:
+    def _touch(self) -> None:
         self.version += 1
-        if self._vectors is not None:
-            # A mutation the vectors cannot take: the row overlay (or,
-            # once _ensure_columns ran, the columns) carries on, and an
-            # append or delete carries the plain vectors on as arrays.
-            if self._cols_stale:
-                self.materialized()
-            if keep_arrays:
-                self._arrays = {j: vector for j, vector
-                                in enumerate(self._vectors)
-                                if vector.ints is None}
-            self._vectors = None
         self._col_cache.clear()
         self._index_cache.clear()
-        if not keep_arrays:
-            self._arrays.clear()
-            self._appended.clear()
 
-    def _held(self, j: int):
-        """The carried array of column *j*, brought up to date, or None."""
-        if self._appended:
-            self._fold_appended()
-        return self._arrays.get(j)
-
-    def _fold_appended(self) -> None:
-        """Each carried array concatenated with the exact array of its
-        column's appended values — unless those have none of the same
-        dtype (NULL, NaN, bool, text, out of int64, a float onto int64):
-        that array is dropped, and the next ``array(j)`` decodes."""
-        rows, self._appended = self._appended, []
-        for j, before in list(self._arrays.items()):
-            merged = _concat_arrays(before,
-                                    exact_array([row[j] for row in rows]))
-            if merged is None or merged.ints is not None:
-                del self._arrays[j]
-            else:
-                self._arrays[j] = merged
-
-    def _keep_survivors(self, dead: list[int]) -> None:
-        """Before a delete of the live positions *dead*: each carried
-        array minus those slots.  Like the concatenations, these are new
-        arrays — snapshots and batches keep reading the old ones.  A
-        delete that empties the store keeps none (an empty column has no
-        exact array)."""
-        if not self._arrays:
+    def _fold(self) -> None:
+        """Each vector concatenated with the exact array of its column's
+        appended values — unless a column's have none of the same dtype
+        (NULL, NaN, bool, text, out of int64, a float onto int64, an int
+        onto float64): then the vector form ends, and the rows carry on
+        as the row overlay."""
+        rows, self._pending = self._pending, []
+        merged = [_concat_arrays(before,
+                                 exact_array([row[j] for row in rows]))
+                  for j, before in enumerate(self._vectors)]
+        if all(vector is not None and vector.ints is None
+               for vector in merged):
+            self._vectors = tuple(merged)
             return
-        if self._appended:
-            self._fold_appended()
-        if len(dead) == self._len:
-            self._arrays.clear()
-            return
-        keep = np.ones(self._len, dtype=bool)
-        keep[dead] = False
-        for j, before in self._arrays.items():
-            self._arrays[j] = before.take(keep)
+        if self._rows is None:
+            self._rows = list(zip(*(vector.tolist()
+                                    for vector in self._vectors)))
+            self._rows.extend(rows)
+        self._vectors = None
 
     def _drop_columns(self) -> None:
-        """Forget blocks and tail: an overlay is authoritative now."""
+        """Forget blocks and tail: the vectors or the row overlay are
+        authoritative now."""
         self._blocks.clear()
         self._dead.clear()
         self._tail = [[] for _ in range(self.arity)]
@@ -722,14 +647,20 @@ class ColumnStore:
             counts[codec.name] = counts.get(codec.name, 0) + 1
 
     def _ensure_columns(self) -> None:
-        # Rebuild columns after ``assign`` as *plain* tail lists — one C
-        # transpose, no re-encode.  Compression of assigned contents only
-        # happens through an explicit ``compact()``; the write paths seal
-        # any oversized tail the next time they touch the store.
+        # Rebuild columns from the vectors or the row overlay as *plain*
+        # tail lists — one ``tolist`` each or one C transpose, no
+        # re-encode.  Compression only happens through an explicit
+        # ``compact()``; the write paths seal any oversized tail the next
+        # time they touch the store.
         if self._cols_stale:
-            rows = self.materialized()
-            self._tail = ([list(col) for col in zip(*rows)] if rows
-                          else [[] for _ in range(self.arity)])
+            vectors = self.vectors()
+            if vectors is not None:
+                self._tail = [vector.tolist() for vector in vectors]
+                self._vectors = None
+            else:
+                rows = self._rows
+                self._tail = ([list(col) for col in zip(*rows)] if rows
+                              else [[] for _ in range(self.arity)])
             self._blocks.clear()
             self._dead.clear()
             self._cols_stale = False

@@ -18,6 +18,7 @@ from .columnar import make_storage
 from .errors import CatalogError, ConstraintError, SchemaError
 from .indexes import Index, make_index
 from .physical.blocks import (
+    ArrayColumns,
     cast_exact,
     exact_array,
     matching_positions,
@@ -46,8 +47,8 @@ class Table:
 
     ``storage`` picks the physical backend behind ``self.rows``:
     ``"rows"`` (a plain Python list of row tuples) or ``"columnar"``
-    (typed, compressed column vectors in morsel blocks — see
-    :mod:`repro.relational.columnar`).  Both present the same list-like
+    (typed column vectors, a row overlay or compressed morsel blocks —
+    see :mod:`repro.relational.columnar`).  Both present the same list-like
     surface, so every caller below is backend-agnostic; the one protocol
     difference is that full-contents swaps go through ``rows.assign``
     instead of rebinding the attribute.
@@ -87,11 +88,11 @@ class Table:
     def snapshot(self) -> Relation:
         """Current contents as an immutable relation."""
         if self.storage == "columnar":
-            # Merges swap new vectors in and never write to old ones, so
-            # the relation can share them (no copy, no row tuples).
-            batch = self.rows.vector_batch()
-            if batch is not None:
-                return Relation.from_batch(self.schema, batch)
+            # The store swaps new vectors in and never writes to old ones,
+            # so the relation can share them (no copy, no row tuples).
+            vectors = self.rows.vectors()
+            if vectors is not None:
+                return Relation.from_batch(self.schema, ArrayColumns(vectors))
         # Stored rows are already coerced tuples of the right arity, so
         # skip Relation's per-row validation pass.
         return Relation.from_trusted_rows(self.schema,
@@ -182,16 +183,16 @@ class Table:
         of rows — as :meth:`insert_many` of its rows would, without row
         tuples on columnar storage: :meth:`_load_vectors` turns each
         column into one typed vector of its stored type, once, and the
-        store seals them and carries them as the columns' arrays
-        (``ColumnStore.load``); the key set comes from the key vectors in
-        one ``zip``.  Everything the vectors cannot hold goes through
+        store holds them in its vector form (``assign_vectors``; nothing
+        is sealed); the key set comes from the key vectors in one
+        ``zip``.  Everything the vectors cannot hold goes through
         :meth:`insert_many`, errors included."""
         vectors = self._load_vectors(contents)
         if vectors is None:
             return self.insert_many(contents.rows
                                     if isinstance(contents, Relation)
                                     else contents)
-        self.rows.load(vectors)
+        self.rows.assign_vectors(vectors)
         if self.enforce_key:
             self._key_set = set(zip(*(vectors[i].data.tolist()
                                       for i in self._key_positions)))
@@ -418,11 +419,11 @@ class Table:
 
     def analyze(self) -> None:
         """Refresh planner statistics (ANALYZE) — from the columnar
-        store's typed vectors when it already holds a plain one for every
-        column (:meth:`TableStatistics.refresh_from_vectors`), else from
-        the rows.  Both give the same statistics."""
+        store's typed vectors when it is in the vector form
+        (:meth:`TableStatistics.refresh_from_vectors`), else from the
+        rows.  Both give the same statistics."""
         if self.storage == "columnar":
-            vectors = self.rows.held_vectors()
+            vectors = self.rows.vectors()
             if vectors is not None and \
                     self.statistics.refresh_from_vectors(self.schema, vectors):
                 return

@@ -1,5 +1,5 @@
 """Array-resident fixpoint state: the union-by-update merge on typed
-vectors, the vector overlay of the column store, and batch-backed
+vectors, the vector form of the column store, and batch-backed
 relations.
 
 The row-storage table (list merge, per-row coercion) is the oracle.
@@ -333,7 +333,7 @@ def test_the_vector_overlay_serves_every_read_and_every_write():
     table.insert_many(BASE)
     table.merge_delta_rebuild(batch_backed(II, [(1, 5.0), (7, 6)]), ("ID",))
     store = table.rows
-    assert store.vector_batch() is not None
+    assert store.vectors() is not None
     assert len(store) == 5
     assert store.array(1).tolist() == [10, 5, 12, 13, 6]
     assert store.column(0) == [0, 1, 2, 3, 7]
@@ -342,18 +342,18 @@ def test_the_vector_overlay_serves_every_read_and_every_write():
     assert store.join_index((0,), "positions")[0][7] == [4]
     store.drop_caches()
     assert store[4] == (7, 6)
-    size = store.size_bytes()  # rebuilds plain columns; vectors stay valid
+    size = store.size_bytes()  # the vectors' bytes; the form stays
     assert size > 0 and store.array(0).tolist() == [0, 1, 2, 3, 7]
     store[0] = (0, 99)
-    assert store.vector_batch() is None
+    assert store.vectors() is None
     store.append((8, 1))
     store.delete_positions([1])
     assert list(store) == [(0, 99), (2, 12), (3, 13), (7, 6), (8, 1)]
     assert store.column(1) == [99, 12, 13, 6, 1]
     table.merge_delta_rebuild(batch_backed(II, [(2, 0), (0, 1)]), ("ID",))
-    assert store.vector_batch() is not None
+    assert store.vectors() is not None
     table.truncate()
-    assert store.vector_batch() is None and list(store) == []
+    assert store.vectors() is None and list(store) == []
 
 
 def test_a_batch_backed_relation_is_the_tuples_it_stands_for():

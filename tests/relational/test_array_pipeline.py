@@ -893,7 +893,7 @@ def pair_plan(batch, delta_rows, table, function, build_side="right",
 
 
 def vector_table(rows):
-    """A columnar ``B`` holding *rows* as a vector overlay (when the data
+    """A columnar ``B`` holding *rows* in its vector form (when the data
     allow), the way a with+ loop leaves its tables."""
     table = Table("B", STABLE_SCHEMA, storage="columnar")
     vectors = [stable_table(rows).rows.array(j) for j in range(3)]

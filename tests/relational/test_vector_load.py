@@ -5,8 +5,9 @@ storage, each declining to the row path for what its vectors cannot
 hold:
 
 * ``Table.load`` — the bulk load behind ``Database.load_edge_table``,
-  ``load_node_table`` and ``register`` — seals the blocks ``insert_many``
-  of the same rows would and carries the vectors as the columns' arrays;
+  ``load_node_table`` and ``register`` — leaves the store in its vector
+  form, nothing sealed; ``compact()`` then seals the blocks
+  ``insert_many`` of the same rows would;
 * ``/`` in ``compile_array`` — the transition weights ``1.0 / D.c``;
 * UNION on arrays (``BatchUnion``) — the symmetric edges ``E ∪ Eᵀ``.
 
@@ -43,7 +44,8 @@ def columnar() -> Engine:
 
 
 def weighted_graph(seed: int) -> Graph:
-    """A directed graph with > 2048 edges (so E, S and ES seal blocks),
+    """A directed graph with > 2048 edges (so E, S and ES seal blocks
+    when compacted),
     random weights and labels — and one signed zero among its weights."""
     graph = preferential_attachment(1100, 4.0, directed=True, seed=seed)
     graph.randomize_node_weights(seed=seed + 1)
@@ -67,12 +69,23 @@ def row_loaded(table: Table) -> Table:
 
 def state(table: Table) -> tuple:
     """What a load leaves, as comparable text."""
-    store = table.rows
-    return (repr(list(store)), repr(table.schema), table.enforce_key,
+    return (repr(list(table.rows)), repr(table.schema), table.enforce_key,
             repr(sorted(table.statistics.columns.items())),
-            table.statistics.row_count, repr(sorted(table._key_set)),
-            repr(sorted(store.encoding_counts.items())),
+            table.statistics.row_count, repr(sorted(table._key_set)))
+
+
+def sealed(table: Table) -> tuple:
+    """What ``compact()`` seals, as comparable text."""
+    store = table.rows
+    store.compact()
+    return (repr(list(store)), repr(sorted(store.encoding_counts.items())),
             repr(store.encoding_summary()), store.size_bytes())
+
+
+def assert_vector_form(store) -> None:
+    """Built from vectors: no row list held, nothing sealed."""
+    assert store._rows is None and store.vectors() is not None
+    assert store._blocks == [] and store.blocks_sealed == 0
 
 
 @pytest.mark.parametrize("seed", (3, 8))
@@ -89,13 +102,13 @@ def test_a_vector_load_equals_a_row_load(seed):
     for name in GRAPH_TABLES:
         table = engine.database.table(name)
         store = table.rows
-        # built from vectors: no row list held, every column carried
-        assert store._rows is None and store.held_vectors() is not None, name
+        assert_vector_form(store)
         twin = row_loaded(table)
         assert twin.rows._rows is not None  # (the row path keeps one)
         assert state(table) == state(twin), name
         assert repr(list(store)) == repr(
             list(reference.database.table(name).rows)), name
+        assert sealed(table) == sealed(twin), name
 
 
 def test_a_loaded_table_reads_its_arrays_and_streams_them_on():
@@ -103,34 +116,44 @@ def test_a_loaded_table_reads_its_arrays_and_streams_them_on():
     load_graph(engine, weighted_graph(5))
     table = engine.database.table("E")
     store = table.rows
-    held = store.held_vectors()
-    assert [store.array(j) for j in range(3)] == held
+    held = store.vectors()
+    assert tuple(store.array(j) for j in range(3)) == held
     assert repr(store.column(2)) == repr(held[2].tolist())
     doomed = (held[0].data[5].item(), held[1].data[5].item())
     # a keyed delete gathers the removed rows from the arrays
     table.delete_by_key([doomed], ("F", "T"))
     assert store._rows is None and doomed not in table._key_set
     table.insert_many([(10 ** 6, 10 ** 6 + 1, 2.5)])
-    assert store.held_vectors() is not None
+    assert store.vectors() is not None
     twin = row_loaded(table)
     assert repr(list(store)) == repr(list(twin.rows))
     assert table._key_set == twin._key_set
 
 
 def test_an_ending_vector_overlay_carries_its_arrays():
+    """The vector form takes inserts (pending until a read) and keyed
+    deletes as new vectors; a value its dtype cannot hold ends it, and
+    the rows carry on."""
     schema = Schema((Column("a", SqlType.INTEGER),
                      Column("b", SqlType.DOUBLE)))
     table = Table("T", schema, enforce_key=False, storage="columnar")
     table.insert_relation(Relation.from_batch(schema, ArrayColumns(
         [exact_array([1, 2, 3]), exact_array([0.5, -0.0, 2.0])])))
     store = table.rows
-    assert store._vectors is not None  # a vector overlay
+    before = store.vectors()
+    assert before is not None  # the vector form
     table.insert_many([(4, 1.5)])
-    assert store._vectors is None and store.held_vectors() is not None
+    assert store._vectors is before and store._pending == [(4, 1.5)]
     assert repr(list(store)) == "[(1, 0.5), (2, -0.0), (3, 2.0), (4, 1.5)]"
     table.delete_by_key([(2,)], ("a",))
-    assert [vector.tolist() for vector in store.held_vectors()] == \
+    assert [vector.tolist() for vector in store.vectors()] == \
         [[1, 3, 4], [0.5, 2.0, 1.5]]
+    assert repr([vector.tolist() for vector in before]) == \
+        "[[1, 2, 3], [0.5, -0.0, 2.0]]"
+    table.insert_many([(5, None)])  # NULL: no float64 array holds it
+    assert store.vectors() is None
+    assert repr(list(store)) == "[(1, 0.5), (3, 2.0), (4, 1.5), (5, None)]"
+    assert store.array(0).tolist() == [1, 3, 4, 5] and store.array(1) is None
 
 
 # -- declines ------------------------------------------------------------------
@@ -199,12 +222,18 @@ def test_hypothesis_load_equals_insert_many(rows):
         keyed.setdefault(key, value)
     rows = list(keyed.items())
     loaded = Table("T", PAIR, storage="columnar")
+    on_vectors = loaded._load_vectors(rows) is not None
     loaded.load(rows)
     loaded.analyze()
+    if on_vectors:
+        assert_vector_form(loaded.rows)
+    else:
+        assert loaded.rows._rows is not None  # insert_many's row list
     twin = Table("T", PAIR, storage="columnar")
     twin.insert_many(rows)
     twin.analyze()
     assert state(loaded) == state(twin)
+    assert sealed(loaded) == sealed(twin)
 
 
 # -- UNION on arrays -------------------------------------------------------------

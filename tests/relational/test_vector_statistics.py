@@ -1,18 +1,15 @@
 """Typed base-table columns across mutations, and ANALYZE from them.
 
-A block-backed ``ColumnStore`` carries its cached plain int64/float64
-column arrays across ``append``/``extend``/``delete_positions``
+A ``ColumnStore`` in its vector form keeps one plain int64/float64
+vector per column across ``append``/``extend``/``delete_positions``
 (concatenated or filtered copies — never written in place), and
-``Table.analyze`` computes statistics from those arrays when the store
-already holds one for every column.  The row paths are the oracles: the
-carried arrays must equal ``exact_array`` of a fresh decode, and vector
-ANALYZE must equal row ANALYZE ``repr`` for ``repr``.  A spy shows a
-steady-state streaming cycle decodes no sealed block, row-ANALYZEs
-neither ``E`` nor ``ES``, and does not ANALYZE the temporary
-``__iterations__`` at all.
+``Table.analyze`` computes statistics from those vectors.  A list model
+is the oracle for every store operation in every form, and row ANALYZE
+for vector ANALYZE, ``repr`` for ``repr``.  A spy shows a steady-state
+streaming cycle decodes no sealed block, row-ANALYZEs neither ``E`` nor
+``ES``, and does not ANALYZE the temporary ``__iterations__`` at all.
 """
 
-import copy
 import random
 import re
 
@@ -24,7 +21,11 @@ from repro.datasets import preferential_attachment
 from repro.relational import Engine
 from repro.relational.columnar.encodings import ColumnCodec
 from repro.relational.columnar.store import ColumnBlock, ColumnStore
-from repro.relational.physical.blocks import ArrayVector, exact_array
+from repro.relational.physical.blocks import (
+    ArrayColumns,
+    ArrayVector,
+    exact_array,
+)
 from repro.relational.relation import Relation
 from repro.relational.schema import Column, Schema
 from repro.relational.statistics import MCV_LIMIT, TableStatistics
@@ -120,11 +121,10 @@ def test_nan_declines_and_changes_nothing():
 
 
 def test_analyze_takes_vectors_only_when_the_store_holds_them(monkeypatch):
+    """Vectors exactly in the vector form, rows in the block form and the
+    row overlay — and the oracle's statistics either way."""
     schema = Schema((Column("a", INT), Column("b", DOUBLE)))
     rows = [(i % 5, float(i % 3) - 1.0) for i in range(40)]
-    table = Table("R", schema, storage="columnar")
-    table.rows.morsel = 8
-    table.insert_many(rows)
     oracle = Table("R", schema, storage="rows")
     oracle.insert_many(rows)
     oracle.analyze()
@@ -136,43 +136,69 @@ def test_analyze_takes_vectors_only_when_the_store_holds_them(monkeypatch):
         return ran[-1]
 
     monkeypatch.setattr(TableStatistics, "refresh_from_vectors", recording)
-    table.analyze()           # nothing held yet: the row path
-    assert ran == []
+    table = Table("R", schema, storage="columnar")
+    table.rows.morsel = 8
+    table.insert_many(rows)
     table.rows.array(0)
-    table.analyze()           # one column held, one not: still rows
-    assert ran == []
     table.rows.array(1)
-    table.analyze()
-    assert ran == [True]
+    table.analyze()           # blocks, arrays read or not: the row path
+    assert ran == [] and table.rows.vectors() is None
     assert statistics_repr(table.statistics) == \
+        statistics_repr(oracle.statistics)
+    table.rows.assign(list(rows))
+    table.analyze()           # the row overlay: the row path
+    assert ran == []
+    assert statistics_repr(table.statistics) == \
+        statistics_repr(oracle.statistics)
+    loaded = Table("R", schema, storage="columnar")
+    loaded.load(rows)
+    assert loaded.rows.vectors() is not None
+    loaded.analyze()          # the vector form: its vectors
+    assert ran == [True]
+    assert statistics_repr(loaded.statistics) == \
         statistics_repr(oracle.statistics)
 
 
-# -- arrays carried across mutations ------------------------------------------
+# -- the store against a list model ------------------------------------------
 
 #: column 0 ints (some beyond int64), column 1 floats (NaN, -0.0),
-#: column 2 mixes ints and floats (a flagged array: never carried)
+#: column 2 mixes ints and floats (a flagged array: never a vector)
 cell_values = (st.one_of(st.integers(-4, 4), st.sampled_from([2 ** 64])),
                st.one_of(st.sampled_from([0.0, -0.0, 2.5, float("nan")]),
                          st.floats(-8, 8, width=64)),
                st.one_of(st.integers(-2, 2), st.sampled_from([0.5, -0.0])))
-row_values = st.tuples(*cell_values)
+#: rows every vector of the vector form holds exactly
+plain_row = st.tuples(st.integers(-4, 4),
+                      st.sampled_from([0.0, -0.0, 2.5, -1.0]),
+                      st.integers(-2, 2))
+row_values = st.one_of(plain_row, plain_row, st.tuples(*cell_values))
+plain_batch = st.lists(plain_row, min_size=1, max_size=6)
 
 
 @st.composite
 def mutations(draw):
     ops = []
     for _ in range(draw(st.integers(1, 12))):
-        kind = draw(st.sampled_from(["append", "extend", "delete", "read"]))
+        kind = draw(st.sampled_from([
+            "append", "extend", "delete", "setitem", "assign",
+            "assign_vectors", "append_vectors", "compact", "drop_caches",
+            "size_bytes", "read"]))
         if kind == "append":
-            ops.append(("append", draw(row_values)))
-        elif kind == "extend":
-            ops.append(("extend", draw(st.lists(row_values, max_size=9))))
+            arg = draw(row_values)
+        elif kind in ("extend", "assign"):
+            arg = draw(st.lists(row_values, max_size=7))
         elif kind == "delete":
-            ops.append(("delete", draw(st.lists(st.integers(0, 60),
-                                                max_size=6))))
+            arg = draw(st.lists(st.integers(0, 20), max_size=6))
+        elif kind == "setitem":
+            arg = (draw(st.integers(0, 16)), draw(row_values))
+        elif kind in ("assign_vectors", "append_vectors"):
+            arg = draw(plain_batch)
+        elif kind == "read":
+            arg = draw(st.sampled_from(["rows", "gather", "item"]))
         else:
-            ops.append(("read", draw(st.integers(0, 2))))
+            arg = None
+        # check after the step, or leave appended rows pending
+        ops.append((kind, arg, draw(st.booleans())))
     return ops
 
 
@@ -182,82 +208,184 @@ def plain_rows(n, seed):
              rng.randrange(3)) for _ in range(n)]
 
 
-def fresh_column(store, j):
-    """Column *j* decoded from the blocks, tombstones and tail of a copy
-    with every cache dropped."""
-    clone = copy.deepcopy(store)
-    clone.drop_caches()
-    return clone.column(j)
+def vectors_of(rows):
+    return [exact_array(list(column)) for column in zip(*rows)]
 
 
-def assert_held_arrays_are_exact(store, model):
-    for j in range(store.arity):
-        expected = [row[j] for row in model]
-        held = store._held(j)
-        if held is not None:
-            fresh = exact_array(fresh_column(store, j))
-            assert fresh is not None
-            assert held.data.dtype == fresh.data.dtype
-            assert identity(held.tolist()) == identity(fresh.tolist())
-        assert identity(store.column(j)) == identity(expected)
+def exact(vector):
+    """A typed vector as comparable text (None stays None)."""
+    if vector is None:
+        return None
+    return str(vector.data.dtype), identity(vector.tolist())
 
 
-@given(ops=mutations(), start=st.integers(0, 14), seed=st.integers(0, 99))
-@settings(max_examples=200, deadline=None)
-def test_held_arrays_track_appends_and_deletes(ops, start, seed):
+def fits(vector, values):
+    """Whether *values* append to *vector* exactly in its dtype."""
+    added = exact_array(values)
+    return added is not None and added.ints is None \
+        and added.data.dtype == vector.data.dtype
+
+
+class Handed:
+    """Every typed vector the store handed out, with a copy of its bytes."""
+
+    def __init__(self):
+        self.seen = []
+
+    def __call__(self, vector):
+        if vector is not None:
+            self.seen.append((vector, vector.data.tobytes()))
+        return vector
+
+    def assert_unwritten(self):
+        for vector, data in self.seen:
+            assert vector.data.tobytes() == data
+
+
+def apply(store, model, kind, arg):
+    """One step on the store and on the list model; the model after it."""
+    if kind == "append":
+        store.append(arg)
+        return model + [arg]
+    if kind == "extend":
+        store.extend(list(arg))
+        return model + list(arg)
+    if kind == "delete":
+        dead = {p for p in arg if p < len(model)}
+        store.delete_positions(sorted(dead))
+        return [row for pos, row in enumerate(model) if pos not in dead]
+    if kind == "setitem":
+        pos, row = arg
+        if pos >= len(model):
+            with pytest.raises(IndexError):
+                store[pos] = row
+            return model
+        store[pos] = row
+        return model[:pos] + [row] + model[pos + 1:]
+    if kind == "assign":
+        store.assign(list(arg))
+        return list(arg)
+    if kind == "assign_vectors":
+        store.assign_vectors(vectors_of(arg))
+        return list(arg)
+    if kind == "append_vectors":
+        added = vectors_of(arg)
+        old = vectors_of(model) if model else []
+        takes = not model or all(
+            before is not None and before.ints is None
+            and before.data.dtype == after.data.dtype
+            for before, after in zip(old, added))
+        assert store.append_vectors(added) is takes
+        return model + list(arg) if takes else model
+    if kind == "compact":
+        store.compact()
+        assert store.vectors() is None
+    elif kind == "drop_caches":
+        store.drop_caches()
+    elif kind == "size_bytes":
+        in_vectors = store.vectors() is not None
+        assert store.size_bytes() > 0
+        assert (store.vectors() is not None) is in_vectors
+    else:
+        if arg == "rows":
+            assert identity(store.materialized()) == identity(model)
+        elif arg == "gather" and model:
+            picks = [len(model) - 1, 0, len(model) // 2]
+            assert identity(store.gather(picks)) == \
+                identity([model[p] for p in picks])
+        elif model:
+            assert identity([store[-1]]) == identity([model[-1]])
+    return model
+
+
+def keeps_the_vector_form(store, model, kind, arg) -> bool:
+    """Whether a step on a store in the vector form is an append or a
+    delete its vectors take exactly, rows still pending included."""
+    if store._vectors is None:
+        return False
+    rows = list(store._pending)
+    if kind == "delete":
+        dead = {p for p in arg if p < len(model)}
+        if not dead or len(dead) == len(model):
+            return False
+    elif kind in ("append", "extend"):
+        rows += [arg] if kind == "append" else arg
+        if not rows:
+            return False
+    else:
+        return False
+    return not rows or all(fits(vector, [row[j] for row in rows])
+                           for j, vector in enumerate(store._vectors))
+
+
+@given(ops=mutations(), start=st.integers(0, 14), seed=st.integers(0, 99),
+       vector_start=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_held_arrays_track_appends_and_deletes(ops, start, seed,
+                                               vector_start):
+    """Every operation of the store against a list model, from either
+    form: contents, columns and typed vectors after each step; vectors
+    handed out are never written; exact appends and deletes keep the
+    vector form without decoding it."""
     store = ColumnStore(3, morsel=4)  # tiny morsels: sealing, tombstones
     model = plain_rows(start, seed)
-    store.extend(list(model))
-    before = [store.array(j) for j in range(3)]
-    saved = [None if v is None else v.data.copy() for v in before]
-    for kind, arg in ops:
-        if kind == "append":
-            store.append(arg)
-            model.append(arg)
-        elif kind == "extend":
-            store.extend(list(arg))
-            model.extend(arg)
-        elif kind == "delete":
-            dead = {p for p in arg if p < len(model)}
-            store.delete_positions(sorted(dead))
-            model = [row for pos, row in enumerate(model) if pos not in dead]
-        else:
-            store.array(arg)
+    if vector_start and model:
+        store.assign_vectors(vectors_of(model))
+    else:
+        store.extend(list(model))
+    handed = Handed()
+    for kind, arg, check in ops:
+        stays = keeps_the_vector_form(store, model, kind, arg)
+        rows_before = store._rows
+        model = apply(store, model, kind, arg)
         assert len(store) == len(model)
-        assert_held_arrays_are_exact(store, model)
-    assert list(map(repr, store.materialized())) == list(map(repr, model))
-    # Arrays handed out before the sequence were never written to.
-    for vector, data in zip(before, saved):
-        if vector is not None:
-            assert vector.data.tolist() == data.tolist()
+        if not check:
+            continue
+        if stays:
+            assert handed(store.vectors()[0]) is not None
+            assert store._col_cache == {}  # nothing decoded to lists
+            if rows_before is None:
+                assert store._rows is None  # nor to rows
+        for j in range(3):
+            assert exact(handed(store.array(j))) == \
+                exact(exact_array([row[j] for row in model]))
+            assert identity(store.column(j)) == \
+                identity([row[j] for row in model])
+        handed.assert_unwritten()
+    assert identity(store.materialized()) == identity(model)
 
 
 def test_steady_appends_and_deletes_keep_every_plain_array():
     store = ColumnStore(2, morsel=4)
-    store.extend([(i, float(i)) for i in range(10)])
-    held = [store.array(j) for j in range(2)]
+    store.assign_vectors([ArrayVector(np.arange(10)),
+                          ArrayVector(np.arange(10.0))])
+    held = store.vectors()
     store.append((10, 10.0))
     store.extend([(11, 11.0), (12, 12.0)])
     # Appends are recorded, not copied in: one concatenation per read.
-    assert store._arrays[0] is held[0]
+    assert store._vectors is held and len(store._pending) == 3
     store.delete_positions([0, 5, 12])
-    kept = store.held_vectors()
-    assert kept is not None
+    kept = store.vectors()
+    assert kept is not None and store._blocks == []
     assert all(a is not b for a, b in zip(kept, held))
     assert kept[0].data.tolist() == [1, 2, 3, 4, 6, 7, 8, 9, 10, 11]
+    assert held[0].data.tolist() == list(range(10))
     for value in range(20, 30):
         store.append((value, float(value)))
     assert store.array(0).data.tolist()[-10:] == list(range(20, 30))
-    # A value with no exact array of the column's dtype drops that one.
+    # A value with no exact array of its column's dtype ends the vector
+    # form: the rows carry on.
     store.append((2 ** 64, float("nan")))
-    assert store.held_vectors() is None
-    assert store._arrays == {}
-    # Deleting every row keeps nothing (an empty column has no array).
+    assert store.vectors() is None
+    assert store.array(0) is None and store.array(1) is None
+    assert store[-1][0] == 2 ** 64 and len(store) == 21
+    # Deleting every row leaves an empty store (an empty column has no
+    # array).
     store = ColumnStore(1, morsel=4)
-    store.extend([(1,), (2,)])
-    store.array(0)
+    store.assign_vectors([ArrayVector(np.array([1, 2]))])
     store.delete_positions([0, 1])
-    assert store.held_vectors() is None and store.array(0) is None
+    assert len(store) == 0 and list(store) == []
+    assert store.vectors() is None and store.array(0) is None
 
 
 def test_snapshots_and_vector_batches_keep_their_old_values():
@@ -273,11 +401,11 @@ def test_snapshots_and_vector_batches_keep_their_old_values():
     table.delete_by_key([(3,), (20,)], ("a",))
     assert list(snapshot.rows) == old_rows
     assert all(np.array_equal(a, c) for a, c in zip(arrays, copies))
-    # A vector overlay's batch: a mutation leaves the shared vectors alone.
+    # A vector form's batch: a mutation leaves the shared vectors alone.
     store = ColumnStore(2, morsel=4)
     store.assign_vectors([ArrayVector(np.arange(5)),
                           ArrayVector(np.arange(5) / 4)])
-    batch = store.vector_batch()
+    batch = ArrayColumns(store.vectors())
     store.append((9, 9.0))
     store.delete_positions([0])
     assert batch.array(0).data.tolist() == [0, 1, 2, 3, 4]
@@ -306,7 +434,7 @@ BEST = dict(executor="batch", optimizer="cost", storage="columnar")
 
 def streaming_engine(seed=5, storage="columnar"):
     engine = Engine("oracle", **{**BEST, "storage": storage})
-    # > 2048 edges: E and ES each hold sealed blocks, so deletes tombstone.
+    # E and ES load in the vector form: deletes keep their survivors.
     graph = preferential_attachment(1100, 4.0, directed=True, seed=seed)
     manager = engine.streaming
     manager.attach_graph(graph)
@@ -376,13 +504,11 @@ def test_steady_ingest_cycle_decodes_nothing_and_analyzes_vectors(
     rng = random.Random(3)
     for _ in range(2):
         run_cycle(engine, graph, rng)
-    # The load carries every table's arrays: not even the first cycles
-    # decode a block.
+    # The load leaves every table in the vector form: not even the first
+    # cycles decode a block.
     assert storage_spy["decodes"] == 0
     # The spy counts: one explicit block decode is one.
-    block = next(block for block in engine.database.table("E").rows._blocks
-                 if isinstance(block, ColumnBlock))
-    block.decode_column(0)
+    ColumnBlock.seal([list(range(100))]).decode_column(0)
     assert storage_spy["decodes"] == 1
     storage_spy.update(decodes=0, rows=[], vectors=[])
     run_cycle(engine, graph, rng)
