@@ -4,10 +4,10 @@ The streaming subsystem's contract is *byte-identity*: after every
 mutation batch, each maintained view (PageRank trajectory, WCC labels,
 SSSP distances) must equal a cold from-scratch derivation on a fresh
 ``REFERENCE_PROFILE`` engine over the same mutated graph (the scenario
-engines pin ``optimizer="off"`` and draw their executor and storage from
-the seed) — same keys, same ``repr`` of every
-value, so float bit-patterns (``-0.0`` included) count.  This module
-turns that contract into a seeded campaign:
+engines draw their executor, storage and optimizer from the seed, so
+``Engine()``'s configuration is among them) — same keys, same ``repr``
+of every value, so float bit-patterns (``-0.0`` included) count.  This
+module turns that contract into a seeded campaign:
 
 * **graph scenarios** — a random directed graph plus a random sequence
   of batches (edge inserts/deletes, weight updates, vertex
@@ -46,6 +46,7 @@ class StreamingScenario:
     kind: str                       # "graph" | "table"
     executor: str = "tuple"
     storage: str = "rows"
+    optimizer: str = "off"
     #: graph kind: initial vertices 0..nodes-1, initial (u, v, w) edges,
     #: then per-batch mutations.
     nodes: int = 0
@@ -60,6 +61,7 @@ class StreamingScenario:
     def label(self) -> str:
         return (f"seed={self.seed} kind={self.kind}"
                 f" executor={self.executor} storage={self.storage}"
+                f" optimizer={self.optimizer}"
                 f" batches={len(self.batches)}")
 
 
@@ -123,9 +125,11 @@ def generate_streaming_scenario(seed: int) -> StreamingScenario:
 
 
 def _engine_knobs(rng: random.Random) -> dict:
+    # The optimizer is drawn last, so a seed keeps its graph and batches.
     return {
         "executor": rng.choice(("tuple", "tuple", "batch")),
         "storage": rng.choice(("rows", "rows", "columnar")),
+        "optimizer": rng.choice(("off", "cost")),
     }
 
 
@@ -256,7 +260,7 @@ def _check_graph(scenario: StreamingScenario,
     if not graph.num_nodes:
         return None
     engine = Engine("oracle", executor=scenario.executor,
-                    optimizer="off", storage=scenario.storage)
+                    optimizer=scenario.optimizer, storage=scenario.storage)
     manager = engine.streaming
     manager.attach_graph(graph)
     source = scenario.sssp_source
@@ -340,7 +344,7 @@ def _check_table(scenario: StreamingScenario) -> str | None:
     from repro.relational.types import SqlType
 
     engine = Engine("oracle", executor=scenario.executor,
-                    optimizer="off", storage=scenario.storage)
+                    optimizer=scenario.optimizer, storage=scenario.storage)
     table = engine.database.create_table(
         "TBL", Schema.of(("K", SqlType.INTEGER), ("A", SqlType.INTEGER),
                          primary_key=("K",)))

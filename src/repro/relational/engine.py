@@ -43,6 +43,7 @@ from .errors import (ExecutionError, FeatureNotSupportedError,
                      RelationalError)
 from .optimizer import annotate_estimates
 from .physical import StatsSink, explain_plan, recording, render_analysis
+from .physical.blocks import ArrayColumns
 from .planner import POLICIES, PlannerPolicy
 from .psm import PsmProgram, translate_with_to_psm
 from .recursive import (
@@ -320,7 +321,9 @@ class Engine:
         started = time.perf_counter()
         with tracer.span("execute") as exec_span:
             result = executor.execute(statement)
-            result.relation.rows  # a statement returns a finished result
+            # A finished result: tuples, or never-written (final) arrays.
+            if not isinstance(result.relation.batch, ArrayColumns):
+                result.relation.rows
             self._keep_plans(plans, stale, result)
             for title, plan, plan_stats in executor.observed:
                 section = None
@@ -398,7 +401,8 @@ class Engine:
             if observe:
                 self._record_plan("select", "query", plan, plan_stats,
                                   exec_span)
-            relation.rows  # a statement returns a finished result
+            if not isinstance(relation.batch, ArrayColumns):
+                relation.rows  # a finished result, as above
         phases["execute"] = (time.perf_counter() - started) * 1000
         result = WithExecutionResult(relation=relation,
                                      plans_compiled=int(compiled),

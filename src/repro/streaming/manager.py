@@ -40,6 +40,11 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
+import numpy as np
+
+from repro.core.algorithms import wcc
+from repro.core.algorithms.common import load_graph, prepare_transition
+
 from .views import StreamingView, make_view
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -49,6 +54,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class StreamingError(ValueError):
     """A semantically invalid batch (missing edge, duplicate vertex...)."""
+
+
+def _check_vertex(z) -> None:
+    """Views hold ids and labels as typed vectors: ints exact in float64."""
+    if type(z) is not int or abs(z) >= 2 ** 53:
+        raise StreamingError(
+            f"vertex id {z!r} is not an integer below 2**53 in magnitude")
 
 
 @dataclass
@@ -106,26 +118,40 @@ class StreamingManager:
         #: count of edges with weight != 1.0 — the WCC incremental gate.
         self.nonunit_edges = 0
         self._es_rows: set[tuple] | None = None
+        #: the views' node order: ids in graph.nodes() order, id -> slot
+        self.ids = np.zeros(0, dtype=np.int64)
+        self.slot: dict[int, int] = {}
 
     # -- setup -------------------------------------------------------------------
 
     def attach_graph(self, graph: "Graph", load: bool = True) -> None:
         """Bind *graph* as the streaming subject.  With *load* (default)
-        the paper's relations (E, V, W, L) are (re)created from it."""
+        the paper's relations (E, V, W, L) are (re)created from it; ``S``
+        and ``ES``, where present, and every view are derived anew."""
+        self._index_nodes(graph)  # refuses before anything changes
         self.graph = graph
         if load:
-            from repro.core.algorithms.common import load_graph
-
             load_graph(self.engine, graph)
         self.nonunit_edges = sum(
             1 for _, _, w in graph.weighted_edges() if w != 1.0)
         self._es_rows = None
+        for name, derive in (("S", prepare_transition),
+                             ("ES", wcc.prepare_symmetric_edges)):
+            if self.engine.database.exists(name):
+                derive(self.engine)
+        for view in self.views.values():
+            view.full_refresh()
+
+    def _index_nodes(self, graph: "Graph") -> None:
+        nodes = list(graph.nodes())
+        for z in nodes:
+            _check_vertex(z)
+        self.ids = np.array(nodes, dtype=np.int64)
+        self.slot = dict(zip(nodes, range(len(nodes))))
 
     def ensure_symmetric_edges(self) -> None:
         """Create ``ES`` (= E ∪ Eᵀ) if absent — the WCC dependency."""
         if not self.engine.database.exists("ES"):
-            from repro.core.algorithms import wcc
-
             wcc.prepare_symmetric_edges(self.engine)
             self._es_rows = None
 
@@ -306,6 +332,7 @@ class StreamingManager:
             delta.removed_vertices.append(z)
 
         def add_vertex(z: int, weight: float) -> None:
+            _check_vertex(z)
             added_vs.add(z)
             delta.inserted_vertices.append(z)
             delta.vertex_weights[z] = weight
@@ -355,6 +382,12 @@ class StreamingManager:
             graph.add_node(z, weight=delta.vertex_weights.get(z, 0.0))
         for u, v, w in delta.inserted_edges:
             graph.add_edge(u, v, w)
+        if delta.removed_vertices:
+            self._index_nodes(graph)
+        elif delta.inserted_vertices:  # appended, in this order
+            self.slot.update((v, i) for i, v in enumerate(
+                delta.inserted_vertices, len(self.slot)))
+            self.ids = np.append(self.ids, delta.inserted_vertices)
         self.nonunit_edges += sum(
             1 for _, _, w in delta.inserted_edges if w != 1.0)
         self.nonunit_edges -= sum(

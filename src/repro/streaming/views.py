@@ -3,18 +3,20 @@
 Each view pins one registered algorithm result (PageRank, WCC or SSSP)
 to the manager's live graph and refreshes it after every
 :meth:`~repro.streaming.StreamingManager.apply_batch` — bit-identically
-to a from-scratch run on the mutated graph:
+to a from-scratch run on the mutated graph.  Its state is typed vectors
+aligned to the manager's node order (``manager.ids`` in
+``graph.nodes()`` order, ``manager.slot`` id -> slot); the ``values``
+dict is built when read:
 
-* **PageRank** is recomputed from scratch on every batch, on arrays:
-  each iteration is one ``bincount`` over the edge list in the scan
-  order of the transition relation ``S``, which performs the float
-  additions of the engine's per-target sums in the same order.  There
-  is no dirty-frontier patch: on a preferential-attachment graph the
-  frontier reaches most vertices within a few iterations, so patching
-  loses to a plain recompute even in pure Python.
+* **PageRank** keeps the edge list a cold ``S`` scans: per-slot
+  out-degrees and the target slot of every edge.  A batch rebuilds the
+  segments of touched sources only (all after a vertex removal), then
+  reruns the fixed iterations from zero; patching the values loses, as
+  on a preferential-attachment graph the dirty frontier reaches most
+  vertices within a few iterations.
 * **WCC** is a monotone min-label flood: unaffected components keep
-  their prior (integer) labels as the warm-start seed, every vertex of
-  a deletion-affected component is reset to its own ID, and the engine
+  their prior labels as the warm-start seed, every vertex of a
+  deletion-affected component is reset to its own ID, and the engine
   resumes the recursive query from the seed.  Incremental maintenance
   requires unit edge weights (the min-times semiring degenerates to
   label propagation); non-unit weights force a full re-run.
@@ -36,6 +38,9 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.core.algorithms import bellman_ford, wcc
+from repro.relational.physical.blocks import (ArrayColumns, ArrayVector,
+                                              RowsColumns, _concat_arrays)
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.types import SqlType
@@ -63,6 +68,8 @@ class StreamingView:
         #: most recent last — the cost rule's audit trail.
         self.mode_history: list[str] = []
         self._plan: str = "full"
+        #: the node order the view's vectors are aligned to
+        self._ids = manager.ids
 
     # -- protocol ---------------------------------------------------------------
 
@@ -83,31 +90,26 @@ class StreamingView:
     def graph(self):
         return self.manager.graph
 
-    @property
-    def last_mode(self) -> str | None:
-        return self.mode_history[-1] if self.mode_history else None
-
     def _too_large(self, affected: int) -> bool:
         n = self.graph.num_nodes
         return affected > max(8, int(n * FULL_RERUN_FRACTION))
 
 
 class PageRankView(StreamingView):
-    """Fixed-iteration PageRank, recomputed from scratch after every batch.
+    """Fixed-iteration PageRank, recomputed after every batch.
 
     The engine's UBU semantics are reproduced exactly: per iteration,
     partial sums accumulate over the transition relation ``S`` in scan
     order (``sum(W[F] * (1/out_degree(F)))`` per target), the damped sum
     plus the teleport term replaces the value of every node that
     *appears as a target*, and non-appearing nodes keep their previous
-    value.  ``S`` scan order equals ``graph.weighted_edges()`` order,
-    so the view never needs the relational engine — which also sidesteps
-    the mutated edge table's append-reordered rows.
-
-    An iteration is one ``bincount`` over the edge vectors, which adds
-    the weights into each target in edge order, as the engine's per-target
-    sums do, so the two agree to the bit.  Every refresh reports mode
-    ``"full"``.
+    value.  A cold ``S`` scans in ``graph.weighted_edges()`` order, the
+    order of :attr:`dst`, so the view never needs the relational engine
+    — which also sidesteps the mutated edge table's append-reordered
+    rows.  An iteration is one ``bincount`` over the edge vectors, which
+    adds the weights into each target in edge order, as the engine's
+    per-target sums do, so the two agree to the bit.  Every refresh
+    reports mode ``"full"``.
     """
 
     algorithm = "pagerank"
@@ -117,30 +119,58 @@ class PageRankView(StreamingView):
         super().__init__(manager, name)
         self.damping = damping
         self.iterations = iterations
-        self._values: dict[int, float] = {}
+        #: out-degree per node slot, and the target slot of every edge in
+        #: ``graph.weighted_edges()`` order — one segment per source
+        self.degree = np.zeros(0, dtype=np.int64)
+        self.dst = np.zeros(0, dtype=np.intp)
 
     @property
     def values(self) -> dict[int, float]:
-        return dict(self._values)
+        return dict(zip(self._ids.tolist(), self._current.tolist()))
 
     def refresh(self, delta: "GraphDelta") -> str:
-        self.full_refresh()
+        if delta.removed_vertices:
+            self.full_refresh()
+        else:
+            changed = delta.removed_edges + delta.inserted_edges
+            sources = {u for u, _, _ in changed}
+            if not self.graph.directed:  # an edge lists both endpoints
+                sources.update(v for _, v, _ in changed)
+            self._patch(sources)
         self.mode_history.append("full")
         return "full"
 
     def full_refresh(self) -> None:
-        graph = self.graph
-        nodes = list(graph.nodes())
-        n = len(nodes)
-        slot = {v: i for i, v in enumerate(nodes)}
-        degree = np.array([graph.out_degree(v) for v in nodes],
-                          dtype=np.int64)
-        # Edges in weighted_edges() order, as node slots.
-        src = np.repeat(np.arange(n), degree)
-        dst = np.fromiter(
-            (slot[t] for v in nodes for t in graph.out_neighbors(v)),
-            dtype=np.intp, count=len(src))
-        inv_degree = 1.0 / degree[src]
+        graph, slot = self.graph, self.manager.slot
+        adjacency = list(map(graph.out_neighbors, graph.nodes()))
+        self.degree = np.array(list(map(len, adjacency)), dtype=np.int64)
+        self.dst = np.fromiter(
+            (slot[t] for targets in adjacency for t in targets),
+            dtype=np.intp, count=int(self.degree.sum()))
+        self._iterate()
+
+    def _patch(self, sources: set[int]) -> None:
+        """Rebuild the edge segments of *sources* from the graph (vertices
+        appended since the last refresh own empty ones at the end)."""
+        graph, slot = self.graph, self.manager.slot
+        degree = np.zeros(len(slot), dtype=np.int64)
+        degree[:len(self.degree)] = self.degree
+        bounds = np.concatenate(([0], np.cumsum(degree)))
+        pieces, done = [], 0
+        for u in sorted(sources, key=slot.__getitem__):
+            s, targets = slot[u], graph.out_neighbors(u)
+            pieces.append(self.dst[done:bounds[s]])
+            pieces.append(np.fromiter(map(slot.__getitem__, targets),
+                                      dtype=np.intp, count=len(targets)))
+            done, degree[s] = bounds[s + 1], len(targets)
+        pieces.append(self.dst[done:])
+        self.degree, self.dst = degree, np.concatenate(pieces)
+        self._iterate()
+
+    def _iterate(self) -> None:
+        n, dst = len(self.degree), self.dst
+        src = np.repeat(np.arange(n), self.degree)
+        inv_degree = 1.0 / self.degree[src]
         targets = np.bincount(dst, minlength=n) > 0
         teleport = (1.0 - self.damping) / n if n else 0.0
         current = np.zeros(n)
@@ -149,43 +179,74 @@ class PageRankView(StreamingView):
                                minlength=n)
             current = np.where(targets, self.damping * sums + teleport,
                                current)
-        self._values = dict(zip(nodes, current.tolist()))
+        self._ids, self._current = self.manager.ids, current
 
 
 class _WarmStartView(StreamingView):
     """Shared machinery for the SQL-backed monotone views (WCC, SSSP):
-    build a seed relation in V order, resume the recursive query from it
-    via ``Engine.execute_detailed(..., warm_start=...)``."""
+    the result as one typed vector in node order, a seed carried over
+    from it with vector masks, and the recursive query resumed from the
+    seed via ``Engine.execute_detailed(..., warm_start=...)``."""
 
     cte_name = "?"
 
-    def _seed(self, schema: Schema, rows: list[tuple]) -> Relation:
-        """*rows* as a seed relation: on columnar storage as typed vectors
-        when every column has an exact one, so the recursive relation
-        starts out as the vectors the loop keeps (and its key plans fit
-        from the second iteration on); else as the rows."""
-        if self.manager.engine.database.storage == "columnar":
-            from repro.relational.physical.blocks import (ArrayColumns,
-                                                          exact_array)
+    @property
+    def values(self) -> dict:
+        return dict(zip(self._ids.tolist(), self._result.tolist()))
 
-            vectors = [exact_array(list(column)) for column in zip(*rows)]
-            if vectors and None not in vectors:
-                return Relation.from_batch(schema, ArrayColumns(vectors))
-        return Relation(schema, rows)
+    def full_refresh(self) -> None:
+        self._run(self._sql())
 
-    def _run(self, sql: str,
-             seed: Relation | None = None) -> Relation:
-        engine = self.manager.engine
-        warm = {self.cte_name: seed} if seed is not None else None
-        return engine.execute_detailed(sql, warm_start=warm).relation
+    def refresh(self, delta: "GraphDelta") -> str:
+        seed = self._next_seed(delta) if self._plan == "incremental" else None
+        if seed is None:
+            self.full_refresh()
+        else:
+            self._run(self._sql(), seed)
+        mode = "full" if seed is None else "incremental"
+        self.mode_history.append(mode)
+        return mode
+
+    def _run(self, sql: str, seed: ArrayVector | None = None) -> None:
+        """Run *sql*, resumed from *seed* (values in node order); keep its
+        result in node order, through the slot map if it is not."""
+        manager = self.manager
+        warm = None if seed is None else {self.cte_name: Relation.from_batch(
+            self.SEED_SCHEMA, ArrayColumns([ArrayVector(manager.ids), seed]))}
+        relation = manager.engine.execute_detailed(
+            sql, warm_start=warm).relation
+        batch = relation.batch or RowsColumns(relation.rows, 2)
+        ids, values = batch.array(0), batch.array(1)
+        if ids is None:  # an empty column has no exact vector
+            ids, values = ArrayVector(manager.ids), ArrayVector(np.zeros(0))
+        elif not np.array_equal(ids.data, manager.ids):
+            slots = list(map(manager.slot.__getitem__, ids.data.tolist()))
+            values = values.take(np.argsort(slots))
+        self._ids, self._result = manager.ids, values
+
+    def _seed(self, fill: np.ndarray, reset: np.ndarray) -> ArrayVector:
+        """The last result carried over to the current node order, with
+        *fill* (values in node order) at every vertex it has no value
+        for or *reset* (a mask over the last result) marks."""
+        old, m = self._ids, len(self._ids)
+        ids, slot = self.manager.ids, self.manager.slot
+        positions = m + np.arange(len(ids))
+        if np.array_equal(ids[:m], old):  # vertices appended, if any
+            kept = np.flatnonzero(~reset)
+            positions[kept] = kept
+        else:  # vertices removed: the slots moved
+            slots = np.array([slot.get(v, -1) for v in old.tolist()], np.intp)
+            kept = np.flatnonzero(~reset & (slots >= 0))
+            positions[slots[kept]] = kept
+        return _concat_arrays(self._result, ArrayVector(fill)).take(positions)
 
 
 class WccView(_WarmStartView):
     """Weakly connected components as a warm-started min-label flood.
 
     Labels are *integers* (the ``ID as vw`` initialisation's type
-    survives the min), so seeds are built as integer rows to stay
-    byte-identical with a cold run.
+    survives the min) under unit weights; a full run under non-unit ones
+    may mix in floats, which the label vector flags (``ints``).
     """
 
     algorithm = "wcc"
@@ -193,66 +254,32 @@ class WccView(_WarmStartView):
 
     SEED_SCHEMA = Schema.of(("ID", SqlType.INTEGER), ("vw", SqlType.INTEGER))
 
-    def __init__(self, manager: "StreamingManager", name: str):
-        super().__init__(manager, name)
-        self.labels: dict[int, int] = {}
-        self._affected_labels: set[int] = set()
-
-    @property
-    def values(self) -> dict[int, int]:
-        return dict(self.labels)
+    def _sql(self) -> str:
+        return wcc.sql()
 
     def full_refresh(self) -> None:
-        from repro.core.algorithms import wcc
-
         self.manager.ensure_symmetric_edges()
-        self.labels = dict(self._run(wcc.sql()).rows)
+        super().full_refresh()
 
     def prepare(self, delta: "GraphDelta") -> None:
-        labels = self.labels
-        affected: set[int] = set()
-        for u, v, _ in delta.removed_edges:
-            affected.add(labels[u])
-            affected.add(labels[v])
-        for z in delta.removed_vertices:
-            affected.add(labels[z])
-        self._affected_labels = affected
+        slot = self.manager.slot
+        touched = [slot[z] for u, v, _ in delta.removed_edges
+                   for z in (u, v)]
+        touched += map(slot.__getitem__, delta.removed_vertices)
+        self._affected = np.unique(self._result.data[touched])
         # Unit weights are the label-propagation gate: with ew != 1 the
         # min-times products are not component labels any more.
-        if self.manager.nonunit_edges or any(
-                w != 1.0 for _, _, w in delta.inserted_edges):
-            self._plan = "full"
-        else:
-            self._plan = "incremental"
+        self._plan = "full" if self.manager.nonunit_edges or any(
+            w != 1.0 for _, _, w in delta.inserted_edges) else "incremental"
 
-    def refresh(self, delta: "GraphDelta") -> str:
-        from repro.core.algorithms import wcc
-
-        if self._plan == "incremental" and self.manager.nonunit_edges:
-            self._plan = "full"
-        if self._plan == "incremental":
-            affected = self._affected_labels
-            new_vertices = set(delta.inserted_vertices)
-            reset = [v for v, label in self.labels.items()
-                     if label in affected]
-            if self._too_large(len(reset) + len(new_vertices)):
-                self._plan = "full"
-        if self._plan == "full":
-            self.full_refresh()
-            self.mode_history.append("full")
-            return "full"
-        labels = self.labels
-        rows = []
-        for v in self.graph.nodes():
-            prior = labels.get(v)
-            if prior is None or prior in self._affected_labels:
-                rows.append((v, v))  # own-ID, exactly the cold init
-            else:
-                rows.append((v, prior))
-        seed = self._seed(self.SEED_SCHEMA, rows)
-        self.labels = dict(self._run(wcc.sql(), seed).rows)
-        self.mode_history.append("incremental")
-        return "incremental"
+    def _next_seed(self, delta: "GraphDelta") -> ArrayVector | None:
+        reset = np.isin(self._result.data, self._affected) \
+            if len(self._affected) else np.zeros(len(self._ids), dtype=bool)
+        if self.manager.nonunit_edges or self._too_large(
+                int(reset.sum()) + len(set(delta.inserted_vertices))):
+            return None
+        # own-ID, exactly the cold init, for reset and new vertices
+        return self._seed(self.manager.ids, reset)
 
 
 class SsspView(_WarmStartView):
@@ -272,73 +299,49 @@ class SsspView(_WarmStartView):
     def __init__(self, manager: "StreamingManager", name: str, source: int):
         super().__init__(manager, name)
         self.source = source
-        self.distances: dict[int, float] = {}
-        self._reset: set[int] = set()
 
     @property
     def values(self) -> dict[int, float | None]:
         return {v: (None if d >= INF else d)
-                for v, d in self.distances.items()}
+                for v, d in super().values.items()}
 
-    def full_refresh(self) -> None:
-        from repro.core.algorithms import bellman_ford
-
-        self.distances = dict(self._run(
-            bellman_ford.sql(self.source)).rows)
+    def _sql(self) -> str:
+        return bellman_ford.sql(self.source)
 
     def prepare(self, delta: "GraphDelta") -> None:
         # Forward closure of tight edges from every deleted edge's head:
         # exactly the vertices whose old shortest path may have used a
         # deleted edge.  Everything outside keeps a still-achievable
         # distance and warm-starts from it.
-        graph = self.graph  # still pre-mutation
-        dist = self.distances
-        seeds: set[int] = set()
-        for f, t, w in delta.removed_edges:
-            if dist.get(t) == dist.get(f, INF) + w:
-                seeds.add(t)
-        for z in delta.removed_vertices:
-            # remove_node drops z's out-edges too; they are already in
-            # delta.removed_edges, so z only needs its own removal.
-            seeds.discard(z)
+        graph, slot = self.graph, self.manager.slot  # still pre-mutation
+        dist = self._result.data
+        seeds = {t for f, t, w in delta.removed_edges
+                 if dist[slot[t]] == dist[slot[f]] + w}
+        # remove_node drops z's out-edges too; they are already in
+        # delta.removed_edges, so z only needs its own removal.
+        seeds.difference_update(delta.removed_vertices)
         frontier = list(seeds)
         reset = set(seeds)
         while frontier:
             v = frontier.pop()
-            base = dist.get(v)
-            if base is None:
-                continue
+            base = dist[slot[v]]
             for x, w in graph.out_neighbors(v).items():
-                if x not in reset and dist.get(x) == base + w:
+                if x not in reset and dist[slot[x]] == base + w:
                     reset.add(x)
                     frontier.append(x)
         reset.discard(self.source)
-        self._reset = reset
         self._plan = ("full" if self._too_large(len(reset))
                       else "incremental")
+        # Removed (maybe re-added) vertices start over; the source takes 0.0.
+        reset.update(delta.removed_vertices, [self.source])
+        self._reset = np.zeros(len(dist), dtype=bool)
+        self._reset[[slot[v] for v in reset if v in slot]] = True
 
-    def refresh(self, delta: "GraphDelta") -> str:
-        from repro.core.algorithms import bellman_ford
-
-        if self._plan == "full":
-            self.full_refresh()
-            self.mode_history.append("full")
-            return "full"
-        dist = self.distances
-        reset = self._reset
-        rows = []
-        for v in self.graph.nodes():
-            if v == self.source:
-                rows.append((v, 0.0))
-            elif v in reset or v not in dist:
-                rows.append((v, INF))
-            else:
-                rows.append((v, dist[v]))
-        seed = self._seed(self.SEED_SCHEMA, rows)
-        self.distances = dict(self._run(
-            bellman_ford.sql(self.source), seed).rows)
-        self.mode_history.append("incremental")
-        return "incremental"
+    def _next_seed(self, delta: "GraphDelta") -> ArrayVector:
+        fill = np.full(len(self.manager.ids), INF)
+        if self.source in self.manager.slot:
+            fill[self.manager.slot[self.source]] = 0.0
+        return self._seed(fill, self._reset)
 
 
 def make_view(manager: "StreamingManager", name: str, algorithm: str,

@@ -1282,8 +1282,9 @@ def test_union_with_a_secondary_index_takes_the_set_path(union_runs):
 @pytest.mark.parametrize("name", ["tc", "ktruss"])
 def test_closures_build_no_row_tuples_inside_the_loop(name, monkeypatch):
     """Under ``best`` TC's UNION and k-truss's two-key join, group-by,
-    filter and keyless union-by-update all stay on vectors: the one row
-    list built is the statement's result."""
+    filter and keyless union-by-update all stay on vectors: the statement
+    builds no row list at all, and the one its reader builds is the
+    result's."""
     if name == "tc":
         graph, sql = random_dag(60, 2.0, seed=1), tc.sql()
     else:
@@ -1316,7 +1317,39 @@ def test_closures_build_no_row_tuples_inside_the_loop(name, monkeypatch):
     spy(ColumnBlock, "seal", "seal")
     result = engine.execute_detailed(sql)
     assert result.iterations > 1
+    assert built == []  # the plan root hands its vectors over untupled
+    result.relation.rows
     assert built == ["ArrayColumns"]  # the result, read once
+
+
+@pytest.mark.parametrize("storage", ["rows", "columnar"])
+def test_an_unread_result_outlives_its_sources(storage):
+    """A statement whose plan root is ``ArrayColumns`` returns without its
+    row tuples; read after its source tables are mutated and the CTE's
+    temp table is dropped, it equals the rows read at once."""
+    graph = preferential_attachment(40, 3.0, directed=True, seed=4)
+    engine = Engine("oracle", storage=storage)
+    load_graph(engine, graph)
+    wcc.prepare_symmetric_edges(engine)
+    statements = [wcc.sql(), bellman_ford.sql(0),
+                  "select E.F, E.T, 1.0 / D.c as ew from E, (select F,"
+                  " count(*) as c from E group by F) as D where E.F = D.F"]
+    unread = [engine.execute(sql) for sql in statements]
+    at_once = [engine.execute(sql).rows for sql in statements]
+    if storage == "columnar":
+        assert all(isinstance(relation.batch, blocks.ArrayColumns)
+                   and relation._rows is None for relation in unread)
+    database = engine.database
+    database.table("E").delete_by_key([(u, v) for u, v, _ in
+                                       list(graph.weighted_edges())[:20]],
+                                      ("F", "T"))
+    database.table("E").insert_many([(0, 39, 5.0), (39, 1, 0.5)])
+    database.table("ES").insert_many([(0, 39, 5.0), (39, 0, 5.0)])
+    database.table("V").delete_by_key([(0,), (1,)], ("ID",))
+    for name in ("C", "D"):
+        database.drop_table(name, if_exists=True)
+    engine.execute(wcc.sql())  # a new temp table C, filled anew
+    assert [relation.rows for relation in unread] == at_once
 
 
 # -- key plans ------------------------------------------------------------------

@@ -262,3 +262,41 @@ def test_symmetric_patch_matches_the_per_row_walk(storage, seed):
     assert runs[0] == runs[1]
     assert any(c["deleted"] for c in runs[0][0])
     assert any(c["inserted"] for c in runs[0][0])
+
+
+def test_reattaching_a_graph_rederives_relations_and_refreshes_views():
+    """Attaching another graph re-derives ``S`` and ``ES`` and fully
+    refreshes every view: one connected chain, then the same vertices
+    in two components."""
+    from repro.core.algorithms import bellman_ford, pagerank
+    from repro.relational import REFERENCE_PROFILE
+
+    engine = Engine("oracle")
+    manager = engine.streaming
+    manager.attach_graph(Graph.from_edges([(i, i + 1) for i in range(5)]))
+    prepare_transition(engine)
+    manager.register_view("pr", "pagerank", iterations=5)
+    manager.register_view("cc", "wcc")
+    manager.register_view("sp", "sssp", source=0)
+    split = Graph.from_edges([(0, 1), (1, 2), (3, 4), (4, 5)])
+    manager.attach_graph(split)
+    assert len(set(manager.views["cc"].values.values())) == 2
+    assert manager.views["sp"].values[5] is None
+
+    def cold(algorithm, *args, **kwargs):
+        return algorithm.run_sql(Engine("oracle", **REFERENCE_PROFILE),
+                                 split, *args, **kwargs).values
+
+    for batch in ({"inserts": {"E": [(5, 3)]}, "deletes": {"E": [(0, 1)]}},
+                  None):
+        assert manager.views["pr"].values == cold(pagerank, iterations=5)
+        assert manager.views["cc"].values == cold(wcc)
+        assert manager.views["sp"].values == cold(bellman_ford, 0)
+        assert Counter(engine.database.table("S").rows) == Counter(
+            (u, v, 1.0 / split.out_degree(u))
+            for u, v, _ in split.weighted_edges())
+        assert set(engine.database.table("ES").rows) == {
+            row for u, v, w in split.weighted_edges()
+            for row in ((u, v, w), (v, u, w))}
+        if batch is not None:
+            engine.apply_batch(**batch)
