@@ -12,7 +12,9 @@ Emits random-but-valid programs in two families:
   stable from the first iteration — from every vertex), nonlinear
   branches, COMPUTED BY feeders,
   anti-join pruning, MAXRECURSION edges, a union-by-update over signed
-  zero and negative edge weights, a linear UNION whose value column R's
+  zero and negative edge weights, a min/max union-by-update that folds
+  its candidates with R itself (SSSP's and WCC's "R arm"), a linear
+  UNION whose value column R's
   INTEGER type coerces, and pair-shaped ``t(F, T)``
   recursions (TC with a two-column GROUP BY; k-truss's two-key
   self-join under a keyless update) for the packed-key kernels.  About
@@ -492,6 +494,14 @@ def _generate_with_scenario(seed: int, rng: random.Random) -> Scenario:
                 (f, t, rng.choice(_SIGNED_WEIGHTS))
                 for f, t, _ in edge.rows))
             tables = (edge, node)
+        # The R-arm variant folds a min/max branch's candidates together
+        # with t itself, SSSP's and WCC's shape, which Engine() evaluates
+        # on the rows each round changed (delta_update_is_exact); its
+        # candidate is t.val + ew, t.val * ew or ew - t.val.  Drawn last
+        # of all, so every other scenario stays as it was.
+        if not pair and aggregate in ("min", "max") and rng.random() < 0.5:
+            query = dataclasses.replace(
+                query, r_arm=rng.choice(("+", "+", "*", "-")))
     elif union_kind == "union all":
         query = WithIR(
             union_kind=union_kind, seeds=seeds,

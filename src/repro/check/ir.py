@@ -382,6 +382,11 @@ class WithIR:
     # linear UNION over t(ID, d), d INTEGER and the branch's t.d + E.ew
     # DOUBLE: the insert truncates it, the delta-binding type rule's case
     coerced: bool = False
+    # UBU with a min/max aggregate: the branch folds its candidates
+    # together with t itself ("R arm"), SSSP's and WCC's shape, which
+    # delta_update_is_exact proves semi-naive; the candidate's operator,
+    # "+" (t.val + ew), "*" (t.val * ew) or "-" (ew - t.val), else ""
+    r_arm: str = ""
     mode: str = "with+"
 
     edge_table: str = "E"
@@ -453,7 +458,15 @@ class WithIR:
                 f"select {s} as ID, {start} as val from {e} where {f} = {s}"
                 f" group by {f}" for s in self.seeds)
         clauses = self._render_where(list(where), names, f, t, e)
-        if self.aggregate is not None:
+        if self.r_arm:
+            value = (f"{e}.{ew} - t.val" if self.r_arm == "-"
+                     else f"t.val {self.r_arm} {e}.{ew}")
+            recursive = (f"(select X.ID, {self.aggregate}(X.val) as val"
+                         f" from ((select {e}.{t} as ID, {value} as val"
+                         f" from t join {e} on {e}.{f} = t.ID{clauses})"
+                         " union all (select ID, val from t)) as X"
+                         " group by X.ID)")
+        elif self.aggregate is not None:
             recursive = (f"(select {e}.{t} as ID,"
                          f" {self.aggregate}(t.val + {e}.{ew}) as val"
                          f" from t join {e} on {e}.{f} = t.ID"
@@ -538,6 +551,8 @@ class WithIR:
             yield replace(self, signed=False)
         if self.coerced:
             yield replace(self, coerced=False)
+        if self.r_arm:
+            yield replace(self, r_arm="")
         for index in range(len(self.extra_where)):
             yield replace(self, extra_where=_drop(self.extra_where, index))
         if len(self.seeds) > 1:
@@ -553,7 +568,8 @@ class WithIR:
         count += len(self.extra_where)
         for flag in (self.nonlinear, self.pair, self.having is not None,
                      self.antijoin, self.computed_by, self.body_aggregate,
-                     self.full_seed, self.signed, self.coerced):
+                     self.full_seed, self.signed, self.coerced,
+                     bool(self.r_arm)):
             if flag:
                 count += 1
         if self.maxrecursion is not None:

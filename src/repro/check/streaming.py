@@ -9,9 +9,10 @@ engines draw their executor, storage and optimizer from the seed, so
 of every value, so float bit-patterns (``-0.0`` included) count.  This
 module turns that contract into a seeded campaign:
 
-* **graph scenarios** — a random directed graph plus a random sequence
-  of batches (edge inserts/deletes, weight updates, vertex
-  inserts/deletes), applied through :meth:`StreamingManager.apply_batch`
+* **graph scenarios** — a random directed or undirected graph plus a
+  random sequence of batches (edge inserts/deletes, weight updates,
+  vertex inserts/deletes, a vertex deleted and re-added in one batch),
+  applied through :meth:`StreamingManager.apply_batch`
   with all three views registered.  After each batch every view is
   diffed against the cold run, and the relational mirror ``E`` is
   diffed (multiset) against a fresh load of the mutated graph;
@@ -47,6 +48,7 @@ class StreamingScenario:
     executor: str = "tuple"
     storage: str = "rows"
     optimizer: str = "off"
+    directed: bool = True
     #: graph kind: initial vertices 0..nodes-1, initial (u, v, w) edges,
     #: then per-batch mutations.
     nodes: int = 0
@@ -62,7 +64,8 @@ class StreamingScenario:
         return (f"seed={self.seed} kind={self.kind}"
                 f" executor={self.executor} storage={self.storage}"
                 f" optimizer={self.optimizer}"
-                f" batches={len(self.batches)}")
+                + ("" if self.directed else " undirected")
+                + f" batches={len(self.batches)}")
 
 
 @dataclass
@@ -192,12 +195,74 @@ def _generate_graph_scenario(seed: int,
             batches.append((
                 {k: tuple(v) for k, v in inserts.items()},
                 {k: tuple(v) for k, v in deletes.items()}))
-    return StreamingScenario(
+    scenario = StreamingScenario(
         seed=seed, kind="graph", nodes=n, edges=tuple(edges),
         batches=tuple(batches), sssp_source=rng.randrange(n),
         iterations=rng.randint(3, 8),
         probe_rejection=rng.random() < 0.3,
         **_engine_knobs(rng))
+    # Drawn after everything above, so a seed keeps its draws: the same
+    # graph and batches read as an undirected graph, and one last batch
+    # that deletes a vertex and adds it back.
+    if rng.random() < 0.3:
+        scenario.directed = False
+        shadow = _as_undirected(scenario)
+    if rng.random() < 0.3 and shadow.num_nodes > 1:
+        scenario.batches += (_readd_vertex(rng, shadow, weighted),)
+    return scenario
+
+
+def _as_undirected(scenario: StreamingScenario) -> Graph:
+    """Read *scenario*'s edges and batches on an undirected graph,
+    dropping what is invalid there (an edge drawn both ways, a delete of
+    an edge already gone); returns the graph after the batches."""
+    shadow = Graph(directed=False)
+    for v in range(scenario.nodes):
+        shadow.add_node(v)
+    edges = []
+    for u, v, w in scenario.edges:
+        if not shadow.has_edge(u, v):
+            shadow.add_edge(u, v, w)
+            edges.append((u, v, w))
+    batches = []
+    for inserts, deletes in scenario.batches:
+        e_del = []
+        for u, v in deletes.get("E", ()):
+            if shadow.has_edge(u, v) and (u, v) not in e_del:
+                e_del.append((u, v))
+        v_del = [row for row in dict.fromkeys(deletes.get("V", ()))
+                 if shadow.has_node(row[0])]
+        for u, v in e_del:
+            if shadow.has_edge(u, v):  # both directions may be named
+                shadow.remove_edge(u, v)
+        for (z,) in v_del:
+            shadow.remove_node(z)
+        v_ins = [row for row in dict.fromkeys(inserts.get("V", ()))
+                 if not shadow.has_node(row[0])]
+        for (z,) in v_ins:
+            shadow.add_node(z)
+        for u, v, w in inserts.get("E", ()):
+            shadow.add_edge(u, v, w)
+        kept_inserts = {k: tuple(rows) for k, rows in
+                        (("E", inserts.get("E", ())), ("V", v_ins)) if rows}
+        kept_deletes = {k: tuple(rows) for k, rows in
+                        (("E", e_del), ("V", v_del)) if rows}
+        if kept_inserts or kept_deletes:
+            batches.append((kept_inserts, kept_deletes))
+    scenario.edges, scenario.batches = tuple(edges), tuple(batches)
+    return shadow
+
+
+def _readd_vertex(rng: random.Random, shadow: Graph,
+                  weighted: bool) -> tuple:
+    """A batch deleting a live vertex and inserting it again, with an
+    edge to another live vertex."""
+    nodes = list(shadow.nodes())
+    z = rng.choice(nodes)
+    x = rng.choice([node for node in nodes if node != z])
+    w = rng.choice(_WEIGHTS) if weighted else 1.0
+    edge = (z, x, w) if rng.random() < 0.5 else (x, z, w)
+    return ({"V": ((z,),), "E": (edge,)}, {"V": ((z,),)})
 
 
 def _generate_table_scenario(seed: int,
@@ -252,7 +317,7 @@ def _check_graph(scenario: StreamingScenario,
                  report: StreamingReport | None) -> str | None:
     from repro.core.algorithms import bellman_ford, pagerank, wcc
 
-    graph = Graph(directed=True, name=f"fuzz-{scenario.seed}")
+    graph = Graph(directed=scenario.directed, name=f"fuzz-{scenario.seed}")
     for v in range(scenario.nodes):
         graph.add_node(v)
     for u, v, w in scenario.edges:

@@ -59,7 +59,7 @@ class Graph:
             raise KeyError(f"no edge {u}->{v}")
         del self._out[u][v]
         del self._in[v][u]
-        if not self.directed:
+        if not self.directed and u != v:  # a self-loop is stored once
             del self._out[v][u]
             del self._in[u][v]
 

@@ -369,7 +369,7 @@ class FilteredColumns(ColumnBatch):
     selection as a list (converted once)."""
 
     def __init__(self, child: ColumnBatch, selection):
-        self._child = child
+        self.child = child
         self.selection = selection
         self.length = len(selection)
         self._positions: list[int] | None = None
@@ -386,7 +386,7 @@ class FilteredColumns(ColumnBatch):
     def column(self, j: int) -> Vector:
         cached = self._cache.get(j)
         if cached is None:
-            source = self._child.column(j)
+            source = self.child.column(j)
             cached = self._cache[j] = list(
                 map(source.__getitem__, self._selected()))
         return cached
@@ -395,13 +395,13 @@ class FilteredColumns(ColumnBatch):
         return self._array_once(j, lambda: self._gather_array(j))
 
     def _gather_array(self, j: int) -> ArrayVector | None:
-        vector = self._child.array(j)
+        vector = self.child.array(j)
         if vector is None:
             return None
         return vector.take(_np.asarray(self.selection, dtype=_np.intp))
 
     def rows(self) -> list[tuple]:
-        source = self._child.rows()
+        source = self.child.rows()
         return list(map(source.__getitem__, self._selected()))
 
 
@@ -592,13 +592,15 @@ class CsrIndex:
     the run, directly addressed by ``key - base``.
     """
 
-    __slots__ = ("order", "starts", "counts", "base", "top")
+    __slots__ = ("order", "starts", "counts", "base", "top", "_kept")
 
     def __init__(self, keys, base: int, top: int):
         self.order = _np.argsort(keys, kind="stable")
         self.base, self.top = base, top
         self.counts = _np.bincount(keys - base, minlength=top - base + 1)
         self.starts = _np.cumsum(self.counts) - self.counts
+        #: (a probe key vector, its rows' runs) — see probe_rows
+        self._kept: tuple | None = None
 
     def __len__(self) -> int:
         return len(self.order)
@@ -607,21 +609,48 @@ class CsrIndex:
         """``(probe_idx, build_pos)`` int arrays pairing every probe row
         with each build row of equal key — probe-major, ties in build
         order: exactly the sequence the dict probe emits."""
+        return _expand_runs(self.order, *self._runs(keys))
+
+    def probe_rows(self, keys: ArrayVector, rows) -> tuple:
+        """:meth:`probe` of the rows *rows* of the int64 vector *keys*,
+        with ``probe_idx`` naming rows of *keys*.  The runs of every row
+        of *keys* are kept for as long as the same vector object comes
+        back (it is made read-only), so a fixpoint probing the changed
+        rows of one key column pays per changed row only."""
+        kept = self._kept
+        if kept is None or kept[0] is not keys:
+            _freeze(keys)
+            kept = self._kept = (keys, *self._runs(keys.data))
+        return _expand_runs(self.order, kept[1][rows], kept[2][rows], rows)
+
+    def _runs(self, keys) -> tuple:
+        """Each probe key's run: ``(starts, counts)``, count 0 for a key
+        outside the index."""
         # Compare before subtracting: a far-away key may wrap int64.
-        inside = (keys >= self.base) & (keys <= self.top)
-        slots = _np.where(inside, keys - self.base, 0)
-        counts = _np.where(inside, self.counts[slots], 0)
-        return _expand_runs(self.order, self.starts[slots], counts)
+        if len(keys) and keys.min() >= self.base and keys.max() <= self.top:
+            slots = keys - self.base
+            counts = self.counts[slots]
+        else:
+            inside = (keys >= self.base) & (keys <= self.top)
+            slots = _np.where(inside, keys - self.base, 0)
+            counts = _np.where(inside, self.counts[slots], 0)
+        return self.starts[slots], counts
 
 
-def _expand_runs(order, starts, counts) -> tuple:
+def _expand_runs(order, starts, counts, labels=None) -> tuple:
     """``(probe_idx, build_pos)`` for probe rows each matching the run
-    ``order[starts[i]:starts[i] + counts[i]]`` of build positions."""
-    total = int(counts.sum())
-    probe_idx = _np.repeat(_np.arange(len(counts)), counts)
-    run_offset = _np.arange(total) - _np.repeat(
-        _np.cumsum(counts) - counts, counts)
-    return probe_idx, order[_np.repeat(starts, counts) + run_offset]
+    ``order[starts[i]:starts[i] + counts[i]]`` of build positions; probe
+    row *i* is named ``labels[i]`` (default *i*)."""
+    # Array methods, not numpy's function wrappers: a step probes a few
+    # keys, where the per-call overhead is the cost.
+    if labels is None:
+        labels = _np.arange(len(counts))
+    ends = counts.cumsum()
+    # Output row r of probe row i sits r - (ends[i] - counts[i]) into
+    # its run.
+    shift = (starts - ends + counts).repeat(counts)
+    shift += _np.arange(len(shift))
+    return labels.repeat(counts), order[shift]
 
 
 def csr_index(keys: ArrayVector | None) -> CsrIndex | None:
@@ -1118,6 +1147,84 @@ def merge_dense_key(old: Sequence[ArrayVector], new: Sequence[ArrayVector],
             values = _np.concatenate((values, after.data[fresh]))
         merged.append(ArrayVector(values))
     return merged, int(_np.count_nonzero(changed)), len(fresh), plan
+
+
+# -- union-by-update steps on the changed keys ---------------------------------
+
+
+class SlotMap:
+    """Row position by key over one dense int64 vector of distinct keys —
+    R's key column, where a union-by-update step finds the row each
+    candidate competes for."""
+
+    __slots__ = ("keys", "low", "positions")
+
+    def __init__(self, keys: ArrayVector, low: int, positions):
+        self.keys, self.low, self.positions = keys, low, positions
+
+    def locate(self, keys):
+        """The row positions of non-empty int64 *keys*, or None when one
+        is not a key of the map."""
+        # Below 2**62 in magnitude, ``low`` keeps ``keys - low`` from
+        # wrapping into range: as unsigned, a key outside it is too big.
+        offsets = keys - self.low
+        if offsets.view(_np.uint64).max() >= len(self.positions):
+            return None
+        found = self.positions[offsets]
+        return None if found.min() < 0 else found
+
+
+def slot_map(keys: ArrayVector) -> SlotMap | None:
+    """The :class:`SlotMap` of a key vector, or None unless it is a
+    non-empty int64 vector of dense, distinct keys below 2**62 in
+    magnitude."""
+    data = keys.data
+    if data.dtype != _np.int64 or not len(data):
+        return None
+    low, high = int(data.min()), int(data.max())
+    if not _dense(low, high, len(data)) or abs(low) >= 2 ** 62:
+        return None
+    positions = _np.full(high - low + 1, -1, dtype=_np.intp)
+    positions[data - low] = _np.arange(len(data))
+    if _np.count_nonzero(positions >= 0) != len(data):
+        return None
+    return SlotMap(keys, low, positions)
+
+
+def negative_zero(vector: ArrayVector) -> bool:
+    """True when a float64 *vector* holds a ``-0.0``."""
+    data = vector.data
+    return data.dtype == _np.float64 \
+        and bool(_np.signbit(data[data == 0.0]).any())
+
+
+def improve_extremes(function: str, current: ArrayVector, at,
+                     candidates: ArrayVector, integer: bool,
+                     zeros: bool) -> tuple | None:
+    """What one union-by-update step writes to R's value column *current*
+    (a plain vector in stored form): candidate *i* competes with row
+    ``at[i]``'s value under ``min`` or ``max``, and each row keeps its
+    winner as :func:`~repro.relational.types.coerce` stores it in an
+    INTEGER (*integer*) or DOUBLE column.  The candidates are cast first:
+    both casts are monotone, so the winner's cast is the cast winner.
+
+    Returns ``(values, positions)`` — the new column, a fresh array, and
+    the rows whose value changed, ascending — or None for a candidate
+    without an exact cast (:func:`cast_exact`: NaN included) or, in a
+    DOUBLE column and unless *zeros*, a winner of zero at a row a
+    candidate names: ``0.0`` and ``-0.0`` compare equal, so which one the
+    grouped ``min`` keeps depends on candidates the step does not see.
+    *zeros* is the caller's proof that no ``-0.0`` can occur."""
+    values = cast_exact(candidates, integer)
+    if values is None:
+        return None
+    data = current.data
+    best = data.copy()
+    (_np.minimum if function == "min" else _np.maximum).at(
+        best, at, values.data)
+    if not integer and not zeros and not best[at].all():
+        return None
+    return best, (best != data).nonzero()[0]
 
 
 # -- vectorized expression evaluation ----------------------------------------
@@ -1625,10 +1732,7 @@ def _plain(values: ArrayVector) -> bool:
     values that compare equal are then the same SQL value, so a group's
     ``min``/``max`` may come from any row holding it, and a float sum may
     start from ``0.0``."""
-    if values.ints is not None:
-        return False
-    data = values.data
-    return data.dtype == _np.int64 or not _np.signbit(data[data == 0.0]).any()
+    return values.ints is None and not negative_zero(values)
 
 
 def _first_holders(plan: GroupPlan, values: ArrayVector,

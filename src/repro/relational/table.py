@@ -330,6 +330,13 @@ class Table:
             self.rows.assign([coerce_row(row) for row in relation.rows])
         self._rebuild_auxiliary()
 
+    def assign_vectors(self, vectors: Sequence) -> None:
+        """Swap in new contents given as one plain typed vector per column,
+        in stored form, on a columnar table with no key constraint or
+        index to maintain (what :meth:`_stored_vectors` requires)."""
+        self.rows.assign_vectors(vectors)
+        self._rebuild_auxiliary()
+
     def _stored_vectors(self, relation: Relation) -> list | None:
         """*relation*'s columns in stored form as typed vectors — what
         coercing its rows would store, cast per column
@@ -598,8 +605,7 @@ class Table:
         if merged is None:
             return None
         vectors, replaced, appended, self._merge_plan = merged
-        self.rows.assign_vectors(vectors)
-        self._rebuild_auxiliary()
+        self.assign_vectors(vectors)
         return replaced, appended
 
     def _merge_delta_columnar(self, delta: Relation,

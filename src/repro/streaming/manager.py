@@ -67,8 +67,10 @@ def _check_vertex(z) -> None:
 class GraphDelta:
     """The net effect of one batch on the attached graph.
 
-    Weight changes appear as a remove (old weight) plus an insert (new
-    weight); a removed vertex contributes all its incident edges to
+    Edges are stored directed edges: on an undirected graph each edge
+    appears in both directions (a self-loop once), as the graph stores
+    it.  Weight changes appear as a remove (old weight) plus an insert
+    (new weight); a removed vertex contributes all its incident edges to
     ``removed_edges``.  Orders match the application order, so
     ``inserted_vertices`` is exactly the V-table append order.
     """
@@ -290,14 +292,24 @@ class StreamingManager:
                      e_del: list[tuple], v_del: list[tuple]) -> GraphDelta:
         """Simulate the batch against the pre-mutation graph, producing
         the net :class:`GraphDelta` (deletes first, then vertex inserts,
-        then edge inserts)."""
+        then edge inserts) — the one canonical edge delta that the graph,
+        ``E``, ``S``, ``ES`` and every view are patched from.  Its edges
+        are the directed edges as the :class:`Graph` stores them: on an
+        undirected graph an edge named either way stands for both
+        directions (one for a self-loop), and naming both directions of
+        one edge deletes or inserts it once."""
         graph = self.graph
         assert graph is not None
         delta = GraphDelta()
         removed_pairs: set[tuple[int, int]] = set()
+        named: set[tuple[int, int]] = set()
         removed_vs: set[int] = set()
         added_vs: set[int] = set()
         inserted: dict[tuple[int, int], float] = {}
+
+        def stored(u: int, v: int) -> tuple:
+            """The directed edges the graph stores for edge u-v."""
+            return ((u, v),) if graph.directed or u == v else ((u, v), (v, u))
 
         def present(u: int, v: int) -> bool:
             if (u, v) in inserted:
@@ -312,10 +324,14 @@ class StreamingManager:
 
         for row in e_del:
             u, v = row[0], row[1]
-            if not graph.has_edge(u, v) or (u, v) in removed_pairs:
+            if not graph.has_edge(u, v) or (u, v) in named:
                 raise StreamingError(f"cannot delete missing edge {u}->{v}")
-            delta.removed_edges.append((u, v, graph.out_neighbors(u)[v]))
-            removed_pairs.add((u, v))
+            named.add((u, v))
+            if (u, v) in removed_pairs:
+                continue  # the other direction of an edge named already
+            for a, b in stored(u, v):
+                delta.removed_edges.append((a, b, graph.out_neighbors(a)[b]))
+                removed_pairs.add((a, b))
         for row in v_del:
             z = row[0]
             if not graph.has_node(z) or z in removed_vs:
@@ -355,15 +371,18 @@ class StreamingManager:
                 if old == weight:
                     continue  # exact duplicate: a no-op
                 if (u, v) in inserted:
-                    inserted[(u, v)] = weight  # last write wins
+                    for pair in stored(u, v):
+                        inserted[pair] = weight  # last write wins
                     continue
                 # weight change = remove old + insert new
-                delta.removed_edges.append((u, v, old))
-                removed_pairs.add((u, v))
+                for pair in stored(u, v):
+                    delta.removed_edges.append((*pair, old))
+                    removed_pairs.add(pair)
             for z in (u, v):
                 if not node_present(z):
                     add_vertex(z, 0.0)
-            inserted[(u, v)] = weight
+            for pair in stored(u, v):
+                inserted[pair] = weight
         delta.inserted_edges = [(u, v, w) for (u, v), w in inserted.items()]
         return delta
 
@@ -373,15 +392,18 @@ class StreamingManager:
         assert graph is not None
         database = self.engine.database
 
-        # 1. the graph object itself
+        # 1. the graph object itself: one call per undirected edge, whose
+        # two directions the delta carries
         for u, v, _ in delta.removed_edges:
-            graph.remove_edge(u, v)
+            if graph.directed or u <= v:
+                graph.remove_edge(u, v)
         for z in delta.removed_vertices:
             graph.remove_node(z)
         for z in delta.inserted_vertices:
             graph.add_node(z, weight=delta.vertex_weights.get(z, 0.0))
         for u, v, w in delta.inserted_edges:
-            graph.add_edge(u, v, w)
+            if graph.directed or u <= v:
+                graph.add_edge(u, v, w)
         if delta.removed_vertices:
             self._index_nodes(graph)
         elif delta.inserted_vertices:  # appended, in this order

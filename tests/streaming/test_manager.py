@@ -300,3 +300,65 @@ def test_reattaching_a_graph_rederives_relations_and_refreshes_views():
             for row in ((u, v, w), (v, u, w))}
         if batch is not None:
             engine.apply_batch(**batch)
+
+
+# -- undirected graphs: one canonical edge delta ---------------------------------
+
+
+def attach_undirected():
+    engine = Engine("oracle")
+    graph = preferential_attachment(30, 3.0, directed=False, seed=1)
+    engine.streaming.attach_graph(graph)
+    prepare_transition(engine)
+    engine.streaming.ensure_symmetric_edges()
+    return engine, graph
+
+
+def assert_mirrors_match(engine, graph):
+    assert edge_table_rows(engine) == Counter(graph.weighted_edges())
+    symmetric = Counter(map(tuple, engine.database.table("ES").rows))
+    assert symmetric == Counter(
+        {(u, v, w): 1 for u, v, w in graph.weighted_edges()})
+
+
+def test_an_undirected_edge_named_once_deletes_both_directions():
+    from repro.core.algorithms import bellman_ford
+
+    engine, graph = attach_undirected()
+    view = engine.streaming.register_view("sssp", "sssp", source=0)
+    edges = [(5, x) for x in list(graph.out_neighbors(5))]
+    result = engine.apply_batch(deletes={"E": edges})
+    assert not graph.out_neighbors(5) and not graph.in_neighbors(5)
+    assert len(result.delta.removed_edges) == 2 * len(edges)
+    assert_mirrors_match(engine, graph)
+    # Before: E kept the other directions and the view reached node 5.
+    assert bellman_ford.run_reference(graph, 0).values.get(5) is None
+    assert view.values.get(5) is None
+
+
+def test_both_directions_of_an_undirected_edge_delete_it_once():
+    engine, graph = attach_undirected()
+    edges = [(u, v) for u, v, _ in graph.weighted_edges() if 5 in (u, v)]
+    before = graph.num_edges
+    # Before: validation passed, then KeyError 'no edge 5->4' part-way.
+    engine.apply_batch(deletes={"E": edges})
+    assert graph.num_edges == before - len(edges)
+    assert_mirrors_match(engine, graph)
+    with pytest.raises(StreamingError, match="missing edge"):
+        engine.apply_batch(deletes={"E": [edges[0], edges[0]]})
+
+
+def test_undirected_batches_keep_every_mirror():
+    engine, graph = attach_undirected()
+    rng = random.Random(4)
+    for _ in range(6):
+        nodes = list(graph.nodes())
+        edges = list(graph.weighted_edges())
+        deletes = rng.sample([(u, v) for u, v, _ in edges], 3)
+        named = {frozenset(pair) for pair in deletes}
+        inserts = [(u, v, float(rng.choice((1, 2))))
+                   for u, v in (rng.sample(nodes, 2) for _ in range(4))
+                   if frozenset((u, v)) not in named]
+        inserts.append((rng.choice(nodes), 30 + rng.randrange(3), 1.0))
+        engine.apply_batch(inserts={"E": inserts}, deletes={"E": deletes})
+        assert_mirrors_match(engine, graph)
