@@ -222,19 +222,11 @@ def _merge(table: Table, delta: Relation,
                     f"MERGE update violates key uniqueness on {new_key!r}")
             table.rows[target_pos] = coerced
             change_log.append(("update", coerced, old))
-    # Row-level apply tail: maintain indexes and the key set from the
-    # change records instead of rebuilding everything each call.
+    # Row-level apply tail: maintain indexes from the change records
+    # instead of rebuilding everything each call.
     updates = [(old, new) for op, new, old in change_log if op == "update"]
     inserts = [new for op, new, old in change_log if op == "insert"]
-    if table.enforce_key:
-        for old, new in updates:
-            table._key_set.discard(table.row_key(old))
-            table._key_set.add(table.row_key(new))
-        for new in inserts:
-            table._key_set.add(table.row_key(new))
-    table._maintain_indexes(updates, inserts)
-    table._positions_cache = None
-    table.statistics.invalidate()
+    table.rows_written(updates, inserts)
     return len(inserts), len(updates)
 
 
@@ -314,6 +306,7 @@ def _drop_alter(database: Database, table: Table, delta: Relation,
         table.snapshot(), delta, key_columns)
     scratch_name = f"__swap_{table.name}"
     scratch = database.create_temp_table(scratch_name, table.schema,
+                                         enforce_key=table.enforce_key,
                                          replace=True)
     scratch.rows.assign([tuple(coerce(v, c.sql_type)
                                for v, c in zip(row, table.schema.columns))

@@ -68,17 +68,16 @@ class Table:
         # Compiled row -> coerced-tuple function for this schema; every
         # write-path coercion goes through it (callers check arity first).
         self._coerce_row = make_row_coercer(c.sql_type for c in schema.columns)
-        self._key_set: set[tuple] = set()
-        # key-column tuple -> {key value -> row positions}, maintained by
-        # apply_delta_by_key and dropped by any other row mutation; lets
-        # the recursive loop's union-by-update do O(|delta|) work.
+        # key-column tuple -> {key value -> row positions}, patched by
+        # appends and dropped by any other row mutation; lets the recursive
+        # loop's union-by-update do O(|delta|) work.
         self._positions_cache: tuple[tuple[int, ...],
                                      dict[tuple, list[int]]] | None = None
         #: The last union-by-update merge's key plan
         #: (:class:`~repro.relational.physical.blocks.MergePlan`): the next
         #: merge of the same two key vectors reuses its slot map.
         self._merge_plan = None
-        #: Maintenance counters (observable cost model): full index/keyset
+        #: Maintenance counters (observable cost model): full index
         #: rebuilds vs. incremental per-row index delete/insert operations.
         self.index_rebuilds = 0
         self.incremental_index_ops = 0
@@ -108,56 +107,70 @@ class Table:
 
     def insert(self, row: Sequence[Any]) -> None:
         """Insert one row, coercing values to the column types."""
-        if len(row) != self.schema.arity:
-            raise SchemaError(
-                f"insert of arity {len(row)} into {self.name}"
-                f" of arity {self.schema.arity}")
-        coerced = self._coerce_row(row)
-        if self.enforce_key:
-            key = self.row_key(coerced)
-            if key in self._key_set:
-                raise ConstraintError(
-                    f"duplicate primary key {key!r} in table {self.name}")
-            self._key_set.add(key)
-        self.rows.append(coerced)
-        for index in self.indexes.values():
-            index.insert(coerced)
-            self.incremental_index_ops += 1
-        self._positions_cache = None
-        self.statistics.invalidate()
+        self.insert_many([row])
 
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> int:
-        """Batch insert: one coerce/validate pass over all rows, one bulk
-        index load and one statistics invalidation (instead of per-row
-        work).  Validation happens before any mutation, so a bad row in
-        the batch leaves the table untouched."""
+        """Batch insert: one coerce/validate pass over all rows, one key
+        check (:meth:`_check_keys`), one bulk index load and one
+        statistics invalidation.  Validation happens before any mutation,
+        so a bad row in the batch leaves the table untouched; the error is
+        the one a row-at-a-time insert would meet first."""
         arity = self.schema.arity
         coerce_row = self._coerce_row
         coerced_rows: list[Row] = []
-        batch_keys: set[tuple] = set()
-        for row in rows:
-            if len(row) != arity:
-                raise SchemaError(
-                    f"insert of arity {len(row)} into {self.name}"
-                    f" of arity {arity}")
-            coerced = coerce_row(row)
-            if self.enforce_key:
-                key = self.row_key(coerced)
-                if key in self._key_set or key in batch_keys:
-                    raise ConstraintError(
-                        f"duplicate primary key {key!r} in table {self.name}")
-                batch_keys.add(key)
-            coerced_rows.append(coerced)
+        try:
+            for row in rows:
+                if len(row) != arity:
+                    raise SchemaError(
+                        f"insert of arity {len(row)} into {self.name}"
+                        f" of arity {arity}")
+                coerced_rows.append(coerce_row(row))
+        except Exception:
+            self._check_keys(coerced_rows)  # a duplicate before the bad row
+            raise
         if not coerced_rows:
             return 0
-        self._key_set |= batch_keys
-        self.rows.extend(coerced_rows)
-        for index in self.indexes.values():
-            index.bulk_load(coerced_rows)
-            self.incremental_index_ops += len(coerced_rows)
-        self._positions_cache = None
+        self._check_keys(coerced_rows)
+        self._append(coerced_rows)
         self.statistics.invalidate()
         return len(coerced_rows)
+
+    def _check_keys(self, rows: list[Row]) -> None:
+        """Raise :class:`ConstraintError` on the first of the coerced
+        *rows* whose primary key is stored (one :meth:`positions_of`
+        lookup for all) or repeats an earlier one."""
+        if not self.enforce_key or not rows:
+            return
+        key_of = self.row_key
+        keys = list(map(key_of, rows))
+        stored: set[tuple] = set()
+        if len(self.rows):  # an empty table builds no by-key dict
+            positions = self.positions_of(keys, self._key_positions)
+            stored.update(map(key_of, self.rows.gather(positions)))
+        seen: set[tuple] = set()
+        for key in keys:
+            if key in stored or key in seen:
+                raise ConstraintError(
+                    f"duplicate primary key {key!r} in table {self.name}")
+            seen.add(key)
+
+    def _append(self, rows: list[Row]) -> None:
+        """Append coerced *rows* to the store and every index; the
+        by-key position cache, when held, is patched, not dropped."""
+        start = len(self.rows)
+        self.rows.extend(rows)
+        if self._positions_cache is not None:
+            wanted, mapping = self._positions_cache
+            for position, row in enumerate(rows, start):
+                key = tuple(row[i] for i in wanted)
+                bucket = mapping.get(key)
+                if bucket is None:
+                    mapping[key] = [position]
+                else:
+                    bucket.append(position)
+        for index in self.indexes.values():
+            index.bulk_load(rows)
+            self.incremental_index_ops += len(rows)
 
     def insert_relation(self, relation: Relation) -> int:
         """Append all rows of *relation* (schemas must be arity-compatible).
@@ -184,8 +197,7 @@ class Table:
         tuples on columnar storage: :meth:`_load_vectors` turns each
         column into one typed vector of its stored type, once, and the
         store holds them in its vector form (``assign_vectors``; nothing
-        is sealed); the key set comes from the key vectors in one
-        ``zip``.  Everything the vectors cannot hold goes through
+        is sealed).  Everything the vectors cannot hold goes through
         :meth:`insert_many`, errors included."""
         vectors = self._load_vectors(contents)
         if vectors is None:
@@ -193,9 +205,6 @@ class Table:
                                     if isinstance(contents, Relation)
                                     else contents)
         self.rows.assign_vectors(vectors)
-        if self.enforce_key:
-            self._key_set = set(zip(*(vectors[i].data.tolist()
-                                      for i in self._key_positions)))
         self._positions_cache = None
         self.statistics.invalidate()
         return len(vectors[0].data)
@@ -238,7 +247,6 @@ class Table:
     def truncate(self) -> None:
         """Remove all rows (the TRUNCATE TABLE of Algorithm 1's loop)."""
         self.rows.clear()
-        self._key_set.clear()
         for index in self.indexes.values():
             index.clear()
         self._positions_cache = None
@@ -257,19 +265,10 @@ class Table:
                       key_columns: Sequence[str]) -> int:
         """Delete every row whose *key_columns* value is in *keys*.
 
-        On columnar storage the coerced probes are matched against the
-        store's typed key vectors
-        (:func:`~repro.relational.physical.blocks.matching_positions`) —
-        vector work, no per-row Python.  The positions-by-key dict is the
-        fallback (O(|delta|) when its cache is warm): on row storage,
-        for a key column with no plain int or float vector
-        (TEXT, BOOLEAN, NULL, NaN, ints beside floats, an empty table),
-        for int key columns whose spans do not pack, and for a NULL
-        probe.  Both find the same positions.
-
-        Storage-level removal goes through ``rows.delete_positions``
-        (tombstones on the columnar backend — sealed blocks are not
-        re-encoded); indexes and the key set are maintained
+        The rows are found by :meth:`positions_of` over the coerced
+        probes.  Storage-level removal goes through
+        ``rows.delete_positions`` (tombstones on the columnar backend —
+        sealed blocks are not re-encoded); indexes are maintained
         incrementally, with the usual half-table rebuild fallback.
         Returns the number of rows removed."""
         keys = list(keys)
@@ -283,20 +282,10 @@ class Table:
                       key if isinstance(key, (tuple, list)) else (key,),
                       key_types))
                   for key in keys]
-        positions = None
-        if self.storage == "columnar":
-            positions = matching_positions(
-                [self.rows.array(j) for j in target_positions], probes)
-        if positions is None:
-            mapping = self.positions_by_key(target_positions)
-            found: set[int] = set()
-            for probe in probes:
-                found.update(mapping.get(probe, ()))
-            positions = sorted(found)
+        positions = self.positions_of(probes, target_positions)
         if not positions:
             return 0
-        removed_rows = (self.rows.gather(positions)
-                        if self.indexes or self.enforce_key else ())
+        removed_rows = self.rows.gather(positions) if self.indexes else ()
         self.rows.delete_positions(positions)
         if self.indexes:
             if 2 * len(positions) > len(self.rows):
@@ -306,9 +295,6 @@ class Table:
                     for row in removed_rows:
                         index.delete(row)
                         self.incremental_index_ops += 1
-        if self.enforce_key:
-            for row in removed_rows:
-                self._key_set.discard(self.row_key(row))
         # Surviving row positions shift left, so the by-key position
         # cache cannot be patched in place.
         self._positions_cache = None
@@ -394,9 +380,7 @@ class Table:
                 self.rows[pos] = replacement[key]
                 updated += 1
         if updated:
-            self._maintain_indexes(touched, ())
-            self._positions_cache = None
-            self.statistics.invalidate()
+            self.rows_written(touched, ())
         return updated
 
     # -- indexes & statistics ----------------------------------------------------
@@ -438,14 +422,38 @@ class Table:
 
     # -- incremental union-by-update ---------------------------------------------
 
+    def positions_of(self, probes: Sequence[tuple],
+                     target_positions: Sequence[int]) -> list[int]:
+        """Ascending positions of the rows whose value in the columns at
+        *target_positions* is one of the coerced *probes* — the one key
+        lookup behind :meth:`delete_by_key`, the key check of
+        :meth:`insert_many` and the streaming ``ES`` patch.  On columnar
+        storage it is one pass over the typed key vectors
+        (:func:`~repro.relational.physical.blocks.matching_positions`);
+        else — row storage, a TEXT, BOOLEAN, NULL or NaN key column, int
+        keys that do not pack, a NULL probe — the positions-by-key dict.
+        Both find the same positions."""
+        if not probes:
+            return []
+        if self.storage == "columnar":
+            positions = matching_positions(
+                [self.rows.array(j) for j in target_positions], probes)
+            if positions is not None:
+                return positions
+        mapping = self.positions_by_key(target_positions)
+        found: set[int] = set()
+        for probe in probes:
+            found.update(mapping.get(probe, ()))
+        return sorted(found)
+
     def positions_by_key(self, target_positions: Sequence[int]
                          ) -> dict[tuple, list[int]]:
         """Key value → row positions, cached across calls.
 
-        The cache survives :meth:`apply_delta_by_key` (which maintains it
-        in place) and is dropped by any other row mutation, so a recursive
-        union-by-update loop builds it once and then pays O(|delta|) per
-        iteration instead of O(|table|).
+        The cache survives appends (:meth:`_append` patches it) and is
+        dropped by any other row mutation, so a recursive union-by-update
+        loop builds it once and then pays O(|delta|) per iteration
+        instead of O(|table|).
         """
         wanted = tuple(target_positions)
         if self._positions_cache is not None \
@@ -488,8 +496,7 @@ class Table:
             coerced = coerce_row(row)
             ordered.append((key, coerced))
             replacement[key] = coerced  # last occurrence wins
-        replaced = appended = 0
-        enforce = self.enforce_key
+        replaced = 0
         seen_matched: set[tuple] = set()
         for key, new_row in replacement.items():
             positions = mapping.get(key)
@@ -504,29 +511,13 @@ class Table:
                     index.delete(old_row)
                     index.insert(new_row)
                     self.incremental_index_ops += 2
-                if enforce:
-                    self._key_set.discard(self.row_key(old_row))
-                    self._key_set.add(self.row_key(new_row))
                 self.rows[pos] = new_row
                 replaced += 1
-        for key, coerced in ordered:
-            if key in seen_matched:
-                continue
-            position = len(self.rows)
-            self.rows.append(coerced)
-            bucket = mapping.get(key)
-            if bucket is None:
-                mapping[key] = [position]
-            else:
-                bucket.append(position)
-            for index in self.indexes.values():
-                index.insert(coerced)
-                self.incremental_index_ops += 1
-            if enforce:
-                self._key_set.add(self.row_key(coerced))
-            appended += 1
+        fresh = [coerced for key, coerced in ordered
+                 if key not in seen_matched]
+        self._append(fresh)
         self.statistics.invalidate()
-        return replaced, appended
+        return replaced, len(fresh)
 
     def merge_delta_rebuild(self, delta: Relation,
                             key_columns: Sequence[str]) -> tuple[int, int]:
@@ -659,10 +650,16 @@ class Table:
 
     # -- internals -----------------------------------------------------------------
 
-    def _maintain_indexes(self, touched: Sequence[tuple[Row, Row]],
-                          appended: Sequence[Row]) -> None:
-        """Incremental index upkeep for an update/append batch, falling
-        back to a full rebuild when the batch exceeds half the table."""
+    def rows_written(self, touched: Sequence[tuple[Row, Row]],
+                     appended: Sequence[Row]) -> None:
+        """Upkeep after *touched* ``(old, new)`` rows were overwritten and
+        *appended* rows appended through ``self.rows`` directly (MERGE's
+        row-level apply, ``UPDATE ... FROM``): the by-key cache goes,
+        statistics go stale, and indexes are maintained incrementally,
+        falling back to a full rebuild when the batch exceeds half the
+        table."""
+        self._positions_cache = None
+        self.statistics.invalidate()
         if not self.indexes:
             return
         if 2 * (len(touched) + len(appended)) > len(self.rows):
@@ -687,8 +684,6 @@ class Table:
             index.bulk_load(self.rows)
 
     def _rebuild_auxiliary(self) -> None:
-        self._key_set = ({self.row_key(r) for r in self.rows}
-                         if self.enforce_key else set())
         self._positions_cache = None
         self._rebuild_indexes()
         self.statistics.invalidate()

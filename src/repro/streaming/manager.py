@@ -119,7 +119,6 @@ class StreamingManager:
         self.batches_applied = 0
         #: count of edges with weight != 1.0 — the WCC incremental gate.
         self.nonunit_edges = 0
-        self._es_rows: set[tuple] | None = None
         #: the views' node order: ids in graph.nodes() order, id -> slot
         self.ids = np.zeros(0, dtype=np.int64)
         self.slot: dict[int, int] = {}
@@ -136,7 +135,6 @@ class StreamingManager:
             load_graph(self.engine, graph)
         self.nonunit_edges = sum(
             1 for _, _, w in graph.weighted_edges() if w != 1.0)
-        self._es_rows = None
         for name, derive in (("S", prepare_transition),
                              ("ES", wcc.prepare_symmetric_edges)):
             if self.engine.database.exists(name):
@@ -155,7 +153,6 @@ class StreamingManager:
         """Create ``ES`` (= E ∪ Eᵀ) if absent — the WCC dependency."""
         if not self.engine.database.exists("ES"):
             wcc.prepare_symmetric_edges(self.engine)
-            self._es_rows = None
 
     def register_view(self, name: str, algorithm: str,
                       **params: Any) -> StreamingView:
@@ -474,17 +471,17 @@ class StreamingManager:
         """Keep ``ES`` = E ∪ Eᵀ under set semantics: a row (a, b, w) is
         present iff it is derivable from some surviving edge.
 
-        One pass over the sorted candidates sorts them into rows to drop
-        and rows to add, then one keyed delete and one bulk insert patch
-        the table.  Every dropped row predates the batch, so this leaves
-        the contents and row order a per-row delete/insert walk would."""
+        One key lookup tells which candidates ``ES`` holds
+        (``Table.positions_of``), one pass over the sorted candidates sorts
+        them into rows to drop and rows to add, then one keyed delete and
+        one bulk insert patch the table.  Every dropped row predates the
+        batch, so this leaves the contents and row order a per-row
+        delete/insert walk would."""
         database = self.engine.database
         if not database.exists("ES"):
             return
         graph = self.graph
         table = database.table("ES")
-        if self._es_rows is None:
-            self._es_rows = set(map(tuple, table.rows))
         candidates: set[tuple[int, int, float]] = set()
         for u, v, w in delta.removed_edges:
             candidates.add((u, v, w))
@@ -498,18 +495,19 @@ class StreamingManager:
             return (graph.out_neighbors(a).get(b) == w
                     or graph.out_neighbors(b).get(a) == w)
 
+        ordered = sorted(candidates)
+        held = set(table.rows.gather(table.positions_of(
+            ordered, range(table.schema.arity))))
         doomed: list[tuple[int, int, float]] = []
         fresh: list[tuple[int, int, float]] = []
-        for row in sorted(candidates):
+        for row in ordered:
             if derivable(row):
-                if row not in self._es_rows:
+                if row not in held:
                     fresh.append(row)
-            elif row in self._es_rows:
+            elif row in held:
                 doomed.append(row)
         deleted = table.delete_by_key(doomed, tuple(table.schema.names))
         inserted = table.insert_many(fresh)
-        self._es_rows.difference_update(doomed)
-        self._es_rows.update(fresh)
         track(table.name, inserted, deleted)
 
     # -- failure capture ---------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from repro.datasets import preferential_attachment, random_dag
 from repro.graphsystems.graph import Graph
 from repro.relational import REFERENCE_PROFILE, Engine
+from repro.relational.errors import ConstraintError, SchemaError
 from repro.relational.relation import Relation
 
 
@@ -17,6 +18,27 @@ def reference_engine(dialect: str = "oracle", **overrides) -> Engine:
     is the array engine, so comparing against it would compare the
     default with itself."""
     return Engine(dialect, **{**REFERENCE_PROFILE, **overrides})
+
+
+def refused_keys(table, keys) -> list:
+    """The primary-key tuples among *keys* that an ``insert_many`` into
+    *table* refuses as duplicates.  Each probe is a row holding the key
+    (NULL elsewhere) followed by a row of the wrong arity, so the insert
+    fails either way — ``ConstraintError`` for a held key, else
+    ``SchemaError`` — and leaves the table as it was."""
+    positions = table.schema.key_indexes()
+    refused = []
+    for key in keys:
+        row = [None] * table.schema.arity
+        for position, value in zip(positions, key):
+            row[position] = value
+        try:
+            table.insert_many([tuple(row), ()])
+        except ConstraintError:
+            refused.append(key)
+        except SchemaError:
+            pass
+    return refused
 
 
 @pytest.fixture

@@ -4,8 +4,8 @@
 against the store's key vectors (``blocks.matching_positions``); the
 positions-by-key dict is the fallback and, on row storage, the oracle.
 Both must leave the same removed count, contents and row order (value
-identity included: ``1`` vs ``1.0``, ``0.0`` vs ``-0.0``), key set and
-index contents.  A spy on ``positions_by_key`` shows which path ran:
+identity included: ``1`` vs ``1.0``, ``0.0`` vs ``-0.0``), refused keys
+and index contents.  A spy on ``positions_by_key`` shows which path ran:
 one named case per decline rule.
 """
 
@@ -19,6 +19,8 @@ from repro.relational.physical.blocks import ArrayVector, matching_positions
 from repro.relational.schema import Column, Schema
 from repro.relational.table import Table
 from repro.relational.types import SqlType
+
+from ..conftest import refused_keys
 
 INT, DOUBLE = SqlType.INTEGER, SqlType.DOUBLE
 
@@ -62,14 +64,18 @@ def make_table(storage, schema, rows, enforce_key=False, morsel=3):
 
 
 def delete_outcome(storage, schema, rows, deletes, enforce_key=False):
-    """Counts, contents, key set and index after each ``(probes,
+    """Counts, contents, the keys a following ``insert_many`` refuses
+    (of every row's and probe's ``ID``) and index after each ``(probes,
     key_columns)`` delete in turn."""
     table = make_table(storage, schema, rows, enforce_key)
+    candidates = [(row[0],) for row in rows] + [
+        (probe if isinstance(probe, tuple) else (probe,))[:1]
+        for probes, _ in deletes for probe in probes]
     trail = []
     for probes, key_columns in deletes:
         removed = table.delete_by_key(probes, key_columns)
         trail.append((removed, identity(table.rows),
-                      sorted(table._key_set),
+                      refused_keys(table, candidates),
                       identity(table.indexes["ix"].ordered_rows())))
     return trail
 

@@ -225,15 +225,17 @@ def assert_views_equal_cold_runs(manager, source=0):
 
 def test_an_insert_only_batch_builds_no_rows_and_retypes_no_vertex_list(
         monkeypatch):
-    """On ``Engine()`` the three views refresh on vectors: no
-    ``Relation.rows`` or ``ArrayColumns.rows``, and ``exact_array`` runs
-    only over the appended rows, never over a list of every vertex."""
+    """On ``Engine()``'s columnar storage the three views refresh on
+    vectors from the first batch on: no ``Relation.rows`` or
+    ``ArrayColumns.rows``, no whole-table row list built by
+    ``ColumnStore.materialized`` (``ES`` included), and ``exact_array``
+    runs only over the appended rows, never over a list of every
+    vertex."""
     graph = preferential_attachment(200, 4.0, directed=True, seed=3)
-    engine = Engine("oracle")
+    engine = Engine("oracle", storage="columnar")
     manager = engine.streaming
     manager.attach_graph(graph)
     register_all(manager)
-    engine.apply_batch(inserts={"E": [(1, 7, 1.0)]})  # reads ES's rows once
     calls, typed = [], []
     rows = Relation.rows
     monkeypatch.setattr(Relation, "rows", property(
@@ -241,6 +243,14 @@ def test_an_insert_only_batch_builds_no_rows_and_retypes_no_vertex_list(
     array_rows = blocks.ArrayColumns.rows
     monkeypatch.setattr(blocks.ArrayColumns, "rows", lambda self: calls.append(
         "ArrayColumns") or array_rows(self))
+    materialized = store.ColumnStore.materialized
+
+    def building(self):
+        if self._rows is None:
+            calls.append(f"materialized {len(self)} rows")
+        return materialized(self)
+
+    monkeypatch.setattr(store.ColumnStore, "materialized", building)
     exact_array = blocks.exact_array
 
     def typing(values):
@@ -250,12 +260,13 @@ def test_an_insert_only_batch_builds_no_rows_and_retypes_no_vertex_list(
 
     for module in (blocks, store, table):
         monkeypatch.setattr(module, "exact_array", typing)
-    result = engine.apply_batch(
-        inserts={"E": [(2, 9, 1.0), (5, 11, 1.0), (250, 3, 1.0)]})
-    assert result.views == {"pr": "full", "cc": "incremental",
-                            "sp": "incremental"}
-    assert calls == []
-    assert typed and max(typed) <= result.inserted_rows < graph.num_nodes
+    for inserts in ([(1, 7, 1.0)], [(2, 9, 1.0), (5, 11, 1.0), (250, 3, 1.0)]):
+        typed.clear()
+        result = engine.apply_batch(inserts={"E": inserts})
+        assert result.views == {"pr": "full", "cc": "incremental",
+                                "sp": "incremental"}
+        assert calls == []
+        assert typed and max(typed) <= result.inserted_rows < graph.num_nodes
     monkeypatch.undo()
     assert_views_equal_cold_runs(manager)
 
