@@ -36,7 +36,8 @@ vectors; a write landing in a sealed block first *decays* that block to
 uncompressed column lists (counted in ``block_decays``).  Reads are
 served from caches — a materialised row list, decoded full columns (as
 lists and, where exact, as typed arrays) and join indexes — that every
-mutation drops (appends and deletes keep the row list up to date).
+mutation drops (appends and deletes keep the row list and key indexes
+current; see :meth:`ColumnStore.join_index`).
 ``size_bytes`` excludes them so space accounting reflects the stored
 data, and ``drop_caches`` releases them for honest measurement.
 """
@@ -218,7 +219,7 @@ class ColumnStore:
                     self._tail[j][offset] = value
 
     def append(self, row: tuple) -> None:
-        self._touch()
+        self._touch(lambda index, _: index)  # patched on the fold
         if self._rows is not None:
             self._rows.append(row)
         if self._vectors is not None:
@@ -234,7 +235,7 @@ class ColumnStore:
         rows = rows if isinstance(rows, list) else list(rows)
         if not rows:
             return 0
-        self._touch()
+        self._touch(lambda index, _: index)
         if self._rows is not None:
             self._rows.extend(rows)
         if self._vectors is not None:
@@ -270,12 +271,18 @@ class ColumnStore:
         """Swap in new contents in the vector form: one plain
         :class:`~repro.relational.physical.blocks.ArrayVector` per column
         (int64 or float64, values in stored form); rows and list columns
-        are decoded on demand.  Nothing is sealed."""
-        self._touch()
-        self._vectors = tuple(vectors)
+        are decoded on demand.  Nothing is sealed.  A key index over key
+        vectors passed back as the same objects survives."""
+        vectors, old = tuple(vectors), self._vectors
+        self._take_vectors(vectors, lambda index, keys: index if all(
+            vectors[j] is old[j] for j in keys) else None)
+
+    def _take_vectors(self, vectors: tuple, patch) -> None:
+        self._touch(patch)
+        self._vectors = vectors
         self._pending = []
         self._rows = None
-        self._len = len(self._vectors[0].data)
+        self._len = len(vectors[0].data)
         self._drop_columns()
         self.row_assigns += 1
 
@@ -294,8 +301,11 @@ class ColumnStore:
                    and before.data.dtype == added.data.dtype
                    for before, added in zip(old, vectors)):
             return False
-        self.assign_vectors([_concat_arrays(before, added)
-                             for before, added in zip(old, vectors)])
+        start = self._len
+        self._take_vectors(
+            tuple(map(_concat_arrays, old, vectors)),
+            lambda index, keys: index.appended([vectors[j] for j in keys],
+                                               start))
         return True
 
     def vectors(self) -> tuple | None:
@@ -329,7 +339,9 @@ class ColumnStore:
             keep[dead_logical] = False
             self._vectors = tuple(vector.take(keep)
                                   for vector in self._vectors)
-        self._touch()
+            self._touch(lambda index, _: index.without(keep))
+        else:
+            self._touch()
         if self._rows is not None:
             self._rows = list(compress(self._rows,
                                        _keep_mask(len(self._rows),
@@ -482,8 +494,11 @@ class ColumnStore:
         packed keys.  Returns ``(index, build_rows_observed)``; the cache
         survives until any mutation, so a fixpoint loop probing a static
         build table pays the build cost once instead of once per
-        iteration.
+        iteration.  In the vector form the ``"csr"`` and ``"sorted"``
+        indexes are the table's key map, which mutations patch
+        (:meth:`_touch`).
         """
+        self.vectors()  # fold appended rows in: the index then covers them
         cache_key = (kind, key_positions)
         hit = self._index_cache.get(cache_key)
         if hit is not None:
@@ -553,25 +568,41 @@ class ColumnStore:
 
     # -- internals ------------------------------------------------------
 
-    def _touch(self) -> None:
+    def _touch(self, patch=None) -> None:
+        """A mutation: ``version`` advances and the caches go, but for the
+        vector form's ``"csr"`` and ``"sorted"`` key indexes that
+        ``patch(index, key_positions)`` carries over to the new contents:
+        a new index object where it changed, as kept plans hold the old
+        one (None drops it)."""
         self.version += 1
         self._col_cache.clear()
-        self._index_cache.clear()
+        cached, self._index_cache = self._index_cache, {}
+        if patch is None or self._vectors is None:
+            return
+        for (kind, keys), (index, _) in cached.items():
+            if kind in ("csr", "sorted") and index is not None:
+                index = patch(index, keys)
+                if index is not None:
+                    self._index_cache[kind, keys] = (index, len(index))
 
     def _fold(self) -> None:
         """Each vector concatenated with the exact array of its column's
-        appended values — unless a column's have none of the same dtype
-        (NULL, NaN, bool, text, out of int64, a float onto int64, an int
-        onto float64): then the vector form ends, and the rows carry on
-        as the row overlay."""
+        appended values, which the key indexes are patched to cover —
+        unless a column's have none of the same dtype (NULL, NaN, bool,
+        text, out of int64, a float onto int64, an int onto float64): then
+        the vector form ends, and the rows carry on as the row overlay."""
         rows, self._pending = self._pending, []
-        merged = [_concat_arrays(before,
-                                 exact_array([row[j] for row in rows]))
-                  for j, before in enumerate(self._vectors)]
+        added = [exact_array([row[j] for row in rows])
+                 for j in range(self.arity)]
+        merged = list(map(_concat_arrays, self._vectors, added))
         if all(vector is not None and vector.ints is None
                for vector in merged):
+            start = len(self._vectors[0].data)
+            self._touch(lambda index, keys: index.appended(
+                [added[j] for j in keys], start))
             self._vectors = tuple(merged)
             return
+        self._touch()
         if self._rows is None:
             self._rows = list(zip(*(vector.tolist()
                                     for vector in self._vectors)))

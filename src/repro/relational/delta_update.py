@@ -25,11 +25,9 @@ from .physical.blocks import (
     VALUE_ERRORS,
     ArrayColumns,
     ArrayVector,
-    SlotMap,
     _is_int64,
     improve_extremes,
     negative_zero,
-    slot_map,
 )
 from .physical.rename import Requalify
 from .physical.scan import BindingScan
@@ -194,11 +192,12 @@ class DeltaUpdate:
     the rows the last round changed (:func:`~.physical.batch
     .rebound_source`), yields the candidates, which
     :func:`~.physical.blocks.improve_extremes` folds onto R's value
-    column at the rows a :class:`~.physical.blocks.SlotMap` of R's keys
-    names.  A step that cannot prove its round equal to the plan's
-    declines before writing, and the round runs the plan — always sound:
-    :meth:`begin` and :meth:`end` bracket such a round and diff R's
-    vectors for the next one's changed rows.
+    column at the rows R's key index names (the store's ``"csr"`` index,
+    :meth:`~.physical.blocks.CsrIndex.locate`).  A step that cannot
+    prove its round equal to the plan's declines before writing, and the
+    round runs the plan — always sound: :meth:`begin` and :meth:`end`
+    bracket such a round and diff R's vectors for the next one's changed
+    rows.
     """
 
     def __init__(self, name: str, schema: Schema, key: str):
@@ -209,7 +208,6 @@ class DeltaUpdate:
         #: positions of the rows the last round changed (None: unknown)
         self.changed = None
         self._before = None
-        self._slots: SlotMap | None = None
         #: (branch plan, its join arm and aggregate function, or None)
         self._arm: tuple | None = None
         #: whether R's seed had no -0.0 (see :meth:`_zeros_proven`)
@@ -255,11 +253,8 @@ class DeltaUpdate:
                 and len(changed) > DELTA_UPDATE_ROWS):
             return None
         arm = self._join_arm(plan)
-        keys = vectors[self.key]
-        slots = self._slots
-        if slots is None or slots.keys is not keys:
-            slots = self._slots = slot_map(keys)
-        if arm is None or slots is None:
+        index = table.rows.join_index((self.key,), "csr")[0]
+        if arm is None or index is None:
             return None
         node, function = arm
         try:
@@ -276,7 +271,7 @@ class DeltaUpdate:
             return None  # the plan raises the row engine's error
         if not _is_int64(found) or values is None:
             return None
-        at = slots.locate(found.data)
+        at = index.locate(found.data)
         if at is None:
             return None  # a new key: the plan's merge appends it
         improved = improve_extremes(function, vectors[self.value], at, values,

@@ -589,18 +589,20 @@ class CsrIndex:
     ``order`` is the stable argsort of the keys, so each distinct key owns
     one run of it holding that key's row positions in ascending order —
     the order a dict bucket lists them in.  ``starts``/``counts`` locate
-    the run, directly addressed by ``key - base``.
+    the run, directly addressed by ``key - base``.  A column store patches
+    it (:meth:`appended`, :meth:`without`) into a new index.
     """
 
-    __slots__ = ("order", "starts", "counts", "base", "top", "_kept")
+    __slots__ = ("order", "starts", "counts", "base", "top", "_kept", "_slots")
 
-    def __init__(self, keys, base: int, top: int):
-        self.order = _np.argsort(keys, kind="stable")
-        self.base, self.top = base, top
-        self.counts = _np.bincount(keys - base, minlength=top - base + 1)
-        self.starts = _np.cumsum(self.counts) - self.counts
+    def __init__(self, order, counts, base: int):
+        self.order, self.counts = order, counts
+        self.base, self.top = base, base + len(counts) - 1
+        self.starts = counts.cumsum() - counts
         #: (a probe key vector, its rows' runs) — see probe_rows
         self._kept: tuple | None = None
+        #: per slot the row of a once-held key, else -1 — see locate
+        self._slots = None
 
     def __len__(self) -> int:
         return len(self.order)
@@ -622,6 +624,54 @@ class CsrIndex:
             _freeze(keys)
             kept = self._kept = (keys, *self._runs(keys.data))
         return _expand_runs(self.order, kept[1][rows], kept[2][rows], rows)
+
+    def positions(self, keys: Sequence[ArrayVector]):
+        """The ascending positions of the rows holding one of the int64
+        keys ``keys[0]``."""
+        runs = self._runs(_np.unique(keys[0].data))
+        return _np.sort(_expand_runs(self.order, *runs)[1])
+
+    def locate(self, keys):
+        """The row of each of the non-empty int64 *keys*, or None when one
+        is not the key of exactly one row, or the index's base is 2**62 or
+        more in magnitude: one gather over a row-by-slot array built on the
+        first call (a union-by-update step's)."""
+        if self._slots is None:
+            self._slots = _np.where(self.counts == 1, self.order.take(
+                self.starts, mode="clip"), -1)
+        # Below 2**62 in magnitude, ``base`` keeps ``keys - base`` from
+        # wrapping into range: as unsigned, a key outside it is too big.
+        offsets = keys - self.base
+        if abs(self.base) >= 2 ** 62 \
+                or offsets.view(_np.uint64).max() >= len(self._slots):
+            return None
+        found = self._slots[offsets]
+        return None if found.min() < 0 else found
+
+    def appended(self, keys: Sequence[ArrayVector], start: int):
+        """This index with rows ``start, start + 1, ...`` of keys
+        ``keys[0]`` appended — each at the end of its key's run, no sort
+        of the old keys — or None when one falls outside the range."""
+        data = keys[0].data
+        if data.min() < self.base or data.max() > self.top:
+            return None
+        slots = data - self.base
+        ranked = slots.argsort(kind="stable")
+        ends = (self.starts + self.counts)[slots[ranked]]
+        counts = self.counts + _np.bincount(slots, minlength=len(self.counts))
+        return CsrIndex(_np.insert(self.order, ends, ranked + start), counts,
+                        self.base)
+
+    def without(self, keep):
+        """This index over the rows the bool vector *keep* marks,
+        renumbered — or None when the range is no longer dense for them."""
+        alive = keep[self.order]
+        slots = _np.arange(len(self.counts)).repeat(self.counts)[alive]
+        if not _dense(self.base, self.top, len(slots)):
+            return None
+        return CsrIndex((keep.cumsum() - 1)[self.order[alive]],
+                        _np.bincount(slots, minlength=len(self.counts)),
+                        self.base)
 
     def _runs(self, keys) -> tuple:
         """Each probe key's run: ``(starts, counts)``, count 0 for a key
@@ -661,7 +711,9 @@ def csr_index(keys: ArrayVector | None) -> CsrIndex | None:
     base, top = int(keys.data.min()), int(keys.data.max())
     if not _dense(base, top, len(keys.data)):
         return None
-    return CsrIndex(keys.data, base, top)
+    return CsrIndex(keys.data.argsort(kind="stable"),
+                    _np.bincount(keys.data - base, minlength=top - base + 1),
+                    base)
 
 
 # -- key plans -----------------------------------------------------------------
@@ -861,67 +913,6 @@ def key_set_add(seen, keys):
 _INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 
-def matching_positions(columns: Sequence[ArrayVector | None],
-                       probes: Sequence[tuple]) -> list | None:
-    """Ascending positions of the rows whose key — one value from each of
-    the key *columns* — equals one of the *probes* (tuples of coerced
-    values), as a dict keyed by those tuples would match them; or None
-    unless every column is a plain int64 or float64 view (``ints`` unset)
-    and every probe value is an ``int`` or a ``float`` as its column is.
-
-    The int64 columns are packed (:func:`pack_keys`) and tested against
-    the sorted distinct packed probes, each float column against its
-    sorted distinct probe values; rows passing every test are candidates,
-    and with a float column among the keys the candidates' key tuples
-    are checked against the probe set itself.  A probe of the wrong
-    width, an int outside int64 or a NaN can equal no stored key and is
-    dropped.
-    """
-    if not columns:
-        return None
-    kinds = []
-    for column in columns:
-        if column is None or column.ints is not None:
-            return None
-        kinds.append(int if column.data.dtype == _np.int64 else float)
-    width = len(columns)
-    wanted = []
-    for probe in probes:
-        if len(probe) != width:
-            continue
-        if any(type(value) is not kind for value, kind in zip(probe, kinds)):
-            return None
-        if all(value == value if kind is float
-               else _INT64_MIN <= value <= _INT64_MAX
-               for value, kind in zip(probe, kinds)):
-            wanted.append(probe)
-    if not wanted:
-        return []
-    ints = [j for j, kind in enumerate(kinds) if kind is int]
-    floats = [j for j, kind in enumerate(kinds) if kind is float]
-    found = None
-    if ints:
-        packed = pack_keys([columns[j] for j in ints])
-        if packed is None:
-            return None
-        keys, packing = packed
-        probe_keys = pack_keys(
-            [ArrayVector(_np.array([probe[j] for probe in wanted],
-                                   dtype=_np.int64)) for j in ints],
-            packing)[0]
-        found = packed_member(keys, _np.unique(probe_keys[probe_keys >= 0]))
-    for j in floats:
-        member = packed_member(columns[j].data, _np.unique(
-            _np.array([probe[j] for probe in wanted], dtype=_np.float64)))
-        found = member if found is None else found & member
-    positions = _np.flatnonzero(found).tolist()
-    if floats and positions:
-        wanted = set(wanted)
-        keys = zip(*(column.data[positions].tolist() for column in columns))
-        positions = [pos for pos, key in zip(positions, keys) if key in wanted]
-    return positions
-
-
 class SortedIndex:
     """Position index over an int64 key column that is not dense —
     packed composite keys — as typed arrays: the :class:`CsrIndex` twin
@@ -929,24 +920,50 @@ class SortedIndex:
     of addressing it.  ``order`` is the stable argsort, so a run lists its
     rows in ascending position, the order a dict bucket lists them in.
     ``packing`` is the layout the keys were packed with (probe keys must
-    be packed with it too).
+    be packed with it too).  A column store patches it as a
+    :class:`CsrIndex`.
     """
 
     __slots__ = ("order", "keys", "packing")
 
-    def __init__(self, keys, packing: tuple):
-        self.order = _np.argsort(keys, kind="stable")
-        self.keys = keys[self.order]
-        self.packing = packing
+    def __init__(self, order, keys, packing: tuple):
+        self.order, self.keys, self.packing = order, keys, packing
 
     def __len__(self) -> int:
         return len(self.order)
 
     def probe(self, keys) -> tuple:
         """As :meth:`CsrIndex.probe`: the dict probe's sequence."""
-        starts = _np.searchsorted(self.keys, keys, side="left")
-        counts = _np.searchsorted(self.keys, keys, side="right") - starts
-        return _expand_runs(self.order, starts, counts)
+        return _expand_runs(self.order, *self._runs(keys))
+
+    def positions(self, keys: Sequence[ArrayVector]):
+        """The ascending positions of the rows holding one of the keys
+        given as one int64 vector per key column."""
+        # A key outside the packing packs to -1, which matches nothing.
+        runs = self._runs(_np.unique(pack_keys(keys, self.packing)[0]))
+        return _np.sort(_expand_runs(self.order, *runs)[1])
+
+    def appended(self, keys: Sequence[ArrayVector], start: int):
+        """As :meth:`CsrIndex.appended`: None when a key falls outside
+        the packing."""
+        packed = pack_keys(keys, self.packing)[0]
+        if packed.min() < 0:
+            return None
+        ranked = packed.argsort(kind="stable")
+        at = self.keys.searchsorted(packed[ranked], side="right")
+        return SortedIndex(_np.insert(self.order, at, ranked + start),
+                           _np.insert(self.keys, at, packed[ranked]),
+                           self.packing)
+
+    def without(self, keep):
+        """As :meth:`CsrIndex.without`."""
+        alive = keep[self.order]
+        return SortedIndex((keep.cumsum() - 1)[self.order[alive]],
+                           self.keys[alive], self.packing)
+
+    def _runs(self, keys) -> tuple:
+        starts = self.keys.searchsorted(keys, side="left")
+        return starts, self.keys.searchsorted(keys, side="right") - starts
 
 
 def sorted_index(keys: Sequence[ArrayVector | None]) -> SortedIndex | None:
@@ -955,7 +972,8 @@ def sorted_index(keys: Sequence[ArrayVector | None]) -> SortedIndex | None:
     packed = pack_keys(keys)
     if packed is None:
         return None
-    return SortedIndex(*packed)
+    order = packed[0].argsort(kind="stable")
+    return SortedIndex(order, packed[0][order], packed[1])
 
 
 def same_bag(left: "ColumnBatch", right: "ColumnBatch",
@@ -1023,7 +1041,7 @@ def distinct_rows(vectors: Sequence[ArrayVector]):
 #
 # The recursive relation of a with+ fixpoint is keyed by a dense vertex
 # id, so ``R ⊎ delta`` needs no hash table: a delta row's key addresses
-# its slot directly.  These are the array twins of the list merge in
+# its slot directly.  These are the array twins of the row merge in
 # :meth:`repro.relational.table.Table.merge_delta_rebuild`, which runs
 # whenever one of them answers None.
 
@@ -1092,7 +1110,7 @@ def merge_plan(old_keys: ArrayVector, new_keys: ArrayVector
     source = _np.full(size, -1, dtype=_np.intp)
     source[new_slots] = _np.arange(len(new_data))
     if _np.count_nonzero(source >= 0) != len(new_data):
-        return None  # a key twice in *new*: the list merge's last-wins
+        return None  # a key twice in *new*: the row merge's last-wins
     old_slots = old_data - low
     present = _np.zeros(size, dtype=bool)
     present[old_slots] = True
@@ -1109,7 +1127,7 @@ def merge_dense_key(old: Sequence[ArrayVector], new: Sequence[ArrayVector],
     :class:`MergePlan`, reused when it fits these key vectors; the one
     used comes back.
 
-    Same contents, order and counts as the list merge: every *old* row
+    Same contents, order and counts as the row merge: every *old* row
     whose key *new* carries takes the new row's values in place
     (*replaced* counts those that differ), the others stay, and new keys
     follow in *new*'s order.  The merged vectors are fresh arrays —
@@ -1150,45 +1168,6 @@ def merge_dense_key(old: Sequence[ArrayVector], new: Sequence[ArrayVector],
 
 
 # -- union-by-update steps on the changed keys ---------------------------------
-
-
-class SlotMap:
-    """Row position by key over one dense int64 vector of distinct keys —
-    R's key column, where a union-by-update step finds the row each
-    candidate competes for."""
-
-    __slots__ = ("keys", "low", "positions")
-
-    def __init__(self, keys: ArrayVector, low: int, positions):
-        self.keys, self.low, self.positions = keys, low, positions
-
-    def locate(self, keys):
-        """The row positions of non-empty int64 *keys*, or None when one
-        is not a key of the map."""
-        # Below 2**62 in magnitude, ``low`` keeps ``keys - low`` from
-        # wrapping into range: as unsigned, a key outside it is too big.
-        offsets = keys - self.low
-        if offsets.view(_np.uint64).max() >= len(self.positions):
-            return None
-        found = self.positions[offsets]
-        return None if found.min() < 0 else found
-
-
-def slot_map(keys: ArrayVector) -> SlotMap | None:
-    """The :class:`SlotMap` of a key vector, or None unless it is a
-    non-empty int64 vector of dense, distinct keys below 2**62 in
-    magnitude."""
-    data = keys.data
-    if data.dtype != _np.int64 or not len(data):
-        return None
-    low, high = int(data.min()), int(data.max())
-    if not _dense(low, high, len(data)) or abs(low) >= 2 ** 62:
-        return None
-    positions = _np.full(high - low + 1, -1, dtype=_np.intp)
-    positions[data - low] = _np.arange(len(data))
-    if _np.count_nonzero(positions >= 0) != len(data):
-        return None
-    return SlotMap(keys, low, positions)
 
 
 def negative_zero(vector: ArrayVector) -> bool:

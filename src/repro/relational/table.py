@@ -9,7 +9,7 @@ maintains secondary indexes incrementally.  Reads go through
 
 from __future__ import annotations
 
-from operator import eq, itemgetter
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -18,10 +18,13 @@ from .columnar import make_storage
 from .errors import CatalogError, ConstraintError, SchemaError
 from .indexes import Index, make_index
 from .physical.blocks import (
+    _INT64_MAX,
+    _INT64_MIN,
     ArrayColumns,
+    ArrayVector,
+    RowsColumns,
     cast_exact,
     exact_array,
-    matching_positions,
     merge_dense_key,
     pack_keys,
 )
@@ -29,17 +32,6 @@ from .relation import Relation, Row
 from .schema import Schema
 from .statistics import TableStatistics
 from .types import SqlType, coerce, make_row_coercer
-
-# Values of exactly these Python types pass :func:`coerce` unchanged for
-# the given column type (NULL always does) — the columnar merge fast path
-# uses this to prove a whole delta column needs no coercion with one C
-# type scan instead of a per-row coercer call.
-_IDENTITY_TYPES = {
-    SqlType.INTEGER: frozenset({int, type(None)}),
-    SqlType.DOUBLE: frozenset({float, type(None)}),
-    SqlType.TEXT: frozenset({str, type(None)}),
-    SqlType.BOOLEAN: frozenset({bool, type(None)}),
-}
 
 
 class Table:
@@ -184,7 +176,7 @@ class Table:
             raise SchemaError(
                 f"cannot insert arity-{relation.schema.arity} relation"
                 f" into arity-{self.schema.arity} table {self.name}")
-        vectors = self._stored_vectors(relation)
+        vectors = self._stored_vectors(relation.batch)
         if vectors is None or not self.rows.append_vectors(vectors):
             return self.insert_many(relation.rows)
         self._positions_cache = None
@@ -308,7 +300,7 @@ class Table:
             raise SchemaError(
                 f"cannot replace arity-{self.schema.arity} table {self.name}"
                 f" with arity-{relation.schema.arity} contents")
-        vectors = self._stored_vectors(relation)
+        vectors = self._stored_vectors(relation.batch)
         if vectors is not None:
             self.rows.assign_vectors(vectors)
         else:
@@ -323,16 +315,15 @@ class Table:
         self.rows.assign_vectors(vectors)
         self._rebuild_auxiliary()
 
-    def _stored_vectors(self, relation: Relation) -> list | None:
-        """*relation*'s columns in stored form as typed vectors — what
-        coercing its rows would store, cast per column
+    def _stored_vectors(self, batch) -> list | None:
+        """The column *batch*'s columns in stored form as typed vectors —
+        what coercing its rows would store, cast per column
         (:func:`~repro.relational.physical.blocks.cast_exact`) — or None
         unless the table is columnar with no key constraint or secondary
-        index to maintain, the relation is non-empty and batch-backed,
-        and every column is INTEGER or DOUBLE with an exact cast."""
-        batch = relation.batch
+        index to maintain, there is a non-empty batch, and every column is
+        INTEGER or DOUBLE with an exact cast."""
         if batch is None or self.storage != "columnar" or self.enforce_key \
-                or self.indexes or not len(relation):
+                or self.indexes or not batch.length:
             return None
         return self._stored_form(batch.array)
 
@@ -428,16 +419,15 @@ class Table:
         *target_positions* is one of the coerced *probes* — the one key
         lookup behind :meth:`delete_by_key`, the key check of
         :meth:`insert_many` and the streaming ``ES`` patch.  On columnar
-        storage it is one pass over the typed key vectors
-        (:func:`~repro.relational.physical.blocks.matching_positions`);
+        storage it probes the store's key index (:meth:`_indexed_positions`);
         else — row storage, a TEXT, BOOLEAN, NULL or NaN key column, int
         keys that do not pack, a NULL probe — the positions-by-key dict.
         Both find the same positions."""
         if not probes:
             return []
         if self.storage == "columnar":
-            positions = matching_positions(
-                [self.rows.array(j) for j in target_positions], probes)
+            positions = self._indexed_positions(probes,
+                                                tuple(target_positions))
             if positions is not None:
                 return positions
         mapping = self.positions_by_key(target_positions)
@@ -446,15 +436,63 @@ class Table:
             found.update(mapping.get(probe, ()))
         return sorted(found)
 
+    def _indexed_positions(self, probes: Sequence[tuple],
+                           columns: tuple[int, ...]) -> list[int] | None:
+        """:meth:`positions_of` on a columnar store: the int64 key columns
+        probe the store's key index (``"csr"`` for one dense column, else
+        ``"sorted"``), float64 ones are checked on the candidates (all
+        rows without an int column).  None, for the dict, unless every key
+        column is a plain int64 or float64 vector, every probe value an
+        ``int`` or a ``float`` as its column is, and the int columns pack.
+        A probe of the wrong width, an int outside int64 or a NaN is
+        dropped: it equals no stored key."""
+        store = self.rows
+        vectors = [store.array(j) for j in columns]
+        if not vectors or any(vector is None or vector.ints is not None
+                              for vector in vectors):
+            return None
+        kinds = [int if vector.data.dtype == np.int64 else float
+                 for vector in vectors]
+        wanted = []
+        for probe in probes:
+            if len(probe) != len(kinds):
+                continue
+            if any(type(value) is not kind
+                   for value, kind in zip(probe, kinds)):
+                return None
+            if all(value == value if kind is float
+                   else _INT64_MIN <= value <= _INT64_MAX
+                   for value, kind in zip(probe, kinds)):
+                wanted.append(probe)
+        if not wanted:
+            return []
+        ints = [i for i, kind in enumerate(kinds) if kind is int]
+        if not ints:
+            found = np.arange(len(store))  # every row is a candidate
+        else:
+            keys = tuple(columns[i] for i in ints)
+            index = store.join_index(keys, "csr")[0] if len(ints) == 1 \
+                else None
+            if index is None:
+                index = store.join_index(keys, "sorted")[0]
+                if index is None:
+                    return None
+            found = index.positions([ArrayVector(np.array(
+                [probe[i] for probe in wanted], dtype=np.int64)) for i in ints])
+            if len(ints) == len(kinds):
+                return found.tolist()
+        wanted = set(wanted)
+        held = zip(*(vector.data[found].tolist() for vector in vectors))
+        return [pos for pos, key in zip(found.tolist(), held)
+                if key in wanted]
+
     def positions_by_key(self, target_positions: Sequence[int]
                          ) -> dict[tuple, list[int]]:
-        """Key value → row positions, cached across calls.
-
-        The cache survives appends (:meth:`_append` patches it) and is
-        dropped by any other row mutation, so a recursive union-by-update
-        loop builds it once and then pays O(|delta|) per iteration
-        instead of O(|table|).
-        """
+        """Key value → row positions, cached across calls: row storage's
+        lookup, a columnar one's where its key index declines
+        (:meth:`positions_of`), and :meth:`apply_delta_by_key`'s.  The
+        cache survives appends (:meth:`_append` patches it) and is dropped
+        by any other row mutation."""
         wanted = tuple(target_positions)
         if self._positions_cache is not None \
                 and self._positions_cache[0] == wanted:
@@ -536,9 +574,8 @@ class Table:
                 f" arity-{self.schema.arity} table {self.name}")
         if self.storage == "columnar" and len(key_columns) == 1:
             merged = self._merge_delta_arrays(delta, key_columns[0])
-            if merged is None:
-                merged = self._merge_delta_columnar(delta, key_columns[0])
-            return merged
+            if merged is not None:
+                return merged
         target_key = itemgetter(*(self.schema.index_of(k)
                                   for k in key_columns))
         delta_key = itemgetter(*(delta.schema.index_of(k)
@@ -570,23 +607,27 @@ class Table:
 
     def _merge_delta_arrays(self, delta: Relation,
                             key_column: str) -> tuple[int, int] | None:
-        """Array form of :meth:`merge_delta_rebuild` for a delta the block
-        pipeline handed over as a column batch: the table's and the
-        delta's typed vectors merge by key position
+        """Array form of :meth:`merge_delta_rebuild` on columnar storage:
+        the table's and the delta's typed vectors — a column batch's own
+        arrays, or one :func:`~repro.relational.physical.blocks.exact_array`
+        per column of a row-backed delta — merge by key position
         (:func:`~repro.relational.physical.blocks.merge_dense_key`) and
-        the store takes the result as vectors — no row tuples on either
-        side.  Coercion is a dtype cast.  Same contents, row order and
-        counts as the list merge, which runs whenever this answers None:
-        a key constraint or secondary index to maintain, a column that is
-        not all int / all float (NULL, bool, text, NaN), a cast that is
-        not exact, or keys that are not dense, distinct ints.  Declines
-        before touching the table.  The slot map is the table's last
-        merge's when that was made of the same two key vectors.
+        the store takes the result as vectors.  Coercion is a dtype cast.
+        Same contents, row order and counts as the row merge, which runs
+        whenever this answers None: a key constraint or secondary index to
+        maintain, a column that is not all int / all float (NULL, bool,
+        text, NaN), a cast that is not exact, or keys that are not dense,
+        distinct ints.  Declines before touching the table.  The slot map
+        is the table's last merge's when that was made of the same two
+        key vectors.
         """
         kpos = self.schema.index_of(key_column)
         if delta.schema.index_of(key_column) != kpos:
             return None
-        new = self._stored_vectors(delta)
+        batch = delta.batch
+        new = self._stored_vectors(
+            RowsColumns(delta.rows, delta.schema.arity) if batch is None
+            else batch)
         if new is None:
             return None
         old = [self.rows.array(j) for j in range(self.schema.arity)]
@@ -598,55 +639,6 @@ class Table:
         vectors, replaced, appended, self._merge_plan = merged
         self.assign_vectors(vectors)
         return replaced, appended
-
-    def _merge_delta_columnar(self, delta: Relation,
-                              key_column: str) -> tuple[int, int]:
-        """Columnwise :meth:`merge_delta_rebuild` for columnar storage.
-
-        Reads the table's key column straight from the store (one decoded
-        vector), maps ``replacement.get`` over it in a single C pass, and
-        assembles the merged contents from the resulting hit vector — no
-        per-row key extraction or dict probe in Python.  Delta coercion is
-        skipped entirely when one C type scan per column proves every
-        value is already in stored form.  Row order, contents and the
-        ``(replaced, appended)`` counts match the row-path merge exactly.
-        """
-        kpos = self.schema.index_of(key_column)
-        dpos = delta.schema.index_of(key_column)
-        coerced = self._coerce_delta_rows(delta)
-        rows = self.rows.materialized()
-        delta_keys = list(map(itemgetter(dpos), coerced))
-        # Last write wins on duplicate delta keys, like the row path.
-        replacement = dict(zip(delta_keys, coerced))
-        id_col = self.rows.column(kpos)
-        hits = list(map(replacement.get, id_col))
-        present = set(id_col)
-        matched_total = len(hits) - hits.count(None)
-        if matched_total == len(hits):
-            out = hits  # every table row replaced: the hit vector is the result
-        else:
-            out = [row if new is None else new
-                   for new, row in zip(hits, rows)]
-        # eq(None, row) is False, so this counts matched-and-unchanged rows.
-        replaced = matched_total - sum(map(eq, hits, rows))
-        appended_rows = [row for key, row in zip(delta_keys, coerced)
-                         if key not in present]
-        out.extend(appended_rows)
-        self.rows.assign(out)
-        self._rebuild_auxiliary()
-        return replaced, len(appended_rows)
-
-    def _coerce_delta_rows(self, delta: Relation) -> list[Row]:
-        """Delta rows coerced to this table's column types, reusing the
-        incoming tuples untouched when a C type scan per column shows
-        every value already has its stored Python type."""
-        rows = delta.rows
-        for j, column in enumerate(self.schema.columns):
-            allowed = _IDENTITY_TYPES[column.sql_type]
-            if not set(map(type, map(itemgetter(j), rows))) <= allowed:
-                coerce_row = self._coerce_row
-                return [coerce_row(row) for row in rows]
-        return rows if isinstance(rows, list) else list(rows)
 
     # -- internals -----------------------------------------------------------------
 

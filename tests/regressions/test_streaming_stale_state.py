@@ -8,8 +8,11 @@ cardinalities.  These tests pin the invalidation contract."""
 
 from collections import Counter
 
+import numpy as np
+
 from repro.graphsystems.graph import Graph
 from repro.relational import Engine
+from repro.relational.physical.blocks import csr_index
 
 
 def chain_graph(n=8):
@@ -43,14 +46,20 @@ def test_join_after_streaming_delete_skips_tombstoned_rows():
 
 
 def test_vertex_delete_invalidates_cached_positions_map():
-    engine = Engine("oracle")
+    engine = Engine("oracle", storage="columnar")
     graph = chain_graph()
     engine.streaming.attach_graph(graph)
-    table = engine.database.table("V")
-    engine.execute(JOIN)  # warms positions_by_key on the join key
+    store = engine.database.table("V").rows
+    warmed, _ = store.join_index((0,), "csr")  # V's key index on ID
 
     engine.apply_batch(deletes={"V": [(4,)]})
-    assert table._positions_cache is None
+    # The delete patched the index (a new object) instead of dropping it,
+    # and it answers as one built over what is left.
+    kept, _ = store._index_cache[("csr", (0,))]
+    assert kept is not warmed
+    probe = np.arange(-1, 10)
+    assert [a.tolist() for a in kept.probe(probe)] \
+        == [a.tolist() for a in csr_index(store.array(0)).probe(probe)]
     rows = engine.execute(JOIN).rows
     assert all(row[1] != 4 for row in rows)
     assert Counter(r[:2] for r in rows) == Counter(graph.edges())

@@ -244,12 +244,23 @@ def test_two_key_columns_take_the_row_merge(array_merges):
     assert array_merges == []  # the columnar fast path is one key column
 
 
-def test_rows_backed_delta_takes_the_list_merge(array_merges):
-    table = Table("R", II, enforce_key=False, storage="columnar")
-    table.insert_many(BASE)
-    assert table.merge_delta_rebuild(Relation(II, [(1, 5)]), ("ID",)) \
-        == (1, 0)
-    assert array_merges == [False]
+def test_rows_backed_delta_merges_on_arrays(array_merges):
+    # One exact_array per column of the delta's rows; what the arrays
+    # cannot hold (a NULL, TEXT) takes the row merge.
+    text = schema_of(SqlType.INTEGER, SqlType.TEXT)
+    cases = [(II, BASE, [(1, 5)], True),
+             (II, BASE, [(0, 2.9), (9, 1)], True),
+             (II, BASE, [(0, None), (1, 2)], False),
+             (text, [(0, "a"), (1, "b")], [(0, "c")], False)]
+    for schema, base, delta_rows, on_arrays in cases:
+        expected = merge_outcome("rows", schema, base, delta_rows)
+        table = Table("R", schema, enforce_key=False, storage="columnar")
+        table.insert_many(base)
+        array_merges.clear()
+        counts = table.merge_delta_rebuild(Relation(schema, delta_rows),
+                                           ("ID",))
+        assert (counts, identity(table.rows)) == expected
+        assert array_merges == [on_arrays]
 
 
 # -- consolidate -------------------------------------------------------------------

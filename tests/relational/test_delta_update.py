@@ -24,7 +24,7 @@ from repro.core.algorithms.common import load_graph
 from repro.datasets import preferential_attachment
 from repro.relational import REFERENCE_PROFILE, Engine, delta_update
 from repro.relational.physical.blocks import (ArrayVector, CsrIndex,
-                                              improve_extremes, slot_map)
+                                              csr_index, improve_extremes)
 from repro.relational.relation import Relation
 
 INF = math.inf
@@ -228,10 +228,11 @@ def test_improve_extremes_declines_an_inexact_cast():
                             zeros=True) is None
 
 
-def test_slot_map_locates_keys_and_refuses_strangers():
-    keys = _vector([7, 3, 5, 4], np.int64)
-    slots = slot_map(keys)
-    assert slots.locate(np.array([4, 7, 7])).tolist() == [3, 0, 0]
-    assert slots.locate(np.array([6])) is None       # inside, not a key
-    assert slots.locate(np.array([2 ** 62])) is None  # outside
-    assert slot_map(_vector([1, 1], np.int64)) is None  # not distinct
+def test_csr_index_locates_keys_and_refuses_strangers():
+    index = csr_index(_vector([7, 3, 5, 4], np.int64))
+    assert index.locate(np.array([4, 7, 7])).tolist() == [3, 0, 0]
+    assert index.locate(np.array([6])) is None       # inside, not a key
+    assert index.locate(np.array([2 ** 62])) is None  # outside
+    twice = csr_index(_vector([1, 1, 2], np.int64))
+    assert twice.locate(np.array([1])) is None       # not distinct
+    assert twice.locate(np.array([2])).tolist() == [2]

@@ -1,7 +1,7 @@
 """Keyed deletes on typed vectors.
 
-``Table.delete_by_key`` on columnar storage matches the coerced probes
-against the store's key vectors (``blocks.matching_positions``); the
+``Table.delete_by_key`` on columnar storage finds the coerced probes
+through the store's key index (``Table._indexed_positions``); the
 positions-by-key dict is the fallback and, on row storage, the oracle.
 Both must leave the same removed count, contents and row order (value
 identity included: ``1`` vs ``1.0``, ``0.0`` vs ``-0.0``), refused keys
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.relational.physical.blocks import ArrayVector, matching_positions
+from repro.relational.physical.blocks import ArrayVector
 from repro.relational.schema import Column, Schema
 from repro.relational.table import Table
 from repro.relational.types import SqlType
@@ -181,13 +181,17 @@ def test_outside_the_envelope_takes_the_dict_path(dict_lookups, case):
     assert len(dict_lookups) == 2  # the oracle and the columnar table
 
 
-def test_a_column_mixing_ints_and_floats_declines():
+def test_a_column_mixing_ints_and_floats_declines(dict_lookups):
     # Stored columns are coerced to one type, so the mix only reaches the
-    # kernel through a flagged vector.
-    mixed = ArrayVector(np.array([1.0, 2.0]), np.array([True, False]))
-    plain = ArrayVector(np.array([1.0, 2.0]))
-    assert matching_positions([mixed], [(1,)]) is None
-    assert matching_positions([plain], [(2.0,)]) == [1]
+    # lookup through a flagged vector handed to the store itself.
+    table = Table("R", Schema((Column("a", DOUBLE),)), storage="columnar")
+    table.rows.assign_vectors([ArrayVector(np.array([1.0, 2.0]),
+                                           np.array([True, False]))])
+    assert table.positions_of([(1,)], (0,)) == [0]
+    assert dict_lookups == [(0,)]
+    table.rows.assign_vectors([ArrayVector(np.array([1.0, 2.0]))])
+    assert table.positions_of([(2.0,)], (0,)) == [1]
+    assert dict_lookups == [(0,)]
 
 
 def test_row_storage_takes_the_dict_path(dict_lookups):
