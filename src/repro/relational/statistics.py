@@ -30,6 +30,8 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from .physical.blocks import unique_runs
+
 if TYPE_CHECKING:  # pragma: no cover
     from .relation import Relation
     from .schema import Schema
@@ -167,16 +169,20 @@ class TableStatistics:
 
 def _vector_column_statistics(data) -> ColumnStatistics:
     """:meth:`TableStatistics.refresh`'s per-column pass over a non-empty,
-    NULL- and NaN-free numpy vector.  ``np.unique`` gives each distinct
-    value (``0.0`` and ``-0.0`` are one) its count and its first row:
-    MCVs order by count, ties by first row (what ``Counter.most_common``
-    keeps), and each value — like ``min``/``max`` via ``argmin``/``argmax``
-    — is read at the first row holding it, the object Python would have
-    kept, down to the sign of a zero."""
+    NULL- and NaN-free numpy vector.  :func:`~.physical.blocks.unique_runs`
+    (int64) or ``np.unique`` (float64) gives each distinct value (``0.0``
+    and ``-0.0`` are one) its count and its first row: MCVs order by
+    count, ties by first row (what ``Counter.most_common`` keeps), and
+    each value — like ``min``/``max`` via ``argmin``/``argmax`` — is read
+    at the first row holding it, the object Python would have kept, down
+    to the sign of a zero."""
     n = len(data)
     low, high = data.argmin(), data.argmax()
-    _, first, counts = np.unique(data, return_index=True,
-                                 return_counts=True)
+    if data.dtype == np.int64:
+        _, first, _, counts = unique_runs(data)
+    else:
+        _, first, counts = np.unique(data, return_index=True,
+                                     return_counts=True)
     top = np.lexsort((first, -counts))[:MCV_LIMIT]
     most_common = tuple(
         (value, count / n) for value, count in zip(

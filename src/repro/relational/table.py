@@ -23,6 +23,7 @@ from .physical.blocks import (
     ArrayColumns,
     ArrayVector,
     RowsColumns,
+    all_distinct,
     cast_exact,
     exact_array,
     merge_dense_key,
@@ -232,7 +233,7 @@ class Table:
         if vectors is None or not self.enforce_key:
             return vectors
         packed = pack_keys([vectors[i] for i in self._key_positions])
-        if packed is None or len(np.unique(packed[0])) != len(packed[0]):
+        if packed is None or not all_distinct(ArrayVector(packed[0])):
             return None
         return vectors
 
