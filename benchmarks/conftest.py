@@ -1,9 +1,11 @@
 """Shared benchmark configuration.
 
 Every bench prints the rows/series its paper table or figure reports and
-also writes them to ``benchmark_results/<name>.txt`` so the output
-survives pytest's capture.  ``REPRO_BENCH_SCALE`` (default 0.35) scales
-the synthetic datasets.
+also writes them to ``benchmark_results/latest/<name>.txt`` (gitignored)
+so the output survives pytest's capture.  The committed
+``benchmark_results/<name>.txt`` are the recorded baseline a run is
+diffed against; a run leaves them alone.  ``REPRO_BENCH_SCALE`` (default
+0.35) scales the synthetic datasets.
 """
 
 from __future__ import annotations
@@ -12,11 +14,11 @@ import pathlib
 
 import pytest
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "benchmark_results"
+RESULTS_DIR = pathlib.Path(__file__).parent / "benchmark_results" / "latest"
 
 
 def save_result(name: str, text: str) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     print()
     print(text)

@@ -6,7 +6,7 @@ paper ran on.  The public surface:
 * :class:`Engine` — parse + execute SQL (including with+ recursion) under a
   dialect profile; ``Engine(dialect, **REFERENCE_PROFILE)`` is the paper's
   modelled RDBMS (the differential oracle), ``Engine(dialect)`` the array
-  engine;
+  engine; a :class:`WarmStart` resumes a recursive CTE from a seed;
 * :class:`Database`, :class:`Table`, :class:`Relation`, :class:`Schema` —
   the storage and algebra layer the paper's operators are defined over;
 * :mod:`repro.relational.strategies` — the union-by-update strategies of
@@ -28,6 +28,7 @@ from .errors import (
     SchemaError,
     StratificationError,
 )
+from .recursive import WarmStart
 from .relation import AggregateSpec, Relation
 from .schema import Column, Schema
 from .table import Table
@@ -39,6 +40,7 @@ __all__ = [
     "Database",
     "Table",
     "Relation",
+    "WarmStart",
     "AggregateSpec",
     "Schema",
     "Column",

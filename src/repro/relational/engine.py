@@ -50,6 +50,7 @@ from .recursive import (
     PlanCache,
     RecursiveExecutor,
     StatementPlans,
+    WarmStart,
     WithExecutionResult,
 )
 from .relation import Relation
@@ -243,15 +244,17 @@ class Engine:
 
     def execute_detailed(self, sql: str | Statement,
                          mode: str | None = None,
-                         warm_start: dict[str, Relation] | None = None
+                         warm_start: dict[str, WarmStart] | None = None
                          ) -> WithExecutionResult:
         """Run a statement, returning per-iteration statistics for
         recursive queries (used by the Fig 12/13 benchmarks) with a
         ``.telemetry`` summary attached.
 
-        *warm_start* maps recursive-CTE names to seed relations used in
-        place of their initial branches — the streaming layer resumes a
-        fixpoint from a prior result this way (see docs/streaming.md)."""
+        *warm_start* maps recursive-CTE names to a :class:`WarmStart`,
+        whose seed relation is used in place of their initial branches
+        and whose frontier, when given, names the keys round 1 steps over
+        — the streaming layer resumes a fixpoint from a prior result this
+        way (see docs/streaming.md)."""
         tracer = self.telemetry.tracer
         phases: dict[str, float] = {}
         sql_text = sql if isinstance(sql, str) else type(sql).__name__
@@ -310,7 +313,7 @@ class Engine:
     def _execute_recursive(self, statement: WithStatement, mode: str,
                            plans: StatementPlans, stale: str | None, tracer,
                            phases, query_span,
-                           warm_start: dict[str, Relation] | None = None
+                           warm_start: dict[str, WarmStart] | None = None
                            ) -> WithExecutionResult:
         """The with+ path: planning happens *inside* the loop (branch plans
         are compiled, cached, and replanned there), so the plan phase is
@@ -542,7 +545,9 @@ class Engine:
         return explain_plan(plan)
 
     def explain_analyze(self, sql: str | Statement,
-                        mode: str | None = None) -> str:
+                        mode: str | None = None,
+                        warm_start: dict[str, WarmStart] | None = None
+                        ) -> str:
         """Execute a statement and return its plan annotated with actual
         per-operator row counts, inclusive timings, and loop counts.
 
@@ -553,13 +558,14 @@ class Engine:
         final body; since cached plans run once per iteration, their
         totals accumulate over the whole loop.  Branches that cannot be
         plan-cached are re-planned each iteration and do not appear in
-        the report.
+        the report.  *warm_start* is :meth:`execute_detailed`'s.
         """
         statement = parse_statement(sql) if isinstance(sql, str) else sql
         mode = mode or self.mode
         plans, stale = self._take_plans(statement, mode)
         if plans.recursive():
-            executor = self._executor(mode, plans, analyze=True)
+            executor = self._executor(mode, plans, analyze=True,
+                                      warm_start=warm_start)
             result = executor.execute(statement)
             self._keep_plans(plans, stale, result)
             return executor.analysis_report(result)

@@ -97,6 +97,23 @@ DEFAULT_ROW_CAP = 5_000_000
 
 
 @dataclass
+class WarmStart:
+    """A recursive CTE resumed from *seed* instead of its initial queries.
+
+    *frontier*, an int64 vector of R keys, names the seed rows that may
+    now derive a better candidate than the seed holds.  A union by update
+    that :func:`~.delta_update.delta_update_is_exact` proves then takes
+    round 1 as a :class:`~.delta_update.DeltaUpdate` step over those rows
+    instead of running the kept branch plan; docs/with_plus_language.md,
+    "Semi-naive union by update", has the caller's proof obligation.
+    Without a frontier round 1 runs the plan.
+    """
+
+    seed: Relation
+    frontier: np.ndarray | None = None
+
+
+@dataclass
 class IterationStat:
     """Per-iteration measurements (Fig 12/13 are plotted from these)."""
 
@@ -117,7 +134,8 @@ class IterationStat:
     #: Wall seconds per recursive branch, in branch order.
     branch_seconds: tuple = ()
     #: What the round's branches read R as: ``"delta"`` — the rows the
-    #: last round added or changed — or ``"full"``.
+    #: last round added or changed, or a warm start's frontier — or
+    #: ``"full"``.
     binding: str = "full"
 
 
@@ -142,10 +160,14 @@ class WithExecutionResult:
     #: ``drift``, ``replaced``, ``analyze`` or ``schema``.
     replans: int = 0
     replan_reasons: dict[str, int] = field(default_factory=dict)
+    #: Union-by-update rounds taken as a DeltaUpdate step over the rows
+    #: the last round (or a warm start's frontier) changed, not the plan.
+    steps: int = 0
     #: Per recursive CTE name, what its branch statements read R as from
     #: iteration 2 on: ``"delta"`` (the last round's new rows — or, for a
     #: union by update, the rows it changed, in the rounds
-    #: ``IterationStat.binding`` marks) or ``"full"`` (all of R) — see
+    #: ``IterationStat.binding`` marks, round 1 of a warm start with a
+    #: frontier included) or ``"full"`` (all of R) — see
     #: docs/with_plus_language.md.
     binding: dict[str, str] = field(default_factory=dict)
     #: A :class:`repro.observability.QueryTelemetry` when executed through
@@ -566,6 +588,20 @@ def _branch_is_plan_cacheable(branch: CteBranch) -> bool:
                     for d in branch.computed_by))
 
 
+def _frontier_rows(table: Table, key: int, frontier: np.ndarray
+                   ) -> np.ndarray | None:
+    """The sorted positions of R's rows keyed by the *frontier* keys,
+    located through R's ``"csr"`` key index — None when R is not columnar
+    or has no such index, or a key is not the key of one row of R."""
+    if not len(frontier):
+        return np.zeros(0, dtype=np.intp)
+    if table.storage != "columnar":
+        return None
+    index = table.rows.join_index((key,), "csr")[0]
+    found = None if index is None else index.locate(frontier)
+    return None if found is None else np.unique(found)
+
+
 def _cardinality_drifted(planned: int | None, current: int,
                          factor: float) -> bool:
     """True when *current* rows diverge from the *planned* cardinality by
@@ -747,7 +783,7 @@ class RecursiveExecutor:
                  ubu_strategy: str | None = None,
                  temp_indexes: dict[str, Sequence[str]] | None = None,
                  analyze: bool = False, telemetry=None,
-                 warm_start: dict[str, "Relation"] | None = None,
+                 warm_start: dict[str, WarmStart] | None = None,
                  plans: StatementPlans | None = None):
         if mode not in ("with", "with+"):
             raise ValueError(f"mode must be 'with' or 'with+', not {mode!r}")
@@ -777,14 +813,15 @@ class RecursiveExecutor:
         #: (title, plan, stats) per recorded plan, in first-execution
         #: order — the engine grafts these into the trace
         self.observed: list[tuple[str, object, StatsSink]] = []
-        #: Warm-start seeds: lowercase recursive-CTE name → Relation used
-        #: *instead of* evaluating the CTE's initial branches.  The
-        #: streaming layer passes a prior fixpoint (with the delta
-        #: frontier's resets applied); the recursive loop then iterates
-        #: from it exactly as it would from the initial queries, so a
-        #: seed that is already a fixpoint converges in one iteration.
-        self.warm_start = {name.lower(): relation
-                           for name, relation in (warm_start or {}).items()}
+        #: Warm starts: lowercase recursive-CTE name → :class:`WarmStart`,
+        #: whose seed is used *instead of* evaluating the CTE's initial
+        #: branches.  The streaming layer passes a prior fixpoint (with
+        #: the batch's resets applied) and the keys the batch touched;
+        #: the recursive loop then iterates from the seed exactly as it
+        #: would from the initial queries, so a seed that is already a
+        #: fixpoint converges in one iteration.
+        self.warm_start = {name.lower(): start
+                           for name, start in (warm_start or {}).items()}
         #: The statement's plans, kept by the engine between calls (a new
         #: entry when none is passed); queries plan against its slots.
         self.plans = plans
@@ -874,7 +911,8 @@ class RecursiveExecutor:
             header = (f"iterations={result.iterations}"
                       f" plans_compiled={result.plans_compiled}"
                       f" plan_cache_hits={result.plan_cache_hits}"
-                      f" replans={result.replans}")
+                      f" replans={result.replans}"
+                      f" steps={result.steps}")
             if result.binding:
                 shown = list(result.binding.values()) \
                     if len(result.binding) == 1 else \
@@ -912,13 +950,17 @@ class RecursiveExecutor:
             raise PlanError(f"recursive CTE {cte.name!r} has no initial query")
 
         outer = entry.slots
-        seed = self.warm_start.get(cte.name.lower())
-        if seed is not None:
+        warm = self.warm_start.get(cte.name.lower())
+        frontier = None
+        if warm is not None:
             # Warm start: the caller's seed stands in for the initial
             # queries.  Everything downstream (temp table, the loop) is
             # unchanged — the fixpoint is simply resumed from the seed
-            # instead of derived from zero.
-            current = seed
+            # instead of derived from zero — but for round 1, which may
+            # step over the frontier's rows.
+            current = warm.seed
+            if warm.frontier is not None:
+                frontier = np.asarray(warm.frontier, dtype=np.int64)
         else:
             current = self._planned(initial[0].statement, outer,
                                     stats).execute()
@@ -988,6 +1030,8 @@ class RecursiveExecutor:
         #   entry), a round from iteration 2 on may instead read only the
         #   rows the last round changed (DeltaUpdate.step), writing just
         #   the values it improves; a round it cannot prove runs the plan.
+        #   Round 1 of a warm start with a frontier steps over the
+        #   frontier's rows when the statement's plan is kept already.
         if cte.union_kind is UnionKind.UNION_ALL:
             semi_naive = True
         elif cte.union_kind is UnionKind.UNION:
@@ -1042,12 +1086,19 @@ class RecursiveExecutor:
             with self._span("iteration", index=iteration) as iter_span:
                 stepped = None
                 if update is not None:
-                    if iteration > 1 and cached[0] is not None:
+                    if iteration == 1:
+                        update.begin(table, 1)  # the -0.0 proof's seed
+                        if frontier is not None:
+                            update.changed = _frontier_rows(
+                                table, update.key, frontier)
+                    if cached[0] is not None and update.changed is not None:
                         stepped = update.step(table, cached[0])
                     if stepped is None:
-                        update.begin(table, iteration)
+                        if iteration > 1:
+                            update.begin(table, iteration)
                     else:
                         stats.plan_cache_hits += cached[0].statement_count
+                        stats.steps += 1
                         branch_seconds.append(time.perf_counter() - started)
                 if stepped is None:
                     snapshot = table.snapshot()

@@ -41,6 +41,7 @@ import numpy as np
 from repro.core.algorithms import bellman_ford, wcc
 from repro.relational.physical.blocks import (ArrayColumns, ArrayVector,
                                               RowsColumns, _concat_arrays)
+from repro.relational.recursive import WarmStart
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.types import SqlType
@@ -186,9 +187,13 @@ class _WarmStartView(StreamingView):
     """Shared machinery for the SQL-backed monotone views (WCC, SSSP):
     the result as one typed vector in node order, a seed carried over
     from it with vector masks, and the recursive query resumed from the
-    seed via ``Engine.execute_detailed(..., warm_start=...)``."""
+    seed via ``Engine.execute_detailed(..., warm_start=...)``, round 1
+    stepping over the keys the batch touched (:meth:`_frontier`)."""
 
     cte_name = "?"
+    #: whether the statement joins an edge table holding every edge in
+    #: both directions (WCC's ``ES``) rather than ``E``
+    symmetric = False
 
     @property
     def values(self) -> dict:
@@ -202,17 +207,20 @@ class _WarmStartView(StreamingView):
         if seed is None:
             self.full_refresh()
         else:
-            self._run(self._sql(), seed)
+            self._run(self._sql(), seed, self._frontier(seed, delta))
         mode = "full" if seed is None else "incremental"
         self.mode_history.append(mode)
         return mode
 
-    def _run(self, sql: str, seed: ArrayVector | None = None) -> None:
-        """Run *sql*, resumed from *seed* (values in node order); keep its
-        result in node order, through the slot map if it is not."""
+    def _run(self, sql: str, seed: ArrayVector | None = None,
+             frontier: np.ndarray | None = None) -> None:
+        """Run *sql*, resumed from *seed* (values in node order) and its
+        *frontier*; keep its result in node order, through the slot map
+        if it is not."""
         manager = self.manager
-        warm = None if seed is None else {self.cte_name: Relation.from_batch(
-            self.SEED_SCHEMA, ArrayColumns([ArrayVector(manager.ids), seed]))}
+        warm = None if seed is None else {self.cte_name: WarmStart(
+            Relation.from_batch(self.SEED_SCHEMA, ArrayColumns(
+                [ArrayVector(manager.ids), seed])), frontier)}
         relation = manager.engine.execute_detailed(
             sql, warm_start=warm).relation
         batch = relation.batch or RowsColumns(relation.rows, 2)
@@ -223,6 +231,35 @@ class _WarmStartView(StreamingView):
             slots = list(map(manager.slot.__getitem__, ids.data.tolist()))
             values = values.take(np.argsort(slots))
         self._ids, self._result = manager.ids, values
+
+    def _frontier(self, seed: ArrayVector, delta: "GraphDelta"
+                  ) -> np.ndarray | None:
+        """The keys whose seed rows may derive a better candidate than
+        the seed holds, after the mutation: the vertices whose seed
+        differs in any bit from the last result (the resets) or that are
+        new, their in-neighbours in the joined edge table, and the
+        sources of the inserted edges (an undirected graph's delta lists
+        both directions).  Every other row keeps its last value and old
+        out-edges, into targets that kept theirs: it derives nothing new.
+        None — round 1 runs the plan — when vertices were removed (the
+        slots moved) or the seed's type is not the result's."""
+        old, new = self._result.data, seed.data
+        if delta.removed_vertices or old.dtype != new.dtype \
+                or old.dtype not in (np.int64, np.float64):
+            return None
+        differs = old.view(np.int64) != new[:len(old)].view(np.int64)
+        moved = self.manager.ids[np.concatenate((
+            np.flatnonzero(differs), np.arange(len(old), len(new))))].tolist()
+        graph, keys = self.graph, set(moved)
+        for v in moved:
+            keys.update(graph.in_neighbors(v))
+            if self.symmetric:
+                keys.update(graph.out_neighbors(v))
+        for u, v, _ in delta.inserted_edges:
+            keys.add(u)
+            if self.symmetric:
+                keys.add(v)
+        return np.fromiter(keys, dtype=np.int64, count=len(keys))
 
     def _seed(self, fill: np.ndarray, reset: np.ndarray) -> ArrayVector:
         """The last result carried over to the current node order, with
@@ -251,6 +288,7 @@ class WccView(_WarmStartView):
 
     algorithm = "wcc"
     cte_name = "C"
+    symmetric = True
 
     SEED_SCHEMA = Schema.of(("ID", SqlType.INTEGER), ("vw", SqlType.INTEGER))
 

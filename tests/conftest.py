@@ -8,6 +8,7 @@ from repro.datasets import preferential_attachment, random_dag
 from repro.graphsystems.graph import Graph
 from repro.relational import REFERENCE_PROFILE, Engine
 from repro.relational.errors import ConstraintError, SchemaError
+from repro.relational.recursive import RecursiveExecutor
 from repro.relational.relation import Relation
 
 
@@ -39,6 +40,23 @@ def refused_keys(table, keys) -> list:
         except SchemaError:
             pass
     return refused
+
+
+@pytest.fixture
+def branch_plan_runs(monkeypatch) -> list:
+    """Spy: one entry per branch-plan execution in a recursive CTE's
+    loop, ``"kept"`` or ``"new"`` — what a union-by-update step saves."""
+    runs = []
+    for name, kind in (("_run_cached_branch", "kept"),
+                       ("_plan_and_run_branch", "new")):
+        original = getattr(RecursiveExecutor, name)
+
+        def spy(self, *args, _original=original, _kind=kind, **kwargs):
+            runs.append(_kind)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(RecursiveExecutor, name, spy)
+    return runs
 
 
 @pytest.fixture

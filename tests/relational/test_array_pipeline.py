@@ -36,7 +36,7 @@ from repro.core.algorithms.registry import ALGORITHMS
 from repro.datasets import preferential_attachment
 from repro.datasets.generators import random_dag
 from repro.graphsystems.graph import Graph
-from repro.relational import REFERENCE_PROFILE, Engine
+from repro.relational import REFERENCE_PROFILE, Engine, WarmStart
 from repro.relational.columnar import store as store_module
 from repro.relational.columnar.store import ColumnBlock, ColumnStore
 from repro.relational.engine import parse_statement
@@ -1533,9 +1533,9 @@ def test_a_warm_start_seed_in_another_row_order(plan_builds):
         seed = Relation.from_batch(WCC_SEED, blocks.ArrayColumns(
             [exact_array(list(column)) for column in zip(*seed_rows)]))
         plan_builds.clear()
-        got = best.execute_detailed(sql, warm_start={"C": seed})
+        got = best.execute_detailed(sql, warm_start={"C": WarmStart(seed)})
         want = default.execute_detailed(
-            sql, warm_start={"C": Relation(WCC_SEED, seed_rows)})
+            sql, warm_start={"C": WarmStart(Relation(WCC_SEED, seed_rows))})
         assert [repr(row) for row in got.relation.rows] \
             == [repr(row) for row in want.relation.rows]
         assert plan_builds["probe"] == 1

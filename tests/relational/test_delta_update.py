@@ -13,16 +13,18 @@ write what the reference profile's full evaluation writes: the rows,
 from __future__ import annotations
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.algorithms import bellman_ford, wcc
-from repro.core.algorithms.common import load_graph
+from repro.core.algorithms import bellman_ford, pagerank, wcc
+from repro.core.algorithms.common import load_graph, prepare_transition
 from repro.datasets import preferential_attachment
-from repro.relational import REFERENCE_PROFILE, Engine, delta_update
+from repro.relational import (REFERENCE_PROFILE, Engine, WarmStart,
+                              delta_update)
 from repro.relational.physical.blocks import (ArrayVector, CsrIndex,
                                               csr_index, improve_extremes)
 from repro.relational.relation import Relation
@@ -72,7 +74,7 @@ def _engine(edges, nodes: int, **profile) -> Engine:
 def _outcome(engine: Engine, sql: str, warm):
     try:
         result = engine.execute_detailed(
-            sql, warm_start=None if warm is None else {"R": warm})
+            sql, warm_start=None if warm is None else {"R": WarmStart(warm)})
     except Exception as error:  # noqa: BLE001 — compared below
         return ("error", type(error).__name__, str(error)), None
     return (repr(result.relation.rows), result.iterations,
@@ -182,6 +184,116 @@ def test_a_new_key_runs_the_plan():
     assert [s.inserted for s in ours.per_iteration] == [1] * 9 + [0]
     assert [s.binding for s in ours.per_iteration] == \
         ["full"] * 9 + ["delta"]
+
+
+# -- warm starts with a frontier ---------------------------------------------------
+
+
+def _statement(result) -> tuple:
+    return (repr(result.relation.rows), result.iterations,
+            [(s.delta_rows, s.inserted, s.overwritten, s.pruned)
+             for s in result.per_iteration])
+
+
+def _warm_sssp():
+    """Two columnar engines that kept SSSP's plans from a cold run over
+    the same graph, that graph, and the cold result as a seed."""
+    graph = preferential_attachment(120, 3.0, directed=True, seed=3)
+    engines = [_registry_engine(graph, storage="columnar") for _ in range(2)]
+    cold = [engine.execute_detailed(bellman_ford.sql(0))
+            for engine in engines][0]
+    seed = Relation.from_pairs(("ID", "d"), cold.relation.rows)
+    return engines, graph, seed
+
+
+def _reset(seed: Relation, graph, vertex: int):
+    """*seed* with *vertex*'s distance reset, and the frontier that
+    reset needs: the vertex and its in-neighbours."""
+    rows = [(v, 1e18 if v == vertex else d) for v, d in seed.rows]
+    frontier = np.array([vertex, *graph.in_neighbors(vertex)], np.int64)
+    return Relation.from_pairs(("ID", "d"), rows), frontier
+
+
+def _reached(graph, seed: Relation) -> int:
+    """A vertex with a finite distance other than the source's and two
+    in-neighbours or more."""
+    return next(v for v, d in seed.rows
+                if 0 < d < 1e18 and len(graph.in_neighbors(v)) > 1)
+
+
+def test_a_frontier_steps_round_one_and_writes_the_plans_rows(
+        branch_plan_runs):
+    (ours, theirs), graph, seed = _warm_sssp()
+    seed, frontier = _reset(seed, graph, _reached(graph, seed))
+    branch_plan_runs.clear()
+    got = ours.execute_detailed(bellman_ford.sql(0), warm_start={
+        "D": WarmStart(seed, frontier)})
+    assert got.per_iteration[0].binding == "delta"
+    assert got.steps == got.iterations and branch_plan_runs == []
+    want = theirs.execute_detailed(bellman_ford.sql(0),
+                                   warm_start={"D": WarmStart(seed)})
+    assert want.per_iteration[0].binding == "full"
+    assert _statement(got) == _statement(want)
+
+
+def test_a_frontier_key_r_lacks_runs_the_plan(branch_plan_runs):
+    (ours, theirs), graph, seed = _warm_sssp()
+    seed, frontier = _reset(seed, graph, _reached(graph, seed))
+    branch_plan_runs.clear()
+    got = ours.execute_detailed(bellman_ford.sql(0), warm_start={
+        "D": WarmStart(seed, np.append(frontier, 10 ** 6))})
+    assert got.per_iteration[0].binding == "full"
+    assert branch_plan_runs[:1] == ["kept"]
+    want = theirs.execute_detailed(bellman_ford.sql(0),
+                                   warm_start={"D": WarmStart(seed)})
+    assert _statement(got) == _statement(want)
+
+
+def test_an_empty_frontier_on_a_fixpoint_is_one_round_without_the_plan(
+        branch_plan_runs):
+    (engine, _), _, seed = _warm_sssp()
+    branch_plan_runs.clear()
+    result = engine.execute_detailed(bellman_ford.sql(0), warm_start={
+        "D": WarmStart(seed, np.zeros(0, np.int64))})
+    assert result.iterations == result.steps == 1
+    (stat,) = result.per_iteration
+    assert (stat.binding, stat.inserted, stat.overwritten) == ("delta", 0, 0)
+    assert branch_plan_runs == []
+    assert repr(result.relation.rows) == repr(seed.rows)
+
+
+def test_the_analysis_header_counts_the_rounds_that_stepped():
+    (engine, _), graph, seed = _warm_sssp()
+    seed, frontier = _reset(seed, graph, _reached(graph, seed))
+    header = engine.explain_analyze(bellman_ford.sql(0), warm_start={
+        "D": WarmStart(seed, frontier)}).splitlines()[0]
+    iterations = int(re.search(r"iterations=(\d+)", header).group(1))
+    assert header.endswith(f" replans=0 steps={iterations} binding=delta")
+
+
+@pytest.mark.parametrize("statement, profile", [
+    ("pagerank", {}),
+    ("sssp", REFERENCE_PROFILE),
+    ("sssp", {"storage": "rows"}),
+], ids=["pagerank", "reference", "rows"])
+def test_a_frontier_is_ignored_where_no_round_may_step(statement, profile):
+    graph = preferential_attachment(60, 3.0, directed=True, seed=4)
+    engines = [_registry_engine(graph, **profile) for _ in range(2)]
+    if statement == "pagerank":
+        sql, name = pagerank.sql(graph.num_nodes, iterations=6), "P"
+        for engine in engines:
+            prepare_transition(engine)
+    else:
+        sql, name = bellman_ford.sql(0), "D"
+    # a cold run on each engine, so both warm starts find the plans kept
+    cold = [engine.execute_detailed(sql) for engine in engines][0]
+    seed = Relation.from_pairs(cold.relation.schema.names, cold.relation.rows)
+    frontier = np.array([v for v, _ in cold.relation.rows], np.int64)
+    got = engines[0].execute_detailed(
+        sql, warm_start={name: WarmStart(seed, frontier)})
+    want = engines[1].execute_detailed(sql, warm_start={name: WarmStart(seed)})
+    assert got.per_iteration[0].binding == "full" and got.steps == 0
+    assert _statement(got) == _statement(want)
 
 
 # -- the kernel ------------------------------------------------------------------

@@ -25,6 +25,7 @@ from repro.relational import (
     Relation,
     Schema,
     SqlType,
+    WarmStart,
     recursive,
 )
 from repro.relational.database import Database
@@ -221,11 +222,13 @@ def test_a_seed_of_another_schema_replans(profile):
     doubles = Schema.of(("ID", SqlType.INTEGER), ("vw", SqlType.DOUBLE))
     seed = Relation(doubles, [(row[0], float(row[0]))
                               for row in cold.relation.rows])
-    warm = engine.execute_detailed(wcc.sql(), warm_start={"C": seed})
+    warm = engine.execute_detailed(wcc.sql(),
+                                  warm_start={"C": WarmStart(seed)})
     assert warm.replan_reasons == {"schema": 1}
     assert warm.plans_compiled == 2  # branch and body; no initial query
     twin = fresh_twin(engine, profile)
-    expected = twin.execute_detailed(wcc.sql(), warm_start={"C": seed})
+    expected = twin.execute_detailed(wcc.sql(),
+                                    warm_start={"C": WarmStart(seed)})
     assert rows(warm) == rows(expected)
     assert [type(v) for v in warm.relation.rows[0]] == [int, float]
 
@@ -288,7 +291,8 @@ def test_cold_and_warm_runs_share_the_entry(profile):
     cold = engine.execute_detailed(wcc.sql())
     seed = Relation(INT_SEED,
                     [(row[0], row[0]) for row in cold.relation.rows])
-    warm = engine.execute_detailed(wcc.sql(), warm_start={"C": seed})
+    warm = engine.execute_detailed(wcc.sql(),
+                                  warm_start={"C": WarmStart(seed)})
     assert warm.plans_compiled == 0 and not warm.replans
     assert warm.plan_cache_hits == warm.iterations + 1  # branch, body
     assert rows(warm) == rows(cold)
@@ -341,7 +345,7 @@ def test_no_relation_is_reachable_from_the_cache(profile):
     engine = graph_engine(profile)
     cold = engine.execute_detailed(wcc.sql())
     seed = Relation(INT_SEED, list(cold.relation.rows))
-    engine.execute_detailed(wcc.sql(), warm_start={"C": seed})
+    engine.execute_detailed(wcc.sql(), warm_start={"C": WarmStart(seed)})
     engine.execute(JOIN_SQL)
     del cold, seed
     gc.collect()
