@@ -129,9 +129,12 @@ def generate_streaming_scenario(seed: int) -> StreamingScenario:
 
 def _engine_knobs(rng: random.Random) -> dict:
     # The optimizer is drawn last, so a seed keeps its graph and batches.
+    # Two in three draws take batch and columnar each: Engine()'s
+    # executor and storage are where the warm-started refreshes and the
+    # columnar store's forms run.
     return {
-        "executor": rng.choice(("tuple", "tuple", "batch")),
-        "storage": rng.choice(("rows", "rows", "columnar")),
+        "executor": rng.choice(("tuple", "batch", "batch")),
+        "storage": rng.choice(("rows", "columnar", "columnar")),
         "optimizer": rng.choice(("off", "cost")),
     }
 

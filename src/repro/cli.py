@@ -227,18 +227,11 @@ def cmd_trace(args) -> int:
         store = table.rows
         row = [table.name, table.storage, len(store),
                table.index_rebuilds, table.incremental_index_ops]
-        if hasattr(store, "blocks_sealed"):
-            codecs = " ".join(f"{codec}x{count}" for codec, count
-                              in sorted(store.encoding_counts.items()))
-            row += [store.blocks_sealed, store.block_decays,
-                    store.row_assigns, codecs or "-"]
-        else:
-            row += ["-", "-", "-", "-"]
+        row.append(getattr(store, "row_assigns", "-"))
         storage_rows.append(row)
     print(format_table(
-        ["table", "storage", "rows", "rebuilds", "incr-ops", "sealed",
-         "decays", "assigns", "codecs"], storage_rows,
-        "Storage (per-table maintenance and compression counters)"))
+        ["table", "storage", "rows", "rebuilds", "incr-ops", "assigns"],
+        storage_rows, "Storage (per-table maintenance counters)"))
     print()
 
     print("Spans:")

@@ -113,7 +113,7 @@ def record_storage_metrics(metrics: MetricsRegistry, database: Any) -> None:
 
     Tables keep their maintenance counters (``index_rebuilds``,
     ``incremental_index_ops``) and — on the columnar backend — the
-    store's compression counters as plain attributes; this copies the
+    store's ``row_assigns`` and resident bytes; this copies the
     current values into labelled gauges so they export next to the
     operator metrics.  Gauges, not counters: the sources are already
     cumulative, and ``set`` makes re-collection idempotent.
@@ -129,26 +129,13 @@ def record_storage_metrics(metrics: MetricsRegistry, database: Any) -> None:
             "Incremental per-row index maintenance operations per table.",
             **labels).set(table.incremental_index_ops)
         store = table.rows
-        if not hasattr(store, "blocks_sealed"):
-            continue  # row backend: no compression counters
-        metrics.gauge(
-            "repro_storage_blocks_sealed",
-            "Morsel blocks sealed (encoded) per columnar table.",
-            **labels).set(store.blocks_sealed)
-        metrics.gauge(
-            "repro_storage_block_decays",
-            "Sealed blocks decayed back to plain columns on mutation.",
-            **labels).set(store.block_decays)
+        if not hasattr(store, "row_assigns"):
+            continue  # row backend: no columnar counters
         metrics.gauge(
             "repro_storage_row_assigns",
             "Whole-contents replacements (recursive delta applications).",
             **labels).set(store.row_assigns)
         metrics.gauge(
             "repro_storage_resident_bytes",
-            "Resident bytes of the encoded columnar representation.",
+            "Resident bytes of the columnar store's data.",
             **labels).set(store.size_bytes())
-        for codec, count in sorted(store.encoding_counts.items()):
-            metrics.gauge(
-                "repro_storage_encoded_columns",
-                "Sealed column vectors per codec.",
-                codec=codec, **labels).set(count)

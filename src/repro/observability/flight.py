@@ -144,13 +144,9 @@ class FlightRecorder:
                 "index_rebuilds": table.index_rebuilds,
                 "incremental_index_ops": table.incremental_index_ops,
             }
-            if hasattr(store, "blocks_sealed"):
-                gauges.update(
-                    blocks_sealed=store.blocks_sealed,
-                    block_decays=store.block_decays,
-                    row_assigns=store.row_assigns,
-                    resident_bytes=store.size_bytes(),
-                    encodings=dict(sorted(store.encoding_counts.items())))
+            if hasattr(store, "row_assigns"):
+                gauges.update(row_assigns=store.row_assigns,
+                              resident_bytes=store.size_bytes())
             storage[table.name] = gauges
             truncated = len(table) > self.max_rows_per_table
             snapshot = table.snapshot()

@@ -140,10 +140,11 @@ class Engine:
         ``"off"``.
     storage:
         Physical table storage: ``"rows"`` (list of row tuples) or
-        ``"columnar"`` (typed, compressed column vectors in morsel
-        blocks — see ``docs/storage.md``).  ``None`` (default) keeps the
-        attached database's backend (itself defaulting to the
-        ``REPRO_STORAGE`` environment variable, then ``"columnar"``).
+        ``"columnar"`` (typed column vectors, or a row overlay where
+        they cannot hold the values — see ``docs/storage.md``).
+        ``None`` (default) keeps the attached database's backend
+        (itself defaulting to the ``REPRO_STORAGE`` environment
+        variable, then ``"columnar"``).
         Results are identical across backends; only the physical layout
         — and the batch executor's ability to run block kernels over it
         — differs.
@@ -207,7 +208,7 @@ class Engine:
         """The engine's :class:`repro.observability.MetricsRegistry`.
 
         Access refreshes the storage-layer gauges (index maintenance and
-        compression counters live as table/store attributes between
+        columnar store counters live as table/store attributes between
         collections), so readers always see current values next to the
         operator metrics.
         """

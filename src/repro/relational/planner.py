@@ -337,9 +337,10 @@ class CostBasedPolicy(PlannerPolicy):
     #: Block-aware overrides, keyed by the catalog's storage backend.
     #: Columnar tables feed the batch kernels whole column vectors with
     #: no tuple materialisation, so the batch aggregate amortises sooner;
-    #: and a merge join must decode sealed blocks into sorted row tuples
-    #: while a hash join reads the key column straight out of the store,
-    #: so merge needs a much more balanced pair of inputs to win.
+    #: and a merge join must build every input row as a tuple and sort
+    #: the (key, row) pairs while a hash join reads the key column
+    #: straight out of the store's vectors, so merge needs a much more
+    #: balanced pair of inputs to win.
     STORAGE_MERGE_BALANCE = {"columnar": 0.5}
     STORAGE_BATCH_AGG_THRESHOLD = {"columnar": 64}
 

@@ -40,8 +40,8 @@ class Table:
 
     ``storage`` picks the physical backend behind ``self.rows``:
     ``"rows"`` (a plain Python list of row tuples) or ``"columnar"``
-    (typed column vectors, a row overlay or compressed morsel blocks —
-    see :mod:`repro.relational.columnar`).  Both present the same list-like
+    (typed column vectors or a row overlay — see
+    :mod:`repro.relational.columnar`).  Both present the same list-like
     surface, so every caller below is backend-agnostic; the one protocol
     difference is that full-contents swaps go through ``rows.assign``
     instead of rebinding the attribute.
@@ -54,7 +54,7 @@ class Table:
         self.temporary = temporary
         self.enforce_key = enforce_key and bool(schema.primary_key)
         self.storage = storage
-        self.rows = make_storage(storage, schema.arity)
+        self.rows = make_storage(storage, schema)
         self.indexes: dict[str, Index] = {}
         self.statistics = TableStatistics()
         self._key_positions = schema.key_indexes() if schema.primary_key else ()
@@ -170,8 +170,8 @@ class Table:
 
         A batch-backed relation (:meth:`_stored_vectors`) goes into
         columnar storage as vectors (``ColumnStore.append_vectors``) — no
-        row tuples, no sealed blocks — when the table is empty or holds
-        typed views of the same dtypes.
+        row tuples — when the table is empty or holds typed views of the
+        same dtypes.
         """
         if relation.schema.arity != self.schema.arity:
             raise SchemaError(
@@ -189,8 +189,8 @@ class Table:
         of rows — as :meth:`insert_many` of its rows would, without row
         tuples on columnar storage: :meth:`_load_vectors` turns each
         column into one typed vector of its stored type, once, and the
-        store holds them in its vector form (``assign_vectors``; nothing
-        is sealed).  Everything the vectors cannot hold goes through
+        store holds them in its vector form (``assign_vectors``).
+        Everything the vectors cannot hold goes through
         :meth:`insert_many`, errors included."""
         vectors = self._load_vectors(contents)
         if vectors is None:
@@ -260,8 +260,8 @@ class Table:
 
         The rows are found by :meth:`positions_of` over the coerced
         probes.  Storage-level removal goes through
-        ``rows.delete_positions`` (tombstones on the columnar backend —
-        sealed blocks are not re-encoded); indexes are maintained
+        ``rows.delete_positions`` (new survivor vectors in the columnar
+        store's vector form); indexes are maintained
         incrementally, with the usual half-table rebuild fallback.
         Returns the number of rows removed."""
         keys = list(keys)

@@ -19,8 +19,9 @@ A :class:`StreamingManager` hangs off an :class:`~repro.relational.engine.Engine
   where their cost rule allows and by bounded full re-derivation
   otherwise (see :mod:`repro.streaming.views`).
 
-All table mutations go through the O(|delta|) storage paths: tail
-appends, tombstoned deletes, and keyed deletes that (on columnar
+All table mutations go through storage paths that build no row tuple:
+appends folded into the columnar store's vectors, deletes that keep the
+survivors as new vectors, and keyed deletes that (on columnar
 storage) find their rows by vector matching on the store's
 typed key columns, with no Python pass over the table.  Each mirror or
 derived table takes at most one delete and one insert call per batch,

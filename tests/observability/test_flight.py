@@ -2,6 +2,7 @@
 the bounded ring, and replay fidelity."""
 
 import json
+import re
 
 import pytest
 
@@ -100,7 +101,17 @@ class TestBundleSchema:
         (path,) = engine.telemetry.flight.bundles()
         bundle = load_bundle(path)
         assert bundle["engine"]["storage"] == "columnar"
-        assert "resident_bytes" in bundle["storage"]["E"]
+        gauges = bundle["storage"]["E"]
+        assert set(gauges) == {"storage", "rows", "index_rebuilds",
+                               "incremental_index_ops", "row_assigns",
+                               "resident_bytes"}
+        assert gauges["resident_bytes"] > 0
+        text = engine.metrics.to_prometheus()
+        assert 'repro_storage_row_assigns{storage="columnar",table="E"}' \
+            in text
+        assert set(re.findall(r"^repro_storage_(\w+)\{", text, re.M)) == {
+            "index_rebuilds", "incremental_index_ops", "row_assigns",
+            "resident_bytes"}
 
     def test_load_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "not-a-bundle.json"

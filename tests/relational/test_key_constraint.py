@@ -4,8 +4,8 @@ The same operations run on a keyed ``Table`` and on a model of it — its
 rows in order, keys compared value by value, so ``-0.0`` equals ``0.0``
 and a NaN equals no key — for a composite INTEGER, a DOUBLE and a TEXT
 key, each starting from every store form it can take: row storage, the
-columnar vector form (int keys only: a keyed load packs its key to check
-it), the row overlay, sealed blocks and tombstoned blocks.  A
+columnar vector form (INTEGER and DOUBLE columns only, no NULL or NaN)
+and the row overlay.  A
 ``ConstraintError`` is raised exactly when the model says, naming the
 first offending key, and leaves the table as it was; a deleted key goes
 in again.
@@ -33,29 +33,25 @@ from repro.relational.types import SqlType
 
 INT, DOUBLE, TEXT = SqlType.INTEGER, SqlType.DOUBLE, SqlType.TEXT
 
-#: schema (key columns first, one value column last), key values, values,
-#: and a row whose key is outside the drawn ones
+#: schema (key columns first, one value column last), key values, values
 KINDS = {
     "composite INTEGER": (
         Schema((Column("a", INT), Column("b", INT), Column("v", DOUBLE)),
                ("a", "b")),
         st.tuples(st.integers(0, 2), st.integers(-1, 1)),
-        st.sampled_from([0.5, -0.0, 2.0]),
-        (9, 9, 0.5)),
+        st.sampled_from([0.5, -0.0, 2.0])),
     "DOUBLE": (
         Schema((Column("k", DOUBLE), Column("v", INT)), ("k",)),
         st.tuples(st.sampled_from([0.0, -0.0, 1.5, -2.0, math.nan])),
-        st.integers(-2, 2),
-        (99.0, 0)),
+        st.integers(-2, 2)),
     "TEXT": (
         Schema((Column("k", TEXT), Column("v", DOUBLE)), ("k",)),
         st.tuples(st.sampled_from(["a", "b", "", "é"])),
-        st.sampled_from([0.5, 1.0]),
-        ("zz", 0.5)),
+        st.sampled_from([0.5, 1.0])),
 }
-FORMS = ("rows", "vectors", "overlay", "blocks", "tombstones")
+FORMS = ("rows", "vectors", "overlay")
 CASES = [(kind, form) for kind in KINDS for form in FORMS
-         if form != "vectors" or kind == "composite INTEGER"]
+         if form != "vectors" or kind != "TEXT"]
 
 
 def fresh(values: tuple) -> tuple:
@@ -122,11 +118,7 @@ def form_of(table) -> str:
     store = table.rows
     if table.storage == "rows":
         return "rows"
-    if store.vectors() is not None:
-        return "vectors"
-    if store._cols_stale:
-        return "overlay"
-    return "tombstones" if store._dead else "blocks"
+    return "overlay" if store.vectors() is None else "vectors"
 
 
 def contents(table) -> list:
@@ -139,24 +131,14 @@ def contents(table) -> list:
 
 
 def make_table(kind: str, form: str, start: list) -> Database:
-    schema, _, _, outside = KINDS[kind]
+    schema = KINDS[kind][0]
     database = Database(storage="rows" if form == "rows" else "columnar")
     table = database.create_table("T", schema)
     start = list(map(fresh, start))
-    if form != "rows":
-        table.rows.morsel = 2  # tiny morsels: blocks seal
-    if form == "vectors":
-        table.load(start)
-    elif form == "overlay":
+    if form == "overlay":
         table.replace_contents(Relation(schema, start))
-    elif form == "tombstones":
-        table.insert_many([outside] + start)
-        table.rows.compact()
-        table.delete_by_key([outside[:-1]], schema.primary_key)
     else:
-        table.insert_many(start)
-        if form == "blocks":
-            table.rows.compact()
+        table.load(start)
     assert form_of(table) == form
     return database
 
@@ -204,9 +186,6 @@ def apply(database: Database, model: Model, op: tuple) -> None:
     elif name == "replace_contents":
         table.replace_contents(Relation(schema, list(map(fresh, args[0]))))
         model.rows = list(args[0])
-    elif name == "compact":
-        if table.storage == "columnar":
-            table.rows.compact()
     else:
         delta = Relation(schema, list(map(fresh, args[0])))
         apply_union_by_update(database, table, delta, schema.primary_key,
@@ -218,7 +197,7 @@ def apply(database: Database, model: Model, op: tuple) -> None:
 
 @st.composite
 def scenarios(draw, kind: str, form: str):
-    schema, keys, values, _ = KINDS[kind]
+    schema, keys, values = KINDS[kind]
     width = len(schema.primary_key)
     nullable = st.one_of(values, st.none())
     row = st.builds(lambda key, value: key + (value,), keys, nullable)
@@ -227,18 +206,18 @@ def scenarios(draw, kind: str, form: str):
         return st.lists(row, min_size=min_size, max_size=max_size,
                         unique_by=(lambda r: r[:width]) if unique else None)
 
-    # the vector form holds no NULL; blocks and tombstones need two rows
+    # the vector form holds no NULL and no NaN
     start = draw(rows(
-        unique=True, max_size=5,
-        min_size={"vectors": 1, "blocks": 2, "tombstones": 1}.get(form, 0),
-        row=st.builds(lambda key, value: key + (value,), keys, values)
+        unique=True, max_size=5, min_size=1 if form == "vectors" else 0,
+        row=st.builds(lambda key, value: key + (value,),
+                      keys.filter(lambda key: all(v == v for v in key)), values)
         if form == "vectors" else row))
     op = st.one_of(
         st.tuples(st.just("insert"), row),
         st.tuples(st.sampled_from(["insert_many", "load"]), rows()),
         st.tuples(st.just("delete_by_key"), st.lists(keys, max_size=3)),
         st.tuples(st.just("delete_where"), nullable),
-        st.tuples(st.sampled_from(["truncate", "compact"])),
+        st.tuples(st.just("truncate")),
         st.tuples(st.just("replace_contents"), rows(unique=True)),
         st.tuples(st.sampled_from(UNION_BY_UPDATE_STRATEGIES),
                   rows(unique=True)),
@@ -271,8 +250,9 @@ FIXED = {"composite INTEGER": [(0, 0, 0.5), (1, -1, -0.0), (2, 1, 2.0)],
 @pytest.mark.parametrize("kind, form", CASES)
 def test_a_deleted_key_is_insertable_again(kind, form):
     start = FIXED[kind]
-    if form == "vectors":
-        start = [row[:-1] + (0.5,) for row in start]
+    if form == "vectors":  # the vector form holds no NULL
+        start = [row[:-1] + (0,) if row[-1] is None else row
+                 for row in start]
     database = make_table(kind, form, start)
     model = Model(len(KINDS[kind][0].primary_key), start)
     for row in (start[0], start[-1]):

@@ -53,11 +53,8 @@ def identity(rows):
     return [tuple(map(cell, row)) for row in rows]
 
 
-def make_table(storage, schema, rows, enforce_key=False, morsel=3):
+def make_table(storage, schema, rows, enforce_key=False):
     table = Table("R", schema, enforce_key=enforce_key, storage=storage)
-    if storage == "columnar":
-        # Tiny morsels: sealed blocks, decoding and tombstones all run.
-        table.rows.morsel = morsel
     table.insert_many(rows)
     table.create_index("ix", ["b"], "btree")
     return table

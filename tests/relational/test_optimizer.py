@@ -264,8 +264,8 @@ class TestOperatorSelection:
 
     @pytest.mark.parametrize("executor", ["tuple", "batch"])
     def test_plans_agree_across_executors(self, executor):
-        # 3000 rows: a columnar E holds a sealed block.  Quarter weights
-        # keep every sum exact whatever order it adds in.
+        # 3000 rows.  Quarter weights keep every sum exact whatever
+        # order it adds in.
         edges = [(i, (i * 7 + 1) % 40, (i % 4) / 4) for i in range(3000)]
         nodes = [(i, float(i % 5)) for i in range(40)]
         engine = Engine("oracle", optimizer="cost", executor=executor)

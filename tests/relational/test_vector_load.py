@@ -6,8 +6,8 @@ hold:
 
 * ``Table.load`` — the bulk load behind ``Database.load_edge_table``,
   ``load_node_table`` and ``register`` — leaves the store in its vector
-  form, nothing sealed; ``compact()`` then seals the blocks
-  ``insert_many`` of the same rows would;
+  form, the vectors ``insert_many`` of the same rows folds into (same
+  contents, same ``size_bytes``);
 * ``/`` in ``compile_array`` — the transition weights ``1.0 / D.c``;
 * UNION on arrays (``BatchUnion``) — the symmetric edges ``E ∪ Eᵀ``.
 
@@ -22,6 +22,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.algorithms import pagerank, wcc
 from repro.core.algorithms.common import load_graph, prepare_transition
 from repro.core.algorithms.wcc import prepare_symmetric_edges
 from repro.datasets import preferential_attachment
@@ -44,9 +45,8 @@ def columnar() -> Engine:
 
 
 def weighted_graph(seed: int) -> Graph:
-    """A directed graph with > 2048 edges (so E, S and ES seal blocks
-    when compacted),
-    random weights and labels — and one signed zero among its weights."""
+    """A directed graph with > 2048 edges, random weights and labels —
+    and one signed zero among its weights."""
     graph = preferential_attachment(1100, 4.0, directed=True, seed=seed)
     graph.randomize_node_weights(seed=seed + 1)
     graph.randomize_labels(5, seed=seed + 2)
@@ -89,18 +89,15 @@ def state(table: Table) -> tuple:
             repr(refused_keys(table, probe_keys(table))))
 
 
-def sealed(table: Table) -> tuple:
-    """What ``compact()`` seals, as comparable text."""
+def stored(table: Table) -> tuple:
+    """What the store holds, as comparable text, and its bytes."""
     store = table.rows
-    store.compact()
-    return (repr(list(store)), repr(sorted(store.encoding_counts.items())),
-            repr(store.encoding_summary()), store.size_bytes())
+    return repr(list(store)), store.size_bytes()
 
 
 def assert_vector_form(store) -> None:
-    """Built from vectors: no row list held, nothing sealed."""
+    """Built from vectors: no row list held."""
     assert store._rows is None and store.vectors() is not None
-    assert store._blocks == [] and store.blocks_sealed == 0
 
 
 @pytest.mark.parametrize("seed", (3, 8))
@@ -119,11 +116,11 @@ def test_a_vector_load_equals_a_row_load(seed):
         store = table.rows
         assert_vector_form(store)
         twin = row_loaded(table)
-        assert twin.rows._rows is not None  # (the row path keeps one)
+        assert twin.rows.vectors() is not None  # insert_many folds too
         assert state(table) == state(twin), name
         assert repr(list(store)) == repr(
             list(reference.database.table(name).rows)), name
-        assert sealed(table) == sealed(twin), name
+        assert stored(table) == stored(twin), name
 
 
 def test_a_loaded_table_reads_its_arrays_and_streams_them_on():
@@ -193,14 +190,73 @@ DECLINES = {
 def test_a_decline_loads_through_the_row_path(why):
     rows = DECLINES[why]
     loaded = Table("T", PAIR, storage="columnar")
+    assert loaded._load_vectors(rows) is None
     loaded.load(rows)
-    assert loaded.rows._rows is not None  # insert_many's row list
     twin = Table("T", PAIR, storage="columnar")
     twin.insert_many(rows)
-    assert repr(list(loaded.rows)) == repr(list(twin.rows))
+    assert stored(loaded) == stored(twin)
     keys = [row[:1] for row in rows] + [(3,)]
     assert refused_keys(loaded, keys) == refused_keys(twin, keys) \
         == keys[:-1]
+
+
+# -- the first insert into an empty table ---------------------------------------
+
+NUMBERS = Schema((Column("a", SqlType.INTEGER), Column("b", SqlType.DOUBLE)))
+WORDS = Schema((Column("a", SqlType.INTEGER), Column("b", SqlType.TEXT)))
+
+#: A first ``insert_many`` into an empty table: schema, rows, and whether
+#: the columnar store holds them in its vector form.
+FIRST_INSERTS = {
+    "ints and doubles": (NUMBERS, [(1, 0.5), (2, -0.0), (3, 2.0)], True),
+    "ints widened to doubles": (NUMBERS, [(1, 1), (2, 2)], True),
+    "one row": (NUMBERS, [(7, 1e18)], True),
+    "null": (NUMBERS, [(1, 0.5), (2, None)], False),
+    "nan": (NUMBERS, [(1, math.nan)], False),
+    "int outside int64": (NUMBERS, [(2 ** 64, 0.5)], False),
+    "text column": (WORDS, [(1, "x"), (2, "y")], False),
+}
+
+
+@pytest.mark.parametrize("why", sorted(FIRST_INSERTS))
+def test_a_first_insert_is_held_as_vectors_where_they_hold_it(why):
+    """An empty columnar table starts in the vector form when every
+    column is INTEGER or DOUBLE; its first ``insert_many`` stays there
+    unless a value needs the row overlay.  Either way the contents equal
+    the same inserts on row storage."""
+    schema, rows, on_vectors = FIRST_INSERTS[why]
+    table = Table("T", schema, enforce_key=False, storage="columnar")
+    assert (table.rows.vectors() is not None) == (schema is NUMBERS)
+    twin = Table("T", schema, enforce_key=False, storage="rows")
+    for _ in range(2):  # the first insert, then one onto it
+        table.insert_many(rows)
+        twin.insert_many(rows)
+        assert (table.rows.vectors() is not None) == on_vectors
+        assert repr(list(table.rows)) == repr(list(twin.rows))
+
+
+@pytest.mark.parametrize("statement", ["wcc", "pagerank"])
+def test_the_iterations_table_is_held_as_vectors(statement, monkeypatch):
+    """``Engine()`` publishes a with+ statement's trajectory by
+    ``insert_many`` into a fresh ``__iterations__``: held as vectors."""
+    monkeypatch.delenv("REPRO_STORAGE", raising=False)
+    graph = preferential_attachment(40, 3.0, directed=True, seed=4)
+    engine, reference = Engine("oracle"), reference_engine()
+    for each in (engine, reference):
+        load_graph(each, graph)
+        prepare_transition(each)
+        prepare_symmetric_edges(each)
+    sql = {"wcc": wcc.sql(),
+           "pagerank": pagerank.sql(graph.num_nodes)}[statement]
+    result = engine.execute_detailed(sql)
+    table = engine.database.table("__iterations__")
+    assert table.storage == "columnar"
+    assert table.rows.vectors() is not None
+    assert len(table) == result.iterations > 1
+    reference.execute(sql)
+    trajectory = "select iteration, total_rows from __iterations__"
+    assert engine.execute(trajectory).rows == \
+        reference.execute(trajectory).rows
 
 
 def test_a_repeated_key_raises_the_row_paths_error():
@@ -246,13 +302,11 @@ def test_hypothesis_load_equals_insert_many(rows):
     loaded.analyze()
     if on_vectors:
         assert_vector_form(loaded.rows)
-    else:
-        assert loaded.rows._rows is not None  # insert_many's row list
     twin = Table("T", PAIR, storage="columnar")
     twin.insert_many(rows)
     twin.analyze()
     assert state(loaded) == state(twin)
-    assert sealed(loaded) == sealed(twin)
+    assert stored(loaded) == stored(twin)
 
 
 # -- UNION on arrays -------------------------------------------------------------

@@ -6,8 +6,9 @@ vector per column across ``append``/``extend``/``delete_positions``
 ``Table.analyze`` computes statistics from those vectors.  A list model
 is the oracle for every store operation in every form, and row ANALYZE
 for vector ANALYZE, ``repr`` for ``repr``.  A spy shows a steady-state
-streaming cycle decodes no sealed block, row-ANALYZEs neither ``E`` nor
-``ES``, and does not ANALYZE the temporary ``__iterations__`` at all.
+streaming cycle decodes no vector into a list, row-ANALYZEs neither
+``E`` nor ``ES``, and does not ANALYZE the temporary ``__iterations__``
+at all.
 """
 
 import random
@@ -19,8 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datasets import preferential_attachment
 from repro.relational import Engine
-from repro.relational.columnar.encodings import ColumnCodec
-from repro.relational.columnar.store import ColumnBlock, ColumnStore
+from repro.relational.columnar import ColumnStore, make_storage
 from repro.relational.physical.blocks import (
     ArrayColumns,
     ArrayVector,
@@ -35,6 +35,9 @@ from repro.relational.types import SqlType
 INT, DOUBLE = SqlType.INTEGER, SqlType.DOUBLE
 INT64_MAX = 2 ** 63 - 1
 INT64_MIN = -2 ** 63
+PAIR = Schema((Column("a", INT), Column("b", DOUBLE)))
+#: the model store's columns: int64, float64 and int64 vectors when empty
+TRIPLE = Schema((Column("a", INT), Column("b", DOUBLE), Column("c", INT)))
 
 
 def identity(values):
@@ -121,9 +124,9 @@ def test_nan_declines_and_changes_nothing():
 
 
 def test_analyze_takes_vectors_only_when_the_store_holds_them(monkeypatch):
-    """Vectors exactly in the vector form, rows in the block form and the
-    row overlay — and the oracle's statistics either way."""
-    schema = Schema((Column("a", INT), Column("b", DOUBLE)))
+    """Vectors exactly in the vector form, rows in the row overlay — and
+    the oracle's statistics either way."""
+    schema = PAIR
     rows = [(i % 5, float(i % 3) - 1.0) for i in range(40)]
     oracle = Table("R", schema, storage="rows")
     oracle.insert_many(rows)
@@ -137,24 +140,23 @@ def test_analyze_takes_vectors_only_when_the_store_holds_them(monkeypatch):
 
     monkeypatch.setattr(TableStatistics, "refresh_from_vectors", recording)
     table = Table("R", schema, storage="columnar")
-    table.rows.morsel = 8
     table.insert_many(rows)
-    table.rows.array(0)
-    table.rows.array(1)
-    table.analyze()           # blocks, arrays read or not: the row path
-    assert ran == [] and table.rows.vectors() is None
+    table.analyze()           # insert_many folds into vectors: the vectors
+    assert ran == [True] and table.rows.vectors() is not None
     assert statistics_repr(table.statistics) == \
         statistics_repr(oracle.statistics)
     table.rows.assign(list(rows))
-    table.analyze()           # the row overlay: the row path
-    assert ran == []
+    table.rows.array(0)
+    table.rows.array(1)
+    table.analyze()           # the row overlay, arrays read or not: rows
+    assert ran == [True] and table.rows.vectors() is None
     assert statistics_repr(table.statistics) == \
         statistics_repr(oracle.statistics)
     loaded = Table("R", schema, storage="columnar")
     loaded.load(rows)
     assert loaded.rows.vectors() is not None
     loaded.analyze()          # the vector form: its vectors
-    assert ran == [True]
+    assert ran == [True, True]
     assert statistics_repr(loaded.statistics) == \
         statistics_repr(oracle.statistics)
 
@@ -181,7 +183,7 @@ def mutations(draw):
     for _ in range(draw(st.integers(1, 12))):
         kind = draw(st.sampled_from([
             "append", "extend", "delete", "setitem", "assign",
-            "assign_vectors", "append_vectors", "compact", "drop_caches",
+            "assign_vectors", "append_vectors", "drop_caches",
             "size_bytes", "read"]))
         if kind == "append":
             arg = draw(row_values)
@@ -277,10 +279,7 @@ def apply(store, model, kind, arg):
             for before, after in zip(old, added))
         assert store.append_vectors(added) is takes
         return model + list(arg) if takes else model
-    if kind == "compact":
-        store.compact()
-        assert store.vectors() is None
-    elif kind == "drop_caches":
+    if kind == "drop_caches":
         store.drop_caches()
     elif kind == "size_bytes":
         in_vectors = store.vectors() is not None
@@ -327,12 +326,12 @@ def test_held_arrays_track_appends_and_deletes(ops, start, seed,
     form: contents, columns and typed vectors after each step; vectors
     handed out are never written; exact appends and deletes keep the
     vector form without decoding it."""
-    store = ColumnStore(3, morsel=4)  # tiny morsels: sealing, tombstones
+    store = ColumnStore(TRIPLE)
     model = plain_rows(start, seed)
-    if vector_start and model:
+    if not vector_start:
+        store.assign(list(model))
+    elif model:
         store.assign_vectors(vectors_of(model))
-    else:
-        store.extend(list(model))
     handed = Handed()
     for kind, arg, check in ops:
         stays = keeps_the_vector_form(store, model, kind, arg)
@@ -347,8 +346,10 @@ def test_held_arrays_track_appends_and_deletes(ops, start, seed,
             if rows_before is None:
                 assert store._rows is None  # nor to rows
         for j in range(3):
-            assert exact(handed(store.array(j))) == \
-                exact(exact_array([row[j] for row in model]))
+            expected = exact_array([row[j] for row in model])
+            if not model and store.vectors() is not None:
+                expected = store._empty[j]  # the schema's dtype, no rows
+            assert exact(handed(store.array(j))) == exact(expected)
             assert identity(store.column(j)) == \
                 identity([row[j] for row in model])
         handed.assert_unwritten()
@@ -356,7 +357,7 @@ def test_held_arrays_track_appends_and_deletes(ops, start, seed,
 
 
 def test_steady_appends_and_deletes_keep_every_plain_array():
-    store = ColumnStore(2, morsel=4)
+    store = ColumnStore(PAIR)
     store.assign_vectors([ArrayVector(np.arange(10)),
                           ArrayVector(np.arange(10.0))])
     held = store.vectors()
@@ -366,7 +367,7 @@ def test_steady_appends_and_deletes_keep_every_plain_array():
     assert store._vectors is held and len(store._pending) == 3
     store.delete_positions([0, 5, 12])
     kept = store.vectors()
-    assert kept is not None and store._blocks == []
+    assert kept is not None
     assert all(a is not b for a, b in zip(kept, held))
     assert kept[0].data.tolist() == [1, 2, 3, 4, 6, 7, 8, 9, 10, 11]
     assert held[0].data.tolist() == list(range(10))
@@ -379,19 +380,19 @@ def test_steady_appends_and_deletes_keep_every_plain_array():
     assert store.vectors() is None
     assert store.array(0) is None and store.array(1) is None
     assert store[-1][0] == 2 ** 64 and len(store) == 21
-    # Deleting every row leaves an empty store (an empty column has no
-    # array).
-    store = ColumnStore(1, morsel=4)
-    store.assign_vectors([ArrayVector(np.array([1, 2]))])
+    # Deleting every row leaves an empty store: the zero-length vectors
+    # of its schema's dtypes.
+    store = ColumnStore(PAIR)
+    store.assign_vectors([ArrayVector(np.array([1, 2])),
+                          ArrayVector(np.array([0.5, 1.5]))])
     store.delete_positions([0, 1])
     assert len(store) == 0 and list(store) == []
-    assert store.vectors() is None and store.array(0) is None
+    assert [(str(vector.data.dtype), len(vector.data))
+            for vector in store.vectors()] == [("int64", 0), ("float64", 0)]
 
 
 def test_snapshots_and_vector_batches_keep_their_old_values():
-    schema = Schema((Column("a", INT), Column("b", DOUBLE)))
-    table = Table("R", schema, storage="columnar")
-    table.rows.morsel = 4
+    table = Table("R", PAIR, storage="columnar")
     table.insert_many([(i, i / 2) for i in range(9)])
     snapshot = table.snapshot()
     old_rows = list(snapshot.rows)
@@ -402,7 +403,7 @@ def test_snapshots_and_vector_batches_keep_their_old_values():
     assert list(snapshot.rows) == old_rows
     assert all(np.array_equal(a, c) for a, c in zip(arrays, copies))
     # A vector form's batch: a mutation leaves the shared vectors alone.
-    store = ColumnStore(2, morsel=4)
+    store = ColumnStore(PAIR)
     store.assign_vectors([ArrayVector(np.arange(5)),
                           ArrayVector(np.arange(5) / 4)])
     batch = ArrayColumns(store.vectors())
@@ -415,11 +416,7 @@ def test_snapshots_and_vector_batches_keep_their_old_values():
 
 @pytest.mark.parametrize("storage", ["rows", "columnar"])
 def test_delete_positions_keeps_list_order(storage):
-    from repro.relational.columnar import make_storage
-
-    store = make_storage(storage, 2)
-    if storage == "columnar":
-        store.morsel = 3
+    store = make_storage(storage, PAIR)
     rows = [(i, -i) for i in range(11)]
     store.extend(list(rows))
     store.delete_positions([9, 0, 4, 10])
@@ -461,24 +458,18 @@ def run_cycle(engine, graph, rng):
 
 @pytest.fixture
 def storage_spy(monkeypatch):
-    """Counts sealed-block decodes; records which statistics objects took
-    the row path and which the vector path."""
+    """Counts a columnar store's decodes into lists (``column`` and
+    ``materialized``); records which statistics objects took the row
+    path and which the vector path."""
     seen = {"decodes": 0, "rows": [], "vectors": []}
+    for name in ("column", "materialized"):
+        original = getattr(ColumnStore, name)
 
-    def codecs(cls):
-        yield cls
-        for sub in cls.__subclasses__():
-            yield from codecs(sub)
+        def counting(self, *args, _original=original):
+            seen["decodes"] += 1
+            return _original(self, *args)
 
-    for cls in set(codecs(ColumnCodec)):
-        if "decode" in vars(cls):
-            original = vars(cls)["decode"]
-
-            def counting(self, _original=original):
-                seen["decodes"] += 1
-                return _original(self)
-
-            monkeypatch.setattr(cls, "decode", counting)
+        monkeypatch.setattr(ColumnStore, name, counting)
     refresh = TableStatistics.refresh
     from_vectors = TableStatistics.refresh_from_vectors
 
@@ -505,10 +496,10 @@ def test_steady_ingest_cycle_decodes_nothing_and_analyzes_vectors(
     for _ in range(2):
         run_cycle(engine, graph, rng)
     # The load leaves every table in the vector form: not even the first
-    # cycles decode a block.
+    # cycles decode a vector.
     assert storage_spy["decodes"] == 0
-    # The spy counts: one explicit block decode is one.
-    ColumnBlock.seal([list(range(100))]).decode_column(0)
+    # The spy counts: one explicit decode is one.
+    engine.database.table("E").rows.column(0)
     assert storage_spy["decodes"] == 1
     storage_spy.update(decodes=0, rows=[], vectors=[])
     run_cycle(engine, graph, rng)

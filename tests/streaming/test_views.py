@@ -73,6 +73,20 @@ def test_mixed_batches_exercise_both_refresh_modes():
     assert report.full_refreshes > 0
 
 
+@pytest.mark.parametrize("seed", [2026, 7])
+def test_campaigns_draw_the_default_engine_often(seed):
+    """CI's streaming campaigns (budget 120) run a third or more of their
+    scenarios on ``Engine()``'s batch executor and columnar storage:
+    only generated here, no engine runs."""
+    scenarios = [generate_streaming_scenario(seed * 1_000_003 + index)
+                 for index in range(120)]
+    on_default = [scenario for scenario in scenarios
+                  if scenario.executor == "batch"
+                  and scenario.storage == "columnar"]
+    assert len(on_default) >= 40
+    assert {scenario.optimizer for scenario in on_default} == {"off", "cost"}
+
+
 @pytest.mark.parametrize("seed", [11, 12, 13, 14, 15])
 def test_seeded_streaming_scenarios_hold(seed):
     scenario = generate_streaming_scenario(seed)
