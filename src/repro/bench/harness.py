@@ -33,7 +33,7 @@ def load_dataset(key: str, scale: float | None = None) -> Graph:
 def fresh_engine(dialect: str, **kwargs: Any) -> Engine:
     """An engine in :data:`REFERENCE_PROFILE` — the paper's modelled RDBMS,
     whose dialect plan shapes the figures reproduce — with *kwargs*
-    overriding single knobs."""
+    (``mode``, ``telemetry``, ...) passed on."""
     return Engine(dialect, **{**REFERENCE_PROFILE, **kwargs})
 
 

@@ -1,11 +1,12 @@
 """Differential correctness harness (``repro fuzz``).
 
-The engine grew several semantically-equivalent-by-construction execution
-paths — tuple vs batch executor, cost-based vs modelled planner policies,
-four union-by-update strategies, cached vs fresh recursive branch plans,
-three dialect profiles.  The paper's claim is that all of them compute the
-*same* fixpoint; this package turns that claim into a machine-checked
-property:
+The engine has several semantically-equivalent-by-construction execution
+paths — the reference profile (the dialect planners over iterator-model
+operators and row storage) vs the array engine (cost-based planner, batch
+operators, columnar storage), four union-by-update strategies, cached vs
+fresh recursive branch plans, three dialect profiles.  The paper's claim
+is that all of them compute the *same* fixpoint; this package turns that
+claim into a machine-checked property:
 
 * :mod:`.generator` — a seeded generator of random-but-valid SQL and
   ``with+`` programs over generated NULL-heavy schemas;

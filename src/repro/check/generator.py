@@ -526,10 +526,11 @@ def _generate_with_scenario(seed: int, rng: random.Random) -> Scenario:
             body_aggregate=rng.random() < 0.3)
         # The coerced variant carries a value column the INTEGER column
         # truncates, so full binding derives again rows the combine
-        # stored in another form: the optimizer axis (full binding on
-        # "off", delta on "cost" unless the type rule declines) checks
-        # that rule.  Its values grow round by round, hence the cap; it
-        # is drawn last, so every other scenario stays as it was.
+        # stored in another form: the profile axis (full binding on the
+        # reference profile, delta on the array engine unless the type
+        # rule declines) checks that rule.  Its values grow round by
+        # round, hence the cap; it is drawn last, so every other scenario
+        # stays as it was.
         if not (nonlinear or pair) and rng.random() < 0.5:
             query = dataclasses.replace(query, coerced=True,
                                         maxrecursion=rng.randint(1, 6))

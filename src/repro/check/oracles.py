@@ -48,45 +48,37 @@ STRATEGY_DIALECTS = (
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """One cell of the differential matrix; unset knobs take
-    :data:`REFERENCE_PROFILE`'s values."""
+    """One cell of the differential matrix: a (strategy, dialect) pair on
+    one of the two engine profiles — :data:`REFERENCE_PROFILE` by
+    default."""
 
     dialect: str = "oracle"
-    executor: str = REFERENCE_PROFILE["executor"]
-    optimizer: str = REFERENCE_PROFILE["optimizer"]
+    reference: bool = REFERENCE_PROFILE["reference"]
     strategy: str = "full_outer_join"
-    storage: str = REFERENCE_PROFILE["storage"]
 
     def label(self) -> str:
-        return (f"{self.dialect}/{self.executor}/opt={self.optimizer}"
-                f"/{self.strategy}/{self.storage}")
+        profile = "reference" if self.reference else "array"
+        return f"{self.dialect}/{profile}/{self.strategy}"
 
     def build_engine(self) -> Engine:
-        engine = Engine(dialect=self.dialect, executor=self.executor,
-                        optimizer=self.optimizer, storage=self.storage)
+        engine = Engine(dialect=self.dialect, reference=self.reference)
         engine.union_by_update_strategy = self.strategy
         return engine
 
 
 #: ``Engine()``'s own configuration, the array engine.
-ARRAY_ENGINE = EngineConfig(executor="batch", optimizer="cost",
-                            storage="columnar")
+ARRAY_ENGINE = EngineConfig(reference=False)
 
 
-def default_matrix(executors=None, optimizers=None, storages=None
-                   ) -> tuple[EngineConfig, ...]:
-    """The full 32-cell matrix: 4 strategy/dialect pairs x 2 executors
-    x 2 optimizer settings x 2 storage backends, or the cells with the
-    given executors / optimizers / storages.  Telemetry is no axis: a
-    recorded statement runs the same plans as an unrecorded one (the
-    on/off identity tests in ``tests/observability`` pin that)."""
+def default_matrix() -> tuple[EngineConfig, ...]:
+    """The 8-cell matrix: 4 strategy/dialect pairs x the reference and
+    the array profile.  Telemetry is no axis: a recorded statement runs
+    the same plans as an unrecorded one (the on/off identity tests in
+    ``tests/observability`` pin that)."""
     return tuple(
-        EngineConfig(dialect=dialect, executor=executor, optimizer=optimizer,
-                     strategy=strategy, storage=storage)
+        EngineConfig(dialect=dialect, reference=reference, strategy=strategy)
         for strategy, dialect in STRATEGY_DIALECTS
-        for executor in executors or ("tuple", "batch")
-        for optimizer in optimizers or ("off", "cost")
-        for storage in storages or ("rows", "columnar"))
+        for reference in (True, False))
 
 
 def relevant_matrix(scenario: Scenario,
@@ -97,16 +89,16 @@ def relevant_matrix(scenario: Scenario,
     plain SELECTs configs that differ only by strategy collapse."""
     if scenario.recursive:
         return matrix
-    seen: set[tuple] = set()
-    out = []
+    return collapse_strategies(matrix)
+
+
+def collapse_strategies(matrix: tuple[EngineConfig, ...]) -> \
+        tuple[EngineConfig, ...]:
+    """The first cell of each (dialect, profile) pair."""
+    cells: dict[tuple, EngineConfig] = {}
     for config in matrix:
-        key = (config.dialect, config.executor, config.optimizer,
-               config.storage)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(config)
-    return tuple(out)
+        cells.setdefault((config.dialect, config.reference), config)
+    return tuple(cells.values())
 
 
 def load_tables(engine: Engine, tables: tuple[TableIR, ...],

@@ -13,7 +13,7 @@ from collections import Counter
 
 from ..relational.errors import RelationalError
 
-from .oracles import EngineConfig, default_matrix
+from .oracles import EngineConfig, collapse_strategies, default_matrix
 
 #: tables are passed as literal triples so generated test files need no
 #: IR imports: (name, ((column, "int"|"double"|"text"), ...), rows)
@@ -53,13 +53,7 @@ def assert_matrix_agreement(tables, sql: str, recursive: bool = False,
     """
     configs = matrix if matrix is not None else default_matrix()
     if not recursive:
-        seen, reduced = set(), []
-        for config in configs:
-            key = (config.dialect, config.executor, config.optimizer)
-            if key not in seen:
-                seen.add(key)
-                reduced.append(config)
-        configs = tuple(reduced)
+        configs = collapse_strategies(configs)
     baseline_config = configs[0]
     baseline = _run(tables, sql, recursive, mode, baseline_config)
     assert baseline[0] != "crash", (

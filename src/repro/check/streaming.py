@@ -4,10 +4,10 @@ The streaming subsystem's contract is *byte-identity*: after every
 mutation batch, each maintained view (PageRank trajectory, WCC labels,
 SSSP distances) must equal a cold from-scratch derivation on a fresh
 ``REFERENCE_PROFILE`` engine over the same mutated graph (the scenario
-engines draw their executor, storage and optimizer from the seed, so
-``Engine()``'s configuration is among them) — same keys, same ``repr``
-of every value, so float bit-patterns (``-0.0`` included) count.  This
-module turns that contract into a seeded campaign:
+engines draw their profile from the seed, two in three ``Engine()``'s) —
+same keys, same ``repr`` of every value, so float bit-patterns (``-0.0``
+included) count.  This module turns that contract into a seeded
+campaign:
 
 * **graph scenarios** — a random directed or undirected graph plus a
   random sequence of batches (edge inserts/deletes, weight updates,
@@ -45,9 +45,7 @@ class StreamingScenario:
 
     seed: int
     kind: str                       # "graph" | "table"
-    executor: str = "tuple"
-    storage: str = "rows"
-    optimizer: str = "off"
+    reference: bool = True
     directed: bool = True
     #: graph kind: initial vertices 0..nodes-1, initial (u, v, w) edges,
     #: then per-batch mutations.
@@ -62,8 +60,7 @@ class StreamingScenario:
 
     def label(self) -> str:
         return (f"seed={self.seed} kind={self.kind}"
-                f" executor={self.executor} storage={self.storage}"
-                f" optimizer={self.optimizer}"
+                f" profile={'reference' if self.reference else 'array'}"
                 + ("" if self.directed else " undirected")
                 + f" batches={len(self.batches)}")
 
@@ -127,16 +124,12 @@ def generate_streaming_scenario(seed: int) -> StreamingScenario:
     return _generate_graph_scenario(seed, rng)
 
 
-def _engine_knobs(rng: random.Random) -> dict:
-    # The optimizer is drawn last, so a seed keeps its graph and batches.
-    # Two in three draws take batch and columnar each: Engine()'s
-    # executor and storage are where the warm-started refreshes and the
-    # columnar store's forms run.
-    return {
-        "executor": rng.choice(("tuple", "batch", "batch")),
-        "storage": rng.choice(("rows", "columnar", "columnar")),
-        "optimizer": rng.choice(("off", "cost")),
-    }
+def _draw_reference(rng: random.Random) -> bool:
+    """Whether the scenario runs on ``REFERENCE_PROFILE``.  Drawn last, so
+    a seed keeps its graph and batches; two in three draws take
+    ``Engine()``, where the warm-started refreshes and the columnar
+    store's forms run."""
+    return rng.random() < 1 / 3
 
 
 def _generate_graph_scenario(seed: int,
@@ -203,7 +196,7 @@ def _generate_graph_scenario(seed: int,
         batches=tuple(batches), sssp_source=rng.randrange(n),
         iterations=rng.randint(3, 8),
         probe_rejection=rng.random() < 0.3,
-        **_engine_knobs(rng))
+        reference=_draw_reference(rng))
     # Drawn after everything above, so a seed keeps its draws: the same
     # graph and batches read as an undirected graph, and one last batch
     # that deletes a vertex and adds it back.
@@ -296,7 +289,7 @@ def _generate_table_scenario(seed: int,
             {k: tuple(v) for k, v in deletes.items()}))
     return StreamingScenario(
         seed=seed, kind="table", table_rows=tuple(rows),
-        batches=tuple(batches), **_engine_knobs(rng))
+        batches=tuple(batches), reference=_draw_reference(rng))
 
 
 # -- checking -----------------------------------------------------------------
@@ -327,8 +320,7 @@ def _check_graph(scenario: StreamingScenario,
         graph.add_edge(u, v, w)
     if not graph.num_nodes:
         return None
-    engine = Engine("oracle", executor=scenario.executor,
-                    optimizer=scenario.optimizer, storage=scenario.storage)
+    engine = Engine("oracle", reference=scenario.reference)
     manager = engine.streaming
     manager.attach_graph(graph)
     source = scenario.sssp_source
@@ -411,8 +403,7 @@ def _check_table(scenario: StreamingScenario) -> str | None:
     from repro.relational.schema import Schema
     from repro.relational.types import SqlType
 
-    engine = Engine("oracle", executor=scenario.executor,
-                    optimizer=scenario.optimizer, storage=scenario.storage)
+    engine = Engine("oracle", reference=scenario.reference)
     table = engine.database.create_table(
         "TBL", Schema.of(("K", SqlType.INTEGER), ("A", SqlType.INTEGER),
                          primary_key=("K",)))

@@ -261,9 +261,7 @@ def cmd_fuzz(args) -> int:
     if args.streaming:
         return _cmd_fuzz_streaming(args)
     from repro.check import fuzz
-    from repro.check.oracles import default_matrix
 
-    matrix = default_matrix(args.executors, args.optimizers, args.storage)
     started = time.perf_counter()
     last_tick = [started]
 
@@ -275,7 +273,7 @@ def cmd_fuzz(args) -> int:
                   f" {len(report.divergences)} divergence(s),"
                   f" {now - started:.1f}s", file=sys.stderr)
 
-    report = fuzz(seed=args.seed, budget=args.budget, matrix=matrix,
+    report = fuzz(seed=args.seed, budget=args.budget,
                   metamorphic=not args.no_metamorphic,
                   regressions_dir=args.regressions_dir,
                   shrink_attempts=args.shrink_attempts,
@@ -539,13 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=2026)
     p.add_argument("--budget", type=int, default=200,
                    help="number of generated scenarios")
-    p.add_argument("--executors", nargs="*",
-                   choices=("tuple", "batch"),
-                   help="restrict the matrix's executor axis")
-    p.add_argument("--optimizers", nargs="*", choices=("off", "cost"),
-                   help="restrict the matrix's optimizer axis")
-    p.add_argument("--storage", nargs="*", choices=("rows", "columnar"),
-                   help="restrict the matrix's storage axis")
     p.add_argument("--no-metamorphic", action="store_true",
                    help="config-matrix comparison only")
     p.add_argument("--streaming", action="store_true",

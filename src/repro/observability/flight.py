@@ -7,7 +7,8 @@ the fact, without the live system.  A bundle is one self-contained JSON
 file holding:
 
 * the SQL text and the full engine configuration (dialect, mode,
-  executor, optimizer, storage backend, union-by-update strategy);
+  profile — ``reference`` or not — with its storage backend,
+  union-by-update strategy);
 * the failure, if any (exception type + message);
 * phase timings, row/iteration counts, and the fixpoint trajectory;
 * the per-operator EXPLAIN ANALYZE reports (``est_rows`` vs actual with
@@ -36,7 +37,7 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
-BUNDLE_FORMAT = "repro-flight-v1"
+BUNDLE_FORMAT = "repro-flight-v2"
 
 #: Default cap on rows snapshotted per table; beyond it the table is
 #: truncated in the bundle and replay is refused.
@@ -175,8 +176,7 @@ class FlightRecorder:
             "engine": {
                 "dialect": engine.dialect.name,
                 "mode": engine.mode,
-                "executor": engine.executor,
-                "optimizer": engine.optimizer,
+                "reference": engine.reference,
                 "storage": engine.storage,
                 "union_by_update_strategy": engine.union_by_update_strategy,
             },
@@ -249,7 +249,6 @@ def replay_bundle(path: str) -> ReplayOutcome:
     the same error type (error bundles).
     """
     from ..relational import Engine
-    from ..relational.database import Database
     from ..relational.errors import RelationalError
     from ..relational.schema import Column, Schema
     from ..relational.types import SqlType
@@ -262,18 +261,15 @@ def replay_bundle(path: str) -> ReplayOutcome:
             f"bundle {path} truncated tables {truncated}; replay would"
             " run against partial data")
     config = bundle["engine"]
-    database = Database(storage=config["storage"])
+    engine = Engine(config["dialect"], mode=config["mode"],
+                    reference=config["reference"])
     for name, spec in bundle["tables"].items():
         schema = Schema(
             tuple(Column(column_name, SqlType[type_name])
                   for column_name, type_name in spec["columns"]),
             tuple(spec.get("primary_key", ())))
-        table = database.create_table(name, schema)
+        table = engine.database.create_table(name, schema)
         table.insert_many(spec["rows"])
-    engine = Engine(config["dialect"], database=database,
-                    mode=config["mode"], executor=config["executor"],
-                    optimizer=config["optimizer"],
-                    storage=config["storage"])
     engine.union_by_update_strategy = config["union_by_update_strategy"]
     recorded_error = bundle.get("error")
     try:

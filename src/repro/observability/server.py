@@ -132,8 +132,7 @@ class ObservabilityServer:
             "status": "ok",
             "uptime_s": round(time.time() - self.started_unix, 3),
             "dialect": self.engine.dialect.name,
-            "executor": self.engine.executor,
-            "optimizer": self.engine.optimizer,
+            "reference": self.engine.reference,
             "storage": self.engine.storage,
             "queries_logged": len(self.engine.query_log),
             "profiling": self.engine.telemetry.profiler.enabled,

@@ -10,7 +10,6 @@ in place of the previous iteration's table.
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Sequence
 
 from .columnar import check_storage
@@ -24,17 +23,14 @@ class Database:
     """An in-memory catalog of base and temporary tables.
 
     ``storage`` is the physical backend every table (base and temporary)
-    is created with — ``"rows"`` or ``"columnar"``.  When it is not
-    given, the ``REPRO_STORAGE`` environment variable decides (so a whole
-    test run can be flipped to row storage without touching call sites),
-    then ``"columnar"``.  An empty value counts as unset; any other name
-    raises ``ValueError`` here, not at the first ``CREATE``.
+    is created with — ``"rows"`` or ``"columnar"``; any other name raises
+    ``ValueError`` here, not at the first ``CREATE``.  An
+    :class:`~repro.relational.Engine` sets it to its profile's storage.
     """
 
-    def __init__(self, name: str = "repro", storage: str | None = None):
+    def __init__(self, name: str = "repro", storage: str = "columnar"):
         self.name = name
-        self.storage = check_storage(
-            storage or os.environ.get("REPRO_STORAGE") or "columnar")
+        self.storage = check_storage(storage)
         self._tables: dict[str, Table] = {}
         self._temp_tables: dict[str, Table] = {}
 

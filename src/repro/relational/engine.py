@@ -6,6 +6,13 @@ recursive ``with``/``with+`` statements through
 :class:`~repro.relational.recursive.RecursiveExecutor`, and expose EXPLAIN
 and SQL/PSM translation.
 
+An engine runs one of two profiles.  ``Engine()`` is the array engine:
+the cost-based planner over the batch operators and columnar storage.
+``Engine(dialect, **REFERENCE_PROFILE)`` is the paper's modelled RDBMS:
+the dialect's planner over iterator-model operators and row storage,
+which the paper-figure benchmarks run and the differential tests compare
+against.
+
     >>> from repro.relational import Engine
     >>> engine = Engine(dialect="oracle")
     >>> engine.database.load_edge_table("E", [(1, 2), (2, 3)])  # doctest: +ELLIPSIS
@@ -36,7 +43,6 @@ from ..observability import (
     resolve_telemetry,
     result_digest,
 )
-from .columnar import check_storage
 from .database import Database
 from .dialects import Dialect, get_dialect
 from .errors import (ExecutionError, FeatureNotSupportedError,
@@ -44,7 +50,7 @@ from .errors import (ExecutionError, FeatureNotSupportedError,
 from .optimizer import annotate_estimates
 from .physical import StatsSink, explain_plan, recording, render_analysis
 from .physical.blocks import ArrayColumns
-from .planner import POLICIES, PlannerPolicy
+from .planner import POLICIES, CostBasedPolicy, PlannerPolicy
 from .psm import PsmProgram, translate_with_to_psm
 from .recursive import (
     PlanCache,
@@ -87,8 +93,7 @@ ITERATIONS_SCHEMA = Schema((
 #: ``Engine(dialect, **REFERENCE_PROFILE)`` wherever this configuration is
 #: meant — the paper-figure benchmarks and the differential tests' other
 #: side.
-REFERENCE_PROFILE: Mapping[str, str] = MappingProxyType({
-    "executor": "tuple", "optimizer": "off", "storage": "rows"})
+REFERENCE_PROFILE: Mapping[str, bool] = MappingProxyType({"reference": True})
 
 #: What CPython's ``TypeError`` says when a rich comparison (``<``,
 #: ``sorted``, ``min``) meets two values it cannot order.
@@ -107,27 +112,6 @@ class Engine:
     mode:
         ``"with+"`` (default) accepts the paper's enhanced recursion;
         ``"with"`` enforces the dialect's SQL'99 Table-1 restrictions.
-    executor:
-        ``"batch"`` (default) runs the hash-family operators as the
-        columnar batch kernels in :mod:`repro.relational.physical.batch`
-        (typed-array kernels inside their exactness envelope);
-        ``"tuple"`` runs the iterator-model operators.  Under a dialect
-        planner, plans and EXPLAIN output are identical either way; only
-        the execution style (and speed) differs.
-    optimizer:
-        ``"cost"`` (default) plans with the statistics-driven
-        :class:`~repro.relational.planner.CostBasedPolicy` (cardinality
-        estimation, join reordering, pushdown, cached build sides, and
-        iteration-adaptive replanning); ``"off"`` keeps the dialect's
-        modelled planner policy, which is what reproduces the paper's
-        per-dialect plans.  :data:`REFERENCE_PROFILE` (tuple / off /
-        rows) is that modelled RDBMS, kept as the differential oracle.
-    replan_factor:
-        A kept plan is replanned once a cardinality it was planned for
-        drifts by more than this factor (in either direction): a with+
-        branch's delta cardinality (cost-based optimizer), or the row
-        count of a table it scans (plans are kept across statements —
-        ``docs/optimizer.md``, "Plans across statements").
     telemetry:
         ``"off"`` (default) keeps the always-on-cheap accounting only:
         phase timings, the query log, and engine counters.  ``"on"``
@@ -138,50 +122,38 @@ class Engine:
         share one registry across several engines.  ``None`` (default)
         reads the ``REPRO_TELEMETRY`` environment variable, then
         ``"off"``.
-    storage:
-        Physical table storage: ``"rows"`` (list of row tuples) or
-        ``"columnar"`` (typed column vectors, or a row overlay where
-        they cannot hold the values — see ``docs/storage.md``).
-        ``None`` (default) keeps the attached database's backend
-        (itself defaulting to the ``REPRO_STORAGE`` environment
-        variable, then ``"columnar"``).
-        Results are identical across backends; only the physical layout
-        — and the batch executor's ability to run block kernels over it
-        — differs.
+    reference:
+        ``False`` (default) is the array engine: the statistics-driven
+        :class:`~repro.relational.planner.CostBasedPolicy` (cardinality
+        estimation, join reordering, pushdown, cached build sides,
+        iteration-adaptive replanning) building the batch operators of
+        :mod:`repro.relational.physical.batch` (typed-array kernels inside
+        their exactness envelope) over columnar storage (typed column
+        vectors, or a row overlay where they cannot hold the values —
+        ``docs/storage.md``).  ``True`` is :data:`REFERENCE_PROFILE`: the
+        dialect's modelled planner policy, which reproduces the paper's
+        per-dialect plans, building iterator-model operators over row
+        storage.  Results are identical across the two profiles.  Tables
+        the engine creates (the recursive loop's temp tables included)
+        use the profile's storage, :attr:`storage`; an attached
+        database's existing tables keep theirs.
     """
 
     def __init__(self, dialect: str | Dialect = "oracle",
                  database: Database | None = None, mode: str = "with+",
-                 executor: str = "batch", optimizer: str = "cost",
-                 replan_factor: float = 8.0,
                  telemetry: str | bool | Telemetry | None = None,
-                 storage: str | None = None):
+                 reference: bool = False):
         self.dialect = (dialect if isinstance(dialect, Dialect)
                         else get_dialect(dialect))
-        if storage is not None:
-            check_storage(storage)
-        self.database = (database if database is not None
-                         else Database(storage=storage))
-        if storage is not None:
-            # Tables created from here on (including the recursive loop's
-            # temp tables) use the requested backend; existing tables keep
-            # whatever they were created with.
-            self.database.storage = storage
-        self.storage = self.database.storage
-        if optimizer not in ("off", "cost"):
-            raise ValueError(
-                f"unknown optimizer {optimizer!r}; expected 'off' or 'cost'")
-        self.optimizer = optimizer
-        if optimizer == "cost":
-            self.policy: PlannerPolicy = POLICIES["cost-based"](
-                executor=executor, replan_factor=replan_factor,
-                storage=self.storage)
-        else:
-            self.policy = POLICIES[self.dialect.policy_name](
-                executor=executor)
-        self.executor = executor
+        self.reference = reference
+        self.database = database if database is not None else Database()
+        # Tables created from here on (the recursive loop's temp tables
+        # too) use the profile's storage; existing tables keep theirs.
+        self.database.storage = self.storage
+        self.policy: PlannerPolicy = (
+            POLICIES[self.dialect.policy_name]() if reference
+            else CostBasedPolicy())
         self.mode = mode
-        self.replan_factor = replan_factor
         self._plan_cache = PlanCache()
         self._ubu_strategy: str | None = None
         self.temp_indexes: dict[str, Sequence[str]] = {}
@@ -197,6 +169,11 @@ class Engine:
         self._observed: list[tuple[str, object, dict]] = []
 
     # -- configuration -----------------------------------------------------------
+
+    @property
+    def storage(self) -> str:
+        """The profile's table storage: ``"rows"`` or ``"columnar"``."""
+        return "rows" if self.reference else "columnar"
 
     @property
     def tracer(self):
@@ -359,7 +336,7 @@ class Engine:
         """The statement's kept plans, or a new entry and why the kept one
         was stale."""
         return self._plan_cache.take(statement, mode, self.database,
-                                     max(self.replan_factor, 1.0))
+                                     CostBasedPolicy.REPLAN_FACTOR)
 
     def _keep_plans(self, plans: StatementPlans, stale: str | None,
                     result: WithExecutionResult) -> None:

@@ -13,7 +13,6 @@ from .scan import BindingScan, IndexOrderedScan, RelationScan, TableScan
 from .filter import Filter
 from .project import Project
 from .joins import (
-    CachedBuildHashJoin,
     HashAntiJoin,
     HashFullOuterJoin,
     HashJoin,
@@ -66,7 +65,6 @@ __all__ = [
     "Project",
     "ColumnPrune",
     "HashJoin",
-    "CachedBuildHashJoin",
     "contains_binding_scan",
     "stable_input_fingerprint",
     "MergeJoin",

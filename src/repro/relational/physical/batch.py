@@ -2,22 +2,23 @@
 
 These are drop-in twins of the tuple-at-a-time operators in
 :mod:`.joins` and :mod:`.aggregate`: same constructor signatures, same
-``label`` strings (so ``EXPLAIN`` output stays comparable across
-executors), and bit-identical results.  What changes is the execution
-style — instead of pulling one row at a time through nested generators,
-each kernel materialises its inputs in chunks, extracts join/grouping
-keys with precompiled ``operator.itemgetter`` calls over whole row
-batches, and builds output rows with list comprehensions.  That moves
-the per-row interpreter overhead (generator resumption, recursive
-expression evaluation, per-row arity checks) out of the hot loop and
-into a handful of C-level bulk operations.
+``label`` strings (so ``EXPLAIN`` output stays comparable across the
+two engine profiles), and bit-identical results.  What changes is the
+execution style — instead of pulling one row at a time through nested
+generators, each kernel materialises its inputs in chunks, extracts
+join/grouping keys with precompiled ``operator.itemgetter`` calls over
+whole row batches, and builds output rows with list comprehensions.
+That moves the per-row interpreter overhead (generator resumption,
+recursive expression evaluation, per-row arity checks) out of the hot
+loop and into a handful of C-level bulk operations.
 
-The planner selects these classes under the default
-``Engine(..., executor="batch")``; the ``"tuple"`` executor (the
-reference profile's) keeps the iterator-model operators.  Only the hash
-family has batch twins — ``MergeJoin``/``SortAggregate``/``NotInAntiJoin``
-are dialect cost models in their own right and stay tuple-at-a-time
-under either executor.
+The cost-based planner of ``Engine()`` builds these classes; the
+dialect planners of ``REFERENCE_PROFILE`` build the iterator-model
+operators.  Only the hash family has batch twins —
+``MergeJoin``/``SortAggregate``/``NotInAntiJoin`` are dialect cost models
+in their own right and stay tuple-at-a-time.  Where the typed-array
+kernels decline (TEXT, NULL, NaN or sparse keys, row storage), the list
+kernels and row loops here answer.
 """
 
 from __future__ import annotations
@@ -963,7 +964,8 @@ class BatchHashAggregate(_AggregateBase):
     def _grouping(self, src: ColumnBatch) -> tuple | None:
         """``(GroupPlan, group key vectors)``, or None.  One key column
         groups on its int64 values; several group on their packed keys
-        (:func:`pack_keys`), unpacked again on output.  With
+        (:func:`pack_keys`), unpacked again on output.  An empty input
+        has no group: zero-length int64 key vectors.  With
         ``key_plans``, a one-column grouping is kept and reused while the
         key vector is the same object — its group keys then come back as
         the same vector too."""
@@ -974,7 +976,10 @@ class BatchHashAggregate(_AggregateBase):
                 return None
             key_data, packing = keys.data, None
         else:
-            packed = pack_keys([src.array(j) for j in key_positions])
+            # An empty input packs on unit spans.
+            packed = pack_keys([src.array(j) for j in key_positions],
+                               None if src.length
+                               else ((0, 1),) * len(key_positions))
             if packed is None:
                 return None
             key_data, packing = packed
@@ -982,8 +987,6 @@ class BatchHashAggregate(_AggregateBase):
         if plan is None or not plan.fits(key_data):
             self._group_plan = None
             plan = group_plan(key_data)
-            if plan is None:
-                return None
             if self.key_plans and packing is None:
                 self._group_plan = plan
         if packing is None:

@@ -1675,11 +1675,12 @@ class GroupPlan:
         return self.keys is keys
 
 
-def group_plan(keys) -> GroupPlan | None:
+def group_plan(keys) -> GroupPlan:
     """The :class:`GroupPlan` of an int64 key vector (slots by
-    :func:`_key_slots`), or None when it has no rows."""
+    :func:`_key_slots`); an empty one has no group."""
     if not len(keys):
-        return None
+        empty = _np.zeros(0, dtype=_np.intp)
+        return GroupPlan(keys, empty, empty)
     return GroupPlan(keys, *_key_slots(keys))
 
 
@@ -1729,8 +1730,6 @@ def array_grouped(function: str, keys, values: ArrayVector | None,
         return None
     if plan is None:
         plan = group_plan(keys)
-        if plan is None:
-            return None
     aggregate = _reduce_groups(function, plan, values)
     return None if aggregate is None else (plan.group_keys, aggregate)
 
@@ -1756,7 +1755,9 @@ def _reduce_groups(function: str, plan: GroupPlan,
             if _int_peak(values) * len(data) >= bound:
                 return None
         if floating or average:
-            sums = _np.bincount(slots, weights=data, minlength=size)
+            # float64, also where no row is weighed (that bincount is int)
+            sums = _np.bincount(slots, weights=data, minlength=size
+                                ).astype(_np.float64, copy=False)
         else:
             sums = _np.zeros(size, dtype=_np.int64)
             _np.add.at(sums, slots, data)

@@ -450,63 +450,3 @@ def pruning_nodes(plans) -> list[PhysicalOperator]:
             found.append(node)
         stack.extend(node.children())
     return found
-
-
-class CachedBuildHashJoin(HashJoin):
-    """Hash join that reuses its build-side hash table across executions.
-
-    Inside the recursive loop a cached branch plan re-executes once per
-    iteration; when the build side reads only stable inputs (base tables,
-    materialised relations) rebuilding its hash table every iteration is
-    pure waste.  This operator fingerprints the build subtree's contents
-    (table identity + statistics version) and rebuilds only when the
-    fingerprint changes, turning each later iteration into a probe-only
-    pass over the (usually much smaller) delta side.
-    """
-
-    def __init__(self, left, right, left_keys, right_keys,
-                 build_side: str = "right"):
-        super().__init__(left, right, left_keys, right_keys, build_side)
-        self._cached_fingerprint: tuple | None = None
-        self._cached_index: dict[tuple, list[Row]] | None = None
-
-    def _build_index(self) -> dict[tuple, list[Row]]:
-        build = self.right if self.build_side == "right" else self.left
-        build_key = (self._right_key if self.build_side == "right"
-                     else self._left_key)
-        fingerprint = stable_input_fingerprint(build)
-        if (self._cached_index is not None and fingerprint is not None
-                and fingerprint == self._cached_fingerprint):
-            return self._cached_index
-        index: dict[tuple, list[Row]] = {}
-        for row in build.rows():
-            key = build_key(row)
-            if any(v is None for v in key):
-                continue
-            index.setdefault(key, []).append(row)
-        self.build_rows_observed += sum(map(len, index.values()))
-        self._cached_fingerprint = fingerprint
-        self._cached_index = index if fingerprint is not None else None
-        return index
-
-    def rows(self) -> Iterator[Row]:
-        index = self._build_index()
-        if self.build_side == "right":
-            probe, probe_key = self.left, self._left_key
-            for row in probe.rows():
-                key = probe_key(row)
-                if any(v is None for v in key):
-                    continue
-                for match in index.get(key, ()):
-                    yield row + match
-        else:
-            probe, probe_key = self.right, self._right_key
-            for row in probe.rows():
-                key = probe_key(row)
-                if any(v is None for v in key):
-                    continue
-                for match in index.get(key, ()):
-                    yield match + row
-
-    def detail(self) -> str:
-        return f"{super().detail()}; cached build"

@@ -17,8 +17,8 @@ aggregations; the policy encodes the per-RDBMS behaviour the paper observed:
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 from .errors import SchemaError
 from .expressions import ColumnRef, Expression
@@ -33,7 +33,6 @@ from .physical import (
     BatchProject,
     BatchUnion,
     BatchUnionAll,
-    CachedBuildHashJoin,
     Filter,
     HashAggregate,
     HashAntiJoin,
@@ -53,15 +52,21 @@ from .physical import (
 )
 from .relation import AggregateSpec
 
-#: Hash-family operator classes per executor.  Batch twins share labels
-#: with their tuple counterparts, so EXPLAIN output is executor-agnostic;
-#: MergeJoin / SortAggregate / NotInAntiJoin model dialect costs and stay
-#: tuple-at-a-time under either executor.  ``equi_cached`` is the equi-join
-#: that keeps its build index between executions of one plan.
-_OPERATOR_SETS: dict[str, dict[str, Callable[..., PhysicalOperator]]] = {
-    "tuple": {
+class PlannerPolicy:
+    """Choice points the compiler delegates to.
+
+    The dialect policies model an iterator-model RDBMS: their hash-family
+    operators are the tuple-at-a-time ones in :data:`_ops`.
+    :class:`CostBasedPolicy` swaps in the batch twins, which share the
+    tuple operators' labels.  MergeJoin / SortAggregate / NotInAntiJoin
+    model dialect costs and are built directly."""
+
+    name = "default"
+    #: A :class:`repro.observability.MetricsRegistry` when the owning
+    #: engine attached one; policies count their operator choices there.
+    metrics = None
+    _ops: Mapping[str, Callable[..., PhysicalOperator]] = MappingProxyType({
         "equi": HashJoin,
-        "equi_cached": CachedBuildHashJoin,
         "left": HashLeftOuterJoin,
         "full": HashFullOuterJoin,
         "semi": HashSemiJoin,
@@ -71,39 +76,7 @@ _OPERATOR_SETS: dict[str, dict[str, Callable[..., PhysicalOperator]]] = {
         "filter": Filter,
         "union_all": UnionAllOp,
         "union": UnionDistinctOp,
-    },
-    "batch": {
-        "equi": BatchHashJoin,
-        "equi_cached": partial(BatchHashJoin, cached_build=True),
-        "left": BatchHashLeftOuterJoin,
-        "full": BatchHashFullOuterJoin,
-        "semi": BatchHashSemiJoin,
-        "anti": BatchHashAntiJoin,
-        "hash_agg": BatchHashAggregate,
-        "project": BatchProject,
-        "filter": BatchFilter,
-        "union_all": BatchUnionAll,
-        "union": BatchUnion,
-    },
-}
-
-EXECUTORS = tuple(_OPERATOR_SETS)
-
-
-class PlannerPolicy:
-    """Choice points the compiler delegates to."""
-
-    name = "default"
-    #: A :class:`repro.observability.MetricsRegistry` when the owning
-    #: engine attached one; policies count their operator choices there.
-    metrics = None
-
-    def __init__(self, executor: str = "tuple"):
-        if executor not in _OPERATOR_SETS:
-            raise ValueError(
-                f"unknown executor {executor!r}; expected one of {EXECUTORS}")
-        self.executor = executor
-        self._ops = _OPERATOR_SETS[executor]
+    })
 
     def _count_join(self, join: PhysicalOperator) -> PhysicalOperator:
         """Record which join operator this policy chose (plan-time only —
@@ -291,16 +264,14 @@ class CostBasedPolicy(PlannerPolicy):
 
     Where the three profiles above *model* a vendor's fixed behaviour,
     this policy picks operators from estimated costs
-    (:mod:`repro.relational.optimizer`):
+    (:mod:`repro.relational.optimizer`) and builds the batch operators of
+    :mod:`repro.relational.physical.batch`:
 
-    * hash join with the cheaper side as build, keeping its build index
-      across re-executions when the build input is stable — inside a
-      with+ loop the stable base table's index is built once and only the
-      delta is probed each iteration.  The tuple executor gets the
-      pull-based :class:`~repro.relational.physical.CachedBuildHashJoin`;
-      the batch executor a :class:`~repro.relational.physical.BatchHashJoin`
-      with ``cached_build`` set, so the join stays a block-pipeline
-      boundary inside fixpoints;
+    * hash join with the cheaper side as build; inside a with+ loop a
+      :class:`~repro.relational.physical.BatchHashJoin` whose build input
+      is stable sets ``cached_build``, so the base table's index is built
+      once and only the delta is probed each iteration, and the join
+      stays a block-pipeline boundary inside fixpoints;
     * merge join only when both inputs arrive presorted through a sorted
       index and neither side re-executes against loop bindings;
     * hash aggregation throughout.
@@ -308,10 +279,10 @@ class CostBasedPolicy(PlannerPolicy):
     The compiler additionally routes FROM planning through
     :func:`~repro.relational.optimizer.plan_from_cost_based` (pushdown +
     join reordering) when it sees ``cost_based`` on the policy, and the
-    recursive executor reads ``adaptive`` / ``replan_factor`` to replan
-    cached branch plans when observed delta cardinality drifts from the
-    estimates, and ``delta_binding`` to evaluate a provably linear with+
-    ``UNION`` semi-naively.
+    recursive executor reads ``adaptive`` / :data:`REPLAN_FACTOR` to
+    replan cached branch plans when observed delta cardinality drifts
+    from the estimates, and ``delta_binding`` to evaluate a provably
+    linear with+ ``UNION`` semi-naively.
     """
 
     name = "cost-based"
@@ -324,37 +295,35 @@ class CostBasedPolicy(PlannerPolicy):
     #: the delta (``recursive.delta_binding_is_exact``).
     delta_binding = True
 
+    #: A kept plan is replanned once a cardinality it was planned for
+    #: drifts by more than this factor (in either direction): a with+
+    #: branch's delta cardinality, or the row count of a table it scans
+    #: (plans are kept across statements — ``docs/optimizer.md``, "Plans
+    #: across statements").
+    REPLAN_FACTOR = 8.0
+
     #: Merge join needs both inputs presorted and size-balanced at least
-    #: this much; otherwise building a hash on the small side wins.
-    MERGE_BALANCE = 0.25
+    #: this much; otherwise building a hash on the small side wins.  A
+    #: merge join builds every input row as a tuple and sorts the
+    #: (key, row) pairs while a hash join reads the key column straight
+    #: out of the columnar store's vectors, so merge needs a well-balanced
+    #: pair of inputs to win.
+    MERGE_BALANCE = 0.5
 
-    #: Aggregations estimated to consume at least this many rows run on
-    #: the vectorized batch kernel even under the tuple executor (the
-    #: row-mode vs batch-mode operator decision); below it the kernel's
-    #: materialisation overhead is not worth amortising.
-    BATCH_AGG_THRESHOLD = 256
+    _ops = MappingProxyType({
+        "left": BatchHashLeftOuterJoin,
+        "full": BatchHashFullOuterJoin,
+        "semi": BatchHashSemiJoin,
+        "anti": BatchHashAntiJoin,
+        "project": BatchProject,
+        "filter": BatchFilter,
+        "union_all": BatchUnionAll,
+        "union": BatchUnion,
+    })
 
-    #: Block-aware overrides, keyed by the catalog's storage backend.
-    #: Columnar tables feed the batch kernels whole column vectors with
-    #: no tuple materialisation, so the batch aggregate amortises sooner;
-    #: and a merge join must build every input row as a tuple and sort
-    #: the (key, row) pairs while a hash join reads the key column
-    #: straight out of the store's vectors, so merge needs a much more
-    #: balanced pair of inputs to win.
-    STORAGE_MERGE_BALANCE = {"columnar": 0.5}
-    STORAGE_BATCH_AGG_THRESHOLD = {"columnar": 64}
-
-    def __init__(self, executor: str = "tuple", replan_factor: float = 8.0,
-                 storage: str = "rows"):
-        super().__init__(executor)
+    def __init__(self):
         from .optimizer import CardinalityEstimator
 
-        self.replan_factor = replan_factor
-        self.storage = storage
-        self.MERGE_BALANCE = self.STORAGE_MERGE_BALANCE.get(
-            storage, type(self).MERGE_BALANCE)
-        self.BATCH_AGG_THRESHOLD = self.STORAGE_BATCH_AGG_THRESHOLD.get(
-            storage, type(self).BATCH_AGG_THRESHOLD)
         self.estimator = CardinalityEstimator(refresh=True)
 
     def make_equi_join(self, left, right, left_keys, right_keys):
@@ -381,13 +350,10 @@ class CostBasedPolicy(PlannerPolicy):
         else:
             build_side = "left" if left_rows <= right_rows else "right"
         build_stable = stable_left if build_side == "left" else stable_right
-        rescanned = rescanned_left or rescanned_right
-        if build_stable and (self.executor == "tuple" or rescanned):
-            join = self._ops["equi_cached"](left, right, left_keys,
-                                            right_keys, build_side)
-        else:
-            join = self._ops["equi"](left, right, left_keys, right_keys,
-                                     build_side)
+        join = BatchHashJoin(
+            left, right, left_keys, right_keys, build_side,
+            cached_build=build_stable
+            and (rescanned_left or rescanned_right))
         self.estimator.annotate(join)
         return self._count_join(join)
 
@@ -413,9 +379,8 @@ class CostBasedPolicy(PlannerPolicy):
         return join
 
     def make_aggregate(self, child, keys, aggregates, key_aliases):
-        if self.estimator.annotate(child) >= self.BATCH_AGG_THRESHOLD:
-            return BatchHashAggregate(child, keys, aggregates, key_aliases)
-        return self._ops["hash_agg"](child, keys, aggregates, key_aliases)
+        self.estimator.annotate(child)  # plan-time estimates, as for joins
+        return BatchHashAggregate(child, keys, aggregates, key_aliases)
 
 
 POLICIES: dict[str, type[PlannerPolicy]] = {

@@ -57,7 +57,7 @@ from .physical.blocks import (
 )
 from .physical.joins import pruning_nodes
 from .optimizer import annotate_estimates
-from .planner import PlannerPolicy
+from .planner import CostBasedPolicy, PlannerPolicy
 from .relation import Relation
 from .schema import Column, Schema
 from .sql.ast import (
@@ -155,7 +155,7 @@ class WithExecutionResult:
     #: Kept plans re-executed instead of recompiled.
     plan_cache_hits: int = 0
     #: Kept plans dropped and replanned — mid-loop on cardinality drift
-    #: (see ``Engine(replan_factor=...)``) or when a statement's kept
+    #: (``CostBasedPolicy.REPLAN_FACTOR``) or when a statement's kept
     #: plans were stale — counted by reason in ``replan_reasons``:
     #: ``drift``, ``replaced``, ``analyze`` or ``schema``.
     replans: int = 0
@@ -1061,14 +1061,12 @@ class RecursiveExecutor:
                      for c, b in zip(cached, recursive)]
         # Iteration-adaptive replanning (cost-based policies): each cached
         # plan remembers the R cardinality it was compiled against; when
-        # the loop's live cardinality drifts past replan_factor in either
+        # the loop's live cardinality drifts past REPLAN_FACTOR in either
         # direction, the cached plan's estimates (and hence its build-side
         # and operator choices) are stale — drop it and replan against the
         # current bindings.  A replan after iteration 1 stays local to this
         # statement; the entry keeps the iteration-1 plans.
         adaptive = getattr(self.policy, "adaptive", False)
-        replan_factor = max(
-            float(getattr(self.policy, "replan_factor", 8.0)), 1.0)
         # Cumulative anti-join pruned totals already attributed per cached
         # branch plan; the per-iteration value is the delta against these.
         pruned_seen = [c.pruned_total() if c else 0 for c in cached]
@@ -1110,7 +1108,8 @@ class RecursiveExecutor:
                     if (adaptive and cached[position] is not None
                             and _cardinality_drifted(
                                 cached[position].planned_input,
-                                len(branch_slots[rname]), replan_factor)):
+                                len(branch_slots[rname]),
+                                CostBasedPolicy.REPLAN_FACTOR)):
                         cached[position] = None
                         pruned_seen[position] = 0
                         stats.replanned("drift")

@@ -21,6 +21,7 @@ from repro.check.oracles import default_matrix, relevant_matrix
 from repro.check.runner import DifferentialRunner
 from repro.relational import recursive as recursive_module
 from repro.relational.physical import batch as batch_module
+from repro.relational.physical.blocks import FilteredColumns
 
 T0 = TableIR("T0", (("k0", "int"), ("c0", "int")),
              ((1, 10), (2, 20), (2, 21), (3, None)))
@@ -65,23 +66,35 @@ def test_healthy_engine_passes_all_oracles():
 
 
 def test_injected_join_fault_is_caught(monkeypatch):
-    """Drop one row from the batch hash join only: tuple and batch
-    executors now answer differently and the matrix oracle must fire."""
+    """Drop one row from the batch hash join only: the reference and the
+    array profile now answer differently and the matrix oracle must
+    fire."""
     original = batch_module.BatchHashJoin._compute
+    original_block = batch_module.BatchHashJoin._block_source
 
     def lossy(self):
         rows = original(self)
         return rows[:-1]
 
+    def lossy_block(self):
+        source = original_block(self)
+        if source is None or not source.length:
+            return source
+        return FilteredColumns(source, list(range(source.length - 1)))
+
     monkeypatch.setattr(batch_module.BatchHashJoin, "_compute", lossy)
+    monkeypatch.setattr(batch_module.BatchHashJoin, "_block_source",
+                        lossy_block)
     divergence = DifferentialRunner().check(JOIN_SCENARIO)
     assert divergence is not None
     assert divergence.oracle == "matrix"
-    assert "batch" in divergence.detail
+    assert "/array/" in divergence.detail
 
 
 def test_injected_aggregate_fault_is_caught(monkeypatch):
-    """Off-by-one in the batch count aggregate: caught by the matrix."""
+    """Off-by-one in the batch count aggregate's row loop, which the
+    array engine takes once its array path declines: caught by the
+    matrix."""
     original = batch_module.BatchHashAggregate._compute
 
     def off_by_one(self):
@@ -94,6 +107,8 @@ def test_injected_aggregate_fault_is_caught(monkeypatch):
 
     monkeypatch.setattr(batch_module.BatchHashAggregate,
                         "_compute", off_by_one)
+    monkeypatch.setattr(batch_module.BatchHashAggregate, "_block_source",
+                        lambda self: None)
     divergence = DifferentialRunner().check(AGG_SCENARIO)
     assert divergence is not None
     assert divergence.oracle == "matrix"
@@ -107,6 +122,7 @@ def test_injected_crash_is_caught(monkeypatch):
         raise RuntimeError("synthetic operator failure")
 
     monkeypatch.setattr(batch_module.BatchHashJoin, "_compute", boom)
+    monkeypatch.setattr(batch_module.BatchHashJoin, "_block_source", boom)
     runner = DifferentialRunner()
     divergence = runner.check(JOIN_SCENARIO)
     assert divergence is not None
@@ -114,27 +130,27 @@ def test_injected_crash_is_caught(monkeypatch):
 
 
 def test_the_optimizer_axis_is_the_binding_oracle(monkeypatch):
-    """``opt=off`` binds a with+ UNION to the full R, ``opt=cost`` to the
-    delta where the proof holds: proving it for a coercing branch (the
-    type rule gone) makes the two cells disagree."""
+    """The reference profile's dialect planner binds a with+ UNION to the
+    full R, the array engine's cost optimizer to the delta where the
+    proof holds: proving it for a coercing branch (the type rule gone)
+    makes the two cells disagree."""
     monkeypatch.setattr(recursive_module, "delta_binding_is_exact",
                         lambda cte, schema, outputs: True)
     divergence = DifferentialRunner().check(COERCED_SCENARIO)
     assert divergence is not None
     assert divergence.oracle == "matrix"
-    assert "opt=off" in divergence.detail and "opt=cost" in divergence.detail
+    assert "/reference/" in divergence.detail \
+        and "/array/" in divergence.detail
 
 
 def test_matrix_covers_every_strategy_and_executor():
     matrix = default_matrix()
-    assert len(matrix) == 32
+    assert len(matrix) == 8
     assert {c.strategy for c in matrix} == {
         "merge", "full_outer_join", "update_from", "drop_alter"}
-    assert {c.executor for c in matrix} == {"tuple", "batch"}
-    assert {c.optimizer for c in matrix} == {"off", "cost"}
-    assert {c.storage for c in matrix} == {"rows", "columnar"}
-    # Plain selects collapse the strategy axis...
+    assert {c.reference for c in matrix} == {True, False}
+    # Plain selects collapse the strategy axis: one dialect a profile...
     reduced = relevant_matrix(JOIN_SCENARIO, matrix)
-    assert len(reduced) < len(matrix)
-    # ...recursive scenarios keep all 32 cells.
+    assert len(reduced) == 2 * len({c.dialect for c in matrix})
+    # ...recursive scenarios keep all 8 cells.
     assert relevant_matrix(UBU_SCENARIO, matrix) == matrix

@@ -12,13 +12,24 @@ from repro.relational.recursive import RecursiveExecutor
 from repro.relational.relation import Relation
 
 
-def reference_engine(dialect: str = "oracle", **overrides) -> Engine:
+def reference_engine(dialect: str = "oracle", **kwargs) -> Engine:
     """The differential tests' independent side: ``REFERENCE_PROFILE``
     (tuple executor, dialect planner, row storage — the paper's modelled
-    RDBMS), with *overrides* varying single knobs.  A bare ``Engine()``
-    is the array engine, so comparing against it would compare the
-    default with itself."""
-    return Engine(dialect, **{**REFERENCE_PROFILE, **overrides})
+    RDBMS), with *kwargs* (``mode``, ``telemetry``, ...) passed on.  A
+    bare ``Engine()`` is the array engine, so comparing against it would
+    compare the default with itself."""
+    return Engine(dialect, **REFERENCE_PROFILE, **kwargs)
+
+
+def engine_over_row_tables(load, dialect: str = "oracle") -> Engine:
+    """``Engine()`` attached to a catalog of row-storage tables: *load*
+    fills them on a reference engine, then the array engine takes the
+    catalog over.  The tables keep their storage (the tables it creates
+    itself are columnar), so its batch operators read them through their
+    row loops, whatever the values."""
+    loader = reference_engine(dialect)
+    load(loader)
+    return Engine(dialect, database=loader.database)
 
 
 def refused_keys(table, keys) -> list:

@@ -213,9 +213,12 @@ class TestQueryLogAndMetrics:
         second.execute("select count(*) as n from E")
         assert len(shared.query_log) == 2
 
-    @pytest.mark.parametrize("storage", ["rows", "columnar"])
-    def test_storage_backend_labels_entries_and_span_roots(self, storage):
-        engine = make_engine(telemetry="on", storage=storage)
+    @pytest.mark.parametrize("reference,storage",
+                             [(True, "rows"), (False, "columnar")],
+                             ids=["rows", "columnar"])
+    def test_storage_backend_labels_entries_and_span_roots(self, reference,
+                                                           storage):
+        engine = make_engine(telemetry="on", reference=reference)
         engine.execute("select count(*) as n from E")
         engine.execute_detailed(RECURSIVE_SQL)
         assert all(entry.storage == storage
@@ -283,14 +286,15 @@ class TestTelemetryIdentity:
         assert off.values == on.values
         assert off.iterations == on.iterations
 
-    @pytest.mark.parametrize("executor", ["tuple", "batch"])
-    def test_executors_identical_with_tracing_on(self, executor):
+    @pytest.mark.parametrize("reference", [True, False],
+                             ids=["tuple", "batch"])
+    def test_executors_identical_with_tracing_on(self, reference):
         graph = preferential_attachment(120, 3, seed=3)
         info = ALGORITHMS["PR"]
         kwargs = dict(info.bench_kwargs or {})
-        off = info.run_sql(Engine("oracle", executor=executor), graph,
+        off = info.run_sql(Engine("oracle", reference=reference), graph,
                            **kwargs)
-        on = info.run_sql(Engine("oracle", executor=executor,
+        on = info.run_sql(Engine("oracle", reference=reference,
                                  telemetry="on"), graph, **kwargs)
         assert off.values == on.values
         assert off.iterations == on.iterations

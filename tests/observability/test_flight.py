@@ -76,11 +76,11 @@ class TestBundleSchema:
         engine.execute_detailed(RECURSIVE_SQL)
         (path,) = engine.telemetry.flight.bundles()
         bundle = load_bundle(path)
-        assert bundle["format"] == "repro-flight-v1"
+        assert bundle["format"] == "repro-flight-v2"
         assert bundle["reason"] == "slow"
         assert bundle["kind"] == "recursive"
         assert set(bundle["engine"]) == {
-            "dialect", "mode", "executor", "optimizer", "storage",
+            "dialect", "mode", "reference", "storage",
             "union_by_update_strategy"}
         assert bundle["error"] is None
         assert bundle["query"]["iterations"] > 0
@@ -96,7 +96,7 @@ class TestBundleSchema:
         assert bundle["result_digest"]
 
     def test_columnar_engine_is_labelled_and_gauged(self, tmp_path):
-        engine = make_engine(tmp_path, storage="columnar")
+        engine = make_engine(tmp_path)
         engine.execute("select count(*) as n from E")
         (path,) = engine.telemetry.flight.bundles()
         bundle = load_bundle(path)
@@ -117,6 +117,18 @@ class TestBundleSchema:
         path = tmp_path / "not-a-bundle.json"
         path.write_text(json.dumps({"format": "other"}))
         with pytest.raises(ValueError):
+            load_bundle(str(path))
+
+    def test_load_rejects_bundles_that_name_three_knobs(self, tmp_path):
+        """The first format recorded executor, optimizer and storage; the
+        engine takes one ``reference`` switch now."""
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({
+            "format": "repro-flight-v1",
+            "engine": {"dialect": "oracle", "mode": "with+",
+                       "executor": "tuple", "optimizer": "cost",
+                       "storage": "columnar"}}))
+        with pytest.raises(ValueError, match="repro-flight-v1"):
             load_bundle(str(path))
 
 
@@ -141,11 +153,28 @@ class TestReplay:
         assert outcome.error_type == "SchemaError"
 
     def test_columnar_bundle_replays_on_columnar(self, tmp_path):
-        engine = make_engine(tmp_path, storage="columnar")
+        engine = make_engine(tmp_path)
         engine.execute_detailed(RECURSIVE_SQL)
         (path,) = engine.telemetry.flight.bundles()
         outcome = replay_bundle(path)
         assert outcome.reproduced
+
+    def test_reference_bundle_replays_on_the_reference_profile(
+            self, tmp_path, monkeypatch):
+        engine = make_engine(tmp_path, reference=True)
+        engine.execute_detailed(RECURSIVE_SQL)
+        (path,) = engine.telemetry.flight.bundles()
+        assert load_bundle(path)["engine"]["reference"] is True
+        built = []
+        original = Engine.__init__
+
+        def spy(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            built.append((self.reference, self.storage))
+
+        monkeypatch.setattr(Engine, "__init__", spy)
+        assert replay_bundle(path).reproduced
+        assert built == [(True, "rows")]
 
     def test_bundle_with_retired_parallel_fields_replays(self, tmp_path):
         # Bundles written before partitioned execution was removed carry

@@ -77,8 +77,7 @@ class TestProfilerRecording:
             assert stack and int(value) >= 0
         top = profiler.top_operators(3)
         assert top and top[0]["seconds"] >= top[-1]["seconds"]
-        # The label follows the engine's backend (REPRO_STORAGE may
-        # flip the default to rows in CI).
+        # The label follows the engine profile's storage.
         assert all(entry["storage"] == engine.storage for entry in top)
         shares = [entry["share"] for entry in
                   profiler.top_operators(k=100)]
@@ -231,14 +230,12 @@ class TestProfileStore:
 
 
 class TestIdentityGuard:
-    @pytest.mark.parametrize("executor", ["tuple", "batch"])
-    @pytest.mark.parametrize("storage", ["rows", "columnar"])
-    def test_results_identical_with_profiling_on_and_off(
-            self, executor, storage):
+    @pytest.mark.parametrize("reference", [False, True],
+                             ids=["columnar-batch", "rows-tuple"])
+    def test_results_identical_with_profiling_on_and_off(self, reference):
         results = {}
         for telemetry in ("off", "profile"):
-            engine = make_engine(telemetry=telemetry, executor=executor,
-                                 storage=storage)
+            engine = make_engine(telemetry=telemetry, reference=reference)
             result = engine.execute_detailed(RECURSIVE_SQL)
             results[telemetry] = (tuple(result.relation.rows),
                                   result.iterations)

@@ -6,8 +6,8 @@ select no code path.  Two spies pin that on the registry's graph
 statements: the typed vectors the array kernels build
 (``blocks.ArrayVector``), and the plan cache's ``plans_compiled`` /
 ``plan_cache_hits`` on a first and a repeated run.  And the operator
-counts a recording reports on ``Engine()`` are the ones the
-iterator-model reference reports for the same plans.
+counts a recording reports on ``Engine()`` are the ones its row loops
+report for the same plans.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import pytest
 
 from repro.core.algorithms.registry import ALGORITHMS
 from repro.datasets import preferential_attachment, random_dag
-from repro.relational import REFERENCE_PROFILE, Engine
+from repro.relational import Engine
 from repro.relational.engine import parse_statement
-from repro.relational.physical import blocks
+from repro.relational.physical import batch, blocks
 from repro.relational import delta_update
 from repro.relational.recursive import RecursiveExecutor, StatementPlans
 
@@ -50,7 +50,7 @@ def vectors_built(monkeypatch) -> list:
 def statement_sql(key: str, graph) -> str:
     """The registry algorithm's with+ statement, as its run_sql runs it."""
     texts = []
-    engine = Engine("oracle", storage="columnar")
+    engine = Engine("oracle")
     execute = engine.execute_detailed
 
     def capture(sql, *args, **kwargs):
@@ -78,7 +78,7 @@ def runs(key: str, route: str, vectors_built: list) -> list[tuple]:
     # first run compiles.
     sql = statement_sql(key, graph) + "\n"
     telemetry = route if route in ("on", "profile") else "off"
-    engine = Engine("oracle", telemetry=telemetry, storage="columnar")
+    engine = Engine("oracle", telemetry=telemetry)
     ALGORITHMS[key].run_sql(engine, graph)
     plans = StatementPlans(parse_statement(sql), "with+")
     out = []
@@ -128,18 +128,22 @@ def report_lines(engine: Engine) -> list[tuple[str, str]]:
 def test_engine_reports_the_reference_operator_counts(key, monkeypatch):
     """The block pipeline credits every operator it folds in with the
     rows it hands on: ``Engine()``'s report reads, line for line, what
-    the iterator model reports for the same cost-based plans — with every
-    union-by-update round running its plan (WCC's and SSSP's rounds may
-    otherwise take the delta step beside it, which no operator sees)."""
+    the same plans report with every batch operator on its row loop,
+    which records at each operator's boundary as the iterator model
+    does — with every union-by-update round running its plan (WCC's and
+    SSSP's rounds may otherwise take the delta step beside it, which no
+    operator sees)."""
     monkeypatch.setattr(delta_update, "DELTA_UPDATE_SHARE", 0.0)
     monkeypatch.setattr(delta_update, "DELTA_UPDATE_ROWS", 0)
     graph = graph_for(key)
     reports = {}
-    for name, profile in (("engine", {}), ("reference", {
-            **REFERENCE_PROFILE, "optimizer": "cost"})):
-        engine = Engine("oracle", telemetry="on", **profile)
-        ALGORITHMS[key].run_sql(engine, graph)
-        reports[name] = report_lines(engine)
+    for name in ("engine", "reference"):
+        with monkeypatch.context() as patch:
+            if name == "reference":
+                patch.setattr(batch, "_block_eligible", lambda node: False)
+            engine = Engine("oracle", telemetry="on")
+            ALGORITHMS[key].run_sql(engine, graph)
+            reports[name] = report_lines(engine)
     assert reports["engine"] == reports["reference"]
     assert all(rows != "never executed"
                for _, rows in reports["engine"])

@@ -46,7 +46,7 @@ def test_join_after_streaming_delete_skips_tombstoned_rows():
 
 
 def test_vertex_delete_invalidates_cached_positions_map():
-    engine = Engine("oracle", storage="columnar")
+    engine = Engine("oracle")
     graph = chain_graph()
     engine.streaming.attach_graph(graph)
     store = engine.database.table("V").rows
@@ -82,7 +82,7 @@ def test_statistics_version_tracks_every_mutation():
 
 
 def test_cost_planner_replans_after_streaming_mutations():
-    engine = Engine("oracle", optimizer="cost")
+    engine = Engine("oracle")
     engine.streaming.attach_graph(chain_graph())
     for table in engine.database.all_tables():
         table.analyze()

@@ -43,9 +43,6 @@ from repro.relational.strategies import (
 from repro.relational.table import Table
 from repro.relational.types import SqlType
 
-BEST = {"executor": "batch", "optimizer": "cost", "storage": "columnar"}
-
-
 @pytest.fixture
 def array_merges(monkeypatch):
     """Records whether each merge's array form produced a result."""
@@ -420,7 +417,7 @@ def test_iteration_statistics_best_equals_default(strategy, array_merges):
     # every dialect
     dialect = "postgres" if strategy == "update_from" else "oracle"
     default, graph = fixpoint_engine(70, dialect, **REFERENCE_PROFILE)
-    best, _ = fixpoint_engine(70, dialect, **BEST)
+    best, _ = fixpoint_engine(70, dialect)
     for engine in (default, best):
         engine.union_by_update_strategy = strategy
     statements = (pagerank.sql(graph.num_nodes, 0.85, 6), wcc.sql(),
@@ -451,7 +448,7 @@ def test_the_recursive_relation_stays_in_vectors_between_iterations(
         return original(self)
 
     monkeypatch.setattr(Relation, "rows", property(recording))
-    best, graph = fixpoint_engine(70, **BEST)
+    best, graph = fixpoint_engine(70)
     statements = (pagerank.sql(graph.num_nodes, 0.85, 6), wcc.sql(),
                   bellman_ford.sql(0))
     for sql in statements:
@@ -486,7 +483,7 @@ def test_streaming_views_equal_a_cold_refresh():
 
     seed = preferential_attachment(60, 3.0, directed=True, seed=9)
     edges = list(seed.weighted_edges())
-    best = Engine("oracle", **BEST)
+    best = Engine("oracle")
     manager = register(best, graph_of(edges, seed.nodes()))
     batches = (
         {"inserts": {"E": [(3, 41, 1.0), (41, 7, 1.0)]}},
@@ -509,7 +506,7 @@ def closure_engine(kwargs):
     return engine, dag
 
 
-@pytest.mark.parametrize("kwargs", [REFERENCE_PROFILE, BEST],
+@pytest.mark.parametrize("kwargs", [REFERENCE_PROFILE, {}],
                          ids=["default", "best"])
 def test_union_combine_inserts_once_per_iteration(kwargs, monkeypatch):
     """TC used to call ``Table.insert`` once per fresh row.  Each write is
@@ -549,7 +546,7 @@ def test_union_combine_inserts_once_per_iteration(kwargs, monkeypatch):
     assert closure[1:] == [s.inserted for s in result.per_iteration[:-1]]
 
 
-@pytest.mark.parametrize("kwargs", [REFERENCE_PROFILE, BEST],
+@pytest.mark.parametrize("kwargs", [REFERENCE_PROFILE, {}],
                          ids=["default", "best"])
 def test_union_combine_builds_the_seen_set_once(kwargs, monkeypatch):
     """... and to rebuild ``set(table.rows)`` every iteration — as the
@@ -596,7 +593,7 @@ def test_the_seen_set_is_rebuilt_after_a_foreign_mutation():
 def union_on_arrays():
     """An executor, a columnar temp table holding BASE, and a function
     running one array UNION combine of some rows into it (→ inserted)."""
-    engine = Engine("oracle", **BEST)
+    engine = Engine("oracle")
     executor = RecursiveExecutor(engine.database, engine.dialect,
                                  engine.policy)
     table = engine.database.create_temp_table("R", II)
@@ -643,7 +640,7 @@ def test_a_failed_union_append_leaves_the_key_set_unmarked(monkeypatch):
     assert sorted(table.rows) == sorted(BASE + [(0, 11), (1, 12)])
 
 
-@pytest.mark.parametrize("kwargs", [REFERENCE_PROFILE, BEST],
+@pytest.mark.parametrize("kwargs", [REFERENCE_PROFILE, {}],
                          ids=["default", "best"])
 def test_union_dedups_on_produced_tuples_and_stores_coerced_rows(kwargs):
     """A candidate is compared as the branch produced it — against the

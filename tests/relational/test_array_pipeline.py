@@ -70,9 +70,7 @@ from repro.relational.sql.ast import UnionKind
 from repro.relational.table import Table
 from repro.relational.types import SqlType
 
-from ..conftest import reference_engine
-
-BEST = {"executor": "batch", "optimizer": "cost", "storage": "columnar"}
+from ..conftest import engine_over_row_tables, reference_engine
 
 
 def identity(rows):
@@ -98,13 +96,21 @@ def outcome(plan):
 # -- planner guard --------------------------------------------------------------
 
 
-def fixpoint_engine(nodes=60, **kwargs):
-    graph = preferential_attachment(nodes, 3.0, directed=True, seed=5)
-    engine = Engine("oracle", **kwargs)
+def fixpoint_graph(nodes=60):
+    return preferential_attachment(nodes, 3.0, directed=True, seed=5)
+
+
+def load_fixpoint_graph(engine, nodes=60):
+    graph = fixpoint_graph(nodes)
     load_graph(engine, graph)
     prepare_transition(engine)
     wcc.prepare_symmetric_edges(engine)
-    return engine, graph
+    return graph
+
+
+def fixpoint_engine(nodes=60, **kwargs):
+    engine = Engine("oracle", **kwargs)
+    return engine, load_fixpoint_graph(engine, nodes)
 
 
 def fixpoint_statements(graph):
@@ -120,7 +126,7 @@ def walk(node):
 
 @pytest.mark.parametrize("name", ["pr", "wcc", "sssp"])
 def test_best_profile_branch_has_no_generator_model_join(name):
-    engine, graph = fixpoint_engine(**BEST)
+    engine, graph = fixpoint_engine()
     executor = RecursiveExecutor(
         engine.database, engine.dialect, engine.policy, mode=engine.mode,
         ubu_strategy=engine._ubu_strategy, temp_indexes=engine.temp_indexes,
@@ -139,7 +145,7 @@ def test_best_profile_branch_has_no_generator_model_join(name):
 
 
 def test_stable_side_is_indexed_once_per_table_state(monkeypatch):
-    engine, graph = fixpoint_engine(**BEST)
+    engine, graph = fixpoint_engine()
     built = []
     original = store_module.csr_index
 
@@ -165,8 +171,8 @@ def test_stable_side_is_indexed_once_per_table_state(monkeypatch):
 def test_cached_build_survives_on_the_operator_for_row_storage(monkeypatch):
     """Row storage has no store cache: the join keeps its own build index
     while the build input's fingerprint stands."""
-    engine, graph = fixpoint_engine(executor="batch", optimizer="cost",
-                                    storage="rows")
+    engine = engine_over_row_tables(load_fixpoint_graph)
+    graph = fixpoint_graph()
     scans = []
     original = TableScan.rows
 
@@ -729,8 +735,8 @@ def test_an_aggregate_over_a_dict_probed_join_groups_on_arrays(
     aggregate gathers its own int64 / float64 columns through the probe's
     positions and groups them on arrays — and answers what the reference
     profile does, ``repr`` for ``repr``.  A NULL in the argument column
-    (no typed view to gather from) or an empty join leaves it to the row
-    loop."""
+    (no typed view to gather from) leaves it to the row loop; an empty
+    join groups on arrays too, into no group."""
     key_type, keys = DICT_PROBE_KEYS[kind]
     values = (st.integers(-4, 4) if value_type is SqlType.INTEGER
               else st.sampled_from([-1.5, 0.0, 0.5, 2.0, 3.25]))
@@ -741,7 +747,7 @@ def test_an_aggregate_over_a_dict_probed_join_groups_on_arrays(
     stable = data.draw(st.lists(st.tuples(keys, st.sampled_from(
         [0, 1, 2, 2 ** 40])), max_size=8))
     stable += [(key, 0) for key in forced]
-    engines = (Engine("oracle", storage="columnar"),
+    engines = (Engine("oracle"),
                reference_engine("oracle"))
     for engine in engines:
         engine.database.register("P", Relation(Schema.of(
@@ -763,9 +769,10 @@ def test_an_aggregate_over_a_dict_probed_join_groups_on_arrays(
     # The planners may orient the join apart, and groups come first-seen.
     assert sorted(got) == sorted(repr_rows(engines[1], sql))
     assert probes and all(probes)
-    matched = any(k is not None and k == key
-                  for k, _ in delta for key, _ in stable)
-    typed = matched and None not in [v for _, v in delta]
+    # An empty BOOLEAN-keyed table starts in the row overlay, where a
+    # column without values has no typed view.
+    typed = None not in [v for _, v in delta] and (
+        kind != "bool" or bool(delta and stable))
     aggregate, = [line for line in report.splitlines()
                   if "Hash Aggregate" in line]
     assert f"path={'array' if typed else 'rows'})" in aggregate, report
@@ -774,9 +781,8 @@ def test_an_aggregate_over_a_dict_probed_join_groups_on_arrays(
 def test_mnm_groups_over_its_dict_probed_join_on_arrays(monkeypatch):
     """MNM's ``CH`` joins on ``P.w = B.bw``, a float, so the join probes a
     dict; ``min(P.T) group by P.F`` above it still groups on arrays, and
-    no aggregate over a non-empty dict-probed join runs the row loop (an
-    empty one — the last round's, once every vertex is matched — has no
-    group to key an array plan on)."""
+    no aggregate over a dict-probed join runs the row loop — the last
+    round's empty one, once every vertex is matched, included."""
     probed, fell_back = [], []
     declined = {}  # aggregate -> its last array attempt declined a dict probe
     original_array = BatchHashAggregate._array_aggregate
@@ -785,7 +791,7 @@ def test_mnm_groups_over_its_dict_probed_join_on_arrays(monkeypatch):
     def array(self, src):
         result = original_array(self, src)
         dict_probed = (isinstance(src, blocks.JoinColumns)
-                       and type(src.build_pos) is list and src.length > 0)
+                       and type(src.build_pos) is list)
         if dict_probed:
             probed.append(result is not None)
         declined[self] = dict_probed and result is None
@@ -799,19 +805,17 @@ def test_mnm_groups_over_its_dict_probed_join_on_arrays(monkeypatch):
     monkeypatch.setattr(BatchHashAggregate, "_array_aggregate", array)
     monkeypatch.setattr(BatchHashAggregate, "_row_aggregate", rows)
     graph = preferential_attachment(40, 3.0, seed=3)
-    result = mnm.run_sql(Engine("oracle", storage="columnar"), graph)
+    result = mnm.run_sql(Engine("oracle"), graph)
     assert result.values == mnm.run_sql(reference_engine("oracle"),
                                         graph).values
     assert len(probed) >= result.iterations - 2 and all(probed)
     assert fell_back == []
 
 
-def test_the_default_engine_runs_pagerank_on_arrays(monkeypatch,
-                                                    array_kernel_runs):
+def test_the_default_engine_runs_pagerank_on_arrays(array_kernel_runs):
     """``Engine("oracle")`` with no other arguments is the array engine:
     every iteration's grouped aggregate of the PageRank branch runs on
     typed arrays."""
-    monkeypatch.delenv("REPRO_STORAGE", raising=False)
     engine, graph = fixpoint_engine()
     result = engine.execute_detailed(fixpoint_statements(graph)["pr"])
     assert result.iterations > 2
@@ -1015,7 +1019,7 @@ def repr_rows(engine, sql):
 
 
 def test_fixpoints_best_equals_default():
-    best, graph = fixpoint_engine(nodes=120, **BEST)
+    best, graph = fixpoint_engine(nodes=120)
     default, _ = fixpoint_engine(nodes=120, **REFERENCE_PROFILE)
     for name, sql in fixpoint_statements(graph).items():
         assert repr_rows(best, sql) == repr_rows(default, sql), name
@@ -1025,7 +1029,6 @@ def test_the_reference_profile_runs_no_array_kernel(monkeypatch):
     """The oracle is independent of the array engine by what it runs:
     ``REFERENCE_PROFILE`` builds no typed vector for PR, WCC, SSSP, TC or
     k-truss, while ``Engine()`` builds them (which shows the spy works)."""
-    monkeypatch.delenv("REPRO_STORAGE", raising=False)
     built = []
     original = blocks.ArrayVector.__init__
 
@@ -1062,21 +1065,22 @@ def value_identity(values):
 
 
 @pytest.mark.parametrize("key", SQL_ALGORITHMS)
-def test_every_registry_algorithm_best_equals_default(key):
+def test_every_registry_algorithm_best_equals_default(key, monkeypatch):
     """All SQL algorithms of the registry, ``best`` against the reference
     profile: iterations and what every iteration's combine wrote — the
     MM-join shapes (APSP, FW, SR, MCL) included, which group and join on
-    two columns.  Values are byte-identical to the tuple executor over row
-    storage running the same cost-based plans; against the dialect
-    planner's join order, float sums may associate differently (HITS,
-    MCL), so there they agree to rounding."""
+    two columns.  Values are byte-identical to the same cost-based plans
+    on the batch operators' row loops; against the dialect planner's join
+    order, float sums may associate differently (HITS, MCL), so there
+    they agree to rounding."""
     info = ALGORITHMS[key]
     graph = (random_dag(50, 2, seed=3) if info.needs_dag
              else preferential_attachment(60, 3, seed=3))
-    best, same_plans, default = [
-        info.run_sql(Engine("oracle", **kwargs), graph)
-        for kwargs in (BEST, {**REFERENCE_PROFILE, "optimizer": "cost"},
-                       REFERENCE_PROFILE)]
+    best = info.run_sql(Engine("oracle"), graph)
+    with monkeypatch.context() as patch:
+        patch.setattr(batch, "_block_eligible", lambda node: False)
+        same_plans = info.run_sql(Engine("oracle"), graph)
+    default = info.run_sql(reference_engine("oracle"), graph)
     assert value_identity(best.values) == value_identity(same_plans.values)
     assert best.values.keys() == default.values.keys()
     for node, value in default.values.items():
@@ -1094,7 +1098,7 @@ def test_closures_best_equals_default():
     for graph, sql, symmetric in ((dag, tc.sql(), False),
                                   (undirected, ktruss.sql(3), True)):
         results = []
-        for kwargs in (BEST, REFERENCE_PROFILE):
+        for kwargs in ({}, REFERENCE_PROFILE):
             engine = Engine("oracle", **kwargs)
             load_graph(engine, graph)
             if symmetric:
@@ -1135,7 +1139,7 @@ def union_log(executor_cls, table, steps):
     """``(changed, inserted, working rows)`` per combine (a step listing
     its deltas), the count :data:`PRUNE` steps removed, then the table —
     or the error a combine raises."""
-    engine = Engine("oracle", **BEST)
+    engine = Engine("oracle")
     executor = executor_cls(engine.database, engine.dialect, engine.policy)
     log = []
     try:
@@ -1295,7 +1299,7 @@ def test_closures_build_no_row_tuples_inside_the_loop(name, monkeypatch):
     else:
         graph = preferential_attachment(50, 6.0, directed=False, seed=2)
         sql = ktruss.sql(3)
-    engine = Engine("oracle", **BEST)
+    engine = Engine("oracle")
     load_graph(engine, graph)
     wcc.prepare_symmetric_edges(engine)
     engine.execute(sql)  # warm the base tables' array views and indexes
@@ -1332,9 +1336,16 @@ def test_an_unread_result_outlives_its_sources(storage):
     row tuples; read after its source tables are mutated and the CTE's
     temp table is dropped, it equals the rows read at once."""
     graph = preferential_attachment(40, 3.0, directed=True, seed=4)
-    engine = Engine("oracle", storage=storage)
-    load_graph(engine, graph)
-    wcc.prepare_symmetric_edges(engine)
+
+    def load(engine):
+        load_graph(engine, graph)
+        wcc.prepare_symmetric_edges(engine)
+
+    if storage == "rows":
+        engine = engine_over_row_tables(load)
+    else:
+        engine = Engine("oracle")
+        load(engine)
     statements = [wcc.sql(), bellman_ford.sql(0),
                   "select E.F, E.T, 1.0 / D.c as ew from E, (select F,"
                   " count(*) as c from E group by F) as D where E.F = D.F"]
@@ -1383,7 +1394,6 @@ def test_constant_and_case_initial_queries_append_vectors(name, monkeypatch):
     then 0.0 else 1e18 end`` are evaluated on vectors: the recursive
     table's first contents reach ``ColumnStore.append_vectors``, and no
     row ``insert_many`` runs."""
-    monkeypatch.delenv("REPRO_STORAGE", raising=False)
     engine, graph = fixpoint_engine()
     appended, inserted = [], []
     append_vectors, insert_many = ColumnStore.append_vectors, \
@@ -1431,7 +1441,7 @@ def test_literal_case_matches_the_row_path(case):
     the block projection computes it (on vectors where both arms are ints
     or both floats, else on lists) and as the row path does."""
     rows, key, then, otherwise = LITERAL_CASES[case]
-    engine = Engine("oracle", **BEST)
+    engine = Engine("oracle")
     default = reference_engine()
     for each in (engine, default):
         each.database.register("T", Relation.from_pairs(("c",), rows))
@@ -1442,13 +1452,11 @@ def test_literal_case_matches_the_row_path(case):
 
 
 @pytest.mark.parametrize("name", ["pr", "sssp"])
-def test_each_key_plan_is_built_at_most_once_per_statement(name, plan_builds,
-                                                           monkeypatch):
+def test_each_key_plan_is_built_at_most_once_per_statement(name, plan_builds):
     """On ``Engine()`` the 15-iteration PageRank statement and SSSP build
     their probe pairs, grouping and merge map once: from the second
     iteration on, R's key vector is the object the plans were built from
     (the merge hands it back when no key is appended)."""
-    monkeypatch.delenv("REPRO_STORAGE", raising=False)
     engine, graph = fixpoint_engine()
     plan_builds.clear()  # loading the graph ran aggregates of its own
     result = engine.execute_detailed(fixpoint_statements(graph)[name])
@@ -1483,7 +1491,7 @@ select ID, W from P
 
 def test_key_plans_are_rebuilt_while_keys_grow_then_reused(plan_builds):
     graph = ring_graph()
-    best, default = Engine("oracle", **BEST), reference_engine()
+    best, default = Engine("oracle"), reference_engine()
     for engine in (best, default):
         load_graph(engine, graph)
     plan_builds.clear()
@@ -1504,7 +1512,7 @@ def test_key_plans_are_rebuilt_after_apply_batch_mutates_E(plan_builds):
     """The cached SSSP statement rerun after a streaming batch mutated E:
     the build store moved on (new key vector, new version), so the probe
     pairs are rebuilt, and the result is a cold engine's."""
-    engine, graph = fixpoint_engine(**BEST)
+    engine, graph = fixpoint_engine()
     manager = StreamingManager(engine)
     manager.attach_graph(graph, load=False)
     sql = fixpoint_statements(graph)["sssp"]
@@ -1526,7 +1534,7 @@ def test_a_warm_start_seed_in_another_row_order(plan_builds):
     """The same WCC warm start seeded in V order, then reversed: the
     second seed's key vector is another object, so the statement builds
     its own plans instead of pairing keys by the first seed's order."""
-    best, graph = fixpoint_engine(**BEST)
+    best, graph = fixpoint_engine()
     default, _ = fixpoint_engine(**REFERENCE_PROFILE)
     sql = fixpoint_statements(graph)["wcc"]
     best.execute(sql)  # plans cached: each run below builds key plans only
@@ -1553,7 +1561,7 @@ def test_union_fixpoints_keep_no_key_plan(name, monkeypatch):
     else:
         graph = preferential_attachment(50, 6.0, directed=False, seed=2)
         sql = ktruss.sql(3)
-    engine = Engine("oracle", **BEST)
+    engine = Engine("oracle")
     load_graph(engine, graph)
     wcc.prepare_symmetric_edges(engine)
     alive = []
@@ -1583,7 +1591,7 @@ def test_a_kernel_bug_surfaces_from_a_pagerank_statement(monkeypatch):
     """Only values SQL rejects send the aggregate back to the row path: a
     kernel raising anything else is a bug, and the statement fails with
     it instead of being replayed on rows."""
-    engine, graph = fixpoint_engine(**BEST)
+    engine, graph = fixpoint_engine()
 
     def broken(*args, **kwargs):
         raise RuntimeError("array_grouped bug")
@@ -1597,7 +1605,7 @@ def test_a_join_kernel_bug_surfaces_from_a_tc_statement(monkeypatch):
     """The join, too, replays the row path on values SQL rejects only: a
     bug in its kernel fails the TC statement instead of being replayed on
     rows."""
-    engine = Engine("oracle", **BEST)
+    engine = Engine("oracle")
     load_graph(engine, random_dag(40, 2.0, seed=5))
 
     def broken(self):
@@ -1613,7 +1621,7 @@ def test_a_projection_kernel_bug_surfaces_from_a_pagerank_statement(
     """The projection, too, replays the row path on values SQL rejects
     only: a bug in its block form fails the statement instead of being
     replayed on rows."""
-    engine, graph = fixpoint_engine(**BEST)
+    engine, graph = fixpoint_engine()
 
     def broken(*args, **kwargs):
         raise RuntimeError("projection kernel bug")
@@ -1625,7 +1633,7 @@ def test_a_projection_kernel_bug_surfaces_from_a_pagerank_statement(
 
 def test_a_filter_kernel_bug_surfaces_from_a_scan(monkeypatch):
     """So does the filter: a bug in its block form fails the statement."""
-    engine = Engine("oracle", **BEST)
+    engine = Engine("oracle")
     load_graph(engine, random_dag(40, 2.0, seed=5))
 
     def broken(*args, **kwargs):
@@ -1640,7 +1648,7 @@ def test_a_mask_kernel_bug_surfaces_from_a_scan(monkeypatch):
     """The filter's array mask is held to the same rule: a bug raised
     inside it fails the statement instead of falling back to the list
     predicate or the row path."""
-    engine = Engine("oracle", **BEST)
+    engine = Engine("oracle")
     load_graph(engine, random_dag(40, 2.0, seed=5))
 
     def broken(*args, **kwargs):
@@ -1851,7 +1859,7 @@ def test_the_mask_selects_what_the_row_predicate_keeps(data, kinds, shape):
     "select F, T from E where F in (1, 2, 3)",
 ])
 def test_predicates_without_a_mask_keep_their_list_or_row_path(sql):
-    engine = Engine("oracle", **BEST)
+    engine = Engine("oracle")
     load_graph(engine, random_dag(30, 2.0, seed=5))
     reference = reference_engine("oracle")
     load_graph(reference, random_dag(30, 2.0, seed=5))
@@ -1883,7 +1891,7 @@ def test_adhoc_selects_build_no_rows_below_the_plan_root(monkeypatch):
     no aggregate row loop runs — and every result is the reference
     profile's, ``repr`` for ``repr``."""
     graph = preferential_attachment(300, 3.0, directed=True, seed=11)
-    engine = Engine("oracle", storage="columnar")
+    engine = Engine("oracle")
     reference = reference_engine("oracle")
     load_graph(engine, graph)
     load_graph(reference, graph)
@@ -1916,11 +1924,17 @@ def test_explain_analyze_names_the_path_that_answered(path):
     typed arrays or the row loops — and for the filter, the list kernels
     (an ``is not null`` has no array mask).  Keys 2**40 apart group on
     arrays too, numbered by ``np.unique``."""
-    engine = Engine("oracle", storage="rows" if path == "rows"
-                    else "columnar")
     step = 2 ** 40 if path == "list" else 1
-    engine.database.register("S", Relation.from_pairs(
-        ("K", "W"), [(k * step, float(k)) for k in (0, 1, 1, 2)]))
+
+    def load(engine):
+        engine.database.register("S", Relation.from_pairs(
+            ("K", "W"), [(k * step, float(k)) for k in (0, 1, 1, 2)]))
+
+    if path == "rows":
+        engine = engine_over_row_tables(load)
+    else:
+        engine = Engine("oracle")
+        load(engine)
     predicate = "W is not null" if path == "list" else "W > 0.5"
     report = engine.explain_analyze(
         f"select K, count(*) as c from S where {predicate} group by K")

@@ -2,6 +2,7 @@
 incremental maintenance counters, and EXPLAIN ANALYZE."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from repro.core.semiring import MAX_TIMES, MIN_PLUS, MIN_TIMES, PLUS_TIMES
 from repro.datasets import preferential_attachment
 from repro.relational import Engine
 from repro.relational.expressions import col
+from repro.relational.physical import batch as batch_module
 from repro.relational.physical import (
     BatchHashAggregate,
     BatchHashAntiJoin,
@@ -32,7 +34,7 @@ from repro.relational.schema import Schema
 from repro.relational.table import Table
 from repro.relational.types import SqlType
 
-from ..conftest import reference_engine
+from ..conftest import engine_over_row_tables, reference_engine
 
 DIALECTS = ("oracle", "db2", "postgres")
 
@@ -150,7 +152,7 @@ vectors = st.dictionaries(st.integers(0, 5),
 @given(entries=matrices, vec=vectors)
 @settings(max_examples=12, deadline=None)
 def test_mv_join_semiring_agreement(semiring, fold_sql, entries, vec):
-    """SQL MV-join through both executors agrees with the RA operator and
+    """SQL MV-join on both engine profiles agrees with the RA operator and
     its basic-operations twin, under all four semirings."""
     a = Relation.from_pairs(("F", "T", "ew"),
                             [(f, t, w) for (f, t), w in entries.items()])
@@ -160,15 +162,14 @@ def test_mv_join_semiring_agreement(semiring, fold_sql, entries, vec):
 
     sql = (f"SELECT A.F AS ID, {fold_sql} AS vw FROM A, C"
            f" WHERE A.T = C.ID GROUP BY A.F")
-    for executor in ("tuple", "batch"):
-        engine = Engine(dialect="postgres", executor=executor)
+    for engine in (reference_engine("postgres"), Engine("postgres")):
         engine.database.load_edge_table("A", list(a.rows))
         engine.database.load_node_table("C", list(c.rows))
         got = {row[0]: row[1] for row in engine.execute(sql).rows}
-        assert got == pytest.approx(expected), executor
+        assert got == pytest.approx(expected), engine.storage
 
 
-# -- end-to-end: executor="batch" through Engine.execute ---------------------
+# -- end-to-end: Engine() against the reference profile ----------------------
 
 
 @pytest.fixture(scope="module")
@@ -180,46 +181,35 @@ class TestEndToEndAgreement:
     @pytest.mark.parametrize("dialect", DIALECTS)
     def test_pagerank(self, dialect, graph):
         base = pagerank.run_sql(reference_engine(dialect), graph).values
-        batch = pagerank.run_sql(reference_engine(dialect, executor="batch"),
-                                 graph).values
+        batch = pagerank.run_sql(Engine(dialect), graph).values
         assert batch == pytest.approx(base)
 
     @pytest.mark.parametrize("dialect", DIALECTS)
     def test_wcc(self, dialect, graph):
         base = wcc.run_sql(reference_engine(dialect), graph).values
-        batch = wcc.run_sql(reference_engine(dialect, executor="batch"),
-                            graph).values
+        batch = wcc.run_sql(Engine(dialect), graph).values
         assert batch == base
 
     def test_sssp(self, graph):
         base = bellman_ford.run_sql(reference_engine("postgres"), graph,
                                     0).values
-        batch = bellman_ford.run_sql(
-            reference_engine("postgres", executor="batch"), graph, 0).values
+        batch = bellman_ford.run_sql(Engine("postgres"), graph, 0).values
         assert batch == pytest.approx(base)
 
-    @pytest.mark.parametrize("dialect", DIALECTS)
-    def test_explain_identical_across_executors(self, dialect, graph):
-        sql = ("SELECT E.F, count(*) AS c FROM E, V"
-               " WHERE E.F = V.ID GROUP BY E.F")
-        tuple_engine = reference_engine(dialect)
-        batch_engine = reference_engine(dialect, executor="batch")
-        tuple_engine.load_graph(graph)
-        batch_engine.load_graph(graph)
-        assert tuple_engine.explain(sql) == batch_engine.explain(sql)
-
     def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError):
-            Engine("postgres", executor="columnar")
+        """The profile is the one switch: no executor knob."""
+        with pytest.raises(TypeError):
+            Engine("postgres", executor="batch")
 
 
 # -- plan caching in the recursive loop --------------------------------------
 
 
 class TestPlanCache:
-    @pytest.mark.parametrize("executor", ["tuple", "batch"])
-    def test_branch_plans_compiled_once(self, executor, graph):
-        engine = Engine("postgres", executor=executor)
+    @pytest.mark.parametrize("reference", [True, False],
+                             ids=["tuple", "batch"])
+    def test_branch_plans_compiled_once(self, reference, graph):
+        engine = Engine("postgres", reference=reference)
         wcc.load_graph(engine, graph)
         wcc.prepare_symmetric_edges(engine)
         detail = engine.execute_detailed(wcc.sql())
@@ -306,7 +296,7 @@ class TestIncrementalMaintenance:
     @pytest.mark.parametrize("strategy", ["merge", "update_from",
                                           "full_outer_join", "drop_alter"])
     def test_recursive_loop_runs_under_every_strategy(self, strategy, graph):
-        engine = Engine("postgres", executor="batch")
+        engine = Engine("postgres")
         if not engine.dialect.supports_union_by_update(strategy):
             pytest.skip(f"postgres does not model {strategy}")
         engine.union_by_update_strategy = strategy
@@ -319,7 +309,7 @@ class TestIncrementalMaintenance:
 
 class TestExplainAnalyze:
     def test_non_recursive_report(self, graph):
-        engine = Engine("postgres", executor="batch")
+        engine = Engine("postgres")
         engine.load_graph(graph)
         report = engine.explain_analyze(
             "SELECT E.F, count(*) AS c FROM E, V"
@@ -327,9 +317,10 @@ class TestExplainAnalyze:
         assert "Hash Join" in report
         assert "actual rows=" in report and "loops=1" in report
 
-    @pytest.mark.parametrize("executor", ["tuple", "batch"])
-    def test_recursive_report_accumulates_iterations(self, executor, graph):
-        engine = Engine("postgres", executor=executor)
+    @pytest.mark.parametrize("reference", [True, False],
+                             ids=["tuple", "batch"])
+    def test_recursive_report_accumulates_iterations(self, reference, graph):
+        engine = Engine("postgres", reference=reference)
         wcc.load_graph(engine, graph)
         wcc.prepare_symmetric_edges(engine)
         detail = engine.execute_detailed(wcc.sql())
@@ -344,10 +335,85 @@ class TestExplainAnalyze:
         assert "recursive branch:" in report and "final body:" in report
 
     def test_analyze_does_not_change_results(self, graph):
-        engine = Engine("postgres", executor="batch")
+        engine = Engine("postgres")
         wcc.load_graph(engine, graph)
         wcc.prepare_symmetric_edges(engine)
         expected = engine.execute(wcc.sql())
         engine.explain_analyze(wcc.sql())
         assert rows_set(engine.execute(wcc.sql())) == rows_set(expected)
 
+
+
+# -- the row loops on Engine(): TEXT and NULL data ---------------------------
+
+#: TEXT keys and NULLs on both sides: no typed view anywhere.
+ROW_LOOP_TABLES = {
+    "A": (Schema.of(("k", SqlType.TEXT), ("v", SqlType.INTEGER)),
+          [("a", 1), ("a", None), ("b", 3), (None, 4), ("z", 5),
+           (None, None)]),
+    "B": (Schema.of(("k", SqlType.TEXT), ("w", SqlType.DOUBLE)),
+          [("a", 0.5), ("b", None), ("c", 2.0), (None, 9.0)]),
+}
+
+#: statement -> the batch operator whose row loop must answer it on an
+#: attached catalog of row tables (the aggregates: which row loop).
+ROW_LOOPS = {
+    "join": ("select A.k, A.v, B.w from A, B where A.k = B.k",
+             "BatchHashJoin"),
+    "left": ("select A.k, A.v, B.w from A left join B on A.k = B.k",
+             "BatchHashLeftOuterJoin"),
+    "full": ("select A.v, B.w from A full join B on A.k = B.k",
+             "BatchHashFullOuterJoin"),
+    "semi": ("select k, v from A"
+             " where exists (select * from B where B.k = A.k)",
+             "BatchHashSemiJoin"),
+    "anti": ("select k, v from A"
+             " where not exists (select * from B where B.k = A.k)",
+             "BatchHashAntiJoin"),
+    "filter": ("select k, v from A where v > 1 or k = 'z'", "BatchFilter"),
+    "project": ("select k, v * 2 as u from A", "BatchProject"),
+    "aggregate": ("select k, max(v) as m from A group by k", "single"),
+    "aggregates": ("select k, count(*) as n, sum(v) as s from A group by k",
+                   "multi"),
+}
+
+
+def load_row_loop_tables(engine):
+    for name, (schema, rows) in ROW_LOOP_TABLES.items():
+        engine.database.register(name, Relation(schema, rows))
+
+
+@pytest.mark.parametrize("shape", sorted(ROW_LOOPS))
+def test_row_loops_answer_text_and_null_data(shape, monkeypatch):
+    """Each batch row loop answers on ``Engine()`` what the reference
+    profile answers: over columnar tables (TEXT and NULL values decline
+    the array kernels) and over an attached catalog of row tables, where
+    the named row loop runs."""
+    sql, entry = ROW_LOOPS[shape]
+    ran = []
+    materialize = batch_module._materialize
+    row_aggregate = BatchHashAggregate._row_aggregate
+
+    def materializing(node):
+        frame = sys._getframe(1)
+        while "self" not in frame.f_locals:
+            frame = frame.f_back
+        ran.append(type(frame.f_locals["self"]).__name__)
+        return materialize(node)
+
+    def aggregating(self):
+        ran.append("single" if len(self.aggregates) == 1 else "multi")
+        return row_aggregate(self)
+
+    monkeypatch.setattr(batch_module, "_materialize", materializing)
+    monkeypatch.setattr(BatchHashAggregate, "_row_aggregate", aggregating)
+    reference = reference_engine()
+    load_row_loop_tables(reference)
+    want = sorted(reference.execute(sql).rows, key=repr)
+    columnar = Engine("oracle")
+    load_row_loop_tables(columnar)
+    assert sorted(columnar.execute(sql).rows, key=repr) == want
+    ran.clear()
+    over_rows = engine_over_row_tables(load_row_loop_tables)
+    assert sorted(over_rows.execute(sql).rows, key=repr) == want
+    assert entry in ran

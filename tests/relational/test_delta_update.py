@@ -29,6 +29,8 @@ from repro.relational.physical.blocks import (ArrayVector, CsrIndex,
                                               csr_index, improve_extremes)
 from repro.relational.relation import Relation
 
+from ..conftest import engine_over_row_tables
+
 INF = math.inf
 
 #: Edge weights: zero, negatives and non-integral values — and, in about
@@ -112,11 +114,10 @@ def programs(draw):
                 size=draw(st.sampled_from(((0.25, 0), (1.0, 0), None))))
 
 
-#: Full evaluation of the same cost-based plans: the iterator model over
-#: row storage, where no round takes the step.  (Against the dialect
-#: planner's join order a NaN candidate may sit elsewhere in a group, and
-#: where a NaN sits decides what ``min`` keeps.)
-SAME_PLANS = {**REFERENCE_PROFILE, "optimizer": "cost"}
+#: Full evaluation of the same cost-based plans: no round takes the step.
+#: (Against the dialect planner's join order a NaN candidate may sit
+#: elsewhere in a group, and where a NaN sits decides what ``min`` keeps.)
+NO_STEP = dict(DELTA_UPDATE_SHARE=0.0, DELTA_UPDATE_ROWS=0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -126,22 +127,24 @@ def test_delta_rounds_write_what_full_rounds_write(program):
     moves the line between them), and either way writes what full
     evaluation writes: rows and per-round counts."""
     edges, nodes = program["edges"], program["nodes"]
-    want, _ = _outcome(_engine(edges, nodes, **SAME_PLANS),
-                       program["sql"], program["warm"])
+    with mock.patch.multiple(delta_update, **NO_STEP):
+        want, full = _outcome(_engine(edges, nodes), program["sql"],
+                              program["warm"])
+    assert full is None or full.steps == 0
     share, rows = program["size"] or (delta_update.DELTA_UPDATE_SHARE,
                                       delta_update.DELTA_UPDATE_ROWS)
     with mock.patch.multiple(delta_update, DELTA_UPDATE_SHARE=share,
                              DELTA_UPDATE_ROWS=rows):
-        got, result = _outcome(_engine(edges, nodes, storage="columnar"),
-                               program["sql"], program["warm"])
+        got, result = _outcome(_engine(edges, nodes), program["sql"],
+                               program["warm"])
     assert got == want
     if result is not None:
         stepped = any(s.binding == "delta" for s in result.per_iteration)
         assert result.binding == {"R": "delta" if stepped else "full"}
 
 
-def _registry_engine(graph, **profile) -> Engine:
-    engine = Engine("oracle", **profile)
+def _registry_engine(graph, engine=None, **profile) -> Engine:
+    engine = engine or Engine("oracle", **profile)
     load_graph(engine, graph)
     wcc.prepare_symmetric_edges(engine)
     return engine
@@ -159,7 +162,7 @@ def test_sssp_and_wcc_read_the_changed_rows(statement, monkeypatch):
         return probe_rows(index, keys, rows)
 
     monkeypatch.setattr(CsrIndex, "probe_rows", spy)
-    ours = _registry_engine(graph, storage="columnar").execute_detailed(sql)
+    ours = _registry_engine(graph).execute_detailed(sql)
     theirs = _registry_engine(graph, **REFERENCE_PROFILE).execute_detailed(sql)
     assert repr(ours.relation.rows) == repr(theirs.relation.rows)
     assert [(s.delta_rows, s.inserted, s.overwritten, s.pruned)
@@ -180,7 +183,7 @@ def test_a_new_key_runs_the_plan():
     # changed row (node 9) has no edge to probe.
     edges = [(i, i + 1, 1.0) for i in range(9)]
     sql = _sql("double", [0], "R.d + E.ew", "min", 20)
-    ours = _engine(edges, 10, storage="columnar").execute_detailed(sql)
+    ours = _engine(edges, 10).execute_detailed(sql)
     assert [s.inserted for s in ours.per_iteration] == [1] * 9 + [0]
     assert [s.binding for s in ours.per_iteration] == \
         ["full"] * 9 + ["delta"]
@@ -199,7 +202,7 @@ def _warm_sssp():
     """Two columnar engines that kept SSSP's plans from a cold run over
     the same graph, that graph, and the cold result as a seed."""
     graph = preferential_attachment(120, 3.0, directed=True, seed=3)
-    engines = [_registry_engine(graph, storage="columnar") for _ in range(2)]
+    engines = [_registry_engine(graph) for _ in range(2)]
     cold = [engine.execute_detailed(bellman_ford.sql(0))
             for engine in engines][0]
     seed = Relation.from_pairs(("ID", "d"), cold.relation.rows)
@@ -274,11 +277,19 @@ def test_the_analysis_header_counts_the_rounds_that_stepped():
 @pytest.mark.parametrize("statement, profile", [
     ("pagerank", {}),
     ("sssp", REFERENCE_PROFILE),
-    ("sssp", {"storage": "rows"}),
+    ("sssp", "rows"),
 ], ids=["pagerank", "reference", "rows"])
 def test_a_frontier_is_ignored_where_no_round_may_step(statement, profile):
+    """PageRank has no step; the reference profile plans no step; and
+    ``Engine()`` over an attached catalog of row tables has no columnar
+    edge table for a step to probe."""
     graph = preferential_attachment(60, 3.0, directed=True, seed=4)
-    engines = [_registry_engine(graph, **profile) for _ in range(2)]
+    if profile == "rows":
+        engines = [engine_over_row_tables(
+            lambda engine: _registry_engine(graph, engine=engine))
+            for _ in range(2)]
+    else:
+        engines = [_registry_engine(graph, **profile) for _ in range(2)]
     if statement == "pagerank":
         sql, name = pagerank.sql(graph.num_nodes, iterations=6), "P"
         for engine in engines:

@@ -1,12 +1,14 @@
 """The Engine facade: dispatch, configuration, statistics plumbing."""
 
+import inspect
+
 import pytest
 
 from repro.graphsystems.graph import Graph
 from repro.relational import Engine, FeatureNotSupportedError
 from repro.relational.database import Database
 from repro.relational.dialects import OracleDialect
-from repro.relational.planner import POLICIES
+from repro.relational.planner import POLICIES, CostBasedPolicy
 
 from ..conftest import reference_engine
 
@@ -63,40 +65,45 @@ class TestProfiles:
     """``Engine()`` is the array engine; ``REFERENCE_PROFILE`` is the
     modelled RDBMS the paper-figure benches and differential tests pin."""
 
-    def test_default_engine_is_batch_cost_columnar(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STORAGE", raising=False)
+    def test_default_engine_is_batch_cost_columnar(self):
         engine = Engine()
-        assert (engine.executor, engine.optimizer, engine.storage) \
-            == ("batch", "cost", "columnar")
+        assert (engine.reference, engine.storage) == (False, "columnar")
+        assert type(engine.policy) is CostBasedPolicy
         engine.database.load_edge_table("E", [(1, 2)])
         assert engine.database.table("E").storage == "columnar"
 
-    def test_reference_helper_is_tuple_off_rows(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STORAGE", "columnar")
+    def test_reference_helper_is_tuple_off_rows(self):
         for dialect in ("oracle", "db2", "postgres"):
             engine = reference_engine(dialect)
-            assert (engine.executor, engine.optimizer, engine.storage) \
-                == ("tuple", "off", "rows")
+            assert (engine.reference, engine.storage) == (True, "rows")
             assert type(engine.policy) is \
                 POLICIES[engine.dialect.policy_name]
 
-    @pytest.mark.parametrize("value", ["colunmar", "ROWS", " rows"])
-    def test_bad_storage_environment_raises_at_construction(
-            self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_STORAGE", value)
-        message = f"unknown storage {value!r}; expected 'rows' or 'columnar'"
-        for build in (Engine, Database):
-            with pytest.raises(ValueError) as raised:
-                build()
-            assert str(raised.value) == message
-        # an explicit backend never reads the environment
-        assert Engine(storage="rows").storage == "rows"
+    def test_one_switch_chooses_the_profile(self):
+        """The engine takes no executor, optimizer or storage knob: the
+        ``reference`` switch picks one of the two profiles."""
+        assert list(inspect.signature(Engine.__init__).parameters) == [
+            "self", "dialect", "database", "mode", "telemetry", "reference"]
 
-    def test_empty_storage_environment_counts_as_unset(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STORAGE", "")
-        assert Engine().storage == Database().storage == "columnar"
-        monkeypatch.setenv("REPRO_STORAGE", "rows")
-        assert Engine().storage == "rows"
+    @pytest.mark.parametrize("value", ["colunmar", "ROWS", " rows"])
+    def test_bad_storage_environment_raises_at_construction(self, value):
+        """A bad storage name raises when the catalog is built, not at
+        its first ``CREATE``: only ``Database(storage=...)`` names one,
+        no environment variable does."""
+        message = f"unknown storage {value!r}; expected 'rows' or 'columnar'"
+        with pytest.raises(ValueError) as raised:
+            Database(storage=value)
+        assert str(raised.value) == message
+
+    def test_an_attached_database_keeps_its_tables_storage(self):
+        database = Database(storage="rows")
+        database.load_edge_table("E", [(1, 2)])
+        engine = Engine("oracle", database=database)
+        engine.database.load_edge_table("F", [(1, 2)])
+        assert database.table("E").storage == "rows"
+        assert database.table("F").storage == engine.storage == "columnar"
+        assert engine.execute("select count(*) as n from E, F"
+                              " where E.T = F.T").rows == ((1,),)
 
 
 class TestConfiguration:

@@ -16,8 +16,8 @@ from ..conftest import reference_engine
 
 @pytest.fixture
 def loaded(request):
-    def make(**kwargs):
-        engine = Engine("oracle", optimizer="cost", **kwargs)
+    def make():
+        engine = Engine("oracle")
         engine.database.load_edge_table(
             "E", [(i, (i * 7 + 1) % 40, 1.0) for i in range(200)])
         engine.database.load_node_table(
@@ -101,8 +101,7 @@ class TestCompositeKeyEstimates:
         from repro.relational.recursive import RecursiveExecutor
 
         graph = preferential_attachment(150, 6.0, directed=False, seed=2)
-        engine = Engine("oracle", executor="batch", optimizer="cost",
-                        storage="columnar")
+        engine = Engine("oracle")
         load_graph(engine, graph)
         wcc.prepare_symmetric_edges(engine)
         executor = RecursiveExecutor(
@@ -147,7 +146,7 @@ class TestPushdownAndReordering:
     def test_small_filtered_relation_joined_first(self):
         # Three-way chain A-B-C where C shrinks to ~1 row under its
         # filter: the reorderer must not start from the big end.
-        engine = Engine("oracle", optimizer="cost")
+        engine = Engine("oracle")
         engine.database.load_edge_table(
             "A", [(i, i % 50, 1.0) for i in range(500)])
         engine.database.load_edge_table(
@@ -196,7 +195,7 @@ class TestPushdownAndReordering:
 
     def test_reordered_results_match_syntactic_order(self):
         engine_off = reference_engine("oracle")
-        engine_on = Engine("oracle", optimizer="cost")
+        engine_on = Engine("oracle")
         for engine in (engine_off, engine_on):
             engine.database.load_edge_table(
                 "A", [(i, i % 50, 1.0) for i in range(500)])
@@ -236,12 +235,16 @@ class TestPushdownAndReordering:
 class TestOperatorSelection:
     def test_build_side_on_smaller_input(self, loaded):
         # V (40 rows) much smaller than E (200): build from V's side.
-        plan = loaded(executor="tuple").explain(JOIN_SQL)
-        join_line = next(l for l in plan.splitlines() if "Hash Join" in l)
-        assert "cached build" in join_line
+        lines = loaded().explain(JOIN_SQL).splitlines()
+        join_at = next(i for i, l in enumerate(lines) if "Hash Join" in l)
+        build_at = max(i for i, l in enumerate(lines)
+                       if l.index("->") == lines[join_at].index("->") + 2)
+        if "build left" in lines[join_at]:
+            build_at = join_at + 1
+        assert "[V]" in lines[build_at]
 
     def test_merge_join_when_both_sides_presorted(self):
-        engine = Engine("oracle", optimizer="cost")
+        engine = Engine("oracle")
         engine.database.load_edge_table(
             "R", [(i, i + 1, 1.0) for i in range(50)])
         engine.database.load_edge_table(
@@ -253,7 +256,7 @@ class TestOperatorSelection:
         assert "Index Ordered Scan" in plan or "index" in plan.lower()
 
     def test_hash_join_when_sizes_skewed(self):
-        engine = Engine("oracle", optimizer="cost")
+        engine = Engine("oracle")
         engine.database.load_edge_table(
             "R", [(i, i + 1, 1.0) for i in range(500)])
         engine.database.load_edge_table("S", [(1, 2, 1.0), (2, 3, 1.0)])
@@ -262,13 +265,12 @@ class TestOperatorSelection:
         plan = engine.explain("select R.F from R, S where R.T = S.F")
         assert "Merge Join" not in plan
 
-    @pytest.mark.parametrize("executor", ["tuple", "batch"])
-    def test_plans_agree_across_executors(self, executor):
+    def test_plans_agree_with_the_reference_profile(self):
         # 3000 rows.  Quarter weights keep every sum exact whatever
         # order it adds in.
         edges = [(i, (i * 7 + 1) % 40, (i % 4) / 4) for i in range(3000)]
         nodes = [(i, float(i % 5)) for i in range(40)]
-        engine = Engine("oracle", optimizer="cost", executor=executor)
+        engine = Engine("oracle")
         baseline = reference_engine("oracle")
         for each in (engine, baseline):
             each.database.load_edge_table("E", edges)
@@ -322,8 +324,9 @@ class TestAnalyzeStatement:
 
 
 class TestAdaptiveReplanning:
-    def test_union_all_shrinking_delta_triggers_replan(self):
-        engine = Engine("oracle", optimizer="cost", replan_factor=2.0)
+    def test_union_all_shrinking_delta_triggers_replan(self, monkeypatch):
+        monkeypatch.setattr(CostBasedPolicy, "REPLAN_FACTOR", 2.0)
+        engine = Engine("oracle")
         # A single chain: the semi-naive delta starts at 30 rows and
         # shrinks by one per iteration as walk heads fall off the end,
         # so the planned cardinality drifts past the 2x factor.
@@ -339,10 +342,11 @@ class TestAdaptiveReplanning:
         assert detail.replans >= 1
         assert detail.relation.rows[0][0] > 0
 
-    def test_replans_counted_and_results_unchanged(self):
+    def test_replans_counted_and_results_unchanged(self, monkeypatch):
+        monkeypatch.setattr(CostBasedPolicy, "REPLAN_FACTOR", 1.5)
         results = {}
-        for opt, factor in (("off", 8.0), ("cost", 1.5)):
-            engine = Engine("oracle", optimizer=opt, replan_factor=factor)
+        for opt, reference in (("off", True), ("cost", False)):
+            engine = Engine("oracle", reference=reference)
             engine.database.load_edge_table(
                 "E", [(i, i + 1, 1.0) for i in range(40)]
                      + [(0, i, 2.0) for i in range(2, 20)])
@@ -362,7 +366,8 @@ class TestAdaptiveReplanning:
         assert results["off"] == results["cost"]
 
     def test_no_replan_on_stable_cardinality(self):
-        engine = Engine("oracle", optimizer="cost", replan_factor=8.0)
+        assert CostBasedPolicy.REPLAN_FACTOR == 8.0
+        engine = Engine("oracle")
         graph_edges = [(i, (i + 1) % 10, 1.0) for i in range(10)]
         engine.database.load_edge_table("E", graph_edges)
         detail = engine.execute_detailed(
@@ -396,8 +401,8 @@ def _comparable(left, right) -> bool:
 
 
 class TestResultIdentity:
-    """Optimizer on must agree with optimizer off over the whole registry
-    (exact, modulo float-summation order inside aggregates)."""
+    """``Engine()`` must agree with the reference profile over the whole
+    registry (exact, modulo float-summation order inside aggregates)."""
 
     @pytest.mark.parametrize(
         "key", sorted(k for k, info in ALGORITHMS.items() if info.has_sql))
@@ -407,7 +412,6 @@ class TestResultIdentity:
                  else preferential_attachment(120, 3, seed=3))
         kwargs = dict(info.bench_kwargs or {})
         off = info.run_sql(reference_engine("oracle"), graph, **kwargs)
-        on = info.run_sql(reference_engine("oracle", optimizer="cost"), graph,
-                          **kwargs)
+        on = info.run_sql(Engine("oracle"), graph, **kwargs)
         assert _comparable(off.values, on.values)
         assert off.iterations == on.iterations

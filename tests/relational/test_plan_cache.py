@@ -3,7 +3,7 @@
 A statement run again on the same engine reuses the plans its first run
 compiled — a with+ statement's initial queries, branches and body, or a
 plain SELECT's one plan — while they stay valid: the tables they scan are
-the catalog's and have not drifted past ``replan_factor``, no ANALYZE
+the catalog's and have not drifted past ``REPLAN_FACTOR``, no ANALYZE
 ran, and each recursive relation keeps its schema.
 """
 
@@ -29,6 +29,7 @@ from repro.relational import (
     recursive,
 )
 from repro.relational.database import Database
+from repro.relational.planner import CostBasedPolicy
 from repro.relational.sql.compiler import QueryRunner
 from repro.relational.table import Table
 
@@ -162,8 +163,7 @@ def test_the_cached_build_side_follows_the_base_table():
     engine = graph_engine({})
     engine.execute(bellman_ford.sql(0))
     (join,) = [node for root in kept_plans(engine) for node in walk(root)
-               if getattr(node, "cached_build", False)
-               or type(node).__name__ == "CachedBuildHashJoin"]
+               if getattr(node, "cached_build", False)]
     edges = engine.database.table("E")
     target = next(t for t in range(1, 120) if (0, t) not in
                   {row[:2] for row in edges.rows})
@@ -203,8 +203,9 @@ def test_analyze_replans(profile):
     assert engine.execute_detailed(wcc.sql()).plans_compiled == 0
 
 
-def test_drift_past_the_replan_factor_replans(profile):
-    engine = graph_engine(profile, replan_factor=2.0)
+def test_drift_past_the_replan_factor_replans(profile, monkeypatch):
+    monkeypatch.setattr(CostBasedPolicy, "REPLAN_FACTOR", 2.0)
+    engine = graph_engine(profile)
     engine.execute(JOIN_SQL)
     edges = engine.database.table("E")
     edges.insert_many([(u, u + 1, 1.0) for u in range(1000, 1000 + len(edges))])

@@ -2,7 +2,7 @@
 computed-by, maxrecursion, and the SQL'99 restriction checking.
 
 What a recursive branch reads R as is pinned per profile: the reference
-profile (``optimizer="off"``) binds the full R for a with+ ``UNION``, as
+profile (its dialect planner) binds the full R for a with+ ``UNION``, as
 Algorithm 1 does and Exp-C measures; ``Engine()`` binds the last round's
 new rows when ``delta_binding_is_exact`` proves it derives the same new
 rows, and each of the proof's decline rules has a test here that the
@@ -27,6 +27,8 @@ from repro.relational.recursive import (
     validate_withplus,
 )
 from repro.relational.sql.parser import parse_statement
+
+from ..conftest import engine_over_row_tables
 
 
 def _load_graph(engine: Engine) -> Engine:
@@ -530,9 +532,7 @@ class TestDeltaUpdateDeclines:
 
     @pytest.fixture
     def engine(self) -> Engine:
-        # The step runs on columnar storage (the CI rows leg flips the
-        # default).
-        return _load_weighted(Engine("postgres", storage="columnar"))
+        return _load_weighted(Engine("postgres"))
 
     @staticmethod
     def reference(sql: str):
@@ -620,9 +620,10 @@ class TestDeltaUpdateDeclines:
             r_arm="select ID, d from R where d < 1e18"))
 
     def test_row_storage(self):
-        # The step writes typed vectors: on row storage every round runs
-        # the plan, and the statement reports what its rounds read.
-        self.check_full(_load_weighted(Engine("postgres", storage="rows")),
+        # The step probes a columnar edge table: over an attached catalog
+        # of row tables every round runs the plan, and the statement
+        # reports what its rounds read.
+        self.check_full(engine_over_row_tables(_load_weighted, "postgres"),
                         _update_sql())
 
     def test_no_r_arm(self, engine):

@@ -41,7 +41,7 @@ GRAPH_TABLES = ("E", "V", "W", "L", "S", "ES")
 
 
 def columnar() -> Engine:
-    return Engine("oracle", storage="columnar")
+    return Engine("oracle")
 
 
 def weighted_graph(seed: int) -> Graph:
@@ -236,10 +236,9 @@ def test_a_first_insert_is_held_as_vectors_where_they_hold_it(why):
 
 
 @pytest.mark.parametrize("statement", ["wcc", "pagerank"])
-def test_the_iterations_table_is_held_as_vectors(statement, monkeypatch):
+def test_the_iterations_table_is_held_as_vectors(statement):
     """``Engine()`` publishes a with+ statement's trajectory by
     ``insert_many`` into a fresh ``__iterations__``: held as vectors."""
-    monkeypatch.delenv("REPRO_STORAGE", raising=False)
     graph = preferential_attachment(40, 3.0, directed=True, seed=4)
     engine, reference = Engine("oracle"), reference_engine()
     for each in (engine, reference):

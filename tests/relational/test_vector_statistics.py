@@ -426,11 +426,8 @@ def test_delete_positions_keeps_list_order(storage):
 
 # -- the streaming write path -------------------------------------------------
 
-BEST = dict(executor="batch", optimizer="cost", storage="columnar")
-
-
-def streaming_engine(seed=5, storage="columnar"):
-    engine = Engine("oracle", **{**BEST, "storage": storage})
+def streaming_engine(seed=5, reference=False):
+    engine = Engine("oracle", reference=reference)
     # E and ES load in the vector form: deletes keep their survivors.
     graph = preferential_attachment(1100, 4.0, directed=True, seed=seed)
     manager = engine.streaming
@@ -519,14 +516,17 @@ def test_steady_ingest_cycle_decodes_nothing_and_analyzes_vectors(
     assert any(s is es for s in storage_spy["vectors"])
 
 
-def estimates_after_mixed_batches(storage):
+def estimates_after_mixed_batches(reference):
     from repro.core.algorithms import bellman_ford, wcc
 
-    engine, graph = streaming_engine(seed=8, storage=storage)
+    engine, graph = streaming_engine(seed=8, reference=reference)
     rng = random.Random(11)
     for _ in range(3):
         run_cycle(engine, graph, rng)
     database = engine.database
+    # The cost planner estimates over the row tables the reference
+    # profile's batches left behind: Engine() attached to its catalog.
+    engine = Engine("oracle", database=database)
     stats = {name: statistics_repr(database.table(name).statistics)
              for name in ("E", "ES")}
     estimates = [re.findall(r"est_rows=\d+", engine.explain_analyze(sql))
@@ -536,7 +536,8 @@ def estimates_after_mixed_batches(storage):
 
 def test_view_estimates_do_not_depend_on_the_analyze_path():
     """The same batches leave the same statistics and WCC/SSSP estimates
-    behind whether ANALYZE read vectors (columnar) or rows (rows)."""
-    columnar = estimates_after_mixed_batches("columnar")
-    rows = estimates_after_mixed_batches("rows")
+    behind whether ANALYZE read vectors (``Engine()``'s columnar tables)
+    or rows (the reference profile's row tables)."""
+    columnar = estimates_after_mixed_batches(False)
+    rows = estimates_after_mixed_batches(True)
     assert all(columnar[1]) and columnar == rows

@@ -28,7 +28,7 @@ def _managed(graph: Graph, frontier: bool = True, views=("cc", "sp")):
     """An ``Engine()`` on columnar storage with a WCC view ``cc`` and an
     SSSP view ``sp`` over *graph* (those of them named in *views*), and
     the list its refresh statements' results are appended to."""
-    engine = Engine("oracle", storage="columnar")
+    engine = Engine("oracle")
     manager = engine.streaming
     manager.attach_graph(graph)
     kinds = {"cc": ("wcc", {}), "sp": ("sssp", {"source": SOURCE})}

@@ -238,12 +238,13 @@ def mixed_batches(seed, graph, count=6):
     return batches
 
 
-@pytest.mark.parametrize("storage", ["rows", "columnar"])
+@pytest.mark.parametrize("reference", [True, False],
+                         ids=["rows", "columnar"])
 @pytest.mark.parametrize("seed", range(5))
-def test_symmetric_patch_matches_the_per_row_walk(storage, seed):
+def test_symmetric_patch_matches_the_per_row_walk(reference, seed):
     runs = []
     for oracle in (False, True):
-        engine = Engine("oracle", storage=storage)
+        engine = Engine("oracle", reference=reference)
         graph = preferential_attachment(12, 2.0, directed=True, seed=seed)
         engine.streaming.attach_graph(graph)
         wcc.prepare_symmetric_edges(engine)

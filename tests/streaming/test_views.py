@@ -1,5 +1,5 @@
-"""Byte-identity of maintained views vs cold re-derivation, across the
-executor/storage matrix (the PR's acceptance contract)."""
+"""Byte-identity of maintained views vs cold re-derivation, on both
+engine profiles."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,30 +44,22 @@ BATCHES = (
                               (100 + j, j * 3 % 10, 1.0)))}, {}),
 )
 
-CONFIGS = (
-    {"executor": "tuple", "storage": "rows"},
-    {"executor": "batch", "storage": "rows"},
-    {"executor": "tuple", "storage": "columnar"},
-)
-
-
-def scenario_for(config) -> StreamingScenario:
+def scenario_for(reference: bool) -> StreamingScenario:
     return StreamingScenario(
         seed=0, kind="graph", nodes=10, edges=EDGES, batches=BATCHES,
-        sssp_source=0, iterations=6, **config)
+        sssp_source=0, iterations=6, reference=reference)
 
 
-@pytest.mark.parametrize(
-    "config", CONFIGS,
-    ids=lambda c: f"{c['executor']}-{c['storage']}")
-def test_views_byte_identical_to_cold_runs(config):
-    detail = check_streaming(scenario_for(config))
+@pytest.mark.parametrize("reference", [True, False],
+                         ids=["tuple-rows", "batch-columnar"])
+def test_views_byte_identical_to_cold_runs(reference):
+    detail = check_streaming(scenario_for(reference))
     assert detail is None, detail
 
 
 def test_mixed_batches_exercise_both_refresh_modes():
     report = StreamingReport(seed=0, budget=1)
-    detail = check_streaming(scenario_for(CONFIGS[0]), report)
+    detail = check_streaming(scenario_for(True), report)
     assert detail is None, detail
     assert report.incremental_refreshes > 0
     assert report.full_refreshes > 0
@@ -76,15 +68,13 @@ def test_mixed_batches_exercise_both_refresh_modes():
 @pytest.mark.parametrize("seed", [2026, 7])
 def test_campaigns_draw_the_default_engine_often(seed):
     """CI's streaming campaigns (budget 120) run a third or more of their
-    scenarios on ``Engine()``'s batch executor and columnar storage:
-    only generated here, no engine runs."""
+    scenarios on ``Engine()``, the array profile, and some on the
+    reference profile: only generated here, no engine runs."""
     scenarios = [generate_streaming_scenario(seed * 1_000_003 + index)
                  for index in range(120)]
     on_default = [scenario for scenario in scenarios
-                  if scenario.executor == "batch"
-                  and scenario.storage == "columnar"]
-    assert len(on_default) >= 40
-    assert {scenario.optimizer for scenario in on_default} == {"off", "cost"}
+                  if not scenario.reference]
+    assert 40 <= len(on_default) < len(scenarios)
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13, 14, 15])
@@ -246,7 +236,7 @@ def test_an_insert_only_batch_builds_no_rows_and_retypes_no_vertex_list(
     runs only over the appended rows, never over a list of every
     vertex."""
     graph = preferential_attachment(200, 4.0, directed=True, seed=3)
-    engine = Engine("oracle", storage="columnar")
+    engine = Engine("oracle")
     manager = engine.streaming
     manager.attach_graph(graph)
     register_all(manager)
@@ -324,9 +314,10 @@ def test_vertex_ids_without_an_exact_vector_are_refused(vertex):
     assert manager.graph is graph
 
 
-@pytest.mark.parametrize("storage", ["rows", "columnar"])
-def test_views_of_an_emptied_graph_are_empty_and_grow_again(storage):
-    engine = Engine("oracle", storage=storage)
+@pytest.mark.parametrize("reference", [True, False],
+                         ids=["rows", "columnar"])
+def test_views_of_an_emptied_graph_are_empty_and_grow_again(reference):
+    engine = Engine("oracle", reference=reference)
     manager = engine.streaming
     manager.attach_graph(Graph.from_edges([(0, 1), (1, 2)]))
     register_all(manager)

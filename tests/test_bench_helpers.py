@@ -40,16 +40,14 @@ class TestHarness:
         big = load_dataset("WV", scale=0.4)
         assert big.num_nodes > small.num_nodes
 
-    def test_fresh_engine_keeps_the_dialect_plan_shapes(self, monkeypatch):
+    def test_fresh_engine_keeps_the_dialect_plan_shapes(self):
         """The paper-figure benches run the reference profile, whatever
-        ``Engine()`` or ``REPRO_STORAGE`` say: row storage, PostgreSQL's
-        merge join over stale statistics, DB2's sort aggregate."""
-        monkeypatch.setenv("REPRO_STORAGE", "columnar")
+        ``Engine()`` says: row storage, PostgreSQL's merge join over stale
+        statistics, DB2's sort aggregate."""
         plans = {}
         for dialect in ("postgres", "db2"):
             engine = fresh_engine(dialect)
-            assert (engine.executor, engine.optimizer, engine.storage) \
-                == ("tuple", "off", "rows")
+            assert (engine.reference, engine.storage) == (True, "rows")
             engine.database.load_edge_table("E", [(1, 2), (2, 3), (1, 3)])
             engine.database.load_node_table(
                 "V", [(1, 0.0), (2, 0.0), (3, 0.0)])
@@ -60,7 +58,7 @@ class TestHarness:
                 engine.explain("select T, sum(ew) as s from E group by T"))
         assert "Merge Join" in plans["postgres"][0]
         assert "Sort Aggregate" in plans["db2"][1]
-        assert fresh_engine("oracle", executor="batch").executor == "batch"
+        assert fresh_engine("oracle", mode="with").mode == "with"
 
     def test_dag_twin_matches_size_and_is_acyclic(self):
         graph = load_dataset("WG", scale=0.2)
