@@ -32,9 +32,10 @@ from .physical.blocks import (
 from .physical.rename import Requalify
 from .physical.scan import BindingScan
 from .schema import Schema
-from .sql.ast import (CommonTableExpression, JoinKind, JoinSource,
-                      SelectStatement, SetOperation, SetOpKind,
-                      SubquerySource, TableRef, UnionKind)
+from .sql.ast import (CommonTableExpression, ExistsSubquery, InSubquery,
+                      JoinKind, JoinSource, ScalarSubquery, SelectStatement,
+                      SetOperation, SetOpKind, SubquerySource, TableRef,
+                      UnionKind, WithStatement, walk)
 from .strategies import UpdateCounts
 from .table import Table
 from .types import SqlType
@@ -63,8 +64,8 @@ def delta_update_is_exact(cte: CommonTableExpression, schema: Schema) -> bool:
     fallbacks (:class:`DeltaUpdate`).
     """
     # The AST walks live in .recursive, which imports this module.
-    from .recursive import (_reads_r_linearly, _statement_is_plan_cacheable,
-                            split_branches, statement_references)
+    from .recursive import (_reads_r_linearly, split_branches,
+                            statement_references)
 
     _, recursive = split_branches(cte)
     if cte.union_kind is not UnionKind.UNION_BY_UPDATE \
@@ -74,7 +75,9 @@ def delta_update_is_exact(cte: CommonTableExpression, schema: Schema) -> bool:
     (branch,) = recursive
     outer = branch.statement
     if branch.computed_by or not isinstance(outer, SelectStatement) \
-            or not _statement_is_plan_cacheable(outer) \
+            or any(isinstance(node, (InSubquery, ExistsSubquery,
+                                     ScalarSubquery, WithStatement))
+                   for node in walk(outer)) \
             or not _bare(outer, grouped=True) or outer.where is not None \
             or len(outer.sources) != 1 \
             or not isinstance(outer.sources[0], SubquerySource):

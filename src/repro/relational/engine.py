@@ -515,7 +515,8 @@ class Engine:
 
     def explain(self, sql: str | Statement) -> str:
         """Physical plan of a non-recursive statement, as indented text,
-        with per-operator cardinality estimates."""
+        with per-operator cardinality estimates.  Nothing is executed:
+        subqueries and CTEs show as the subplans they run as."""
         statement = parse_statement(sql) if isinstance(sql, str) else sql
         runner = QueryRunner(self.database, self.policy)
         plan = runner.plan(statement)
@@ -532,11 +533,10 @@ class Engine:
         The statement runs as :meth:`execute` would run it — the same
         kept plans, the same kernels — while its operators record their
         stats.  For recursive ``with``/``with+`` statements the report
-        covers every cached branch plan (and COMPUTED BY feeder) and the
-        final body; since cached plans run once per iteration, their
-        totals accumulate over the whole loop.  Branches that cannot be
-        plan-cached are re-planned each iteration and do not appear in
-        the report.  *warm_start* is :meth:`execute_detailed`'s.
+        covers every branch plan (and COMPUTED BY feeder) and the final
+        body; since kept plans run once per iteration, their totals
+        accumulate over the whole loop.  *warm_start* is
+        :meth:`execute_detailed`'s.
         """
         statement = parse_statement(sql) if isinstance(sql, str) else sql
         mode = mode or self.mode

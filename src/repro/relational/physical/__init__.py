@@ -42,7 +42,7 @@ from .setops import ExceptOp, IntersectOp, UnionAllOp, UnionDistinctOp
 from .sort import Sort
 from .distinct import Distinct
 from .limit import Limit
-from .materialize import Materialize
+from .bind import Bind
 from .rename import ReorderColumns, Requalify
 from .window import WindowAggregate, WindowSpec
 
@@ -93,5 +93,5 @@ __all__ = [
     "Sort",
     "Distinct",
     "Limit",
-    "Materialize",
+    "Bind",
 ]

@@ -1047,20 +1047,24 @@ class BatchHashAggregate(_AggregateBase):
                 raise ExecutionError(
                     f"{function}() requires numeric values") from None
         elif function == "min":
+            # NaN sorts above every number (relation._finish_aggregate's
+            # rule): a number replaces a NaN, never the other way round.
             for key, value in pairs:
                 current = get(key, _MISSING)
                 if current is _MISSING:
                     acc[key] = value
-                elif value is not None and (current is None
-                                            or value < current):
+                elif value is not None and (
+                        current is None or value < current
+                        or (current != current and value == value)):
                     acc[key] = value
         elif function == "max":
             for key, value in pairs:
                 current = get(key, _MISSING)
                 if current is _MISSING:
                     acc[key] = value
-                elif value is not None and (current is None
-                                            or value > current):
+                elif value is not None and (
+                        current is None or value > current
+                        or (value != value and current == current)):
                     acc[key] = value
         else:  # avg
             counts: dict[Any, int] = {}

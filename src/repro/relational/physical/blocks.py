@@ -67,6 +67,7 @@ from ..expressions import (
     IsNull,
     Literal,
     Negate,
+    Parameter,
 )
 
 Vector = list
@@ -1291,12 +1292,15 @@ def compile_vector(expr: Expression) -> VectorFn | None:
     """Lower a bound expression to a whole-column evaluator.
 
     Returns None when *expr* uses a node kind the vectorizer does not
-    cover — callers fall back to the row path.  Covered: literals,
-    column references, binary arithmetic/comparison, negation, IS NULL.
+    cover — callers fall back to the row path.  Covered: literals and
+    parameters, column references, binary arithmetic/comparison,
+    negation, IS NULL.
     """
     if isinstance(expr, Literal):
         value = expr.value
         return lambda batch: [value] * batch.length
+    if isinstance(expr, Parameter):  # a literal bound per execution
+        return lambda batch: [expr.evaluate(())] * batch.length
     if isinstance(expr, BoundColumn):
         index = expr.index
         return lambda batch: batch.column(index)
@@ -1492,8 +1496,11 @@ def compile_mask(expr: Expression) -> MaskFn | None:
     six comparisons over ``column op literal`` (the literal on either
     side) or ``column op column``, and ``AND`` of those; None for
     anything else — ``OR``, ``NOT``, ``IS NULL``, a literal that is not
-    an int or a float, a NaN literal.  A typed vector holds no NULL, so
-    the mask is exactly where the row predicate is True."""
+    an int or a float, a NaN literal.  A scalar subquery's
+    :class:`~repro.relational.expressions.Parameter` counts as a literal
+    read per execution (the mask declines such a value).  A typed vector
+    holds no NULL, so the mask is exactly where the row predicate is
+    True."""
     if isinstance(expr, And):
         parts = [compile_mask(operand) for operand in expr.operands]
         if any(part is None for part in parts):
@@ -1512,7 +1519,7 @@ def compile_mask(expr: Expression) -> MaskFn | None:
     if not (isinstance(expr, BinaryOp) and expr.op in _MASK_OPS):
         return None
     left, right, op = expr.left, expr.right, expr.op
-    if isinstance(left, Literal):
+    if isinstance(left, (Literal, Parameter)):
         left, right, op = right, left, _MIRRORED[op]
     if not isinstance(left, BoundColumn):
         return None
@@ -1521,6 +1528,13 @@ def compile_mask(expr: Expression) -> MaskFn | None:
         other = right.index
         return lambda batch: _column_mask(compare, batch.array(index),
                                           batch.array(other))
+    if isinstance(right, Parameter):
+        def eval_parameter(batch: ColumnBatch):
+            value = right.evaluate(())
+            return None if value != value else \
+                _literal_mask(compare, batch.array(index), value)
+
+        return eval_parameter
     value = right.value if isinstance(right, Literal) else None
     if type(value) not in (int, float) or value != value:
         return None  # a NaN literal: declined, as exact_array declines NaN
@@ -1562,16 +1576,22 @@ def _column_mask(compare, a: ArrayVector | None, b: ArrayVector | None):
 
 
 def compile_array(expr: Expression) -> ArrayFn | None:
-    """Array twin of :func:`compile_vector` for int/float literals, column
-    references, ``+ - * /`` and the literal CASE of :func:`_literal_case`
-    when both its arms are ints or both floats; None for anything else.
-    A bare literal evaluates to the Python value (see
-    :func:`literal_array`)."""
+    """Array twin of :func:`compile_vector` for int/float literals and
+    parameters, column references, ``+ - * /`` and the literal CASE of
+    :func:`_literal_case` when both its arms are ints or both floats;
+    None for anything else.  A bare literal evaluates to the Python value
+    (see :func:`literal_array`)."""
     if isinstance(expr, Literal):
         value = expr.value
         if type(value) in (int, float):
             return lambda batch: value
         return None
+    if isinstance(expr, Parameter):
+        def eval_parameter(batch: ColumnBatch) -> int | float | None:
+            value = expr.evaluate(())
+            return value if type(value) in (int, float) else None
+
+        return eval_parameter
     case = _literal_case(expr)
     if case is not None:
         index, key, then, otherwise = case

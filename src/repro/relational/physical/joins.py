@@ -25,6 +25,7 @@ from ..expressions import (
     bind,
     compile_expression,
     compile_key_function,
+    reads_parameter,
 )
 from ..relation import Row
 from ..schema import Schema
@@ -424,11 +425,21 @@ def stable_input_fingerprint(node: PhysicalOperator) -> tuple | None:
     if isinstance(node, BindingScan):
         return None
     if isinstance(node, (Filter, Project, ColumnPrune, Requalify)):
+        if any(map(reads_parameter, _expressions(node))):
+            return None  # a scalar subquery's value, bound per execution
         child = stable_input_fingerprint(node.children()[0])
         if child is None:
             return None
         return (type(node).__name__,) + child
     return None
+
+
+def _expressions(node: PhysicalOperator) -> tuple[Expression, ...]:
+    if isinstance(node, Filter):
+        return (node.predicate,)
+    if isinstance(node, Project):
+        return tuple(expr for expr, _ in node.items)
+    return ()
 
 
 def contains_binding_scan(node: PhysicalOperator) -> bool:

@@ -72,11 +72,11 @@ from .sql.ast import (
     SetOperation,
     SetOpKind,
     Statement,
-    SubquerySource,
     TableRef,
     UnionKind,
     WindowCall,
     WithStatement,
+    walk,
 )
 from .sql.compiler import QueryRunner
 from .strategies import UpdateCounts, apply_union_by_update
@@ -199,58 +199,8 @@ class WithExecutionResult:
 def statement_references(statement: Statement, name: str) -> int:
     """Count references to table/CTE *name* anywhere in *statement*."""
     lowered = name.lower()
-    count = 0
-
-    def visit_expr(expr: Expression | None) -> None:
-        nonlocal count
-        if expr is None:
-            return
-        if isinstance(expr, InSubquery):
-            visit_expr(expr.operand)
-            visit_statement(expr.subquery)
-            return
-        if isinstance(expr, ExistsSubquery):
-            visit_statement(expr.subquery)
-            return
-        if isinstance(expr, ScalarSubquery):
-            visit_statement(expr.subquery)
-            return
-        for child in expr.children():
-            visit_expr(child)
-
-    def visit_source(source) -> None:
-        nonlocal count
-        if isinstance(source, TableRef):
-            if source.name.lower() == lowered:
-                count += 1
-        elif isinstance(source, SubquerySource):
-            visit_statement(source.statement)
-        elif isinstance(source, JoinSource):
-            visit_source(source.left)
-            visit_source(source.right)
-            visit_expr(source.condition)
-
-    def visit_statement(node: Statement) -> None:
-        if isinstance(node, SelectStatement):
-            for item in node.items:
-                visit_expr(item.expression)
-            for source in node.sources:
-                visit_source(source)
-            visit_expr(node.where)
-            for key in node.group_by:
-                visit_expr(key)
-            visit_expr(node.having)
-        elif isinstance(node, SetOperation):
-            visit_statement(node.left)
-            visit_statement(node.right)
-        elif isinstance(node, WithStatement):
-            for cte in node.ctes:
-                for branch in cte.branches:
-                    visit_statement(branch.statement)
-            visit_statement(node.body)
-
-    visit_statement(statement)
-    return count
+    return sum(isinstance(node, TableRef) and node.name.lower() == lowered
+               for node in walk(statement))
 
 
 def branch_references(branch: CteBranch, name: str) -> int:
@@ -510,11 +460,11 @@ def delta_keys_are_distinct(cte: CommonTableExpression,
 
     That holds for a plain SELECT — no COMPUTED BY, no ``*`` item, R's
     arity — grouped on exactly one expression that is, as an AST, the
-    select item at the one update-key column's position (and holds no
-    subquery).  The compiler takes that item from the group key, one row
-    per group, and no two groups have equal keys; so consolidating the
-    delta (:func:`~repro.relational.strategies.consolidate_delta`) would
-    return it untouched.  docs/with_plus_language.md, "Distinct keys by
+    select item at the one update-key column's position.  The compiler
+    takes that item from the group key, one row per group, and no two
+    groups have equal keys; so consolidating the delta
+    (:func:`~repro.relational.strategies.consolidate_delta`) would return
+    it untouched.  docs/with_plus_language.md, "Distinct keys by
     proof", has the rules.
     """
     _, recursive = split_branches(cte)
@@ -532,60 +482,10 @@ def delta_keys_are_distinct(cte: CommonTableExpression,
     except SchemaError:
         return False
     (key,) = statement.group_by
-    return statement.items[position].expression == key \
-        and not _expression_has_subquery(key)
+    return statement.items[position].expression == key
 
 
 # -- plan caching ------------------------------------------------------------------
-
-
-def _expression_has_subquery(expr: Expression | None) -> bool:
-    if expr is None:
-        return False
-    if isinstance(expr, (InSubquery, ExistsSubquery, ScalarSubquery)):
-        return True
-    return any(_expression_has_subquery(c) for c in expr.children())
-
-
-def _statement_is_plan_cacheable(statement: Statement) -> bool:
-    """True when a plan for *statement* can be re-executed as-is.
-
-    :class:`~repro.relational.sql.compiler.QueryRunner` materialises
-    IN/EXISTS/scalar subqueries (and nested WITH bodies) *at plan time*,
-    so a cached plan would freeze their first results.  Derived
-    tables (``FROM (subquery) AS x``) are fine: in live-slot mode the
-    compiler inlines them as subplans that re-read the slots.
-    """
-    if isinstance(statement, SetOperation):
-        return (_statement_is_plan_cacheable(statement.left)
-                and _statement_is_plan_cacheable(statement.right))
-    if not isinstance(statement, SelectStatement):
-        return False
-    expressions = [item.expression for item in statement.items
-                   if item.expression is not None]
-    expressions += [e for e in (statement.where, statement.having)
-                    if e is not None]
-    expressions += list(statement.group_by)
-    expressions += [o.expression for o in statement.order_by]
-
-    def source_ok(source) -> bool:
-        if isinstance(source, TableRef):
-            return True
-        if isinstance(source, SubquerySource):
-            return _statement_is_plan_cacheable(source.statement)
-        if isinstance(source, JoinSource):
-            return (source_ok(source.left) and source_ok(source.right)
-                    and not _expression_has_subquery(source.condition))
-        return False
-
-    return (not any(_expression_has_subquery(e) for e in expressions)
-            and all(source_ok(s) for s in statement.sources))
-
-
-def _branch_is_plan_cacheable(branch: CteBranch) -> bool:
-    return (_statement_is_plan_cacheable(branch.statement)
-            and all(_statement_is_plan_cacheable(d.statement)
-                    for d in branch.computed_by))
 
 
 def _frontier_rows(table: Table, key: int, frontier: np.ndarray
@@ -623,6 +523,10 @@ class _CachedBranchPlans:
     statement_plan: object
     #: rows of the recursive relation's slot when these were planned
     planned_input: int | None = None
+    #: the plans compiled when R drifted away from *planned_input* — a
+    #: later run takes them at the same point of its loop.  They read the
+    #: same tables as these, so these plans' scans date both.
+    successor: "_CachedBranchPlans | None" = None
     #: the plans' anti-join nodes (:func:`~.physical.joins.pruning_nodes`)
     pruning: list = field(init=False)
 
@@ -639,11 +543,7 @@ class _CachedBranchPlans:
     def pruned_total(self) -> int:
         """Rows the plans' anti-joins pruned over all their executions —
         a free byproduct the loop diffs per iteration."""
-        return _pruned_total(self.pruning)
-
-
-def _pruned_total(nodes) -> int:
-    return sum(node.pruned_total for node in nodes)
+        return sum(node.pruned_total for node in self.pruning)
 
 
 class StatementPlans:
@@ -687,15 +587,12 @@ class StatementPlans:
 
     def plan(self, statement: Statement, database, policy, slots: dict):
         """``(plan, compiled)``: the kept plan of *statement*, a query of
-        this entry's statement, or a new one against *slots* — kept when
-        it can be re-executed as-is."""
+        this entry's statement, or a new one against *slots*, kept."""
         plan = self.plans.get(id(statement))
         if plan is not None:
             return plan, False
-        plan = QueryRunner(database, policy, slots,
-                           live_slots=slots).plan(statement)
-        if _statement_is_plan_cacheable(statement):
-            self.store(id(statement), plan, [plan])
+        plan = QueryRunner(database, policy, slots).plan(statement)
+        self.store(id(statement), plan, [plan])
         return plan, True
 
     def store(self, key: int, item, plans) -> None:
@@ -1057,16 +954,16 @@ class RecursiveExecutor:
         # The entry's branch plans are the ones compiled at iteration 1.
         cached: list[_CachedBranchPlans | None] = [
             entry.plans.get(id(b)) for b in recursive]
-        cacheable = [c is not None or _branch_is_plan_cacheable(b)
-                     for c, b in zip(cached, recursive)]
         # Iteration-adaptive replanning (cost-based policies): each cached
         # plan remembers the R cardinality it was compiled against; when
         # the loop's live cardinality drifts past REPLAN_FACTOR in either
         # direction, the cached plan's estimates (and hence its build-side
-        # and operator choices) are stale — drop it and replan against the
-        # current bindings.  A replan after iteration 1 stays local to this
-        # statement; the entry keeps the iteration-1 plans.
+        # and operator choices) are stale — take its successor, the plans
+        # an earlier run compiled at that point, when R fits those, else
+        # replan against the current bindings and keep the new plans as
+        # the successor.
         adaptive = getattr(self.policy, "adaptive", False)
+        drifted: list[_CachedBranchPlans | None] = [None] * len(recursive)
         # Cumulative anti-join pruned totals already attributed per cached
         # branch plan; the per-iteration value is the delta against these.
         pruned_seen = [c.pruned_total() if c else 0 for c in cached]
@@ -1105,36 +1002,34 @@ class RecursiveExecutor:
                 for position, branch in enumerate(
                         recursive if stepped is None else ()):
                     branch_started = time.perf_counter()
-                    if (adaptive and cached[position] is not None
-                            and _cardinality_drifted(
-                                cached[position].planned_input,
-                                len(branch_slots[rname]),
-                                CostBasedPolicy.REPLAN_FACTOR)):
-                        cached[position] = None
-                        pruned_seen[position] = 0
-                        stats.replanned("drift")
+                    kept = cached[position]
+                    rows = len(branch_slots[rname])
+                    if adaptive and kept is not None and _cardinality_drifted(
+                            kept.planned_input, rows,
+                            CostBasedPolicy.REPLAN_FACTOR):
+                        successor = kept.successor
+                        if successor is not None and not _cardinality_drifted(
+                                successor.planned_input, rows,
+                                CostBasedPolicy.REPLAN_FACTOR):
+                            cached[position] = successor
+                            pruned_seen[position] = successor.pruned_total()
+                        else:
+                            cached[position] = None
+                            drifted[position] = kept
+                            pruned_seen[position] = 0
+                            stats.replanned("drift")
                     with self._span("branch", position=position):
-                        if not cacheable[position]:
-                            statement_bindings = dict(outer)
-                            statement_bindings[rname] = working if semi_naive \
-                                else snapshot
-                            computed_bindings = dict(outer)
-                            computed_bindings[rname] = snapshot
-                            delta, branch_pruned = self._run_branch(
-                                branch, statement_bindings,
-                                computed_bindings, computed_names)
-                            antijoin_pruned += branch_pruned
-                            stats.plans_compiled += 1 + len(branch.computed_by)
-                        elif cached[position] is None:
-                            planned = len(branch_slots[rname])
+                        if cached[position] is None:
                             delta, compiled = self._plan_and_run_branch(
                                 branch, branch_slots, computed_slots,
                                 computed_names, key_plans)
-                            compiled.planned_input = planned
+                            compiled.planned_input = rows
                             cached[position] = compiled
                             if iteration == 1:
                                 entry.store(id(branch), compiled,
                                             compiled.all_plans())
+                            elif drifted[position] is not None:
+                                drifted[position].successor = compiled
                             stats.plans_compiled += compiled.statement_count
                             total = compiled.pruned_total()
                             antijoin_pruned += total - pruned_seen[position]
@@ -1216,7 +1111,8 @@ class RecursiveExecutor:
         depth-first derivation order as a sequence column.  Set-at-a-time
         evaluation loses that provenance, so this path expands one working
         row at a time — exact semantics, meant for the modest recursion
-        sizes these clauses serve.
+        sizes these clauses serve.  The branch is planned once, over a
+        slot re-pointed at each working row.
         """
         for clause, feature in ((cte.search_clause, "search_clause"),
                                 (cte.cycle_clause, "cycle_clause")):
@@ -1234,11 +1130,11 @@ class RecursiveExecutor:
         if statement_references(branch.statement, cte.name) != 1:
             raise PlanError("SEARCH/CYCLE require linear recursion")
 
-        bindings = self.plans.slots
-        runner = QueryRunner(self.database, self.policy, bindings)
-        current = runner.run(initial[0].statement)
+        outer = self.plans.slots
+        current = self._planned(initial[0].statement, outer, stats).execute()
         for extra_branch in initial[1:]:
-            current = current.union_all(runner.run(extra_branch.statement))
+            current = current.union_all(
+                self._planned(extra_branch.statement, outer, stats).execute())
         if cte.columns:
             current = current.rename_columns(cte.columns)
         schema = current.schema
@@ -1257,6 +1153,9 @@ class RecursiveExecutor:
             rows.append((row, None, 0, path, False))
             working.append(len(rows) - 1)
 
+        row_slots, _ = self.plans.loop_slots.setdefault(id(cte), ({}, {}))
+        row_slots.update(outer)
+        rname = cte.name.lower()
         cap = cte.maxrecursion if cte.maxrecursion is not None \
             else DEFAULT_RECURSION_CAP
         iteration = 0
@@ -1272,12 +1171,10 @@ class RecursiveExecutor:
             produced = 0
             for index in working:
                 parent_row, _, depth, path, _ = rows[index]
-                single = Relation(schema, [parent_row])
-                row_bindings = dict(bindings)
-                row_bindings[cte.name.lower()] = single
-                child_runner = QueryRunner(self.database, self.policy,
-                                           row_bindings)
-                for child in child_runner.run(branch.statement).rows:
+                row_slots[rname] = Relation(schema, [parent_row])
+                plan = self._planned(branch.statement, row_slots, stats)
+                self._watch("recursive branch", plan)
+                for child in plan.execute().rows:
                     produced += 1
                     if cycle:
                         key = tuple(child[i] for i in cycle_idx)
@@ -1344,58 +1241,17 @@ class RecursiveExecutor:
             stack.extend(reversed(children.get(index, [])))
         return order
 
-    def _run_branch(self, branch: CteBranch,
-                    statement_bindings: dict[str, Relation],
-                    computed_bindings: dict[str, Relation],
-                    computed_names: set[str]) -> tuple[Relation, int]:
-        """Fill the COMPUTED BY tables (which see the full R), then run the
-        branch statement (which may see a semi-naive binding for R).
-
-        Returns ``(delta, antijoin_pruned)`` — the plans here are fresh
-        each iteration, so their pruned totals are per-iteration already.
-        """
-        statement_bindings = dict(statement_bindings)
-        computed_bindings = dict(computed_bindings)
-        plans = []
-        for definition in branch.computed_by:
-            runner = QueryRunner(self.database, self.policy,
-                                 computed_bindings)
-            started = time.perf_counter()
-            plan = runner.plan(definition.statement)
-            self.plan_seconds += time.perf_counter() - started
-            plans.append(plan)
-            result = plan.execute()
-            if definition.columns:
-                result = result.rename_columns(definition.columns)
-            aux = self.database.create_temp_table(definition.name,
-                                                  result.schema, replace=True)
-            aux.insert_relation(result)
-            self._maybe_index(aux)
-            computed_names.add(definition.name)
-            # Later definitions and the branch query read it via bindings.
-            view = aux.snapshot()
-            computed_bindings[definition.name.lower()] = view
-            statement_bindings[definition.name.lower()] = view
-        runner = QueryRunner(self.database, self.policy, statement_bindings)
-        started = time.perf_counter()
-        statement_plan = runner.plan(branch.statement)
-        self.plan_seconds += time.perf_counter() - started
-        plans.append(statement_plan)
-        delta = statement_plan.execute()
-        return delta, _pruned_total(pruning_nodes(plans))
-
     def _plan_and_run_branch(self, branch: CteBranch,
                              branch_slots: dict[str, Relation],
                              computed_slots: dict[str, Relation],
                              computed_names: set[str], key_plans: bool
                              ) -> tuple[Relation, _CachedBranchPlans]:
-        """First iteration of a cacheable branch: compile each statement
-        against the live slots, run it, and keep the plans for reuse —
-        with their key plans too when *key_plans*."""
+        """A branch's first iteration, or one past a drift: compile each
+        statement against the live slots, run it, and keep the plans for
+        reuse — with their key plans too when *key_plans*."""
         computed_plans = []
         for definition in branch.computed_by:
-            runner = QueryRunner(self.database, self.policy,
-                                 live_slots=computed_slots)
+            runner = QueryRunner(self.database, self.policy, computed_slots)
             started = time.perf_counter()
             plan = runner.plan(definition.statement)
             self.plan_seconds += time.perf_counter() - started
@@ -1405,8 +1261,7 @@ class RecursiveExecutor:
             computed_plans.append((definition, plan))
             self._fill_computed(definition, plan, branch_slots,
                                 computed_slots, computed_names)
-        runner = QueryRunner(self.database, self.policy,
-                             live_slots=branch_slots)
+        runner = QueryRunner(self.database, self.policy, branch_slots)
         started = time.perf_counter()
         statement_plan = runner.plan(branch.statement)
         self.plan_seconds += time.perf_counter() - started

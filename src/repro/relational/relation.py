@@ -78,10 +78,13 @@ def _finish_aggregate(function: str, values: list[Any]) -> Any:
         # ``0 + -0.0`` would lose the zero's sign.
         total = sum(values[1:], values[0])
         return total if function == "sum" else total / len(values)
-    if function == "min":
-        return min(values)
-    if function == "max":
-        return max(values)
+    if function in ("min", "max"):
+        # NaN sorts above every number, as in PostgreSQL, whatever the row
+        # order: max is NaN if any value is, min only if every value is.
+        numbers = [value for value in values if value == value]
+        if not numbers or (function == "max" and len(numbers) < len(values)):
+            return next(value for value in values if value != value)
+        return (min if function == "min" else max)(numbers)
     raise ExecutionError(f"unknown aggregate {function!r}")
 
 

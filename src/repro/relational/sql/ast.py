@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 from ..expressions import Expression
 
@@ -286,3 +286,32 @@ class AnalyzeStatement:
 
 Statement = Union[SelectStatement, SetOperation, WithStatement,
                   AnalyzeStatement]
+
+
+def walk(node) -> Iterator:
+    """*node* — a statement, FROM item or expression — then every
+    statement, FROM item and expression node inside it: subqueries,
+    derived tables and CTE branches included (not COMPUTED BY blocks)."""
+    yield node
+    if isinstance(node, SelectStatement):
+        parts = [item.expression for item in node.items]
+        parts += [*node.sources, node.where, *node.group_by, node.having]
+        parts += [order.expression for order in node.order_by]
+    elif isinstance(node, SetOperation):
+        parts = [node.left, node.right]
+    elif isinstance(node, WithStatement):
+        parts = [branch.statement for cte in node.ctes
+                 for branch in cte.branches] + [node.body]
+    elif isinstance(node, SubquerySource):
+        parts = [node.statement]
+    elif isinstance(node, JoinSource):
+        parts = [node.left, node.right, node.condition]
+    elif isinstance(node, (InSubquery, ExistsSubquery, ScalarSubquery)):
+        parts = [*node.children(), node.subquery]
+    elif isinstance(node, Expression):
+        parts = node.children()
+    else:
+        parts = ()
+    for part in parts:
+        if part is not None:
+            yield from walk(part)

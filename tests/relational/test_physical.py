@@ -17,7 +17,6 @@ from repro.relational.physical import (
     IndexOrderedScan,
     IntersectOp,
     Limit,
-    Materialize,
     MergeJoin,
     NestedLoopJoin,
     NotInAntiJoin,
@@ -193,12 +192,6 @@ class TestOtherOperators:
         assert len(UnionDistinctOp(a, b).execute()) == 3
         assert ExceptOp(a, b).execute().rows == ((1,),)
         assert IntersectOp(a, b).execute().rows == ((2,),)
-
-    def test_materialize_replays(self, people):
-        mat = Materialize(people)
-        first = list(mat.rows())
-        second = list(mat.rows())
-        assert first == second
 
     def test_requalify(self, people):
         out = Requalify(people, "Q")
