@@ -21,7 +21,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from .errors import SchemaError
-from .expressions import ColumnRef, Expression
+from .expressions import ColumnRef, Expression, reads_parameter
 from .physical import (
     BatchFilter,
     BatchHashAggregate,
@@ -269,7 +269,8 @@ class CostBasedPolicy(PlannerPolicy):
 
     * hash join with the cheaper side as build; inside a with+ loop a
       :class:`~repro.relational.physical.BatchHashJoin` whose build input
-      is stable sets ``cached_build``, so the base table's index is built
+      is stable, and whose build keys read no scalar subquery's value,
+      sets ``cached_build``, so the base table's index is built
       once and only the delta is probed each iteration, and the join
       stays a block-pipeline boundary inside fixpoints;
     * merge join only when both inputs arrive presorted through a sorted
@@ -350,6 +351,9 @@ class CostBasedPolicy(PlannerPolicy):
         else:
             build_side = "left" if left_rows <= right_rows else "right"
         build_stable = stable_left if build_side == "left" else stable_right
+        build_keys = left_keys if build_side == "left" else right_keys
+        if any(map(reads_parameter, build_keys)):
+            build_stable = False  # hashed on a value bound per execution
         join = BatchHashJoin(
             left, right, left_keys, right_keys, build_side,
             cached_build=build_stable
